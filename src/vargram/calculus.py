@@ -10,6 +10,7 @@ manipulation.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -98,8 +99,9 @@ class Dual:
         return NotImplemented
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if not hasattr(n, "__index__") or operator.index(n) < 0:
             raise ValueError("dual powers require a non-negative integer exponent")
+        n = operator.index(n)
         # exponentiation by squaring keeps the op count low and the result exact
         result = 1.0
         base = self

@@ -19,7 +19,7 @@ import multiprocessing
 import os
 import re
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -337,6 +337,18 @@ def _residual_reports(system: SystemModel, equation: str, field_obj, x):
     raise CliError(f"unknown equation {equation!r}")
 
 
+def _residual_csv(system: SystemModel, equations, points) -> str:
+    """Residual norms at each grid point of each (equation, field) pair."""
+    rows = []
+    for point in points:
+        for equation, field_obj in equations:
+            for rep in _residual_reports(system, equation, field_obj, point):
+                rows.append([*point, rep.equation_id, rep.frobenius_norm])
+    header = [f"x{i + 1}" for i in range(points.shape[1])] \
+        + ["equation_id", "frobenius_norm"]
+    return _csv_text(header, rows)
+
+
 def _cmd_residual(args) -> int:
     system = _load_system(args)
     field_obj = _build_field(system, args.field, args.tol, fixed_horizon=40.0)
@@ -357,17 +369,9 @@ def _cmd_residual(args) -> int:
     if args.region is None or args.grid is None:
         raise CliError("residual needs either --x or both --region and --grid")
     out = _out_dir(args)
-    region = _parse_region(args.region)
-    shape = _parse_grid(args.grid)
-    points = gramian_mod.grid_points(region, shape)
-    n = points.shape[1]
-    rows = []
-    for point in points:
-        for rep in _residual_reports(system, args.equation, field_obj, point):
-            rows.append([*point, rep.equation_id, rep.frobenius_norm])
-    header = [f"x{i + 1}" for i in range(n)] + ["equation_id", "frobenius_norm"]
+    points = gramian_mod.grid_points(_parse_region(args.region), _parse_grid(args.grid))
     csv_path = os.path.join(out, "residuals.csv")
-    _write_text(csv_path, _csv_text(header, rows))
+    _write_text(csv_path, _residual_csv(system, [(args.equation, field_obj)], points))
     print(csv_path)
     return 0
 
@@ -377,6 +381,14 @@ def _cmd_residual(args) -> int:
 _MATRICES = {"ctrl": rank_mod.ctrl_bracket_matrix,
              "access": rank_mod.strong_access_matrix,
              "obs": rank_mod.obs_codistribution}
+
+
+def _rank_grid(system: SystemModel, builder, region, shape, depth, csv_path: str):
+    """Sweep one rank builder over a grid, write its CSV, return the results."""
+    points = gramian_mod.grid_points(region, shape)
+    results = rank_mod.rank_sweep(builder, system, points, depth=depth)
+    _write_text(csv_path, rank_mod.sweep_to_csv(points, results))
+    return results
 
 
 def _cmd_rank(args) -> int:
@@ -399,12 +411,9 @@ def _cmd_rank(args) -> int:
     if args.region is None or args.grid is None:
         raise CliError("rank needs either --x or both --region and --grid")
     out = _out_dir(args)
-    region = _parse_region(args.region)
-    shape = _parse_grid(args.grid)
-    points = gramian_mod.grid_points(region, shape)
-    results = rank_mod.rank_sweep(builder, system, points, depth=args.depth)
     csv_path = os.path.join(out, "rank.csv")
-    _write_text(csv_path, rank_mod.sweep_to_csv(points, results))
+    _rank_grid(system, builder, _parse_region(args.region), _parse_grid(args.grid),
+               args.depth, csv_path)
     print(csv_path)
     return 0
 
@@ -427,20 +436,27 @@ def _scan_eval(point):
         return ("error", f"{type(exc).__name__}: {exc}")
 
 
-def _scan_values(args, source, points) -> list:
-    """Evaluate the field per point, optionally across worker processes.
+def _scan_grid(source, field_name: str, tol: float, jobs: int, region, shape,
+               csv_path: str) -> gramian_mod.PDScan:
+    """Scan a field over a grid, optionally across worker processes, and
+    write scan.csv-style rows to csv_path.
 
     Workers rebuild the system from its source name, so results are
     independent of how the grid is sharded; assembly order follows the
     grid either way.
     """
-    if args.jobs > 1:
+    points = gramian_mod.grid_points(region, shape)
+    if jobs > 1:
         with multiprocessing.Pool(
-                args.jobs, initializer=_scan_init,
-                initargs=(source, args.field, args.tol, None)) as pool:
-            return pool.map(_scan_eval, [tuple(p) for p in points])
-    _scan_init(source, args.field, args.tol, None)
-    return [_scan_eval(tuple(p)) for p in points]
+                jobs, initializer=_scan_init,
+                initargs=(source, field_name, tol, None)) as pool:
+            values = pool.map(_scan_eval, [tuple(p) for p in points])
+    else:
+        _scan_init(source, field_name, tol, None)
+        values = [_scan_eval(tuple(p)) for p in points]
+    scan = gramian_mod.scan_from_values(region, shape, points, values)
+    _write_text(csv_path, scan.to_csv())
+    return scan
 
 
 def _cmd_pd_scan(args) -> int:
@@ -452,12 +468,8 @@ def _cmd_pd_scan(args) -> int:
     shape = _parse_grid(args.grid)
     if len(shape) != system.n:
         raise CliError(f"--grid has {len(shape)} dims, system has {system.n}")
-    points = gramian_mod.grid_points(region, shape)
-    values = _scan_values(args, source, points)
-    scan = gramian_mod.scan_from_values(region, shape, points, values)
-    out = _out_dir(args)
-    csv_path = os.path.join(out, "scan.csv")
-    _write_text(csv_path, scan.to_csv())
+    csv_path = os.path.join(_out_dir(args), "scan.csv")
+    scan = _scan_grid(source, args.field, args.tol, args.jobs, region, shape, csv_path)
     print(csv_path)
     print(f"positive definite everywhere: {scan.all_positive_definite()}")
     if args.plot:
@@ -468,7 +480,8 @@ def _cmd_pd_scan(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-_THEOREMS = ("thm1", "thm2", "thm3", "thm4", "thm5", "cor7", "all")
+_CHECKS = ("thm1", "thm2", "thm3", "thm4", "thm5", "cor7")
+_THEOREMS = _CHECKS + ("all",)
 
 
 def _draw_pairs(rng: SplitMix64, region, count: int):
@@ -482,35 +495,31 @@ def _draw_tangent_samples(rng: SplitMix64, region, count: int):
             for _ in range(count)]
 
 
-def _run_one_theorem(system: SystemModel, theorem: str, region, rng,
-                     args) -> verify_mod.Report:
-    if theorem == "thm1":
-        return verify_mod.check_thm1(system, _draw_pairs(rng, region, args.pairs),
-                                     tol=args.tol)
-    if theorem == "thm3":
-        return verify_mod.check_thm3(system, _draw_pairs(rng, region, args.pairs),
-                                     tol=args.tol)
-    if theorem == "thm2":
-        return verify_mod.check_thm2(
-            system, _draw_tangent_samples(rng, region, args.samples), tol=args.tol)
-    if theorem == "thm4":
-        return verify_mod.check_thm4(
-            system, _draw_tangent_samples(rng, region, args.samples), tol=args.tol)
+_DEFAULT_FIELDS = {"thm5": "empirical-Q", "cor7": "cert-P"}
+
+
+def _run_theorem(system: SystemModel, theorem: str, rng: SplitMix64, region, counts,
+                 grid, field_name: str | None, tol: float) -> verify_mod.Report:
+    """Draw one theorem's samples from region with rng, and check them.
+
+    counts holds how many pairs (thm1, thm3), tangent samples (thm2, thm4)
+    and harness samples (thm5, cor7) to draw.  grid is the (region, shape)
+    of the thm5/cor7 rank and definiteness scans, and field_name their
+    matrix field (None picks the theorem's default).
+    """
+    pairs, samples, harness = counts
+    check = getattr(verify_mod, f"check_{theorem}")
+    if theorem in ("thm1", "thm3"):
+        return check(system, _draw_pairs(rng, region, pairs), tol=tol)
+    if theorem in ("thm2", "thm4"):
+        return check(system, _draw_tangent_samples(rng, region, samples), tol=tol)
+    field_obj = _build_field(system, field_name or _DEFAULT_FIELDS[theorem], tol,
+                             fixed_horizon=40.0)
+    grid_region, grid_shape = grid
+    drawn = _draw_tangent_samples(rng, region, harness)
     if theorem == "thm5":
-        field_name = args.field or "empirical-Q"
-        field_obj = _build_field(system, field_name, args.tol, fixed_horizon=40.0)
-        return verify_mod.check_thm5(
-            system, field_obj, region,
-            _draw_tangent_samples(rng, region, min(args.samples, 5)),
-            grid_shape=args.grid_shape, tol=args.tol)
-    if theorem == "cor7":
-        field_name = args.field or "cert-P"
-        field_obj = _build_field(system, field_name, args.tol, fixed_horizon=40.0)
-        return verify_mod.check_cor7(
-            system, field_obj, region,
-            _draw_tangent_samples(rng, region, min(args.samples, 5)),
-            grid_shape=args.grid_shape)
-    raise CliError(f"unknown theorem {theorem!r}")
+        return check(system, field_obj, grid_region, drawn, grid_shape=grid_shape, tol=tol)
+    return check(system, field_obj, grid_region, drawn, grid_shape=grid_shape)
 
 
 def _cmd_verify(args) -> int:
@@ -521,14 +530,14 @@ def _cmd_verify(args) -> int:
         raise CliError("--region is required (system declares no default)")
     if len(region) != system.n:
         raise CliError(f"--region covers {len(region)} dims, system has {system.n}")
-    args.grid_shape = _parse_grid(args.grid) if args.grid else None
+    grid = (region, _parse_grid(args.grid) if args.grid else None)
     out = _out_dir(args)
-    names = [t for t in _THEOREMS if t != "all"] if args.theorem == "all" \
-        else [args.theorem]
+    names = list(_CHECKS) if args.theorem == "all" else [args.theorem]
+    counts = (args.pairs, args.samples, min(args.samples, 5))
     verdicts = {}
     for name in names:
-        rng = SplitMix64(args.seed)
-        report = _run_one_theorem(system, name, region, rng, args)
+        report = _run_theorem(system, name, SplitMix64(args.seed), region, counts,
+                              grid, args.field, args.tol)
         path = os.path.join(out, f"report_{name}.json" if len(names) > 1
                             else "report.json")
         _write_text(path, report.to_json())
@@ -570,65 +579,35 @@ def _cmd_example(args) -> int:
 
     # Gramian positivity scan over the example region.
     region = system.meta["default_region"]
-    points = gramian_mod.grid_points(region, grid)
-    scan_args = argparse.Namespace(jobs=args.jobs, field="empirical-Q", tol=args.tol)
-    values = _scan_values(scan_args, ("registry", args_system), points)
-    scan = gramian_mod.scan_from_values(region, grid, points, values)
-    scan_path = os.path.join(out, "fig3_gramian_scan.csv")
-    record(_write_text(scan_path, scan.to_csv()))
+    scan_path = record(os.path.join(out, "fig3_gramian_scan.csv"))
+    scan = _scan_grid(("registry", args_system), "empirical-Q", args.tol, args.jobs,
+                      region, grid, scan_path)
     record(emit_plot_script(scan_path, "heatmap", grid_shape=grid,
                             value_column=4, title="det"))
 
     # Bracket and codistribution rank sweeps.
     rank_region = [(-1.0, 1.0), (-1.0, 1.0)]
-    rank_pts = gramian_mod.grid_points(rank_region, grid)
-    ctrl = rank_mod.rank_sweep(rank_mod.ctrl_bracket_matrix, system, rank_pts,
-                               depth=2)
-    record(_write_text(os.path.join(out, "bracket_rank.csv"),
-                       rank_mod.sweep_to_csv(rank_pts, ctrl)))
-    obs = rank_mod.rank_sweep(rank_mod.obs_codistribution, system, rank_pts,
-                              depth=1)
-    record(_write_text(os.path.join(out, "obs_rank.csv"),
-                       rank_mod.sweep_to_csv(rank_pts, obs)))
+    ctrl_path = record(os.path.join(out, "bracket_rank.csv"))
+    ctrl = _rank_grid(system, rank_mod.ctrl_bracket_matrix, rank_region, grid, 2,
+                      ctrl_path)
+    obs_path = record(os.path.join(out, "obs_rank.csv"))
+    _rank_grid(system, rank_mod.obs_codistribution, rank_region, grid, 1, obs_path)
 
     # Certificate residuals on a 5x5 patch.
     res_pts = gramian_mod.grid_points([(-0.5, 0.5), (-0.5, 0.5)], (5, 5))
-    rows = []
-    for point in res_pts:
-        for rep in (list(gramian_mod.lyap_residual_ctrl(
-                system, system.certificates["P"], point))
-                + list(gramian_mod.riccati_residual(
-                    system, system.certificates["R"], point))):
-            rows.append([*point, rep.equation_id, rep.frobenius_norm])
-    record(_write_text(os.path.join(out, "certificate_residuals.csv"),
-                       _csv_text(["x1", "x2", "equation_id", "frobenius_norm"],
-                                 rows)))
+    record(_write_text(os.path.join(out, "certificate_residuals.csv"), _residual_csv(
+        system, [("dLya_con", system.certificates["P"]),
+                 ("dRicc", system.certificates["R"])], res_pts)))
 
-    # Theorem reports near the origin.
+    # Theorem reports near the origin, all drawn from one rng.
     near = [(-0.1, 0.1), (-0.1, 0.1)]
+    harness_shape = (3, 3) if quick else (5, 5)
+    grids = {"thm5": (region, harness_shape),
+             "cor7": ([(-0.5, 0.5), (-0.5, 0.5)], harness_shape)}
     verdicts = {}
-    checks: list[tuple[str, Callable[[], verify_mod.Report]]] = [
-        ("thm1", lambda: verify_mod.check_thm1(
-            system, _draw_pairs(rng, near, pair_count), tol=args.tol)),
-        ("thm2", lambda: verify_mod.check_thm2(
-            system, _draw_tangent_samples(rng, near, sample_count), tol=args.tol)),
-        ("thm3", lambda: verify_mod.check_thm3(
-            system, _draw_pairs(rng, near, pair_count), tol=args.tol)),
-        ("thm4", lambda: verify_mod.check_thm4(
-            system, _draw_tangent_samples(rng, near, sample_count), tol=args.tol)),
-        ("thm5", lambda: verify_mod.check_thm5(
-            system,
-            gramian_mod.EmpiricalGramianField(system, "obs", tol=args.tol,
-                                              fixed_horizon=40.0),
-            region, _draw_tangent_samples(rng, near, 3),
-            grid_shape=(3, 3) if quick else (5, 5), tol=args.tol)),
-        ("cor7", lambda: verify_mod.check_cor7(
-            system, system.certificates["P"], [(-0.5, 0.5), (-0.5, 0.5)],
-            _draw_tangent_samples(rng, near, 3),
-            grid_shape=(3, 3) if quick else (5, 5))),
-    ]
-    for name, run in checks:
-        report = run()
+    for name in _CHECKS:
+        report = _run_theorem(system, name, rng, near, (pair_count, sample_count, 3),
+                              grids.get(name), None, args.tol)
         verdicts[name] = report.verdict
         record(_write_text(os.path.join(out, f"report_{name}.json"),
                            report.to_json()))

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .calculus import (MatrixField, frozen_input_jacobian_scalars, jacobian,
                        matrix_field_directional)
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow,
-                        improper_time_integral, quadrature_finite)
+                        composite_gauss_legendre, improper_time_integral)
 from .jacobi import determinant_and_min_eigenvalue
 from .systems import SystemModel
 
@@ -59,20 +59,6 @@ def _report(equation_id: str, xs, residual: np.ndarray, **meta) -> ResidualRepor
                           meta=meta)
 
 
-def _finite_matrix_integral(integrand, horizon: float, panel_width: float = 2.0,
-                            order: int = 12):
-    """Composite Gauss-Legendre integral over [0, horizon] of a matrix map."""
-    total, err, nodes = None, 0.0, 0
-    edges = np.linspace(0.0, horizon, max(1, int(round(horizon / panel_width))) + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        part = quadrature_finite(integrand, float(a), float(b), order)
-        piece = np.asarray(part.value, dtype=float)
-        total = piece if total is None else total + piece
-        err += part.error_estimate
-        nodes += part.nodes_used
-    return total, err, nodes
-
-
 def _gramian_from_flow(rhs, z0, integrand_of_state, direction: str, tol: float,
                        fixed_horizon: float | None, rtol: float, atol: float,
                        label: str) -> GramianResult:
@@ -82,7 +68,8 @@ def _gramian_from_flow(rhs, z0, integrand_of_state, direction: str, tol: float,
         return integrand_of_state(flow.state(abs(t)))
 
     if fixed_horizon is not None:
-        value, err, nodes = _finite_matrix_integral(integrand, float(fixed_horizon))
+        value, err, nodes = composite_gauss_legendre(integrand, 0.0,
+                                                      float(fixed_horizon))
         sym = 0.5 * (value + value.T)
         return GramianResult(matrix=sym, truncation_error=err,
                              horizon=float(fixed_horizon), nodes_used=nodes,

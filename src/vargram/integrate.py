@@ -296,6 +296,21 @@ def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResul
     return QuadratureResult(value=value, error_estimate=err, nodes_used=3 * order)
 
 
+def composite_gauss_legendre(f, lo: float, hi: float, panel_width: float = 2.0,
+                             order: int = 12):
+    """(value, error estimate, nodes used) of f over [lo, hi], summed over
+    equal panels about panel_width wide, each by quadrature_finite."""
+    total, err, nodes = None, 0.0, 0
+    edges = np.linspace(lo, hi, max(1, int(round((hi - lo) / panel_width))) + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        part = quadrature_finite(f, float(a), float(b), order)
+        piece = np.asarray(part.value, dtype=float)
+        total = piece if total is None else total + piece
+        err += part.error_estimate
+        nodes += part.nodes_used
+    return total, err, nodes
+
+
 def _fit_exponential_tail(samples: list[tuple[float, float]], horizon: float):
     """Fit |f| ~ c exp(-2 lambda t) on the final half-window, integrate beyond."""
     window = [(t, v) for t, v in samples if t >= 0.5 * horizon and v > 0.0]
@@ -337,22 +352,13 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8,
         samples.append((tau, float(np.linalg.norm(np.atleast_1d(val)))))
         return val
 
-    def accumulate(lo: float, hi: float):
-        total, err = None, 0.0
-        edges = np.linspace(lo, hi, max(1, int(round((hi - lo) / panel_width))) + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            part = quadrature_finite(f, float(a), float(b), order)
-            piece = np.asarray(part.value, dtype=float)
-            total = piece if total is None else total + piece
-            err += part.error_estimate
-        return total, err
-
     horizon = float(initial_horizon)
-    value, quad_err = accumulate(0.0, horizon)
+    value, quad_err, _ = composite_gauss_legendre(f, 0.0, horizon, panel_width, order)
     prev_increment = None
     stall = 0
     for _ in range(max_doublings):
-        piece, err = accumulate(horizon, 2.0 * horizon)
+        piece, err, _ = composite_gauss_legendre(f, horizon, 2.0 * horizon,
+                                                 panel_width, order)
         horizon *= 2.0
         value = value + piece
         quad_err += err

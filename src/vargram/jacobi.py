@@ -1,98 +1,33 @@
-"""Jacobi-rotation eigenvalue and singular value routines.
-
-The matrices handled here are tiny (state dimensions of a handful), so
-plane rotations give full relative accuracy with no factorization
-machinery.  numpy's own eig/svd are deliberately not used in this module;
-tests compare against them as an independent reference.
-"""
+"""Singular values and eigenvalues of the small dense matrices vargram ranks
+and scans, from LAPACK through numpy.linalg."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 
-def symmetric_eigenvalues(matrix, max_sweeps: int = 50, tol: float = 1e-14) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by the cyclic Jacobi method, ascending."""
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy()
-    scale = float(np.max(np.abs(a))) or 1.0
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(a[i, j] ** 2 for i in range(n) for j in range(i + 1, n)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return np.sort(np.diag(a))
+def numeric_rank(matrix, rel_tol: float = 1e-8):
+    """(rank, singular values) with rank counted against rel_tol * sigma_max.
 
-
-def singular_values(matrix, max_sweeps: int = 50, tol: float = 1e-14) -> np.ndarray:
-    """Singular values by one-sided Jacobi on the columns, descending.
-
-    Works for any shape; rotations orthogonalize column pairs, so wide
-    matrices simply end up with trailing zero columns.
+    There is one singular value per column, in descending order, so a wide
+    matrix carries trailing zeros.
     """
-    b = np.array(matrix, dtype=float)
+    b = np.asarray(matrix, dtype=float)
     if b.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
-    n_cols = b.shape[1]
-    if n_cols == 0 or b.shape[0] == 0:
-        return np.zeros(n_cols)
-    scale = float(np.max(np.abs(b)))
-    if scale == 0.0:
-        return np.zeros(n_cols)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n_cols - 1):
-            for q in range(p + 1, n_cols):
-                app = float(b[:, p] @ b[:, p])
-                aqq = float(b[:, q] @ b[:, q])
-                apq = float(b[:, p] @ b[:, q])
-                if abs(apq) <= tol * math.sqrt(app * aqq) or apq == 0.0:
-                    continue
-                rotated = True
-                theta = 0.5 * (aqq - app) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                bp = c * b[:, p] - s * b[:, q]
-                bq = s * b[:, p] + c * b[:, q]
-                b[:, p], b[:, q] = bp, bq
-        if not rotated:
-            break
-    sigma = np.sqrt(np.sum(b * b, axis=0))
-    return np.sort(sigma)[::-1]
-
-
-def numeric_rank(matrix, rel_tol: float = 1e-8):
-    """(rank, singular values) with rank counted against rel_tol * sigma_max."""
-    sigma = singular_values(matrix)
+    sigma = np.zeros(b.shape[1])
+    if b.size:
+        values = np.linalg.svd(b, compute_uv=False)
+        sigma[:values.size] = values
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0, sigma
     return int(np.sum(sigma > rel_tol * sigma[0])), sigma
 
 
 def determinant_and_min_eigenvalue(matrix):
-    """(det, smallest eigenvalue) of a symmetrized matrix via Jacobi."""
-    eigs = symmetric_eigenvalues(matrix)
-    det = float(np.prod(eigs))
-    return det, float(eigs[0])
+    """(det, smallest eigenvalue) of the symmetric part of a square matrix."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
+    return float(np.prod(eigs)), float(eigs[0])

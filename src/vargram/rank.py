@@ -3,9 +3,9 @@
 Three matrix builders feed one rank routine: iterated feedback-modified
 brackets of the input columns, iterated standard brackets along the open
 drift, and the gradient tower of iterated output derivatives.  Rank is
-counted from one-sided Jacobi singular values with a tolerance relative
-to the largest singular value, so a reported value means "rank at least
-this at the tested depth"; deeper towers can only raise it.
+counted from LAPACK singular values with a tolerance relative to the
+largest singular value, so a reported value means "rank at least this at
+the tested depth"; deeper towers can only raise it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import (VectorField, ad_closed_loop_field, ad_standard_field,
-                       jacobian_scalars, lie_scalar)
+from .calculus import (ad_closed_loop_field, ad_standard_field, jacobian_scalars,
+                       lie_scalar)
 from .jacobi import numeric_rank
 from .systems import SystemModel
 

@@ -36,6 +36,7 @@ def test_dual_arithmetic():
     assert (1.0 / x).derivs == (-1.0 / 9.0,)
     assert (x ** 3).value == 27.0
     assert (x ** 3).derivs == (27.0,)
+    assert (x ** np.int64(3)).derivs == (x ** np.uint8(3)).derivs == (27.0,)
     assert (x ** 0) == 1.0  # integer zero power collapses to a constant
     assert (2.0 - x).derivs == (-1.0,)
     assert (-x).value == -3.0
@@ -57,6 +58,10 @@ def test_dual_pow_rejects_bad_exponents():
         x ** -1
     with pytest.raises(ValueError):
         x ** 0.5
+    with pytest.raises(ValueError):
+        x ** np.float64(2.0)
+    with pytest.raises(ValueError):
+        x ** np.int64(-1)
 
 
 def test_second_derivative_via_nesting():
