@@ -25,6 +25,15 @@ def _primal(s):
     return s
 
 
+def _is_zero(s) -> bool:
+    """Whether the primal of s is zero; for an array primal, whether any
+    entry is."""
+    p = _primal(s)
+    if isinstance(p, np.ndarray):
+        return not p.all()
+    return p == 0
+
+
 class Dual:
     """Number with attached tangent components."""
 
@@ -79,7 +88,7 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            if _primal(other.value) == 0:
+            if _is_zero(other):
                 raise ZeroDivisionError("dual division by zero")
             q = self.value / other.value
             return Dual(q, tuple((a - q * b) / other.value
@@ -92,7 +101,7 @@ class Dual:
 
     def __rtruediv__(self, other):
         if isinstance(other, _NUMBER):
-            if _primal(self.value) == 0:
+            if _is_zero(self):
                 raise ZeroDivisionError("dual division by zero")
             q = other / self.value
             return Dual(q, tuple(-q * b / self.value for b in self.derivs))
@@ -148,9 +157,12 @@ def value_and_rows(outputs: Sequence, width: int):
 class VectorField:
     """Map from R^dim_in to R^dim_out, generic over the scalar type.
 
-    func takes a sequence of scalars (floats or duals) and returns a
-    sequence of scalars; components not depending on the input may come
-    back as plain constants.
+    func takes a sequence of scalars and returns a sequence of scalars.
+    A scalar may be a float, a dual, or a 1-D float array holding one
+    value per point of a stack (also as a dual's primal), so fields must
+    be written with arithmetic only: no comparisons, branches or math
+    functions on their inputs.  Components not depending on the input
+    may come back as plain constants.
     """
 
     dim_in: int
@@ -233,16 +245,49 @@ def jacobian_scalars(func, xs, dim_out: int):
     return value_and_rows(outputs, n)
 
 
+def _is_stack(x) -> bool:
+    return isinstance(x, np.ndarray) and x.ndim == 2
+
+
+def _columns(stack: np.ndarray) -> list[np.ndarray]:
+    """The n coordinate arrays of an (N, n) stack of points."""
+    return list(np.ascontiguousarray(np.asarray(stack, dtype=float).T))
+
+
+def field_values(field, x) -> np.ndarray:
+    """Values of a vector field at a point, shape (dim_out,), or at each
+    row of an (N, n) stack, shape (N, dim_out), from one evaluation on
+    length-N arrays; constant components are broadcast to N."""
+    if not _is_stack(x):
+        return np.asarray(field.func([float(v) for v in x]), dtype=float)
+    outputs = field.func(_columns(x))
+    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), (len(x),))
+                     for v in outputs], axis=1)
+
+
 def jacobian(field, x) -> np.ndarray:
-    """Jacobian matrix of a vector field at a point, by forward-mode duals."""
-    xs = [float(v) for v in x]
+    """Jacobian matrix of a vector field by forward-mode duals.
+
+    At a point x of shape (n,) the duals carry Python floats and the
+    result has shape (dim_out, n).  An (N, n) stack of points gives the
+    (N, dim_out, n) stack of Jacobians from one dual pass whose primals
+    are length-N arrays; entries that do not vary are broadcast to N.
+    """
+    stacked = _is_stack(x)
+    xs = _columns(x) if stacked else [float(v) for v in x]
     dim_out = getattr(field, "dim_out", None)
     func = field.func if isinstance(field, VectorField) else field
     outputs = func(seed_identity(xs))
     if dim_out is not None and len(outputs) != dim_out:
         raise ValueError(f"field returned {len(outputs)} components, expected {dim_out}")
     _, rows = value_and_rows(outputs, len(xs))
-    return np.array(rows, dtype=float)
+    if not stacked:
+        return np.array(rows, dtype=float)
+    out = np.empty((len(x), len(rows), len(xs)))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[:, i, j] = entry
+    return out
 
 
 def matrix_jacobian_scalars(mat_func, xs, rows: int, cols: int):

@@ -72,21 +72,6 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     return shape
 
 
-def _load_system(args) -> SystemModel:
-    if getattr(args, "spec", None):
-        try:
-            with open(args.spec, "rb") as fh:
-                return from_spec(parse_system_spec(fh.read()))
-        except FileNotFoundError:
-            raise CliError(f"spec file not found: {args.spec}")
-        except ExprError as exc:
-            raise CliError(f"bad system spec: {exc}")
-    try:
-        return registry(args.system)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def _system_source(args) -> tuple[str, str]:
     if getattr(args, "spec", None):
         return ("file", os.path.abspath(args.spec))
@@ -94,11 +79,25 @@ def _system_source(args) -> tuple[str, str]:
 
 
 def _system_from_source(source: tuple[str, str]) -> SystemModel:
+    """Build the system a --spec file or a --system name names; the one
+    loader of every subcommand and of the pd-scan workers."""
     kind, value = source
     if kind == "file":
-        with open(value, "rb") as fh:
-            return from_spec(parse_system_spec(fh.read()))
-    return registry(value)
+        try:
+            with open(value, "rb") as fh:
+                return from_spec(parse_system_spec(fh.read()))
+        except FileNotFoundError:
+            raise CliError(f"spec file not found: {value}")
+        except ExprError as exc:
+            raise CliError(f"bad system spec: {exc}")
+    try:
+        return registry(value)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
+def _load_system(args) -> SystemModel:
+    return _system_from_source(_system_source(args))
 
 
 def _build_field(system: SystemModel, field_name: str, tol: float,

@@ -92,9 +92,9 @@ def _half_square_energy(aug: AugmentedField, z0, out_name: str, direction: str,
     out_fn = aug.outputs[out_name]
     flow = HorizonFlow(aug.rhs, np.asarray(z0, dtype=float), rtol=rtol, atol=atol)
 
-    def integrand(t: float) -> float:
-        v = np.asarray(out_fn(flow.state(abs(t))), dtype=float)
-        return 0.5 * float(np.dot(v, v))
+    def integrand(t: np.ndarray) -> np.ndarray:
+        v = out_fn(flow.state(np.abs(t)))
+        return 0.5 * np.einsum("ij,ij->i", v, v)
 
     res = improper_time_integral(integrand, direction=direction, tol=tol)
     meta = {"energy": label, "tail_estimate": res.tail_estimate}
@@ -168,10 +168,10 @@ def path_energy_integral(energy: Callable[[np.ndarray, np.ndarray], EnergyValue]
     tangent = path.tangent()
     inner: list[EnergyValue] = []
 
-    def f(s: float) -> float:
-        ev = energy(path.point(s), tangent)
-        inner.append(ev)
-        return ev.value
+    def f(s: np.ndarray) -> np.ndarray:
+        batch = [energy(path.point(si), tangent) for si in s]
+        inner.extend(batch)
+        return np.array([ev.value for ev in batch])
 
     res = quadrature_finite(f, 0.0, 1.0, order=gl_order)
     inner_err = max((ev.error_estimate for ev in inner), default=0.0)

@@ -12,6 +12,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ExprError(ValueError):
     pass
@@ -144,6 +146,9 @@ class BinOp(ExprAst):
             return a - b
         if self.op == "*":
             return a * b
+        # numpy would divide an array by zero to inf with only a warning
+        if isinstance(b, (np.ndarray, np.generic)) and not np.all(b):
+            raise ExprEvalError(f"division by zero in {self.to_text()!r}")
         try:
             return a / b
         except ZeroDivisionError:
@@ -312,7 +317,8 @@ def parse_expression(text: str) -> ExprAst:
 def evaluate(ast: ExprAst, env: dict) -> object:
     """Evaluate an expression tree under a variable binding.
 
-    Scalars in env may be floats or dual numbers; the arithmetic is generic.
+    Scalars in env may be floats, dual numbers or 1-D float arrays (one
+    entry per point); the arithmetic is generic.
     """
     return ast.evaluate(env)
 

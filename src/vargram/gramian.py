@@ -59,13 +59,19 @@ def _report(equation_id: str, xs, residual: np.ndarray, **meta) -> ResidualRepor
                           meta=meta)
 
 
-def _gramian_from_flow(rhs, z0, integrand_of_state, direction: str, tol: float,
+def _gramian_from_flow(rhs, z0, out_field, direction: str, tol: float,
                        fixed_horizon: float | None, rtol: float, atol: float,
                        label: str) -> GramianResult:
+    """Integrate (J Phi)^T (J Phi) along the (x, Phi) flow, J the Jacobian
+    of out_field at x; each panel's nodes take one lookup and one
+    Jacobian pass."""
+    n = out_field.dim_in
     flow = HorizonFlow(rhs, z0, rtol=rtol, atol=atol)
 
-    def integrand(t: float):
-        return integrand_of_state(flow.state(abs(t)))
+    def integrand(t: np.ndarray) -> np.ndarray:
+        z = flow.state(np.abs(t))
+        m = jacobian(out_field, z[:, :n]) @ z[:, n:].reshape(-1, n, n)
+        return np.swapaxes(m, 1, 2) @ m
 
     if fixed_horizon is not None:
         value, err, nodes = composite_gauss_legendre(integrand, 0.0,
@@ -103,13 +109,8 @@ def empirical_obs_gramian(system: SystemModel, x, tol: float = 1e-8,
         dphi = jacobian(f, xs) @ phi
         return np.concatenate([dx, dphi.reshape(-1)])
 
-    def integrand_of_state(z):
-        xs = [float(v) for v in z[:n]]
-        m = jacobian(system.h, xs) @ z[n:].reshape(n, n)
-        return m.T @ m
-
     z0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
-    return _gramian_from_flow(rhs, z0, integrand_of_state, "forward", tol,
+    return _gramian_from_flow(rhs, z0, system.h, "forward", tol,
                               fixed_horizon, rtol, atol, "obs_gramian")
 
 
@@ -132,13 +133,8 @@ def empirical_ctrl_gramian(system: SystemModel, x, tol: float = 1e-8,
         dphi = -(jacobian(cl, xs) @ phi)
         return np.concatenate([dx, dphi.reshape(-1)])
 
-    def integrand_of_state(z):
-        xs = [float(v) for v in z[:n]]
-        m = jacobian(k, xs) @ z[n:].reshape(n, n)
-        return m.T @ m
-
     z0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
-    return _gramian_from_flow(rhs, z0, integrand_of_state, "backward", tol,
+    return _gramian_from_flow(rhs, z0, k, "backward", tol,
                               fixed_horizon, rtol, atol, "ctrl_gramian")
 
 

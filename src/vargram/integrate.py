@@ -11,9 +11,10 @@ implicit infinity.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -84,15 +85,15 @@ class Trajectory:
     def endpoint(self) -> np.ndarray:
         return self.states[-1].copy()
 
-    def at(self, t: float) -> np.ndarray:
+    def at(self, t) -> np.ndarray:
+        """State at time t, shape (dim,), or at each entry of a 1-D array of
+        times, shape (N, dim)."""
         slack = 1e-9 * (1.0 + abs(self.t0) + abs(self.tf))
-        if t < self.t0 - slack or t > self.tf + slack:
-            raise ValueError(f"t = {t:g} outside trajectory span [{self.t0:g}, {self.tf:g}]")
-        t = min(max(t, self.t0), self.tf)
-        return np.asarray(self._eval(t), dtype=float)
-
-    def sample(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self.at(t) for t in ts])
+        lo, hi = np.min(t), np.max(t)
+        if lo < self.t0 - slack or hi > self.tf + slack:
+            bad = lo if lo < self.t0 - slack else hi
+            raise ValueError(f"t = {bad:g} outside trajectory span [{self.t0:g}, {self.tf:g}]")
+        return np.asarray(self._eval(np.clip(t, self.t0, self.tf)), dtype=float)
 
     def time_reversed(self) -> "Trajectory":
         """View of this curve under t -> -t (span flips sign)."""
@@ -118,17 +119,30 @@ class FlowJacobian:
 
 
 class _Segmented:
-    """Dense evaluator over a chain of scipy OdeSolution pieces."""
+    """Dense evaluator over a chain of scipy OdeSolution pieces.
+
+    A scalar time gives the state, shape (dim,); a 1-D array of times
+    gives the states stacked on axis 0, shape (N, dim), from one
+    vectorized OdeSolution call per piece the times fall in.
+    """
 
     def __init__(self, sols):
         self.sols = list(sols)
         self.breaks = [s.t_max for s in self.sols]
 
     def __call__(self, t):
-        i = bisect.bisect_left(self.breaks, t)
-        if i >= len(self.sols):
-            i = len(self.sols) - 1
-        return self.sols[i](t)
+        last = len(self.sols) - 1
+        if np.ndim(t) == 0:
+            return self.sols[min(bisect.bisect_left(self.breaks, t), last)](t)
+        pieces = np.minimum(np.searchsorted(self.breaks, t, side="left"), last)
+        out = None
+        for i in np.unique(pieces):
+            mask = pieces == i
+            states = self.sols[i](t[mask]).T
+            if out is None:
+                out = np.empty((len(t), states.shape[1]))
+            out[mask] = states
+        return out
 
     def extended(self, sol) -> "_Segmented":
         return _Segmented(self.sols + [sol])
@@ -208,8 +222,8 @@ def flow_with_jacobian(field: VectorField, x0, t_span, rtol: float = DEFAULT_RTO
     t0, tf = float(t_span[0]), float(t_span[1])
     sol = _solve_segment(rhs, z0, t0, tf, rtol, atol)
     seg = _Segmented([sol.sol])
-    traj = Trajectory(sol.t, sol.y.T[:, :n], lambda t: seg(t)[:n])
-    flow = FlowJacobian(n, sol.t, sol.y.T[:, n:], lambda t: seg(t)[n:])
+    traj = Trajectory(sol.t, sol.y.T[:, :n], lambda t: seg(t)[..., :n])
+    flow = FlowJacobian(n, sol.t, sol.y.T[:, n:], lambda t: seg(t)[..., n:])
     return traj, flow
 
 
@@ -217,7 +231,8 @@ class HorizonFlow:
     """Lazily extendable forward solve used by improper-integral integrands.
 
     state(t) extends the underlying solution whenever t lies beyond the
-    current horizon; previously integrated segments are reused.
+    current horizon; previously integrated segments are reused.  t may be
+    one time or a 1-D array of times (states stacked on axis 0).
     """
 
     def __init__(self, rhs, z0, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
@@ -249,10 +264,10 @@ class HorizonFlow:
             self._traj = Trajectory(times, states, seg)
         return self._traj
 
-    def state(self, t: float) -> np.ndarray:
-        if t < 0:
+    def state(self, t) -> np.ndarray:
+        if np.min(t) < 0:
             raise ValueError("HorizonFlow runs forward from t = 0")
-        return self.ensure(t).at(t)
+        return self.ensure(float(np.max(t))).at(t)
 
 
 @dataclass
@@ -272,28 +287,40 @@ class QuadratureResult:
     meta: dict = field(default_factory=dict)
 
 
-def _gl_sum(f, a: float, b: float, order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    total = None
-    for xi, wi in zip(nodes, weights):
-        contrib = wi * np.asarray(f(mid + half * xi), dtype=float)
-        total = contrib if total is None else total + contrib
-    return half * total
+@functools.cache
+def _gauss_legendre_pair(order: int):
+    """Nodes of the order- and (2*order)-point Gauss-Legendre rules on
+    [-1, 1], concatenated, and the weights of each rule."""
+    coarse_nodes, coarse_weights = np.polynomial.legendre.leggauss(order)
+    fine_nodes, fine_weights = np.polynomial.legendre.leggauss(2 * order)
+    nodes = np.concatenate([coarse_nodes, fine_nodes])
+    for arr in (nodes, coarse_weights, fine_weights):
+        arr.flags.writeable = False
+    return nodes, coarse_weights, fine_weights
 
 
 def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResult:
     """Gauss-Legendre integral of f over [a, b] at the given order.
 
-    The error estimate is the difference against the doubled-order rule.
+    f is called once, with the 1-D array of the 3*order nodes of the
+    order- and doubled-order rules, and returns its values stacked on
+    axis 0: shape (3*order,) for a scalar integrand, (3*order, ...) for
+    vector or matrix values.  The error estimate is the difference
+    against the doubled-order rule.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    coarse = _gl_sum(f, a, b, order)
-    fine = _gl_sum(f, a, b, 2 * order)
+    nodes, coarse_weights, fine_weights = _gauss_legendre_pair(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = np.asarray(f(mid + half * nodes), dtype=float)
+    if values.shape[:1] != nodes.shape:
+        raise ValueError(f"integrand returned shape {values.shape}, expected one value "
+                         f"per node stacked on axis 0 ({len(nodes)} nodes)")
+    coarse = half * np.tensordot(coarse_weights, values[:order], axes=1)
+    fine = half * np.tensordot(fine_weights, values[order:], axes=1)
     err = float(np.linalg.norm(np.atleast_1d(coarse - fine)))
     value = coarse if np.ndim(coarse) else float(coarse)
-    return QuadratureResult(value=value, error_estimate=err, nodes_used=3 * order)
+    return QuadratureResult(value=value, error_estimate=err, nodes_used=len(nodes))
 
 
 def composite_gauss_legendre(f, lo: float, hi: float, panel_width: float = 2.0,
@@ -331,7 +358,9 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8,
     """Integrate to t = +/- infinity by horizon doubling.
 
     The integrand is sampled at |t| in [0, T] (direction 'forward' uses t,
-    'backward' uses -t).  Panels of fixed width are integrated by
+    'backward' uses -t).  It is called once per panel with the 1-D array
+    of that panel's nodes and returns its values stacked on axis 0, as
+    in quadrature_finite.  Panels of fixed width are integrated by
     Gauss-Legendre; the horizon doubles until the last increment drops
     below tol.  The neglected tail is estimated from an exponential fit
     and reported in the error, not added to the value.
@@ -343,14 +372,16 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8,
     samples: list[tuple[float, float]] = []
     nodes_used = 0
 
-    def f(tau: float):
+    def f(tau: np.ndarray):
         nonlocal nodes_used
-        nodes_used += 1
-        val = np.asarray(integrand(sign * tau), dtype=float)
-        if not np.all(np.isfinite(val)):
-            raise IntegrationError(f"integrand non-finite at t = {sign * tau:g}")
-        samples.append((tau, float(np.linalg.norm(np.atleast_1d(val)))))
-        return val
+        nodes_used += len(tau)
+        vals = np.asarray(integrand(sign * tau), dtype=float)
+        rows = vals.reshape(len(tau), -1)
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise IntegrationError(f"integrand non-finite at t = {sign * tau[~finite][0]:g}")
+        samples.extend(zip(tau.tolist(), np.linalg.norm(rows, axis=1).tolist()))
+        return vals
 
     horizon = float(initial_horizon)
     value, quad_err, _ = composite_gauss_legendre(f, 0.0, horizon, panel_width, order)

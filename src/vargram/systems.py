@@ -28,6 +28,7 @@ from vargram.calculus import (
     MatrixField,
     VectorField,
     closed_loop_scalars,
+    field_values,
     frozen_input_jacobian_scalars,
     jacobian,
 )
@@ -59,15 +60,22 @@ class SystemModel:
         return VectorField(self.n, self.n, lambda xs: closed_loop_scalars(self, xs))
 
     def output(self, x) -> np.ndarray:
-        return np.asarray(self.h(list(map(float, x))), dtype=float)
+        """h at a point, or at each row of an (N, n) stack."""
+        return field_values(self.h, x)
 
     def feedback(self, x) -> np.ndarray:
-        return np.asarray(self.require_k()(list(map(float, x))), dtype=float)
+        """k at a point, or at each row of an (N, n) stack."""
+        return field_values(self.require_k(), x)
 
 
 @dataclass
 class AugmentedField:
-    """Composite dynamics with named state blocks and derived outputs."""
+    """Composite dynamics with named state blocks and derived outputs.
+
+    rhs takes one state.  The outputs of prolong, closed_loop_prolonged
+    and two_copy take one state (dim,) or a stack of states (N, dim),
+    giving (p,) or (N, p); the other builders' outputs take one state.
+    """
 
     dim: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -82,6 +90,11 @@ class AugmentedField:
         for name, value in blocks.items():
             z[self.layout[name]] = np.asarray(value, dtype=float)
         return z
+
+
+def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec at one point, or row by row over (N, r, n) and (N, n) stacks."""
+    return (mat @ vec[..., None])[..., 0]
 
 
 def zero_signal(m: int):
@@ -128,10 +141,10 @@ def prolong(system: SystemModel, u_signal=None, du_signal=None) -> AugmentedFiel
         return np.concatenate([np.asarray(drift, dtype=float), ddx])
 
     def out_y(z):
-        return system.output(z[:n])
+        return system.output(z[..., :n])
 
     def out_dy(z):
-        return jacobian(system.h, z[:n]) @ z[n:]
+        return _apply(jacobian(system.h, z[..., :n]), z[..., n:])
 
     return AugmentedField(
         dim=2 * n,
@@ -159,10 +172,10 @@ def closed_loop_prolonged(system: SystemModel) -> AugmentedField:
         return np.concatenate([drift, ddx])
 
     def out_dk(z):
-        return jacobian(system.require_k(), z[:n]) @ z[n:]
+        return _apply(jacobian(system.require_k(), z[..., :n]), z[..., n:])
 
     def out_dy(z):
-        return jacobian(system.h, z[:n]) @ z[n:]
+        return _apply(jacobian(system.h, z[..., :n]), z[..., n:])
 
     return AugmentedField(
         dim=2 * n,
@@ -193,10 +206,11 @@ def two_copy(system: SystemModel, u_signal=None, u2_signal=None) -> AugmentedFie
         return np.concatenate([one_side(x, u_signal(t, x)), one_side(x2, u2_signal(t, x2))])
 
     outputs = {
-        "output_gap": lambda z: system.output(z[n:]) - system.output(z[:n]),
+        "output_gap": lambda z: system.output(z[..., n:]) - system.output(z[..., :n]),
     }
     if system.k is not None:
-        outputs["feedback_gap"] = lambda z: system.feedback(z[n:]) - system.feedback(z[:n])
+        outputs["feedback_gap"] = (lambda z: system.feedback(z[..., n:])
+                                   - system.feedback(z[..., :n]))
 
     return AugmentedField(
         dim=2 * n,

@@ -52,6 +52,23 @@ def test_dual_division_by_zero():
         z / 0.0
 
 
+def test_dual_division_by_zero_on_array_primals():
+    # a stack of points: any zero entry of the denominator is a zero division
+    z = Dual(np.array([1.0, 0.0, 2.0]), (1.0,))
+    with pytest.raises(ZeroDivisionError):
+        1.0 / z
+    with pytest.raises(ZeroDivisionError):
+        Dual(np.ones(3), (1.0,)) / z
+    # without a zero the quotient rule holds entry by entry
+    w = Dual(np.array([1.0, 4.0, 2.0]), (np.array([1.0, 1.0, 3.0]),))
+    q = 2.0 / w
+    assert np.array_equal(q.value, [2.0, 0.5, 1.0])
+    assert np.array_equal(q.derivs[0], [-2.0, -0.125, -1.5])
+    q = Dual(np.array([3.0, 8.0, 2.0]), (1.0,)) / w
+    assert np.array_equal(q.value, [3.0, 2.0, 1.0])
+    assert np.array_equal(q.derivs[0], [-2.0, -0.25, -1.0])
+
+
 def test_dual_pow_rejects_bad_exponents():
     x = Dual(2.0, (1.0,))
     with pytest.raises(ValueError):

@@ -207,6 +207,24 @@ def test_verify_unknown_system_is_an_error(capsys):
     assert "unknown system" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["pd-scan", "--field", "cert-P", "--region", "-1,1", "--grid", "3"],
+    ["energy", "--kind", "diff-obs", "--x0", "0.1", "--dx0", "1"],
+])
+def test_spec_errors_are_reported_by_every_subcommand(tmp_path, capsys, command):
+    missing = tmp_path / "nope.json"
+    assert main(command + ["--spec", str(missing), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec file not found: ") and "nope.json" in err
+    assert "Traceback" not in err
+
+    malformed = tmp_path / "bad.json"
+    malformed.write_text(json.dumps({"n": 1, "m": 1, "p": 1, "f": ["-x1 +"],
+                                     "g": [["1"]], "h": ["x1"], "k": ["x1"]}))
+    assert main(command + ["--spec", str(malformed), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad system spec: ")
+
+
 def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--system", "linear_scalar"])  # missing --kind

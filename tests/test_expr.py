@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,18 @@ def test_unbound_variable():
 def test_division_by_zero_reported():
     with pytest.raises(ExprEvalError, match="division by zero"):
         evaluate(parse_expression("1/x1"), {"x1": 0.0})
+
+
+def test_division_by_zero_reported_on_arrays():
+    # arrays hold one value per point of a stack; numpy alone would give inf
+    with pytest.raises(ExprEvalError, match="division by zero"):
+        evaluate(parse_expression("1/x1"), {"x1": np.array([1.0, 0.0])})
+    with pytest.raises(ExprEvalError, match="division by zero"):
+        evaluate(parse_expression("x2/(x1 - 1)"), {"x1": np.array([2.0, 1.0]),
+                                                  "x2": np.array([1.0, 1.0])})
+    out = evaluate(parse_expression("x2/(x1 - 1)"), {"x1": np.array([2.0, 3.0]),
+                                                     "x2": np.array([1.0, 1.0])})
+    assert np.array_equal(out, [1.0, 0.5])
 
 
 @pytest.mark.parametrize(
