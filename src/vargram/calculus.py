@@ -5,13 +5,21 @@ direction, so a single evaluation yields a full Jacobian row.  Tangent
 entries may themselves be duals, which is how second derivatives (Lie
 derivative gradients, iterated brackets) are obtained without symbolic
 manipulation.
+
+At a single float point the same arithmetic runs through a traced
+kernel: a field's func is run once on duals whose entries are Traced
+terms, every float operation on a term becomes one line of straight-line
+Python, and the compiled lines return the values and Jacobian rows of
+the field (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
+2008).  Stacked points and nested duals keep the dual path.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -159,15 +167,20 @@ class VectorField:
 
     func takes a sequence of scalars and returns a sequence of scalars.
     A scalar may be a float, a dual, or a 1-D float array holding one
-    value per point of a stack (also as a dual's primal), so fields must
-    be written with arithmetic only: no comparisons, branches or math
-    functions on their inputs.  Components not depending on the input
-    may come back as plain constants.
+    value per point of a stack (also as a dual's primal, and a Traced
+    term is a dual's entry while a kernel is traced), so fields must be
+    written with arithmetic only: no comparisons, branches or math
+    functions on their inputs.  That contract is what makes one trace of
+    func valid at every point: the operations it records cannot depend on
+    where it was run.  Components not depending on the input may come
+    back as plain constants.
     """
 
     dim_in: int
     dim_out: int
     func: Callable[[Sequence], Sequence]
+    # (func, n, shape, kernels) of the last trace; see point_jacobian
+    _traced: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, xs):
         return self.func(xs)
@@ -200,6 +213,7 @@ class MatrixField:
     cols: int
     func: Callable[[Sequence], Sequence]
     dual_ok: bool = True
+    _traced: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, xs):
         return self.func(xs)
@@ -302,6 +316,282 @@ def matrix_jacobian_scalars(mat_func, xs, rows: int, cols: int):
             values[i][j] = v
             grads[i][j] = row
     return values, grads
+
+
+# ------------------------------------------------------------ traced kernels
+
+
+def _constant(c) -> float:
+    """A number met while tracing, as a Python float.  float64 and integer
+    numpy scalars combine with floats as Python floats do; a float32 or
+    wider constant keeps its own precision on duals, so it is not traced."""
+    if isinstance(c, np.generic) and not isinstance(c, (np.float64, np.integer)):
+        raise TypeError(f"cannot trace a {type(c).__name__} constant")
+    return float(c)
+
+
+class Traced:
+    """Float known only when a kernel runs: the name of one line of a tape.
+
+    A field is traced on duals whose entries are Traced, so every
+    operation it performs is the Dual operation itself (integer powers
+    included, through Dual.__pow__), and each float operation on a
+    Traced entry becomes one line of the tape.  Comparisons, abs and math
+    functions are not supported, as on duals.
+    """
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected methods
+
+    def __init__(self, tape: "_Tape", name: str):
+        self.tape = tape
+        self.name = name
+
+    def __add__(self, other):
+        return self.tape.add(self, other)
+
+    def __radd__(self, other):
+        return self.tape.add(other, self)
+
+    def __sub__(self, other):
+        return self.tape.sub(self, other)
+
+    def __rsub__(self, other):
+        return self.tape.sub(other, self)
+
+    def __mul__(self, other):
+        return self.tape.mul(self, other)
+
+    def __rmul__(self, other):
+        return self.tape.mul(other, self)
+
+    def __truediv__(self, other):
+        return self.tape.div(self, other)
+
+    def __rtruediv__(self, other):
+        return self.tape.div(other, self)
+
+    def __neg__(self):
+        return self.tape.neg(self)
+
+
+class _Tape:
+    """Straight-line program recorded by operations on Traced terms.
+
+    Operations between numbers never reach the tape: Dual combines them
+    by the same float operation at trace time.  Structurally zero terms
+    fold away (a product with 0.0 is 0.0, a sum with 0.0 is the other
+    term), products with 1.0 return the other factor, and equal lines are
+    emitted once; these folds change at most the sign of a zero.  The
+    first division by each Traced denominator is kept even when unused,
+    so a zero denominator raises where the dual path raises.
+    """
+
+    def __init__(self):
+        self.lines: dict[str, list] = {}  # name -> [code, operand names, kept]
+        self.names: dict[str, Traced] = {}  # code -> term
+        self.guarded: set[str] = set()  # denominators with a kept division
+
+    @staticmethod
+    def text(a) -> str:
+        if isinstance(a, Traced):
+            return a.name
+        a = _constant(a)
+        if not math.isfinite(a):
+            raise ValueError(f"cannot trace the constant {a!r}")
+        return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)
+
+    def emit(self, op: str, a, b=None, kept: bool = False) -> Traced:
+        code = f"{op}{self.text(a)}" if b is None else f"{self.text(a)} {op} {self.text(b)}"
+        term = self.names.get(code)
+        if term is None:
+            term = self.names[code] = Traced(self, f"t{len(self.lines)}")
+            operands = tuple(t.name for t in (a, b) if isinstance(t, Traced))
+            self.lines[term.name] = [code, operands, kept]
+        elif kept:
+            self.lines[term.name][2] = True
+        return term
+
+    @staticmethod
+    def _is(a, number: float) -> bool:
+        return not isinstance(a, Traced) and _constant(a) == number
+
+    def add(self, a, b):
+        if self._is(a, 0.0):
+            return b
+        if self._is(b, 0.0):
+            return a
+        return self.emit("+", a, b)
+
+    def sub(self, a, b):
+        if self._is(b, 0.0):
+            return a
+        if self._is(a, 0.0):
+            return self.neg(b)
+        return self.emit("-", a, b)
+
+    def neg(self, a):
+        return self.emit("-", a)
+
+    def mul(self, a, b):
+        if self._is(a, 0.0) or self._is(b, 0.0):
+            return 0.0
+        if self._is(a, 1.0):
+            return b
+        if self._is(b, 1.0):
+            return a
+        return self.emit("*", a, b)
+
+    def div(self, a, b):
+        if not isinstance(b, Traced):
+            if _constant(b) == 0:
+                raise ZeroDivisionError("dual division by zero")
+            return a if self._is(b, 1.0) else self.emit("/", a, b)
+        if b.name not in self.guarded:
+            self.guarded.add(b.name)
+            return self.emit("/", a, b, kept=True)
+        return 0.0 if self._is(a, 0.0) else self.emit("/", a, b)
+
+    def compile(self, n: int, results, split: int):
+        """Function of a list of n floats returning the values of the first
+        split result terms, and the rest as a second tuple if any."""
+        live = {t.name for t in results if isinstance(t, Traced)}
+        live.update(name for name, (_, _, kept) in self.lines.items() if kept)
+        for name in reversed(self.lines):
+            if name in live:
+                live.update(self.lines[name][1])
+        inputs = [f"x{i}" for i in range(n)]
+        body = [f"    {', '.join(inputs)}, = xs"]
+        body += [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
+                 if name in live]
+        groups = [results[:split], results[split:]] if split < len(results) else [results]
+        body.append("    return " + ", ".join(
+            "(" + "".join(self.text(t) + ", " for t in group) + ")" for group in groups))
+        namespace = {}
+        exec(compile("def kernel(xs):\n" + "\n".join(body) + "\n", "<traced kernel>",
+                     "exec"), namespace)
+        return namespace["kernel"]
+
+
+def _entries(field) -> tuple[tuple, Callable]:
+    """Output shape of a vector or matrix field and a map from one output
+    of its func to the flat, row-major list of scalars."""
+    if isinstance(field, MatrixField):
+        rows, cols = field.rows, field.cols
+        return (rows, cols), lambda out: [out[i][j] for i in range(rows) for j in range(cols)]
+    return (field.dim_out,), list
+
+
+def _trace(field, n: int):
+    """(values kernel, values-and-Jacobian kernel) of a field on n inputs.
+
+    Both take a list of n floats; the first returns the tuple of values,
+    the second that tuple and the tuple of Jacobian entries, row-major.
+    """
+    shape, flatten = _entries(field)
+    tape = _Tape()
+    outputs = flatten(field.func(seed_identity([Traced(tape, f"x{i}") for i in range(n)])))
+    if len(outputs) != math.prod(shape):
+        raise ValueError(f"field returned {len(outputs)} components, expected "
+                         f"{math.prod(shape)}")
+    values, rows = value_and_rows(outputs, n)
+    derivs = [d for row in rows for d in row]
+    return (tape.compile(n, values, len(values)),
+            tape.compile(n, values + derivs, len(values)))
+
+
+def _dual_point(field, xs):
+    """Flat (values, Jacobian entries) of a field at a float point by duals."""
+    if isinstance(field, MatrixField):
+        values, grads = matrix_jacobian_scalars(field.func, xs, field.rows, field.cols)
+        return ([v for row in values for v in row],
+                [d for row in grads for entry in row for d in entry])
+    values, rows = jacobian_scalars(field.func, xs, field.dim_out)
+    return values, [d for row in rows for d in row]
+
+
+def _kernels(field, n: int) -> tuple:
+    """(func, n, shape, values kernel, full kernel) of a field on n inputs,
+    traced at its first use and again whenever field.func has been
+    replaced.  A func the tracer cannot run (a comparison, abs, a math
+    function, a constant zero denominator, a wrong arity) keeps the dual
+    path, which raises the error the field raises on duals."""
+    cached = field._traced
+    if cached is None or cached[0] is not field.func or cached[1] != n:
+        try:
+            kernels = _trace(field, n)
+        except Exception:
+            kernels = (lambda xs: _dual_point(field, xs)[0],
+                       lambda xs: _dual_point(field, xs))
+        cached = field._traced = (field.func, n, _entries(field)[0]) + kernels
+    return cached
+
+
+def _flat_values(field, xs) -> tuple:
+    try:
+        return _kernels(field, len(xs))[3](xs)
+    except ZeroDivisionError:
+        return _dual_point(field, xs)[0]  # raises the field's own error
+
+
+def _flat_jacobian(field, xs) -> tuple:
+    try:
+        return _kernels(field, len(xs))[4](xs)
+    except ZeroDivisionError:
+        return _dual_point(field, xs)  # raises the field's own error
+
+
+def point_values(field, xs) -> np.ndarray:
+    """Values of a vector or matrix field at one point xs, a list of
+    floats, from the field's traced kernel: shape (dim_out,) or (rows, cols)."""
+    values = _flat_values(field, xs)
+    return np.array(values, dtype=float).reshape(field._traced[2])
+
+
+def point_jacobian(field, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Values and Jacobian of a vector or matrix field at one point xs, a
+    list of floats, from the field's traced kernel.
+
+    Shapes (dim_out,) and (dim_out, n), or (rows, cols) and (rows, cols, n).
+    The floats are those of jacobian_scalars and matrix_jacobian_scalars.
+    A kernel that divides by zero hands over to the dual path, so the
+    error raised is the field's own (ExprEvalError for spec fields).
+    """
+    values, entries = _flat_jacobian(field, xs)
+    shape = field._traced[2]
+    return (np.array(values, dtype=float).reshape(shape),
+            np.array(entries, dtype=float).reshape(shape + (len(xs),)))
+
+
+def frozen_input_jacobian(system, xs, u=None):
+    """frozen_input_jacobian_scalars at one point xs, a list of floats, from
+    the traced kernels of f and g.
+
+    Returns the drift f + g u, its input-frozen state Jacobian and g, as
+    arrays of shapes (n,), (n, n) and (n, m).  u defaults to the values of
+    k's kernel; given the same u, the floats are those of the scalar form.
+    """
+    n, m = system.n, system.m
+    if u is None:
+        if system.k is None:
+            raise ValueError("system has no feedback law k")
+        u = _flat_values(system.k, xs)
+    f_vals, f_rows = _flat_jacobian(system.f, xs)
+    g_vals, g_grads = _flat_jacobian(system.g, xs)
+    # the scalar form's sum() over j, unrolled: 0 + t_0 + t_1 + ...
+    drift, rows = [], []
+    for i in range(n):
+        acc = 0
+        for j in range(m):
+            acc = acc + g_vals[i * m + j] * u[j]
+        drift.append(f_vals[i] + acc)
+        for l in range(n):
+            acc = 0
+            for j in range(m):
+                acc = acc + g_grads[(i * m + j) * n + l] * u[j]
+            rows.append(f_rows[i * n + l] + acc)
+    return (np.array(drift, dtype=float), np.array(rows, dtype=float).reshape(n, n),
+            np.array(g_vals, dtype=float).reshape(n, m))
 
 
 def frozen_input_jacobian_scalars(system, xs, u=None):

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import frozen_input_jacobian_scalars, jacobian
+from .calculus import frozen_input_jacobian, point_jacobian
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow, IntegrationError,
                         improper_time_integral, integrate_ivp, quadrature_finite)
 from .systems import (AugmentedField, SystemModel, closed_loop_prolonged,
@@ -277,14 +277,13 @@ def feedback_perturbation_energy(system: SystemModel, x0, dx0,
     dx0 = np.asarray(dx0, dtype=float)
 
     def rhs(tau: float, z: np.ndarray) -> np.ndarray:
-        x = [float(v) for v in z[:n]]
+        x = z[:n].tolist()
         dx = z[n:2 * n]
-        drift, frozen = frozen_input_jacobian_scalars(system, x)
-        g_vals = np.asarray(system.g(x), dtype=float)
-        du = jacobian(k, x) @ dx + np.asarray(w_signal(-tau), dtype=float)
-        ddx = np.asarray(frozen, dtype=float) @ dx + g_vals @ du
+        drift, frozen, g_vals = frozen_input_jacobian(system, x)
+        du = point_jacobian(k, x)[1] @ dx + np.asarray(w_signal(-tau), dtype=float)
+        ddx = frozen @ dx + g_vals @ du
         dacc = 0.5 * float(np.dot(du, du))
-        return np.concatenate([-np.asarray(drift, dtype=float), -ddx, [dacc]])
+        return np.concatenate([-drift, -ddx, [dacc]])
 
     z0 = np.concatenate([x0, dx0, [0.0]])
     traj = integrate_ivp(rhs, z0, (0.0, float(horizon)), rtol=rtol, atol=atol)

@@ -24,7 +24,8 @@ import numpy as np
 from .calculus import (MatrixField, frozen_input_jacobian_scalars, jacobian,
                        matrix_field_directional)
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow,
-                        composite_gauss_legendre, improper_time_integral)
+                        composite_gauss_legendre, improper_time_integral,
+                        variational_rhs)
 from .jacobi import determinant_and_min_eigenvalue
 from .systems import SystemModel
 
@@ -59,14 +60,15 @@ def _report(equation_id: str, xs, residual: np.ndarray, **meta) -> ResidualRepor
                           meta=meta)
 
 
-def _gramian_from_flow(rhs, z0, out_field, direction: str, tol: float,
+def _gramian_from_flow(field, sign: float, x, out_field, direction: str, tol: float,
                        fixed_horizon: float | None, rtol: float, atol: float,
                        label: str) -> GramianResult:
-    """Integrate (J Phi)^T (J Phi) along the (x, Phi) flow, J the Jacobian
-    of out_field at x; each panel's nodes take one lookup and one
-    Jacobian pass."""
+    """Integrate (J Phi)^T (J Phi) along the (x, Phi) flow of sign * field
+    from (x, I), J the Jacobian of out_field at x; each panel's nodes take
+    one lookup and one Jacobian pass."""
     n = out_field.dim_in
-    flow = HorizonFlow(rhs, z0, rtol=rtol, atol=atol)
+    z0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
+    flow = HorizonFlow(variational_rhs(field, sign), z0, rtol=rtol, atol=atol)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         z = flow.state(np.abs(t))
@@ -99,18 +101,7 @@ def empirical_obs_gramian(system: SystemModel, x, tol: float = 1e-8,
     Phi is the flow Jacobian of the zero-input drift and C the output
     Jacobian along the flow, co-integrated as an n + n^2 system.
     """
-    n = system.n
-    f = system.f
-
-    def rhs(t, z):
-        xs = [float(v) for v in z[:n]]
-        phi = z[n:].reshape(n, n)
-        dx = np.asarray(f(xs), dtype=float)
-        dphi = jacobian(f, xs) @ phi
-        return np.concatenate([dx, dphi.reshape(-1)])
-
-    z0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
-    return _gramian_from_flow(rhs, z0, system.h, "forward", tol,
+    return _gramian_from_flow(system.f, 1.0, x, system.h, "forward", tol,
                               fixed_horizon, rtol, atol, "obs_gramian")
 
 
@@ -122,20 +113,8 @@ def empirical_ctrl_gramian(system: SystemModel, x, tol: float = 1e-8,
     Runs the time-reversed closed loop forward together with its flow
     Jacobian; K is the feedback Jacobian along the reversed flow.
     """
-    n = system.n
-    k = system.require_k()
-    cl = system.closed_loop_field()
-
-    def rhs(t, z):
-        xs = [float(v) for v in z[:n]]
-        phi = z[n:].reshape(n, n)
-        dx = -np.asarray(cl(xs), dtype=float)
-        dphi = -(jacobian(cl, xs) @ phi)
-        return np.concatenate([dx, dphi.reshape(-1)])
-
-    z0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
-    return _gramian_from_flow(rhs, z0, k, "backward", tol,
-                              fixed_horizon, rtol, atol, "ctrl_gramian")
+    return _gramian_from_flow(system.closed_loop_field(), -1.0, x, system.require_k(),
+                              "backward", tol, fixed_horizon, rtol, atol, "ctrl_gramian")
 
 
 class EmpiricalGramianField:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from vargram.calculus import VectorField, jacobian
+from vargram.calculus import VectorField, point_jacobian
 
 BLOWUP_NORM = 1e12
 
@@ -55,6 +55,17 @@ def as_time_rhs(field) -> Callable[[float, np.ndarray], np.ndarray]:
     return field
 
 
+def _within_span(t, t0: float, tf: float):
+    """t clipped to [t0, tf]; ValueError if it lies outside by more than
+    a relative 1e-9."""
+    slack = 1e-9 * (1.0 + abs(t0) + abs(tf))
+    lo, hi = np.min(t), np.max(t)
+    if lo < t0 - slack or hi > tf + slack:
+        bad = lo if lo < t0 - slack else hi
+        raise ValueError(f"t = {bad:g} outside trajectory span [{t0:g}, {tf:g}]")
+    return np.clip(t, t0, tf)
+
+
 class Trajectory:
     """Immutable solution curve with dense evaluation between stored nodes."""
 
@@ -88,12 +99,7 @@ class Trajectory:
     def at(self, t) -> np.ndarray:
         """State at time t, shape (dim,), or at each entry of a 1-D array of
         times, shape (N, dim)."""
-        slack = 1e-9 * (1.0 + abs(self.t0) + abs(self.tf))
-        lo, hi = np.min(t), np.max(t)
-        if lo < self.t0 - slack or hi > self.tf + slack:
-            bad = lo if lo < self.t0 - slack else hi
-            raise ValueError(f"t = {bad:g} outside trajectory span [{self.t0:g}, {self.tf:g}]")
-        return np.asarray(self._eval(np.clip(t, self.t0, self.tf)), dtype=float)
+        return np.asarray(self._eval(_within_span(t, self.t0, self.tf)), dtype=float)
 
     def time_reversed(self) -> "Trajectory":
         """View of this curve under t -> -t (span flips sign)."""
@@ -114,8 +120,12 @@ class FlowJacobian:
         if not np.all(np.isfinite(dets)) or np.any(dets == 0.0):
             raise IntegrationError("flow Jacobian became singular along the trajectory")
 
-    def at(self, t: float) -> np.ndarray:
-        return np.asarray(self._eval(t), dtype=float).reshape(self.n, self.n)
+    def at(self, t) -> np.ndarray:
+        """Matrix at time t, shape (n, n), or at each entry of a 1-D array
+        of times, shape (N, n, n); ValueError outside the solved span."""
+        flat = np.asarray(self._eval(_within_span(t, self.times[0], self.times[-1])),
+                          dtype=float)
+        return flat.reshape(np.shape(t) + (self.n, self.n))
 
 
 class _Segmented:
@@ -201,6 +211,26 @@ def integrate_backward(field, x0, duration: float, rtol: float = DEFAULT_RTOL,
     return forward.time_reversed()
 
 
+def variational_rhs(field: VectorField, sign: float = 1.0):
+    """rhs(t, z) of a field co-integrated with its variational equation.
+
+    z holds x (n entries) and then a tangent block: a vector dx (n
+    entries) or a matrix Phi (n*n entries, row-major).  The rhs is
+    sign * (field(x), J(x) dx) or sign * (field(x), J(x) Phi), with J the
+    Jacobian of the field; sign = -1 runs the flow backward.  Values and
+    J come from the field's traced kernel; J @ tangent stays in numpy.
+    """
+    n = field.dim_in
+
+    def rhs(t, z):
+        values, jac = point_jacobian(field, z[:n].tolist())
+        tangent = z[n:] if len(z) == 2 * n else z[n:].reshape(n, n)
+        out = np.concatenate([values, (jac @ tangent).reshape(-1)])
+        return -out if sign < 0 else out
+
+    return rhs
+
+
 def flow_with_jacobian(field: VectorField, x0, t_span, rtol: float = DEFAULT_RTOL,
                        atol: float = DEFAULT_ATOL):
     """Co-integrate a field with its variational matrix.
@@ -209,18 +239,9 @@ def flow_with_jacobian(field: VectorField, x0, t_span, rtol: float = DEFAULT_RTO
     dPhi/dt = (dfield/dx) Phi from Phi(t0) = I.
     """
     n = field.dim_in
-    func = field.func
-
-    def rhs(t, z):
-        x = list(z[:n])
-        phi = z[n:].reshape(n, n)
-        dx = np.asarray(func(x), dtype=float)
-        dphi = jacobian(field, x) @ phi
-        return np.concatenate([dx, dphi.reshape(-1)])
-
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).reshape(-1)])
     t0, tf = float(t_span[0]), float(t_span[1])
-    sol = _solve_segment(rhs, z0, t0, tf, rtol, atol)
+    sol = _solve_segment(variational_rhs(field), z0, t0, tf, rtol, atol)
     seg = _Segmented([sol.sol])
     traj = Trajectory(sol.t, sol.y.T[:, :n], lambda t: seg(t)[..., :n])
     flow = FlowJacobian(n, sol.t, sol.y.T[:, n:], lambda t: seg(t)[..., n:])

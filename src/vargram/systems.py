@@ -29,10 +29,13 @@ from vargram.calculus import (
     VectorField,
     closed_loop_scalars,
     field_values,
-    frozen_input_jacobian_scalars,
+    frozen_input_jacobian,
     jacobian,
+    point_jacobian,
+    point_values,
 )
 from vargram.expr import SystemSpec
+from vargram.integrate import variational_rhs
 
 
 @dataclass
@@ -49,6 +52,8 @@ class SystemModel:
     k: VectorField | None = None
     certificates: dict[str, MatrixField] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    # ((f, g, k funcs), field) of the last closed_loop_field call
+    _closed_loop: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def require_k(self) -> VectorField:
         if self.k is None:
@@ -56,8 +61,14 @@ class SystemModel:
         return self.k
 
     def closed_loop_field(self) -> VectorField:
-        self.require_k()
-        return VectorField(self.n, self.n, lambda xs: closed_loop_scalars(self, xs))
+        """The field f + g k, built once per model so that its traced
+        kernel is reused; built anew only if f, g or k has changed."""
+        funcs = (self.f.func, self.g.func, self.require_k().func)
+        cached = self._closed_loop
+        if cached is None or any(a is not b for a, b in zip(cached[0], funcs)):
+            cl = VectorField(self.n, self.n, lambda xs: closed_loop_scalars(self, xs))
+            cached = self._closed_loop = (funcs, cl)
+        return cached[1]
 
     def output(self, x) -> np.ndarray:
         """h at a point, or at each row of an (N, n) stack."""
@@ -108,7 +119,7 @@ def constant_signal(u: Sequence[float]):
 
 def feedback_signal(system: SystemModel):
     k = system.require_k()
-    return lambda t, x: [float(v) for v in k(list(map(float, x)))]
+    return lambda t, x: point_values(k, list(map(float, x))).tolist()
 
 
 def tabulated_signal(times: Sequence[float], values):
@@ -131,14 +142,11 @@ def prolong(system: SystemModel, u_signal=None, du_signal=None) -> AugmentedFiel
     du_signal = du_signal or zero_signal(m)
 
     def rhs(t, z):
-        x = [float(v) for v in z[:n]]
-        dx = z[n:]
+        x = z[:n].tolist()
         u = [float(v) for v in u_signal(t, x)]
-        drift, frozen = frozen_input_jacobian_scalars(system, x, u)
-        g_vals = np.asarray(system.g(x), dtype=float)
+        drift, frozen, g_vals = frozen_input_jacobian(system, x, u)
         du = np.asarray(du_signal(t, x), dtype=float)
-        ddx = np.asarray(frozen, dtype=float) @ dx + g_vals @ du
-        return np.concatenate([np.asarray(drift, dtype=float), ddx])
+        return np.concatenate([drift, frozen @ z[n:] + g_vals @ du])
 
     def out_y(z):
         return system.output(z[..., :n])
@@ -162,14 +170,6 @@ def closed_loop_prolonged(system: SystemModel) -> AugmentedField:
     integrand of the feedback controllability energy.
     """
     n = system.n
-    cl = system.closed_loop_field()
-
-    def rhs(t, z):
-        x = [float(v) for v in z[:n]]
-        dx = z[n:]
-        drift = np.asarray(cl(x), dtype=float)
-        ddx = jacobian(cl, x) @ dx
-        return np.concatenate([drift, ddx])
 
     def out_dk(z):
         return _apply(jacobian(system.require_k(), z[..., :n]), z[..., n:])
@@ -179,7 +179,7 @@ def closed_loop_prolonged(system: SystemModel) -> AugmentedField:
 
     return AugmentedField(
         dim=2 * n,
-        rhs=rhs,
+        rhs=variational_rhs(system.closed_loop_field()),
         layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
         outputs={"dk": out_dk, "dy": out_dy},
     )
@@ -196,13 +196,12 @@ def two_copy(system: SystemModel, u_signal=None, u2_signal=None) -> AugmentedFie
     u2_signal = u2_signal or zero_signal(m)
 
     def one_side(x, u):
-        f_vals = np.asarray(system.f(x), dtype=float)
-        g_vals = np.asarray(system.g(x), dtype=float)
-        return f_vals + g_vals @ np.asarray(u, dtype=float)
+        return (point_values(system.f, x)
+                + point_values(system.g, x) @ np.asarray(u, dtype=float))
 
     def rhs(t, z):
-        x = [float(v) for v in z[:n]]
-        x2 = [float(v) for v in z[n:]]
+        x = z[:n].tolist()
+        x2 = z[n:].tolist()
         return np.concatenate([one_side(x, u_signal(t, x)), one_side(x2, u2_signal(t, x2))])
 
     outputs = {
@@ -230,11 +229,8 @@ def dual_closed_loop(system: SystemModel) -> AugmentedField:
     system.require_k()
 
     def rhs(t, z):
-        x = [float(v) for v in z[:n]]
-        dp = z[n:]
-        drift, frozen = frozen_input_jacobian_scalars(system, x)
-        ddp = np.asarray(frozen, dtype=float).T @ dp
-        return np.concatenate([-np.asarray(drift, dtype=float), ddp])
+        drift, frozen, _ = frozen_input_jacobian(system, z[:n].tolist())
+        return np.concatenate([-drift, frozen.T @ z[n:]])
 
     def out_dz(z):
         g_vals = np.asarray(system.g([float(v) for v in z[:n]]), dtype=float)
@@ -260,14 +256,8 @@ def adjoint_pair(system: SystemModel) -> AugmentedField:
     system.require_k()
 
     def rhs(t, z):
-        x = [float(v) for v in z[:n]]
-        dp = z[n : 2 * n]
-        dx = z[2 * n :]
-        drift, frozen = frozen_input_jacobian_scalars(system, x)
-        a_mat = np.asarray(frozen, dtype=float)
-        return np.concatenate(
-            [-np.asarray(drift, dtype=float), a_mat.T @ dp, -(a_mat @ dx)]
-        )
+        drift, a_mat, _ = frozen_input_jacobian(system, z[:n].tolist())
+        return np.concatenate([-drift, a_mat.T @ z[n : 2 * n], -(a_mat @ z[2 * n :])])
 
     return AugmentedField(
         dim=3 * n,
@@ -285,10 +275,8 @@ def dual_open(system: SystemModel) -> AugmentedField:
     n = system.n
 
     def rhs(t, z):
-        x = [float(v) for v in z[:n]]
-        dp = z[n:]
-        ddp = jacobian(system.f, x).T @ dp
-        return np.concatenate([-np.asarray(system.f(x), dtype=float), ddp])
+        f_vals, f_jac = point_jacobian(system.f, z[:n].tolist())
+        return np.concatenate([-f_vals, f_jac.T @ z[n:]])
 
     def out_dz(z):
         g_vals = np.asarray(system.g([float(v) for v in z[:n]]), dtype=float)

@@ -106,6 +106,21 @@ def test_flow_jacobian_semigroup_property():
     assert np.allclose(flow.at(2.0), flow_tail.at(0.8) @ flow.at(1.2), atol=1e-7)
 
 
+def test_flow_jacobian_at_checks_the_span_and_takes_arrays():
+    traj, flow = flow_with_jacobian(registry("paper_sec5").f, [0.2, -0.1], (0.0, 3.0))
+    for t in (5.0, -1.0, np.array([1.0, 3.5])):
+        with pytest.raises(ValueError, match="outside trajectory span"):
+            traj.at(t)
+        with pytest.raises(ValueError, match="outside trajectory span"):
+            flow.at(t)
+    assert np.array_equal(flow.at(0.0), np.eye(2))
+    times = np.array([0.0, 0.7, 1.9, 3.0])
+    stacked = flow.at(times)
+    assert stacked.shape == (4, 2, 2)
+    per_time = np.array([flow.at(t) for t in times])
+    assert np.allclose(stacked, per_time, rtol=0.0, atol=1e-14 * np.abs(per_time).max())
+
+
 def test_horizon_flow_extends_lazily():
     hf = HorizonFlow(lambda t, y: -y, np.array([1.0]))
     assert abs(hf.state(1.0)[0] - math.exp(-1.0)) < 1e-9

@@ -1,0 +1,298 @@
+"""Traced kernels: straight-line value-and-Jacobian code at float points.
+
+A field's func runs once on Traced scalars and the recorded lines are
+compiled; every per-step right-hand side evaluates fields through them.
+These tests pin the kernels to the dual path with np.array_equal (same
+floats, not merely close), check that errors keep their class, that a
+replaced func is traced again, and that the right-hand sides built on the
+kernels equal the ones built on duals.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from vargram.calculus import (
+    MatrixField,
+    VectorField,
+    frozen_input_jacobian,
+    frozen_input_jacobian_scalars,
+    jacobian,
+    jacobian_scalars,
+    matrix_jacobian_scalars,
+    point_jacobian,
+    point_values,
+)
+from vargram.expr import BinOp, ExprEvalError, Num, Var, parse_system_spec
+from vargram.integrate import variational_rhs
+from vargram.systems import (
+    SystemModel,
+    adjoint_pair,
+    closed_loop_prolonged,
+    dual_closed_loop,
+    dual_open,
+    feedback_signal,
+    from_spec,
+    prolong,
+    registry,
+    two_copy,
+)
+
+# n = 1 ... 4, with division (/), integer powers (^), constant components
+SPECS = [
+    {"name": "spec_n1", "n": 1, "m": 1, "p": 1,
+     "f": ["-x1 + x1^3 / (2 + x1^2)"], "g": [["1 / (3 + x1^2)"]],
+     "h": ["x1^2 - 1/3"], "k": ["-2*x1 + x1^5"]},
+    {"name": "spec_n2", "n": 2, "m": 1, "p": 2,
+     "f": ["x2 / (2 + x1^2)", "-x1 - x2^3 / 3 + 1/2"], "g": [["1"], ["x1 / 4"]],
+     "h": ["x1^2 - x2", "3"], "k": ["-x2 / (1 + x1^2)"]},
+    {"name": "spec_n3", "n": 3, "m": 2, "p": 1,
+     "f": ["-x1 + x2*x3", "-x2^2 / (1 + x3^2) - x2", "0.25 - x3 + x1^4"],
+     "g": [["1", "0"], ["x1", "2.5"], ["0", "1 / (2 + x2^2)"]],
+     "h": ["x1 + x2^2 * x3"], "k": ["x1 - x3", "x2^3"]},
+    {"name": "spec_n4", "n": 4, "m": 1, "p": 2,
+     "f": ["x2", "-x1 - x2 / 7 + x3^2", "x4 * (1 - x1) / (4 + x2^2)", "-x3 - x4^0 + 1"],
+     "g": [["0"], ["1"], ["x1^2"], ["-1/(5 + x4^2)"]],
+     "h": ["x1", "x3 - x4 / 2"], "k": ["0.5*x2 - x4^2"]},
+]
+
+
+def _numpy_constants() -> SystemModel:
+    """A spec system whose trees hold numpy-scalar constants, and a Python
+    field with numpy-scalar constants and exponents."""
+    spec = parse_system_spec(SPECS[1])
+    spec.f[0] = BinOp("*", Num(np.float64(0.7)), BinOp("/", Var("x2"), Num(np.int64(3))))
+    spec.h[1] = Num(np.float64(-2.5))
+    system = from_spec(spec)
+    system.name = "numpy_constants"
+    system.k = VectorField(2, 1, lambda xs: [np.float64(1.5) * xs[0] ** np.int64(3)
+                                             - np.int64(2) / (np.float64(4.0) + xs[1] * xs[1])])
+    return system
+
+
+def _systems():
+    for name in ("paper_sec5", "linear_scalar", "linear_2x2"):
+        yield registry(name)
+    for spec in SPECS:
+        yield from_spec(parse_system_spec(spec))
+    yield _numpy_constants()
+
+
+def _points(n, count=60, seed=11):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.5, 1.5, size=(count, n))
+    points[0] = 0.0
+    return [p.tolist() for p in points]
+
+
+def _dual(field, xs):
+    if isinstance(field, MatrixField):
+        values, grads = matrix_jacobian_scalars(field.func, xs, field.rows, field.cols)
+        return np.array(values, dtype=float), np.array(grads, dtype=float)
+    values, rows = jacobian_scalars(field.func, xs, field.dim_out)
+    return np.array(values, dtype=float), np.array(rows, dtype=float)
+
+
+def _is_traced(field) -> bool:
+    return field._traced[4].__code__.co_filename == "<traced kernel>"
+
+
+def test_float64_and_integer_numpy_constants_are_traced():
+    system = _numpy_constants()
+    for field in (system.f, system.h, system.k):
+        point_jacobian(field, [0.1, 0.2])
+        assert _is_traced(field)
+
+
+@pytest.mark.parametrize("func", [
+    # on duals a float32 constant rounds its products to float32
+    lambda xs: [xs[0] / np.float32(3.0) + xs[0] * xs[1]],
+    lambda xs: [xs[1] * math.inf - xs[0]],
+], ids=["float32", "infinite"])
+def test_fields_with_untraceable_constants_keep_the_dual_path(func):
+    field = VectorField(2, 1, func)
+    for xs in _points(2):
+        values, jac = point_jacobian(field, xs)
+        dual_values, dual_jac = _dual(field, xs)
+        assert np.array_equal(values, dual_values, equal_nan=True)
+        assert np.array_equal(jac, dual_jac, equal_nan=True)
+    assert not _is_traced(field)
+
+
+@pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)
+def test_kernels_equal_the_dual_path_bitwise(system):
+    fields = {"f": system.f, "g": system.g, "h": system.h, "k": system.k,
+              "closed loop": system.closed_loop_field()}
+    for xs in _points(system.n):
+        for label, field in fields.items():
+            values, jac = point_jacobian(field, xs)
+            dual_values, dual_jac = _dual(field, xs)
+            assert np.array_equal(values, dual_values), (label, xs)
+            assert np.array_equal(jac, dual_jac), (label, xs)
+            assert np.array_equal(point_values(field, xs), dual_values), (label, xs)
+
+        # u defaults to k's values on the dual path
+        drift, frozen, g_vals = frozen_input_jacobian(system, xs)
+        dual_drift, dual_frozen = frozen_input_jacobian_scalars(system, xs,
+                                                                _dual(system.k, xs)[0])
+        assert np.array_equal(drift, np.array(dual_drift, dtype=float))
+        assert np.array_equal(frozen, np.array(dual_frozen, dtype=float))
+        assert np.array_equal(g_vals, _dual(system.g, xs)[0])
+        u = [0.3 - 0.2 * j for j in range(system.m)]
+        drift, frozen, _ = frozen_input_jacobian(system, xs, u)
+        dual_drift, dual_frozen = frozen_input_jacobian_scalars(system, xs, u)
+        assert np.array_equal(drift, np.array(dual_drift, dtype=float))
+        assert np.array_equal(frozen, np.array(dual_frozen, dtype=float))
+
+
+def test_powers_unroll_like_dual_powers():
+    # Dual.__pow__ squares and multiplies, rounding at every product, where
+    # float ** n calls libm's pow; the kernel follows the dual path
+    field = VectorField(1, 1, lambda xs: [xs[0] ** 7 + xs[0] ** 0])
+    for x in np.linspace(-1.3, 1.7, 101):
+        values, jac = point_jacobian(field, [float(x)])
+        dual_values, dual_jac = _dual(field, [float(x)])
+        assert np.array_equal(values, dual_values) and np.array_equal(jac, dual_jac)
+
+
+def _right_hand_sides(system):
+    """(label, kernel-built rhs, dual-built rhs, state dimension).
+
+    Field values in the dual-built forms are the dual path's values too;
+    they differ from a float evaluation of func only where a field raises
+    to an integer power of 3 or more.
+    """
+    n, m = system.n, system.m
+    cl = system.closed_loop_field()
+
+    def at(field, x):
+        return _dual(field, x)[0]
+
+    def frozen(x, u=None):
+        drift, rows = frozen_input_jacobian_scalars(
+            system, x, at(system.k, x) if u is None else u)
+        return np.array(drift, dtype=float), np.array(rows, dtype=float)
+
+    def g_at(x):
+        return at(system.g, x)
+
+    def variational(field, sign):
+        def rhs(t, z):
+            x = z[:n].tolist()
+            tangent = z[n:] if len(z) == 2 * n else z[n:].reshape(n, n)
+            out = np.concatenate([at(field, x), (jacobian(field, x) @ tangent).reshape(-1)])
+            return sign * out
+        return rhs
+
+    u_sig = lambda t, x: [0.4 * math.cos(t) + 0.1 * j for j in range(m)]
+    du_sig = lambda t, x: [0.2 - 0.3 * j for j in range(m)]
+
+    def prolong_ref(t, z):
+        x = z[:n].tolist()
+        drift, rows = frozen(x, u_sig(t, x))
+        return np.concatenate([drift, rows @ z[n:] + g_at(x) @ np.asarray(du_sig(t, x))])
+
+    def two_copy_ref(t, z):
+        def side(x):
+            return at(system.f, x) + g_at(x) @ at(system.k, x)
+        return np.concatenate([side(z[:n].tolist()), side(z[n:].tolist())])
+
+    def dual_closed_ref(t, z):
+        drift, rows = frozen(z[:n].tolist())
+        return np.concatenate([-drift, rows.T @ z[n:]])
+
+    def adjoint_ref(t, z):
+        drift, rows = frozen(z[:n].tolist())
+        return np.concatenate([-drift, rows.T @ z[n:2 * n], -(rows @ z[2 * n:])])
+
+    def dual_open_ref(t, z):
+        x = z[:n].tolist()
+        return np.concatenate([-at(system.f, x), jacobian(system.f, x).T @ z[n:]])
+
+    fb = feedback_signal(system)
+    yield "prolong", prolong(system, u_sig, du_sig).rhs, prolong_ref, 2 * n
+    yield "closed_loop_prolonged", closed_loop_prolonged(system).rhs, variational(cl, 1.0), 2 * n
+    yield "two_copy", two_copy(system, fb, fb).rhs, two_copy_ref, 2 * n
+    yield "dual_closed_loop", dual_closed_loop(system).rhs, dual_closed_ref, 2 * n
+    yield "adjoint_pair", adjoint_pair(system).rhs, adjoint_ref, 3 * n
+    yield "dual_open", dual_open(system).rhs, dual_open_ref, 2 * n
+    yield "obs flow", variational_rhs(system.f), variational(system.f, 1.0), n + n * n
+    yield "ctrl flow", variational_rhs(cl, -1.0), variational(cl, -1.0), n + n * n
+
+
+@pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)
+def test_right_hand_sides_equal_their_dual_forms_bitwise(system):
+    rng = np.random.default_rng(5)
+    for label, rhs, reference, dim in _right_hand_sides(system):
+        for _ in range(20):
+            t = float(rng.uniform(0.0, 3.0))
+            z = rng.uniform(-1.2, 1.2, dim)
+            assert np.array_equal(rhs(t, z), reference(t, z)), label
+
+
+def test_zero_denominator_raises_the_fields_own_error():
+    spec = from_spec(parse_system_spec({
+        "n": 2, "m": 1, "p": 1, "f": ["x2 / x1", "1 / x2"], "g": [["1"], ["0"]],
+        "h": ["x1"], "k": ["x2"]}))
+    for field in (spec.f, spec.closed_loop_field()):
+        point_jacobian(field, [1.0, 2.0])  # traced at a regular point first
+        for xs in ([0.0, 2.0], [1.0, -0.0]):
+            with pytest.raises(ExprEvalError, match="division by zero"):
+                point_jacobian(field, xs)
+            with pytest.raises(ExprEvalError, match="division by zero"):
+                point_values(field, xs)
+    with pytest.raises(ExprEvalError):
+        prolong(spec).rhs(0.0, np.array([0.0, 2.0, 1.0, 1.0]))
+
+    # the second quotient's value is multiplied away, but still divides
+    python = VectorField(2, 2, lambda xs: [xs[1] / xs[0], xs[0] + 0.0 * (1.0 / xs[1])])
+    point_jacobian(python, [1.0, 2.0])
+    for xs in ([0.0, 2.0], [1.0, 0.0]):
+        with pytest.raises(ZeroDivisionError, match="dual division by zero"):
+            point_jacobian(python, xs)
+        with pytest.raises(ZeroDivisionError):
+            variational_rhs(python)(0.0, np.array(xs + [1.0, 0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("func", [
+    lambda xs: [abs(xs[0])],
+    lambda xs: [xs[0] if xs[0] > 0 else -xs[0]],
+    lambda xs: [math.sqrt(xs[0])],
+    lambda xs: [xs[0] / 0.0],
+    lambda xs: [xs[0], xs[0]],
+], ids=["abs", "comparison", "math", "constant zero denominator", "arity"])
+def test_untraceable_fields_raise_like_the_dual_path(func):
+    with pytest.raises(Exception) as on_duals:
+        jacobian_scalars(func, [0.5], 1)
+    field = VectorField(1, 1, func)
+    for evaluate in (point_jacobian, point_values):
+        with pytest.raises(Exception) as on_kernel:
+            evaluate(field, [0.5])
+        assert type(on_kernel.value) is on_duals.type
+
+
+def test_replacing_func_traces_again():
+    calls = []
+
+    def counted(scale):
+        def func(xs):
+            calls.append(scale)
+            return [scale * xs[0] * xs[0]]
+        return func
+
+    field = VectorField(1, 1, counted(2.0))
+    for _ in range(3):
+        assert point_jacobian(field, [3.0])[1][0, 0] == 12.0
+    assert calls == [2.0]  # one trace, then compiled code only
+
+    field.func = counted(5.0)
+    assert point_jacobian(field, [3.0])[1][0, 0] == 30.0
+    assert point_values(field, [1.0])[0] == 5.0
+    assert calls == [2.0, 5.0]
+
+    # fresh callables in a loop reuse memory, and with it id()s
+    for scale in range(20):
+        field.func = counted(float(scale))
+        assert point_values(field, [1.0])[0] == scale
+        assert point_jacobian(field, [0.5])[1][0, 0] == scale

@@ -196,6 +196,19 @@ def test_prolong_accepts_input_signals():
     assert np.allclose(rhs, [1.0, -1.0])
 
 
+def test_closed_loop_field_is_built_once_per_model():
+    sys_ = registry("paper_sec5")
+    cl = sys_.closed_loop_field()
+    assert sys_.closed_loop_field() is cl
+    assert registry("paper_sec5").closed_loop_field() is not cl
+    # replacing a component's func (as a tracing wrapper does) builds it anew
+    original = sys_.k.func
+    sys_.k.func = lambda xs: original(xs)
+    fresh = sys_.closed_loop_field()
+    assert fresh is not cl and sys_.closed_loop_field() is fresh
+    assert np.array_equal(fresh([0.3, -0.2]), cl([0.3, -0.2]))
+
+
 def test_require_k_raises_without_feedback():
     spec = parse_system_spec(json.dumps({
         "n": 1, "m": 1, "p": 1,
