@@ -1,11 +1,11 @@
 """Adaptive ODE integration and quadrature utilities.
 
-Trajectories wrap embedded Runge-Kutta 5(4) solutions with dense output,
-so downstream quadrature can sample between accepted steps.  Backward
-integration is realized by integrating the negated field forward and
-re-indexing.  Improper time integrals use horizon doubling with an
-exponential tail fit; a non-decaying integrand is an error, never an
-implicit infinity.
+Trajectories wrap solutions of the Dormand-Prince 8(5,3) pair (scipy's
+DOP853) with its 7th-order dense output, so downstream quadrature can
+sample between accepted steps.  Backward integration is realized by
+integrating the negated field forward and re-indexing.  Improper time
+integrals use horizon doubling with an exponential tail fit; a
+non-decaying integrand is an error, never an implicit infinity.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float):
     blow_up.terminal = True
     blow_up.direction = 1
 
-    sol = solve_ivp(rhs, (t0, tf), x0, method="RK45", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (t0, tf), x0, method="DOP853", rtol=rtol, atol=atol,
                     dense_output=True, events=blow_up)
     if sol.status == 1:
         raise BlowUpError(float(sol.t_events[0][0]))

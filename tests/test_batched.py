@@ -84,13 +84,11 @@ def test_horizon_flow_state_on_arrays_matches_per_time_calls():
         stacked = batched.state(taus)
         single = np.array([pointwise.state(t) for t in taus])
         assert stacked.shape == single.shape == (len(taus), aug.dim)
-        # scipy evaluates one dense-output polynomial per solver step, as a
-        # matrix product for an array of times and a matrix-vector product
-        # for one time, so the two round differently.  Where the state has
-        # decayed to 1e-13 and steps are about 8 long, the polynomial's
-        # terms cancel and that rounding reaches 7e-14 of the state
-        # (1e-15 up to t = 64); a time mapped to the wrong row would be off
-        # by order one.
+        # scipy's DOP853 dense output runs the same elementwise recurrence
+        # for one time and for an array of times, so the two agree bitwise
+        # here.  The bound leaves room for a dense output that evaluates an
+        # array as a matrix product and so rounds differently; a time
+        # mapped to the wrong row would be off by order one.
         scale = np.abs(single).max(axis=1)[:, None]
         assert np.all(np.abs(stacked - single) <= 1e-13 * scale)
     # the same solver segments: extension by doubling is unchanged
@@ -120,14 +118,14 @@ def test_trajectory_at_arrays_spans_segments_and_checks_bounds():
 
 
 # values from the per-node implementation (one lookup and one scalar
-# Jacobian per Gauss-Legendre node)
+# Jacobian per Gauss-Legendre node), integrated by DOP853 as here
 PINNED = {
-    (0.1, -0.2): {"dx0": (0.6, 0.8), "diff_obs": 0.28207055314548046,
-                  "gramian": [0.7422715129522737, -0.6555144226965897,
-                              -0.6555144226965897, 1.4472143863500764]},
-    (-0.25, 0.15): {"dx0": (-0.3, 0.9), "diff_obs": 2.6310920293965827,
-                    "gramian": [2.954657000078288, -3.055586340944053,
-                                -3.055586340944053, 4.131170747643429]},
+    (0.1, -0.2): {"dx0": (0.6, 0.8), "diff_obs": 0.28207055319278734,
+                  "gramian": [0.7422715129194672, -0.6555144225311769,
+                              -0.6555144225311769, 1.4472143862663294]},
+    (-0.25, 0.15): {"dx0": (-0.3, 0.9), "diff_obs": 2.6310920310528196,
+                    "gramian": [2.954656999699266, -3.055586341003837,
+                                -3.055586341003837, 4.1311707505351585]},
 }
 
 

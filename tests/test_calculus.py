@@ -81,6 +81,43 @@ def test_dual_pow_rejects_bad_exponents():
         x ** np.int64(-1)
 
 
+def _pow_with_trailing_square(x, n):
+    # the same products as Dual.__pow__ plus one: the base is squared once
+    # more after the last exponent bit and that square is discarded
+    result, base = 1.0, x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def test_dual_pow_does_no_discarded_product(monkeypatch):
+    products = []
+    mul = Dual.__mul__
+
+    def counting_mul(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Dual, "__mul__", counting_mul)
+    monkeypatch.setattr(Dual, "__rmul__", counting_mul)
+    x = Dual(1.1, (0.7, -1.3))
+    for n in range(9):
+        products.clear()
+        power = x ** n
+        used = len(products)
+        products.clear()
+        reference = _pow_with_trailing_square(x, n)
+        assert used == max(len(products) - 1, 0), n
+        assert used == (n.bit_count() + n.bit_length() - 1 if n else 0), n
+        if n == 0:
+            assert power == reference == 1.0
+        else:
+            assert power.value == reference.value and power.derivs == reference.derivs, n
+
+
 def test_second_derivative_via_nesting():
     # d2/dx2 of x^3 at x = 2 is 12
     inner = Dual(2.0, (1.0,))

@@ -22,7 +22,8 @@ from vargram.energy import (
     path_energy_integral,
     quadratic_limit,
 )
-from vargram.systems import registry
+from vargram.expr import parse_system_spec
+from vargram.systems import from_spec, registry
 
 
 def test_linear_scalar_closed_forms():
@@ -55,6 +56,20 @@ def test_linear_2x2_matches_lyapunov_oracle():
         # incremental energies coincide with differential ones for linear maps
         assert abs(incr_observability(sys_, x0, x0 + d).value - e_obs) < 1e-6
         assert abs(incr_controllability_fb(sys_, x0, x0 + d).value - e_ctl) < 1e-6
+
+
+def test_slowly_decaying_spec_oscillator_matches_lyapunov_oracle():
+    # zeta = 0.02: the energy builds up over a horizon of 1280, so the
+    # integrator's global error, not the quadrature, sets the accuracy
+    spec = {"name": "oscillator", "n": 2, "m": 1, "p": 1,
+            "f": ["x2", "-x1 - 0.04*x2"], "g": [["0"], ["1"]], "h": ["x1"]}
+    system = from_spec(parse_system_spec(spec))
+    q = lyap_obs(np.array([[0.0, 1.0], [-1.0, -0.04]]), np.array([[1.0, 0.0]]))
+    d = np.array([0.6, 0.8])
+    expected = 0.5 * d @ q @ d
+    ev = diff_observability(system, [0.3, -0.2], d)
+    assert ev.horizon == 1280.0
+    assert abs(ev.value - expected) <= 1e-9 * abs(expected)
 
 
 def test_zero_tangent_and_identical_pair_give_zero():
