@@ -566,33 +566,19 @@ def point_jacobian(field, xs) -> tuple[np.ndarray, np.ndarray]:
 
 def frozen_input_jacobian(system, xs, u=None):
     """frozen_input_jacobian_scalars at one point xs, a list of floats, from
-    the traced kernels of f and g.
+    one call of the traced kernel of the affine field (x, u) -> f + g u.
 
     Returns the drift f + g u, its input-frozen state Jacobian and g, as
-    arrays of shapes (n,), (n, n) and (n, m).  u defaults to the values of
-    k's kernel; given the same u, the floats are those of the scalar form.
+    arrays of shapes (n,), (n, n) and (n, m): the kernel's Jacobian is
+    [A | g].  u defaults to the values of k's kernel; given the same u, the
+    floats are those of the scalar form.
     """
-    n, m = system.n, system.m
     if u is None:
         if system.k is None:
             raise ValueError("system has no feedback law k")
         u = _flat_values(system.k, xs)
-    f_vals, f_rows = _flat_jacobian(system.f, xs)
-    g_vals, g_grads = _flat_jacobian(system.g, xs)
-    # the scalar form's sum() over j, unrolled: 0 + t_0 + t_1 + ...
-    drift, rows = [], []
-    for i in range(n):
-        acc = 0
-        for j in range(m):
-            acc = acc + g_vals[i * m + j] * u[j]
-        drift.append(f_vals[i] + acc)
-        for l in range(n):
-            acc = 0
-            for j in range(m):
-                acc = acc + g_grads[(i * m + j) * n + l] * u[j]
-            rows.append(f_rows[i * n + l] + acc)
-    return (np.array(drift, dtype=float), np.array(rows, dtype=float).reshape(n, n),
-            np.array(g_vals, dtype=float).reshape(n, m))
+    drift, jac = point_jacobian(system.affine_field(), xs + list(u))
+    return drift, jac[:, :system.n], jac[:, system.n:]
 
 
 def frozen_input_jacobian_scalars(system, xs, u=None):
@@ -614,15 +600,19 @@ def frozen_input_jacobian_scalars(system, xs, u=None):
     return drift, rows
 
 
+def affine_scalars(system, xs, u):
+    """f(x) + g(x) u, generic over scalars."""
+    f_vals = system.f(xs)
+    g_vals = system.g(xs)
+    return [f_vals[i] + sum(g_vals[i][j] * u[j] for j in range(system.m))
+            for i in range(system.n)]
+
+
 def closed_loop_scalars(system, xs):
     """f(x) + g(x) k(x), generic over scalars."""
     if system.k is None:
         raise ValueError("system has no feedback law k")
-    f_vals = system.f(xs)
-    g_vals = system.g(xs)
-    u = system.k(xs)
-    return [f_vals[i] + sum(g_vals[i][j] * u[j] for j in range(system.m))
-            for i in range(system.n)]
+    return affine_scalars(system, xs, system.k(xs))
 
 
 def ad_closed_loop_scalars(system, v_func, xs):

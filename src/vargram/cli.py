@@ -194,8 +194,20 @@ def emit_plot_script(csv_path: str, kind: str, script_path: str | None = None,
 
 # ---------------------------------------------------------------- simulate
 
-_MODES = ("open-loop", "closed-loop", "prolonged", "closed-loop-prolonged",
-          "two-copy", "dual-closed-loop", "dual-open")
+# mode -> the vector flag giving its second initial vector, if any
+_MODES = {"open-loop": None, "closed-loop": None, "prolonged": "dx0",
+          "closed-loop-prolonged": "dx0", "two-copy": "x0p",
+          "dual-closed-loop": "dp0", "dual-open": "dp0"}
+
+
+def _partner(args, flag: str | None, what: str) -> list[float] | None:
+    """The vector flag `what` uses, parsed, or None if it is not given;
+    CliError if any other vector flag is given."""
+    for other in ("dx0", "dp0", "x0p"):
+        if other != flag and getattr(args, other, None) is not None:
+            raise CliError(f"{what} does not use --{other}")
+    value = getattr(args, flag) if flag else None
+    return None if value is None else _parse_floats(value, f"--{flag}")
 
 
 def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
@@ -223,7 +235,7 @@ def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
     build, block = builders[mode]
     aug = build(system)
     if second is None:
-        raise CliError(f"mode {mode} needs --{'x0p' if block == 'x2' else block + '0'}")
+        raise CliError(f"mode {mode} needs --{_MODES[mode]}")
     if len(second) != n:
         raise CliError(f"second initial vector needs {n} components")
     z0 = aug.pack(**{"x": x0, block: second})
@@ -251,11 +263,7 @@ def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
 def _cmd_simulate(args) -> int:
     system = _load_system(args)
     x0 = _parse_floats(args.x0, "--x0")
-    second = None
-    for flag in ("dx0", "dp0", "x0p"):
-        value = getattr(args, flag)
-        if value is not None:
-            second = _parse_floats(value, f"--{flag}")
+    second = _partner(args, _MODES[args.mode], f"mode {args.mode}")
     header, rows = _simulate_table(system, args.mode, x0, second,
                                    args.tf, args.samples)
     out = _out_dir(args)
@@ -275,14 +283,10 @@ _ENERGY_KINDS = ("diff-obs", "diff-ctrl", "incr-obs", "incr-ctrl")
 def _cmd_energy(args) -> int:
     system = _load_system(args)
     x0 = _parse_floats(args.x0, "--x0")
-    if args.kind.startswith("diff"):
-        if args.dx0 is None:
-            raise CliError(f"kind {args.kind} needs --dx0")
-        partner = _parse_floats(args.dx0, "--dx0")
-    else:
-        if args.x0p is None:
-            raise CliError(f"kind {args.kind} needs --x0p")
-        partner = _parse_floats(args.x0p, "--x0p")
+    flag = "dx0" if args.kind.startswith("diff") else "x0p"
+    partner = _partner(args, flag, f"kind {args.kind}")
+    if partner is None:
+        raise CliError(f"kind {args.kind} needs --{flag}")
     fn = {
         "diff-obs": energy_mod.diff_observability,
         "diff-ctrl": energy_mod.diff_controllability_fb,
@@ -530,6 +534,8 @@ def _cmd_verify(args) -> int:
     if len(region) != system.n:
         raise CliError(f"--region covers {len(region)} dims, system has {system.n}")
     grid = (region, _parse_grid(args.grid) if args.grid else None)
+    if args.pairs < 1 or args.samples < 1:
+        raise CliError("--pairs and --samples must be at least 1")
     out = _out_dir(args)
     names = list(_CHECKS) if args.theorem == "all" else [args.theorem]
     counts = (args.pairs, args.samples, min(args.samples, 5))
@@ -662,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
                "  $ vargram simulate --system linear_2x2 --mode prolonged"
                " --x0 0,0 --dx0 1,0 --tf 5 --plot\n")
     _add_system_args(p)
-    p.add_argument("--mode", choices=_MODES, default="prolonged")
+    p.add_argument("--mode", choices=tuple(_MODES), default="prolonged")
     p.add_argument("--x0", required=True, help="initial state, comma-separated")
     p.add_argument("--dx0", default=None, help="variational initial vector")
     p.add_argument("--dp0", default=None, help="dual variational initial vector")

@@ -29,8 +29,7 @@ import numpy as np
 from .calculus import frozen_input_jacobian, point_jacobian
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow, IntegrationError,
                         improper_time_integral, integrate_ivp, quadrature_finite)
-from .systems import (AugmentedField, SystemModel, closed_loop_prolonged,
-                      feedback_signal, prolong, two_copy)
+from .systems import AugmentedField, SystemModel, closed_loop_prolonged, prolong, two_copy
 
 DEFAULT_S_LADDER = (0.1, 0.05, 0.025, 0.0125)
 
@@ -116,7 +115,7 @@ def diff_observability(system: SystemModel, x0, dx0, tol: float = 1e-8,
 def incr_observability(system: SystemModel, x0, x0p, tol: float = 1e-8,
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> EnergyValue:
     """Half the squared L2 norm of the output gap of two zero-input copies."""
-    aug = two_copy(system)
+    aug = pair_flow(system, "forward")
     z0 = aug.pack(x=x0, x2=x0p)
     return _half_square_energy(aug, z0, "output_gap", "forward", "incr_observability",
                                tol, rtol, atol)
@@ -127,6 +126,15 @@ def _reversed(aug: AugmentedField) -> AugmentedField:
                           rhs=lambda t, z: -aug.rhs(t, z),
                           layout=aug.layout,
                           outputs=aug.outputs)
+
+
+def pair_flow(system: SystemModel, direction: str) -> AugmentedField:
+    """Two copies of the system whose gap the pair energies integrate:
+    'forward' under zero input, 'backward' along the closed loop in
+    reversed time."""
+    if direction == "forward":
+        return two_copy(system)
+    return _reversed(two_copy(system, system.closed_loop_field()))
 
 
 def diff_controllability_fb(system: SystemModel, x0, dx0, tol: float = 1e-8,
@@ -149,8 +157,7 @@ def incr_controllability_fb(system: SystemModel, x0, x0p, tol: float = 1e-8,
                             rtol: float = DEFAULT_RTOL,
                             atol: float = DEFAULT_ATOL) -> EnergyValue:
     """Backward feedback-gap energy of two closed-loop trajectory copies."""
-    fb = feedback_signal(system)
-    aug = _reversed(two_copy(system, fb, fb))
+    aug = pair_flow(system, "backward")
     z0 = aug.pack(x=x0, x2=x0p)
     return _half_square_energy(aug, z0, "feedback_gap", "backward",
                                "incr_controllability_fb", tol, rtol, atol)

@@ -10,14 +10,13 @@ non-decaying integrand is an error, never an implicit infinity.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 from vargram.calculus import VectorField, point_jacobian
 
@@ -128,34 +127,11 @@ class FlowJacobian:
         return flat.reshape(np.shape(t) + (self.n, self.n))
 
 
-class _Segmented:
-    """Dense evaluator over a chain of scipy OdeSolution pieces.
-
-    A scalar time gives the state, shape (dim,); a 1-D array of times
-    gives the states stacked on axis 0, shape (N, dim), from one
-    vectorized OdeSolution call per piece the times fall in.
-    """
-
-    def __init__(self, sols):
-        self.sols = list(sols)
-        self.breaks = [s.t_max for s in self.sols]
-
-    def __call__(self, t):
-        last = len(self.sols) - 1
-        if np.ndim(t) == 0:
-            return self.sols[min(bisect.bisect_left(self.breaks, t), last)](t)
-        pieces = np.minimum(np.searchsorted(self.breaks, t, side="left"), last)
-        out = None
-        for i in np.unique(pieces):
-            mask = pieces == i
-            states = self.sols[i](t[mask]).T
-            if out is None:
-                out = np.empty((len(t), states.shape[1]))
-            out[mask] = states
-        return out
-
-    def extended(self, sol) -> "_Segmented":
-        return _Segmented(self.sols + [sol])
+def _dense(sol: OdeSolution):
+    """Evaluator of a scipy OdeSolution: a scalar time gives the state,
+    shape (dim,); a 1-D array of times gives the states stacked on axis 0,
+    shape (N, dim)."""
+    return lambda t: sol(t).T
 
 
 def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float):
@@ -192,7 +168,7 @@ def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
     if not tf > t0:
         raise ValueError("t_span must satisfy t0 < tf; use integrate_backward otherwise")
     sol = _solve_segment(as_time_rhs(field), x0, t0, tf, rtol, atol)
-    return Trajectory(sol.t, sol.y.T, _Segmented([sol.sol]))
+    return Trajectory(sol.t, sol.y.T, _dense(sol.sol))
 
 
 def integrate_backward(field, x0, duration: float, rtol: float = DEFAULT_RTOL,
@@ -242,9 +218,9 @@ def flow_with_jacobian(field: VectorField, x0, t_span, rtol: float = DEFAULT_RTO
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).reshape(-1)])
     t0, tf = float(t_span[0]), float(t_span[1])
     sol = _solve_segment(variational_rhs(field), z0, t0, tf, rtol, atol)
-    seg = _Segmented([sol.sol])
-    traj = Trajectory(sol.t, sol.y.T[:, :n], lambda t: seg(t)[..., :n])
-    flow = FlowJacobian(n, sol.t, sol.y.T[:, n:], lambda t: seg(t)[..., n:])
+    dense = _dense(sol.sol)
+    traj = Trajectory(sol.t, sol.y.T[:, :n], lambda t: dense(t)[..., :n])
+    flow = FlowJacobian(n, sol.t, sol.y.T[:, n:], lambda t: dense(t)[..., n:])
     return traj, flow
 
 
@@ -264,6 +240,7 @@ class HorizonFlow:
         self.chunk = float(chunk)
         self._z0 = np.asarray(z0, dtype=float)
         self._traj: Trajectory | None = None
+        self._sol: OdeSolution | None = None  # dense output over [0, horizon]
 
     @property
     def horizon(self) -> float:
@@ -273,16 +250,18 @@ class HorizonFlow:
         if self._traj is None:
             first = max(horizon, self.chunk)
             sol = _solve_segment(self.rhs, self._z0, 0.0, first, self.rtol, self.atol)
-            self._traj = Trajectory(sol.t, sol.y.T, _Segmented([sol.sol]))
+            self._sol = sol.sol
+            self._traj = Trajectory(sol.t, sol.y.T, _dense(sol.sol))
         while self._traj.tf < horizon:
             t_lo = self._traj.tf
             t_hi = max(horizon, 2.0 * t_lo)
             sol = _solve_segment(self.rhs, self._traj.endpoint, t_lo, t_hi,
                                  self.rtol, self.atol)
-            seg = self._traj._eval.extended(sol.sol)
+            self._sol = OdeSolution(np.concatenate([self._sol.ts, sol.sol.ts[1:]]),
+                                    self._sol.interpolants + sol.sol.interpolants)
             times = np.concatenate([self._traj.times, sol.t[1:]])
             states = np.vstack([self._traj.states, sol.y.T[1:]])
-            self._traj = Trajectory(times, states, seg)
+            self._traj = Trajectory(times, states, _dense(self._sol))
         return self._traj
 
     def state(self, t) -> np.ndarray:

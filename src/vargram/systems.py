@@ -12,26 +12,23 @@ Built-in registry entries:
   paper_sec5    planar polynomial system with feedback and unit certificates
   linear_scalar dx/dt = -x + u, y = x, k = 2x
   linear_2x2    controllable/observable companion pair with stabilizing data
-
-Input signals are callables (t, x) -> u so that feedback laws and
-tabulated open-loop inputs share one representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from vargram.calculus import (
     MatrixField,
     VectorField,
+    affine_scalars,
     closed_loop_scalars,
     field_values,
     frozen_input_jacobian,
     jacobian,
-    point_jacobian,
     point_values,
 )
 from vargram.expr import SystemSpec
@@ -52,23 +49,38 @@ class SystemModel:
     k: VectorField | None = None
     certificates: dict[str, MatrixField] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    # ((f, g, k funcs), field) of the last closed_loop_field call
-    _closed_loop: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # name -> (component funcs, field) of the last closed_loop_field or
+    # affine_field call
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def require_k(self) -> VectorField:
         if self.k is None:
             raise ValueError(f"system {self.name!r} has no feedback law k")
         return self.k
 
-    def closed_loop_field(self) -> VectorField:
-        """The field f + g k, built once per model so that its traced
-        kernel is reused; built anew only if f, g or k has changed."""
-        funcs = (self.f.func, self.g.func, self.require_k().func)
-        cached = self._closed_loop
-        if cached is None or any(a is not b for a, b in zip(cached[0], funcs)):
-            cl = VectorField(self.n, self.n, lambda xs: closed_loop_scalars(self, xs))
-            cached = self._closed_loop = (funcs, cl)
+    def _derived_field(self, name: str, funcs: tuple, build) -> VectorField:
+        """The field build() makes, built once per model so that its traced
+        kernel is reused; built anew only if one of funcs has changed
+        (functions compare equal only to themselves)."""
+        cached = self._derived.get(name)
+        if cached is None or cached[0] != funcs:
+            cached = self._derived[name] = (funcs, build())
         return cached[1]
+
+    def closed_loop_field(self) -> VectorField:
+        """The field f + g k on n inputs, rebuilt when f, g or k changes."""
+        return self._derived_field(
+            "closed_loop", (self.f.func, self.g.func, self.require_k().func),
+            lambda: VectorField(self.n, self.n, lambda xs: closed_loop_scalars(self, xs)))
+
+    def affine_field(self) -> VectorField:
+        """The field (x, u) -> f(x) + g(x) u on n + m inputs, rebuilt when f
+        or g changes; its Jacobian is [A | g], A the input-frozen one."""
+        n = self.n
+        return self._derived_field(
+            "affine", (self.f.func, self.g.func),
+            lambda: VectorField(n + self.m, n,
+                                lambda zs: affine_scalars(self, zs[:n], zs[n:])))
 
     def output(self, x) -> np.ndarray:
         """h at a point, or at each row of an (N, n) stack."""
@@ -108,45 +120,13 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
-def zero_signal(m: int):
-    return lambda t, x: [0.0] * m
+def prolong(system: SystemModel) -> AugmentedField:
+    """Variational dynamics under zero input: state (x, dx).
 
-
-def constant_signal(u: Sequence[float]):
-    vals = [float(v) for v in u]
-    return lambda t, x: vals
-
-
-def feedback_signal(system: SystemModel):
-    k = system.require_k()
-    return lambda t, x: point_values(k, list(map(float, x))).tolist()
-
-
-def tabulated_signal(times: Sequence[float], values):
-    """Piecewise-linear open-loop signal; clamped outside the table."""
-    ts = np.asarray(times, dtype=float)
-    vs = np.atleast_2d(np.asarray(values, dtype=float))
-    if vs.shape[0] != ts.size:
-        vs = vs.T
-    return lambda t, x: [float(np.interp(t, ts, vs[:, j])) for j in range(vs.shape[1])]
-
-
-def prolong(system: SystemModel, u_signal=None, du_signal=None) -> AugmentedField:
-    """Variational dynamics along the input u: state (x, dx).
-
-    dx follows the input-frozen state Jacobian of f + g u plus g du.
-    Outputs: y = h(x) and dy = (dh/dx) dx.
+    dx follows the state Jacobian of f.  Outputs: y = h(x) and
+    dy = (dh/dx) dx.
     """
-    n, m = system.n, system.m
-    u_signal = u_signal or zero_signal(m)
-    du_signal = du_signal or zero_signal(m)
-
-    def rhs(t, z):
-        x = z[:n].tolist()
-        u = [float(v) for v in u_signal(t, x)]
-        drift, frozen, g_vals = frozen_input_jacobian(system, x, u)
-        du = np.asarray(du_signal(t, x), dtype=float)
-        return np.concatenate([drift, frozen @ z[n:] + g_vals @ du])
+    n = system.n
 
     def out_y(z):
         return system.output(z[..., :n])
@@ -156,7 +136,7 @@ def prolong(system: SystemModel, u_signal=None, du_signal=None) -> AugmentedFiel
 
     return AugmentedField(
         dim=2 * n,
-        rhs=rhs,
+        rhs=variational_rhs(system.f),
         layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
         outputs={"y": out_y, "dy": out_dy},
     )
@@ -185,24 +165,18 @@ def closed_loop_prolonged(system: SystemModel) -> AugmentedField:
     )
 
 
-def two_copy(system: SystemModel, u_signal=None, u2_signal=None) -> AugmentedField:
-    """Two independent copies (x, x2) under their own input signals.
+def two_copy(system: SystemModel, field: VectorField | None = None) -> AugmentedField:
+    """Two copies (x, x2) of one flow: field, by default the zero-input f.
 
     Outputs report the copy gaps: output_gap = h(x2) - h(x) and, when a
     feedback law exists, feedback_gap = k(x2) - k(x).
     """
-    n, m = system.n, system.m
-    u_signal = u_signal or zero_signal(m)
-    u2_signal = u2_signal or zero_signal(m)
-
-    def one_side(x, u):
-        return (point_values(system.f, x)
-                + point_values(system.g, x) @ np.asarray(u, dtype=float))
+    n = system.n
+    field = system.f if field is None else field
 
     def rhs(t, z):
-        x = z[:n].tolist()
-        x2 = z[n:].tolist()
-        return np.concatenate([one_side(x, u_signal(t, x)), one_side(x2, u2_signal(t, x2))])
+        return np.concatenate([point_values(field, z[:n].tolist()),
+                               point_values(field, z[n:].tolist())])
 
     outputs = {
         "output_gap": lambda z: system.output(z[..., n:]) - system.output(z[..., :n]),
@@ -219,17 +193,13 @@ def two_copy(system: SystemModel, u_signal=None, u2_signal=None) -> AugmentedFie
     )
 
 
-def dual_closed_loop(system: SystemModel) -> AugmentedField:
-    """Reversed closed-loop drift with the transposed frozen-input Jacobian.
-
-    State (x, dp): dx/dt = -(f + g k), ddp/dt = (d(f+gu)/dx|_{u=k})^T dp,
-    output dz = g(x)^T dp.
-    """
+def _dual(system: SystemModel, u) -> AugmentedField:
+    """Reversed drift f + g u with the transposed input-frozen Jacobian, u
+    frozen at k(x) when None: state (x, dp), output dz = g(x)^T dp."""
     n = system.n
-    system.require_k()
 
     def rhs(t, z):
-        drift, frozen, _ = frozen_input_jacobian(system, z[:n].tolist())
+        drift, frozen, _ = frozen_input_jacobian(system, z[:n].tolist(), u)
         return np.concatenate([-drift, frozen.T @ z[n:]])
 
     def out_dz(z):
@@ -242,6 +212,16 @@ def dual_closed_loop(system: SystemModel) -> AugmentedField:
         layout={"x": slice(0, n), "dp": slice(n, 2 * n)},
         outputs={"dz": out_dz},
     )
+
+
+def dual_closed_loop(system: SystemModel) -> AugmentedField:
+    """Reversed closed-loop drift with the transposed frozen-input Jacobian.
+
+    State (x, dp): dx/dt = -(f + g k), ddp/dt = (d(f+gu)/dx|_{u=k})^T dp,
+    output dz = g(x)^T dp.
+    """
+    system.require_k()
+    return _dual(system, None)
 
 
 def adjoint_pair(system: SystemModel) -> AugmentedField:
@@ -272,22 +252,7 @@ def dual_open(system: SystemModel) -> AugmentedField:
 
     State (x, dp): dx/dt = -f, ddp/dt = (df/dx)^T dp, output dz = g(x)^T dp.
     """
-    n = system.n
-
-    def rhs(t, z):
-        f_vals, f_jac = point_jacobian(system.f, z[:n].tolist())
-        return np.concatenate([-f_vals, f_jac.T @ z[n:]])
-
-    def out_dz(z):
-        g_vals = np.asarray(system.g([float(v) for v in z[:n]]), dtype=float)
-        return g_vals.T @ z[n:]
-
-    return AugmentedField(
-        dim=2 * n,
-        rhs=rhs,
-        layout={"x": slice(0, n), "dp": slice(n, 2 * n)},
-        outputs={"dz": out_dz},
-    )
+    return _dual(system, [0.0] * system.m)
 
 
 def from_spec(spec: SystemSpec) -> SystemModel:

@@ -25,12 +25,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .energy import (LinePath, diff_controllability_fb, diff_observability,
-                     incr_controllability_fb, incr_observability, path_energy_integral,
-                     quadratic_limit)
+                     incr_controllability_fb, incr_observability, pair_flow,
+                     path_energy_integral, quadratic_limit)
 from .gramian import grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan
 from .integrate import IntegrationError, Trajectory, integrate_ivp
 from .rank import ctrl_bracket_matrix, obs_codistribution
-from .systems import SystemModel, dual_closed_loop, feedback_signal, prolong, two_copy
+from .systems import SystemModel, dual_closed_loop, prolong
 
 EQUALITY_TOL = 1e-4
 
@@ -162,16 +162,9 @@ def _decay(rhs, z0, signal) -> DecayEstimate:
     return fit_decay((times, vals), "forward")
 
 
-def _gap_flow(system: SystemModel, direction: str):
-    """Two copies of the system: open loop, or the closed loop in reversed time."""
-    if direction == "forward":
-        return two_copy(system).rhs
-    fb = feedback_signal(system)
-    aug = two_copy(system, fb, fb)
-    return lambda t, z: -aug.rhs(t, z)
-
-
 def _close(report: Report, failures: list[str]) -> Report:
+    if not report.samples and not failures:
+        failures.append("no sample was tested")
     report.verdict = _settle(report.samples, failures)
     report.notes.extend(failures)
     return report
@@ -243,7 +236,7 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float,
         inputs = {"index": idx, "x0": x0.tolist(), "x0p": x0p.tolist()}
         try:
             if not np.allclose(x0, x0p):
-                fit = _decay(_gap_flow(system, direction), np.concatenate([x0, x0p]),
+                fit = _decay(pair_flow(system, direction).rhs, np.concatenate([x0, x0p]),
                              lambda z: z[n:] - z[:n])
                 report.decay_fits.append(fit)
                 if fit.flagged:

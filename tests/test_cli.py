@@ -65,6 +65,22 @@ def test_energy_requires_the_matching_second_vector(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, stray", [
+    (["simulate", "--mode", "prolonged", "--dp0", "1,0"], "--dp0"),
+    (["simulate", "--mode", "two-copy", "--dx0", "1,0", "--x0p", "0.2,0"], "--dx0"),
+    (["simulate", "--mode", "dual-open", "--dp0", "1,0", "--x0p", "0.2,0"], "--x0p"),
+    (["simulate", "--mode", "open-loop", "--dx0", "1,0"], "--dx0"),
+    (["energy", "--kind", "diff-obs", "--dx0", "1,0", "--x0p", "0.2,0"], "--x0p"),
+    (["energy", "--kind", "incr-ctrl", "--x0p", "0.2,0", "--dx0", "1,0"], "--dx0"),
+], ids=["prolonged", "two-copy", "dual-open", "open-loop", "diff-obs", "incr-ctrl"])
+def test_vector_flags_the_mode_does_not_use_are_errors(tmp_path, capsys, argv, stray):
+    code = main(argv + ["--system", "paper_sec5", "--x0", "0.1,0.1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(f"does not use {stray}")
+    assert not any(tmp_path.iterdir())
+
+
 def test_gramian_output(tmp_path):
     out = tmp_path / "g"
     code = main(["gramian", "--system", "paper_sec5", "--kind", "obs",
@@ -200,6 +216,15 @@ def test_verify_strict_flag_escalates_non_pass(tmp_path, capsys):
     assert main(base + ["--strict"]) == 1
     err = capsys.readouterr()
     assert "inconclusive" in err.out
+
+
+@pytest.mark.parametrize("flag", ["--pairs", "--samples"])
+def test_verify_needs_at_least_one_sample(tmp_path, capsys, flag):
+    code = main(["verify", "--system", "linear_scalar", "--theorem", "all", flag, "0",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_unknown_system_is_an_error(capsys):

@@ -32,7 +32,6 @@ from vargram.systems import (
     closed_loop_prolonged,
     dual_closed_loop,
     dual_open,
-    feedback_signal,
     from_spec,
     prolong,
     registry,
@@ -163,19 +162,15 @@ def _right_hand_sides(system):
     they differ from a float evaluation of func only where a field raises
     to an integer power of 3 or more.
     """
-    n, m = system.n, system.m
+    n = system.n
     cl = system.closed_loop_field()
 
     def at(field, x):
         return _dual(field, x)[0]
 
-    def frozen(x, u=None):
-        drift, rows = frozen_input_jacobian_scalars(
-            system, x, at(system.k, x) if u is None else u)
+    def frozen(x):
+        drift, rows = frozen_input_jacobian_scalars(system, x, at(system.k, x))
         return np.array(drift, dtype=float), np.array(rows, dtype=float)
-
-    def g_at(x):
-        return at(system.g, x)
 
     def variational(field, sign):
         def rhs(t, z):
@@ -185,18 +180,8 @@ def _right_hand_sides(system):
             return sign * out
         return rhs
 
-    u_sig = lambda t, x: [0.4 * math.cos(t) + 0.1 * j for j in range(m)]
-    du_sig = lambda t, x: [0.2 - 0.3 * j for j in range(m)]
-
-    def prolong_ref(t, z):
-        x = z[:n].tolist()
-        drift, rows = frozen(x, u_sig(t, x))
-        return np.concatenate([drift, rows @ z[n:] + g_at(x) @ np.asarray(du_sig(t, x))])
-
     def two_copy_ref(t, z):
-        def side(x):
-            return at(system.f, x) + g_at(x) @ at(system.k, x)
-        return np.concatenate([side(z[:n].tolist()), side(z[n:].tolist())])
+        return np.concatenate([at(cl, z[:n].tolist()), at(cl, z[n:].tolist())])
 
     def dual_closed_ref(t, z):
         drift, rows = frozen(z[:n].tolist())
@@ -210,10 +195,9 @@ def _right_hand_sides(system):
         x = z[:n].tolist()
         return np.concatenate([-at(system.f, x), jacobian(system.f, x).T @ z[n:]])
 
-    fb = feedback_signal(system)
-    yield "prolong", prolong(system, u_sig, du_sig).rhs, prolong_ref, 2 * n
+    yield "prolong", prolong(system).rhs, variational(system.f, 1.0), 2 * n
     yield "closed_loop_prolonged", closed_loop_prolonged(system).rhs, variational(cl, 1.0), 2 * n
-    yield "two_copy", two_copy(system, fb, fb).rhs, two_copy_ref, 2 * n
+    yield "two_copy", two_copy(system, cl).rhs, two_copy_ref, 2 * n
     yield "dual_closed_loop", dual_closed_loop(system).rhs, dual_closed_ref, 2 * n
     yield "adjoint_pair", adjoint_pair(system).rhs, adjoint_ref, 3 * n
     yield "dual_open", dual_open(system).rhs, dual_open_ref, 2 * n

@@ -14,7 +14,6 @@ from vargram.systems import (
     closed_loop_prolonged,
     dual_closed_loop,
     dual_open,
-    feedback_signal,
     from_spec,
     prolong,
     registry,
@@ -116,8 +115,7 @@ def test_two_copy_difference_quotient_approaches_variational():
 
 def test_two_copy_gap_outputs():
     sys_ = registry("paper_sec5")
-    fb = feedback_signal(sys_)
-    pair = two_copy(sys_, u_signal=fb, u2_signal=fb)
+    pair = two_copy(sys_, sys_.closed_loop_field())
     z = pair.pack(x=[0.1, 0.2], x2=[0.3, -0.1])
     assert np.allclose(pair.outputs["output_gap"](z), [0.2])
     expected = sys_.feedback([0.3, -0.1]) - sys_.feedback([0.1, 0.2])
@@ -188,14 +186,6 @@ def test_from_spec_matches_registry_closures():
         assert np.allclose(built.certificates[key].as_array([0.1, 0.2]), np.eye(2))
 
 
-def test_prolong_accepts_input_signals():
-    sys_ = registry("linear_scalar")
-    aug = prolong(sys_, u_signal=lambda t, x: [1.0])
-    rhs = aug.rhs(0.0, np.array([0.0, 1.0]))
-    # dx/dt = -x + u = 1 at the origin; tangent decays with the drift alone
-    assert np.allclose(rhs, [1.0, -1.0])
-
-
 def test_closed_loop_field_is_built_once_per_model():
     sys_ = registry("paper_sec5")
     cl = sys_.closed_loop_field()
@@ -207,6 +197,22 @@ def test_closed_loop_field_is_built_once_per_model():
     fresh = sys_.closed_loop_field()
     assert fresh is not cl and sys_.closed_loop_field() is fresh
     assert np.array_equal(fresh([0.3, -0.2]), cl([0.3, -0.2]))
+
+
+def test_affine_field_is_built_once_per_model():
+    sys_ = registry("paper_sec5")
+    affine = sys_.affine_field()
+    assert (affine.dim_in, affine.dim_out) == (3, 2)
+    assert sys_.affine_field() is affine
+    assert registry("paper_sec5").affine_field() is not affine
+    # replacing f or g builds it anew; k is not part of it
+    sys_.k.func = lambda xs: [0.0]
+    assert sys_.affine_field() is affine
+    original = sys_.g.func
+    sys_.g.func = lambda xs: original(xs)
+    fresh = sys_.affine_field()
+    assert fresh is not affine and sys_.affine_field() is fresh
+    assert np.array_equal(fresh([0.3, -0.2, 0.7]), affine([0.3, -0.2, 0.7]))
 
 
 def test_require_k_raises_without_feedback():

@@ -103,6 +103,14 @@ def test_settle_precedence():
     assert _settle([], []) == "pass"  # vacuous sample set
 
 
+@pytest.mark.parametrize("check", [check_thm1, check_thm2, check_thm3, check_thm4],
+                         ids=lambda c: c.__name__)
+def test_checks_with_no_samples_are_inconclusive(check):
+    report = check(registry("linear_scalar"), [])
+    assert report.verdict == "inconclusive"
+    assert "no sample was tested" in report.notes
+
+
 def test_implication_triple_logic():
     notes, verdict = _implications({1: True, 2: True, 3: True})
     assert verdict == "pass"
