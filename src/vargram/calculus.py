@@ -11,7 +11,10 @@ kernel: a field's func is run once on duals whose entries are Traced
 terms, every float operation on a term becomes one line of straight-line
 Python, and the compiled lines return the values and Jacobian rows of
 the field (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
-2008).  Stacked points and nested duals keep the dual path.
+2008).  A flow's right-hand side is traced the same way (flow_kernel):
+duals seeded with the rows of a tangent block T give Df T by the chain
+rule, with no Jacobian formed.  Stacked points and nested duals keep
+the dual path.
 """
 
 from __future__ import annotations
@@ -182,6 +185,8 @@ class VectorField:
     func: Callable[[Sequence], Sequence]
     # (func, n, shape, kernels) of the last trace; see point_jacobian
     _traced: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (copies, width, reversed) -> (func, kernel); see flow_kernel
+    _flows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, xs):
         return self.func(xs)
@@ -562,6 +567,59 @@ def point_jacobian(field, xs) -> tuple[np.ndarray, np.ndarray]:
     shape = field._traced[2]
     return (np.array(values, dtype=float).reshape(shape),
             np.array(entries, dtype=float).reshape(shape + (len(xs),)))
+
+
+def _flow_outputs(field: VectorField, zs, copies: int, width: int, sign: float) -> list:
+    """Flat right-hand side of a state zs made of `copies` blocks (x, T),
+    each sign * (field(x), Dfield(x) T) for an n x width tangent block T
+    (row-major; width 0 leaves the values alone).  Df T comes from one
+    dual pass per block whose duals carry T's rows, Dual(x_i, T_i), so no
+    Jacobian is formed.  Generic over the scalars of zs."""
+    n = field.dim_in
+    block = n * (1 + width)
+    out = []
+    for start in range(0, copies * block, block):
+        z = zs[start:start + block]
+        outputs = field.func([Dual(z[i], tuple(z[n + i * width:n + (i + 1) * width]))
+                              for i in range(n)])
+        if len(outputs) != field.dim_out:
+            raise ValueError(f"field returned {len(outputs)} components, expected "
+                             f"{field.dim_out}")
+        values, rows = value_and_rows(outputs, width)
+        out += values + [d for row in rows for d in row]
+    return [-v for v in out] if sign < 0 else out
+
+
+def flow_kernel(field: VectorField, copies: int = 1, width: int = 0,
+                sign: float = 1.0) -> Callable:
+    """Straight-line code of _flow_outputs on a list of floats, traced
+    once per (copies, width, sign) and again whenever field.func has been
+    replaced; a func the tracer cannot run keeps the dual path."""
+    key = (copies, width, sign < 0)
+    cached = field._flows.get(key)
+    if cached is None or cached[0] is not field.func:
+        size = copies * field.dim_in * (1 + width)
+        tape = _Tape()
+        try:
+            outputs = _flow_outputs(field, [Traced(tape, f"x{i}") for i in range(size)],
+                                    copies, width, sign)
+            kernel = tape.compile(size, outputs, len(outputs))
+        except Exception:
+            def kernel(zs):
+                return _flow_outputs(field, zs, copies, width, sign)
+        cached = field._flows[key] = (field.func, kernel)
+    return cached[1]
+
+
+def flow_values(field: VectorField, zs, copies: int = 1, width: int = 0,
+                sign: float = 1.0) -> np.ndarray:
+    """_flow_outputs at a state zs, a list of floats, from one call of the
+    field's flow kernel.  A kernel that divides by zero hands over to the
+    dual path, so the error raised is the field's own."""
+    try:
+        return np.array(flow_kernel(field, copies, width, sign)(zs), dtype=float)
+    except ZeroDivisionError:
+        return np.array(_flow_outputs(field, zs, copies, width, sign), dtype=float)
 
 
 def frozen_input_jacobian(system, xs, u=None):

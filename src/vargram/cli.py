@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -806,10 +807,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tol_and_jobs(args) -> None:
+    """Reject, in whichever subcommand takes them, a --tol that is not a
+    finite number > 0 and a --jobs below 1."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise CliError(f"--tol must be a finite number > 0, got {tol:g}")
+    if getattr(args, "jobs", 1) < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tol_and_jobs(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

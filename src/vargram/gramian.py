@@ -64,8 +64,9 @@ def _gramian_from_flow(field, sign: float, x, out_field, direction: str, tol: fl
                        fixed_horizon: float | None, rtol: float, atol: float,
                        label: str) -> GramianResult:
     """Integrate (J Phi)^T (J Phi) along the (x, Phi) flow of sign * field
-    from (x, I), J the Jacobian of out_field at x; each panel's nodes take
-    one lookup and one Jacobian pass."""
+    from (x, I), J the Jacobian of out_field at x.  The integrand is called
+    once per horizon segment (once for all of [0, fixed_horizon]), and
+    each call's nodes take one lookup and one Jacobian pass."""
     n = out_field.dim_in
     z0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
     flow = HorizonFlow(variational_rhs(field, sign), z0, rtol=rtol, atol=atol)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import OdeSolution, solve_ivp
 
-from vargram.calculus import VectorField, point_jacobian
+from vargram.calculus import VectorField, flow_values
 
 BLOWUP_NORM = 1e12
 
@@ -193,16 +193,15 @@ def variational_rhs(field: VectorField, sign: float = 1.0):
     z holds x (n entries) and then a tangent block: a vector dx (n
     entries) or a matrix Phi (n*n entries, row-major).  The rhs is
     sign * (field(x), J(x) dx) or sign * (field(x), J(x) Phi), with J the
-    Jacobian of the field; sign = -1 runs the flow backward.  Values and
-    J come from the field's traced kernel; J @ tangent stays in numpy.
+    Jacobian of the field; sign = -1 runs the flow backward.  Each call
+    is one call of the field's flow kernel, traced once per tangent
+    width with duals carrying the tangent's rows (calculus.flow_kernel).
     """
     n = field.dim_in
 
     def rhs(t, z):
-        values, jac = point_jacobian(field, z[:n].tolist())
-        tangent = z[n:] if len(z) == 2 * n else z[n:].reshape(n, n)
-        out = np.concatenate([values, (jac @ tangent).reshape(-1)])
-        return -out if sign < 0 else out
+        zs = z.tolist()
+        return flow_values(field, zs, width=len(zs) // n - 1, sign=sign)
 
     return rhs
 
@@ -229,7 +228,10 @@ class HorizonFlow:
 
     state(t) extends the underlying solution whenever t lies beyond the
     current horizon; previously integrated segments are reused.  t may be
-    one time or a 1-D array of times (states stacked on axis 0).
+    one time or a 1-D array of times (states stacked on axis 0).  The
+    first solve covers [0, chunk] and each extension at least doubles the
+    horizon, so the solver pieces do not depend on how the requested times
+    are grouped into calls.
     """
 
     def __init__(self, rhs, z0, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
@@ -248,8 +250,7 @@ class HorizonFlow:
 
     def ensure(self, horizon: float) -> Trajectory:
         if self._traj is None:
-            first = max(horizon, self.chunk)
-            sol = _solve_segment(self.rhs, self._z0, 0.0, first, self.rtol, self.atol)
+            sol = _solve_segment(self.rhs, self._z0, 0.0, self.chunk, self.rtol, self.atol)
             self._sol = sol.sol
             self._traj = Trajectory(sol.t, sol.y.T, _dense(sol.sol))
         while self._traj.tf < horizon:
@@ -299,6 +300,35 @@ def _gauss_legendre_pair(order: int):
     return nodes, coarse_weights, fine_weights
 
 
+def _gauss_legendre_panels(f, edges: np.ndarray, order: int):
+    """(value, error estimate, nodes used) of f summed over the panels
+    between consecutive edges.
+
+    f is called once, with the 3*order nodes of every panel, panel-major
+    (each panel's order-point nodes, then its doubled-order ones), and
+    returns its values stacked on axis 0.  Each panel's value is the
+    order-point rule and its error the difference against the
+    doubled-order rule; both are summed panel by panel, in order.
+    """
+    if order < 1:
+        raise ValueError("quadrature order must be >= 1")
+    nodes, coarse_weights, fine_weights = _gauss_legendre_pair(order)
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    taus = (mids[:, None] + halves[:, None] * nodes).reshape(-1)
+    values = np.asarray(f(taus), dtype=float)
+    if values.shape[:1] != taus.shape:
+        raise ValueError(f"integrand returned shape {values.shape}, expected one value "
+                         f"per node stacked on axis 0 ({len(taus)} nodes)")
+    total, err = None, 0.0
+    for half, panel in zip(halves, values.reshape((len(halves), len(nodes))
+                                                  + values.shape[1:])):
+        coarse = half * np.tensordot(coarse_weights, panel[:order], axes=1)
+        fine = half * np.tensordot(fine_weights, panel[order:], axes=1)
+        err += float(np.linalg.norm(np.atleast_1d(coarse - fine)))
+        total = coarse if total is None else total + coarse
+    return total, err, len(taus)
+
+
 def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResult:
     """Gauss-Legendre integral of f over [a, b] at the given order.
 
@@ -308,44 +338,29 @@ def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResul
     vector or matrix values.  The error estimate is the difference
     against the doubled-order rule.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    nodes, coarse_weights, fine_weights = _gauss_legendre_pair(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = np.asarray(f(mid + half * nodes), dtype=float)
-    if values.shape[:1] != nodes.shape:
-        raise ValueError(f"integrand returned shape {values.shape}, expected one value "
-                         f"per node stacked on axis 0 ({len(nodes)} nodes)")
-    coarse = half * np.tensordot(coarse_weights, values[:order], axes=1)
-    fine = half * np.tensordot(fine_weights, values[order:], axes=1)
-    err = float(np.linalg.norm(np.atleast_1d(coarse - fine)))
-    value = coarse if np.ndim(coarse) else float(coarse)
-    return QuadratureResult(value=value, error_estimate=err, nodes_used=len(nodes))
+    value, err, nodes = _gauss_legendre_panels(f, np.array([a, b], dtype=float), order)
+    return QuadratureResult(value=value if np.ndim(value) else float(value),
+                            error_estimate=err, nodes_used=nodes)
 
 
 def composite_gauss_legendre(f, lo: float, hi: float, panel_width: float = 2.0,
                              order: int = 12):
     """(value, error estimate, nodes used) of f over [lo, hi], summed over
-    equal panels about panel_width wide, each by quadrature_finite."""
-    total, err, nodes = None, 0.0, 0
+    equal panels about panel_width wide, each by the rule of
+    quadrature_finite.  f is called once, with the nodes of every panel
+    (see _gauss_legendre_panels), so value and error are the sums of
+    quadrature_finite's per-panel results."""
     edges = np.linspace(lo, hi, max(1, int(round((hi - lo) / panel_width))) + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        part = quadrature_finite(f, float(a), float(b), order)
-        piece = np.asarray(part.value, dtype=float)
-        total = piece if total is None else total + piece
-        err += part.error_estimate
-        nodes += part.nodes_used
-    return total, err, nodes
+    return _gauss_legendre_panels(f, edges, order)
 
 
-def _fit_exponential_tail(samples: list[tuple[float, float]], horizon: float):
-    """Fit |f| ~ c exp(-2 lambda t) on the final half-window, integrate beyond."""
-    window = [(t, v) for t, v in samples if t >= 0.5 * horizon and v > 0.0]
-    if len(window) < 10:
+def _fit_exponential_tail(ts: np.ndarray, norms: np.ndarray, horizon: float):
+    """Fit |f| ~ c exp(-2 lambda t) to the samples (ts, norms) on the final
+    half-window, integrate beyond."""
+    keep = (ts >= 0.5 * horizon) & (norms > 0.0)
+    if np.count_nonzero(keep) < 10:
         return None
-    ts = np.array([t for t, _ in window])
-    logs = np.log([v for _, v in window])
-    slope, intercept = np.polyfit(ts, logs, 1)
+    slope, intercept = np.polyfit(ts[keep], np.log(norms[keep]), 1)
     if slope >= 0.0:
         return None
     rate = -slope  # = 2 lambda in the fitted model
@@ -358,29 +373,31 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8,
     """Integrate to t = +/- infinity by horizon doubling.
 
     The integrand is sampled at |t| in [0, T] (direction 'forward' uses t,
-    'backward' uses -t).  It is called once per panel with the 1-D array
-    of that panel's nodes and returns its values stacked on axis 0, as
-    in quadrature_finite.  Panels of fixed width are integrated by
+    'backward' uses -t).  It is called once per horizon segment ([0, T0],
+    then [T0, 2 T0], [2 T0, 4 T0], ...) with the 1-D array of all that
+    segment's nodes and returns its values stacked on axis 0, as in
+    composite_gauss_legendre.  Panels of fixed width are integrated by
     Gauss-Legendre; the horizon doubles until the last increment drops
-    below tol.  The neglected tail is estimated from an exponential fit
-    and reported in the error, not added to the value.
+    below tol > 0.  The neglected tail is estimated from an exponential
+    fit and reported in the error, not added to the value.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol:g}")
     sign = 1.0 if direction == "forward" else -1.0
 
-    samples: list[tuple[float, float]] = []
-    nodes_used = 0
+    taus: list[np.ndarray] = []  # every node sampled, and the norm of its value
+    norms: list[np.ndarray] = []
 
     def f(tau: np.ndarray):
-        nonlocal nodes_used
-        nodes_used += len(tau)
         vals = np.asarray(integrand(sign * tau), dtype=float)
         rows = vals.reshape(len(tau), -1)
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             raise IntegrationError(f"integrand non-finite at t = {sign * tau[~finite][0]:g}")
-        samples.extend(zip(tau.tolist(), np.linalg.norm(rows, axis=1).tolist()))
+        taus.append(tau)
+        norms.append(np.linalg.norm(rows, axis=1))
         return vals
 
     horizon = float(initial_horizon)
@@ -395,11 +412,12 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8,
         quad_err += err
         increment = float(np.linalg.norm(np.atleast_1d(piece)))
         if increment < tol:
-            tail = _fit_exponential_tail(samples, horizon)
+            tail = _fit_exponential_tail(np.concatenate(taus), np.concatenate(norms),
+                                         horizon)
             total_err = quad_err + increment + (tail if tail is not None else 0.0)
             out = value if np.ndim(value) else float(value)
             return QuadratureResult(value=out, error_estimate=total_err,
-                                    nodes_used=nodes_used, horizon=horizon,
+                                    nodes_used=sum(map(len, taus)), horizon=horizon,
                                     tail_estimate=tail,
                                     meta={"tail_fit": "ok" if tail is not None else "none"})
         if prev_increment is not None and increment >= 0.9 * prev_increment:

@@ -27,9 +27,9 @@ from vargram.calculus import (
     affine_scalars,
     closed_loop_scalars,
     field_values,
+    flow_values,
     frozen_input_jacobian,
     jacobian,
-    point_values,
 )
 from vargram.expr import SystemSpec
 from vargram.integrate import variational_rhs
@@ -168,15 +168,16 @@ def closed_loop_prolonged(system: SystemModel) -> AugmentedField:
 def two_copy(system: SystemModel, field: VectorField | None = None) -> AugmentedField:
     """Two copies (x, x2) of one flow: field, by default the zero-input f.
 
-    Outputs report the copy gaps: output_gap = h(x2) - h(x) and, when a
-    feedback law exists, feedback_gap = k(x2) - k(x).
+    The rhs (field(x), field(x2)) is one call of a kernel traced on both
+    copies (calculus.flow_kernel).  Outputs report the copy gaps:
+    output_gap = h(x2) - h(x) and, when a feedback law exists,
+    feedback_gap = k(x2) - k(x).
     """
     n = system.n
     field = system.f if field is None else field
 
     def rhs(t, z):
-        return np.concatenate([point_values(field, z[:n].tolist()),
-                               point_values(field, z[n:].tolist())])
+        return flow_values(field, z.tolist(), copies=2)
 
     outputs = {
         "output_gap": lambda z: system.output(z[..., n:]) - system.output(z[..., :n]),

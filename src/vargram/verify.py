@@ -296,17 +296,20 @@ def _small_gap_limit(theorem: str, system: SystemModel, samples: Sequence, tol: 
     return report
 
 
-def _implications(items: dict[int, bool]) -> tuple[list[str], str]:
+def _implications(items: dict[int, bool | None]) -> tuple[list[str], str]:
     """Evaluate the cyclic implication triple over item outcomes.
 
     Each implication is asserted only when both antecedents independently
-    pass; the verdict is fail on any violated implication, inconclusive
-    when none fired, pass otherwise.
+    pass and its conclusion was tested (an untested item is None); the
+    verdict is fail on any violated implication, inconclusive when none
+    fired, pass otherwise.
     """
     notes = []
     fired, violated = 0, 0
     for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        if items[a] and items[b]:
+        if items[c] is None:
+            notes.append(f"implication not asserted: item {c} untested")
+        elif items[a] and items[b]:
             fired += 1
             if items[c]:
                 notes.append(f"implication witnessed: items {a} and {b} hold "
@@ -329,7 +332,9 @@ def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
                         samples: Sequence, grid_shape: Sequence[int] | None,
                         residual_tol: float, tol: float = 1e-8,
                         equality_tol: float = EQUALITY_TOL) -> Report:
-    """Item 1: decay of the variational block from each sample.  Item 2:
+    """Item 1: decay of the variational block from each sample; when no
+    sample is simulated (none given, or every tangent zero) it is untested,
+    reported as failed with the note "no sample was tested".  Item 2:
     rank n over the region grid.  Item 3: the matrix field positive definite
     on the grid (plus, where the harness names an energy, the field's half
     quadratic form equal to that energy at each sample).  A large residual
@@ -363,6 +368,9 @@ def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
         report.decay_fits.append(fit)
         if fit.flagged:
             item1 = False
+    if not report.decay_fits and not failures:
+        failures.append("no sample was tested")
+        item1 = None
 
     item2 = all(spec.rank(system, row).rank == n
                 for row in grid_points(region, grid_shape))

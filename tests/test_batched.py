@@ -1,10 +1,10 @@
 """Batched evaluation over stacks of points and times.
 
-The quadrature calls its integrand once per panel with all of the
-panel's nodes, so dense-output lookups, field values and dual-number
-Jacobians run on stacks.  These tests pin the stacked paths to the
-per-point ones and the energies built on them to their values from the
-per-node implementation.
+The quadrature calls its integrand once per horizon segment with the
+nodes of all of the segment's panels, so dense-output lookups, field
+values and dual-number Jacobians run on stacks.  These tests pin the
+stacked paths to the per-point ones and the energies built on them to
+their values from the per-node implementation.
 """
 
 import numpy as np
@@ -68,7 +68,7 @@ def test_constant_outputs_broadcast_to_every_point():
 
 
 def _panel_nodes(lo: float, hi: float, order: int = 12, width: float = 2.0):
-    """The node arrays improper_time_integral hands its integrand, panel by panel."""
+    """The Gauss-Legendre nodes of [lo, hi], one array per panel."""
     nodes, _, _ = _gauss_legendre_pair(order)
     edges = np.linspace(lo, hi, int(round((hi - lo) / width)) + 1)
     return [0.5 * (a + b) + 0.5 * (b - a) * nodes for a, b in zip(edges[:-1], edges[1:])]
@@ -96,9 +96,26 @@ def test_horizon_flow_state_on_arrays_matches_per_time_calls():
     assert batched.horizon == pointwise.horizon == 80.0
 
 
+def test_horizon_flow_pieces_do_not_depend_on_request_grouping():
+    # one request for all nodes of [0, 40] (the fixed-horizon Gramian)
+    # solves [0, 20] and then [20, 40], as a request per panel does
+    aug = prolong(registry("paper_sec5"))
+    z0 = aug.pack(x=[0.1, -0.2], dx=[0.6, 0.8])
+    at_once = HorizonFlow(aug.rhs, z0)
+    per_panel = HorizonFlow(aug.rhs, z0)
+    at_once.ensure(40.0)
+    for taus in _panel_nodes(0.0, 40.0):
+        per_panel.state(taus)
+    per_panel.ensure(40.0)
+    times = at_once.ensure(0.0).times
+    assert 20.0 in times and times[-1] == 40.0
+    assert np.array_equal(times, per_panel.ensure(0.0).times)
+    assert np.array_equal(at_once.ensure(0.0).states, per_panel.ensure(0.0).states)
+
+
 def test_trajectory_at_arrays_spans_segments_and_checks_bounds():
     flow = HorizonFlow(lambda t, y: -y, np.array([1.0, 2.0]), chunk=5.0)
-    flow.ensure(12.0)  # three solver pieces: [0, 5], [5, 10], [10, 12]
+    flow.ensure(12.0)  # two solver pieces: [0, 5] and [5, 12]
     traj = flow.ensure(0.0)
     times = np.array([11.0, 0.5, 5.0, 7.25, 0.0, 12.0])
     stacked = traj.at(times)

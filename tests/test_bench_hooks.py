@@ -5,7 +5,7 @@ catches the breakage in the fast test tier instead of in a traced run.
 The dense-output lookups are counted only through HorizonFlow.state and
 Trajectory.at, so those two methods must be patched while installed,
 restored after, and be the way an energy reads its flow: one lookup per
-quadrature panel.
+horizon segment.
 """
 
 from pathlib import Path
@@ -33,8 +33,9 @@ def test_span_hooks_install_and_restore(monkeypatch):
         spans.install(tracer)
         assert all(now is not before for now, before in zip(hooked(), originals))
         ev = energy.diff_observability(registry("paper_sec5"), (0.1, -0.2), (0.6, 0.8))
-        panels = ev.nodes_used // 36  # 3 * order nodes per panel at order 12
-        assert tracer.counts["integrate.dense_evals"] == panels == 40
+        assert (ev.horizon, ev.nodes_used) == (80.0, 1440)
+        # one lookup for each of [0, 20], [20, 40] and [40, 80]
+        assert tracer.counts["integrate.dense_evals"] == 3
     finally:
         tracer.uninstall()
     assert hooked() == originals

@@ -227,6 +227,31 @@ def test_verify_needs_at_least_one_sample(tmp_path, capsys, flag):
     assert not any(tmp_path.iterdir())
 
 
+_TOL_COMMANDS = {
+    "energy": ["energy", "--system", "linear_scalar", "--kind", "diff-obs",
+               "--x0", "0.1", "--dx0", "1"],
+    "gramian": ["gramian", "--system", "linear_scalar", "--kind", "obs", "--x", "0.1"],
+    "residual": ["residual", "--system", "linear_scalar", "--equation", "dLya_ob",
+                 "--field", "cert-Q", "--x", "0.1"],
+    "pd-scan": ["pd-scan", "--system", "linear_scalar", "--field", "empirical-Q",
+                "--region", "-1,1", "--grid", "3"],
+    "verify": ["verify", "--system", "linear_scalar", "--theorem", "thm2"],
+    "example": ["example", "--quick"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *((name, "--tol", value) for name in _TOL_COMMANDS
+      for value in ("-1", "0", "nan", "inf")),
+    *((name, "--jobs", value) for name in ("pd-scan", "example") for value in ("0", "-3")),
+])
+def test_meaningless_tol_and_jobs_are_rejected(tmp_path, capsys, command, flag, value):
+    code = main(_TOL_COMMANDS[command] + [flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_unknown_system_is_an_error(capsys):
     assert main(["verify", "--system", "missing", "--theorem", "thm1"]) == 1
     assert "unknown system" in capsys.readouterr().err

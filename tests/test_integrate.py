@@ -13,6 +13,7 @@ from vargram.integrate import (
     HorizonFlow,
     IntegrationError,
     Trajectory,
+    composite_gauss_legendre,
     flow_with_jacobian,
     improper_time_integral,
     integrate_backward,
@@ -168,6 +169,30 @@ def test_quadrature_matches_per_node_loop():
     assert abs(res.error_estimate - np.linalg.norm(coarse - fine)) < 1e-14
 
 
+@pytest.mark.parametrize("integrand", [
+    lambda s: np.cos(3.0 * s) * np.exp(-0.3 * s),
+    lambda s: np.einsum("i,jk->ijk", np.exp(-s), np.array([[1.0, -2.0], [0.5, 3.0]]))
+    + np.einsum("i,jk->ijk", np.sin(s), np.eye(2)),
+], ids=["scalar", "matrix"])
+def test_composite_rule_is_one_call_and_the_per_panel_sums(integrand):
+    calls = []
+
+    def f(tau):
+        calls.append(tau)
+        return integrand(tau)
+
+    value, err, nodes = composite_gauss_legendre(f, 20.0, 40.0)
+    assert len(calls) == 1 and nodes == len(calls[0]) == 10 * 36
+    total, expected_err = None, 0.0
+    edges = np.linspace(20.0, 40.0, 11)
+    for a, b in zip(edges[:-1], edges[1:]):
+        part = quadrature_finite(integrand, float(a), float(b))
+        piece = np.asarray(part.value, dtype=float)
+        total = piece if total is None else total + piece
+        expected_err += part.error_estimate
+    assert np.array_equal(value, total) and err == expected_err
+
+
 def test_quadrature_error_estimate_is_honest():
     res = quadrature_finite(lambda s: 1.0 / (1.0 + 25.0 * s ** 2), -1.0, 1.0, order=4)
     exact = 2.0 / 5.0 * math.atan(5.0)
@@ -190,6 +215,12 @@ def test_improper_integral_backward_exponential():
 def test_improper_integral_rejects_non_decaying_integrand():
     with pytest.raises(DivergenceError):
         improper_time_integral(lambda t: np.ones_like(t), "forward")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_improper_integral_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        improper_time_integral(lambda t: np.exp(-t), "forward", tol=tol)
 
 
 def test_improper_integral_rejects_slow_tails_at_tight_tolerance():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from vargram.calculus import (
+    Dual,
     MatrixField,
     VectorField,
     frozen_input_jacobian,
@@ -23,6 +24,7 @@ from vargram.calculus import (
     matrix_jacobian_scalars,
     point_jacobian,
     point_values,
+    value_and_rows,
 )
 from vargram.expr import BinOp, ExprEvalError, Num, Var, parse_system_spec
 from vargram.integrate import variational_rhs
@@ -155,6 +157,43 @@ def test_powers_unroll_like_dual_powers():
         assert np.array_equal(values, dual_values) and np.array_equal(jac, dual_jac)
 
 
+def _variational_forms(system):
+    """(label, kernel-built rhs, dual-built rhs, Jacobian-product rhs, state
+    dimension) of the four variational flows.
+
+    The dual-built form seeds each state entry x_i with the i-th row of
+    the tangent block, Dual(x_i, T_i), so one dual pass gives Df T; the
+    Jacobian-product form is sign * (f(x), jacobian(f, x) @ T).
+    """
+    n = system.n
+    cl = system.closed_loop_field()
+
+    def dual_pass(field, sign):
+        def rhs(t, z):
+            tangent = z[n:].reshape(n, -1)
+            outputs = field.func([Dual(x, tuple(row))
+                                  for x, row in zip(z[:n].tolist(), tangent.tolist())])
+            values, rows = value_and_rows(outputs, tangent.shape[1])
+            return sign * np.concatenate([values, np.reshape(rows, -1)])
+        return rhs
+
+    def product(field, sign):
+        def rhs(t, z):
+            x = z[:n].tolist()
+            tangent = z[n:].reshape(n, -1)
+            out = np.concatenate([_dual(field, x)[0],
+                                  (jacobian(field, x) @ tangent).reshape(-1)])
+            return sign * out
+        return rhs
+
+    for label, rhs, field, sign, dim in (
+            ("prolong", prolong(system).rhs, system.f, 1.0, 2 * n),
+            ("closed_loop_prolonged", closed_loop_prolonged(system).rhs, cl, 1.0, 2 * n),
+            ("obs flow", variational_rhs(system.f), system.f, 1.0, n + n * n),
+            ("ctrl flow", variational_rhs(cl, -1.0), cl, -1.0, n + n * n)):
+        yield label, rhs, dual_pass(field, sign), product(field, sign), dim
+
+
 def _right_hand_sides(system):
     """(label, kernel-built rhs, dual-built rhs, state dimension).
 
@@ -172,14 +211,6 @@ def _right_hand_sides(system):
         drift, rows = frozen_input_jacobian_scalars(system, x, at(system.k, x))
         return np.array(drift, dtype=float), np.array(rows, dtype=float)
 
-    def variational(field, sign):
-        def rhs(t, z):
-            x = z[:n].tolist()
-            tangent = z[n:] if len(z) == 2 * n else z[n:].reshape(n, n)
-            out = np.concatenate([at(field, x), (jacobian(field, x) @ tangent).reshape(-1)])
-            return sign * out
-        return rhs
-
     def two_copy_ref(t, z):
         return np.concatenate([at(cl, z[:n].tolist()), at(cl, z[n:].tolist())])
 
@@ -195,14 +226,12 @@ def _right_hand_sides(system):
         x = z[:n].tolist()
         return np.concatenate([-at(system.f, x), jacobian(system.f, x).T @ z[n:]])
 
-    yield "prolong", prolong(system).rhs, variational(system.f, 1.0), 2 * n
-    yield "closed_loop_prolonged", closed_loop_prolonged(system).rhs, variational(cl, 1.0), 2 * n
+    for label, rhs, reference, _, dim in _variational_forms(system):
+        yield label, rhs, reference, dim
     yield "two_copy", two_copy(system, cl).rhs, two_copy_ref, 2 * n
     yield "dual_closed_loop", dual_closed_loop(system).rhs, dual_closed_ref, 2 * n
     yield "adjoint_pair", adjoint_pair(system).rhs, adjoint_ref, 3 * n
     yield "dual_open", dual_open(system).rhs, dual_open_ref, 2 * n
-    yield "obs flow", variational_rhs(system.f), variational(system.f, 1.0), n + n * n
-    yield "ctrl flow", variational_rhs(cl, -1.0), variational(cl, -1.0), n + n * n
 
 
 @pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)
@@ -213,6 +242,19 @@ def test_right_hand_sides_equal_their_dual_forms_bitwise(system):
             t = float(rng.uniform(0.0, 3.0))
             z = rng.uniform(-1.2, 1.2, dim)
             assert np.array_equal(rhs(t, z), reference(t, z)), label
+
+
+@pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)
+def test_variational_right_hand_sides_match_jacobian_products(system):
+    # the dual chain rule sums J_il T_lj in the field's own order, not in
+    # matmul's, so the two agree to rounding, not bitwise
+    rng = np.random.default_rng(6)
+    for label, rhs, _, product, dim in _variational_forms(system):
+        for _ in range(20):
+            z = rng.uniform(-1.2, 1.2, dim)
+            expected = product(0.0, z)
+            error = np.max(np.abs(rhs(0.0, z) - expected))
+            assert error <= 1e-12 * np.max(np.abs(expected)), label
 
 
 def test_zero_denominator_raises_the_fields_own_error():

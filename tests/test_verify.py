@@ -111,6 +111,20 @@ def test_checks_with_no_samples_are_inconclusive(check):
     assert "no sample was tested" in report.notes
 
 
+@pytest.mark.parametrize("samples", [[], [([0.3], [0.0]), ([-0.5], [0.0])]],
+                         ids=["no samples", "zero tangents"])
+@pytest.mark.parametrize("check", [check_thm5, check_cor7], ids=lambda c: c.__name__)
+def test_harness_checks_that_simulate_nothing_are_inconclusive(check, samples):
+    system = registry("linear_scalar")
+    field = system.certificates["Q" if check is check_thm5 else "P"]
+    report = check(system, field, [(-1.0, 1.0)], samples, grid_shape=(3,))
+    assert report.verdict == "inconclusive"
+    assert report.decay_fits == []
+    assert "no sample was tested" in report.notes
+    assert any(n.startswith("item 1 ") and n.endswith(": fail") for n in report.notes)
+    assert not any("IMPLICATION VIOLATED" in n for n in report.notes)
+
+
 def test_implication_triple_logic():
     notes, verdict = _implications({1: True, 2: True, 3: True})
     assert verdict == "pass"
@@ -124,6 +138,11 @@ def test_implication_triple_logic():
     notes, verdict = _implications({1: True, 2: False, 3: False})
     assert verdict == "inconclusive"
     assert all("not asserted" in n for n in notes)
+
+    # an untested item is neither a witness nor a counterexample
+    notes, verdict = _implications({1: None, 2: True, 3: True})
+    assert verdict == "inconclusive"
+    assert "implication not asserted: item 1 untested" in notes
 
 
 def test_linear_theorem_equalities():
