@@ -13,8 +13,10 @@ Python, and the compiled lines return the values and Jacobian rows of
 the field (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
 2008).  A flow's right-hand side is traced the same way (flow_kernel):
 duals seeded with the rows of a tangent block T give Df T by the chain
-rule, with no Jacobian formed.  Stacked points and nested duals keep
-the dual path.
+rule, with no Jacobian formed.  The kernels are straight-line code, so
+they run unchanged on length-B arrays, one entry per point of a batch.
+Stacked points of field_values and jacobian, and nested duals, keep the
+dual path.
 """
 
 from __future__ import annotations
@@ -611,15 +613,34 @@ def flow_kernel(field: VectorField, copies: int = 1, width: int = 0,
     return cached[1]
 
 
-def flow_values(field: VectorField, zs, copies: int = 1, width: int = 0,
+def flow_values(field: VectorField, z: np.ndarray, copies: int = 1, width: int = 0,
                 sign: float = 1.0) -> np.ndarray:
-    """_flow_outputs at a state zs, a list of floats, from one call of the
-    field's flow kernel.  A kernel that divides by zero hands over to the
-    dual path, so the error raised is the field's own."""
+    """_flow_outputs at a state z, from one call of the field's flow kernel.
+
+    z is one state, shape (dim,), run as a list of floats, or a (dim, B)
+    batch, run on its length-B rows (one column per point), giving
+    (dim, B) with constant outputs broadcast.  A kernel that divides by
+    zero hands over to the dual path, so the error raised is the field's
+    own; on arrays numpy's division by zero and invalid operations are
+    raised for that (np.errstate), never left as inf or NaN.
+    """
+    kernel = flow_kernel(field, copies, width, sign)
+    if z.ndim == 1:
+        zs = z.tolist()
+        try:
+            return np.array(kernel(zs), dtype=float)
+        except ZeroDivisionError:
+            return np.array(_flow_outputs(field, zs, copies, width, sign), dtype=float)
+    zs = list(z)
     try:
-        return np.array(flow_kernel(field, copies, width, sign)(zs), dtype=float)
-    except ZeroDivisionError:
-        return np.array(_flow_outputs(field, zs, copies, width, sign), dtype=float)
+        with np.errstate(divide="raise", invalid="raise"):
+            outputs = kernel(zs)
+    except (FloatingPointError, ZeroDivisionError):
+        outputs = _flow_outputs(field, zs, copies, width, sign)
+    out = np.empty(z.shape)
+    for row, value in zip(out, outputs):
+        row[...] = value
+    return out
 
 
 def frozen_input_jacobian(system, xs, u=None):

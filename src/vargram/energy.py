@@ -12,10 +12,12 @@ unbounded time interval:
   backward in time.
 
 Backward integrals run the time-reversed dynamics forward and relabel, so
-one improper-integral controller serves all four.  On top of these sit the
-line-path integral and the small-parameter quadratic limit used by the
-theorem checks, plus the perturbed-input energy that witnesses the
-completion-of-squares bound.
+one improper-integral controller serves all four.  Each energy takes one
+point or a (B, n) stack of points: a stack is integrated as one batched
+flow and gives one EnergyValue per point.  On top of these sit the
+line-path integral (one batch for all its nodes) and the small-parameter
+quadratic limit used by the theorem checks, plus the perturbed-input
+energy that witnesses the completion-of-squares bound.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from .calculus import frozen_input_jacobian, point_jacobian
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow, IntegrationError,
-                        improper_time_integral, integrate_ivp, quadrature_finite)
+                        improper_time_integral, improper_time_integrals, integrate_ivp,
+                        quadrature_finite)
 from .systems import AugmentedField, SystemModel, closed_loop_prolonged, prolong, two_copy
 
 DEFAULT_S_LADDER = (0.1, 0.05, 0.025, 0.0125)
@@ -82,30 +85,47 @@ class LinePath:
 
 
 def _half_square_energy(aug: AugmentedField, z0, out_name: str, direction: str,
-                        label: str, tol: float, rtol: float, atol: float) -> EnergyValue:
+                        label: str, tol: float, rtol: float,
+                        atol: float) -> EnergyValue | list[EnergyValue]:
     """Integrate 0.5*|output|^2 along the augmented flow to +/- infinity.
 
     For backward energies aug.rhs must already be the time-reversed field;
     the integrand then receives t <= 0 and samples the reversed flow at -t.
+    A (B, dim) stack z0 is one batched flow and gives a list of B values.
     """
     out_fn = aug.outputs[out_name]
-    flow = HorizonFlow(aug.rhs, np.asarray(z0, dtype=float), rtol=rtol, atol=atol)
+    z0 = np.asarray(z0, dtype=float)
+    batch = None if z0.ndim == 1 else len(z0)
+    flow = HorizonFlow(aug.rhs, z0, rtol=rtol, atol=atol)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        v = out_fn(flow.state(np.abs(t)))
-        return 0.5 * np.einsum("ij,ij->i", v, v)
+        z = flow.state(np.abs(t))
+        shape = z.shape[:-1]
+        z = z.reshape(-1, aug.dim)  # one state per row; frees a batch's lookup
+        v = out_fn(z)
+        return (0.5 * np.einsum("ij,ij->i", v, v)).reshape(shape)
 
-    res = improper_time_integral(integrand, direction=direction, tol=tol)
-    meta = {"energy": label, "tail_estimate": res.tail_estimate}
-    meta.update(res.meta)
-    return EnergyValue(value=float(res.value), error_estimate=res.error_estimate,
-                       horizon=res.horizon, nodes_used=res.nodes_used,
-                       direction=direction, meta=meta)
+    if batch is None:
+        results = [improper_time_integral(integrand, direction=direction, tol=tol)]
+    else:
+        results = improper_time_integrals(integrand, direction, batch, tol=tol)
+    energies = [EnergyValue(value=float(res.value), error_estimate=res.error_estimate,
+                            horizon=res.horizon, nodes_used=res.nodes_used,
+                            direction=direction,
+                            meta={"energy": label, "tail_estimate": res.tail_estimate,
+                                  **res.meta})
+                for res in results]
+    return energies[0] if batch is None else energies
 
 
 def diff_observability(system: SystemModel, x0, dx0, tol: float = 1e-8,
-                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> EnergyValue:
-    """Half the squared L2 norm of the variational output, zero input."""
+                       rtol: float = DEFAULT_RTOL,
+                       atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
+    """Half the squared L2 norm of the variational output, zero input.
+
+    x0 and dx0 may be (B, n) stacks (one broadcasting against the other),
+    as for every energy here; the result is then a list of B values.
+    """
     aug = prolong(system)
     z0 = aug.pack(x=x0, dx=dx0)
     return _half_square_energy(aug, z0, "dy", "forward", "diff_observability",
@@ -113,19 +133,13 @@ def diff_observability(system: SystemModel, x0, dx0, tol: float = 1e-8,
 
 
 def incr_observability(system: SystemModel, x0, x0p, tol: float = 1e-8,
-                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> EnergyValue:
+                       rtol: float = DEFAULT_RTOL,
+                       atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
     """Half the squared L2 norm of the output gap of two zero-input copies."""
     aug = pair_flow(system, "forward")
     z0 = aug.pack(x=x0, x2=x0p)
     return _half_square_energy(aug, z0, "output_gap", "forward", "incr_observability",
                                tol, rtol, atol)
-
-
-def _reversed(aug: AugmentedField) -> AugmentedField:
-    return AugmentedField(dim=aug.dim,
-                          rhs=lambda t, z: -aug.rhs(t, z),
-                          layout=aug.layout,
-                          outputs=aug.outputs)
 
 
 def pair_flow(system: SystemModel, direction: str) -> AugmentedField:
@@ -134,12 +148,12 @@ def pair_flow(system: SystemModel, direction: str) -> AugmentedField:
     reversed time."""
     if direction == "forward":
         return two_copy(system)
-    return _reversed(two_copy(system, system.closed_loop_field()))
+    return two_copy(system, system.closed_loop_field(), sign=-1.0)
 
 
 def diff_controllability_fb(system: SystemModel, x0, dx0, tol: float = 1e-8,
                             rtol: float = DEFAULT_RTOL,
-                            atol: float = DEFAULT_ATOL) -> EnergyValue:
+                            atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
     """Backward variational feedback energy along u = k(x).
 
     Computes 0.5 * integral over (-inf, 0] of |(dk/dx) dx|^2 where dx obeys
@@ -147,7 +161,7 @@ def diff_controllability_fb(system: SystemModel, x0, dx0, tol: float = 1e-8,
     characterization of the differential controllability cost; no
     minimization over open-loop variational inputs happens here.
     """
-    aug = _reversed(closed_loop_prolonged(system))
+    aug = closed_loop_prolonged(system, sign=-1.0)
     z0 = aug.pack(x=x0, dx=dx0)
     return _half_square_energy(aug, z0, "dk", "backward", "diff_controllability_fb",
                                tol, rtol, atol)
@@ -155,7 +169,7 @@ def diff_controllability_fb(system: SystemModel, x0, dx0, tol: float = 1e-8,
 
 def incr_controllability_fb(system: SystemModel, x0, x0p, tol: float = 1e-8,
                             rtol: float = DEFAULT_RTOL,
-                            atol: float = DEFAULT_ATOL) -> EnergyValue:
+                            atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
     """Backward feedback-gap energy of two closed-loop trajectory copies."""
     aug = pair_flow(system, "backward")
     z0 = aug.pack(x=x0, x2=x0p)
@@ -163,20 +177,22 @@ def incr_controllability_fb(system: SystemModel, x0, x0p, tol: float = 1e-8,
                                "incr_controllability_fb", tol, rtol, atol)
 
 
-def path_energy_integral(energy: Callable[[np.ndarray, np.ndarray], EnergyValue],
+def path_energy_integral(energy: Callable[[np.ndarray, np.ndarray], list[EnergyValue]],
                          path: LinePath, gl_order: int = 8) -> EnergyValue:
     """Gauss-Legendre integral over s in [0, 1] of energy(path(s), tangent).
 
-    The tangent is constant along a straight path.  The error combines the
-    order-doubling difference of the outer rule with the worst inner
-    estimate (outer weights sum to one, so the weighted mean inner error
-    is bounded by the max).
+    energy is called once, with the (3*gl_order, n) stack of path points
+    at the nodes and the tangent, and returns one EnergyValue per point
+    (the energies here do so for a stack).  The tangent is constant along
+    a straight path.  The error combines the order-doubling difference of
+    the outer rule with the worst inner estimate (outer weights sum to
+    one, so the weighted mean inner error is bounded by the max).
     """
     tangent = path.tangent()
     inner: list[EnergyValue] = []
 
     def f(s: np.ndarray) -> np.ndarray:
-        batch = [energy(path.point(si), tangent) for si in s]
+        batch = energy(np.array([path.point(si) for si in s]), tangent)
         inner.extend(batch)
         return np.array([ev.value for ev in batch])
 

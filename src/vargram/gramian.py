@@ -23,9 +23,9 @@ import numpy as np
 
 from .calculus import (MatrixField, frozen_input_jacobian_scalars, jacobian,
                        matrix_field_directional)
-from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow,
+from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow, IntegrationError,
                         composite_gauss_legendre, improper_time_integral,
-                        variational_rhs)
+                        improper_time_integrals, variational_rhs)
 from .jacobi import determinant_and_min_eigenvalue
 from .systems import SystemModel
 
@@ -62,45 +62,54 @@ def _report(equation_id: str, xs, residual: np.ndarray, **meta) -> ResidualRepor
 
 def _gramian_from_flow(field, sign: float, x, out_field, direction: str, tol: float,
                        fixed_horizon: float | None, rtol: float, atol: float,
-                       label: str) -> GramianResult:
+                       label: str) -> GramianResult | list[GramianResult]:
     """Integrate (J Phi)^T (J Phi) along the (x, Phi) flow of sign * field
     from (x, I), J the Jacobian of out_field at x.  The integrand is called
     once per horizon segment (once for all of [0, fixed_horizon]), and
-    each call's nodes take one lookup and one Jacobian pass."""
+    each call's nodes take one lookup and one Jacobian pass.  A (B, n)
+    stack x is one batched flow and gives a list of B results."""
     n = out_field.dim_in
-    z0 = np.concatenate([np.asarray(x, dtype=float), np.eye(n).reshape(-1)])
+    x = np.asarray(x, dtype=float)
+    batch = None if x.ndim == 1 else len(x)
+    eye = np.broadcast_to(np.eye(n).reshape(-1), x.shape[:-1] + (n * n,))
+    z0 = np.concatenate([x, eye], axis=-1)
     flow = HorizonFlow(variational_rhs(field, sign), z0, rtol=rtol, atol=atol)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         z = flow.state(np.abs(t))
+        shape = z.shape[:-1] + (n, n)
+        z = z.reshape(-1, n + n * n)  # one state per row; frees a batch's lookup
         m = jacobian(out_field, z[:, :n]) @ z[:, n:].reshape(-1, n, n)
-        return np.swapaxes(m, 1, 2) @ m
+        return (np.swapaxes(m, 1, 2) @ m).reshape(shape)
 
     if fixed_horizon is not None:
-        value, err, nodes = composite_gauss_legendre(integrand, 0.0,
-                                                      float(fixed_horizon))
-        sym = 0.5 * (value + value.T)
-        return GramianResult(matrix=sym, truncation_error=err,
-                             horizon=float(fixed_horizon), nodes_used=nodes,
-                             meta={"kind": label, "direction": direction,
-                                   "tail": "untracked (fixed horizon)"})
-    res = improper_time_integral(integrand, direction=direction, tol=tol)
-    value = np.asarray(res.value, dtype=float)
-    sym = 0.5 * (value + value.T)
-    meta = {"kind": label, "direction": direction,
-            "tail_estimate": res.tail_estimate}
-    meta.update(res.meta)
-    return GramianResult(matrix=sym, truncation_error=res.error_estimate,
-                         horizon=res.horizon, nodes_used=res.nodes_used, meta=meta)
+        value, err, nodes = composite_gauss_legendre(integrand, 0.0, float(fixed_horizon),
+                                                      batch=batch)
+        parts = [(v, e, float(fixed_horizon), nodes, {"tail": "untracked (fixed horizon)"})
+                 for v, e in (zip(value, err) if batch else [(value, err)])]
+    else:
+        results = ([improper_time_integral(integrand, direction=direction, tol=tol)]
+                   if batch is None else
+                   improper_time_integrals(integrand, direction, batch, tol=tol))
+        parts = [(np.asarray(res.value, dtype=float), res.error_estimate, res.horizon,
+                  res.nodes_used, {"tail_estimate": res.tail_estimate, **res.meta})
+                 for res in results]
+    grams = [GramianResult(matrix=0.5 * (v + v.T), truncation_error=e, horizon=h,
+                           nodes_used=nodes,
+                           meta={"kind": label, "direction": direction, **meta})
+             for v, e, h, nodes, meta in parts]
+    return grams[0] if batch is None else grams
 
 
 def empirical_obs_gramian(system: SystemModel, x, tol: float = 1e-8,
                           rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                          fixed_horizon: float | None = None) -> GramianResult:
+                          fixed_horizon: float | None = None
+                          ) -> GramianResult | list[GramianResult]:
     """Observability Gramian: forward integral of (C Phi)^T (C Phi).
 
     Phi is the flow Jacobian of the zero-input drift and C the output
-    Jacobian along the flow, co-integrated as an n + n^2 system.
+    Jacobian along the flow, co-integrated as an n + n^2 system.  A
+    (B, n) stack x gives one result per point, from one batched flow.
     """
     return _gramian_from_flow(system.f, 1.0, x, system.h, "forward", tol,
                               fixed_horizon, rtol, atol, "obs_gramian")
@@ -108,14 +117,24 @@ def empirical_obs_gramian(system: SystemModel, x, tol: float = 1e-8,
 
 def empirical_ctrl_gramian(system: SystemModel, x, tol: float = 1e-8,
                            rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                           fixed_horizon: float | None = None) -> GramianResult:
+                           fixed_horizon: float | None = None
+                           ) -> GramianResult | list[GramianResult]:
     """Feedback controllability Gramian: backward integral of (K Phi)^T (K Phi).
 
     Runs the time-reversed closed loop forward together with its flow
-    Jacobian; K is the feedback Jacobian along the reversed flow.
+    Jacobian; K is the feedback Jacobian along the reversed flow.  A
+    (B, n) stack x gives one result per point, from one batched flow.
     """
     return _gramian_from_flow(system.closed_loop_field(), -1.0, x, system.require_k(),
                               "backward", tol, fixed_horizon, rtol, atol, "ctrl_gramian")
+
+
+# points per batched flow of EmpiricalGramianField.many.  A batch's arrays
+# grow with points times quadrature nodes, about 0.1 MiB per point at the
+# fixed horizon 40: on paper_sec5 a 21 x 21 scan took 0.3 s and peaked at
+# 122 MiB in one batch of 441, 0.9 s and 88 MiB in batches of 64, and 8 s
+# and 83 MiB one point at a time (one process on a 2-CPU x86-64 host)
+MANY_BATCH = 64
 
 
 class EmpiricalGramianField:
@@ -123,7 +142,8 @@ class EmpiricalGramianField:
 
     fixed_horizon pins the truncation point so finite-difference stencils
     across nearby points see a smooth function of x instead of jumps from
-    adaptive horizon selection.  Evaluations are memoized per point.
+    adaptive horizon selection.  Evaluations are memoized per point;
+    many(points) fills the memo from one batched flow.
     """
 
     dual_ok = False
@@ -141,7 +161,8 @@ class EmpiricalGramianField:
         self.fixed_horizon = fixed_horizon
         self._cache: dict[tuple, np.ndarray] = {}
 
-    def gramian(self, xs) -> GramianResult:
+    def gramian(self, xs) -> GramianResult | list[GramianResult]:
+        """The Gramian at one point xs, or one per row of a (B, n) stack."""
         fn = empirical_obs_gramian if self.kind == "obs" else empirical_ctrl_gramian
         return fn(self.system, xs, tol=self.tol, rtol=self.rtol, atol=self.atol,
                   fixed_horizon=self.fixed_horizon)
@@ -151,6 +172,18 @@ class EmpiricalGramianField:
         if key not in self._cache:
             self._cache[key] = self.gramian(list(key)).matrix
         return self._cache[key]
+
+    def many(self, points) -> list[np.ndarray]:
+        """The matrices at each of points.  Those not yet memoized are
+        computed in batches of up to MANY_BATCH points, in order, which
+        bounds the memory one batched flow takes."""
+        keys = [tuple(float(v) for v in xs) for xs in points]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        for start in range(0, len(missing), MANY_BATCH):
+            batch = missing[start:start + MANY_BATCH]
+            for key, res in zip(batch, self.gramian(np.array(batch))):
+                self._cache[key] = res.matrix
+        return [self._cache[key] for key in keys]
 
 
 def _eval_matrix(field_like, xs) -> np.ndarray:
@@ -324,9 +357,40 @@ def scan_from_values(region, grid_shape, points: np.ndarray, values) -> PDScan:
                   points=points, min_eigs=min_eigs, dets=dets, statuses=statuses)
 
 
+def points_read(evaluate, n: int) -> list[tuple]:
+    """The points, in order, at which evaluate(field_like) reads a pointwise
+    n x n matrix field, found by running it on a stand-in field that
+    records each point and returns zeros."""
+    points = []
+
+    def stand_in(xs):
+        points.append(tuple(float(v) for v in xs))
+        return np.zeros((n, n))
+
+    evaluate(stand_in)
+    return points
+
+
+def prefetch(field_like, points) -> None:
+    """Evaluate a field with a many method (EmpiricalGramianField) at all
+    of points as one batch, filling its memo.  If the batch fails, the
+    points are left to be evaluated one at a time, so that each failing
+    point raises, or is recorded with, its own error."""
+    try:
+        field_like.many(points)
+    except (IntegrationError, ArithmeticError, ValueError):
+        pass  # the failing points fail again, one at a time, where they are read
+
+
 def pd_scan(field_like, region, grid_shape) -> PDScan:
-    """Evaluate a matrix field on an inclusive grid and test definiteness."""
+    """Evaluate a matrix field on an inclusive grid and test definiteness.
+
+    A field with a many method is evaluated on the whole grid as one
+    batch first (prefetch).
+    """
     points = grid_points(region, grid_shape)
+    if hasattr(field_like, "many"):
+        prefetch(field_like, points)
     values = []
     for row in points:
         try:

@@ -6,6 +6,13 @@ sample between accepted steps.  Backward integration is realized by
 integrating the negated field forward and re-indexing.  Improper time
 integrals use horizon doubling with an exponential tail fit; a
 non-decaying integrand is an error, never an implicit infinity.
+
+A (B, dim) stack of initial states is integrated as one solve: the
+right-hand side receives the (dim, B) state, one column per point, and
+a step is accepted only when each point's own DOP853 error norm accepts
+it (the norm is the maximum over points), so every point meets the
+tolerances it would meet alone.  Improper integrals over such a batch
+stop doubling the horizon point by point.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
 
 from vargram.calculus import VectorField, flow_values
 
@@ -30,12 +37,20 @@ class IntegrationError(RuntimeError):
     pass
 
 
-class BlowUpError(IntegrationError):
-    """State norm exceeded BLOWUP_NORM before the requested horizon."""
+def _at_point(point: int | None) -> str:
+    """Suffix naming the point of a batch an error belongs to."""
+    return "" if point is None else f" at point {point}"
 
-    def __init__(self, escape_time: float):
-        super().__init__(f"state norm exceeded {BLOWUP_NORM:g} near t = {escape_time:.6g}")
+
+class BlowUpError(IntegrationError):
+    """State norm exceeded BLOWUP_NORM before the requested horizon; in a
+    batch, point is the index of the state that escaped."""
+
+    def __init__(self, escape_time: float, point: int | None = None):
+        super().__init__(f"state norm exceeded {BLOWUP_NORM:g} near t = {escape_time:.6g}"
+                         + _at_point(point))
         self.escape_time = escape_time
+        self.point = point
 
 
 class DivergenceError(IntegrationError):
@@ -66,7 +81,11 @@ def _within_span(t, t0: float, tf: float):
 
 
 class Trajectory:
-    """Immutable solution curve with dense evaluation between stored nodes."""
+    """Immutable solution curve with dense evaluation between stored nodes.
+
+    states holds one state per stored time, (T, dim), or one (B, dim)
+    stack per stored time for a batch, (T, B, dim).
+    """
 
     def __init__(self, times: np.ndarray, states: np.ndarray, eval_fn):
         self.times = np.asarray(times, dtype=float)
@@ -89,7 +108,7 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -97,7 +116,7 @@ class Trajectory:
 
     def at(self, t) -> np.ndarray:
         """State at time t, shape (dim,), or at each entry of a 1-D array of
-        times, shape (N, dim)."""
+        times, shape (N, dim); a batch adds its point axis before dim."""
         return np.asarray(self._eval(_within_span(t, self.t0, self.tf)), dtype=float)
 
     def time_reversed(self) -> "Trajectory":
@@ -127,30 +146,85 @@ class FlowJacobian:
         return flat.reshape(np.shape(t) + (self.n, self.n))
 
 
-def _dense(sol: OdeSolution):
+def _unstack(y: np.ndarray, batch: int | None) -> np.ndarray:
+    """States from scipy's layout, the state on axis 0: (dim,) or (dim, N)
+    become (dim,) or (N, dim); for a batch, whose solver state is the
+    (dim, B) array flattened, (B, dim) or (N, B, dim)."""
+    return y.T if batch is None else y.reshape((-1, batch) + y.shape[1:]).T
+
+
+def _dense(sol: OdeSolution, batch: int | None = None):
     """Evaluator of a scipy OdeSolution: a scalar time gives the state,
     shape (dim,); a 1-D array of times gives the states stacked on axis 0,
-    shape (N, dim)."""
-    return lambda t: sol(t).T
+    shape (N, dim).  A batch adds its point axis before dim."""
+    return lambda t: _unstack(sol(t), batch)
+
+
+class _BatchDOP853(DOP853):
+    """DOP853 on B states stacked as one (dim, B) array, flattened.
+
+    The error norm of a step is the largest of the B points' own DOP853
+    norms, so a step is accepted only when every point would accept it
+    alone and the step size follows the hardest point.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, batch: int, **options):
+        self.batch = batch
+        super().__init__(fun, t0, y0, t_bound, **options)
+
+    def _estimate_error_norm(self, K, h, scale):
+        err5 = (np.dot(K.T, self.E5) / scale).reshape(-1, self.batch)
+        err3 = (np.dot(K.T, self.E3) / scale).reshape(-1, self.batch)
+        err5_norm_2 = np.einsum("ij,ij->j", err5, err5)
+        err3_norm_2 = np.einsum("ij,ij->j", err3, err3)
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        nonzero = denom > 0.0
+        if not nonzero.any():
+            return 0.0
+        norms = err5_norm_2[nonzero] / np.sqrt(denom[nonzero] * len(err5))
+        return np.abs(h) * float(norms.max())
 
 
 def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float):
+    """scipy's DOP853 solution from one state x0, shape (dim,), or one
+    solve of a (B, dim) stack, where rhs(t, z) takes and returns the
+    (dim, B) state and the error norm is taken per point (_BatchDOP853).
+    BlowUpError names the escaped point of a batch."""
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise IntegrationError("non-finite initial state")
-    if float(np.linalg.norm(x0)) >= BLOWUP_NORM:
-        raise BlowUpError(t0)
+    if x0.ndim == 1:
+        fun, y0, options = rhs, x0, {"method": "DOP853"}
+        largest, escaped = np.linalg.norm, lambda y: None
+    else:
+        batch, dim = x0.shape
+        y0, options = x0.T.reshape(-1), {"method": _BatchDOP853, "batch": batch}
+
+        def fun(t, y):
+            return rhs(t, y.reshape(dim, batch)).reshape(-1)
+
+        def point_norms(y):
+            return np.linalg.norm(y.reshape(dim, batch), axis=0)
+
+        def largest(y):
+            return point_norms(y).max()
+
+        def escaped(y):
+            return int(np.argmax(point_norms(y)))
+
+    if float(largest(y0)) >= BLOWUP_NORM:
+        raise BlowUpError(t0, escaped(y0))
 
     def blow_up(t, y):
-        return float(np.linalg.norm(y)) - BLOWUP_NORM
+        return float(largest(y)) - BLOWUP_NORM
 
     blow_up.terminal = True
     blow_up.direction = 1
 
-    sol = solve_ivp(rhs, (t0, tf), x0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=blow_up)
+    sol = solve_ivp(fun, (t0, tf), y0, rtol=rtol, atol=atol, dense_output=True,
+                    events=blow_up, **options)
     if sol.status == 1:
-        raise BlowUpError(float(sol.t_events[0][0]))
+        raise BlowUpError(float(sol.t_events[0][0]), escaped(sol.y_events[0][0]))
     if sol.status != 0:
         raise IntegrationError(f"integrator failed on [{t0:g}, {tf:g}]: {sol.message}")
     return sol
@@ -193,15 +267,15 @@ def variational_rhs(field: VectorField, sign: float = 1.0):
     z holds x (n entries) and then a tangent block: a vector dx (n
     entries) or a matrix Phi (n*n entries, row-major).  The rhs is
     sign * (field(x), J(x) dx) or sign * (field(x), J(x) Phi), with J the
-    Jacobian of the field; sign = -1 runs the flow backward.  Each call
-    is one call of the field's flow kernel, traced once per tangent
-    width with duals carrying the tangent's rows (calculus.flow_kernel).
+    Jacobian of the field; sign = -1 runs the flow backward.  z may also
+    be a (dim, B) batch, one column per point.  Each call is one call of
+    the field's flow kernel, traced once per tangent width with duals
+    carrying the tangent's rows (calculus.flow_kernel).
     """
     n = field.dim_in
 
     def rhs(t, z):
-        zs = z.tolist()
-        return flow_values(field, zs, width=len(zs) // n - 1, sign=sign)
+        return flow_values(field, z, width=len(z) // n - 1, sign=sign)
 
     return rhs
 
@@ -231,7 +305,9 @@ class HorizonFlow:
     one time or a 1-D array of times (states stacked on axis 0).  The
     first solve covers [0, chunk] and each extension at least doubles the
     horizon, so the solver pieces do not depend on how the requested times
-    are grouped into calls.
+    are grouped into calls.  A (B, dim) stack z0 is solved as one batch
+    (see _solve_segment), and state(t) then has shape (B, dim) or
+    (N, B, dim).
     """
 
     def __init__(self, rhs, z0, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
@@ -241,6 +317,7 @@ class HorizonFlow:
         self.atol = atol
         self.chunk = float(chunk)
         self._z0 = np.asarray(z0, dtype=float)
+        self._batch = None if self._z0.ndim == 1 else len(self._z0)
         self._traj: Trajectory | None = None
         self._sol: OdeSolution | None = None  # dense output over [0, horizon]
 
@@ -252,7 +329,8 @@ class HorizonFlow:
         if self._traj is None:
             sol = _solve_segment(self.rhs, self._z0, 0.0, self.chunk, self.rtol, self.atol)
             self._sol = sol.sol
-            self._traj = Trajectory(sol.t, sol.y.T, _dense(sol.sol))
+            self._traj = Trajectory(sol.t, _unstack(sol.y, self._batch),
+                                    _dense(sol.sol, self._batch))
         while self._traj.tf < horizon:
             t_lo = self._traj.tf
             t_hi = max(horizon, 2.0 * t_lo)
@@ -261,8 +339,8 @@ class HorizonFlow:
             self._sol = OdeSolution(np.concatenate([self._sol.ts, sol.sol.ts[1:]]),
                                     self._sol.interpolants + sol.sol.interpolants)
             times = np.concatenate([self._traj.times, sol.t[1:]])
-            states = np.vstack([self._traj.states, sol.y.T[1:]])
-            self._traj = Trajectory(times, states, _dense(self._sol))
+            states = np.concatenate([self._traj.states, _unstack(sol.y, self._batch)[1:]])
+            self._traj = Trajectory(times, states, _dense(self._sol, self._batch))
         return self._traj
 
     def state(self, t) -> np.ndarray:
@@ -300,7 +378,15 @@ def _gauss_legendre_pair(order: int):
     return nodes, coarse_weights, fine_weights
 
 
-def _gauss_legendre_panels(f, edges: np.ndarray, order: int):
+def _point_norms(a, batch: int | None):
+    """2-norm of a, a float; for a batch, of each point's slice a[b], an
+    array (B,), each computed as the unbatched norm is."""
+    if batch is None:
+        return float(np.linalg.norm(np.atleast_1d(a)))
+    return np.array([np.linalg.norm(np.atleast_1d(part)) for part in a])
+
+
+def _gauss_legendre_panels(f, edges: np.ndarray, order: int, batch: int | None = None):
     """(value, error estimate, nodes used) of f summed over the panels
     between consecutive edges.
 
@@ -308,7 +394,8 @@ def _gauss_legendre_panels(f, edges: np.ndarray, order: int):
     (each panel's order-point nodes, then its doubled-order ones), and
     returns its values stacked on axis 0.  Each panel's value is the
     order-point rule and its error the difference against the
-    doubled-order rule; both are summed panel by panel, in order.
+    doubled-order rule; both are summed panel by panel, in order.  With
+    a batch, values are (nodes, B, ...) and the error is one per point.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
@@ -324,7 +411,7 @@ def _gauss_legendre_panels(f, edges: np.ndarray, order: int):
                                                   + values.shape[1:])):
         coarse = half * np.tensordot(coarse_weights, panel[:order], axes=1)
         fine = half * np.tensordot(fine_weights, panel[order:], axes=1)
-        err += float(np.linalg.norm(np.atleast_1d(coarse - fine)))
+        err = err + _point_norms(coarse - fine, batch)
         total = coarse if total is None else total + coarse
     return total, err, len(taus)
 
@@ -344,14 +431,15 @@ def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResul
 
 
 def composite_gauss_legendre(f, lo: float, hi: float, panel_width: float = 2.0,
-                             order: int = 12):
+                             order: int = 12, batch: int | None = None):
     """(value, error estimate, nodes used) of f over [lo, hi], summed over
     equal panels about panel_width wide, each by the rule of
     quadrature_finite.  f is called once, with the nodes of every panel
     (see _gauss_legendre_panels), so value and error are the sums of
-    quadrature_finite's per-panel results."""
+    quadrature_finite's per-panel results.  With batch = B, f returns
+    (nodes, B, ...) values, and value and error carry the point axis."""
     edges = np.linspace(lo, hi, max(1, int(round((hi - lo) / panel_width))) + 1)
-    return _gauss_legendre_panels(f, edges, order)
+    return _gauss_legendre_panels(f, edges, order, batch)
 
 
 def _fit_exponential_tail(ts: np.ndarray, norms: np.ndarray, horizon: float):
@@ -381,53 +469,97 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8,
     below tol > 0.  The neglected tail is estimated from an exponential
     fit and reported in the error, not added to the value.
     """
+    return improper_time_integrals(integrand, direction, None, tol, initial_horizon,
+                                   max_doublings, panel_width, order)[0]
+
+
+def improper_time_integrals(integrand, direction: str, batch: int | None,
+                            tol: float = 1e-8, initial_horizon: float = 20.0,
+                            max_doublings: int = 6, panel_width: float = 2.0,
+                            order: int = 12) -> list[QuadratureResult]:
+    """improper_time_integral of B integrals sampled together, one result
+    per point.
+
+    The integrand returns (nodes, B, ...) values.  Convergence is judged
+    per point: a point whose increment drops below tol keeps the value,
+    error, tail fit, horizon and node count it had there, while doubling
+    continues for the others.  A point that diverges, or a non-finite
+    value, raises for the whole batch, naming the point.  batch = None
+    is the unbatched integral of improper_time_integral, as a list of one.
+    """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol:g}")
+    if max_doublings < 1:
+        raise ValueError(f"max_doublings must be at least 1, got {max_doublings}")
+    for name, length in (("initial_horizon", initial_horizon), ("panel_width", panel_width)):
+        if not (math.isfinite(length) and length > 0):
+            raise ValueError(f"{name} must be positive and finite, got {length:g}")
     sign = 1.0 if direction == "forward" else -1.0
+    points = 1 if batch is None else batch
 
-    taus: list[np.ndarray] = []  # every node sampled, and the norm of its value
+    def per_point(a) -> list:
+        return [a] if batch is None else list(a)
+
+    def point(b: int) -> int | None:
+        return None if batch is None else b
+
+    taus: list[np.ndarray] = []  # every node sampled, and the norm of each point's value
     norms: list[np.ndarray] = []
 
     def f(tau: np.ndarray):
         vals = np.asarray(integrand(sign * tau), dtype=float)
-        rows = vals.reshape(len(tau), -1)
-        finite = np.isfinite(rows).all(axis=1)
+        rows = vals.reshape(len(tau), points, -1)
+        finite = np.isfinite(rows).all(axis=2)
         if not finite.all():
-            raise IntegrationError(f"integrand non-finite at t = {sign * tau[~finite][0]:g}")
+            node, b = np.argwhere(~finite)[0]
+            raise IntegrationError(f"integrand non-finite at t = {sign * tau[node]:g}"
+                                   + _at_point(point(b)))
         taus.append(tau)
-        norms.append(np.linalg.norm(rows, axis=1))
+        norms.append(np.linalg.norm(rows, axis=2))
         return vals
 
     horizon = float(initial_horizon)
-    value, quad_err, _ = composite_gauss_legendre(f, 0.0, horizon, panel_width, order)
-    prev_increment = None
-    stall = 0
+    value, quad_err, _ = composite_gauss_legendre(f, 0.0, horizon, panel_width, order, batch)
+    values, errs = per_point(value), per_point(quad_err)
+    results: list[QuadratureResult | None] = [None] * points
+    prev_increments: list[float | None] = [None] * points
+    stalls = [0] * points
     for _ in range(max_doublings):
         piece, err, _ = composite_gauss_legendre(f, horizon, 2.0 * horizon,
-                                                 panel_width, order)
+                                                 panel_width, order, batch)
         horizon *= 2.0
-        value = value + piece
-        quad_err += err
-        increment = float(np.linalg.norm(np.atleast_1d(piece)))
-        if increment < tol:
-            tail = _fit_exponential_tail(np.concatenate(taus), np.concatenate(norms),
-                                         horizon)
-            total_err = quad_err + increment + (tail if tail is not None else 0.0)
-            out = value if np.ndim(value) else float(value)
-            return QuadratureResult(value=out, error_estimate=total_err,
-                                    nodes_used=sum(map(len, taus)), horizon=horizon,
-                                    tail_estimate=tail,
-                                    meta={"tail_fit": "ok" if tail is not None else "none"})
-        if prev_increment is not None and increment >= 0.9 * prev_increment:
-            stall += 1
-            if stall >= 2:
-                raise DivergenceError(
-                    f"increments are not decaying (last two: {prev_increment:g}, {increment:g})")
-        else:
-            stall = 0
-        prev_increment = increment
+        for b, (part, part_err, increment) in enumerate(zip(
+                per_point(piece), per_point(err), per_point(_point_norms(piece, batch)))):
+            if results[b] is not None:
+                continue
+            values[b] = values[b] + part
+            errs[b] += part_err
+            increment = float(increment)
+            if increment < tol:
+                tail = _fit_exponential_tail(np.concatenate(taus),
+                                             np.concatenate(norms)[:, b], horizon)
+                total_err = errs[b] + increment + (tail if tail is not None else 0.0)
+                out = values[b] if np.ndim(values[b]) else float(values[b])
+                results[b] = QuadratureResult(
+                    value=out, error_estimate=float(total_err), nodes_used=sum(map(len, taus)),
+                    horizon=horizon, tail_estimate=tail,
+                    meta={"tail_fit": "ok" if tail is not None else "none"})
+                continue
+            prev = prev_increments[b]
+            if prev is not None and increment >= 0.9 * prev:
+                stalls[b] += 1
+                if stalls[b] >= 2:
+                    raise DivergenceError(
+                        f"increments are not decaying (last two: {prev:g}, {increment:g})"
+                        + _at_point(point(b)))
+            else:
+                stalls[b] = 0
+            prev_increments[b] = increment
+        if all(res is not None for res in results):
+            return results
+    b = results.index(None)
     raise DivergenceError(
         f"no convergence after {max_doublings} horizon doublings (T = {horizon:g}, "
-        f"last increment {prev_increment:g} vs tol {tol:g})")
+        f"last increment {prev_increments[b]:g} vs tol {tol:g})" + _at_point(point(b)))

@@ -95,9 +95,11 @@ class SystemModel:
 class AugmentedField:
     """Composite dynamics with named state blocks and derived outputs.
 
-    rhs takes one state.  The outputs of prolong, closed_loop_prolonged
-    and two_copy take one state (dim,) or a stack of states (N, dim),
-    giving (p,) or (N, p); the other builders' outputs take one state.
+    rhs takes one state.  The rhs of prolong, closed_loop_prolonged and
+    two_copy also takes a (dim, B) batch, one column per point, and
+    returns (dim, B); their outputs take one state (dim,) or a stack of
+    states (N, dim), giving (p,) or (N, p).  The other builders' rhs and
+    outputs take one state.
     """
 
     dim: int
@@ -109,9 +111,13 @@ class AugmentedField:
         return np.asarray(z)[self.layout[name]]
 
     def pack(self, **blocks) -> np.ndarray:
-        z = np.zeros(self.dim)
-        for name, value in blocks.items():
-            z[self.layout[name]] = np.asarray(value, dtype=float)
+        """One state (dim,) from its blocks, or a (B, dim) stack when a
+        block is a (B, size) stack; the other blocks broadcast to it."""
+        arrays = {name: np.asarray(value, dtype=float) for name, value in blocks.items()}
+        lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays.values()))
+        z = np.zeros(lead + (self.dim,))
+        for name, value in arrays.items():
+            z[..., self.layout[name]] = value
         return z
 
 
@@ -142,12 +148,13 @@ def prolong(system: SystemModel) -> AugmentedField:
     )
 
 
-def closed_loop_prolonged(system: SystemModel) -> AugmentedField:
+def closed_loop_prolonged(system: SystemModel, sign: float = 1.0) -> AugmentedField:
     """Variational dynamics of the feedback-closed drift f + g k.
 
     The variational block uses the full state Jacobian of the closed
     loop, including the derivative of k.  Output dk = (dk/dx) dx is the
-    integrand of the feedback controllability energy.
+    integrand of the feedback controllability energy.  sign = -1 runs
+    the flow in reversed time.
     """
     n = system.n
 
@@ -159,25 +166,26 @@ def closed_loop_prolonged(system: SystemModel) -> AugmentedField:
 
     return AugmentedField(
         dim=2 * n,
-        rhs=variational_rhs(system.closed_loop_field()),
+        rhs=variational_rhs(system.closed_loop_field(), sign),
         layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
         outputs={"dk": out_dk, "dy": out_dy},
     )
 
 
-def two_copy(system: SystemModel, field: VectorField | None = None) -> AugmentedField:
+def two_copy(system: SystemModel, field: VectorField | None = None,
+             sign: float = 1.0) -> AugmentedField:
     """Two copies (x, x2) of one flow: field, by default the zero-input f.
 
-    The rhs (field(x), field(x2)) is one call of a kernel traced on both
-    copies (calculus.flow_kernel).  Outputs report the copy gaps:
-    output_gap = h(x2) - h(x) and, when a feedback law exists,
-    feedback_gap = k(x2) - k(x).
+    The rhs sign * (field(x), field(x2)) is one call of a kernel traced on
+    both copies (calculus.flow_kernel); sign = -1 runs it in reversed
+    time.  Outputs report the copy gaps: output_gap = h(x2) - h(x) and,
+    when a feedback law exists, feedback_gap = k(x2) - k(x).
     """
     n = system.n
     field = system.f if field is None else field
 
     def rhs(t, z):
-        return flow_values(field, z.tolist(), copies=2)
+        return flow_values(field, z, copies=2, sign=sign)
 
     outputs = {
         "output_gap": lambda z: system.output(z[..., n:]) - system.output(z[..., :n]),

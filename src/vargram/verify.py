@@ -27,7 +27,8 @@ import numpy as np
 from .energy import (LinePath, diff_controllability_fb, diff_observability,
                      incr_controllability_fb, incr_observability, pair_flow,
                      path_energy_integral, quadratic_limit)
-from .gramian import grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan
+from .gramian import (grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan,
+                      points_read, prefetch)
 from .integrate import IntegrationError, Trajectory, integrate_ivp
 from .rank import ctrl_bracket_matrix, obs_codistribution
 from .systems import SystemModel, dual_closed_loop, prolong
@@ -344,7 +345,11 @@ def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
     report = Report(theorem, "inconclusive")
     n = system.n
     grid_shape = tuple(grid_shape) if grid_shape else (5,) * n
-    worst = max(r.frobenius_norm for row in grid_points(region, (3,) * n)
+    probe = grid_points(region, (3,) * n)
+    if hasattr(matrix_field, "many"):  # every point the probe reads, as one batch
+        prefetch(matrix_field, points_read(
+            lambda fld: [spec.residuals(system, fld, row) for row in probe], n))
+    worst = max(r.frobenius_norm for row in probe
                 for r in spec.residuals(system, matrix_field, row))
     if worst > residual_tol:
         report.notes.append(f"precondition failed: {spec.residual_name} residual "

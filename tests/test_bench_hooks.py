@@ -5,12 +5,15 @@ catches the breakage in the fast test tier instead of in a traced run.
 The dense-output lookups are counted only through HorizonFlow.state and
 Trajectory.at, so those two methods must be patched while installed,
 restored after, and be the way an energy reads its flow: one lookup per
-horizon segment.
+horizon segment.  Batched work must run under the hooks too, and its
+solver calls count one solve per horizon segment of the batch.
 """
 
+import math
 from pathlib import Path
 
 import vargram.energy as energy
+import vargram.gramian as gramian
 import vargram.integrate as integrate
 import vargram.rank as rank
 import vargram.verify as verify
@@ -39,3 +42,31 @@ def test_span_hooks_install_and_restore(monkeypatch):
     finally:
         tracer.uninstall()
     assert hooked() == originals
+
+
+def test_batched_work_runs_under_the_hooks(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    system = registry("paper_sec5")
+    tracer = spans.Tracer("t")
+    try:
+        spans.install(tracer)
+        # 24 inner energies of one path integral: one batch
+        lhs = energy.path_energy_integral(
+            lambda a, v: energy.diff_observability(system, a, v),
+            energy.LinePath.between((0.1, -0.2), (-0.15, 0.1)))
+        assert lhs.meta["inner_nodes"] > 0
+        segments = 1 + round(math.log2(lhs.horizon / 20.0))
+        assert tracer.counts["integrate.solve_calls"] == segments < 24
+        assert tracer.counts["energy.evals"] == 1
+
+        # four fixed-horizon Gramians: [0, 20] and [20, 40], for all of them
+        field = gramian.EmpiricalGramianField(system, "obs")
+        scan = gramian.pd_scan(field, [(-0.2, 0.2), (-0.2, 0.2)], (2, 2))
+        assert scan.statuses == ["ok"] * 4
+        assert tracer.counts["integrate.solve_calls"] == segments + 2
+        assert tracer.counts["gramian.gramians"] == 1
+        assert (tracer.memo_calls, tracer.memo_hits) == (4, 4)
+    finally:
+        tracer.uninstall()

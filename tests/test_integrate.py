@@ -241,3 +241,16 @@ def test_integrate_ivp_rejects_reversed_span():
     field = VectorField(1, 1, lambda xs: [0.0])
     with pytest.raises(ValueError, match="integrate_backward"):
         integrate_ivp(field, [0.0], (1.0, 0.0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_doublings": 0}, {"max_doublings": -2},
+    {"initial_horizon": 0.0}, {"initial_horizon": -20.0},
+    {"initial_horizon": math.inf}, {"initial_horizon": math.nan},
+    {"panel_width": 0.0}, {"panel_width": -2.0},
+    {"panel_width": math.inf}, {"panel_width": math.nan},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_improper_time_integral_rejects_bad_arguments(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        improper_time_integral(lambda t: np.exp(-np.abs(t)), "forward", **kwargs)

@@ -322,3 +322,60 @@ def test_replacing_func_traces_again():
         field.func = counted(float(scale))
         assert point_values(field, [1.0])[0] == scale
         assert point_jacobian(field, [0.5])[1][0, 0] == scale
+
+
+def _batchable_right_hand_sides(system):
+    """(label, rhs, state dimension) of the kernel-built right-hand sides,
+    which take a (dim, B) batch as well as one state."""
+    n = system.n
+    cl = system.closed_loop_field()
+    yield "prolong", prolong(system).rhs, 2 * n
+    for sign in (1.0, -1.0):
+        yield (f"closed_loop_prolonged {sign:+}", closed_loop_prolonged(system, sign).rhs,
+               2 * n)
+        yield f"obs flow {sign:+}", variational_rhs(system.f, sign), n + n * n
+        yield f"two_copy {sign:+}", two_copy(system, cl, sign).rhs, 2 * n
+
+
+def _with_constant_component() -> SystemModel:
+    # f2, and with it the second tangent row, is a constant of the kernel
+    return from_spec(parse_system_spec({
+        "name": "constant_component", "n": 2, "m": 1, "p": 1,
+        "f": ["-x1 + x2", "1/2"], "g": [["1"], ["0"]], "h": ["x1"], "k": ["-x1"]}))
+
+
+@pytest.mark.parametrize("system", list(_systems()) + [_with_constant_component()],
+                         ids=lambda s: s.name)
+def test_reversed_and_batched_right_hand_sides_bitwise(system):
+    rng = np.random.default_rng(8)
+    n = system.n
+    cl = system.closed_loop_field()
+    for forward, backward, dim in (
+            (closed_loop_prolonged(system).rhs, closed_loop_prolonged(system, -1.0).rhs, 2 * n),
+            (two_copy(system, cl).rhs, two_copy(system, cl, sign=-1.0).rhs, 2 * n),
+            (variational_rhs(cl), variational_rhs(cl, -1.0), n + n * n)):
+        for _ in range(20):
+            z = rng.uniform(-1.2, 1.2, dim)
+            assert np.array_equal(backward(0.0, z), -forward(0.0, z))
+    for label, rhs, dim in _batchable_right_hand_sides(system):
+        batch = rng.uniform(-1.2, 1.2, (dim, 7))
+        out = rhs(0.0, batch)
+        assert out.shape == batch.shape, label
+        per_point = np.stack([rhs(0.0, np.ascontiguousarray(col)) for col in batch.T], axis=1)
+        assert np.array_equal(out, per_point), label
+
+
+def test_zero_denominator_in_a_batch_raises_the_fields_own_error():
+    spec = from_spec(parse_system_spec({
+        "n": 2, "m": 1, "p": 1, "f": ["x2 / x1", "1 / x2"], "g": [["1"], ["0"]],
+        "h": ["x1"], "k": ["x2"]}))
+    python = VectorField(2, 2, lambda xs: [xs[1] / xs[0], xs[0] + 0.0 * (1.0 / xs[1])])
+    for field, error in ((spec.f, ExprEvalError), (python, ZeroDivisionError)):
+        rhs = variational_rhs(field)
+        regular = np.array([[1.0, 2.0, -0.5], [2.0, 1.0, 3.0], [1.0] * 3, [0.0] * 3])
+        assert np.all(np.isfinite(rhs(0.0, regular)))
+        for column in ([0.0, 2.0], [1.0, 0.0], [0.0, -0.0]):  # x / 0 and 0 / 0
+            batch = regular.copy()
+            batch[:2, 1] = column
+            with pytest.raises(error, match="division by zero"):
+                rhs(0.0, batch)
