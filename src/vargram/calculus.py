@@ -6,17 +6,19 @@ entries may themselves be duals, which is how second derivatives (Lie
 derivative gradients, iterated brackets) are obtained without symbolic
 manipulation.
 
-At a single float point the same arithmetic runs through a traced
-kernel: a field's func is run once on duals whose entries are Traced
-terms, every float operation on a term becomes one line of straight-line
-Python, and the compiled lines return the values and Jacobian rows of
-the field (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
-2008).  A flow's right-hand side is traced the same way (flow_kernel):
-duals seeded with the rows of a tangent block T give Df T by the chain
-rule, with no Jacobian formed.  The kernels are straight-line code, so
-they run unchanged on length-B arrays, one entry per point of a batch.
-Stacked points of field_values and jacobian, and nested duals, keep the
-dual path.
+Numeric evaluation runs the same arithmetic through traced kernels: a
+field's func is run once on duals whose entries are Traced terms, every
+float operation on a term becomes one line of straight-line Python, and
+the compiled lines return the values (field_values) or the values and
+Jacobian entries (jacobian) of the field (Griewank & Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008).  A flow's right-hand side is traced
+the same way (flow_values): duals seeded with the rows of a tangent
+block T give Df T by the chain rule, with no Jacobian formed.  The
+kernels are straight-line code, so they run unchanged on a list of
+floats (one point) or of length-N arrays (the columns of a stack of
+points, or the rows of a batch of states).  Duals stay for tracing, for
+funcs the tracer cannot run, and for nested derivatives: brackets, Lie
+derivatives and ranks.
 """
 
 from __future__ import annotations
@@ -185,10 +187,8 @@ class VectorField:
     dim_in: int
     dim_out: int
     func: Callable[[Sequence], Sequence]
-    # (func, n, shape, kernels) of the last trace; see point_jacobian
-    _traced: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (copies, width, reversed) -> (func, kernel); see flow_kernel
-    _flows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # kernel key -> (func, compiled kernel); see _kernel
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, xs):
         return self.func(xs)
@@ -221,7 +221,8 @@ class MatrixField:
     cols: int
     func: Callable[[Sequence], Sequence]
     dual_ok: bool = True
-    _traced: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # kernel key -> (func, compiled kernel); see _kernel
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, xs):
         return self.func(xs)
@@ -265,51 +266,6 @@ def jacobian_scalars(func, xs, dim_out: int):
     if len(outputs) != dim_out:
         raise ValueError(f"field returned {len(outputs)} components, expected {dim_out}")
     return value_and_rows(outputs, n)
-
-
-def _is_stack(x) -> bool:
-    return isinstance(x, np.ndarray) and x.ndim == 2
-
-
-def _columns(stack: np.ndarray) -> list[np.ndarray]:
-    """The n coordinate arrays of an (N, n) stack of points."""
-    return list(np.ascontiguousarray(np.asarray(stack, dtype=float).T))
-
-
-def field_values(field, x) -> np.ndarray:
-    """Values of a vector field at a point, shape (dim_out,), or at each
-    row of an (N, n) stack, shape (N, dim_out), from one evaluation on
-    length-N arrays; constant components are broadcast to N."""
-    if not _is_stack(x):
-        return np.asarray(field.func([float(v) for v in x]), dtype=float)
-    outputs = field.func(_columns(x))
-    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), (len(x),))
-                     for v in outputs], axis=1)
-
-
-def jacobian(field, x) -> np.ndarray:
-    """Jacobian matrix of a vector field by forward-mode duals.
-
-    At a point x of shape (n,) the duals carry Python floats and the
-    result has shape (dim_out, n).  An (N, n) stack of points gives the
-    (N, dim_out, n) stack of Jacobians from one dual pass whose primals
-    are length-N arrays; entries that do not vary are broadcast to N.
-    """
-    stacked = _is_stack(x)
-    xs = _columns(x) if stacked else [float(v) for v in x]
-    dim_out = getattr(field, "dim_out", None)
-    func = field.func if isinstance(field, VectorField) else field
-    outputs = func(seed_identity(xs))
-    if dim_out is not None and len(outputs) != dim_out:
-        raise ValueError(f"field returned {len(outputs)} components, expected {dim_out}")
-    _, rows = value_and_rows(outputs, len(xs))
-    if not stacked:
-        return np.array(rows, dtype=float)
-    out = np.empty((len(x), len(rows), len(xs)))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[:, i, j] = entry
-    return out
 
 
 def matrix_jacobian_scalars(mat_func, xs, rows: int, cols: int):
@@ -460,9 +416,9 @@ class _Tape:
             return self.emit("/", a, b, kept=True)
         return 0.0 if self._is(a, 0.0) else self.emit("/", a, b)
 
-    def compile(self, n: int, results, split: int):
-        """Function of a list of n floats returning the values of the first
-        split result terms, and the rest as a second tuple if any."""
+    def compile(self, n: int, results):
+        """Function of a list of n floats returning the tuple of the values
+        of the result terms."""
         live = {t.name for t in results if isinstance(t, Traced)}
         live.update(name for name, (_, _, kept) in self.lines.items() if kept)
         for name in reversed(self.lines):
@@ -472,175 +428,150 @@ class _Tape:
         body = [f"    {', '.join(inputs)}, = xs"]
         body += [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
                  if name in live]
-        groups = [results[:split], results[split:]] if split < len(results) else [results]
-        body.append("    return " + ", ".join(
-            "(" + "".join(self.text(t) + ", " for t in group) + ")" for group in groups))
+        body.append("    return (" + "".join(self.text(t) + ", " for t in results) + ")")
         namespace = {}
         exec(compile("def kernel(xs):\n" + "\n".join(body) + "\n", "<traced kernel>",
                      "exec"), namespace)
         return namespace["kernel"]
 
 
-def _entries(field) -> tuple[tuple, Callable]:
-    """Output shape of a vector or matrix field and a map from one output
-    of its func to the flat, row-major list of scalars."""
+def _shape(field) -> tuple:
+    """Output shape of a vector or matrix field."""
+    return (field.rows, field.cols) if isinstance(field, MatrixField) else (field.dim_out,)
+
+
+def _evaluated(field, duals: list, width: int) -> list:
+    """Values of field.func on duals carrying width tangent entries each,
+    then their tangent rows, as one flat, row-major list."""
+    out = field.func(duals)
     if isinstance(field, MatrixField):
-        rows, cols = field.rows, field.cols
-        return (rows, cols), lambda out: [out[i][j] for i in range(rows) for j in range(cols)]
-    return (field.dim_out,), list
+        out = [entry for row in out for entry in row]
+    size = math.prod(_shape(field))
+    if len(out) != size:
+        raise ValueError(f"field returned {len(out)} components, expected {size}")
+    values, rows = value_and_rows(out, width)
+    return values + [d for row in rows for d in row]
 
 
-def _trace(field, n: int):
-    """(values kernel, values-and-Jacobian kernel) of a field on n inputs.
+def _outputs(field, key: tuple, xs) -> list:
+    """What a field's kernel for key computes on the inputs xs, by duals;
+    generic over the scalars of xs.
 
-    Both take a list of n floats; the first returns the tuple of values,
-    the second that tuple and the tuple of Jacobian entries, row-major.
-    """
-    shape, flatten = _entries(field)
-    tape = _Tape()
-    outputs = flatten(field.func(seed_identity([Traced(tape, f"x{i}") for i in range(n)])))
-    if len(outputs) != math.prod(shape):
-        raise ValueError(f"field returned {len(outputs)} components, expected "
-                         f"{math.prod(shape)}")
-    values, rows = value_and_rows(outputs, n)
-    derivs = [d for row in rows for d in row]
-    return (tape.compile(n, values, len(values)),
-            tape.compile(n, values + derivs, len(values)))
-
-
-def _dual_point(field, xs):
-    """Flat (values, Jacobian entries) of a field at a float point by duals."""
-    if isinstance(field, MatrixField):
-        values, grads = matrix_jacobian_scalars(field.func, xs, field.rows, field.cols)
-        return ([v for row in values for v in row],
-                [d for row in grads for entry in row for d in entry])
-    values, rows = jacobian_scalars(field.func, xs, field.dim_out)
-    return values, [d for row in rows for d in row]
-
-
-def _kernels(field, n: int) -> tuple:
-    """(func, n, shape, values kernel, full kernel) of a field on n inputs,
-    traced at its first use and again whenever field.func has been
-    replaced.  A func the tracer cannot run (a comparison, abs, a math
-    function, a constant zero denominator, a wrong arity) keeps the dual
-    path, which raises the error the field raises on duals."""
-    cached = field._traced
-    if cached is None or cached[0] is not field.func or cached[1] != n:
-        try:
-            kernels = _trace(field, n)
-        except Exception:
-            kernels = (lambda xs: _dual_point(field, xs)[0],
-                       lambda xs: _dual_point(field, xs))
-        cached = field._traced = (field.func, n, _entries(field)[0]) + kernels
-    return cached
-
-
-def _flat_values(field, xs) -> tuple:
-    try:
-        return _kernels(field, len(xs))[3](xs)
-    except ZeroDivisionError:
-        return _dual_point(field, xs)[0]  # raises the field's own error
-
-
-def _flat_jacobian(field, xs) -> tuple:
-    try:
-        return _kernels(field, len(xs))[4](xs)
-    except ZeroDivisionError:
-        return _dual_point(field, xs)  # raises the field's own error
-
-
-def point_values(field, xs) -> np.ndarray:
-    """Values of a vector or matrix field at one point xs, a list of
-    floats, from the field's traced kernel: shape (dim_out,) or (rows, cols)."""
-    values = _flat_values(field, xs)
-    return np.array(values, dtype=float).reshape(field._traced[2])
-
-
-def point_jacobian(field, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Values and Jacobian of a vector or matrix field at one point xs, a
-    list of floats, from the field's traced kernel.
-
-    Shapes (dim_out,) and (dim_out, n), or (rows, cols) and (rows, cols, n).
-    The floats are those of jacobian_scalars and matrix_jacobian_scalars.
-    A kernel that divides by zero hands over to the dual path, so the
-    error raised is the field's own (ExprEvalError for spec fields).
-    """
-    values, entries = _flat_jacobian(field, xs)
-    shape = field._traced[2]
-    return (np.array(values, dtype=float).reshape(shape),
-            np.array(entries, dtype=float).reshape(shape + (len(xs),)))
-
-
-def _flow_outputs(field: VectorField, zs, copies: int, width: int, sign: float) -> list:
-    """Flat right-hand side of a state zs made of `copies` blocks (x, T),
-    each sign * (field(x), Dfield(x) T) for an n x width tangent block T
-    (row-major; width 0 leaves the values alone).  Df T comes from one
+    ("values", n): the field's values at x.  ("jacobian", n): its values,
+    then its Jacobian entries, one row of n per value.  ("flow", copies,
+    width, reversed): a state of `copies` blocks (x, T), each giving
+    (f(x), Df(x) T) for an n x width tangent block T (row-major; width 0
+    leaves the values alone), negated if reversed.  Df T comes from one
     dual pass per block whose duals carry T's rows, Dual(x_i, T_i), so no
-    Jacobian is formed.  Generic over the scalars of zs."""
+    Jacobian is formed.
+    """
+    kind = key[0]
+    if kind == "values":
+        return _evaluated(field, [Dual(x, ()) for x in xs], 0)
+    if kind == "jacobian":
+        return _evaluated(field, seed_identity(xs), len(xs))
+    _, copies, width, reverse = key
     n = field.dim_in
     block = n * (1 + width)
     out = []
     for start in range(0, copies * block, block):
-        z = zs[start:start + block]
-        outputs = field.func([Dual(z[i], tuple(z[n + i * width:n + (i + 1) * width]))
-                              for i in range(n)])
-        if len(outputs) != field.dim_out:
-            raise ValueError(f"field returned {len(outputs)} components, expected "
-                             f"{field.dim_out}")
-        values, rows = value_and_rows(outputs, width)
-        out += values + [d for row in rows for d in row]
-    return [-v for v in out] if sign < 0 else out
+        z = xs[start:start + block]
+        out += _evaluated(field, [Dual(z[i], tuple(z[n + i * width:n + (i + 1) * width]))
+                                  for i in range(n)], width)
+    return [-v for v in out] if reverse else out
 
 
-def flow_kernel(field: VectorField, copies: int = 1, width: int = 0,
-                sign: float = 1.0) -> Callable:
-    """Straight-line code of _flow_outputs on a list of floats, traced
-    once per (copies, width, sign) and again whenever field.func has been
-    replaced; a func the tracer cannot run keeps the dual path."""
-    key = (copies, width, sign < 0)
-    cached = field._flows.get(key)
+def _kernel(field, key: tuple, size: int) -> Callable:
+    """Straight-line code of _outputs(field, key, xs) on size inputs, traced
+    at the key's first use and again whenever field.func has been
+    replaced.  A func the tracer cannot run (a comparison, abs, a math
+    function, a constant zero denominator, a wrong arity) keeps the dual
+    path, which raises the error the field raises on duals."""
+    cached = field._kernels.get(key)
     if cached is None or cached[0] is not field.func:
-        size = copies * field.dim_in * (1 + width)
         tape = _Tape()
         try:
-            outputs = _flow_outputs(field, [Traced(tape, f"x{i}") for i in range(size)],
-                                    copies, width, sign)
-            kernel = tape.compile(size, outputs, len(outputs))
+            kernel = tape.compile(size, _outputs(field, key, [Traced(tape, f"x{i}")
+                                                              for i in range(size)]))
         except Exception:
-            def kernel(zs):
-                return _flow_outputs(field, zs, copies, width, sign)
-        cached = field._flows[key] = (field.func, kernel)
+            def kernel(xs):
+                return _outputs(field, key, xs)
+        cached = field._kernels[key] = (field.func, kernel)
     return cached[1]
+
+
+def _run(field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
+    """The field's kernel for key on xs: a list of floats, giving a 1-D
+    array, or for batch = B a list of length-B arrays (one entry per
+    point), giving one row of B per output, constant outputs broadcast.
+
+    A kernel that divides by zero hands over to the dual path, so the
+    error raised is the field's own (ExprEvalError for spec fields); on
+    arrays numpy's division by zero and invalid operations are raised for
+    that (np.errstate), never left as inf or NaN.
+    """
+    kernel = _kernel(field, key, len(xs))
+    if batch is None:
+        try:
+            return np.array(kernel(xs), dtype=float)
+        except ZeroDivisionError:
+            return np.array(_outputs(field, key, xs), dtype=float)
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            outputs = kernel(xs)
+    except (FloatingPointError, ZeroDivisionError):
+        outputs = _outputs(field, key, xs)
+    out = np.empty((len(outputs), batch))
+    for row, value in zip(out, outputs):
+        row[...] = value
+    return out
+
+
+def _evaluate(field, kind: str, x) -> tuple:
+    """(values, Jacobian) of a field at x from one call of its kernel of
+    kind "jacobian", or (values, None) for kind "values"; x is one point
+    (n,) or an (N, n) stack, run on its columns."""
+    shape = _shape(field)
+    size = math.prod(shape)
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        lead, n = x.shape[:1], x.shape[1]
+        columns = list(np.ascontiguousarray(np.asarray(x, dtype=float).T))
+        out = _run(field, (kind, n), columns, len(x)).T
+    else:
+        xs = [float(v) for v in x]
+        lead, n = (), len(xs)
+        out = _run(field, (kind, n), xs)
+    values = np.ascontiguousarray(out[..., :size]).reshape(lead + shape)
+    if kind == "values":
+        return values, None
+    return values, np.ascontiguousarray(out[..., size:]).reshape(lead + shape + (n,))
+
+
+def field_values(field, x) -> np.ndarray:
+    """Values of a vector or matrix field at a point x, shape (dim_out,)
+    or (rows, cols), or at each row of an (N, n) stack, with N leading."""
+    return _evaluate(field, "values", x)[0]
+
+
+def jacobian(field, x) -> np.ndarray:
+    """Jacobian of a vector or matrix field at a point x, shape
+    (dim_out, n) or (rows, cols, n), or at each row of an (N, n) stack,
+    with N leading.  The floats are those of jacobian_scalars and
+    matrix_jacobian_scalars."""
+    return _evaluate(field, "jacobian", x)[1]
 
 
 def flow_values(field: VectorField, z: np.ndarray, copies: int = 1, width: int = 0,
                 sign: float = 1.0) -> np.ndarray:
-    """_flow_outputs at a state z, from one call of the field's flow kernel.
-
-    z is one state, shape (dim,), run as a list of floats, or a (dim, B)
-    batch, run on its length-B rows (one column per point), giving
-    (dim, B) with constant outputs broadcast.  A kernel that divides by
-    zero hands over to the dual path, so the error raised is the field's
-    own; on arrays numpy's division by zero and invalid operations are
-    raised for that (np.errstate), never left as inf or NaN.
-    """
-    kernel = flow_kernel(field, copies, width, sign)
+    """Right-hand side of a state z made of `copies` blocks (x, T), each
+    sign * (field(x), Dfield(x) T) for an n x width tangent block T, from
+    one call of the field's flow kernel (see _outputs).  z is one state,
+    shape (dim,), or a (dim, B) batch, one column per point, giving
+    (dim, B)."""
+    key = ("flow", copies, width, sign < 0)
     if z.ndim == 1:
-        zs = z.tolist()
-        try:
-            return np.array(kernel(zs), dtype=float)
-        except ZeroDivisionError:
-            return np.array(_flow_outputs(field, zs, copies, width, sign), dtype=float)
-    zs = list(z)
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            outputs = kernel(zs)
-    except (FloatingPointError, ZeroDivisionError):
-        outputs = _flow_outputs(field, zs, copies, width, sign)
-    out = np.empty(z.shape)
-    for row, value in zip(out, outputs):
-        row[...] = value
-    return out
+        return _run(field, key, z.tolist())
+    return _run(field, key, list(z), z.shape[1])
 
 
 def frozen_input_jacobian(system, xs, u=None):
@@ -655,8 +586,8 @@ def frozen_input_jacobian(system, xs, u=None):
     if u is None:
         if system.k is None:
             raise ValueError("system has no feedback law k")
-        u = _flat_values(system.k, xs)
-    drift, jac = point_jacobian(system.affine_field(), xs + list(u))
+        u = field_values(system.k, xs)
+    drift, jac = _evaluate(system.affine_field(), "jacobian", list(xs) + list(u))
     return drift, jac[:, :system.n], jac[:, system.n:]
 
 

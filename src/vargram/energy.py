@@ -13,8 +13,9 @@ unbounded time interval:
 
 Backward integrals run the time-reversed dynamics forward and relabel, so
 one improper-integral controller serves all four.  Each energy takes one
-point or a (B, n) stack of points: a stack is integrated as one batched
-flow and gives one EnergyValue per point.  On top of these sit the
+point or a (B, n) stack of points: a stack is integrated in batched
+flows of up to integrate.MAX_BATCH points and gives one EnergyValue per
+point.  On top of these sit the
 line-path integral (one batch for all its nodes) and the small-parameter
 quadratic limit used by the theorem checks, plus the perturbed-input
 energy that witnesses the completion-of-squares bound.
@@ -28,10 +29,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import frozen_input_jacobian, point_jacobian
-from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow, IntegrationError,
-                        improper_time_integral, improper_time_integrals, integrate_ivp,
-                        quadrature_finite)
+from .calculus import frozen_input_jacobian, jacobian
+from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integrals,
+                        integrate_ivp, quadrature_finite)
 from .systems import AugmentedField, SystemModel, closed_loop_prolonged, prolong, two_copy
 
 DEFAULT_S_LADDER = (0.1, 0.05, 0.025, 0.0125)
@@ -89,33 +89,24 @@ def _half_square_energy(aug: AugmentedField, z0, out_name: str, direction: str,
                         atol: float) -> EnergyValue | list[EnergyValue]:
     """Integrate 0.5*|output|^2 along the augmented flow to +/- infinity.
 
-    For backward energies aug.rhs must already be the time-reversed field;
-    the integrand then receives t <= 0 and samples the reversed flow at -t.
-    A (B, dim) stack z0 is one batched flow and gives a list of B values.
+    For backward energies aug.rhs must already be the time-reversed field.
+    A (B, dim) stack z0 gives a list of B values (see flow_integrals).
     """
     out_fn = aug.outputs[out_name]
-    z0 = np.asarray(z0, dtype=float)
-    batch = None if z0.ndim == 1 else len(z0)
-    flow = HorizonFlow(aug.rhs, z0, rtol=rtol, atol=atol)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        z = flow.state(np.abs(t))
-        shape = z.shape[:-1]
-        z = z.reshape(-1, aug.dim)  # one state per row; frees a batch's lookup
+    def integrand(z: np.ndarray) -> np.ndarray:
         v = out_fn(z)
-        return (0.5 * np.einsum("ij,ij->i", v, v)).reshape(shape)
+        return 0.5 * np.einsum("ij,ij->i", v, v)
 
-    if batch is None:
-        results = [improper_time_integral(integrand, direction=direction, tol=tol)]
-    else:
-        results = improper_time_integrals(integrand, direction, batch, tol=tol)
+    results = flow_integrals(aug.rhs, z0, integrand, direction, tol=tol, rtol=rtol,
+                             atol=atol)
     energies = [EnergyValue(value=float(res.value), error_estimate=res.error_estimate,
                             horizon=res.horizon, nodes_used=res.nodes_used,
                             direction=direction,
                             meta={"energy": label, "tail_estimate": res.tail_estimate,
                                   **res.meta})
                 for res in results]
-    return energies[0] if batch is None else energies
+    return energies[0] if np.ndim(z0) == 1 else energies
 
 
 def diff_observability(system: SystemModel, x0, dx0, tol: float = 1e-8,
@@ -303,7 +294,7 @@ def feedback_perturbation_energy(system: SystemModel, x0, dx0,
         x = z[:n].tolist()
         dx = z[n:2 * n]
         drift, frozen, g_vals = frozen_input_jacobian(system, x)
-        du = point_jacobian(k, x)[1] @ dx + np.asarray(w_signal(-tau), dtype=float)
+        du = jacobian(k, x) @ dx + np.asarray(w_signal(-tau), dtype=float)
         ddx = frozen @ dx + g_vals @ du
         dacc = 0.5 * float(np.dot(du, du))
         return np.concatenate([-drift, -ddx, [dacc]])

@@ -21,11 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import (MatrixField, frozen_input_jacobian_scalars, jacobian,
+from .calculus import (MatrixField, field_values, frozen_input_jacobian, jacobian,
                        matrix_field_directional)
-from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, HorizonFlow, IntegrationError,
-                        composite_gauss_legendre, improper_time_integral,
-                        improper_time_integrals, variational_rhs)
+from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integrals,
+                        variational_rhs)
 from .jacobi import determinant_and_min_eigenvalue
 from .systems import SystemModel
 
@@ -66,39 +65,28 @@ def _gramian_from_flow(field, sign: float, x, out_field, direction: str, tol: fl
     """Integrate (J Phi)^T (J Phi) along the (x, Phi) flow of sign * field
     from (x, I), J the Jacobian of out_field at x.  The integrand is called
     once per horizon segment (once for all of [0, fixed_horizon]), and
-    each call's nodes take one lookup and one Jacobian pass.  A (B, n)
-    stack x is one batched flow and gives a list of B results."""
+    each call's nodes take one lookup and one Jacobian kernel call.  A
+    (B, n) stack x gives a list of B results (see flow_integrals)."""
     n = out_field.dim_in
     x = np.asarray(x, dtype=float)
-    batch = None if x.ndim == 1 else len(x)
     eye = np.broadcast_to(np.eye(n).reshape(-1), x.shape[:-1] + (n * n,))
-    z0 = np.concatenate([x, eye], axis=-1)
-    flow = HorizonFlow(variational_rhs(field, sign), z0, rtol=rtol, atol=atol)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        z = flow.state(np.abs(t))
-        shape = z.shape[:-1] + (n, n)
-        z = z.reshape(-1, n + n * n)  # one state per row; frees a batch's lookup
+    def integrand(z: np.ndarray) -> np.ndarray:
         m = jacobian(out_field, z[:, :n]) @ z[:, n:].reshape(-1, n, n)
-        return (np.swapaxes(m, 1, 2) @ m).reshape(shape)
+        return np.swapaxes(m, 1, 2) @ m
 
-    if fixed_horizon is not None:
-        value, err, nodes = composite_gauss_legendre(integrand, 0.0, float(fixed_horizon),
-                                                      batch=batch)
-        parts = [(v, e, float(fixed_horizon), nodes, {"tail": "untracked (fixed horizon)"})
-                 for v, e in (zip(value, err) if batch else [(value, err)])]
-    else:
-        results = ([improper_time_integral(integrand, direction=direction, tol=tol)]
-                   if batch is None else
-                   improper_time_integrals(integrand, direction, batch, tol=tol))
-        parts = [(np.asarray(res.value, dtype=float), res.error_estimate, res.horizon,
-                  res.nodes_used, {"tail_estimate": res.tail_estimate, **res.meta})
-                 for res in results]
-    grams = [GramianResult(matrix=0.5 * (v + v.T), truncation_error=e, horizon=h,
-                           nodes_used=nodes,
-                           meta={"kind": label, "direction": direction, **meta})
-             for v, e, h, nodes, meta in parts]
-    return grams[0] if batch is None else grams
+    results = flow_integrals(variational_rhs(field, sign), np.concatenate([x, eye], axis=-1),
+                             integrand, direction, tol=tol, rtol=rtol, atol=atol,
+                             fixed_horizon=fixed_horizon)
+    grams = [GramianResult(matrix=0.5 * (res.value + res.value.T),
+                           truncation_error=res.error_estimate, horizon=res.horizon,
+                           nodes_used=res.nodes_used,
+                           meta={"kind": label, "direction": direction,
+                                 **({} if fixed_horizon is not None
+                                    else {"tail_estimate": res.tail_estimate}),
+                                 **res.meta})
+             for res in results]
+    return grams[0] if x.ndim == 1 else grams
 
 
 def empirical_obs_gramian(system: SystemModel, x, tol: float = 1e-8,
@@ -129,21 +117,13 @@ def empirical_ctrl_gramian(system: SystemModel, x, tol: float = 1e-8,
                               "backward", tol, fixed_horizon, rtol, atol, "ctrl_gramian")
 
 
-# points per batched flow of EmpiricalGramianField.many.  A batch's arrays
-# grow with points times quadrature nodes, about 0.1 MiB per point at the
-# fixed horizon 40: on paper_sec5 a 21 x 21 scan took 0.3 s and peaked at
-# 122 MiB in one batch of 441, 0.9 s and 88 MiB in batches of 64, and 8 s
-# and 83 MiB one point at a time (one process on a 2-CPU x86-64 host)
-MANY_BATCH = 64
-
-
 class EmpiricalGramianField:
     """Pointwise matrix field backed by a fresh Gramian integral per call.
 
     fixed_horizon pins the truncation point so finite-difference stencils
     across nearby points see a smooth function of x instead of jumps from
     adaptive horizon selection.  Evaluations are memoized per point;
-    many(points) fills the memo from one batched flow.
+    many(points) fills the memo from batched flows.
     """
 
     dual_ok = False
@@ -174,14 +154,12 @@ class EmpiricalGramianField:
         return self._cache[key]
 
     def many(self, points) -> list[np.ndarray]:
-        """The matrices at each of points.  Those not yet memoized are
-        computed in batches of up to MANY_BATCH points, in order, which
-        bounds the memory one batched flow takes."""
+        """The matrices at each of points; those not yet memoized are
+        computed as one stack (solved in batches of integrate.MAX_BATCH)."""
         keys = [tuple(float(v) for v in xs) for xs in points]
         missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        for start in range(0, len(missing), MANY_BATCH):
-            batch = missing[start:start + MANY_BATCH]
-            for key, res in zip(batch, self.gramian(np.array(batch))):
+        if missing:
+            for key, res in zip(missing, self.gramian(np.array(missing))):
                 self._cache[key] = res.matrix
         return [self._cache[key] for key in keys]
 
@@ -217,7 +195,7 @@ def lyap_residual_obs(system: SystemModel, q_field, x,
     Zero residual means D_f Q + Q J_f + J_f^T Q + C^T C = 0 at x.
     """
     xs = [float(v) for v in x]
-    fv = np.asarray(system.f(xs), dtype=float)
+    fv = field_values(system.f, xs)
     jf = jacobian(system.f, xs)
     c = jacobian(system.h, xs)
     q = _eval_matrix(q_field, xs)
@@ -236,10 +214,10 @@ def riccati_residual(system: SystemModel, r_field, x,
     """
     xs = [float(v) for v in x]
     cl = system.closed_loop_field()
-    clv = np.asarray(cl(xs), dtype=float)
+    clv = field_values(cl, xs)
     jcl = jacobian(cl, xs)
     kk = jacobian(system.require_k(), xs)
-    g_vals = np.asarray(system.g(xs), dtype=float)
+    g_vals = field_values(system.g, xs)
     r = _eval_matrix(r_field, xs)
     dr = matrix_directional(r_field, xs, clv, fd_step)
     res_state = dr + r @ jcl + jcl.T @ r - kk.T @ kk
@@ -256,11 +234,8 @@ def lyap_residual_ctrl(system: SystemModel, p_field, x,
     Gain part: K P - g^T.
     """
     xs = [float(v) for v in x]
-    drift, frozen = frozen_input_jacobian_scalars(system, xs)
-    a = np.asarray(frozen, dtype=float)
-    clv = np.asarray(drift, dtype=float)
+    clv, a, g_vals = frozen_input_jacobian(system, xs)
     kk = jacobian(system.require_k(), xs)
-    g_vals = np.asarray(system.g(xs), dtype=float)
     p = _eval_matrix(p_field, xs)
     dp = matrix_directional(p_field, xs, clv, fd_step)
     res_state = -dp + p @ a.T + a @ p + g_vals @ g_vals.T
@@ -275,9 +250,9 @@ def lyap_residual_open(system: SystemModel, p_field, x,
     Zero residual means -D_f P + P J_f^T + J_f P + g g^T = 0 at x.
     """
     xs = [float(v) for v in x]
-    fv = np.asarray(system.f(xs), dtype=float)
+    fv = field_values(system.f, xs)
     jf = jacobian(system.f, xs)
-    g_vals = np.asarray(system.g(xs), dtype=float)
+    g_vals = field_values(system.g, xs)
     p = _eval_matrix(p_field, xs)
     dp = matrix_directional(p_field, xs, fv, fd_step)
     res = -dp + p @ jf.T + jf @ p + g_vals @ g_vals.T

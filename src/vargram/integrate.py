@@ -270,7 +270,7 @@ def variational_rhs(field: VectorField, sign: float = 1.0):
     Jacobian of the field; sign = -1 runs the flow backward.  z may also
     be a (dim, B) batch, one column per point.  Each call is one call of
     the field's flow kernel, traced once per tangent width with duals
-    carrying the tangent's rows (calculus.flow_kernel).
+    carrying the tangent's rows (calculus.flow_values).
     """
     n = field.dim_in
 
@@ -453,6 +453,61 @@ def _fit_exponential_tail(ts: np.ndarray, norms: np.ndarray, horizon: float):
         return None
     rate = -slope  # = 2 lambda in the fitted model
     return float(math.exp(intercept + slope * horizon) / rate)
+
+
+# points per batched flow of flow_integrals.  A batch's arrays grow with
+# points times quadrature nodes, about 0.1 MiB per point at the fixed
+# horizon 40: on paper_sec5 a 21 x 21 Gramian scan took 0.3 s and peaked
+# at 122 MiB in one batch of 441, 0.9 s and 88 MiB in batches of 64, and
+# 8 s and 83 MiB one point at a time (one process on a 2-CPU x86-64 host)
+MAX_BATCH = 64
+
+
+def flow_integrals(rhs, z0, integrand, direction: str, tol: float = 1e-8,
+                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                   fixed_horizon: float | None = None) -> list[QuadratureResult]:
+    """Integrals of integrand(z(|t|)) along the flow of rhs from z0, one
+    result per initial state.
+
+    integrand maps an (N, dim) stack of states to their N values stacked
+    on axis 0, and is called once per horizon segment.  The integral runs
+    over t from 0 to +/- infinity (improper_time_integral; for 'backward'
+    rhs must already be the time-reversed field), or over [0,
+    fixed_horizon] when given.  A single state (dim,) gives a list of
+    one; a (B, dim) stack is solved in order, in batched flows of up to
+    MAX_BATCH points, which bounds their memory.
+    """
+    z0 = np.asarray(z0, dtype=float)
+    if z0.ndim == 2:
+        return [res for start in range(0, len(z0), MAX_BATCH)
+                for res in _flow_integrals(rhs, z0[start:start + MAX_BATCH], integrand,
+                                           direction, tol, rtol, atol, fixed_horizon)]
+    return _flow_integrals(rhs, z0, integrand, direction, tol, rtol, atol, fixed_horizon)
+
+
+def _flow_integrals(rhs, z0: np.ndarray, integrand, direction: str, tol: float,
+                    rtol: float, atol: float,
+                    fixed_horizon: float | None) -> list[QuadratureResult]:
+    """flow_integrals of one state or of one batch, from one HorizonFlow."""
+    batch = None if z0.ndim == 1 else len(z0)
+    flow = HorizonFlow(rhs, z0, rtol=rtol, atol=atol)
+
+    def f(t: np.ndarray) -> np.ndarray:
+        z = flow.state(np.abs(t))
+        lead = z.shape[:-1]
+        z = z.reshape(-1, z.shape[-1])  # one state per row; frees a batch's lookup
+        values = integrand(z)
+        return values.reshape(lead + values.shape[1:])
+
+    if fixed_horizon is None:
+        if batch is None:
+            return [improper_time_integral(f, direction=direction, tol=tol)]
+        return improper_time_integrals(f, direction, batch, tol=tol)
+    value, err, nodes = composite_gauss_legendre(f, 0.0, float(fixed_horizon), batch=batch)
+    return [QuadratureResult(value=v, error_estimate=e, nodes_used=nodes,
+                             horizon=float(fixed_horizon),
+                             meta={"tail": "untracked (fixed horizon)"})
+            for v, e in (zip(value, err) if batch else [(value, err)])]
 
 
 def improper_time_integral(integrand, direction: str, tol: float = 1e-8,

@@ -177,7 +177,7 @@ def two_copy(system: SystemModel, field: VectorField | None = None,
     """Two copies (x, x2) of one flow: field, by default the zero-input f.
 
     The rhs sign * (field(x), field(x2)) is one call of a kernel traced on
-    both copies (calculus.flow_kernel); sign = -1 runs it in reversed
+    both copies (calculus.flow_values); sign = -1 runs it in reversed
     time.  Outputs report the copy gaps: output_gap = h(x2) - h(x) and,
     when a feedback law exists, feedback_gap = k(x2) - k(x).
     """
@@ -212,8 +212,7 @@ def _dual(system: SystemModel, u) -> AugmentedField:
         return np.concatenate([-drift, frozen.T @ z[n:]])
 
     def out_dz(z):
-        g_vals = np.asarray(system.g([float(v) for v in z[:n]]), dtype=float)
-        return g_vals.T @ z[n:]
+        return field_values(system.g, z[:n]).T @ z[n:]
 
     return AugmentedField(
         dim=2 * n,

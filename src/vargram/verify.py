@@ -159,7 +159,7 @@ def _decay(rhs, z0, signal) -> DecayEstimate:
     """Fit the forward decay of |signal(z)| along the flow of rhs from z0."""
     traj = integrate_ivp(rhs, z0, (0.0, 20.0))
     times = np.linspace(0.0, 20.0, 201)
-    vals = np.array([float(np.linalg.norm(signal(traj.at(t)))) for t in times])
+    vals = np.array([float(np.linalg.norm(signal(z))) for z in traj.at(times)])
     return fit_decay((times, vals), "forward")
 
 

@@ -15,8 +15,8 @@ from vargram.energy import (diff_controllability_fb, diff_observability,
 from vargram.expr import ExprEvalError, parse_system_spec
 from vargram.gramian import (EmpiricalGramianField, empirical_ctrl_gramian,
                              empirical_obs_gramian, pd_scan)
-from vargram.integrate import (BlowUpError, DivergenceError, improper_time_integral,
-                               improper_time_integrals)
+from vargram.integrate import (MAX_BATCH, BlowUpError, DivergenceError,
+                               improper_time_integral, improper_time_integrals)
 from vargram.systems import from_spec, registry
 
 # a stable drift with a closed loop whose reversal is stable too
@@ -140,3 +140,19 @@ def test_many_fills_the_memo_from_one_batch():
     for got, res in zip(matrices, expected):
         assert np.array_equal(got, res.matrix)
     assert field([0.1, -0.2]) is matrices[0]  # a memo hit, not a new Gramian
+
+
+def test_a_stack_is_solved_in_fixed_batches_in_order():
+    system = registry("paper_sec5")
+    assert MAX_BATCH == 64
+    points = np.random.default_rng(4).uniform(-0.3, 0.3, (MAX_BATCH + 1, 2))
+    whole = empirical_obs_gramian(system, points, fixed_horizon=40.0)
+    parts = (empirical_obs_gramian(system, points[:MAX_BATCH], fixed_horizon=40.0)
+             + empirical_obs_gramian(system, points[MAX_BATCH:], fixed_horizon=40.0))
+    assert len(whole) == len(parts) == MAX_BATCH + 1
+    for got, expected in zip(whole, parts):
+        assert np.array_equal(got.matrix, expected.matrix)
+        assert got.truncation_error == expected.truncation_error
+    empty = np.empty((0, 2))
+    assert empirical_obs_gramian(system, empty, fixed_horizon=40.0) == []
+    assert diff_observability(system, empty, empty) == []

@@ -48,14 +48,15 @@ def test_stacked_jacobian_equals_pointwise_bitwise(system):
     rng = np.random.default_rng(7)
     stack = rng.uniform(-1.0, 1.0, size=(9, system.n))
     stack[0] = 0.0
-    for label, field in _fields(system):
+    for label, field in list(_fields(system)) + [("g", system.g)]:
+        shape = (field.rows, field.cols) if label == "g" else (field.dim_out,)
         batched = jacobian(field, stack)
-        assert batched.shape == (len(stack), field.dim_out, system.n), label
+        assert batched.shape == (len(stack),) + shape + (system.n,), label
         pointwise = np.array([jacobian(field, x) for x in stack])
         assert np.array_equal(batched, pointwise), label
 
         values = field_values(field, stack)
-        assert values.shape == (len(stack), field.dim_out), label
+        assert values.shape == (len(stack),) + shape, label
         assert np.array_equal(values, np.array([field_values(field, x) for x in stack])), label
 
 

@@ -5,7 +5,8 @@ catches the breakage in the fast test tier instead of in a traced run.
 The dense-output lookups are counted only through HorizonFlow.state and
 Trajectory.at, so those two methods must be patched while installed,
 restored after, and be the way an energy reads its flow: one lookup per
-horizon segment.  Batched work must run under the hooks too, and its
+horizon segment.  An energy's output Jacobians must go through the
+patched calculus.jacobian, or calculus.jacobian_calls would read zero.  Batched work must run under the hooks too, and its
 solver calls count one solve per horizon segment of the batch.
 """
 
@@ -39,6 +40,8 @@ def test_span_hooks_install_and_restore(monkeypatch):
         assert (ev.horizon, ev.nodes_used) == (80.0, 1440)
         # one lookup for each of [0, 20], [20, 40] and [40, 80]
         assert tracer.counts["integrate.dense_evals"] == 3
+        # the output Jacobians dy = (dh/dx) dx go through the patched name
+        assert tracer.leaves["calculus.jacobian"][0] >= 1
     finally:
         tracer.uninstall()
     assert hooked() == originals

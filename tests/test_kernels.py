@@ -17,13 +17,12 @@ from vargram.calculus import (
     Dual,
     MatrixField,
     VectorField,
+    field_values,
     frozen_input_jacobian,
     frozen_input_jacobian_scalars,
     jacobian,
     jacobian_scalars,
     matrix_jacobian_scalars,
-    point_jacobian,
-    point_values,
     value_and_rows,
 )
 from vargram.expr import BinOp, ExprEvalError, Num, Var, parse_system_spec
@@ -95,15 +94,19 @@ def _dual(field, xs):
     return np.array(values, dtype=float), np.array(rows, dtype=float)
 
 
-def _is_traced(field) -> bool:
-    return field._traced[4].__code__.co_filename == "<traced kernel>"
+def _is_traced(field, kind: str = "jacobian") -> bool:
+    """Whether the field's cached kernel of that kind is compiled code,
+    not the dual path."""
+    kernel = next(k for key, (_, k) in field._kernels.items() if key[0] == kind)
+    return kernel.__code__.co_filename == "<traced kernel>"
 
 
 def test_float64_and_integer_numpy_constants_are_traced():
     system = _numpy_constants()
     for field in (system.f, system.h, system.k):
-        point_jacobian(field, [0.1, 0.2])
-        assert _is_traced(field)
+        field_values(field, [0.1, 0.2])
+        jacobian(field, [0.1, 0.2])
+        assert _is_traced(field) and _is_traced(field, "values")
 
 
 @pytest.mark.parametrize("func", [
@@ -114,11 +117,11 @@ def test_float64_and_integer_numpy_constants_are_traced():
 def test_fields_with_untraceable_constants_keep_the_dual_path(func):
     field = VectorField(2, 1, func)
     for xs in _points(2):
-        values, jac = point_jacobian(field, xs)
+        values, jac = field_values(field, xs), jacobian(field, xs)
         dual_values, dual_jac = _dual(field, xs)
         assert np.array_equal(values, dual_values, equal_nan=True)
         assert np.array_equal(jac, dual_jac, equal_nan=True)
-    assert not _is_traced(field)
+    assert not _is_traced(field) and not _is_traced(field, "values")
 
 
 @pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)
@@ -127,11 +130,10 @@ def test_kernels_equal_the_dual_path_bitwise(system):
               "closed loop": system.closed_loop_field()}
     for xs in _points(system.n):
         for label, field in fields.items():
-            values, jac = point_jacobian(field, xs)
+            values, jac = field_values(field, xs), jacobian(field, xs)
             dual_values, dual_jac = _dual(field, xs)
             assert np.array_equal(values, dual_values), (label, xs)
             assert np.array_equal(jac, dual_jac), (label, xs)
-            assert np.array_equal(point_values(field, xs), dual_values), (label, xs)
 
         # u defaults to k's values on the dual path
         drift, frozen, g_vals = frozen_input_jacobian(system, xs)
@@ -152,7 +154,7 @@ def test_powers_unroll_like_dual_powers():
     # float ** n calls libm's pow; the kernel follows the dual path
     field = VectorField(1, 1, lambda xs: [xs[0] ** 7 + xs[0] ** 0])
     for x in np.linspace(-1.3, 1.7, 101):
-        values, jac = point_jacobian(field, [float(x)])
+        values, jac = field_values(field, [float(x)]), jacobian(field, [float(x)])
         dual_values, dual_jac = _dual(field, [float(x)])
         assert np.array_equal(values, dual_values) and np.array_equal(jac, dual_jac)
 
@@ -262,21 +264,22 @@ def test_zero_denominator_raises_the_fields_own_error():
         "n": 2, "m": 1, "p": 1, "f": ["x2 / x1", "1 / x2"], "g": [["1"], ["0"]],
         "h": ["x1"], "k": ["x2"]}))
     for field in (spec.f, spec.closed_loop_field()):
-        point_jacobian(field, [1.0, 2.0])  # traced at a regular point first
+        jacobian(field, [1.0, 2.0])  # traced at a regular point first
+        field_values(field, [1.0, 2.0])
         for xs in ([0.0, 2.0], [1.0, -0.0]):
             with pytest.raises(ExprEvalError, match="division by zero"):
-                point_jacobian(field, xs)
+                jacobian(field, xs)
             with pytest.raises(ExprEvalError, match="division by zero"):
-                point_values(field, xs)
+                field_values(field, xs)
     with pytest.raises(ExprEvalError):
         prolong(spec).rhs(0.0, np.array([0.0, 2.0, 1.0, 1.0]))
 
     # the second quotient's value is multiplied away, but still divides
     python = VectorField(2, 2, lambda xs: [xs[1] / xs[0], xs[0] + 0.0 * (1.0 / xs[1])])
-    point_jacobian(python, [1.0, 2.0])
+    jacobian(python, [1.0, 2.0])
     for xs in ([0.0, 2.0], [1.0, 0.0]):
         with pytest.raises(ZeroDivisionError, match="dual division by zero"):
-            point_jacobian(python, xs)
+            jacobian(python, xs)
         with pytest.raises(ZeroDivisionError):
             variational_rhs(python)(0.0, np.array(xs + [1.0, 0.0, 0.0, 1.0]))
 
@@ -292,10 +295,11 @@ def test_untraceable_fields_raise_like_the_dual_path(func):
     with pytest.raises(Exception) as on_duals:
         jacobian_scalars(func, [0.5], 1)
     field = VectorField(1, 1, func)
-    for evaluate in (point_jacobian, point_values):
-        with pytest.raises(Exception) as on_kernel:
-            evaluate(field, [0.5])
-        assert type(on_kernel.value) is on_duals.type
+    for evaluate in (jacobian, field_values):
+        for x in ([0.5], np.array([[0.5], [0.25]])):  # a point and a stack
+            with pytest.raises(Exception) as on_kernel:
+                evaluate(field, x)
+            assert type(on_kernel.value) is on_duals.type
 
 
 def test_replacing_func_traces_again():
@@ -309,19 +313,19 @@ def test_replacing_func_traces_again():
 
     field = VectorField(1, 1, counted(2.0))
     for _ in range(3):
-        assert point_jacobian(field, [3.0])[1][0, 0] == 12.0
+        assert jacobian(field, [3.0])[0, 0] == 12.0
     assert calls == [2.0]  # one trace, then compiled code only
 
     field.func = counted(5.0)
-    assert point_jacobian(field, [3.0])[1][0, 0] == 30.0
-    assert point_values(field, [1.0])[0] == 5.0
-    assert calls == [2.0, 5.0]
+    assert jacobian(field, [3.0])[0, 0] == 30.0
+    assert field_values(field, [1.0])[0] == 5.0
+    assert calls == [2.0, 5.0, 5.0]  # one trace per kernel kind
 
     # fresh callables in a loop reuse memory, and with it id()s
     for scale in range(20):
         field.func = counted(float(scale))
-        assert point_values(field, [1.0])[0] == scale
-        assert point_jacobian(field, [0.5])[1][0, 0] == scale
+        assert field_values(field, [1.0])[0] == scale
+        assert jacobian(field, [0.5])[0, 0] == scale
 
 
 def _batchable_right_hand_sides(system):
@@ -379,3 +383,6 @@ def test_zero_denominator_in_a_batch_raises_the_fields_own_error():
             batch[:2, 1] = column
             with pytest.raises(error, match="division by zero"):
                 rhs(0.0, batch)
+            for evaluate in (field_values, jacobian):  # on the stack of points
+                with pytest.raises(error, match="division by zero"):
+                    evaluate(field, np.ascontiguousarray(batch[:2].T))
