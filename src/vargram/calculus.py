@@ -12,7 +12,7 @@ float operation on a term becomes one line of straight-line Python, and
 the compiled lines return the values (field_values) or the values and
 Jacobian entries (jacobian) of the field (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008).  A flow's right-hand side is traced
-the same way (flow_values): duals seeded with the rows of a tangent
+the same way (flow_rhs): duals seeded with the rows of a tangent
 block T give Df T by the chain rule, with no Jacobian formed.  The
 kernels are straight-line code, so they run unchanged on a list of
 floats (one point) or of length-N arrays (the columns of a stack of
@@ -228,6 +228,10 @@ class MatrixField:
         return self.func(xs)
 
     def as_array(self, x) -> np.ndarray:
+        """The (rows, cols) matrix at the point x: by field_values when func
+        takes duals, by a call on floats for a pointwise field."""
+        if self.dual_ok:
+            return field_values(self, x)
         return np.asarray(self.func(list(x)), dtype=float).reshape(self.rows, self.cols)
 
     @classmethod
@@ -500,17 +504,17 @@ def _kernel(field, key: tuple, size: int) -> Callable:
     return cached[1]
 
 
-def _run(field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
-    """The field's kernel for key on xs: a list of floats, giving a 1-D
-    array, or for batch = B a list of length-B arrays (one entry per
-    point), giving one row of B per output, constant outputs broadcast.
+def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
+    """kernel, the field's kernel for key (_kernel), on xs: a list of
+    floats, giving a 1-D array, or for batch = B a list of length-B arrays
+    (one entry per point), giving one row of B per output, constant
+    outputs broadcast.
 
     A kernel that divides by zero hands over to the dual path, so the
     error raised is the field's own (ExprEvalError for spec fields); on
     arrays numpy's division by zero and invalid operations are raised for
     that (np.errstate), never left as inf or NaN.
     """
-    kernel = _kernel(field, key, len(xs))
     if batch is None:
         try:
             return np.array(kernel(xs), dtype=float)
@@ -536,11 +540,11 @@ def _evaluate(field, kind: str, x) -> tuple:
     if isinstance(x, np.ndarray) and x.ndim == 2:
         lead, n = x.shape[:1], x.shape[1]
         columns = list(np.ascontiguousarray(np.asarray(x, dtype=float).T))
-        out = _run(field, (kind, n), columns, len(x)).T
+        out = _run(_kernel(field, (kind, n), n), field, (kind, n), columns, len(x)).T
     else:
         xs = [float(v) for v in x]
         lead, n = (), len(xs)
-        out = _run(field, (kind, n), xs)
+        out = _run(_kernel(field, (kind, n), n), field, (kind, n), xs)
     values = np.ascontiguousarray(out[..., :size]).reshape(lead + shape)
     if kind == "values":
         return values, None
@@ -561,17 +565,26 @@ def jacobian(field, x) -> np.ndarray:
     return _evaluate(field, "jacobian", x)[1]
 
 
-def flow_values(field: VectorField, z: np.ndarray, copies: int = 1, width: int = 0,
-                sign: float = 1.0) -> np.ndarray:
-    """Right-hand side of a state z made of `copies` blocks (x, T), each
+def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
+             sign: float = 1.0) -> Callable:
+    """rhs(t, z) of a state z made of `copies` blocks (x, T), each
     sign * (field(x), Dfield(x) T) for an n x width tangent block T, from
     one call of the field's flow kernel (see _outputs).  z is one state,
     shape (dim,), or a (dim, B) batch, one column per point, giving
-    (dim, B)."""
+    (dim, B).  The kernel is looked up at the first call, and again
+    after field.func is replaced."""
     key = ("flow", copies, width, sign < 0)
-    if z.ndim == 1:
-        return _run(field, key, z.tolist())
-    return _run(field, key, list(z), z.shape[1])
+    size = copies * field.dim_in * (1 + width)
+    resolved = [None, None]  # the func the kernel was looked up for, the kernel
+
+    def rhs(t, z):
+        if resolved[0] is not field.func:
+            resolved[:] = field.func, _kernel(field, key, size)
+        if z.ndim == 1:
+            return _run(resolved[1], field, key, z.tolist())
+        return _run(resolved[1], field, key, list(z), z.shape[1])
+
+    return rhs
 
 
 def frozen_input_jacobian(system, xs, u=None):

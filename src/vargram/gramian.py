@@ -75,9 +75,9 @@ def _gramian_from_flow(field, sign: float, x, out_field, direction: str, tol: fl
         m = jacobian(out_field, z[:, :n]) @ z[:, n:].reshape(-1, n, n)
         return np.swapaxes(m, 1, 2) @ m
 
-    results = flow_integrals(variational_rhs(field, sign), np.concatenate([x, eye], axis=-1),
-                             integrand, direction, tol=tol, rtol=rtol, atol=atol,
-                             fixed_horizon=fixed_horizon)
+    results = flow_integrals(variational_rhs(field, n, sign),
+                             np.concatenate([x, eye], axis=-1), integrand, direction,
+                             tol=tol, rtol=rtol, atol=atol, fixed_horizon=fixed_horizon)
     grams = [GramianResult(matrix=0.5 * (res.value + res.value.T),
                            truncation_error=res.error_estimate, horizon=res.horizon,
                            nodes_used=res.nodes_used,
@@ -165,6 +165,11 @@ class EmpiricalGramianField:
 
 
 def _eval_matrix(field_like, xs) -> np.ndarray:
+    """Matrix of a field at the point xs: by field_values for a MatrixField
+    that takes duals, by a call on floats for a pointwise field
+    (MatrixField.from_pointwise, EmpiricalGramianField)."""
+    if isinstance(field_like, MatrixField) and field_like.dual_ok:
+        return field_values(field_like, xs)
     return np.atleast_2d(np.asarray(field_like([float(v) for v in xs]), dtype=float))
 
 

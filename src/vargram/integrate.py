@@ -1,11 +1,16 @@
 """Adaptive ODE integration and quadrature utilities.
 
-Trajectories wrap solutions of the Dormand-Prince 8(5,3) pair (scipy's
-DOP853) with its 7th-order dense output, so downstream quadrature can
-sample between accepted steps.  Backward integration is realized by
-integrating the negated field forward and re-indexing.  Improper time
-integrals use horizon doubling with an exponential tail fit; a
-non-decaying integrand is an error, never an implicit infinity.
+Trajectories wrap solutions of the Dormand-Prince 8(5,3) pair with its
+7th-order dense output, so downstream quadrature can sample between
+accepted steps.  solve_ivp steps scipy's DOP853 stepper itself, taking
+the steps and floats of scipy's solve_ivp, and keeps each step's
+interpolant coefficients as arrays (DenseSteps), so that a lookup
+evaluates any number of times in one pass (Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).
+Backward integration is realized by integrating the negated field
+forward and re-indexing.  Improper time integrals use horizon doubling
+with an exponential tail fit; a non-decaying integrand is an error,
+never an implicit infinity.
 
 A (B, dim) stack of initial states is integrated as one solve: the
 right-hand side receives the (dim, B) state, one column per point, and
@@ -23,11 +28,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
-from vargram.calculus import VectorField, flow_values
+from vargram.calculus import VectorField, flow_rhs
 
 BLOWUP_NORM = 1e12
+EPS = np.finfo(float).eps
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
@@ -147,17 +154,116 @@ class FlowJacobian:
 
 
 def _unstack(y: np.ndarray, batch: int | None) -> np.ndarray:
-    """States from scipy's layout, the state on axis 0: (dim,) or (dim, N)
-    become (dim,) or (N, dim); for a batch, whose solver state is the
-    (dim, B) array flattened, (B, dim) or (N, B, dim)."""
-    return y.T if batch is None else y.reshape((-1, batch) + y.shape[1:]).T
+    """States as the solver holds them, on the last axis, (..., dim); for a
+    batch, whose solver state is the (dim, B) array flattened, (..., B, dim)."""
+    if batch is None:
+        return y
+    return y.reshape(y.shape[:-1] + (-1, batch)).swapaxes(-1, -2)
 
 
-def _dense(sol: OdeSolution, batch: int | None = None):
-    """Evaluator of a scipy OdeSolution: a scalar time gives the state,
-    shape (dim,); a 1-D array of times gives the states stacked on axis 0,
-    shape (N, dim).  A batch adds its point axis before dim."""
-    return lambda t: _unstack(sol(t), batch)
+class DenseSteps:
+    """Dense output of consecutive DOP853 steps, evaluated as scipy's
+    OdeSolution evaluates its Dop853DenseOutput interpolants, for every
+    requested time in one pass.
+
+    Step i starts at t_old[i] and is h[i] long; y_old[i] is the state
+    there and F[:, i] the seven coefficient rows of its interpolant.  A
+    time t lies on the first step whose end is not before t (the earlier
+    step at a step time; times before the first and after the last step
+    are clamped to them, as OdeSolution does), and its state is scipy's
+    recurrence: x = (t - t_old) / h, y = 0, then y += F[k] and y *= x
+    (k even) or 1 - x (k odd) for k = 6, ..., 0, then y += y_old.
+    """
+
+    def __init__(self, t_old: np.ndarray, h: np.ndarray, y_old: np.ndarray,
+                 F: np.ndarray):
+        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
+
+    @classmethod
+    def of(cls, interpolants: list) -> "DenseSteps":
+        """The steps of a list of scipy Dop853DenseOutput interpolants."""
+        return cls(np.array([p.t_old for p in interpolants], dtype=float),
+                   np.array([p.h for p in interpolants], dtype=float),
+                   np.array([p.y_old for p in interpolants], dtype=float),
+                   np.stack([p.F for p in interpolants], axis=1))
+
+    def then(self, later: "DenseSteps") -> "DenseSteps":
+        """These steps followed by those of a solve from where they end."""
+        return DenseSteps(np.concatenate([self.t_old, later.t_old]),
+                          np.concatenate([self.h, later.h]),
+                          np.concatenate([self.y_old, later.y_old]),
+                          np.concatenate([self.F, later.F], axis=1))
+
+    def __call__(self, t) -> np.ndarray:
+        """State at time t, shape (dim,), or at each entry of a 1-D array
+        of times, shape (N, dim)."""
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        step = np.searchsorted(self.t_old, times, side="left") - 1
+        step[step < 0] = 0
+        x = ((times - self.t_old[step]) / self.h[step])[:, None]
+        one_minus_x = 1 - x
+        y = np.zeros((len(times), self.y_old.shape[1]))
+        for k in range(6, -1, -1):
+            y += self.F[k][step]
+            y *= x if k % 2 == 0 else one_minus_x
+        y += self.y_old[step]
+        return y if np.ndim(t) else y[0]
+
+
+@dataclass
+class Solution:
+    """Result of solve_ivp: the step times t, shape (S + 1,), and states
+    y, shape (dim, S + 1), as scipy lays them out; nfev; status 0 when tf
+    was reached, 1 when the event crossed zero (at t_event, state
+    y_event) and -1 when the solver failed (message); the dense output
+    of the steps taken."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    status: int
+    message: str | None
+    dense: DenseSteps | None
+    t_event: float | None = None
+    y_event: np.ndarray | None = None
+
+
+def solve_ivp(fun, t_span, y0, *, event, method=DOP853, **options) -> Solution:
+    """Integrate dy/dt = fun(t, y) from y0 over t_span = (t0, tf) by
+    stepping the OdeSolver `method` (built with options such as rtol and
+    atol) to tf: the steps, nfev and floats of scipy's
+    solve_ivp(..., dense_output=True).
+
+    event(t, y) is a terminal event crossing upwards: after each accepted
+    step at which it is >= 0 (having been <= 0 before), its root on that
+    step's interpolant is found by brentq at xtol = rtol = 4 eps, as
+    scipy finds a terminal event, and the solve stops with status 1.
+    """
+    t0, tf = map(float, t_span)
+    solver = method(fun, t0, y0, tf, **options)
+    ts, ys, interpolants = [t0], [y0], []
+    crossing = event(t0, y0)
+    status, message, t_event, y_event = None, None, None, None
+    while status is None:
+        message = solver.step()
+        if solver.status == "failed":
+            status = -1
+            break
+        if solver.status == "finished":
+            status = 0
+        step = solver.dense_output()
+        interpolants.append(step)
+        previous, crossing = crossing, event(solver.t, solver.y)
+        if previous <= 0 <= crossing:
+            t_event = brentq(lambda s: event(s, step(s)), solver.t_old, solver.t,
+                             xtol=4 * EPS, rtol=4 * EPS)
+            y_event, status = step(t_event), 1
+            break
+        ts.append(solver.t)
+        ys.append(solver.y)
+    return Solution(np.array(ts), np.array(ys).T, solver.nfev, status, message,
+                    DenseSteps.of(interpolants) if interpolants else None,
+                    t_event, y_event)
 
 
 class _BatchDOP853(DOP853):
@@ -185,17 +291,18 @@ class _BatchDOP853(DOP853):
         return np.abs(h) * float(norms.max())
 
 
-def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float):
-    """scipy's DOP853 solution from one state x0, shape (dim,), or one
-    solve of a (B, dim) stack, where rhs(t, z) takes and returns the
-    (dim, B) state and the error norm is taken per point (_BatchDOP853).
-    BlowUpError names the escaped point of a batch."""
+def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Solution:
+    """solve_ivp by DOP853 from one state x0, shape (dim,), or one solve of
+    a (B, dim) stack, where rhs(t, z) takes and returns the (dim, B)
+    state and the error norm is taken per point (_BatchDOP853).
+    BlowUpError when a state's norm reaches BLOWUP_NORM, naming the
+    escaped point of a batch."""
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise IntegrationError("non-finite initial state")
     if x0.ndim == 1:
-        fun, y0, options = rhs, x0, {"method": "DOP853"}
-        largest, escaped = np.linalg.norm, lambda y: None
+        fun, y0, options = rhs, x0, {}
+        largest, escaped = _norm, lambda y: None
     else:
         batch, dim = x0.shape
         y0, options = x0.T.reshape(-1), {"method": _BatchDOP853, "batch": batch}
@@ -218,16 +325,19 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float):
     def blow_up(t, y):
         return float(largest(y)) - BLOWUP_NORM
 
-    blow_up.terminal = True
-    blow_up.direction = 1
-
-    sol = solve_ivp(fun, (t0, tf), y0, rtol=rtol, atol=atol, dense_output=True,
-                    events=blow_up, **options)
+    sol = solve_ivp(fun, (t0, tf), y0, rtol=rtol, atol=atol, event=blow_up, **options)
     if sol.status == 1:
-        raise BlowUpError(float(sol.t_events[0][0]), escaped(sol.y_events[0][0]))
+        raise BlowUpError(float(sol.t_event), escaped(sol.y_event))
     if sol.status != 0:
         raise IntegrationError(f"integrator failed on [{t0:g}, {tf:g}]: {sol.message}")
     return sol
+
+
+def _dense(steps: DenseSteps, batch: int | None = None):
+    """Evaluator of a solve's dense output: a scalar time gives the state,
+    shape (dim,); a 1-D array of times gives the states stacked on axis 0,
+    shape (N, dim).  A batch adds its point axis before dim."""
+    return lambda t: _unstack(steps(t), batch)
 
 
 def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
@@ -242,7 +352,7 @@ def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
     if not tf > t0:
         raise ValueError("t_span must satisfy t0 < tf; use integrate_backward otherwise")
     sol = _solve_segment(as_time_rhs(field), x0, t0, tf, rtol, atol)
-    return Trajectory(sol.t, sol.y.T, _dense(sol.sol))
+    return Trajectory(sol.t, sol.y.T, _dense(sol.dense))
 
 
 def integrate_backward(field, x0, duration: float, rtol: float = DEFAULT_RTOL,
@@ -261,23 +371,18 @@ def integrate_backward(field, x0, duration: float, rtol: float = DEFAULT_RTOL,
     return forward.time_reversed()
 
 
-def variational_rhs(field: VectorField, sign: float = 1.0):
+def variational_rhs(field: VectorField, width: int, sign: float = 1.0):
     """rhs(t, z) of a field co-integrated with its variational equation.
 
-    z holds x (n entries) and then a tangent block: a vector dx (n
-    entries) or a matrix Phi (n*n entries, row-major).  The rhs is
+    z holds x (n entries) and then an n x width tangent block, row-major:
+    a vector dx (width 1) or a matrix Phi (width n).  The rhs is
     sign * (field(x), J(x) dx) or sign * (field(x), J(x) Phi), with J the
     Jacobian of the field; sign = -1 runs the flow backward.  z may also
     be a (dim, B) batch, one column per point.  Each call is one call of
-    the field's flow kernel, traced once per tangent width with duals
-    carrying the tangent's rows (calculus.flow_values).
+    the field's flow kernel, traced with duals carrying the tangent's
+    rows (calculus.flow_rhs).
     """
-    n = field.dim_in
-
-    def rhs(t, z):
-        return flow_values(field, z, width=len(z) // n - 1, sign=sign)
-
-    return rhs
+    return flow_rhs(field, width=width, sign=sign)
 
 
 def flow_with_jacobian(field: VectorField, x0, t_span, rtol: float = DEFAULT_RTOL,
@@ -290,8 +395,8 @@ def flow_with_jacobian(field: VectorField, x0, t_span, rtol: float = DEFAULT_RTO
     n = field.dim_in
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).reshape(-1)])
     t0, tf = float(t_span[0]), float(t_span[1])
-    sol = _solve_segment(variational_rhs(field), z0, t0, tf, rtol, atol)
-    dense = _dense(sol.sol)
+    sol = _solve_segment(variational_rhs(field, n), z0, t0, tf, rtol, atol)
+    dense = _dense(sol.dense)
     traj = Trajectory(sol.t, sol.y.T[:, :n], lambda t: dense(t)[..., :n])
     flow = FlowJacobian(n, sol.t, sol.y.T[:, n:], lambda t: dense(t)[..., n:])
     return traj, flow
@@ -319,7 +424,7 @@ class HorizonFlow:
         self._z0 = np.asarray(z0, dtype=float)
         self._batch = None if self._z0.ndim == 1 else len(self._z0)
         self._traj: Trajectory | None = None
-        self._sol: OdeSolution | None = None  # dense output over [0, horizon]
+        self._dense: DenseSteps | None = None  # steps over [0, horizon]
 
     @property
     def horizon(self) -> float:
@@ -328,19 +433,18 @@ class HorizonFlow:
     def ensure(self, horizon: float) -> Trajectory:
         if self._traj is None:
             sol = _solve_segment(self.rhs, self._z0, 0.0, self.chunk, self.rtol, self.atol)
-            self._sol = sol.sol
-            self._traj = Trajectory(sol.t, _unstack(sol.y, self._batch),
-                                    _dense(sol.sol, self._batch))
+            self._dense = sol.dense
+            self._traj = Trajectory(sol.t, _unstack(sol.y.T, self._batch),
+                                    _dense(sol.dense, self._batch))
         while self._traj.tf < horizon:
             t_lo = self._traj.tf
             t_hi = max(horizon, 2.0 * t_lo)
             sol = _solve_segment(self.rhs, self._traj.endpoint, t_lo, t_hi,
                                  self.rtol, self.atol)
-            self._sol = OdeSolution(np.concatenate([self._sol.ts, sol.sol.ts[1:]]),
-                                    self._sol.interpolants + sol.sol.interpolants)
+            self._dense = self._dense.then(sol.dense)
             times = np.concatenate([self._traj.times, sol.t[1:]])
-            states = np.concatenate([self._traj.states, _unstack(sol.y, self._batch)[1:]])
-            self._traj = Trajectory(times, states, _dense(self._sol, self._batch))
+            states = np.concatenate([self._traj.states, _unstack(sol.y.T, self._batch)[1:]])
+            self._traj = Trajectory(times, states, _dense(self._dense, self._batch))
         return self._traj
 
     def state(self, t) -> np.ndarray:
@@ -378,12 +482,19 @@ def _gauss_legendre_pair(order: int):
     return nodes, coarse_weights, fine_weights
 
 
+def _norm(a) -> float:
+    """2-norm of a number or an array, computed as np.linalg.norm computes
+    it: the square root of the flattened array's dot product with itself."""
+    flat = np.ravel(a, order="K")
+    return float(np.sqrt(flat.dot(flat)))
+
+
 def _point_norms(a, batch: int | None):
     """2-norm of a, a float; for a batch, of each point's slice a[b], an
     array (B,), each computed as the unbatched norm is."""
     if batch is None:
-        return float(np.linalg.norm(np.atleast_1d(a)))
-    return np.array([np.linalg.norm(np.atleast_1d(part)) for part in a])
+        return _norm(a)
+    return np.array([_norm(part) for part in a])
 
 
 def _gauss_legendre_panels(f, edges: np.ndarray, order: int, batch: int | None = None):
@@ -407,10 +518,15 @@ def _gauss_legendre_panels(f, edges: np.ndarray, order: int, batch: int | None =
         raise ValueError(f"integrand returned shape {values.shape}, expected one value "
                          f"per node stacked on axis 0 ({len(taus)} nodes)")
     total, err = None, 0.0
+    # each rule is np.tensordot(weights, nodes' values, axes=1), spelled as
+    # the 2-D product tensordot performs
+    coarse_row, fine_row = coarse_weights[None, :], fine_weights[None, :]
     for half, panel in zip(halves, values.reshape((len(halves), len(nodes))
                                                   + values.shape[1:])):
-        coarse = half * np.tensordot(coarse_weights, panel[:order], axes=1)
-        fine = half * np.tensordot(fine_weights, panel[order:], axes=1)
+        coarse = half * np.dot(coarse_row, panel[:order].reshape(order, -1)
+                               ).reshape(panel.shape[1:])
+        fine = half * np.dot(fine_row, panel[order:].reshape(2 * order, -1)
+                             ).reshape(panel.shape[1:])
         err = err + _point_norms(coarse - fine, batch)
         total = coarse if total is None else total + coarse
     return total, err, len(taus)

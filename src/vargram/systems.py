@@ -27,7 +27,7 @@ from vargram.calculus import (
     affine_scalars,
     closed_loop_scalars,
     field_values,
-    flow_values,
+    flow_rhs,
     frozen_input_jacobian,
     jacobian,
 )
@@ -142,7 +142,7 @@ def prolong(system: SystemModel) -> AugmentedField:
 
     return AugmentedField(
         dim=2 * n,
-        rhs=variational_rhs(system.f),
+        rhs=variational_rhs(system.f, 1),
         layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
         outputs={"y": out_y, "dy": out_dy},
     )
@@ -166,7 +166,7 @@ def closed_loop_prolonged(system: SystemModel, sign: float = 1.0) -> AugmentedFi
 
     return AugmentedField(
         dim=2 * n,
-        rhs=variational_rhs(system.closed_loop_field(), sign),
+        rhs=variational_rhs(system.closed_loop_field(), 1, sign),
         layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
         outputs={"dk": out_dk, "dy": out_dy},
     )
@@ -177,15 +177,12 @@ def two_copy(system: SystemModel, field: VectorField | None = None,
     """Two copies (x, x2) of one flow: field, by default the zero-input f.
 
     The rhs sign * (field(x), field(x2)) is one call of a kernel traced on
-    both copies (calculus.flow_values); sign = -1 runs it in reversed
+    both copies (calculus.flow_rhs); sign = -1 runs it in reversed
     time.  Outputs report the copy gaps: output_gap = h(x2) - h(x) and,
     when a feedback law exists, feedback_gap = k(x2) - k(x).
     """
     n = system.n
     field = system.f if field is None else field
-
-    def rhs(t, z):
-        return flow_values(field, z, copies=2, sign=sign)
 
     outputs = {
         "output_gap": lambda z: system.output(z[..., n:]) - system.output(z[..., :n]),
@@ -196,7 +193,7 @@ def two_copy(system: SystemModel, field: VectorField | None = None,
 
     return AugmentedField(
         dim=2 * n,
-        rhs=rhs,
+        rhs=flow_rhs(field, copies=2, sign=sign),
         layout={"x": slice(0, n), "x2": slice(n, 2 * n)},
         outputs=outputs,
     )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import lyap_ctrl, lyap_dual, lyap_obs
-from vargram.calculus import MatrixField, VectorField
+from vargram.calculus import Dual, MatrixField, VectorField
+from vargram.expr import parse_system_spec
 from vargram.gramian import (
     EmpiricalGramianField,
     empirical_ctrl_gramian,
@@ -18,7 +19,7 @@ from vargram.gramian import (
     riccati_residual,
     scan_from_values,
 )
-from vargram.systems import SystemModel, registry
+from vargram.systems import SystemModel, from_spec, registry
 
 
 def test_linear_gramians_match_lyapunov_oracle():
@@ -230,3 +231,42 @@ def test_scan_from_values_symmetrizes():
     scan = scan_from_values([(0.0, 1.0)], (2,), pts, [("ok", skew), ("ok", skew)])
     # eigenvalues of the symmetric part [[1, .5], [.5, 1]]
     assert np.allclose(scan.min_eigs, 0.5, atol=1e-12)
+
+
+# on floats an x^3 entry is Python's power, libm's pow; on duals, and so in
+# the traced kernels, it is x * (x * x), which differs in the last bit at
+# some points
+CUBIC_CERTIFICATE = {"name": "cubic_certificate", "n": 2, "m": 1, "p": 1,
+                     "f": ["-x1", "-x2"], "g": [["1"], ["0"]], "h": ["x1"], "k": ["-x1"],
+                     "fields": {"P": [["1 + x1^2", "x1^3"], ["x2^3", "2 + x2^2"]]}}
+
+
+def test_a_spec_certificate_is_evaluated_by_its_kernel():
+    cert = from_spec(parse_system_spec(CUBIC_CERTIFICATE)).certificates["P"]
+    region, shape = [(-0.9, 0.9), (-0.7, 0.8)], (7, 7)
+    scan = pd_scan(cert, region, shape)
+    by_duals, floats_differ = [], 0
+    for x in scan.points:
+        entries = cert.func([Dual(float(v), ()) for v in x])
+        matrix = np.array([[entry.value for entry in row] for row in entries])
+        assert np.array_equal(cert.as_array(x), matrix)
+        by_duals.append(("ok", matrix))
+        floats_differ += not np.array_equal(cert.func([float(v) for v in x]), matrix)
+    assert floats_differ > 0
+    expected = scan_from_values(region, shape, scan.points, by_duals)
+    assert np.array_equal(scan.min_eigs, expected.min_eigs)
+    assert np.array_equal(scan.dets, expected.dets)
+
+
+def test_pointwise_matrix_fields_are_called_on_floats():
+    seen = []
+
+    def func(xs):
+        seen.append(tuple(type(v) for v in xs))
+        return [[1.0 + xs[0] ** 2]]
+
+    field = MatrixField.from_pointwise(func, 1, 1)
+    scan = pd_scan(field, [(-1.0, 1.0)], (3,))
+    assert np.array_equal(field.as_array([0.5]), [[1.25]])
+    assert scan.statuses == ["ok"] * 3
+    assert seen == [(float,)] * 4
