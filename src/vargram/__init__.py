@@ -9,7 +9,7 @@ the whole chain into empirical verification reports.
 
 from vargram.expr import ExprAst, SystemSpec, parse_expression, parse_system_spec
 from vargram.calculus import Dual, VectorField, MatrixField, jacobian
-from vargram.integrate import Trajectory, FlowJacobian, QuadratureResult
+from vargram.integrate import Trajectory, QuadratureResult
 from vargram.systems import SystemModel, AugmentedField, registry
 from vargram.energy import (EnergyValue, LinePath, diff_observability,
                             diff_controllability_fb, incr_observability,
@@ -32,7 +32,6 @@ __all__ = [
     "MatrixField",
     "jacobian",
     "Trajectory",
-    "FlowJacobian",
     "QuadratureResult",
     "SystemModel",
     "AugmentedField",

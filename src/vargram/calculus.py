@@ -227,13 +227,6 @@ class MatrixField:
     def __call__(self, xs):
         return self.func(xs)
 
-    def as_array(self, x) -> np.ndarray:
-        """The (rows, cols) matrix at the point x: by field_values when func
-        takes duals, by a call on floats for a pointwise field."""
-        if self.dual_ok:
-            return field_values(self, x)
-        return np.asarray(self.func(list(x)), dtype=float).reshape(self.rows, self.cols)
-
     @classmethod
     def constant(cls, matrix) -> "MatrixField":
         mat = [list(map(float, row)) for row in np.atleast_2d(np.asarray(matrix, dtype=float))]
@@ -653,12 +646,6 @@ def ad_closed_loop_scalars(system, v_func, xs):
             for i in range(n)]
 
 
-def ad_closed_loop(system, V: VectorField, x) -> np.ndarray:
-    """Input-frozen bracket of V along the feedback-closed drift, at a point."""
-    out = ad_closed_loop_scalars(system, V.func, [float(v) for v in x])
-    return np.array([_primal(s) for s in out], dtype=float)
-
-
 def ad_closed_loop_field(system, V: VectorField) -> VectorField:
     """The bracket as a field, for building iterates."""
     return VectorField(system.n, system.n,
@@ -674,12 +661,6 @@ def ad_standard_scalars(f_func, v_func, xs, n):
             for i in range(n)]
 
 
-def ad_standard(f: VectorField, V: VectorField, x) -> np.ndarray:
-    """Standard Lie bracket [f, V] evaluated at a point."""
-    out = ad_standard_scalars(f.func, V.func, [float(v) for v in x], f.dim_in)
-    return np.array([_primal(s) for s in out], dtype=float)
-
-
 def ad_standard_field(f: VectorField, V: VectorField) -> VectorField:
     return VectorField(f.dim_in, f.dim_in,
                        lambda xs: ad_standard_scalars(f.func, V.func, xs, f.dim_in))
@@ -692,19 +673,14 @@ def lie_scalar(f_func, h_func, xs, n):
     return sum(rows[0][l] * f_vals[l] for l in range(n))
 
 
-def lie_derivative_scalar(f: VectorField, h, x):
-    """Lie derivative L_f h and its gradient row at a point.
-
-    h is a callable mapping a scalar sequence to one scalar.  The gradient
-    is obtained by re-differentiating the Lie derivative itself, which
-    nests one extra dual level.
-    """
-    n = f.dim_in
-    xs = [float(v) for v in x]
-    value = _primal(lie_scalar(f.func, h, xs, n))
-    _, rows = jacobian_scalars(lambda ys: [lie_scalar(f.func, h, ys, n)], xs, 1)
-    gradient = np.array([_primal(s) for s in rows[0]], dtype=float)
-    return value, gradient
+def matrix_at(field, x) -> np.ndarray:
+    """The matrix of a field at the point x: by field_values for a
+    MatrixField that takes duals, by a call on floats for a pointwise
+    field (MatrixField.from_pointwise, gramian.EmpiricalGramianField, or
+    any callable returning a matrix)."""
+    if isinstance(field, MatrixField) and field.dual_ok:
+        return field_values(field, x)
+    return np.atleast_2d(np.asarray(field([float(v) for v in x]), dtype=float))
 
 
 def matrix_field_directional(M: MatrixField, x, v) -> np.ndarray:

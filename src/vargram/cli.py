@@ -28,6 +28,7 @@ from . import energy as energy_mod
 from . import gramian as gramian_mod
 from . import rank as rank_mod
 from . import verify as verify_mod
+from .calculus import matrix_at
 from .expr import ExprError, parse_system_spec
 from .integrate import IntegrationError, integrate_ivp
 from .sampling import SplitMix64
@@ -213,18 +214,18 @@ def _partner(args, flag: str | None, what: str) -> list[float] | None:
 
 def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
                     samples: int):
-    """Run one simulation mode and tabulate states plus derived outputs."""
+    """Run one simulation mode and tabulate states plus derived outputs at
+    samples evenly spaced times on [0, tf]."""
     n = system.n
     if len(x0) != n:
         raise CliError(f"--x0 needs {n} components for system {system.name!r}")
+    times = np.linspace(0.0, tf, samples)
+    header = ["t"] + [f"x{i + 1}" for i in range(n)]
 
     if mode in ("open-loop", "closed-loop"):
         field = system.closed_loop_field() if mode == "closed-loop" else system.f
-        traj = integrate_ivp(field, np.asarray(x0, dtype=float), (0.0, tf))
-        header = ["t"] + [f"x{i + 1}" for i in range(n)]
-        times = np.linspace(0.0, tf, samples)
-        rows = [[t] + [float(v) for v in traj.at(t)] for t in times]
-        return header, rows
+        states = integrate_ivp(field, np.asarray(x0, dtype=float), (0.0, tf)).at(times)
+        return header, [[t] + [float(v) for v in z] for t, z in zip(times, states)]
 
     builders = {
         "prolonged": (prolong, "dx"),
@@ -240,28 +241,22 @@ def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
     if len(second) != n:
         raise CliError(f"second initial vector needs {n} components")
     z0 = aug.pack(**{"x": x0, block: second})
-    traj = integrate_ivp(aug.rhs, z0, (0.0, tf))
+    states = integrate_ivp(aug.rhs, z0, (0.0, tf)).at(times)
 
     out_names = sorted(aug.outputs)
-    times = np.linspace(0.0, tf, samples)
-    header = ["t"] + [f"x{i + 1}" for i in range(n)] \
-        + [f"{block}{i + 1}" for i in range(n)]
-    probe = traj.at(0.0)
-    widths = {name: len(np.atleast_1d(aug.outputs[name](probe)))
-              for name in out_names}
-    for name in out_names:
-        header += [f"{name}{i + 1}" for i in range(widths[name])]
-    rows = []
-    for t in times:
-        z = traj.at(t)
-        row = [t] + [float(v) for v in z]
-        for name in out_names:
-            row += [float(v) for v in np.atleast_1d(aug.outputs[name](z))]
-        rows.append(row)
-    return header, rows
+    header += [f"{block}{i + 1}" for i in range(n)]
+    outputs = [[np.atleast_1d(aug.outputs[name](z)) for name in out_names] for z in states]
+    for name, values in zip(out_names, outputs[0]):
+        header += [f"{name}{i + 1}" for i in range(len(values))]
+    return header, [[t] + [float(v) for v in np.concatenate([z, *outs])]
+                    for t, z, outs in zip(times, states, outputs)]
 
 
 def _cmd_simulate(args) -> int:
+    if not (math.isfinite(args.tf) and args.tf > 0):
+        raise CliError(f"--tf must be a finite number > 0, got {args.tf:g}")
+    if args.samples < 2:
+        raise CliError(f"--samples must be at least 2, got {args.samples}")
     system = _load_system(args)
     x0 = _parse_floats(args.x0, "--x0")
     second = _partner(args, _MODES[args.mode], f"mode {args.mode}")
@@ -435,7 +430,7 @@ def _scan_init(source, field_name, tol, fixed_horizon):
 
 def _scan_eval(point):
     try:
-        return ("ok", np.asarray(_POOL_FIELD(list(point)), dtype=float).tolist())
+        return ("ok", matrix_at(_POOL_FIELD, point).tolist())
     except Exception as exc:
         return ("error", f"{type(exc).__name__}: {exc}")
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import (MatrixField, field_values, frozen_input_jacobian, jacobian,
-                       matrix_field_directional)
+                       matrix_at, matrix_field_directional)
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integrals,
                         variational_rhs)
 from .jacobi import determinant_and_min_eigenvalue
@@ -164,15 +164,6 @@ class EmpiricalGramianField:
         return [self._cache[key] for key in keys]
 
 
-def _eval_matrix(field_like, xs) -> np.ndarray:
-    """Matrix of a field at the point xs: by field_values for a MatrixField
-    that takes duals, by a call on floats for a pointwise field
-    (MatrixField.from_pointwise, EmpiricalGramianField)."""
-    if isinstance(field_like, MatrixField) and field_like.dual_ok:
-        return field_values(field_like, xs)
-    return np.atleast_2d(np.asarray(field_like([float(v) for v in xs]), dtype=float))
-
-
 def matrix_directional(field_like, xs, v, fd_step: float = 1e-4) -> np.ndarray:
     """Directional derivative of a matrix field along v.
 
@@ -185,8 +176,8 @@ def matrix_directional(field_like, xs, v, fd_step: float = 1e-4) -> np.ndarray:
     v = np.asarray(v, dtype=float)
 
     def diff(h: float) -> np.ndarray:
-        return (_eval_matrix(field_like, x + h * v)
-                - _eval_matrix(field_like, x - h * v)) / (2.0 * h)
+        return (matrix_at(field_like, x + h * v)
+                - matrix_at(field_like, x - h * v)) / (2.0 * h)
 
     coarse = diff(fd_step)
     fine = diff(0.5 * fd_step)
@@ -203,7 +194,7 @@ def lyap_residual_obs(system: SystemModel, q_field, x,
     fv = field_values(system.f, xs)
     jf = jacobian(system.f, xs)
     c = jacobian(system.h, xs)
-    q = _eval_matrix(q_field, xs)
+    q = matrix_at(q_field, xs)
     dq = matrix_directional(q_field, xs, fv, fd_step)
     res = dq + q @ jf + jf.T @ q + c.T @ c
     return _report("dLya_ob", xs, res)
@@ -223,7 +214,7 @@ def riccati_residual(system: SystemModel, r_field, x,
     jcl = jacobian(cl, xs)
     kk = jacobian(system.require_k(), xs)
     g_vals = field_values(system.g, xs)
-    r = _eval_matrix(r_field, xs)
+    r = matrix_at(r_field, xs)
     dr = matrix_directional(r_field, xs, clv, fd_step)
     res_state = dr + r @ jcl + jcl.T @ r - kk.T @ kk
     res_gain = kk - g_vals.T @ r
@@ -241,7 +232,7 @@ def lyap_residual_ctrl(system: SystemModel, p_field, x,
     xs = [float(v) for v in x]
     clv, a, g_vals = frozen_input_jacobian(system, xs)
     kk = jacobian(system.require_k(), xs)
-    p = _eval_matrix(p_field, xs)
+    p = matrix_at(p_field, xs)
     dp = matrix_directional(p_field, xs, clv, fd_step)
     res_state = -dp + p @ a.T + a @ p + g_vals @ g_vals.T
     res_gain = kk @ p - g_vals.T
@@ -258,7 +249,7 @@ def lyap_residual_open(system: SystemModel, p_field, x,
     fv = field_values(system.f, xs)
     jf = jacobian(system.f, xs)
     g_vals = field_values(system.g, xs)
-    p = _eval_matrix(p_field, xs)
+    p = matrix_at(p_field, xs)
     dp = matrix_directional(p_field, xs, fv, fd_step)
     res = -dp + p @ jf.T + jf @ p + g_vals @ g_vals.T
     return _report("dLya_open", xs, res)
@@ -374,7 +365,7 @@ def pd_scan(field_like, region, grid_shape) -> PDScan:
     values = []
     for row in points:
         try:
-            values.append(("ok", _eval_matrix(field_like, row)))
+            values.append(("ok", matrix_at(field_like, row)))
         except Exception as exc:  # recorded per point, scan continues
             values.append(("error", f"{type(exc).__name__}: {exc}"))
     return scan_from_values(region, grid_shape, points, values)

@@ -7,10 +7,8 @@ the steps and floats of scipy's solve_ivp, and keeps each step's
 interpolant coefficients as arrays (DenseSteps), so that a lookup
 evaluates any number of times in one pass (Hairer, Norsett & Wanner,
 Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).
-Backward integration is realized by integrating the negated field
-forward and re-indexing.  Improper time integrals use horizon doubling
-with an exponential tail fit; a non-decaying integrand is an error,
-never an implicit infinity.
+Improper time integrals use horizon doubling with an exponential tail
+fit; a non-decaying integrand is an error, never an implicit infinity.
 
 A (B, dim) stack of initial states is integrated as one solve: the
 right-hand side receives the (dim, B) state, one column per point, and
@@ -25,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -62,18 +59,6 @@ class BlowUpError(IntegrationError):
 
 class DivergenceError(IntegrationError):
     """Improper integral whose increments refuse to decay."""
-
-
-def as_time_rhs(field) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Adapt a VectorField or rhs-style callable to (t, y) -> dy/dt."""
-    if isinstance(field, VectorField):
-        func = field.func
-
-        def rhs(t, y):
-            return np.asarray(func(list(y)), dtype=float)
-
-        return rhs
-    return field
 
 
 def _within_span(t, t0: float, tf: float):
@@ -125,32 +110,6 @@ class Trajectory:
         """State at time t, shape (dim,), or at each entry of a 1-D array of
         times, shape (N, dim); a batch adds its point axis before dim."""
         return np.asarray(self._eval(_within_span(t, self.t0, self.tf)), dtype=float)
-
-    def time_reversed(self) -> "Trajectory":
-        """View of this curve under t -> -t (span flips sign)."""
-        inner = self._eval
-        return Trajectory(-self.times[::-1], self.states[::-1].copy(),
-                          lambda t: inner(-t))
-
-
-class FlowJacobian:
-    """State-transition (variational) matrices along a trajectory."""
-
-    def __init__(self, n: int, times: np.ndarray, flats: np.ndarray, eval_fn):
-        self.n = n
-        self.times = np.asarray(times, dtype=float)
-        self.matrices = np.asarray(flats, dtype=float).reshape(len(self.times), n, n)
-        self._eval = eval_fn
-        dets = np.linalg.det(self.matrices)
-        if not np.all(np.isfinite(dets)) or np.any(dets == 0.0):
-            raise IntegrationError("flow Jacobian became singular along the trajectory")
-
-    def at(self, t) -> np.ndarray:
-        """Matrix at time t, shape (n, n), or at each entry of a 1-D array
-        of times, shape (N, n, n); ValueError outside the solved span."""
-        flat = np.asarray(self._eval(_within_span(t, self.times[0], self.times[-1])),
-                          dtype=float)
-        return flat.reshape(np.shape(t) + (self.n, self.n))
 
 
 def _unstack(y: np.ndarray, batch: int | None) -> np.ndarray:
@@ -342,33 +301,20 @@ def _dense(steps: DenseSteps, batch: int | None = None):
 
 def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
                   atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Solve an initial value problem forward on t_span = (t0, tf), t0 < tf.
+    """Solve an initial value problem forward on t_span = (t0, tf), finite
+    with t0 < tf (ValueError otherwise).
 
-    field is a VectorField (autonomous) or a callable rhs(t, y).  Raises
-    BlowUpError with the escape time if the state norm passes 1e12, and
-    IntegrationError on step-size underflow.
+    field is a VectorField (autonomous), run through its traced kernel
+    (calculus.flow_rhs), or a callable rhs(t, y).  Raises BlowUpError with
+    the escape time if the state norm passes 1e12, and IntegrationError
+    on step-size underflow.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
-    if not tf > t0:
-        raise ValueError("t_span must satisfy t0 < tf; use integrate_backward otherwise")
-    sol = _solve_segment(as_time_rhs(field), x0, t0, tf, rtol, atol)
+    if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
+        raise ValueError(f"t_span must be finite with t0 < tf, got ({t0:g}, {tf:g})")
+    rhs = flow_rhs(field) if isinstance(field, VectorField) else field
+    sol = _solve_segment(rhs, x0, t0, tf, rtol, atol)
     return Trajectory(sol.t, sol.y.T, _dense(sol.dense))
-
-
-def integrate_backward(field, x0, duration: float, rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL) -> Trajectory:
-    """Solve backward from t = 0 to t = -duration.
-
-    Implemented as a forward solve of the negated field, re-indexed onto
-    [-duration, 0].  The returned trajectory has increasing times ending at 0.
-    """
-    rhs = as_time_rhs(field)
-
-    def reversed_rhs(t, y):
-        return -np.asarray(rhs(-t, y), dtype=float)
-
-    forward = integrate_ivp(reversed_rhs, x0, (0.0, float(duration)), rtol, atol)
-    return forward.time_reversed()
 
 
 def variational_rhs(field: VectorField, width: int, sign: float = 1.0):
@@ -383,23 +329,6 @@ def variational_rhs(field: VectorField, width: int, sign: float = 1.0):
     rows (calculus.flow_rhs).
     """
     return flow_rhs(field, width=width, sign=sign)
-
-
-def flow_with_jacobian(field: VectorField, x0, t_span, rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL):
-    """Co-integrate a field with its variational matrix.
-
-    Returns (trajectory of x, FlowJacobian), where the matrix solves
-    dPhi/dt = (dfield/dx) Phi from Phi(t0) = I.
-    """
-    n = field.dim_in
-    z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).reshape(-1)])
-    t0, tf = float(t_span[0]), float(t_span[1])
-    sol = _solve_segment(variational_rhs(field, n), z0, t0, tf, rtol, atol)
-    dense = _dense(sol.dense)
-    traj = Trajectory(sol.t, sol.y.T[:, :n], lambda t: dense(t)[..., :n])
-    flow = FlowJacobian(n, sol.t, sol.y.T[:, n:], lambda t: dense(t)[..., n:])
-    return traj, flow
 
 
 class HorizonFlow:

@@ -36,6 +36,3 @@ class SplitMix64:
 
     def point_in_box(self, region: Sequence[tuple[float, float]]) -> list[float]:
         return [self.uniform(float(lo), float(hi)) for lo, hi in region]
-
-    def points_in_box(self, region, count: int) -> list[list[float]]:
-        return [self.point_in_box(region) for _ in range(count)]

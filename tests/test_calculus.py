@@ -13,14 +13,15 @@ from vargram.calculus import (
     Dual,
     MatrixField,
     VectorField,
-    ad_closed_loop,
     ad_closed_loop_field,
-    ad_standard,
+    ad_closed_loop_scalars,
     ad_standard_field,
+    ad_standard_scalars,
+    field_values,
     frozen_input_jacobian_scalars,
     jacobian,
     jacobian_scalars,
-    lie_derivative_scalar,
+    lie_scalar,
     matrix_field_directional,
     seed_identity,
 )
@@ -188,8 +189,8 @@ def test_frozen_jacobian_with_explicit_input():
 def test_bracket_values_at_origin():
     sys_ = registry("paper_sec5")
     g0 = sys_.g.column(0)
-    b1 = ad_closed_loop(sys_, g0, [0.0, 0.0])
-    b2 = ad_closed_loop(sys_, ad_closed_loop_field(sys_, g0), [0.0, 0.0])
+    b1 = ad_closed_loop_scalars(sys_, g0.func, [0.0, 0.0])
+    b2 = field_values(ad_closed_loop_field(sys_, ad_closed_loop_field(sys_, g0)), [0.0, 0.0])
     assert np.allclose(b1, [1.5, 0.5], atol=1e-12)
     assert np.allclose(b2, [1.25, 0.25], atol=1e-12)
 
@@ -222,7 +223,8 @@ def test_bracket_is_linear_in_the_argument_field():
     g0 = sys_.g.column(0)
     scaled = VectorField(2, 2, lambda xs: [3.0 * v for v in g0(xs)])
     x = [0.2, -0.4]
-    assert np.allclose(ad_closed_loop(sys_, scaled, x), 3.0 * ad_closed_loop(sys_, g0, x))
+    assert np.allclose(ad_closed_loop_scalars(sys_, scaled.func, x),
+                       3.0 * field_values(ad_closed_loop_field(sys_, g0), x))
 
 
 def test_standard_bracket_on_linear_system_is_minus_a_times_b():
@@ -230,7 +232,7 @@ def test_standard_bracket_on_linear_system_is_minus_a_times_b():
     a = sys_.meta["A"]
     b = sys_.meta["B"]
     col = sys_.g.column(0)
-    v1 = ad_standard(sys_.f, col, [0.3, -0.7])
+    v1 = ad_standard_scalars(sys_.f.func, col.func, [0.3, -0.7], 2)
     assert np.allclose(v1, (-a @ b).ravel(), atol=1e-12)
     v2_field = ad_standard_field(sys_.f, ad_standard_field(sys_.f, col))
     assert np.allclose(v2_field([0.3, -0.7]), (a @ a @ b).ravel(), atol=1e-12)
@@ -244,7 +246,8 @@ def test_closed_loop_bracket_reduces_to_open_bracket_for_constant_g():
     col = sys_.g.column(0)
     x = [0.5, 0.25]
     assert np.allclose(
-        ad_closed_loop(sys_, col, x), ad_standard(sys_.f, col, x), atol=1e-12
+        field_values(ad_closed_loop_field(sys_, col), x),
+        field_values(ad_standard_field(sys_.f, col), x), atol=1e-12
     )
 
 
@@ -254,14 +257,17 @@ def test_lie_derivative_scalar_values_and_gradients():
     def h0(xs):
         return sys_.h(xs)[0]
 
-    value, grad = lie_derivative_scalar(sys_.f, h0, [0.0, 0.0])
-    assert value == 0.0
-    assert np.allclose(grad, [-0.5, -1.0], atol=1e-12)
+    # L_f h0 as a field: its values by the traced kernel, its gradient by
+    # re-differentiating it, one extra dual level
+    lie = VectorField(2, 1, lambda xs: [lie_scalar(sys_.f.func, h0, xs, 2)])
+    assert lie_scalar(sys_.f.func, h0, [0.0, 0.0], 2) == 0.0
+    assert field_values(lie, [0.0, 0.0])[0] == 0.0
+    assert np.allclose(jacobian(lie, [0.0, 0.0])[0], [-0.5, -1.0], atol=1e-12)
 
     # the drift's first component at (-1, 0) is 1/2 - 1 + 1/3 - 0 - 0
-    value, grad = lie_derivative_scalar(sys_.f, h0, [-1.0, 0.0])
-    assert np.isclose(value, -1.0 / 6.0, atol=1e-12)
-    assert np.allclose(grad, [0.5, 0.0], atol=1e-12)
+    assert np.isclose(lie_scalar(sys_.f.func, h0, [-1.0, 0.0], 2), -1.0 / 6.0, atol=1e-12)
+    assert np.isclose(field_values(lie, [-1.0, 0.0])[0], -1.0 / 6.0, atol=1e-12)
+    assert np.allclose(jacobian(lie, [-1.0, 0.0])[0], [0.5, 0.0], atol=1e-12)
 
 
 def test_matrix_field_directional_against_finite_differences():

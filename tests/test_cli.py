@@ -41,6 +41,33 @@ def test_simulate_dual_mode_accepts_dp0(tmp_path):
     assert header == "t,x1,x2,dp1,dp2,dz1"
 
 
+@pytest.mark.parametrize("flag, value", [
+    *(("--tf", value) for value in ("inf", "nan", "0", "-1")),
+    *(("--samples", value) for value in ("1", "0", "-5")),
+])
+def test_simulate_rejects_horizons_and_sample_counts_it_cannot_tabulate(
+        tmp_path, capsys, flag, value):
+    code = main(["simulate", "--system", "paper_sec5", "--mode", "open-loop",
+                 "--x0", "0.1,0.1", flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_open_and_closed_loop_tabulate_the_flow(tmp_path):
+    # linear_scalar: f = -x, and f + g k = x in closed loop
+    for mode, rate in (("open-loop", -1.0), ("closed-loop", 1.0)):
+        out = tmp_path / mode
+        assert main(["simulate", "--system", "linear_scalar", "--mode", mode,
+                     "--x0", "0.5", "--tf", "2", "--samples", "2", "--out", str(out)]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,x1"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == [0.0, 2.0]
+        assert rows[0][1] == 0.5
+        assert np.isclose(rows[1][1], 0.5 * np.exp(2.0 * rate), rtol=1e-8, atol=0.0)
+
+
 def test_energy_prints_json(tmp_path, capsys):
     code = main([
         "energy", "--system", "linear_scalar", "--kind", "diff-ctrl",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import lyap_ctrl, lyap_dual, lyap_obs
-from vargram.calculus import Dual, MatrixField, VectorField
+from vargram.calculus import Dual, MatrixField, VectorField, matrix_at
 from vargram.expr import parse_system_spec
 from vargram.gramian import (
     EmpiricalGramianField,
@@ -172,7 +172,7 @@ def test_reversed_gramian_inverts_the_dual_solution():
     # R P = I links the two closed-loop certificates for this system
     sys_ = registry("paper_sec5")
     r = empirical_ctrl_gramian(sys_, [0.05, -0.05]).matrix
-    p = sys_.certificates["P"].as_array([0.05, -0.05])
+    p = matrix_at(sys_.certificates["P"], [0.05, -0.05])
     assert np.allclose(r @ p, np.eye(2), atol=1e-4)
 
 
@@ -249,7 +249,7 @@ def test_a_spec_certificate_is_evaluated_by_its_kernel():
     for x in scan.points:
         entries = cert.func([Dual(float(v), ()) for v in x])
         matrix = np.array([[entry.value for entry in row] for row in entries])
-        assert np.array_equal(cert.as_array(x), matrix)
+        assert np.array_equal(matrix_at(cert, x), matrix)
         by_duals.append(("ok", matrix))
         floats_differ += not np.array_equal(cert.func([float(v) for v in x]), matrix)
     assert floats_differ > 0
@@ -267,6 +267,6 @@ def test_pointwise_matrix_fields_are_called_on_floats():
 
     field = MatrixField.from_pointwise(func, 1, 1)
     scan = pd_scan(field, [(-1.0, 1.0)], (3,))
-    assert np.array_equal(field.as_array([0.5]), [[1.25]])
+    assert np.array_equal(matrix_at(field, [0.5]), [[1.25]])
     assert scan.statuses == ["ok"] * 3
     assert seen == [(float,)] * 4

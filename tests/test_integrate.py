@@ -14,11 +14,10 @@ from vargram.integrate import (
     IntegrationError,
     Trajectory,
     composite_gauss_legendre,
-    flow_with_jacobian,
     improper_time_integral,
-    integrate_backward,
     integrate_ivp,
     quadrature_finite,
+    variational_rhs,
 )
 from vargram.systems import registry
 
@@ -58,67 +57,80 @@ def test_at_outside_span_raises():
         traj.at(2.0)
 
 
-def test_backward_solve_is_reindexed():
-    # dx/dt = x backward one unit of time: x(-1) = e^{-1} x(0)
-    traj = integrate_backward(VectorField(1, 1, lambda xs: [xs[0]]), [1.0], 1.0)
-    assert traj.t0 == -1.0 and traj.tf == 0.0
-    assert abs(traj.at(-1.0)[0] - math.exp(-1.0)) < 1e-9
-    assert abs(traj.at(0.0)[0] - 1.0) < 1e-12
-    assert np.all(np.diff(traj.times) > 0)
+def test_a_field_is_integrated_by_its_traced_kernel():
+    # the field's func runs only while its kernel is traced, never per step
+    calls = []
+
+    def func(xs):
+        calls.append(tuple(type(v).__name__ for v in xs))
+        return [-xs[0] + xs[1] * xs[1], -2.0 * xs[1]]
+
+    traj = integrate_ivp(VectorField(2, 2, func), [1.0, 0.5], (0.0, 2.0))
+    assert len(traj.times) > 3
+    assert calls == [("Dual", "Dual")]
+    # x2 = e^{-2t} / 2, x1 = (1 - c) e^{-t} + c e^{-4t} with c = -1/12
+    t = 2.0
+    expected = [(13 / 12) * math.exp(-t) - math.exp(-4 * t) / 12, 0.5 * math.exp(-2 * t)]
+    assert np.allclose(traj.endpoint, expected, rtol=0.0, atol=1e-9)
 
 
-def test_time_reversed_round_trip():
-    traj = integrate_ivp(VectorField(1, 1, lambda xs: [-xs[0]]), [1.0], (0.0, 2.0))
-    back = traj.time_reversed()
-    assert back.t0 == -2.0 and back.tf == 0.0
-    assert abs(back.at(-0.7)[0] - traj.at(0.7)[0]) == 0.0
-    again = back.time_reversed()
-    assert abs(again.at(0.7)[0] - traj.at(0.7)[0]) == 0.0
+def _flow_matrix(field, x0, t_span, rtol=1e-9, atol=1e-12):
+    """The trajectory of x and the flow matrices Phi(t) read from one
+    integrate_ivp solve of the variational equation from (x0, I)."""
+    n = field.dim_in
+    z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).reshape(-1)])
+    traj = integrate_ivp(variational_rhs(field, n), z0, t_span, rtol, atol)
+
+    def phi(t):
+        z = traj.at(t)
+        return z[..., n:].reshape(np.shape(t) + (n, n))
+
+    return traj, phi
 
 
 def test_flow_jacobian_linear_system_is_matrix_exponential():
     a = np.array([[0.0, 1.0], [-2.0, -3.0]])
     field = VectorField(2, 2, lambda xs: list(a @ np.asarray(xs)))
-    traj, flow = flow_with_jacobian(field, [1.0, -1.0], (0.0, 1.5))
+    _, phi = _flow_matrix(field, [1.0, -1.0], (0.0, 1.5))
     # eigendecomposition oracle: A = V diag(-1, -2) V^{-1}
     evals, vecs = np.linalg.eig(a)
     expm = vecs @ np.diag(np.exp(evals * 1.5)) @ np.linalg.inv(vecs)
-    assert np.allclose(flow.at(1.5), expm.real, atol=1e-8)
+    assert np.allclose(phi(1.5), expm.real, atol=1e-8)
 
 
 def test_flow_jacobian_matches_finite_difference_of_the_flow():
     sys_ = registry("paper_sec5")
     x0 = np.array([0.15, -0.2])
     tf = 2.0
-    _, flow = flow_with_jacobian(sys_.f, x0, (0.0, tf))
+    _, phi = _flow_matrix(sys_.f, x0, (0.0, tf))
 
     def flow_map(xs):
         return list(integrate_ivp(sys_.f, xs, (0.0, tf)).endpoint)
 
-    assert np.allclose(flow.at(tf), fd_jacobian(flow_map, x0, h=1e-5), atol=1e-6)
+    assert np.allclose(phi(tf), fd_jacobian(flow_map, x0, h=1e-5), atol=1e-6)
 
 
 def test_flow_jacobian_semigroup_property():
     sys_ = registry("paper_sec5")
     x0 = [0.1, 0.1]
-    traj, flow = flow_with_jacobian(sys_.f, x0, (0.0, 2.0))
-    mid = traj.at(1.2)
-    _, flow_tail = flow_with_jacobian(sys_.f, mid, (0.0, 0.8))
-    assert np.allclose(flow.at(2.0), flow_tail.at(0.8) @ flow.at(1.2), atol=1e-7)
+    traj, phi = _flow_matrix(sys_.f, x0, (0.0, 2.0))
+    mid = traj.at(1.2)[:2]
+    _, phi_tail = _flow_matrix(sys_.f, mid, (0.0, 0.8))
+    assert np.allclose(phi(2.0), phi_tail(0.8) @ phi(1.2), atol=1e-7)
 
 
 def test_flow_jacobian_at_checks_the_span_and_takes_arrays():
-    traj, flow = flow_with_jacobian(registry("paper_sec5").f, [0.2, -0.1], (0.0, 3.0))
+    traj, phi = _flow_matrix(registry("paper_sec5").f, [0.2, -0.1], (0.0, 3.0))
     for t in (5.0, -1.0, np.array([1.0, 3.5])):
         with pytest.raises(ValueError, match="outside trajectory span"):
             traj.at(t)
         with pytest.raises(ValueError, match="outside trajectory span"):
-            flow.at(t)
-    assert np.array_equal(flow.at(0.0), np.eye(2))
+            phi(t)
+    assert np.array_equal(phi(0.0), np.eye(2))
     times = np.array([0.0, 0.7, 1.9, 3.0])
-    stacked = flow.at(times)
+    stacked = phi(times)
     assert stacked.shape == (4, 2, 2)
-    per_time = np.array([flow.at(t) for t in times])
+    per_time = np.array([phi(t) for t in times])
     assert np.allclose(stacked, per_time, rtol=0.0, atol=1e-14 * np.abs(per_time).max())
 
 
@@ -239,8 +251,17 @@ def test_trajectory_validation():
 
 def test_integrate_ivp_rejects_reversed_span():
     field = VectorField(1, 1, lambda xs: [0.0])
-    with pytest.raises(ValueError, match="integrate_backward"):
+    with pytest.raises(ValueError, match=r"t_span must be finite with t0 < tf, got \(1, 0\)"):
         integrate_ivp(field, [0.0], (1.0, 0.0))
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 0.0), (0.0, -1.0), (0.0, math.inf),
+                                    (0.0, math.nan), (-math.inf, 0.0), (math.nan, 1.0)],
+                         ids=str)
+def test_integrate_ivp_rejects_empty_or_non_finite_spans(t_span):
+    for field in (VectorField(1, 1, lambda xs: [0.0]), lambda t, y: 0.0 * y):
+        with pytest.raises(ValueError, match="t_span must be finite with t0 < tf"):
+            integrate_ivp(field, [0.0], t_span)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -47,12 +47,14 @@ def test_point_in_box_respects_bounds():
 
 
 def test_points_in_box_count_and_order():
+    # successive points take the stream's draws in order, one per coordinate
+    region = [(-1.0, 1.0), (0.0, 0.5)]
     rng = SplitMix64(9)
-    pts = rng.points_in_box([(-1.0, 1.0), (0.0, 0.5)], 5)
-    assert len(pts) == 5
+    pts = [rng.point_in_box(region) for _ in range(5)]
+    assert len(pts) == 5 and all(len(p) == 2 for p in pts)
     rng2 = SplitMix64(9)
-    one_by_one = [rng2.point_in_box([(-1.0, 1.0), (0.0, 0.5)]) for _ in range(5)]
-    assert np.allclose(pts, one_by_one)
+    draws = [[rng2.uniform(lo, hi) for lo, hi in region] for _ in range(5)]
+    assert pts == draws
 
 
 def test_seed_is_masked_to_64_bits():
