@@ -2,20 +2,25 @@
 
 Trajectories wrap solutions of the Dormand-Prince 8(5,3) pair with its
 7th-order dense output, so downstream quadrature can sample between
-accepted steps.  solve_ivp steps scipy's DOP853 stepper itself, taking
-the steps and floats of scipy's solve_ivp, and keeps each step's
-interpolant coefficients as arrays (DenseSteps), so that a lookup
+accepted steps.  solve_ivp steps scipy's DOP853 itself (_DOP853, scipy's
+step with its per-call overhead removed), taking the steps and floats of
+scipy's solve_ivp.  It keeps each accepted step's stages and, after the
+loop, evaluates the interpolant's three extra stages of all steps at
+once, keeping the coefficients as arrays (DenseSteps), so that a lookup
 evaluates any number of times in one pass (Hairer, Norsett & Wanner,
 Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).
 Improper time integrals use horizon doubling with an exponential tail
 fit; a non-decaying integrand is an error, never an implicit infinity.
 
-A (B, dim) stack of initial states is integrated as one solve: the
-right-hand side receives the (dim, B) state, one column per point, and
-a step is accepted only when each point's own DOP853 error norm accepts
-it (the norm is the maximum over points), so every point meets the
-tolerances it would meet alone.  Improper integrals over such a batch
-stop doubling the horizon point by point.
+A right-hand side fun(t, y) takes one solver state, shape (N,), or an
+(N, S) stack of S states with t giving the time of each column, and
+returns the derivatives in the same shape.  A (B, dim) stack of initial
+states is integrated as one solve: the right-hand side receives the
+(dim, B) state, one column per point (batched flows are autonomous and
+ignore t), and a step is accepted only when each point's own DOP853
+error norm accepts it (the norm is the maximum over points), so every
+point meets the tolerances it would meet alone.  Improper integrals over
+such a batch stop doubling the horizon point by point.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853
+from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 from vargram.calculus import VectorField, flow_rhs
@@ -123,7 +130,7 @@ def _unstack(y: np.ndarray, batch: int | None) -> np.ndarray:
 class DenseSteps:
     """Dense output of consecutive DOP853 steps, evaluated as scipy's
     OdeSolution evaluates its Dop853DenseOutput interpolants, for every
-    requested time in one pass.
+    requested time in one pass (built by _DOP853.dense_steps).
 
     Step i starts at t_old[i] and is h[i] long; y_old[i] is the state
     there and F[:, i] the seven coefficient rows of its interpolant.  A
@@ -137,14 +144,6 @@ class DenseSteps:
     def __init__(self, t_old: np.ndarray, h: np.ndarray, y_old: np.ndarray,
                  F: np.ndarray):
         self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
-
-    @classmethod
-    def of(cls, interpolants: list) -> "DenseSteps":
-        """The steps of a list of scipy Dop853DenseOutput interpolants."""
-        return cls(np.array([p.t_old for p in interpolants], dtype=float),
-                   np.array([p.h for p in interpolants], dtype=float),
-                   np.array([p.y_old for p in interpolants], dtype=float),
-                   np.stack([p.F for p in interpolants], axis=1))
 
     def then(self, later: "DenseSteps") -> "DenseSteps":
         """These steps followed by those of a solve from where they end."""
@@ -172,10 +171,10 @@ class DenseSteps:
 @dataclass
 class Solution:
     """Result of solve_ivp: the step times t, shape (S + 1,), and states
-    y, shape (dim, S + 1), as scipy lays them out; nfev; status 0 when tf
+    y, shape (N, S + 1), as scipy lays them out; nfev; status 0 when tf
     was reached, 1 when the event crossed zero (at t_event, state
     y_event) and -1 when the solver failed (message); the dense output
-    of the steps taken."""
+    of the steps taken when tf was reached, else None."""
 
     t: np.ndarray
     y: np.ndarray
@@ -187,11 +186,111 @@ class Solution:
     y_event: np.ndarray | None = None
 
 
-def solve_ivp(fun, t_span, y0, *, event, method=DOP853, **options) -> Solution:
+class _DOP853(DOP853):
+    """scipy's DOP853 with its step made lean and its dense output built
+    for many steps at once; the floats, steps and nfev are scipy's.
+
+    _step_impl is scipy's RungeKutta step with rk_step inlined: the same
+    arithmetic in the same order, on stage views built once per solver,
+    calling the right-hand side as given instead of through scipy's
+    counting and conversion wrappers (nfev grows by scipy's 12 per trial
+    step).  fun must return a float array shaped like its state.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._rhs = fun
+        K = self.K
+        self._stages = [(s, K[:s].T, a[:s], c)
+                        for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)]
+        self._solution_stages = K[:-1].T
+
+    def _step_impl(self):
+        t, y, rhs, K = self.t, self.y, self._rhs, self.K
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        K[0] = self.f
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            for s, stages, a, c in self._stages:
+                K[s] = rhs(t + c * h, y + stages.dot(a) * h)
+            y_new = y + h * self._solution_stages.dot(self.B)
+            f_new = rhs(t + h, y_new)
+            K[-1] = f_new
+            self.nfev += self.n_stages
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._estimate_error_norm(K, h, scale)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+            step_rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        return True, None
+
+    def dense_steps(self, t: np.ndarray, y: np.ndarray, K: np.ndarray) -> DenseSteps:
+        """DenseSteps of S accepted steps, step i from t[i] to t[i + 1] and
+        y[i] to y[i + 1] (t (S + 1,), y (S + 1, N)), whose stages fill the
+        first n_stages + 1 rows of K[i] (K (S, 16, N), written in place).
+
+        Each of DOP853's three extra stages is one call of the right-hand
+        side on the (N, S) stack of all steps' stage states; every float is
+        that of scipy's Dop853DenseOutput of the step, and nfev grows by 3
+        per step, as scipy counts."""
+        t_old, h, y_old = t[:-1], np.diff(t), y[:-1]
+        h_rows = h[:, None]
+        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1):
+            dy = np.matmul(K[:, :s].transpose(0, 2, 1), a[:s]) * h_rows
+            K[:, s] = self._rhs(t_old + c * h, (y_old + dy).T).T
+        self.nfev += len(self.A_EXTRA) * len(h)
+
+        f_old, f = K[:, 0], K[:, self.n_stages]
+        delta_y = y[1:] - y_old
+        F = np.empty((INTERPOLATOR_POWER,) + delta_y.shape)
+        F[0] = delta_y
+        F[1] = h_rows * f_old - delta_y
+        F[2] = 2 * delta_y - h_rows * (f + f_old)
+        F[3:] = (h[:, None, None] * np.matmul(self.D, K)).transpose(1, 0, 2)
+        return DenseSteps(t_old, h, y_old, F)
+
+
+def solve_ivp(fun, t_span, y0, *, event, method=_DOP853, **options) -> Solution:
     """Integrate dy/dt = fun(t, y) from y0 over t_span = (t0, tf) by
-    stepping the OdeSolver `method` (built with options such as rtol and
-    atol) to tf: the steps, nfev and floats of scipy's
-    solve_ivp(..., dense_output=True).
+    stepping `method`, a _DOP853 (built with options such as rtol and
+    atol), to tf: the steps, nfev and floats of scipy's
+    solve_ivp(..., method=DOP853, dense_output=True).
+
+    fun takes one state (N,) or an (N, S) stack with one time per column
+    (module docstring).  The dense output is built after the loop from
+    each accepted step's stages (_DOP853.dense_steps).
 
     event(t, y) is a terminal event crossing upwards: after each accepted
     step at which it is >= 0 (having been <= 0 before), its root on that
@@ -200,7 +299,7 @@ def solve_ivp(fun, t_span, y0, *, event, method=DOP853, **options) -> Solution:
     """
     t0, tf = map(float, t_span)
     solver = method(fun, t0, y0, tf, **options)
-    ts, ys, interpolants = [t0], [y0], []
+    ts, ys, stages = [t0], [y0], []
     crossing = event(t0, y0)
     status, message, t_event, y_event = None, None, None, None
     while status is None:
@@ -210,23 +309,23 @@ def solve_ivp(fun, t_span, y0, *, event, method=DOP853, **options) -> Solution:
             break
         if solver.status == "finished":
             status = 0
-        step = solver.dense_output()
-        interpolants.append(step)
         previous, crossing = crossing, event(solver.t, solver.y)
         if previous <= 0 <= crossing:
+            step = solver.dense_output()
             t_event = brentq(lambda s: event(s, step(s)), solver.t_old, solver.t,
                              xtol=4 * EPS, rtol=4 * EPS)
             y_event, status = step(t_event), 1
             break
         ts.append(solver.t)
         ys.append(solver.y)
-    return Solution(np.array(ts), np.array(ys).T, solver.nfev, status, message,
-                    DenseSteps.of(interpolants) if interpolants else None,
-                    t_event, y_event)
+        stages.append(solver.K_extended.copy())
+    ts, ys = np.array(ts), np.array(ys)
+    dense = solver.dense_steps(ts, ys, np.array(stages)) if status == 0 and stages else None
+    return Solution(ts, ys.T, solver.nfev, status, message, dense, t_event, y_event)
 
 
-class _BatchDOP853(DOP853):
-    """DOP853 on B states stacked as one (dim, B) array, flattened.
+class _BatchDOP853(_DOP853):
+    """_DOP853 on B states stacked as one (dim, B) array, flattened.
 
     The error norm of a step is the largest of the B points' own DOP853
     norms, so a step is accepted only when every point would accept it
@@ -253,9 +352,11 @@ class _BatchDOP853(DOP853):
 def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Solution:
     """solve_ivp by DOP853 from one state x0, shape (dim,), or one solve of
     a (B, dim) stack, where rhs(t, z) takes and returns the (dim, B)
-    state and the error norm is taken per point (_BatchDOP853).
-    BlowUpError when a state's norm reaches BLOWUP_NORM, naming the
-    escaped point of a batch."""
+    state, or a (dim, B * S) stack of S such states, and the error norm
+    is taken per point (_BatchDOP853).  BlowUpError when a state's norm
+    reaches BLOWUP_NORM, naming the escaped point of a batch;
+    IntegrationError, with the time and state norm reached, when the
+    step size underflows."""
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise IntegrationError("non-finite initial state")
@@ -267,7 +368,7 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
         y0, options = x0.T.reshape(-1), {"method": _BatchDOP853, "batch": batch}
 
         def fun(t, y):
-            return rhs(t, y.reshape(dim, batch)).reshape(-1)
+            return rhs(t, y.reshape(dim, -1)).reshape(y.shape)
 
         def point_norms(y):
             return np.linalg.norm(y.reshape(dim, batch), axis=0)
@@ -288,7 +389,10 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
     if sol.status == 1:
         raise BlowUpError(float(sol.t_event), escaped(sol.y_event))
     if sol.status != 0:
-        raise IntegrationError(f"integrator failed on [{t0:g}, {tf:g}]: {sol.message}")
+        reached = sol.y[:, -1]
+        raise IntegrationError(
+            f"integrator failed on [{t0:g}, {tf:g}] at t = {sol.t[-1]:.6g}, state norm "
+            f"{float(largest(reached)):.3g}{_at_point(escaped(reached))}: {sol.message}")
     return sol
 
 
@@ -305,14 +409,22 @@ def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
     with t0 < tf (ValueError otherwise).
 
     field is a VectorField (autonomous), run through its traced kernel
-    (calculus.flow_rhs), or a callable rhs(t, y).  Raises BlowUpError with
-    the escape time if the state norm passes 1e12, and IntegrationError
-    on step-size underflow.
+    (calculus.flow_rhs), or a callable rhs(t, y) of one state, called one
+    column at a time on a stack of states.  Raises BlowUpError with the
+    escape time if the state norm passes 1e12, and IntegrationError on
+    step-size underflow.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
         raise ValueError(f"t_span must be finite with t0 < tf, got ({t0:g}, {tf:g})")
-    rhs = flow_rhs(field) if isinstance(field, VectorField) else field
+    if isinstance(field, VectorField):
+        rhs = flow_rhs(field)
+    else:
+        def rhs(t, y):
+            if y.ndim == 1:
+                return np.asarray(field(t, y), dtype=float)
+            return np.stack([np.asarray(field(s, z), dtype=float) for s, z in zip(t, y.T)],
+                            axis=1)
     sol = _solve_segment(rhs, x0, t0, tf, rtol, atol)
     return Trajectory(sol.t, sol.y.T, _dense(sol.dense))
 
@@ -339,9 +451,10 @@ class HorizonFlow:
     one time or a 1-D array of times (states stacked on axis 0).  The
     first solve covers [0, chunk] and each extension at least doubles the
     horizon, so the solver pieces do not depend on how the requested times
-    are grouped into calls.  A (B, dim) stack z0 is solved as one batch
-    (see _solve_segment), and state(t) then has shape (B, dim) or
-    (N, B, dim).
+    are grouped into calls.  rhs takes one state or a stack of states,
+    one per column (module docstring).  A (B, dim) stack z0 is solved as
+    one batch (see _solve_segment), and state(t) then has shape (B, dim)
+    or (N, B, dim).
     """
 
     def __init__(self, rhs, z0, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
@@ -514,13 +627,15 @@ def flow_integrals(rhs, z0, integrand, direction: str, tol: float = 1e-8,
     """Integrals of integrand(z(|t|)) along the flow of rhs from z0, one
     result per initial state.
 
-    integrand maps an (N, dim) stack of states to their N values stacked
-    on axis 0, and is called once per horizon segment.  The integral runs
-    over t from 0 to +/- infinity (improper_time_integral; for 'backward'
-    rhs must already be the time-reversed field), or over [0,
-    fixed_horizon] when given.  A single state (dim,) gives a list of
-    one; a (B, dim) stack is solved in order, in batched flows of up to
-    MAX_BATCH points, which bounds their memory.
+    rhs takes one state or a stack of states, one per column (module
+    docstring), as calculus.flow_rhs does.  integrand maps an (N, dim)
+    stack of states to their N values stacked on axis 0, and is called
+    once per horizon segment.  The integral runs over t from 0 to +/-
+    infinity (improper_time_integral; for 'backward' rhs must already be
+    the time-reversed field), or over [0, fixed_horizon] when given.  A
+    single state (dim,) gives a list of one; a (B, dim) stack is solved
+    in order, in batched flows of up to MAX_BATCH points, which bounds
+    their memory.
     """
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim == 2:

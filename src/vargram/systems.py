@@ -99,7 +99,8 @@ class AugmentedField:
     two_copy also takes a (dim, B) batch, one column per point, and
     returns (dim, B); their outputs take one state (dim,) or a stack of
     states (N, dim), giving (p,) or (N, p).  The other builders' rhs and
-    outputs take one state.
+    outputs take one state; integrate_ivp calls such an rhs one state at
+    a time.
     """
 
     dim: int

@@ -6,19 +6,26 @@ The dense-output lookups are counted only through HorizonFlow.state and
 Trajectory.at, so those two methods must be patched while installed,
 restored after, and be the way an energy reads its flow: one lookup per
 horizon segment.  An energy's output Jacobians must go through the
-patched calculus.jacobian, or calculus.jacobian_calls would read zero.  Batched work must run under the hooks too, and its
-solver calls count one solve per horizon segment of the batch.
+patched calculus.jacobian, or calculus.jacobian_calls would read zero.
+Batched work must run under the hooks too, and its solver calls count
+one solve per horizon segment of the batch.  A solve's dense-output
+stages, evaluated after its step loop on all steps at once, must go
+through the wrapped right-hand side, or integrate.rhs_s would lose
+their time.
 """
 
 import math
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import vargram.energy as energy
 import vargram.gramian as gramian
 import vargram.integrate as integrate
 import vargram.rank as rank
 import vargram.verify as verify
-from vargram.systems import registry
+from vargram.systems import prolong, registry
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -73,3 +80,39 @@ def test_batched_work_runs_under_the_hooks(monkeypatch):
         assert (tracer.memo_calls, tracer.memo_hits) == (4, 4)
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("z0", [[0.3, -0.2, 0.6, 0.8],
+                                [[0.3, -0.2, 0.6, 0.8], [-0.1, 0.25, 1.0, 0.0]]],
+                         ids=["single", "batch"])
+def test_traced_solves_count_every_rhs_call(monkeypatch, z0):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    rhs = prolong(registry("paper_sec5")).rhs
+    times = []  # the time argument of each call: an array for a stack of steps
+
+    def recording(t, z):
+        times.append(np.ndim(t))
+        return rhs(t, z)
+
+    def solve():
+        return integrate._solve_segment(recording, z0, 0.0, 20.0,
+                                        integrate.DEFAULT_RTOL, integrate.DEFAULT_ATOL)
+
+    untraced = solve()
+    times.clear()
+    tracer = spans.Tracer("t")
+    try:
+        spans.install(tracer)
+        traced = solve()
+    finally:
+        tracer.uninstall()
+    steps = len(untraced.t) - 1
+    assert np.array_equal(traced.y, untraced.y)
+    assert tracer.counts["integrate.rhs_evals"] == untraced.nfev
+    assert tracer.counts["integrate.steps"] == steps
+    # the 3 extra stages of every step, made after the loop, one call each
+    # on all steps, go through the wrapped rhs
+    assert times.count(1) == 3
+    assert tracer.leaves["integrate.rhs"][0] == len(times) == untraced.nfev - 3 * steps + 3

@@ -68,6 +68,19 @@ def test_simulate_open_and_closed_loop_tabulate_the_flow(tmp_path):
         assert np.isclose(rows[1][1], 0.5 * np.exp(2.0 * rate), rtol=1e-8, atol=0.0)
 
 
+def test_simulate_states_where_the_step_size_underflowed(tmp_path, capsys):
+    # paper_sec5's closed loop escapes from (0.3, -0.2) faster than
+    # quadratically: the step size underflows while the norm is far below
+    # BLOWUP_NORM, so no escape time is found
+    code = main(["simulate", "--system", "paper_sec5", "--mode", "closed-loop",
+                 "--x0", "0.3,-0.2", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "IntegrationError: integrator failed on [0, 10] at t = 2.23832, " \
+           "state norm 1.16e+07: Required step size" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_energy_prints_json(tmp_path, capsys):
     code = main([
         "energy", "--system", "linear_scalar", "--kind", "diff-ctrl",

@@ -1,11 +1,14 @@
 """The step loop and the dense output against scipy.
 
-integrate.solve_ivp steps scipy's DOP853 itself, and DenseSteps evaluates
-the steps' Dop853DenseOutput coefficients for all requested times at once.
-These tests pin both to scipy: the steps, nfev and states of scipy's
-solve_ivp(method=DOP853, dense_output=True), the values of its
-OdeSolution, and the time and point of its terminal event, all bitwise.
-A change to scipy's interpolant or to its event handling fails here.
+integrate.solve_ivp steps scipy's DOP853 through _DOP853's lean step,
+builds the steps' Dop853DenseOutput coefficients after the loop for all
+steps at once, and DenseSteps evaluates them for all requested times at
+once.  These tests pin all three to scipy: the steps, nfev and states of
+scipy's solve_ivp(method=DOP853, dense_output=True), its per-step
+coefficients, the values of its OdeSolution, and the time and point of
+its terminal event, all bitwise.  A batch is pinned to scipy's own step
+with the per-point error norm of _BatchDOP853.  A change to scipy's step,
+interpolant or event handling fails here.
 """
 
 import numpy as np
@@ -17,7 +20,8 @@ from vargram.calculus import VectorField
 from vargram.energy import diff_observability
 from vargram.expr import parse_system_spec
 from vargram.integrate import (BLOWUP_NORM, DEFAULT_ATOL, DEFAULT_RTOL, BlowUpError,
-                               DenseSteps, _BatchDOP853, _dense, integrate_ivp, solve_ivp)
+                               DenseSteps, _BatchDOP853, _dense, integrate_ivp, solve_ivp,
+                               variational_rhs)
 from vargram.systems import from_spec, prolong, registry
 
 from test_batch_flows import ESCAPING
@@ -26,14 +30,25 @@ TOLS = {"rtol": DEFAULT_RTOL, "atol": DEFAULT_ATOL}
 BATCH = 5
 
 
+class _ScipyBatchDOP853(DOP853):
+    """scipy's own DOP853 step with the per-point error norm of
+    _BatchDOP853: the reference for a batch."""
+
+    def __init__(self, fun, t0, y0, t_bound, batch: int, **options):
+        self.batch = batch
+        super().__init__(fun, t0, y0, t_bound, **options)
+
+    _estimate_error_norm = _BatchDOP853._estimate_error_norm
+
+
 def _sec5_rhs():
     return prolong(registry("paper_sec5")).rhs
 
 
 def _batch_fun(rhs, dim: int, batch: int):
-    """rhs of a (dim, B) batch on its flattened state, as _solve_segment
-    hands it to the solver."""
-    return lambda t, y: rhs(t, y.reshape(dim, batch)).reshape(-1)
+    """rhs of a (dim, B) batch on its flattened state, or on an (N, S)
+    stack of such states, as _solve_segment hands it to the solver."""
+    return lambda t, y: rhs(t, y.reshape(dim, -1)).reshape(y.shape)
 
 
 def _single():
@@ -48,9 +63,14 @@ def _batched():
             {"method": _BatchDOP853, "batch": BATCH})
 
 
+def _reference(options):
+    """scipy's solver class, and its options, for a case's options."""
+    method = _ScipyBatchDOP853 if "batch" in options else DOP853
+    return method, {k: v for k, v in options.items() if k != "method"}
+
+
 def _scipy(fun, y0, t_span, options, **kwargs):
-    method = options.get("method", DOP853)
-    extra = {k: v for k, v in options.items() if k != "method"}
+    method, extra = _reference(options)
     return scipy.integrate.solve_ivp(fun, t_span, y0, method=method, dense_output=True,
                                      **TOLS, **extra, **kwargs)
 
@@ -68,6 +88,14 @@ def test_solve_ivp_takes_scipys_steps(case):
     assert np.array_equal(ours.dense(times), ref.sol(times).T)
 
 
+def _steps_of(interpolants: list) -> DenseSteps:
+    """DenseSteps of scipy's Dop853DenseOutput interpolants."""
+    return DenseSteps(np.array([p.t_old for p in interpolants]),
+                      np.array([p.h for p in interpolants]),
+                      np.array([p.y_old for p in interpolants]),
+                      np.stack([p.F for p in interpolants], axis=1))
+
+
 def _times(ts: np.ndarray) -> np.ndarray:
     """Random times, every step time and both span ends, shuffled."""
     rng = np.random.default_rng(11)
@@ -79,7 +107,7 @@ def _times(ts: np.ndarray) -> np.ndarray:
 def test_dense_steps_equal_scipys_ode_solution(case):
     fun, y0, options = case()
     ref = _scipy(fun, y0, (0.0, 20.0), options).sol
-    steps = DenseSteps.of(ref.interpolants)
+    steps = _steps_of(ref.interpolants)
     times = _times(ref.ts)
     assert np.array_equal(steps(times), ref(times).T)
     for t in (ref.ts[0], ref.ts[7], 3.3, ref.ts[-1]):
@@ -96,11 +124,88 @@ def test_consecutive_solves_equal_one_chained_ode_solution():
     second = _scipy(fun, first.y[:, -1], (20.0, 40.0), options)
     chained = OdeSolution(np.concatenate([first.sol.ts, second.sol.ts[1:]]),
                           first.sol.interpolants + second.sol.interpolants)
-    steps = DenseSteps.of(first.sol.interpolants).then(
-        DenseSteps.of(second.sol.interpolants))
+    steps = _steps_of(first.sol.interpolants).then(_steps_of(second.sol.interpolants))
     times = _times(chained.ts)
     assert np.array_equal(steps(times), chained(times).T)
     assert np.array_equal(steps(20.0), chained(20.0))
+
+
+N4_SPEC = {"name": "n4", "n": 4, "m": 1, "p": 1,
+           "f": ["-x1 + 0.5*x2", "-x2 + 0.3*x3 - 0.1*x1^3", "-0.7*x3 + x4", "-x4 - 0.2*x1*x2"],
+           "g": [["0"], ["0"], ["0"], ["1"]], "h": ["x1"], "k": ["-x4"]}
+
+
+def _gramian_flow():
+    """(fun, y0, method options) of the 20-state empirical-Gramian flow,
+    (x, Phi) from (x0, I), of an n = 4 --spec system."""
+    field = from_spec(parse_system_spec(N4_SPEC)).f
+    z0 = np.concatenate([[0.4, -0.3, 0.2, 0.1], np.eye(4).ravel()])
+    return variational_rhs(field, 4), z0, {}
+
+
+def _per_step_coefficients(fun, y0, t_span, options):
+    """t_old, h, y_old and F of scipy's dense_output() after each step."""
+    method, extra = _reference(options)
+    solver = method(fun, t_span[0], y0, t_span[1], **TOLS, **extra)
+    steps = []
+    while solver.status == "running":
+        solver.step()
+        steps.append(solver.dense_output())
+    assert solver.status == "finished"
+    return _steps_of(steps)
+
+
+@pytest.mark.parametrize("case", [_gramian_flow, _batched], ids=["gramian n=4", "batch"])
+def test_after_the_loop_coefficients_equal_scipys_per_step_dense_output(case):
+    fun, y0, options = case()
+    ours = solve_ivp(fun, (0.0, 20.0), y0, event=lambda t, y: -1.0, **TOLS, **options).dense
+    ref = _per_step_coefficients(fun, y0, (0.0, 20.0), options)
+    for name in ("t_old", "h", "y_old", "F"):
+        assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+    assert ref.F.shape[1] > 20  # enough steps to stack
+
+
+def test_integrate_ivp_of_a_time_dependent_callable_equals_scipy():
+    def fun(t, y):
+        return -y + np.sin(t)
+
+    ours = integrate_ivp(fun, [1.0], (0.0, 10.0))
+    ref = _scipy(fun, np.array([1.0]), (0.0, 10.0), {})
+    times = np.random.default_rng(3).uniform(0.0, 10.0, 200)
+    assert np.array_equal(ours.times, ref.t)
+    assert np.array_equal(ours.at(times), ref.sol(times).T)
+
+
+def test_a_callable_of_one_state_still_integrates():
+    def fun(t, y):
+        x1, x2 = y.tolist()  # one state only: a stack would give two lists
+        return [x2, -x1 - 0.5 * x2]
+
+    ours = integrate_ivp(fun, [1.0, 0.0], (0.0, 5.0))
+    ref = _scipy(fun, np.array([1.0, 0.0]), (0.0, 5.0), {})
+    assert np.array_equal(ours.times, ref.t)
+    assert np.array_equal(ours.at(ref.t[::3]), ref.sol(ref.t[::3]).T)
+
+
+def _van_der_pol(t, y):
+    """mu = 10: stiff enough that DOP853 rejects steps; takes stacks."""
+    return np.array([y[1], -y[0] + 10.0 * (1.0 - y[0] ** 2) * y[1]])
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_nfev_equals_scipys_on_a_solve_that_rejects_steps(batch):
+    if batch is None:
+        fun, y0, options = _van_der_pol, np.array([2.0, 0.0]), {}
+    else:
+        z0 = np.array([[2.0, 0.0], [1.0, 1.0], [-0.5, 2.0]])
+        fun, y0 = _batch_fun(_van_der_pol, 2, batch), z0.T.reshape(-1)
+        options = {"method": _BatchDOP853, "batch": batch}
+    ours = solve_ivp(fun, (0.0, 10.0), y0, event=lambda t, y: -1.0, **TOLS, **options)
+    ref = _scipy(fun, y0, (0.0, 10.0), options)
+    steps = len(ref.t) - 1
+    assert ref.nfev > 2 + 15 * steps  # 12 per trial step, 3 per dense output
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
 
 
 def _terminal_escape(fun, y0, t_span, options, largest):
