@@ -203,24 +203,18 @@ class VectorField:
 
         return cls(dim_in, len(asts), func)
 
-    @classmethod
-    def zero(cls, dim_in: int, dim_out: int) -> "VectorField":
-        return cls(dim_in, dim_out, lambda xs: [0.0] * dim_out)
-
 
 @dataclass
 class MatrixField:
-    """Matrix-valued map on state space.
+    """Matrix-valued map on state space whose func takes dual scalars.
 
-    dual_ok marks whether func accepts dual scalars; empirically built
-    fields (trajectory integrals at a point) are pointwise-only and must
-    be differentiated by finite differences instead.
+    A matrix field evaluated only on floats (an empirical Gramian at a
+    point, say) is any callable returning a matrix, not a MatrixField.
     """
 
     rows: int
     cols: int
     func: Callable[[Sequence], Sequence]
-    dual_ok: bool = True
     # kernel key -> (func, compiled kernel); see _kernel
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -231,7 +225,7 @@ class MatrixField:
     def constant(cls, matrix) -> "MatrixField":
         mat = [list(map(float, row)) for row in np.atleast_2d(np.asarray(matrix, dtype=float))]
         r, c = len(mat), len(mat[0])
-        return cls(r, c, lambda xs: mat, dual_ok=True)
+        return cls(r, c, lambda xs: mat)
 
     @classmethod
     def from_exprs(cls, grid, dim_in: int) -> "MatrixField":
@@ -242,11 +236,7 @@ class MatrixField:
             env = dict(zip(names, xs))
             return [[ast.evaluate(env) for ast in row] for row in grid]
 
-        return cls(r, c, func, dual_ok=True)
-
-    @classmethod
-    def from_pointwise(cls, func, rows: int, cols: int) -> "MatrixField":
-        return cls(rows, cols, func, dual_ok=False)
+        return cls(r, c, func)
 
     def column(self, j: int) -> VectorField:
         return VectorField(self.cols, self.rows, lambda xs: [row[j] for row in self.func(xs)])
@@ -675,18 +665,15 @@ def lie_scalar(f_func, h_func, xs, n):
 
 def matrix_at(field, x) -> np.ndarray:
     """The matrix of a field at the point x: by field_values for a
-    MatrixField that takes duals, by a call on floats for a pointwise
-    field (MatrixField.from_pointwise, gramian.EmpiricalGramianField, or
-    any callable returning a matrix)."""
-    if isinstance(field, MatrixField) and field.dual_ok:
+    MatrixField, by a call on floats for a pointwise field
+    (gramian.EmpiricalGramianField, or any callable returning a matrix)."""
+    if isinstance(field, MatrixField):
         return field_values(field, x)
     return np.atleast_2d(np.asarray(field([float(v) for v in x]), dtype=float))
 
 
 def matrix_field_directional(M: MatrixField, x, v) -> np.ndarray:
     """Directional derivative of a matrix field along v, by a one-direction dual pass."""
-    if not M.dual_ok:
-        raise ValueError("matrix field is pointwise-only; differentiate by finite differences")
     xs = [float(s) for s in x]
     out = M.func(seed_direction(xs, [float(s) for s in v]))
     result = np.zeros((M.rows, M.cols))

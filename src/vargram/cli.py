@@ -52,6 +52,16 @@ def _parse_floats(text: str, label: str) -> list[float]:
         raise CliError(f"{label}: expected comma-separated numbers, got {text!r}")
 
 
+def _parse_point(text: str, flag: str, system: SystemModel) -> list[float]:
+    """A point or vector given as --flag, checked to have the system's n
+    components."""
+    values = _parse_floats(text, f"--{flag}")
+    if len(values) != system.n:
+        raise CliError(f"--{flag} needs {system.n} components for system "
+                       f"{system.name!r}, got {len(values)}")
+    return values
+
+
 def _parse_region(text: str) -> list[tuple[float, float]]:
     vals = _parse_floats(text, "--region")
     if len(vals) % 2 != 0 or not vals:
@@ -155,8 +165,7 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_script(csv_path: str, kind: str, script_path: str | None = None,
-                     grid_shape: Sequence[int] | None = None,
+def emit_plot_script(csv_path: str, kind: str, grid_shape: Sequence[int] | None = None,
                      value_column: int = 4, title: str = "") -> str:
     """Write a self-contained gnuplot script next to an existing CSV.
 
@@ -169,8 +178,6 @@ def emit_plot_script(csv_path: str, kind: str, script_path: str | None = None,
     if kind not in ("timeseries", "heatmap"):
         raise ValueError(f"unknown plot kind {kind!r}: use timeseries or heatmap")
     base = os.path.basename(csv_path)
-    if script_path is None:
-        script_path = os.path.splitext(csv_path)[0] + ".gp"
     name = title or os.path.splitext(base)[0]
     if kind == "timeseries":
         text = (
@@ -191,7 +198,7 @@ def emit_plot_script(csv_path: str, kind: str, script_path: str | None = None,
             "set pm3d at b\n"
             f"splot '{base}' using 1:2:{int(value_column)} with pm3d notitle\n"
         )
-    return _write_text(script_path, text)
+    return _write_text(os.path.splitext(csv_path)[0] + ".gp", text)
 
 
 # ---------------------------------------------------------------- simulate
@@ -202,14 +209,14 @@ _MODES = {"open-loop": None, "closed-loop": None, "prolonged": "dx0",
           "dual-closed-loop": "dp0", "dual-open": "dp0"}
 
 
-def _partner(args, flag: str | None, what: str) -> list[float] | None:
-    """The vector flag `what` uses, parsed, or None if it is not given;
-    CliError if any other vector flag is given."""
+def _partner(args, flag: str | None, what: str, system: SystemModel) -> list[float] | None:
+    """The vector flag `what` uses, parsed as a point of system, or None if
+    it is not given; CliError if any other vector flag is given."""
     for other in ("dx0", "dp0", "x0p"):
         if other != flag and getattr(args, other, None) is not None:
             raise CliError(f"{what} does not use --{other}")
     value = getattr(args, flag) if flag else None
-    return None if value is None else _parse_floats(value, f"--{flag}")
+    return None if value is None else _parse_point(value, flag, system)
 
 
 def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
@@ -217,8 +224,6 @@ def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
     """Run one simulation mode and tabulate states plus derived outputs at
     samples evenly spaced times on [0, tf]."""
     n = system.n
-    if len(x0) != n:
-        raise CliError(f"--x0 needs {n} components for system {system.name!r}")
     times = np.linspace(0.0, tf, samples)
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
 
@@ -238,8 +243,6 @@ def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
     aug = build(system)
     if second is None:
         raise CliError(f"mode {mode} needs --{_MODES[mode]}")
-    if len(second) != n:
-        raise CliError(f"second initial vector needs {n} components")
     z0 = aug.pack(**{"x": x0, block: second})
     states = integrate_ivp(aug.rhs, z0, (0.0, tf)).at(times)
 
@@ -258,8 +261,8 @@ def _cmd_simulate(args) -> int:
     if args.samples < 2:
         raise CliError(f"--samples must be at least 2, got {args.samples}")
     system = _load_system(args)
-    x0 = _parse_floats(args.x0, "--x0")
-    second = _partner(args, _MODES[args.mode], f"mode {args.mode}")
+    x0 = _parse_point(args.x0, "x0", system)
+    second = _partner(args, _MODES[args.mode], f"mode {args.mode}", system)
     header, rows = _simulate_table(system, args.mode, x0, second,
                                    args.tf, args.samples)
     out = _out_dir(args)
@@ -278,9 +281,9 @@ _ENERGY_KINDS = ("diff-obs", "diff-ctrl", "incr-obs", "incr-ctrl")
 
 def _cmd_energy(args) -> int:
     system = _load_system(args)
-    x0 = _parse_floats(args.x0, "--x0")
+    x0 = _parse_point(args.x0, "x0", system)
     flag = "dx0" if args.kind.startswith("diff") else "x0p"
-    partner = _partner(args, flag, f"kind {args.kind}")
+    partner = _partner(args, flag, f"kind {args.kind}", system)
     if partner is None:
         raise CliError(f"kind {args.kind} needs --{flag}")
     fn = {
@@ -305,7 +308,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_gramian(args) -> int:
     system = _load_system(args)
-    x = _parse_floats(args.x, "--x")
+    x = _parse_point(args.x, "x", system)
     fn = (gramian_mod.empirical_obs_gramian if args.kind == "obs"
           else gramian_mod.empirical_ctrl_gramian)
     res = fn(system, x, tol=args.tol)
@@ -352,7 +355,7 @@ def _cmd_residual(args) -> int:
     system = _load_system(args)
     field_obj = _build_field(system, args.field, args.tol, fixed_horizon=40.0)
     if args.x is not None:
-        x = _parse_floats(args.x, "--x")
+        x = _parse_point(args.x, "x", system)
         reports = _residual_reports(system, args.equation, field_obj, x)
         payload = {"system": system.name, "field": args.field, "x": x,
                    "residuals": [{"equation_id": r.equation_id,
@@ -394,7 +397,7 @@ def _cmd_rank(args) -> int:
     system = _load_system(args)
     builder = _MATRICES[args.matrix]
     if args.x is not None:
-        x = _parse_floats(args.x, "--x")
+        x = _parse_point(args.x, "x", system)
         res = builder(system, x, depth=args.depth)
         payload = {"system": system.name, "matrix": args.matrix, "x": x,
                    "depth": res.depth, "rank": res.rank,
@@ -467,6 +470,8 @@ def _cmd_pd_scan(args) -> int:
     shape = _parse_grid(args.grid)
     if len(shape) != system.n:
         raise CliError(f"--grid has {len(shape)} dims, system has {system.n}")
+    if args.plot and len(shape) != 2:
+        raise CliError(f"--plot draws a heatmap over two dims, --grid has {len(shape)}")
     csv_path = os.path.join(_out_dir(args), "scan.csv")
     scan = _scan_grid(source, args.field, args.tol, args.jobs, region, shape, csv_path)
     print(csv_path)

@@ -44,6 +44,9 @@ class ExprAst:
     precedence = 100
 
     def evaluate(self, env):
+        """Value of the tree under a variable binding.  Scalars in env may
+        be floats, dual numbers or 1-D float arrays (one entry per point);
+        the arithmetic is generic."""
         raise NotImplementedError
 
     def to_text(self) -> str:
@@ -312,15 +315,6 @@ class _Parser:
 def parse_expression(text: str) -> ExprAst:
     """Parse a polynomial/rational expression in variables x1..xn."""
     return _Parser(_tokenize(text)).parse()
-
-
-def evaluate(ast: ExprAst, env: dict) -> object:
-    """Evaluate an expression tree under a variable binding.
-
-    Scalars in env may be floats, dual numbers or 1-D float arrays (one
-    entry per point); the arithmetic is generic.
-    """
-    return ast.evaluate(env)
 
 
 def max_var_index(asts) -> int:

@@ -126,8 +126,6 @@ class EmpiricalGramianField:
     many(points) fills the memo from batched flows.
     """
 
-    dual_ok = False
-
     def __init__(self, system: SystemModel, kind: str, tol: float = 1e-8,
                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                  fixed_horizon: float | None = 40.0):
@@ -167,10 +165,10 @@ class EmpiricalGramianField:
 def matrix_directional(field_like, xs, v, fd_step: float = 1e-4) -> np.ndarray:
     """Directional derivative of a matrix field along v.
 
-    Exact through duals when the field supports them; otherwise central
+    Exact through duals for a MatrixField; for a pointwise field, central
     differences at fd_step with one Richardson refinement step.
     """
-    if isinstance(field_like, MatrixField) and field_like.dual_ok:
+    if isinstance(field_like, MatrixField):
         return matrix_field_directional(field_like, [float(u) for u in xs], v)
     x = np.asarray(xs, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -286,10 +284,10 @@ class PDScan:
     dets: np.ndarray
     statuses: list[str]
 
-    def all_positive_definite(self, floor: float = 0.0) -> bool:
+    def all_positive_definite(self) -> bool:
         if any(s != "ok" for s in self.statuses):
             return False
-        return bool(np.all(self.min_eigs > floor) and np.all(self.dets > floor))
+        return bool(np.all(self.min_eigs > 0.0) and np.all(self.dets > 0.0))
 
     def to_csv(self) -> str:
         n = self.points.shape[1]

@@ -1,14 +1,15 @@
 """Adaptive ODE integration and quadrature utilities.
 
-Trajectories wrap solutions of the Dormand-Prince 8(5,3) pair with its
-7th-order dense output, so downstream quadrature can sample between
-accepted steps.  solve_ivp steps scipy's DOP853 itself (_DOP853, scipy's
-step with its per-call overhead removed), taking the steps and floats of
-scipy's solve_ivp.  It keeps each accepted step's stages and, after the
-loop, evaluates the interpolant's three extra stages of all steps at
-once, keeping the coefficients as arrays (DenseSteps), so that a lookup
-evaluates any number of times in one pass (Hairer, Norsett & Wanner,
-Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).
+A Trajectory is a solved flow of the Dormand-Prince 8(5,3) pair: its
+step times, its states and the coefficients of its 7th-order dense
+output, so downstream quadrature can sample between accepted steps.
+solve_ivp steps scipy's DOP853 itself (_DOP853, scipy's step with its
+per-call overhead removed), taking the steps and floats of scipy's
+solve_ivp.  It keeps each accepted step's stages and, after the loop,
+evaluates the interpolant's three extra stages of all steps at once,
+keeping the coefficients as one array, so that a lookup evaluates any
+number of times in one pass (Hairer, Norsett & Wanner, Solving Ordinary
+Differential Equations I, 2nd ed., Sec. II.6).
 Improper time integrals use horizon doubling with an exponential tail
 fit; a non-decaying integrand is an error, never an implicit infinity.
 
@@ -80,16 +81,24 @@ def _within_span(t, t0: float, tf: float):
 
 
 class Trajectory:
-    """Immutable solution curve with dense evaluation between stored nodes.
+    """A solved flow: the steps of one DOP853 solve, or of consecutive
+    solves, with their dense output, evaluated as scipy's OdeSolution
+    evaluates its Dop853DenseOutput interpolants, for every requested time
+    in one pass.
 
-    states holds one state per stored time, (T, dim), or one (B, dim)
-    stack per stored time for a batch, (T, B, dim).
+    times, shape (S + 1,), are the step times and states, (S + 1, N), the
+    states there as the solver lays them out; F, (7, S, N), holds the
+    seven coefficient rows of each step's interpolant (built by
+    _DOP853.dense_steps).  A batch of B points holds its (dim, B) solver
+    state flattened, N = dim * B, and hands out states as (B, dim).
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, eval_fn):
+    def __init__(self, times: np.ndarray, states: np.ndarray, F: np.ndarray,
+                 batch: int | None = None):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self._eval = eval_fn
+        self.F = F
+        self.batch = batch
         if self.times.ndim != 1 or len(self.times) < 1:
             raise ValueError("trajectory needs at least one stored time")
         if np.any(np.diff(self.times) <= 0):
@@ -106,66 +115,42 @@ class Trajectory:
         return float(self.times[-1])
 
     @property
-    def dim(self) -> int:
-        return self.states.shape[-1]
-
-    @property
     def endpoint(self) -> np.ndarray:
-        return self.states[-1].copy()
+        return self._points(self.states[-1]).copy()
+
+    def _points(self, y: np.ndarray) -> np.ndarray:
+        """Solver states (..., N) as (..., dim), or (..., B, dim) for a batch."""
+        if self.batch is None:
+            return y
+        return y.reshape(y.shape[:-1] + (-1, self.batch)).swapaxes(-1, -2)
 
     def at(self, t) -> np.ndarray:
         """State at time t, shape (dim,), or at each entry of a 1-D array of
-        times, shape (N, dim); a batch adds its point axis before dim."""
-        return np.asarray(self._eval(_within_span(t, self.t0, self.tf)), dtype=float)
+        times, stacked on axis 0; a batch adds its point axis before dim.
 
-
-def _unstack(y: np.ndarray, batch: int | None) -> np.ndarray:
-    """States as the solver holds them, on the last axis, (..., dim); for a
-    batch, whose solver state is the (dim, B) array flattened, (..., B, dim)."""
-    if batch is None:
-        return y
-    return y.reshape(y.shape[:-1] + (-1, batch)).swapaxes(-1, -2)
-
-
-class DenseSteps:
-    """Dense output of consecutive DOP853 steps, evaluated as scipy's
-    OdeSolution evaluates its Dop853DenseOutput interpolants, for every
-    requested time in one pass (built by _DOP853.dense_steps).
-
-    Step i starts at t_old[i] and is h[i] long; y_old[i] is the state
-    there and F[:, i] the seven coefficient rows of its interpolant.  A
-    time t lies on the first step whose end is not before t (the earlier
-    step at a step time; times before the first and after the last step
-    are clamped to them, as OdeSolution does), and its state is scipy's
-    recurrence: x = (t - t_old) / h, y = 0, then y += F[k] and y *= x
-    (k even) or 1 - x (k odd) for k = 6, ..., 0, then y += y_old.
-    """
-
-    def __init__(self, t_old: np.ndarray, h: np.ndarray, y_old: np.ndarray,
-                 F: np.ndarray):
-        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
-
-    def then(self, later: "DenseSteps") -> "DenseSteps":
-        """These steps followed by those of a solve from where they end."""
-        return DenseSteps(np.concatenate([self.t_old, later.t_old]),
-                          np.concatenate([self.h, later.h]),
-                          np.concatenate([self.y_old, later.y_old]),
-                          np.concatenate([self.F, later.F], axis=1))
-
-    def __call__(self, t) -> np.ndarray:
-        """State at time t, shape (dim,), or at each entry of a 1-D array
-        of times, shape (N, dim)."""
-        times = np.atleast_1d(np.asarray(t, dtype=float))
-        step = np.searchsorted(self.t_old, times, side="left") - 1
+        A time lies on the first step whose end is not before it (the
+        earlier step at a step time), and its state is scipy's recurrence:
+        x = (t - t_old) / h, y = 0, then y += F[k] and y *= x (k even) or
+        1 - x (k odd) for k = 6, ..., 0, then y += y_old."""
+        t = _within_span(t, self.t0, self.tf)
+        times = np.atleast_1d(t)
+        step = np.searchsorted(self.times[:-1], times, side="left") - 1
         step[step < 0] = 0
-        x = ((times - self.t_old[step]) / self.h[step])[:, None]
+        t_old = self.times[step]
+        x = ((times - t_old) / (self.times[step + 1] - t_old))[:, None]
         one_minus_x = 1 - x
-        y = np.zeros((len(times), self.y_old.shape[1]))
+        y = np.zeros((len(times), self.states.shape[1]))
         for k in range(6, -1, -1):
             y += self.F[k][step]
             y *= x if k % 2 == 0 else one_minus_x
-        y += self.y_old[step]
-        return y if np.ndim(t) else y[0]
+        y += self.states[step]
+        return self._points(y if np.ndim(t) else y[0])
+
+    def then(self, later: "Trajectory") -> "Trajectory":
+        """This flow followed by that of a solve from where it ends."""
+        return Trajectory(np.concatenate([self.times, later.times[1:]]),
+                          np.concatenate([self.states, later.states[1:]]),
+                          np.concatenate([self.F, later.F], axis=1), self.batch)
 
 
 @dataclass
@@ -173,15 +158,16 @@ class Solution:
     """Result of solve_ivp: the step times t, shape (S + 1,), and states
     y, shape (N, S + 1), as scipy lays them out; nfev; status 0 when tf
     was reached, 1 when the event crossed zero (at t_event, state
-    y_event) and -1 when the solver failed (message); the dense output
-    of the steps taken when tf was reached, else None."""
+    y_event) and -1 when the solver failed (message); when tf was reached,
+    dense holds the interpolant coefficients of the steps taken, shape
+    (7, S, N) (_DOP853.dense_steps), else None."""
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
     status: int
     message: str | None
-    dense: DenseSteps | None
+    dense: np.ndarray | None
     t_event: float | None = None
     y_event: np.ndarray | None = None
 
@@ -256,10 +242,11 @@ class _DOP853(DOP853):
         self.f = f_new
         return True, None
 
-    def dense_steps(self, t: np.ndarray, y: np.ndarray, K: np.ndarray) -> DenseSteps:
-        """DenseSteps of S accepted steps, step i from t[i] to t[i + 1] and
-        y[i] to y[i + 1] (t (S + 1,), y (S + 1, N)), whose stages fill the
-        first n_stages + 1 rows of K[i] (K (S, 16, N), written in place).
+    def dense_steps(self, t: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
+        """Interpolant coefficients F, shape (7, S, N), of S accepted steps
+        (see Trajectory), step i from t[i] to t[i + 1] and y[i] to y[i + 1]
+        (t (S + 1,), y (S + 1, N)), whose stages fill the first
+        n_stages + 1 rows of K[i] (K (S, 16, N), written in place).
 
         Each of DOP853's three extra stages is one call of the right-hand
         side on the (N, S) stack of all steps' stage states; every float is
@@ -279,7 +266,7 @@ class _DOP853(DOP853):
         F[1] = h_rows * f_old - delta_y
         F[2] = 2 * delta_y - h_rows * (f + f_old)
         F[3:] = (h[:, None, None] * np.matmul(self.D, K)).transpose(1, 0, 2)
-        return DenseSteps(t_old, h, y_old, F)
+        return F
 
 
 def solve_ivp(fun, t_span, y0, *, event, method=_DOP853, **options) -> Solution:
@@ -396,11 +383,11 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
     return sol
 
 
-def _dense(steps: DenseSteps, batch: int | None = None):
-    """Evaluator of a solve's dense output: a scalar time gives the state,
-    shape (dim,); a 1-D array of times gives the states stacked on axis 0,
-    shape (N, dim).  A batch adds its point axis before dim."""
-    return lambda t: _unstack(steps(t), batch)
+def _solved(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Trajectory:
+    """Trajectory of _solve_segment from x0, one state or a (B, dim) batch."""
+    x0 = np.asarray(x0, dtype=float)
+    sol = _solve_segment(rhs, x0, t0, tf, rtol, atol)
+    return Trajectory(sol.t, sol.y.T, sol.dense, None if x0.ndim == 1 else len(x0))
 
 
 def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
@@ -425,8 +412,7 @@ def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
                 return np.asarray(field(t, y), dtype=float)
             return np.stack([np.asarray(field(s, z), dtype=float) for s, z in zip(t, y.T)],
                             axis=1)
-    sol = _solve_segment(rhs, x0, t0, tf, rtol, atol)
-    return Trajectory(sol.t, sol.y.T, _dense(sol.dense))
+    return _solved(rhs, x0, t0, tf, rtol, atol)
 
 
 def variational_rhs(field: VectorField, width: int, sign: float = 1.0):
@@ -464,9 +450,7 @@ class HorizonFlow:
         self.atol = atol
         self.chunk = float(chunk)
         self._z0 = np.asarray(z0, dtype=float)
-        self._batch = None if self._z0.ndim == 1 else len(self._z0)
         self._traj: Trajectory | None = None
-        self._dense: DenseSteps | None = None  # steps over [0, horizon]
 
     @property
     def horizon(self) -> float:
@@ -474,19 +458,12 @@ class HorizonFlow:
 
     def ensure(self, horizon: float) -> Trajectory:
         if self._traj is None:
-            sol = _solve_segment(self.rhs, self._z0, 0.0, self.chunk, self.rtol, self.atol)
-            self._dense = sol.dense
-            self._traj = Trajectory(sol.t, _unstack(sol.y.T, self._batch),
-                                    _dense(sol.dense, self._batch))
+            self._traj = _solved(self.rhs, self._z0, 0.0, self.chunk, self.rtol, self.atol)
         while self._traj.tf < horizon:
             t_lo = self._traj.tf
             t_hi = max(horizon, 2.0 * t_lo)
-            sol = _solve_segment(self.rhs, self._traj.endpoint, t_lo, t_hi,
-                                 self.rtol, self.atol)
-            self._dense = self._dense.then(sol.dense)
-            times = np.concatenate([self._traj.times, sol.t[1:]])
-            states = np.concatenate([self._traj.states, _unstack(sol.y.T, self._batch)[1:]])
-            self._traj = Trajectory(times, states, _dense(self._dense, self._batch))
+            self._traj = self._traj.then(_solved(self.rhs, self._traj.endpoint, t_lo, t_hi,
+                                                 self.rtol, self.atol))
         return self._traj
 
     def state(self, t) -> np.ndarray:

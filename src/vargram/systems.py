@@ -108,13 +108,16 @@ class AugmentedField:
     layout: dict[str, slice]
     outputs: dict[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
 
-    def block(self, z: np.ndarray, name: str) -> np.ndarray:
-        return np.asarray(z)[self.layout[name]]
-
     def pack(self, **blocks) -> np.ndarray:
         """One state (dim,) from its blocks, or a (B, dim) stack when a
-        block is a (B, size) stack; the other blocks broadcast to it."""
+        block is a (B, size) stack; the other blocks broadcast to it.
+        ValueError if a block's last axis is not its size."""
         arrays = {name: np.asarray(value, dtype=float) for name, value in blocks.items()}
+        for name, value in arrays.items():
+            size = len(range(self.dim)[self.layout[name]])
+            if value.shape[-1:] != (size,):
+                raise ValueError(f"block {name!r} needs {size} components, "
+                                 f"got shape {value.shape}")
         lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays.values()))
         z = np.zeros(lead + (self.dim,))
         for name, value in arrays.items():

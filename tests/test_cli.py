@@ -121,6 +121,27 @@ def test_vector_flags_the_mode_does_not_use_are_errors(tmp_path, capsys, argv, s
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["energy", "--kind", "diff-obs", "--x0", "0", "--dx0", "1,0"], "--x0"),
+    (["energy", "--kind", "diff-obs", "--x0", "0,0", "--dx0", "1"], "--dx0"),
+    (["energy", "--kind", "incr-ctrl", "--x0", "0.1", "--x0p", "0.1,0.05"], "--x0"),
+    (["energy", "--kind", "incr-ctrl", "--x0", "0.1,0", "--x0p", "0.1,0.05,0"], "--x0p"),
+    (["gramian", "--kind", "obs", "--x", "0"], "--x"),
+    (["residual", "--equation", "dLya_con", "--field", "cert-P", "--x", "0"], "--x"),
+    (["rank", "--matrix", "ctrl", "--x", "0"], "--x"),
+    (["simulate", "--mode", "prolonged", "--x0", "0", "--dx0", "1,0"], "--x0"),
+    (["simulate", "--mode", "two-copy", "--x0", "0,0", "--x0p", "1"], "--x0p"),
+], ids=["diff-obs-x0", "diff-obs-dx0", "incr-ctrl-x0", "incr-ctrl-x0p", "gramian",
+        "residual", "rank", "simulate-x0", "simulate-x0p"])
+def test_a_point_with_the_wrong_number_of_components_is_an_error(tmp_path, capsys, argv, flag):
+    for system in ("paper_sec5", "linear_2x2"):
+        code = main(argv + ["--system", system, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} needs 2 components for system {system!r}")
+    assert not any(tmp_path.iterdir())
+
+
 def test_gramian_output(tmp_path):
     out = tmp_path / "g"
     code = main(["gramian", "--system", "paper_sec5", "--kind", "obs",
@@ -203,6 +224,14 @@ def test_pd_scan_reports_positivity(tmp_path, capsys):
     assert code == 0
     assert "positive definite everywhere: True" in capsys.readouterr().out
     assert (out / "scan.gp").exists()
+
+
+def test_pd_scan_plot_needs_a_two_dimensional_grid(tmp_path, capsys):
+    code = main(["pd-scan", "--system", "linear_scalar", "--field", "cert-Q",
+                 "--region", "-1,1", "--grid", "5", "--plot", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --plot draws a heatmap over two dims")
+    assert not any(tmp_path.iterdir())
 
 
 def test_example_quick_reproduces_all_artifacts(tmp_path):

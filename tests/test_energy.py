@@ -72,6 +72,11 @@ def test_slowly_decaying_spec_oscillator_matches_lyapunov_oracle():
     assert abs(ev.value - expected) <= 1e-9 * abs(expected)
 
 
+def test_a_point_with_the_wrong_number_of_components_is_rejected():
+    with pytest.raises(ValueError, match="block 'x' needs 2 components"):
+        diff_observability(registry("paper_sec5"), [0.0], [1.0, 0.0])
+
+
 def test_zero_tangent_and_identical_pair_give_zero():
     sys_ = registry("paper_sec5")
     assert diff_observability(sys_, [0.1, -0.2], [0.0, 0.0]).value == 0.0

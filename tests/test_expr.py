@@ -16,7 +16,6 @@ from vargram.expr import (
     Num,
     Pow,
     Var,
-    evaluate,
     max_var_index,
     parse_expression,
     parse_system_spec,
@@ -25,35 +24,35 @@ from vargram.expr import (
 
 def test_hand_values():
     env = {"x1": 1.0, "x2": 2.0}
-    assert evaluate(parse_expression("x1 + x1^2/2 + x2"), env) == 3.5
-    assert evaluate(parse_expression("-x1^2"), env) == -1.0  # pow binds tighter than neg
-    assert evaluate(parse_expression("(-x1)^2"), env) == 1.0
-    assert evaluate(parse_expression("x1/2/2"), env) == 0.25  # left associative
-    assert evaluate(parse_expression("2 - 3 - 4"), env) == -5.0
-    assert evaluate(parse_expression("2^3^2"), env) == 64.0  # (2^3)^2, left associative
-    assert evaluate(parse_expression("1.5e2"), env) == 150.0
-    assert evaluate(parse_expression("+x2"), env) == 2.0
+    assert parse_expression("x1 + x1^2/2 + x2").evaluate(env) == 3.5
+    assert parse_expression("-x1^2").evaluate(env) == -1.0  # pow binds tighter than neg
+    assert parse_expression("(-x1)^2").evaluate(env) == 1.0
+    assert parse_expression("x1/2/2").evaluate(env) == 0.25  # left associative
+    assert parse_expression("2 - 3 - 4").evaluate(env) == -5.0
+    assert parse_expression("2^3^2").evaluate(env) == 64.0  # (2^3)^2, left associative
+    assert parse_expression("1.5e2").evaluate(env) == 150.0
+    assert parse_expression("+x2").evaluate(env) == 2.0
 
 
 def test_unbound_variable():
     with pytest.raises(ExprEvalError, match="x3"):
-        evaluate(parse_expression("x3"), {"x1": 0.0})
+        parse_expression("x3").evaluate({"x1": 0.0})
 
 
 def test_division_by_zero_reported():
     with pytest.raises(ExprEvalError, match="division by zero"):
-        evaluate(parse_expression("1/x1"), {"x1": 0.0})
+        parse_expression("1/x1").evaluate({"x1": 0.0})
 
 
 def test_division_by_zero_reported_on_arrays():
     # arrays hold one value per point of a stack; numpy alone would give inf
     with pytest.raises(ExprEvalError, match="division by zero"):
-        evaluate(parse_expression("1/x1"), {"x1": np.array([1.0, 0.0])})
+        parse_expression("1/x1").evaluate({"x1": np.array([1.0, 0.0])})
     with pytest.raises(ExprEvalError, match="division by zero"):
-        evaluate(parse_expression("x2/(x1 - 1)"), {"x1": np.array([2.0, 1.0]),
-                                                  "x2": np.array([1.0, 1.0])})
-    out = evaluate(parse_expression("x2/(x1 - 1)"), {"x1": np.array([2.0, 3.0]),
-                                                     "x2": np.array([1.0, 1.0])})
+        parse_expression("x2/(x1 - 1)").evaluate({"x1": np.array([2.0, 1.0]),
+                                                   "x2": np.array([1.0, 1.0])})
+    out = parse_expression("x2/(x1 - 1)").evaluate({"x1": np.array([2.0, 3.0]),
+                                                    "x2": np.array([1.0, 1.0])})
     assert np.array_equal(out, [1.0, 0.5])
 
 
@@ -113,10 +112,10 @@ def test_to_text_round_trip_is_exact(tree):
 def test_round_trip_evaluation_agrees(tree):
     env = {"x1": 1.5, "x2": -2.0, "x3": 0.75}
     try:
-        expected = evaluate(tree, env)
+        expected = tree.evaluate(env)
     except (ExprEvalError, OverflowError):
         return
-    got = evaluate(parse_expression(tree.to_text()), env)
+    got = parse_expression(tree.to_text()).evaluate(env)
     if math.isnan(expected):
         assert math.isnan(got)
     else:
@@ -144,8 +143,8 @@ def test_spec_parses_minimal_document():
     spec = parse_system_spec(json.dumps(_minimal_doc()))
     assert (spec.n, spec.m, spec.p) == (2, 1, 1)
     assert spec.k is None
-    assert evaluate(spec.f[0], {"x1": 3.0, "x2": 0.0}) == -3.0
-    assert evaluate(spec.g[1][0], {}) == 0.0
+    assert spec.f[0].evaluate({"x1": 3.0, "x2": 0.0}) == -3.0
+    assert spec.g[1][0].evaluate({}) == 0.0
 
 
 def test_spec_rejects_bad_documents():
@@ -183,8 +182,8 @@ def test_spec_fields_parse_as_square_grids():
     doc["k"] = ["2*x1"]
     doc["fields"] = {"P": [["1", "0"], ["0", "1"]]}
     spec = parse_system_spec(doc)
-    assert evaluate(spec.fields["P"][0][0], {}) == 1.0
-    assert evaluate(spec.k[0], {"x1": 2.0, "x2": 0.0}) == 4.0
+    assert spec.fields["P"][0][0].evaluate({}) == 1.0
+    assert spec.k[0].evaluate({"x1": 2.0, "x2": 0.0}) == 4.0
 
 
 def test_expression_error_inside_spec_names_the_entry():

@@ -66,7 +66,6 @@ def test_gramian_results_are_symmetric_with_metadata():
 def test_gramian_field_pins_horizon_and_caches():
     sys_ = registry("paper_sec5")
     field = EmpiricalGramianField(sys_, "obs", fixed_horizon=40.0)
-    assert field.dual_ok is False
     first = field([0.05, 0.0])
     again = field([0.05, 0.0])
     assert first is again  # cached object, not merely equal
@@ -81,8 +80,9 @@ def test_matrix_directional_uses_duals_when_available():
     assert np.allclose(got, [[3.0, 0.0], [0.0, 2.0]], atol=1e-12)
 
     # pointwise-only route: central differences plus one Richardson step
-    blind = MatrixField.from_pointwise(
-        lambda xs: [[xs[0] ** 2, 0.0], [0.0, xs[1]]], 2, 2)
+    def blind(xs):
+        return [[xs[0] ** 2, 0.0], [0.0, xs[1]]]
+
     got_fd = matrix_directional(blind, [1.5, 0.0], [1.0, 2.0])
     assert np.allclose(got_fd, [[3.0, 0.0], [0.0, 2.0]], atol=1e-9)
 
@@ -210,7 +210,7 @@ def test_pd_scan_records_errors_and_continues():
             raise RuntimeError("bad, point")
         return [[1.0]]
 
-    scan = pd_scan(MatrixField.from_pointwise(flaky, 1, 1), [(-1.0, 1.0)], (3,))
+    scan = pd_scan(flaky, [(-1.0, 1.0)], (3,))
     assert scan.statuses[0] == "ok" and scan.statuses[2] == "ok"
     assert "bad; point" in scan.statuses[1]  # commas sanitized for CSV
     assert np.isnan(scan.min_eigs[1])
@@ -265,8 +265,7 @@ def test_pointwise_matrix_fields_are_called_on_floats():
         seen.append(tuple(type(v) for v in xs))
         return [[1.0 + xs[0] ** 2]]
 
-    field = MatrixField.from_pointwise(func, 1, 1)
-    scan = pd_scan(field, [(-1.0, 1.0)], (3,))
-    assert np.array_equal(matrix_at(field, [0.5]), [[1.25]])
+    scan = pd_scan(func, [(-1.0, 1.0)], (3,))
+    assert np.array_equal(matrix_at(func, [0.5]), [[1.25]])
     assert scan.statuses == ["ok"] * 3
     assert seen == [(float,)] * 4

@@ -243,10 +243,19 @@ def test_improper_integral_rejects_slow_tails_at_tight_tolerance():
 
 
 def test_trajectory_validation():
+    F = np.zeros((7, 1, 2))
     with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), lambda t: [0.0])
+        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)), F)
     with pytest.raises(ValueError, match="non-finite"):
-        Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [float("inf")]]), lambda t: [0.0])
+        Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [float("inf"), 0.0]]), F)
+    # endpoint is a copy, for one state and for a batch of two 1-D points
+    states = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for batch, end in ((None, [3.0, 4.0]), (2, [[3.0], [4.0]])):
+        traj = Trajectory(np.array([0.0, 1.0]), states.copy(), F, batch)
+        endpoint = traj.endpoint
+        assert np.array_equal(endpoint, end)
+        endpoint[...] = -1.0
+        assert np.array_equal(traj.states, states)
 
 
 def test_integrate_ivp_rejects_reversed_span():

@@ -2,7 +2,7 @@
 
 integrate.solve_ivp steps scipy's DOP853 through _DOP853's lean step,
 builds the steps' Dop853DenseOutput coefficients after the loop for all
-steps at once, and DenseSteps evaluates them for all requested times at
+steps at once, and Trajectory evaluates them for all requested times at
 once.  These tests pin all three to scipy: the steps, nfev and states of
 scipy's solve_ivp(method=DOP853, dense_output=True), its per-step
 coefficients, the values of its OdeSolution, and the time and point of
@@ -20,7 +20,7 @@ from vargram.calculus import VectorField
 from vargram.energy import diff_observability
 from vargram.expr import parse_system_spec
 from vargram.integrate import (BLOWUP_NORM, DEFAULT_ATOL, DEFAULT_RTOL, BlowUpError,
-                               DenseSteps, _BatchDOP853, _dense, integrate_ivp, solve_ivp,
+                               Trajectory, _BatchDOP853, integrate_ivp, solve_ivp,
                                variational_rhs)
 from vargram.systems import from_spec, prolong, registry
 
@@ -85,15 +85,23 @@ def test_solve_ivp_takes_scipys_steps(case):
     assert np.array_equal(ours.t, ref.t)
     assert np.array_equal(ours.y, ref.y)
     times = _times(ref.t)
-    assert np.array_equal(ours.dense(times), ref.sol(times).T)
+    flow = Trajectory(ours.t, ours.y.T, ours.dense)
+    assert np.array_equal(flow.at(times), ref.sol(times).T)
 
 
-def _steps_of(interpolants: list) -> DenseSteps:
-    """DenseSteps of scipy's Dop853DenseOutput interpolants."""
-    return DenseSteps(np.array([p.t_old for p in interpolants]),
-                      np.array([p.h for p in interpolants]),
-                      np.array([p.y_old for p in interpolants]),
-                      np.stack([p.F for p in interpolants], axis=1))
+def _steps_of(interpolants: list, ts: np.ndarray, y_end: np.ndarray,
+              batch: int | None = None) -> Trajectory:
+    """Trajectory of scipy's Dop853DenseOutput interpolants over the step
+    times ts (OdeSolution.ts), ending at the state y_end."""
+    assert np.array_equal(ts[:-1], [p.t_old for p in interpolants])
+    assert np.array_equal(np.diff(ts), [p.h for p in interpolants])
+    return Trajectory(ts, np.array([p.y_old for p in interpolants] + [y_end]),
+                      np.stack([p.F for p in interpolants], axis=1), batch)
+
+
+def _trajectory_of(sol, batch: int | None = None) -> Trajectory:
+    """Trajectory of a scipy solve_ivp result with dense_output=True."""
+    return _steps_of(sol.sol.interpolants, sol.sol.ts, sol.y[:, -1], batch)
 
 
 def _times(ts: np.ndarray) -> np.ndarray:
@@ -106,28 +114,38 @@ def _times(ts: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("case", [_single, _batched], ids=["single", "batch"])
 def test_dense_steps_equal_scipys_ode_solution(case):
     fun, y0, options = case()
-    ref = _scipy(fun, y0, (0.0, 20.0), options).sol
-    steps = _steps_of(ref.interpolants)
+    sol = _scipy(fun, y0, (0.0, 20.0), options)
+    ref, steps = sol.sol, _trajectory_of(sol)
     times = _times(ref.ts)
-    assert np.array_equal(steps(times), ref(times).T)
+    assert np.array_equal(steps.at(times), ref(times).T)
     for t in (ref.ts[0], ref.ts[7], 3.3, ref.ts[-1]):
-        assert np.array_equal(steps(t), ref(t))
+        assert np.array_equal(steps.at(t), ref(t))
     if "batch" in options:  # the (B, dim) layout of a batch's states
-        dense = _dense(steps, BATCH)
-        assert np.array_equal(dense(times), ref(times).reshape(4, BATCH, -1).T)
-        assert np.array_equal(dense(3.3), ref(3.3).reshape(4, BATCH).T)
+        points = _trajectory_of(sol, BATCH)
+        assert np.array_equal(points.at(times), ref(times).reshape(4, BATCH, -1).T)
+        assert np.array_equal(points.at(3.3), ref(3.3).reshape(4, BATCH).T)
+        assert np.array_equal(points.endpoint, sol.y[:, -1].reshape(4, BATCH).T)
 
 
 def test_consecutive_solves_equal_one_chained_ode_solution():
-    fun, y0, options = _single()
-    first = _scipy(fun, y0, (0.0, 20.0), options)
-    second = _scipy(fun, first.y[:, -1], (20.0, 40.0), options)
-    chained = OdeSolution(np.concatenate([first.sol.ts, second.sol.ts[1:]]),
-                          first.sol.interpolants + second.sol.interpolants)
-    steps = _steps_of(first.sol.interpolants).then(_steps_of(second.sol.interpolants))
-    times = _times(chained.ts)
-    assert np.array_equal(steps(times), chained(times).T)
-    assert np.array_equal(steps(20.0), chained(20.0))
+    for case in (_single, _batched):
+        fun, y0, options = case()
+        batch = options.get("batch")
+        first = _scipy(fun, y0, (0.0, 20.0), options)
+        second = _scipy(fun, first.y[:, -1], (20.0, 40.0), options)
+        chained = OdeSolution(np.concatenate([first.sol.ts, second.sol.ts[1:]]),
+                              first.sol.interpolants + second.sol.interpolants)
+        steps = _trajectory_of(first, batch).then(_trajectory_of(second, batch))
+
+        def layout(y):  # solver states (..., N) as a batch hands them out, (..., B, dim)
+            if batch is None:
+                return y
+            return y.reshape(y.shape[:-1] + (4, batch)).swapaxes(-1, -2)
+
+        times = _times(chained.ts)
+        assert np.array_equal(steps.at(times), layout(chained(times).T))
+        assert np.array_equal(steps.at(20.0), layout(chained(20.0)))
+        assert np.array_equal(steps.times, chained.ts)
 
 
 N4_SPEC = {"name": "n4", "n": 4, "m": 1, "p": 1,
@@ -143,25 +161,28 @@ def _gramian_flow():
     return variational_rhs(field, 4), z0, {}
 
 
-def _per_step_coefficients(fun, y0, t_span, options):
-    """t_old, h, y_old and F of scipy's dense_output() after each step."""
+def _per_step_coefficients(fun, y0, t_span, options) -> Trajectory:
+    """Trajectory of scipy's dense_output() after each step: its times,
+    step lengths h, states y and coefficients F."""
     method, extra = _reference(options)
     solver = method(fun, t_span[0], y0, t_span[1], **TOLS, **extra)
-    steps = []
+    ts, steps = [solver.t], []
     while solver.status == "running":
         solver.step()
+        ts.append(solver.t)
         steps.append(solver.dense_output())
     assert solver.status == "finished"
-    return _steps_of(steps)
+    return _steps_of(steps, np.array(ts), solver.y)
 
 
 @pytest.mark.parametrize("case", [_gramian_flow, _batched], ids=["gramian n=4", "batch"])
 def test_after_the_loop_coefficients_equal_scipys_per_step_dense_output(case):
     fun, y0, options = case()
-    ours = solve_ivp(fun, (0.0, 20.0), y0, event=lambda t, y: -1.0, **TOLS, **options).dense
+    ours = solve_ivp(fun, (0.0, 20.0), y0, event=lambda t, y: -1.0, **TOLS, **options)
     ref = _per_step_coefficients(fun, y0, (0.0, 20.0), options)
-    for name in ("t_old", "h", "y_old", "F"):
-        assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+    assert np.array_equal(ours.t, ref.times)  # so the step lengths h are scipy's (_steps_of)
+    assert np.array_equal(ours.y.T, ref.states)
+    assert np.array_equal(ours.dense, ref.F)
     assert ref.F.shape[1] > 20  # enough steps to stack
 
 
