@@ -84,6 +84,16 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     return shape
 
 
+def _checked_box(system: SystemModel, region, shape):
+    """(region, shape), each checked to have the system's n dims; shape
+    None is a grid not given."""
+    if len(region) != system.n:
+        raise CliError(f"--region covers {len(region)} dims, system has {system.n}")
+    if shape is not None and len(shape) != system.n:
+        raise CliError(f"--grid has {len(shape)} dims, system has {system.n}")
+    return region, shape
+
+
 def _system_source(args) -> tuple[str, str]:
     if getattr(args, "spec", None):
         return ("file", os.path.abspath(args.spec))
@@ -371,7 +381,8 @@ def _cmd_residual(args) -> int:
     if args.region is None or args.grid is None:
         raise CliError("residual needs either --x or both --region and --grid")
     out = _out_dir(args)
-    points = gramian_mod.grid_points(_parse_region(args.region), _parse_grid(args.grid))
+    points = gramian_mod.grid_points(*_checked_box(system, _parse_region(args.region),
+                                                    _parse_grid(args.grid)))
     csv_path = os.path.join(out, "residuals.csv")
     _write_text(csv_path, _residual_csv(system, [(args.equation, field_obj)], points))
     print(csv_path)
@@ -414,8 +425,8 @@ def _cmd_rank(args) -> int:
         raise CliError("rank needs either --x or both --region and --grid")
     out = _out_dir(args)
     csv_path = os.path.join(out, "rank.csv")
-    _rank_grid(system, builder, _parse_region(args.region), _parse_grid(args.grid),
-               args.depth, csv_path)
+    region, shape = _checked_box(system, _parse_region(args.region), _parse_grid(args.grid))
+    _rank_grid(system, builder, region, shape, args.depth, csv_path)
     print(csv_path)
     return 0
 
@@ -464,12 +475,7 @@ def _scan_grid(source, field_name: str, tol: float, jobs: int, region, shape,
 def _cmd_pd_scan(args) -> int:
     source = _system_source(args)
     system = _system_from_source(source)
-    region = _parse_region(args.region)
-    if len(region) != system.n:
-        raise CliError(f"--region covers {len(region)} dims, system has {system.n}")
-    shape = _parse_grid(args.grid)
-    if len(shape) != system.n:
-        raise CliError(f"--grid has {len(shape)} dims, system has {system.n}")
+    region, shape = _checked_box(system, _parse_region(args.region), _parse_grid(args.grid))
     if args.plot and len(shape) != 2:
         raise CliError(f"--plot draws a heatmap over two dims, --grid has {len(shape)}")
     csv_path = os.path.join(_out_dir(args), "scan.csv")
@@ -532,9 +538,7 @@ def _cmd_verify(args) -> int:
         else system.meta.get("default_region")
     if region is None:
         raise CliError("--region is required (system declares no default)")
-    if len(region) != system.n:
-        raise CliError(f"--region covers {len(region)} dims, system has {system.n}")
-    grid = (region, _parse_grid(args.grid) if args.grid else None)
+    grid = _checked_box(system, region, _parse_grid(args.grid) if args.grid else None)
     if args.pairs < 1 or args.samples < 1:
         raise CliError("--pairs and --samples must be at least 1")
     out = _out_dir(args)

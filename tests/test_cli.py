@@ -234,6 +234,22 @@ def test_pd_scan_plot_needs_a_two_dimensional_grid(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--matrix", "ctrl", "--region", "-1,1", "--grid", "3"],
+     "--region covers 1 dims, system has 2"),
+    (["residual", "--equation", "dLya_con", "--field", "cert-P", "--region", "-1,1",
+      "--grid", "3"], "--region covers 1 dims, system has 2"),
+    (["verify", "--theorem", "thm5", "--grid", "3"], "--grid has 1 dims, system has 2"),
+    (["rank", "--matrix", "ctrl", "--region", "-1,1,-1,1", "--grid", "3x3x3"],
+     "--grid has 3 dims, system has 2"),
+])
+def test_region_and_grid_must_match_the_system_dimension(tmp_path, capsys, argv, message):
+    code = main(argv[:1] + ["--system", "paper_sec5", "--out", str(tmp_path)] + argv[1:])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_example_quick_reproduces_all_artifacts(tmp_path):
     # end-to-end figure pipeline at reduced resolution; roughly 25 seconds
     out = tmp_path / "ex"

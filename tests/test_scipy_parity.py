@@ -19,9 +19,9 @@ from scipy.integrate import DOP853, OdeSolution
 from vargram.calculus import VectorField
 from vargram.energy import diff_observability
 from vargram.expr import parse_system_spec
+from vargram.dop853 import _BatchDOP853
 from vargram.integrate import (BLOWUP_NORM, DEFAULT_ATOL, DEFAULT_RTOL, BlowUpError,
-                               Trajectory, _BatchDOP853, integrate_ivp, solve_ivp,
-                               variational_rhs)
+                               Trajectory, integrate_ivp, solve_ivp, variational_rhs)
 from vargram.systems import from_spec, prolong, registry
 
 from test_batch_flows import ESCAPING
