@@ -563,8 +563,12 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     def rhs(t, z):
         if resolved[0] is not field.func:
             resolved[:] = field.func, _kernel(field, key, size)
-        if z.ndim == 1:
-            return _run(resolved[1], field, key, z.tolist())
+        if z.ndim == 1:  # _run's one-state path, without its frame
+            xs = z.tolist()
+            try:
+                return np.array(resolved[1](xs), dtype=float)
+            except ZeroDivisionError:
+                return np.array(_outputs(field, key, xs), dtype=float)
         return _run(resolved[1], field, key, list(z), z.shape[1])
 
     return rhs

@@ -10,6 +10,8 @@ loads scipy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import DOP853
 from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
@@ -27,20 +29,38 @@ class _DOP853(DOP853):
     arithmetic in the same order, on stage views built once per solver,
     calling the right-hand side as given instead of through scipy's
     counting and conversion wrappers (nfev grows by scipy's 12 per trial
-    step).  fun must return a float array shaped like its state.
+    step).  Its scalars (t, the direction, the step size and the error
+    norm) are Python floats, on which each IEEE operation is the one
+    numpy performs on its float64 scalars at a fraction of the cost.
+    fun must return a float array shaped like its state.
     """
 
     def __init__(self, fun, t0, y0, t_bound, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._rhs = fun
+        self.direction, self.h_abs = float(self.direction), float(self.h_abs)
         K = self.K
-        self._stages = [(s, K[:s].T, a[:s], c)
+        self._stages = [(s, K[:s].T, a[:s], float(c))
                         for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)]
         self._solution_stages = K[:-1].T
 
+    def _estimate_error_norm(self, K, h, scale):
+        """scipy's DOP853 error norm, with each np.linalg.norm(e) ** 2 taken
+        as np.linalg.norm takes it for a 1-D array, sqrt(e . e), squared."""
+        err5 = K.T.dot(self.E5)
+        err5 /= scale
+        err3 = K.T.dot(self.E3)
+        err3 /= scale
+        err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
+
     def _step_impl(self):
-        t, y, rhs, K = self.t, self.y, self._rhs, self.K
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        t, y, rhs, K, direction = self.t, self.y, self._rhs, self.K, self.direction
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
         elif self.h_abs < min_step:
@@ -53,12 +73,12 @@ class _DOP853(DOP853):
         while True:
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
-            h = h_abs * self.direction
+            h = h_abs * direction
             t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
+            if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             for s, stages, a, c in self._stages:
                 K[s] = rhs(t + c * h, y + stages.dot(a) * h)
@@ -66,7 +86,10 @@ class _DOP853(DOP853):
             f_new = rhs(t + h, y_new)
             K[-1] = f_new
             self.nfev += self.n_stages
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            scale = np.abs(y)  # atol + max(|y|, |y_new|) * rtol, in place
+            np.maximum(scale, np.abs(y_new), out=scale)
+            scale *= self.rtol
+            scale += self.atol
             error_norm = self._estimate_error_norm(K, h, scale)
 
             if error_norm < 1:

@@ -192,11 +192,14 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, **options) -> Solution:
     crossing = event(t0, y0)
     status, message, t_event, y_event = None, None, None, None
     while status is None:
-        message = solver.step()
-        if solver.status == "failed":
+        # OdeSolver.step's transitions; a zero-length span finishes unstepped
+        t = solver.t
+        stepped, message = (True, None) if t == tf else solver._step_impl()
+        if not stepped:
             status = -1
             break
-        if solver.status == "finished":
+        solver.t_old = t
+        if solver.direction * (solver.t - tf) >= 0:
             status = 0
         previous, crossing = crossing, event(solver.t, solver.y)
         if previous <= 0 <= crossing:
@@ -228,7 +231,12 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
         raise IntegrationError("non-finite initial state")
     if x0.ndim == 1:
         fun, y0, options = rhs, x0, {}
-        largest, escaped = _norm, lambda y: None
+
+        def largest(y):  # _norm's float for the solver's 1-D state
+            return math.sqrt(y.dot(y))
+
+        def escaped(y):
+            return None
     else:
         batch, dim = x0.shape
         y0, options = x0.T.reshape(-1), {"method": _BatchDOP853, "batch": batch}
@@ -245,11 +253,11 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
         def escaped(y):
             return int(np.argmax(point_norms(y)))
 
-    if float(largest(y0)) >= BLOWUP_NORM:
+    if largest(y0) >= BLOWUP_NORM:
         raise BlowUpError(t0, escaped(y0))
 
     def blow_up(t, y):
-        return float(largest(y)) - BLOWUP_NORM
+        return largest(y) - BLOWUP_NORM
 
     sol = solve_ivp(fun, (t0, tf), y0, rtol=rtol, atol=atol, event=blow_up, **options)
     if sol.status == 1:
@@ -276,22 +284,27 @@ def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
 
     field is a VectorField (autonomous), run through its traced kernel
     (calculus.flow_rhs), or a callable rhs(t, y) of one state, called one
-    column at a time on a stack of states.  Raises BlowUpError with the
-    escape time if the state norm passes 1e12, and IntegrationError on
-    step-size underflow.
+    column at a time on a stack of states (per_column).  Raises
+    BlowUpError with the escape time if the state norm passes 1e12, and
+    IntegrationError on step-size underflow.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
         raise ValueError(f"t_span must be finite with t0 < tf, got ({t0:g}, {tf:g})")
-    if isinstance(field, VectorField):
-        rhs = flow_rhs(field)
-    else:
-        def rhs(t, y):
-            if y.ndim == 1:
-                return np.asarray(field(t, y), dtype=float)
-            return np.stack([np.asarray(field(s, z), dtype=float) for s, z in zip(t, y.T)],
-                            axis=1)
+    rhs = flow_rhs(field) if isinstance(field, VectorField) else per_column(field)
     return _solved(rhs, x0, t0, tf, rtol, atol)
+
+
+def per_column(fun):
+    """rhs(t, y) of fun(t, y), a right-hand side of one state: y is one
+    state, or an (N, S) stack whose columns fun gets one at a time, each
+    with its own time (module docstring)."""
+    def rhs(t, y):
+        if y.ndim == 1:
+            return np.asarray(fun(t, y), dtype=float)
+        return np.stack([np.asarray(fun(s, z), dtype=float) for s, z in zip(t, y.T)], axis=1)
+
+    return rhs
 
 
 def variational_rhs(field: VectorField, width: int, sign: float = 1.0):
@@ -384,7 +397,7 @@ def _norm(a) -> float:
     """2-norm of a number or an array, computed as np.linalg.norm computes
     it: the square root of the flattened array's dot product with itself."""
     flat = np.ravel(a, order="K")
-    return float(np.sqrt(flat.dot(flat)))
+    return math.sqrt(flat.dot(flat))
 
 
 def _point_norms(a, batch: int | None):

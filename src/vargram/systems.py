@@ -32,7 +32,7 @@ from vargram.calculus import (
     jacobian,
 )
 from vargram.expr import SystemSpec
-from vargram.integrate import variational_rhs
+from vargram.integrate import per_column, variational_rhs
 
 
 @dataclass
@@ -95,12 +95,12 @@ class SystemModel:
 class AugmentedField:
     """Composite dynamics with named state blocks and derived outputs.
 
-    rhs takes one state.  The rhs of prolong, closed_loop_prolonged and
-    two_copy also takes a (dim, B) batch, one column per point, and
-    returns (dim, B); their outputs take one state (dim,) or a stack of
-    states (N, dim), giving (p,) or (N, p).  The other builders' rhs and
-    outputs take one state; integrate_ivp calls such an rhs one state at
-    a time.
+    rhs takes one state (dim,) or a (dim, B) stack, one column per state,
+    and returns the same shape.  The rhs of prolong, closed_loop_prolonged
+    and two_copy is one flow-kernel call on either, and their outputs take
+    one state (dim,) or a stack (N, dim), giving (p,) or (N, p).  The dual
+    builders and adjoint_pair run a stack one column at a time
+    (integrate.per_column), and their outputs take one state.
     """
 
     dim: int
@@ -217,7 +217,7 @@ def _dual(system: SystemModel, u) -> AugmentedField:
 
     return AugmentedField(
         dim=2 * n,
-        rhs=rhs,
+        rhs=per_column(rhs),
         layout={"x": slice(0, n), "dp": slice(n, 2 * n)},
         outputs={"dz": out_dz},
     )
@@ -250,7 +250,7 @@ def adjoint_pair(system: SystemModel) -> AugmentedField:
 
     return AugmentedField(
         dim=3 * n,
-        rhs=rhs,
+        rhs=per_column(rhs),
         layout={"x": slice(0, n), "dp": slice(n, 2 * n), "dx": slice(2 * n, 3 * n)},
         outputs={"pairing": lambda z: np.array([float(np.dot(z[n : 2 * n], z[2 * n :]))])},
     )

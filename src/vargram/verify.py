@@ -29,7 +29,7 @@ from .energy import (LinePath, diff_controllability_fb, diff_observability,
                      path_energy_integral, quadratic_limit)
 from .gramian import (grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan,
                       points_read, prefetch)
-from .integrate import IntegrationError, Trajectory, integrate_ivp
+from .integrate import HorizonFlow, IntegrationError, Trajectory
 from .rank import ctrl_bracket_matrix, obs_codistribution
 from .systems import SystemModel, dual_closed_loop, prolong
 
@@ -156,10 +156,11 @@ def fit_decay(signal, direction: str = "forward") -> DecayEstimate:
 
 
 def _decay(rhs, z0, signal) -> DecayEstimate:
-    """Fit the forward decay of |signal(z)| along the flow of rhs from z0."""
-    traj = integrate_ivp(rhs, z0, (0.0, 20.0))
+    """Fit the forward decay of |signal(z)| along the flow of rhs from z0
+    over [0, 20]; rhs takes one state or a stack (systems.AugmentedField)."""
     times = np.linspace(0.0, 20.0, 201)
-    vals = np.array([float(np.linalg.norm(signal(z))) for z in traj.at(times)])
+    vals = np.array([float(np.linalg.norm(signal(z)))
+                     for z in HorizonFlow(rhs, z0, chunk=20.0).state(times)])
     return fit_decay((times, vals), "forward")
 
 

@@ -51,6 +51,24 @@ def test_rejects_non_finite_start():
         integrate_ivp(field, [float("nan")], (0.0, 1.0))
 
 
+def test_a_plain_callable_gets_a_fresh_state_on_every_call():
+    """A callable that keeps its inputs finds them unchanged after the
+    solve, and no two calls share memory: the stages and the dense
+    output's stacked stages hand it new arrays."""
+    kept = []
+
+    def fun(t, y):
+        kept.append((y, y.copy()))
+        return -y + np.sin(t)
+
+    integrate_ivp(fun, [1.0, 0.5], (0.0, 5.0))
+    assert len(kept) > 50
+    for y, at_call in kept:
+        assert np.array_equal(y, at_call)
+    for i, (y, _) in enumerate(kept):
+        assert not any(np.may_share_memory(y, other) for other, _ in kept[i + 1:])
+
+
 def test_at_outside_span_raises():
     traj = integrate_ivp(VectorField(1, 1, lambda xs: [-xs[0]]), [1.0], (0.0, 1.0))
     with pytest.raises(ValueError, match="outside trajectory span"):

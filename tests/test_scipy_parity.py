@@ -19,7 +19,7 @@ from scipy.integrate import DOP853, OdeSolution
 from vargram.calculus import VectorField
 from vargram.energy import diff_observability
 from vargram.expr import parse_system_spec
-from vargram.dop853 import _BatchDOP853
+from vargram.dop853 import _BatchDOP853, _DOP853
 from vargram.integrate import (BLOWUP_NORM, DEFAULT_ATOL, DEFAULT_RTOL, BlowUpError,
                                Trajectory, integrate_ivp, solve_ivp, variational_rhs)
 from vargram.systems import from_spec, prolong, registry
@@ -269,3 +269,43 @@ def test_blow_up_time_and_point_of_a_batch_are_the_terminal_events():
         {"method": _BatchDOP853, "batch": batch}, lambda y: norms(y).max())
     assert err.value.escape_time == t_event
     assert err.value.point == int(np.argmax(norms(y_event))) == 2
+
+
+def test_error_norm_equals_scipys_bitwise():
+    """_DOP853's error norm against scipy's on random stages, step sizes of
+    both signs and scales, and on stages whose error is zero."""
+    rng = np.random.default_rng(17)
+    for n in (1, 4, 20):
+        ours = _DOP853(lambda t, y: -y, 0.0, np.ones(n), 1.0, **TOLS)
+        ref = DOP853(lambda t, y: -y, 0.0, np.ones(n), 1.0, **TOLS)
+        for _ in range(100):
+            K = rng.standard_normal((ours.n_stages + 1, n)) * 10.0 ** rng.uniform(-12, 3)
+            h = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 1)
+            scale = 10.0 ** rng.uniform(-12, 1, n)
+            K_in, scale_in = K.copy(), scale.copy()
+            assert ours._estimate_error_norm(K, h, scale) == ref._estimate_error_norm(K, h, scale)
+            assert np.array_equal(K, K_in) and np.array_equal(scale, scale_in)
+        zero = np.zeros((ours.n_stages + 1, n))
+        for h in (0.5, -0.5):
+            assert ours._estimate_error_norm(zero, h, np.ones(n)) == 0.0
+            assert ref._estimate_error_norm(zero, h, np.ones(n)) == 0.0
+
+
+@pytest.mark.parametrize("fun, y0, t_span, status", [
+    (_van_der_pol, [2.0, 0.0], (1e6, 1e6 + 10.0), 0),
+    # dx/dt = x^2 escapes at t0 + 1, where the step falls below min_step
+    (lambda t, y: y ** 2, [1.0], (1e6, 1e6 + 2.0), -1),
+], ids=["van der Pol", "step-size underflow"])
+def test_a_solve_far_from_t_zero_equals_scipys(fun, y0, t_span, status):
+    """At t0 = 1e6 floats are 1.2e-10 apart, so min_step is 1.2e-9.  A
+    failed solve builds no dense output, so its nfev is that of scipy's
+    solve without one."""
+    y0 = np.array(y0)
+    ours = solve_ivp(fun, t_span, y0, event=lambda t, y: -1.0, **TOLS)
+    ref = scipy.integrate.solve_ivp(fun, t_span, y0, method=DOP853,
+                                    dense_output=status == 0, **TOLS)
+    assert ours.status == ref.status == status
+    if status == -1:
+        assert ours.message == ref.message
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
