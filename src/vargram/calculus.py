@@ -23,6 +23,7 @@ derivatives and ranks.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -35,7 +36,7 @@ _NUMBER = numbers.Real
 
 
 def _primal(s):
-    while isinstance(s, Dual):
+    while type(s) is Dual:
         s = s.value
     return s
 
@@ -50,7 +51,14 @@ def _is_zero(s) -> bool:
 
 
 class Dual:
-    """Number with attached tangent components."""
+    """Number with attached tangent components.
+
+    Each operation tests its operand's exact type before the numbers.Real
+    check, which is slow and which sum() reaches through its int start, and
+    builds tangents with map or a list comprehension; the expressions and
+    their operand order are fixed, so every float, and every sign of zero,
+    is that of the plain isinstance-and-generator form (tests/oracles.py).
+    """
 
     __slots__ = ("value", "derivs")
 
@@ -62,64 +70,65 @@ class Dual:
         return f"Dual({self.value!r}, {self.derivs!r})"
 
     def __add__(self, other):
-        if isinstance(other, Dual):
+        if type(other) is Dual:
             return Dual(self.value + other.value,
-                        tuple(a + b for a, b in zip(self.derivs, other.derivs)))
-        if isinstance(other, _NUMBER):
+                        tuple(map(operator.add, self.derivs, other.derivs)))
+        if type(other) is float or type(other) is int or isinstance(other, _NUMBER):
             return Dual(self.value + other, self.derivs)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
+        if type(other) is Dual:
             return Dual(self.value - other.value,
-                        tuple(a - b for a, b in zip(self.derivs, other.derivs)))
-        if isinstance(other, _NUMBER):
+                        tuple(map(operator.sub, self.derivs, other.derivs)))
+        if type(other) is float or type(other) is int or isinstance(other, _NUMBER):
             return Dual(self.value - other, self.derivs)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _NUMBER):
-            return Dual(other - self.value, tuple(-a for a in self.derivs))
+        if type(other) is float or type(other) is int or isinstance(other, _NUMBER):
+            return Dual(other - self.value, tuple(map(operator.neg, self.derivs)))
         return NotImplemented
 
     def __neg__(self):
-        return Dual(-self.value, tuple(-a for a in self.derivs))
+        return Dual(-self.value, tuple(map(operator.neg, self.derivs)))
 
     def __pos__(self):
         return self
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
+        if type(other) is Dual:
             sv, ov = self.value, other.value
             return Dual(sv * ov,
-                        tuple(a * ov + sv * b for a, b in zip(self.derivs, other.derivs)))
-        if isinstance(other, _NUMBER):
-            return Dual(self.value * other, tuple(a * other for a in self.derivs))
+                        tuple([a * ov + sv * b for a, b in zip(self.derivs, other.derivs)]))
+        if type(other) is float or type(other) is int or isinstance(other, _NUMBER):
+            return Dual(self.value * other, tuple([a * other for a in self.derivs]))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
+        if type(other) is Dual:
             if _is_zero(other):
                 raise ZeroDivisionError("dual division by zero")
-            q = self.value / other.value
-            return Dual(q, tuple((a - q * b) / other.value
-                                 for a, b in zip(self.derivs, other.derivs)))
-        if isinstance(other, _NUMBER):
+            ov = other.value
+            q = self.value / ov
+            return Dual(q, tuple([(a - q * b) / ov for a, b in zip(self.derivs, other.derivs)]))
+        if type(other) is float or type(other) is int or isinstance(other, _NUMBER):
             if other == 0:
                 raise ZeroDivisionError("dual division by zero")
-            return Dual(self.value / other, tuple(a / other for a in self.derivs))
+            return Dual(self.value / other, tuple([a / other for a in self.derivs]))
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBER):
+        if type(other) is float or type(other) is int or isinstance(other, _NUMBER):
             if _is_zero(self):
                 raise ZeroDivisionError("dual division by zero")
-            q = other / self.value
-            return Dual(q, tuple(-q * b / self.value for b in self.derivs))
+            sv = self.value
+            q = other / sv
+            return Dual(q, tuple([-q * b / sv for b in self.derivs]))
         return NotImplemented
 
     def __pow__(self, n):
@@ -138,11 +147,15 @@ class Dual:
         return result
 
 
+@functools.cache
+def _identity_frame(n: int) -> tuple:
+    """The n tangent tuples of the identity frame, shared by every seeding."""
+    return tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n))
+
+
 def seed_identity(xs: Sequence) -> list[Dual]:
     """Wrap a point in duals carrying the identity tangent frame."""
-    n = len(xs)
-    return [Dual(xs[i], tuple(1.0 if j == i else 0.0 for j in range(n)))
-            for i in range(n)]
+    return [Dual(x, e) for x, e in zip(xs, _identity_frame(len(xs)))]
 
 
 def seed_direction(xs: Sequence, v: Sequence) -> list[Dual]:
@@ -155,7 +168,7 @@ def split_scalar(s, width: int):
 
     Plain numbers are constants: their tangent row is zero.
     """
-    if isinstance(s, Dual):
+    if type(s) is Dual:
         return s.value, list(s.derivs)
     return s, [0.0] * width
 

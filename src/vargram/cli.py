@@ -30,7 +30,7 @@ from . import rank as rank_mod
 from . import verify as verify_mod
 from .calculus import matrix_at
 from .expr import ExprError, parse_system_spec
-from .integrate import IntegrationError, integrate_ivp
+from .integrate import HorizonFlow, IntegrationError, integrate_ivp
 from .sampling import SplitMix64
 from .systems import (SystemModel, closed_loop_prolonged, dual_closed_loop,
                       dual_open, from_spec, prolong, registry, registry_names,
@@ -254,7 +254,8 @@ def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
     if second is None:
         raise CliError(f"mode {mode} needs --{_MODES[mode]}")
     z0 = aug.pack(**{"x": x0, block: second})
-    states = integrate_ivp(aug.rhs, z0, (0.0, tf)).at(times)
+    # aug.rhs takes a stack, so the dense-output stages are stacked calls
+    states = HorizonFlow(aug.rhs, z0, chunk=tf).state(times)
 
     out_names = sorted(aug.outputs)
     header += [f"{block}{i + 1}" for i in range(n)]

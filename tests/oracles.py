@@ -8,6 +8,9 @@ tautology.
 
 from __future__ import annotations
 
+import numbers
+import operator
+
 import numpy as np
 
 
@@ -88,3 +91,97 @@ def rk4(rhs, x0, t0: float, t1: float, steps: int = 2000) -> np.ndarray:
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     return x
+
+
+class ReferenceDual:
+    """Plain dual number: each operation tests its operand with isinstance
+    and builds its tangent tuple from a generator, in the order the library
+    Dual must keep, so that the two agree bit for bit, signs of zero
+    included."""
+
+    __slots__ = ("value", "derivs")
+
+    def __init__(self, value, derivs: tuple):
+        self.value = value
+        self.derivs = derivs
+
+    def _zero(self) -> bool:
+        p = self
+        while isinstance(p, ReferenceDual):
+            p = p.value
+        return not p.all() if isinstance(p, np.ndarray) else p == 0
+
+    def __add__(self, other):
+        if isinstance(other, ReferenceDual):
+            return ReferenceDual(self.value + other.value,
+                                 tuple(a + b for a, b in zip(self.derivs, other.derivs)))
+        if isinstance(other, numbers.Real):
+            return ReferenceDual(self.value + other, self.derivs)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, ReferenceDual):
+            return ReferenceDual(self.value - other.value,
+                                 tuple(a - b for a, b in zip(self.derivs, other.derivs)))
+        if isinstance(other, numbers.Real):
+            return ReferenceDual(self.value - other, self.derivs)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, numbers.Real):
+            return ReferenceDual(other - self.value, tuple(-a for a in self.derivs))
+        return NotImplemented
+
+    def __neg__(self):
+        return ReferenceDual(-self.value, tuple(-a for a in self.derivs))
+
+    def __pos__(self):
+        return self
+
+    def __mul__(self, other):
+        if isinstance(other, ReferenceDual):
+            sv, ov = self.value, other.value
+            return ReferenceDual(sv * ov, tuple(a * ov + sv * b
+                                                for a, b in zip(self.derivs, other.derivs)))
+        if isinstance(other, numbers.Real):
+            return ReferenceDual(self.value * other, tuple(a * other for a in self.derivs))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, ReferenceDual):
+            if other._zero():
+                raise ZeroDivisionError("dual division by zero")
+            q = self.value / other.value
+            return ReferenceDual(q, tuple((a - q * b) / other.value
+                                          for a, b in zip(self.derivs, other.derivs)))
+        if isinstance(other, numbers.Real):
+            if other == 0:
+                raise ZeroDivisionError("dual division by zero")
+            return ReferenceDual(self.value / other, tuple(a / other for a in self.derivs))
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, numbers.Real):
+            if self._zero():
+                raise ZeroDivisionError("dual division by zero")
+            q = other / self.value
+            return ReferenceDual(q, tuple(-q * b / self.value for b in self.derivs))
+        return NotImplemented
+
+    def __pow__(self, n):
+        if not hasattr(n, "__index__") or operator.index(n) < 0:
+            raise ValueError("dual powers require a non-negative integer exponent")
+        n = operator.index(n)
+        result = 1.0
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result

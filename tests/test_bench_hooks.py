@@ -116,3 +116,23 @@ def test_traced_solves_count_every_rhs_call(monkeypatch, z0):
     # on all steps, go through the wrapped rhs
     assert times.count(1) == 3
     assert tracer.leaves["integrate.rhs"][0] == len(times) == untraced.nfev - 3 * steps + 3
+
+
+@pytest.mark.parametrize("builder", ["ctrl_bracket_matrix", "strong_access_matrix",
+                                     "obs_codistribution"])
+def test_rank_builders_reach_the_hooked_calculus_names(monkeypatch, builder):
+    # the builders must keep calling jacobian_scalars and the bracket and
+    # Lie-derivative helpers through their module-level names, or the
+    # calculus.* layer metrics of a traced rank_sweep would read zero
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    tracer = spans.Tracer("t")
+    try:
+        spans.install(tracer)
+        result = getattr(rank, builder)(registry("paper_sec5"), (0.3, -0.2), depth=2)
+    finally:
+        tracer.uninstall()
+    assert result.rank == 2
+    assert tracer.leaves["calculus.jacobian"][0] > 0
+    assert tracer.leaves["calculus.bracket"][0] > 0

@@ -5,13 +5,18 @@ from the defining recursions; the simulation-based cross-check of the same
 quantities lives in test_rank.py.
 """
 
+import operator
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import fd_jacobian
+from oracles import ReferenceDual, fd_jacobian
 from vargram.calculus import (
     Dual,
     MatrixField,
+    Traced,
     VectorField,
     ad_closed_loop_field,
     ad_closed_loop_scalars,
@@ -25,6 +30,7 @@ from vargram.calculus import (
     matrix_field_directional,
     seed_identity,
 )
+from vargram.calculus import _Tape
 from vargram.systems import registry
 
 
@@ -68,6 +74,109 @@ def test_dual_division_by_zero_on_array_primals():
     q = Dual(np.array([3.0, 8.0, 2.0]), (1.0,)) / w
     assert np.array_equal(q.value, [3.0, 2.0, 1.0])
     assert np.array_equal(q.derivs[0], [-2.0, -0.25, -1.0])
+
+
+
+# Random expressions on nested duals, for the lean Dual against the
+# isinstance-and-generator reference in tests/oracles.py.  Entries include
+# signed zeros, so zero tangents, zero denominators and the sign of every
+# zero are exercised; constants come in every numeric type a field may hold.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300]),
+                     st.floats(-10.0, 10.0))
+_CONSTANTS = st.one_of(
+    _ENTRIES, st.integers(-3, 3), st.booleans(), _ENTRIES.map(np.float64),
+    st.sampled_from([1j, None, "x"]))  # unsupported operands: TypeError
+_EXPONENTS = st.sampled_from([0, 1, 2, 3, 5, True, np.int64(3), np.uint8(2),
+                              -1, np.int64(-2), 2.0, 0.5])  # the last four raise
+_BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _expressions(variables: int):
+    leaves = st.one_of(st.tuples(st.just("var"), st.integers(0, variables - 1)),
+                       st.tuples(st.just("const"), _CONSTANTS))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.just("pos"), inner),
+        st.tuples(st.just("pow"), inner, _EXPONENTS),
+        st.tuples(st.just("bin"), st.sampled_from(_BINARY), inner, inner)), max_leaves=10)
+
+
+def _run_expression(node, env):
+    kind = node[0]
+    if kind == "var":
+        return env[node[1]]
+    if kind == "const":
+        return node[1]
+    if kind == "neg":
+        return -_run_expression(node[1], env)
+    if kind == "pos":
+        return +_run_expression(node[1], env)
+    if kind == "pow":
+        return _run_expression(node[1], env) ** node[2]
+    # a constant on the left reaches the dual's reflected method
+    return node[1](_run_expression(node[2], env), _run_expression(node[3], env))
+
+
+def _nested(cls, depth: int, width: int, entries):
+    """A dual of the given nesting depth whose floats are drawn in order."""
+    if depth == 0:
+        return next(entries)
+    return cls(_nested(cls, depth - 1, width, entries),
+               tuple(_nested(cls, depth - 1, width, entries) for _ in range(width)))
+
+
+def _bits(s):
+    """Every float of a result with its type, bit for bit, or the error raised."""
+    if isinstance(s, (Dual, ReferenceDual)):
+        return ("dual", _bits(s.value), tuple(_bits(d) for d in s.derivs))
+    if isinstance(s, float):
+        return (type(s).__name__, struct.pack("<d", s))
+    return (type(s).__name__, s)
+
+
+def _outcome(cls, node, depth, width, floats):
+    entries = iter(floats)
+    env = [_nested(cls, depth, width, entries) for _ in range(2)]
+    try:
+        with np.errstate(all="ignore"):  # numpy scalars give inf, as on both classes
+            return _bits(_run_expression(node, env))
+    except (ZeroDivisionError, ValueError, TypeError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_expressions(2), depth=st.integers(1, 3), width=st.integers(1, 2),
+       floats=st.lists(_ENTRIES, min_size=2 * 3 ** 3, max_size=2 * 3 ** 3))
+def test_dual_matches_the_reference_dual_bitwise(node, depth, width, floats):
+    lean = _outcome(Dual, node, depth, width, floats)
+    assert lean == _outcome(ReferenceDual, node, depth, width, floats)
+
+
+def test_dual_errors_match_the_reference_dual():
+    for cls in (Dual, ReferenceDual):
+        zero = cls(-0.0, (1.0,))
+        for divide in (lambda: 1.0 / zero, lambda: cls(1.0, (0.0,)) / zero,
+                       lambda: zero / 0, lambda: cls(zero, (zero,)) / cls(zero, (zero,))):
+            with pytest.raises(ZeroDivisionError):
+                divide()
+        for bad in (-1, 0.5, np.float64(2.0), "2"):
+            with pytest.raises(ValueError):
+                zero ** bad
+        for other in (1j, None, "x"):
+            for apply in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    apply(zero, other)
+                with pytest.raises(TypeError):
+                    apply(other, zero)
+
+
+def test_dual_defers_to_arrays_and_traced_terms():
+    x = Dual(2.0, (1.0,))
+    tape = _Tape()
+    for other in (np.array([1.0, 2.0]), Traced(tape, "x0")):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__"):
+            assert getattr(x, name)(other) is NotImplemented, name
 
 
 def test_dual_pow_rejects_bad_exponents():
