@@ -259,11 +259,10 @@ def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
 
     out_names = sorted(aug.outputs)
     header += [f"{block}{i + 1}" for i in range(n)]
-    outputs = [[np.atleast_1d(aug.outputs[name](z)) for name in out_names] for z in states]
-    for name, values in zip(out_names, outputs[0]):
-        header += [f"{name}{i + 1}" for i in range(len(values))]
-    return header, [[t] + [float(v) for v in np.concatenate([z, *outs])]
-                    for t, z, outs in zip(times, states, outputs)]
+    outputs = [aug.outputs[name](states) for name in out_names]  # each (samples, p)
+    for name, values in zip(out_names, outputs):
+        header += [f"{name}{i + 1}" for i in range(values.shape[1])]
+    return header, np.concatenate([times[:, None], states, *outputs], axis=1).tolist()
 
 
 def _cmd_simulate(args) -> int:

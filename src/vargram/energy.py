@@ -13,12 +13,13 @@ unbounded time interval:
 
 Backward integrals run the time-reversed dynamics forward and relabel, so
 one improper-integral controller serves all four.  Each energy takes one
-point or a (B, n) stack of points: a stack is integrated in batched
-flows of up to integrate.MAX_BATCH points and gives one EnergyValue per
-point.  On top of these sit the
-line-path integral (one batch for all its nodes) and the small-parameter
-quadratic limit used by the theorem checks, plus the perturbed-input
-energy that witnesses the completion-of-squares bound.
+point or a (B, n) stack of points, and integrates a stack in batched
+flows of up to integrate.MAX_BATCH points (integrate.flow_integrals),
+giving one EnergyValue per point; one point is a stack of one, and gives
+its one EnergyValue with the same floats.  On top of these sit the
+line-path integral (one batch for the nodes of its PATH_ORDER = 8 rule)
+and the small-parameter quadratic limit used by the theorem checks, plus
+the perturbed-input energy that witnesses the completion-of-squares bound.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integ
 from .systems import AugmentedField, SystemModel, closed_loop_prolonged, prolong, two_copy
 
 DEFAULT_S_LADDER = (0.1, 0.05, 0.025, 0.0125)
+# order of path_energy_integral's Gauss-Legendre rule, checked against twice it
+PATH_ORDER = 8
 
 
 class LadderError(IntegrationError):
@@ -90,7 +93,8 @@ def _half_square_energy(aug: AugmentedField, z0, out_name: str, direction: str,
     """Integrate 0.5*|output|^2 along the augmented flow to +/- infinity.
 
     For backward energies aug.rhs must already be the time-reversed field.
-    A (B, dim) stack z0 gives a list of B values (see flow_integrals).
+    A (B, dim) stack z0 gives a list of B values (see flow_integrals), one
+    state (dim,) its one value.
     """
     out_fn = aug.outputs[out_name]
 
@@ -98,8 +102,8 @@ def _half_square_energy(aug: AugmentedField, z0, out_name: str, direction: str,
         v = out_fn(z)
         return 0.5 * np.einsum("ij,ij->i", v, v)
 
-    results = flow_integrals(aug.rhs, z0, integrand, direction, tol=tol, rtol=rtol,
-                             atol=atol)
+    results = flow_integrals(aug.rhs, np.atleast_2d(z0), integrand, direction, tol=tol,
+                             rtol=rtol, atol=atol)
     energies = [EnergyValue(value=float(res.value), error_estimate=res.error_estimate,
                             horizon=res.horizon, nodes_used=res.nodes_used,
                             direction=direction,
@@ -169,10 +173,10 @@ def incr_controllability_fb(system: SystemModel, x0, x0p, tol: float = 1e-8,
 
 
 def path_energy_integral(energy: Callable[[np.ndarray, np.ndarray], list[EnergyValue]],
-                         path: LinePath, gl_order: int = 8) -> EnergyValue:
+                         path: LinePath) -> EnergyValue:
     """Gauss-Legendre integral over s in [0, 1] of energy(path(s), tangent).
 
-    energy is called once, with the (3*gl_order, n) stack of path points
+    energy is called once, with the (3*PATH_ORDER, n) stack of path points
     at the nodes and the tangent, and returns one EnergyValue per point
     (the energies here do so for a stack).  The tangent is constant along
     a straight path.  The error combines the order-doubling difference of
@@ -187,7 +191,7 @@ def path_energy_integral(energy: Callable[[np.ndarray, np.ndarray], list[EnergyV
         inner.extend(batch)
         return np.array([ev.value for ev in batch])
 
-    res = quadrature_finite(f, 0.0, 1.0, order=gl_order)
+    res = quadrature_finite(f, 0.0, 1.0, order=PATH_ORDER)
     inner_err = max((ev.error_estimate for ev in inner), default=0.0)
     horizons = [ev.horizon for ev in inner if ev.horizon is not None]
     return EnergyValue(

@@ -6,11 +6,14 @@ zero-input flow; the feedback controllability Gramian integrates
 horizon-doubling controller on matrix values (convergence measured in
 Frobenius norm).
 
+Both Gramians take one point or a (B, n) stack, solved as batched flows
+by integrate.flow_integrals, where one point is a stack of one.
+
 Residual evaluators plug a supplied matrix field into the four first-order
 matrix equations and report the left-minus-right side.  Fields defined by
 expressions differentiate exactly through duals; pointwise-evaluable
 fields (such as the empirical Gramians) fall back to central differences
-with Richardson refinement.
+of step FD_STEP = 1e-4 with Richardson refinement.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integ
                         variational_rhs)
 from .jacobi import determinant_and_min_eigenvalue
 from .systems import SystemModel
+
+# central-difference step of matrix_directional on a pointwise field
+FD_STEP = 1e-4
 
 
 @dataclass
@@ -66,17 +72,19 @@ def _gramian_from_flow(field, sign: float, x, out_field, direction: str, tol: fl
     from (x, I), J the Jacobian of out_field at x.  The integrand is called
     once per horizon segment (once for all of [0, fixed_horizon]), and
     each call's nodes take one lookup and one Jacobian kernel call.  A
-    (B, n) stack x gives a list of B results (see flow_integrals)."""
+    (B, n) stack x gives a list of B results (see flow_integrals), one
+    point x (n,) its one result."""
     n = out_field.dim_in
     x = np.asarray(x, dtype=float)
-    eye = np.broadcast_to(np.eye(n).reshape(-1), x.shape[:-1] + (n * n,))
+    points = np.atleast_2d(x)
+    eye = np.broadcast_to(np.eye(n).reshape(-1), (len(points), n * n))
 
     def integrand(z: np.ndarray) -> np.ndarray:
         m = jacobian(out_field, z[:, :n]) @ z[:, n:].reshape(-1, n, n)
         return np.swapaxes(m, 1, 2) @ m
 
     results = flow_integrals(variational_rhs(field, n, sign),
-                             np.concatenate([x, eye], axis=-1), integrand, direction,
+                             np.concatenate([points, eye], axis=1), integrand, direction,
                              tol=tol, rtol=rtol, atol=atol, fixed_horizon=fixed_horizon)
     grams = [GramianResult(matrix=0.5 * (res.value + res.value.T),
                            truncation_error=res.error_estimate, horizon=res.horizon,
@@ -122,34 +130,27 @@ class EmpiricalGramianField:
 
     fixed_horizon pins the truncation point so finite-difference stencils
     across nearby points see a smooth function of x instead of jumps from
-    adaptive horizon selection.  Evaluations are memoized per point;
-    many(points) fills the memo from batched flows.
+    adaptive horizon selection.  Evaluations are memoized per point, and
+    made by many: a call at one point is a batch of one.
     """
 
     def __init__(self, system: SystemModel, kind: str, tol: float = 1e-8,
-                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                  fixed_horizon: float | None = 40.0):
         if kind not in ("obs", "ctrl"):
             raise ValueError("kind must be 'obs' or 'ctrl'")
         self.system = system
         self.kind = kind
         self.tol = tol
-        self.rtol = rtol
-        self.atol = atol
         self.fixed_horizon = fixed_horizon
         self._cache: dict[tuple, np.ndarray] = {}
 
     def gramian(self, xs) -> GramianResult | list[GramianResult]:
         """The Gramian at one point xs, or one per row of a (B, n) stack."""
         fn = empirical_obs_gramian if self.kind == "obs" else empirical_ctrl_gramian
-        return fn(self.system, xs, tol=self.tol, rtol=self.rtol, atol=self.atol,
-                  fixed_horizon=self.fixed_horizon)
+        return fn(self.system, xs, tol=self.tol, fixed_horizon=self.fixed_horizon)
 
     def __call__(self, xs):
-        key = tuple(float(v) for v in xs)
-        if key not in self._cache:
-            self._cache[key] = self.gramian(list(key)).matrix
-        return self._cache[key]
+        return self.many([xs])[0]
 
     def many(self, points) -> list[np.ndarray]:
         """The matrices at each of points; those not yet memoized are
@@ -162,11 +163,11 @@ class EmpiricalGramianField:
         return [self._cache[key] for key in keys]
 
 
-def matrix_directional(field_like, xs, v, fd_step: float = 1e-4) -> np.ndarray:
+def matrix_directional(field_like, xs, v) -> np.ndarray:
     """Directional derivative of a matrix field along v.
 
     Exact through duals for a MatrixField; for a pointwise field, central
-    differences at fd_step with one Richardson refinement step.
+    differences at FD_STEP with one Richardson refinement step.
     """
     if isinstance(field_like, MatrixField):
         return matrix_field_directional(field_like, [float(u) for u in xs], v)
@@ -177,13 +178,12 @@ def matrix_directional(field_like, xs, v, fd_step: float = 1e-4) -> np.ndarray:
         return (matrix_at(field_like, x + h * v)
                 - matrix_at(field_like, x - h * v)) / (2.0 * h)
 
-    coarse = diff(fd_step)
-    fine = diff(0.5 * fd_step)
+    coarse = diff(FD_STEP)
+    fine = diff(0.5 * FD_STEP)
     return (4.0 * fine - coarse) / 3.0
 
 
-def lyap_residual_obs(system: SystemModel, q_field, x,
-                      fd_step: float = 1e-4) -> ResidualReport:
+def lyap_residual_obs(system: SystemModel, q_field, x) -> ResidualReport:
     """Residual of the forward matrix equation certifying Q.
 
     Zero residual means D_f Q + Q J_f + J_f^T Q + C^T C = 0 at x.
@@ -193,13 +193,12 @@ def lyap_residual_obs(system: SystemModel, q_field, x,
     jf = jacobian(system.f, xs)
     c = jacobian(system.h, xs)
     q = matrix_at(q_field, xs)
-    dq = matrix_directional(q_field, xs, fv, fd_step)
+    dq = matrix_directional(q_field, xs, fv)
     res = dq + q @ jf + jf.T @ q + c.T @ c
     return _report("dLya_ob", xs, res)
 
 
-def riccati_residual(system: SystemModel, r_field, x,
-                     fd_step: float = 1e-4) -> tuple[ResidualReport, ResidualReport]:
+def riccati_residual(system: SystemModel, r_field, x) -> tuple[ResidualReport, ResidualReport]:
     """Residuals of the closed-loop equation pair certifying R.
 
     State part: D_{f+gk} R + R J_cl + J_cl^T R - K^T K with the full
@@ -213,14 +212,13 @@ def riccati_residual(system: SystemModel, r_field, x,
     kk = jacobian(system.require_k(), xs)
     g_vals = field_values(system.g, xs)
     r = matrix_at(r_field, xs)
-    dr = matrix_directional(r_field, xs, clv, fd_step)
+    dr = matrix_directional(r_field, xs, clv)
     res_state = dr + r @ jcl + jcl.T @ r - kk.T @ kk
     res_gain = kk - g_vals.T @ r
     return (_report("dRicc_con", xs, res_state), _report("dRicc_gain", xs, res_gain))
 
 
-def lyap_residual_ctrl(system: SystemModel, p_field, x,
-                       fd_step: float = 1e-4) -> tuple[ResidualReport, ResidualReport]:
+def lyap_residual_ctrl(system: SystemModel, p_field, x) -> tuple[ResidualReport, ResidualReport]:
     """Residuals of the dual equation pair certifying P.
 
     State part: -D_{f+gk} P + P A^T + A P + g g^T where A is the
@@ -231,14 +229,13 @@ def lyap_residual_ctrl(system: SystemModel, p_field, x,
     clv, a, g_vals = frozen_input_jacobian(system, xs)
     kk = jacobian(system.require_k(), xs)
     p = matrix_at(p_field, xs)
-    dp = matrix_directional(p_field, xs, clv, fd_step)
+    dp = matrix_directional(p_field, xs, clv)
     res_state = -dp + p @ a.T + a @ p + g_vals @ g_vals.T
     res_gain = kk @ p - g_vals.T
     return (_report("dLya_con", xs, res_state), _report("dLya_gain", xs, res_gain))
 
 
-def lyap_residual_open(system: SystemModel, p_field, x,
-                       fd_step: float = 1e-4) -> ResidualReport:
+def lyap_residual_open(system: SystemModel, p_field, x) -> ResidualReport:
     """Residual of the open-loop dual equation certifying an unforced P.
 
     Zero residual means -D_f P + P J_f^T + J_f P + g g^T = 0 at x.
@@ -248,7 +245,7 @@ def lyap_residual_open(system: SystemModel, p_field, x,
     jf = jacobian(system.f, xs)
     g_vals = field_values(system.g, xs)
     p = matrix_at(p_field, xs)
-    dp = matrix_directional(p_field, xs, fv, fd_step)
+    dp = matrix_directional(p_field, xs, fv)
     res = -dp + p @ jf.T + jf @ p + g_vals @ g_vals.T
     return _report("dLya_open", xs, res)
 

@@ -13,6 +13,9 @@ number of times in one pass (Hairer, Norsett & Wanner, Solving Ordinary
 Differential Equations I, 2nd ed., Sec. II.6).
 Improper time integrals use horizon doubling with an exponential tail
 fit; a non-decaying integrand is an error, never an implicit infinity.
+Their settings are module constants: panels about PANEL_WIDTH = 2 wide by
+the PANEL_ORDER = 12-point Gauss-Legendre rule, and a first horizon of
+INITIAL_HORIZON = 20 doubled at most MAX_DOUBLINGS = 6 times.
 
 A right-hand side fun(t, y) takes one solver state, shape (N,), or an
 (N, S) stack of S states with t giving the time of each column, and
@@ -22,7 +25,8 @@ states is integrated as one solve: the right-hand side receives the
 ignore t), and a step is accepted only when each point's own DOP853
 error norm accepts it (the norm is the maximum over points), so every
 point meets the tolerances it would meet alone.  Improper integrals over
-such a batch stop doubling the horizon point by point.
+such a batch stop doubling the horizon point by point.  A stack of one is
+solved as its one state, so a flow integral's point is a batch of one.
 """
 
 from __future__ import annotations
@@ -218,19 +222,20 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, **options) -> Solution:
 
 def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Solution:
     """solve_ivp by DOP853 from one state x0, shape (dim,), or one solve of
-    a (B, dim) stack, where rhs(t, z) takes and returns the (dim, B)
-    state, or a (dim, B * S) stack of S such states, and the error norm
-    is taken per point (dop853._BatchDOP853).  BlowUpError when a
-    state's norm reaches BLOWUP_NORM, naming the escaped point of a
-    batch; IntegrationError, with the time and state norm reached, when
-    the step size underflows."""
+    a (B, dim) stack, B > 1, where rhs(t, z) takes and returns the
+    (dim, B) state, or a (dim, B * S) stack of S such states, and the
+    error norm is taken per point (dop853._BatchDOP853); a stack of one is
+    solved as its one state.  BlowUpError when a state's norm reaches
+    BLOWUP_NORM, naming the escaped point of a batch; IntegrationError,
+    with the time and state norm reached, when the step size underflows."""
     from vargram.dop853 import _BatchDOP853
 
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise IntegrationError("non-finite initial state")
-    if x0.ndim == 1:
-        fun, y0, options = rhs, x0, {}
+    batch, dim = x0.reshape(-1, x0.shape[-1]).shape
+    if batch == 1:
+        fun, y0, options = rhs, x0.reshape(dim), {}
 
         def largest(y):  # _norm's float for the solver's 1-D state
             return math.sqrt(y.dot(y))
@@ -238,7 +243,6 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
         def escaped(y):
             return None
     else:
-        batch, dim = x0.shape
         y0, options = x0.T.reshape(-1), {"method": _BatchDOP853, "batch": batch}
 
         def fun(t, y):
@@ -400,27 +404,21 @@ def _norm(a) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _point_norms(a, batch: int | None):
-    """2-norm of a, a float; for a batch, of each point's slice a[b], an
-    array (B,), each computed as the unbatched norm is."""
-    if batch is None:
-        return _norm(a)
+def _point_norms(a) -> np.ndarray:
+    """2-norm of each point's slice a[b] of a (B, ...) array, shape (B,)."""
     return np.array([_norm(part) for part in a])
 
 
-def _gauss_legendre_panels(f, edges: np.ndarray, order: int, batch: int | None = None):
+def _gauss_legendre_panels(f, edges: np.ndarray, order: int):
     """(value, error estimate, nodes used) of f summed over the panels
-    between consecutive edges.
+    between consecutive edges: value (B, ...) and error (B,), per point.
 
     f is called once, with the 3*order nodes of every panel, panel-major
     (each panel's order-point nodes, then its doubled-order ones), and
-    returns its values stacked on axis 0.  Each panel's value is the
+    returns their (nodes, B, ...) values.  Each panel's value is the
     order-point rule and its error the difference against the
-    doubled-order rule; both are summed panel by panel, in order.  With
-    a batch, values are (nodes, B, ...) and the error is one per point.
+    doubled-order rule; both are summed panel by panel, in order.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
     nodes, coarse_weights, fine_weights = _gauss_legendre_pair(order)
     mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     taus = (mids[:, None] + halves[:, None] * nodes).reshape(-1)
@@ -438,9 +436,14 @@ def _gauss_legendre_panels(f, edges: np.ndarray, order: int, batch: int | None =
                                ).reshape(panel.shape[1:])
         fine = half * np.dot(fine_row, panel[order:].reshape(2 * order, -1)
                              ).reshape(panel.shape[1:])
-        err = err + _point_norms(coarse - fine, batch)
+        err = err + _point_norms(coarse - fine)
         total = coarse if total is None else total + coarse
     return total, err, len(taus)
+
+
+def _one_point(f):
+    """f, its values stacked on axis 0, as a batch of one: point axis 1."""
+    return lambda t: np.expand_dims(np.asarray(f(t), dtype=float), 1)
 
 
 def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResult:
@@ -452,21 +455,29 @@ def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResul
     vector or matrix values.  The error estimate is the difference
     against the doubled-order rule.
     """
-    value, err, nodes = _gauss_legendre_panels(f, np.array([a, b], dtype=float), order)
+    (value,), (err,), nodes = _gauss_legendre_panels(_one_point(f),
+                                                     np.array([a, b], dtype=float), order)
     return QuadratureResult(value=value if np.ndim(value) else float(value),
-                            error_estimate=err, nodes_used=nodes)
+                            error_estimate=float(err), nodes_used=nodes)
 
 
-def composite_gauss_legendre(f, lo: float, hi: float, panel_width: float = 2.0,
-                             order: int = 12, batch: int | None = None):
+# a flow integral sums Gauss-Legendre panels about PANEL_WIDTH wide, each by
+# the PANEL_ORDER-point rule; an improper one doubles its first horizon,
+# INITIAL_HORIZON, at most MAX_DOUBLINGS times
+PANEL_WIDTH = 2.0
+PANEL_ORDER = 12
+INITIAL_HORIZON = 20.0
+MAX_DOUBLINGS = 6
+
+
+def composite_gauss_legendre(f, lo: float, hi: float):
     """(value, error estimate, nodes used) of f over [lo, hi], summed over
-    equal panels about panel_width wide, each by the rule of
-    quadrature_finite.  f is called once, with the nodes of every panel
-    (see _gauss_legendre_panels), so value and error are the sums of
-    quadrature_finite's per-panel results.  With batch = B, f returns
-    (nodes, B, ...) values, and value and error carry the point axis."""
-    edges = np.linspace(lo, hi, max(1, int(round((hi - lo) / panel_width))) + 1)
-    return _gauss_legendre_panels(f, edges, order, batch)
+    equal panels about PANEL_WIDTH wide, each by the PANEL_ORDER rule of
+    quadrature_finite.  f is called once, with the nodes of every panel,
+    and returns (nodes, B, ...) values (see _gauss_legendre_panels), so
+    each point's value and error are quadrature_finite's, panel-summed."""
+    edges = np.linspace(lo, hi, max(1, int(round((hi - lo) / PANEL_WIDTH))) + 1)
+    return _gauss_legendre_panels(f, edges, PANEL_ORDER)
 
 
 def _fit_exponential_tail(ts: np.ndarray, norms: np.ndarray, horizon: float):
@@ -493,129 +504,104 @@ MAX_BATCH = 64
 def flow_integrals(rhs, z0, integrand, direction: str, tol: float = 1e-8,
                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                    fixed_horizon: float | None = None) -> list[QuadratureResult]:
-    """Integrals of integrand(z(|t|)) along the flow of rhs from z0, one
-    result per initial state.
+    """Integrals of integrand(z(|t|)) along the flow of rhs from each row
+    of z0, a (B, dim) stack, one result per row.
 
     rhs takes one state or a stack of states, one per column (module
     docstring), as calculus.flow_rhs does.  integrand maps an (N, dim)
     stack of states to their N values stacked on axis 0, and is called
     once per horizon segment.  The integral runs over t from 0 to +/-
-    infinity (improper_time_integral; for 'backward' rhs must already be
-    the time-reversed field), or over [0, fixed_horizon] when given.  A
-    single state (dim,) gives a list of one; a (B, dim) stack is solved
-    in order, in batched flows of up to MAX_BATCH points, which bounds
-    their memory.
+    infinity (improper_time_integrals; for 'backward' rhs must already be
+    the time-reversed field), or over [0, fixed_horizon] when given.  The
+    stack is solved in order, in batched flows of up to MAX_BATCH points,
+    which bounds their memory.
     """
     z0 = np.asarray(z0, dtype=float)
-    if z0.ndim == 2:
-        return [res for start in range(0, len(z0), MAX_BATCH)
-                for res in _flow_integrals(rhs, z0[start:start + MAX_BATCH], integrand,
-                                           direction, tol, rtol, atol, fixed_horizon)]
-    return _flow_integrals(rhs, z0, integrand, direction, tol, rtol, atol, fixed_horizon)
+    return [res for start in range(0, len(z0), MAX_BATCH)
+            for res in _flow_integrals(rhs, z0[start:start + MAX_BATCH], integrand,
+                                       direction, tol, rtol, atol, fixed_horizon)]
 
 
 def _flow_integrals(rhs, z0: np.ndarray, integrand, direction: str, tol: float,
                     rtol: float, atol: float,
                     fixed_horizon: float | None) -> list[QuadratureResult]:
-    """flow_integrals of one state or of one batch, from one HorizonFlow."""
-    batch = None if z0.ndim == 1 else len(z0)
+    """flow_integrals of one batch, from one HorizonFlow."""
     flow = HorizonFlow(rhs, z0, rtol=rtol, atol=atol)
 
     def f(t: np.ndarray) -> np.ndarray:
         z = flow.state(np.abs(t))
-        lead = z.shape[:-1]
-        z = z.reshape(-1, z.shape[-1])  # one state per row; frees a batch's lookup
-        values = integrand(z)
-        return values.reshape(lead + values.shape[1:])
+        values = integrand(z.reshape(-1, z.shape[-1]))  # one state per row
+        return values.reshape(z.shape[:-1] + values.shape[1:])
 
     if fixed_horizon is None:
-        if batch is None:
-            return [improper_time_integral(f, direction=direction, tol=tol)]
-        return improper_time_integrals(f, direction, batch, tol=tol)
-    value, err, nodes = composite_gauss_legendre(f, 0.0, float(fixed_horizon), batch=batch)
-    return [QuadratureResult(value=v, error_estimate=e, nodes_used=nodes,
+        if len(z0) == 1:  # one point, as a timing wrapper of improper_time_integral sees it
+            return [improper_time_integral(lambda t: f(t)[:, 0], direction=direction, tol=tol)]
+        return improper_time_integrals(f, direction, len(z0), tol=tol)
+    value, err, nodes = composite_gauss_legendre(f, 0.0, float(fixed_horizon))
+    return [QuadratureResult(value=v, error_estimate=float(e), nodes_used=nodes,
                              horizon=float(fixed_horizon),
                              meta={"tail": "untracked (fixed horizon)"})
-            for v, e in (zip(value, err) if batch else [(value, err)])]
+            for v, e in zip(value, err)]
 
 
-def improper_time_integral(integrand, direction: str, tol: float = 1e-8,
-                           initial_horizon: float = 20.0, max_doublings: int = 6,
-                           panel_width: float = 2.0, order: int = 12) -> QuadratureResult:
+def improper_time_integral(integrand, direction: str, tol: float = 1e-8) -> QuadratureResult:
     """Integrate to t = +/- infinity by horizon doubling.
 
     The integrand is sampled at |t| in [0, T] (direction 'forward' uses t,
     'backward' uses -t).  It is called once per horizon segment ([0, T0],
     then [T0, 2 T0], [2 T0, 4 T0], ...) with the 1-D array of all that
-    segment's nodes and returns its values stacked on axis 0, as in
-    composite_gauss_legendre.  Panels of fixed width are integrated by
-    Gauss-Legendre; the horizon doubles until the last increment drops
-    below tol > 0.  The neglected tail is estimated from an exponential
-    fit and reported in the error, not added to the value.
+    segment's nodes and returns its values stacked on axis 0: the
+    integral of improper_time_integrals over a batch of one.
     """
-    return improper_time_integrals(integrand, direction, None, tol, initial_horizon,
-                                   max_doublings, panel_width, order)[0]
+    return improper_time_integrals(_one_point(integrand), direction, 1, tol)[0]
 
 
-def improper_time_integrals(integrand, direction: str, batch: int | None,
-                            tol: float = 1e-8, initial_horizon: float = 20.0,
-                            max_doublings: int = 6, panel_width: float = 2.0,
-                            order: int = 12) -> list[QuadratureResult]:
+def improper_time_integrals(integrand, direction: str, batch: int,
+                            tol: float = 1e-8) -> list[QuadratureResult]:
     """improper_time_integral of B integrals sampled together, one result
-    per point.
+    per point: the integrand returns (nodes, B, ...) values.
 
-    The integrand returns (nodes, B, ...) values.  Convergence is judged
-    per point: a point whose increment drops below tol keeps the value,
-    error, tail fit, horizon and node count it had there, while doubling
-    continues for the others.  A point that diverges, or a non-finite
-    value, raises for the whole batch, naming the point.  batch = None
-    is the unbatched integral of improper_time_integral, as a list of one.
+    The horizon starts at INITIAL_HORIZON and doubles, at most
+    MAX_DOUBLINGS times, until a point's last increment drops below
+    tol > 0; that point keeps the value, error, tail fit, horizon and node
+    count it had there, while doubling continues for the others.  The
+    neglected tail is estimated from an exponential fit and reported in
+    the error, not added to the value.  A point that diverges, or a
+    non-finite value, raises for the whole batch, naming the point if B > 1.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol:g}")
-    if max_doublings < 1:
-        raise ValueError(f"max_doublings must be at least 1, got {max_doublings}")
-    for name, length in (("initial_horizon", initial_horizon), ("panel_width", panel_width)):
-        if not (math.isfinite(length) and length > 0):
-            raise ValueError(f"{name} must be positive and finite, got {length:g}")
     sign = 1.0 if direction == "forward" else -1.0
-    points = 1 if batch is None else batch
-
-    def per_point(a) -> list:
-        return [a] if batch is None else list(a)
-
-    def point(b: int) -> int | None:
-        return None if batch is None else b
+    names = list(range(batch)) if batch > 1 else [None]  # a batch of one is one point
 
     taus: list[np.ndarray] = []  # every node sampled, and the norm of each point's value
     norms: list[np.ndarray] = []
 
     def f(tau: np.ndarray):
         vals = np.asarray(integrand(sign * tau), dtype=float)
-        rows = vals.reshape(len(tau), points, -1)
+        rows = vals.reshape(len(tau), batch, -1)
         finite = np.isfinite(rows).all(axis=2)
         if not finite.all():
             node, b = np.argwhere(~finite)[0]
             raise IntegrationError(f"integrand non-finite at t = {sign * tau[node]:g}"
-                                   + _at_point(point(b)))
+                                   + _at_point(names[b]))
         taus.append(tau)
         norms.append(np.linalg.norm(rows, axis=2))
         return vals
 
-    horizon = float(initial_horizon)
-    value, quad_err, _ = composite_gauss_legendre(f, 0.0, horizon, panel_width, order, batch)
-    values, errs = per_point(value), per_point(quad_err)
-    results: list[QuadratureResult | None] = [None] * points
-    prev_increments: list[float | None] = [None] * points
-    stalls = [0] * points
-    for _ in range(max_doublings):
-        piece, err, _ = composite_gauss_legendre(f, horizon, 2.0 * horizon,
-                                                 panel_width, order, batch)
+    horizon = INITIAL_HORIZON
+    value, quad_err, _ = composite_gauss_legendre(f, 0.0, horizon)
+    values, errs = list(value), list(quad_err)
+    results: list[QuadratureResult | None] = [None] * batch
+    prev_increments: list[float | None] = [None] * batch
+    stalls = [0] * batch
+    for _ in range(MAX_DOUBLINGS):
+        piece, err, _ = composite_gauss_legendre(f, horizon, 2.0 * horizon)
         horizon *= 2.0
-        for b, (part, part_err, increment) in enumerate(zip(
-                per_point(piece), per_point(err), per_point(_point_norms(piece, batch)))):
+        for b, (part, part_err, increment) in enumerate(zip(piece, err,
+                                                            _point_norms(piece))):
             if results[b] is not None:
                 continue
             values[b] = values[b] + part
@@ -637,7 +623,7 @@ def improper_time_integrals(integrand, direction: str, batch: int | None,
                 if stalls[b] >= 2:
                     raise DivergenceError(
                         f"increments are not decaying (last two: {prev:g}, {increment:g})"
-                        + _at_point(point(b)))
+                        + _at_point(names[b]))
             else:
                 stalls[b] = 0
             prev_increments[b] = increment
@@ -645,5 +631,5 @@ def improper_time_integrals(integrand, direction: str, batch: int | None,
             return results
     b = results.index(None)
     raise DivergenceError(
-        f"no convergence after {max_doublings} horizon doublings (T = {horizon:g}, "
-        f"last increment {prev_increments[b]:g} vs tol {tol:g})" + _at_point(point(b)))
+        f"no convergence after {MAX_DOUBLINGS} horizon doublings (T = {horizon:g}, "
+        f"last increment {prev_increments[b]:g} vs tol {tol:g})" + _at_point(names[b]))

@@ -97,10 +97,10 @@ class AugmentedField:
 
     rhs takes one state (dim,) or a (dim, B) stack, one column per state,
     and returns the same shape.  The rhs of prolong, closed_loop_prolonged
-    and two_copy is one flow-kernel call on either, and their outputs take
-    one state (dim,) or a stack (N, dim), giving (p,) or (N, p).  The dual
-    builders and adjoint_pair run a stack one column at a time
-    (integrate.per_column), and their outputs take one state.
+    and two_copy is one flow-kernel call on either; the dual builders and
+    adjoint_pair run a stack one column at a time (integrate.per_column).
+    Every output takes one state (dim,) or a stack (N, dim), giving (p,)
+    or (N, p).
     """
 
     dim: int
@@ -213,7 +213,7 @@ def _dual(system: SystemModel, u) -> AugmentedField:
         return np.concatenate([-drift, frozen.T @ z[n:]])
 
     def out_dz(z):
-        return field_values(system.g, z[:n]).T @ z[n:]
+        return _apply(np.swapaxes(field_values(system.g, z[..., :n]), -1, -2), z[..., n:])
 
     return AugmentedField(
         dim=2 * n,
@@ -252,7 +252,8 @@ def adjoint_pair(system: SystemModel) -> AugmentedField:
         dim=3 * n,
         rhs=per_column(rhs),
         layout={"x": slice(0, n), "dp": slice(n, 2 * n), "dx": slice(2 * n, 3 * n)},
-        outputs={"pairing": lambda z: np.array([float(np.dot(z[n : 2 * n], z[2 * n :]))])},
+        outputs={"pairing": lambda z: np.einsum("...i,...i->...", z[..., n : 2 * n],
+                                                z[..., 2 * n :])[..., None]},
     )
 
 

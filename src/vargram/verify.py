@@ -224,8 +224,7 @@ _HARNESSES = {
 }
 
 
-def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float,
-                gl_order: int) -> Report:
+def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) -> Report:
     """Per pair, the differential energy integrated along the segment x0 -> x0'
     bounds the pair energy, once the gap of the pair is seen to decay."""
     (diff, pair), direction = _PATH_BOUNDS[theorem]
@@ -245,7 +244,7 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float,
                     failures.append(f"sample {idx}: {direction} gap does not decay")
                     continue
             lhs = path_energy_integral(lambda a, v: diff(system, a, v, tol),
-                                       LinePath.between(x0, x0p), gl_order=gl_order)
+                                       LinePath.between(x0, x0p))
             rhs = pair(system, x0, x0p, tol)
         except (IntegrationError, ValueError) as exc:
             failures.append(f"sample {idx}: {exc}")
@@ -415,20 +414,18 @@ def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
     return report
 
 
-def check_thm1(system: SystemModel, pairs: Sequence, tol: float = 1e-8,
-               gl_order: int = 8) -> Report:
+def check_thm1(system: SystemModel, pairs: Sequence, tol: float = 1e-8) -> Report:
     """Path integral of the backward feedback energy bounds the pair energy.
 
     For each pair (x0, x0'): LHS integrates diff_controllability_fb along
     the straight segment, RHS is incr_controllability_fb(x0, x0').
     """
-    return _path_bound("thm1", system, pairs, tol, gl_order)
+    return _path_bound("thm1", system, pairs, tol)
 
 
-def check_thm3(system: SystemModel, pairs: Sequence, tol: float = 1e-8,
-               gl_order: int = 8) -> Report:
+def check_thm3(system: SystemModel, pairs: Sequence, tol: float = 1e-8) -> Report:
     """Path integral of the forward output energy bounds the pair energy."""
-    return _path_bound("thm3", system, pairs, tol, gl_order)
+    return _path_bound("thm3", system, pairs, tol)
 
 
 def check_thm2(system: SystemModel, samples: Sequence, tol: float = 1e-8,

@@ -3,8 +3,9 @@
 A (B, n) stack of points is integrated as one augmented state whose
 steps are accepted only when every point's own DOP853 error norm accepts
 them.  These tests pin the batched energies, Gramians and improper
-integrals to their single-point calls, per point, and check that a
-failure inside a batch is reported for the point it belongs to.
+integrals to their single-point calls, per point, and a stack of one to
+its point bitwise, and check that a failure inside a batch is reported
+for the point it belongs to.
 """
 
 import numpy as np
@@ -65,6 +66,27 @@ def test_batched_energies_and_gramians_match_single_point_calls(system):
                 assert np.max(np.abs(batched[b].matrix - single.matrix)) <= 1e-12 * scale
                 assert (batched[b].horizon, batched[b].nodes_used) == \
                     (single.horizon, single.nodes_used), (gramian.__name__, b)
+
+
+@pytest.mark.parametrize("name", ["paper_sec5", "linear_2x2", "linear_scalar"])
+def test_a_stack_of_one_gives_the_point_bitwise(name):
+    # a point is integrated as a batch of one, so the two are one computation
+    system = registry(name)
+    rng = np.random.default_rng(18)
+    for x, v in zip(rng.uniform(-0.3, 0.3, (2, system.n)), rng.uniform(-1.0, 1.0, (2, system.n))):
+        for energy, second in ((diff_observability, v), (incr_observability, x + 0.05 * v),
+                               (diff_controllability_fb, v),
+                               (incr_controllability_fb, x + 0.05 * v)):
+            single = energy(system, x, second)
+            (stacked,) = energy(system, x[None], second[None])
+            assert (stacked.value, stacked.error_estimate, stacked.horizon) == \
+                (single.value, single.error_estimate, single.horizon), energy.__name__
+        for gramian in (empirical_obs_gramian, empirical_ctrl_gramian):
+            for fixed_horizon in (None, 40.0):
+                single = gramian(system, x, fixed_horizon=fixed_horizon)
+                (stacked,) = gramian(system, x[None], fixed_horizon=fixed_horizon)
+                assert np.array_equal(stacked.matrix, single.matrix), gramian.__name__
+                assert stacked.truncation_error == single.truncation_error
 
 
 RATES = np.array([2.0, 0.05, 0.5, 0.12, 1.0])

@@ -7,8 +7,10 @@ Trajectory.at, so those two methods must be patched while installed,
 restored after, and be the way an energy reads its flow: one lookup per
 horizon segment.  An energy's output Jacobians must go through the
 patched calculus.jacobian, or calculus.jacobian_calls would read zero.
-Batched work must run under the hooks too, and its solver calls count
-one solve per horizon segment of the batch.  A solve's dense-output
+A single point's energy must be integrated through the wrapped
+improper_time_integral, which counts its quadrature nodes and horizon
+doublings.  Batched work must run under the hooks too, and its solver
+calls count one solve per horizon segment of the batch.  A solve's dense-output
 stages, evaluated after its step loop on all steps at once, must go
 through the wrapped right-hand side, or integrate.rhs_s would lose
 their time.
@@ -52,6 +54,24 @@ def test_span_hooks_install_and_restore(monkeypatch):
     finally:
         tracer.uninstall()
     assert hooked() == originals
+
+
+def test_a_single_point_energy_counts_its_nodes_and_doublings(monkeypatch):
+    # the traced quadrature counters come from the wrapper of
+    # integrate.improper_time_integral, so a single point must still be
+    # integrated through that name, or they would read zero
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    tracer = spans.Tracer("t")
+    try:
+        spans.install(tracer)
+        ev = energy.diff_observability(registry("paper_sec5"), (0.1, -0.2), (0.6, 0.8))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["integrate.quad_nodes"] == ev.nodes_used > 0
+    assert tracer.counts["integrate.horizon_doublings"] == \
+        round(math.log2(ev.horizon / 20.0)) > 0
 
 
 def test_batched_work_runs_under_the_hooks(monkeypatch):

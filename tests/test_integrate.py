@@ -207,11 +207,11 @@ def test_quadrature_matches_per_node_loop():
 def test_composite_rule_is_one_call_and_the_per_panel_sums(integrand):
     calls = []
 
-    def f(tau):
+    def f(tau):  # a batch of one point: values (nodes, 1, ...)
         calls.append(tau)
-        return integrand(tau)
+        return integrand(tau)[:, None]
 
-    value, err, nodes = composite_gauss_legendre(f, 20.0, 40.0)
+    (value,), (err,), nodes = composite_gauss_legendre(f, 20.0, 40.0)
     assert len(calls) == 1 and nodes == len(calls[0]) == 10 * 36
     total, expected_err = None, 0.0
     edges = np.linspace(20.0, 40.0, 11)
@@ -289,16 +289,3 @@ def test_integrate_ivp_rejects_empty_or_non_finite_spans(t_span):
     for field in (VectorField(1, 1, lambda xs: [0.0]), lambda t, y: 0.0 * y):
         with pytest.raises(ValueError, match="t_span must be finite with t0 < tf"):
             integrate_ivp(field, [0.0], t_span)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"max_doublings": 0}, {"max_doublings": -2},
-    {"initial_horizon": 0.0}, {"initial_horizon": -20.0},
-    {"initial_horizon": math.inf}, {"initial_horizon": math.nan},
-    {"panel_width": 0.0}, {"panel_width": -2.0},
-    {"panel_width": math.inf}, {"panel_width": math.nan},
-], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
-def test_improper_time_integral_rejects_bad_arguments(kwargs):
-    name = next(iter(kwargs))
-    with pytest.raises(ValueError, match=name):
-        improper_time_integral(lambda t: np.exp(-np.abs(t)), "forward", **kwargs)
