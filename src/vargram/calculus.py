@@ -568,7 +568,11 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     one call of the field's flow kernel (see _outputs).  z is one state,
     shape (dim,), or a (dim, B) batch, one column per point, giving
     (dim, B).  The kernel is looked up at the first call, and again
-    after field.func is replaced."""
+    after field.func is replaced.
+
+    rhs.kernel is (field, key): two right-hand sides with the same field,
+    the same field.func and the same key run the same kernel, and so
+    compute the same floats (integrate.shared_flows keys solves on it)."""
     key = ("flow", copies, width, sign < 0)
     size = copies * field.dim_in * (1 + width)
     resolved = [None, None]  # the func the kernel was looked up for, the kernel
@@ -584,6 +588,7 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
                 return np.array(_outputs(field, key, xs), dtype=float)
         return _run(resolved[1], field, key, list(z), z.shape[1])
 
+    rhs.kernel = field, key
     return rhs
 
 

@@ -6,6 +6,9 @@ the built-in cubic example).  All numeric output is written as CSV with
 '.' decimals, ',' separators, and 17 significant digits, or as JSON with
 sorted keys, so identical invocations produce byte-identical files.
 Randomized sample points come from a seeded splitmix64 stream.
+verify, and example's theorem reports, solve each one-state flow segment
+once per command (integrate.shared_flows): checks drawing the same
+samples share their flows, and nothing is kept once the command returns.
 
 Exit codes: 0 on success, 1 when an analysis fails (divergence, blow-up,
 bad field), 2 on usage errors.
@@ -30,7 +33,7 @@ from . import rank as rank_mod
 from . import verify as verify_mod
 from .calculus import matrix_at
 from .expr import ExprError, parse_system_spec
-from .integrate import HorizonFlow, IntegrationError, integrate_ivp
+from .integrate import HorizonFlow, IntegrationError, integrate_ivp, shared_flows
 from .sampling import SplitMix64
 from .systems import (SystemModel, closed_loop_prolonged, dual_closed_loop,
                       dual_open, from_spec, prolong, registry, registry_names,
@@ -545,14 +548,15 @@ def _cmd_verify(args) -> int:
     names = list(_CHECKS) if args.theorem == "all" else [args.theorem]
     counts = (args.pairs, args.samples, min(args.samples, 5))
     verdicts = {}
-    for name in names:
-        report = _run_theorem(system, name, SplitMix64(args.seed), region, counts,
-                              grid, args.field, args.tol)
-        path = os.path.join(out, f"report_{name}.json" if len(names) > 1
-                            else "report.json")
-        _write_text(path, report.to_json())
-        verdicts[name] = report.verdict
-        print(f"{name}: {report.verdict} -> {path}")
+    with shared_flows():
+        for name in names:
+            report = _run_theorem(system, name, SplitMix64(args.seed), region, counts,
+                                  grid, args.field, args.tol)
+            path = os.path.join(out, f"report_{name}.json" if len(names) > 1
+                                else "report.json")
+            _write_text(path, report.to_json())
+            verdicts[name] = report.verdict
+            print(f"{name}: {report.verdict} -> {path}")
     if len(names) > 1:
         _write_text(os.path.join(out, "summary.json"), _json_text(
             {"system": system.name, "seed": args.seed, "verdicts": verdicts}))
@@ -615,13 +619,14 @@ def _cmd_example(args) -> int:
     grids = {"thm5": (region, harness_shape),
              "cor7": ([(-0.5, 0.5), (-0.5, 0.5)], harness_shape)}
     verdicts = {}
-    for name in _CHECKS:
-        report = _run_theorem(system, name, rng, near, (pair_count, sample_count, 3),
-                              grids.get(name), None, args.tol)
-        verdicts[name] = report.verdict
-        record(_write_text(os.path.join(out, f"report_{name}.json"),
-                           report.to_json()))
-        print(f"{name}: {report.verdict}")
+    with shared_flows():
+        for name in _CHECKS:
+            report = _run_theorem(system, name, rng, near, (pair_count, sample_count, 3),
+                                  grids.get(name), None, args.tol)
+            verdicts[name] = report.verdict
+            record(_write_text(os.path.join(out, f"report_{name}.json"),
+                               report.to_json()))
+            print(f"{name}: {report.verdict}")
 
     summary = {"system": args_system, "seed": args.seed, "quick": quick,
                "grid": list(grid), "verdicts": verdicts,

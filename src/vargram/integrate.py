@@ -27,10 +27,17 @@ error norm accepts it (the norm is the maximum over points), so every
 point meets the tolerances it would meet alone.  Improper integrals over
 such a batch stop doubling the horizon point by point.  A stack of one is
 solved as its one state, so a flow integral's point is a batch of one.
+
+Inside a shared_flows() scope a one-state solve of a flow kernel is made
+once: asked again for the same kernel, start state, span and tolerances,
+it hands back the Trajectory it stored, read-only.  Batched solves, plain
+callables and solves that raise are never stored, and the store is
+dropped when the scope closes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -274,11 +281,60 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
     return sol
 
 
+# key -> (Trajectory, field, field.func) of the open shared_flows scope;
+# None outside one.  The field and func are kept so that their ids in the
+# key stay theirs while the scope is open.
+_shared: dict | None = None
+
+
+@contextlib.contextmanager
+def shared_flows():
+    """Scope within which each one-state flow-kernel solve is made once.
+
+    Inside it, _solved keys a solve of a calculus.flow_rhs right-hand side
+    from one state (dim,), or a stack of one, on the kernel (the ids of its
+    field and of the field's func, and its key), the start state's bytes,
+    t0, tf, rtol and atol, and a solve asked for again returns the stored
+    Trajectory, whose arrays are read-only.  A horizon extension starts at
+    the endpoint of the segment before it, so extensions share as chains.
+    Never stored: batched solves (a batch's steps depend on its members),
+    plain callables and solves that raise.  A scope opened inside an open
+    one joins it; the store is dropped when the outermost one closes.  It
+    is usable as a decorator.
+    """
+    global _shared
+    if _shared is not None:
+        yield
+        return
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = None
+
+
 def _solved(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Trajectory:
-    """Trajectory of _solve_segment from x0, one state or a (B, dim) batch."""
+    """Trajectory of _solve_segment from x0, one state or a (B, dim) batch;
+    the stored one when the open shared_flows scope has made this solve."""
     x0 = np.asarray(x0, dtype=float)
+    batch = None if x0.ndim == 1 else len(x0)
+    kernel = getattr(rhs, "kernel", None)
+    key = None
+    if _shared is not None and kernel is not None and x0.size == x0.shape[-1]:
+        field, flow = kernel
+        key = id(field), id(field.func), flow, x0.tobytes(), t0, tf, rtol, atol
+        stored = _shared.get(key)
+        if stored is not None:
+            traj = stored[0]
+            return traj if traj.batch == batch else Trajectory(traj.times, traj.states,
+                                                               traj.F, batch)
     sol = _solve_segment(rhs, x0, t0, tf, rtol, atol)
-    return Trajectory(sol.t, sol.y.T, sol.dense, None if x0.ndim == 1 else len(x0))
+    traj = Trajectory(sol.t, sol.y.T, sol.dense, batch)
+    if key is not None:
+        for array in (traj.times, traj.states, traj.F):
+            array.flags.writeable = False
+        _shared[key] = traj, field, field.func
+    return traj
 
 
 def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,

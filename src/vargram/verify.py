@@ -13,6 +13,11 @@ per-theorem table: a path integral of a differential energy bounding a
 pair energy (thm1, thm3), a small-gap limit of a pair energy against a
 differential one (thm2, thm4), and a three-item harness with cyclic
 implications (thm5, cor7).
+
+Each claim shape runs inside an integrate.shared_flows() scope, so a
+check solves each one-state flow segment once: a decay fit and the
+energies from the same start share their segments.  An enclosing scope
+(the CLI opens one per command) shares them across checks too.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .energy import (LinePath, diff_controllability_fb, diff_observability,
                      path_energy_integral, quadratic_limit)
 from .gramian import (grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan,
                       points_read, prefetch)
-from .integrate import HorizonFlow, IntegrationError, Trajectory
+from .integrate import HorizonFlow, IntegrationError, Trajectory, _point_norms, shared_flows
 from .rank import ctrl_bracket_matrix, obs_codistribution
 from .systems import SystemModel, dual_closed_loop, prolong
 
@@ -157,11 +162,11 @@ def fit_decay(signal, direction: str = "forward") -> DecayEstimate:
 
 def _decay(rhs, z0, signal) -> DecayEstimate:
     """Fit the forward decay of |signal(z)| along the flow of rhs from z0
-    over [0, 20]; rhs takes one state or a stack (systems.AugmentedField)."""
+    over [0, 20]; rhs takes one state or a stack (systems.AugmentedField),
+    and signal maps the (N, dim) table of sampled states to one row each."""
     times = np.linspace(0.0, 20.0, 201)
-    vals = np.array([float(np.linalg.norm(signal(z)))
-                     for z in HorizonFlow(rhs, z0, chunk=20.0).state(times)])
-    return fit_decay((times, vals), "forward")
+    states = HorizonFlow(rhs, z0, chunk=20.0).state(times)
+    return fit_decay((times, _point_norms(signal(states))), "forward")
 
 
 def _close(report: Report, failures: list[str]) -> Report:
@@ -224,6 +229,7 @@ _HARNESSES = {
 }
 
 
+@shared_flows()
 def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) -> Report:
     """Per pair, the differential energy integrated along the segment x0 -> x0'
     bounds the pair energy, once the gap of the pair is seen to decay."""
@@ -238,7 +244,7 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) 
         try:
             if not np.allclose(x0, x0p):
                 fit = _decay(pair_flow(system, direction).rhs, np.concatenate([x0, x0p]),
-                             lambda z: z[n:] - z[:n])
+                             lambda z: z[..., n:] - z[..., :n])
                 report.decay_fits.append(fit)
                 if fit.flagged:
                     failures.append(f"sample {idx}: {direction} gap does not decay")
@@ -254,6 +260,7 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) 
     return _close(report, failures)
 
 
+@shared_flows()
 def _small_gap_limit(theorem: str, system: SystemModel, samples: Sequence, tol: float,
                      equality_tol: float) -> Report:
     """Per tangent sample, the scaled small-gap limit of the pair energy is
@@ -329,6 +336,7 @@ def _implications(items: dict[int, bool | None]) -> tuple[list[str], str]:
     return notes, "pass"
 
 
+@shared_flows()
 def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
                         samples: Sequence, grid_shape: Sequence[int] | None,
                         residual_tol: float, tol: float = 1e-8,
@@ -365,7 +373,7 @@ def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
             continue
         try:
             fit = _decay(aug.rhs, aug.pack(**{"x": x0, spec.block: v0}),
-                         lambda z: z[block])
+                         lambda z: z[..., block])
         except (IntegrationError, ValueError) as exc:
             failures.append(f"item 1 simulation failed: {exc}")
             item1 = False
