@@ -6,9 +6,11 @@ the built-in cubic example).  All numeric output is written as CSV with
 '.' decimals, ',' separators, and 17 significant digits, or as JSON with
 sorted keys, so identical invocations produce byte-identical files.
 Randomized sample points come from a seeded splitmix64 stream.
-verify, and example's theorem reports, solve each one-state flow segment
-once per command (integrate.shared_flows): checks drawing the same
-samples share their flows, and nothing is kept once the command returns.
+verify solves each one-state flow segment once per command
+(integrate.shared_flows): each check re-seeds the sampler, so thm5 draws
+thm4's samples and shares their flows; nothing is kept once the command
+returns.  example draws all checks from one stream, so no check repeats
+another's flows and it opens no such scope.
 
 Exit codes: 0 on success, 1 when an analysis fails (divergence, blow-up,
 bad field), 2 on usage errors.
@@ -619,14 +621,13 @@ def _cmd_example(args) -> int:
     grids = {"thm5": (region, harness_shape),
              "cor7": ([(-0.5, 0.5), (-0.5, 0.5)], harness_shape)}
     verdicts = {}
-    with shared_flows():
-        for name in _CHECKS:
-            report = _run_theorem(system, name, rng, near, (pair_count, sample_count, 3),
-                                  grids.get(name), None, args.tol)
-            verdicts[name] = report.verdict
-            record(_write_text(os.path.join(out, f"report_{name}.json"),
-                               report.to_json()))
-            print(f"{name}: {report.verdict}")
+    for name in _CHECKS:
+        report = _run_theorem(system, name, rng, near, (pair_count, sample_count, 3),
+                              grids.get(name), None, args.tol)
+        verdicts[name] = report.verdict
+        record(_write_text(os.path.join(out, f"report_{name}.json"),
+                           report.to_json()))
+        print(f"{name}: {report.verdict}")
 
     summary = {"system": args_system, "seed": args.seed, "quick": quick,
                "grid": list(grid), "verdicts": verdicts,

@@ -30,9 +30,10 @@ solved as its one state, so a flow integral's point is a batch of one.
 
 Inside a shared_flows() scope a one-state solve of a flow kernel is made
 once: asked again for the same kernel, start state, span and tolerances,
-it hands back the Trajectory it stored, read-only.  Batched solves, plain
-callables and solves that raise are never stored, and the store is
-dropped when the scope closes.
+it hands back the Trajectory it stored, read-only.  The store holds at
+most SHARED_BYTES of arrays, dropping the least recently used first.
+Batched solves, plain callables and solves that raise are never stored,
+and the store is dropped when the scope closes.
 """
 
 from __future__ import annotations
@@ -281,10 +282,17 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
     return sol
 
 
-# key -> (Trajectory, field, field.func) of the open shared_flows scope;
-# None outside one.  The field and func are kept so that their ids in the
-# key stay theirs while the scope is open.
+# Bytes of arrays a shared_flows scope keeps at most.  A default verify
+# run on paper_sec5 stores 1.5 MiB, all kept; larger budgets keep the
+# reuse of a decay fit by the energy right after it in bounded memory.
+SHARED_BYTES = 2 ** 21
+
+# key -> (Trajectory, field, field.func, bytes of its arrays) of the open
+# shared_flows scope, least recently used first; None outside one.  The
+# field and func are kept so that their ids in the key stay theirs while
+# the scope is open.
 _shared: dict | None = None
+_shared_nbytes = 0
 
 
 @contextlib.contextmanager
@@ -298,15 +306,16 @@ def shared_flows():
     Trajectory, whose arrays are read-only.  A horizon extension starts at
     the endpoint of the segment before it, so extensions share as chains.
     Never stored: batched solves (a batch's steps depend on its members),
-    plain callables and solves that raise.  A scope opened inside an open
-    one joins it; the store is dropped when the outermost one closes.  It
-    is usable as a decorator.
+    plain callables and solves that raise.  Past SHARED_BYTES of arrays
+    the least recently used trajectories are dropped, to be solved again
+    if asked for.  A scope opened inside an open one joins it; the store
+    is dropped when the outermost one closes.  It is usable as a decorator.
     """
-    global _shared
+    global _shared, _shared_nbytes
     if _shared is not None:
         yield
         return
-    _shared = {}
+    _shared, _shared_nbytes = {}, 0
     try:
         yield
     finally:
@@ -323,18 +332,31 @@ def _solved(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Trajecto
     if _shared is not None and kernel is not None and x0.size == x0.shape[-1]:
         field, flow = kernel
         key = id(field), id(field.func), flow, x0.tobytes(), t0, tf, rtol, atol
-        stored = _shared.get(key)
+        stored = _shared.pop(key, None)
         if stored is not None:
+            _shared[key] = stored  # now the most recently used
             traj = stored[0]
             return traj if traj.batch == batch else Trajectory(traj.times, traj.states,
                                                                traj.F, batch)
     sol = _solve_segment(rhs, x0, t0, tf, rtol, atol)
     traj = Trajectory(sol.t, sol.y.T, sol.dense, batch)
     if key is not None:
-        for array in (traj.times, traj.states, traj.F):
-            array.flags.writeable = False
-        _shared[key] = traj, field, field.func
+        _store(key, traj, field)
     return traj
+
+
+def _store(key, traj: Trajectory, field) -> None:
+    """Keep traj, read-only, under key in the open shared_flows scope, then
+    drop the least recently used until at most SHARED_BYTES are kept."""
+    global _shared_nbytes
+    arrays = traj.times, traj.states, traj.F
+    for array in arrays:
+        array.flags.writeable = False
+    nbytes = sum(array.nbytes for array in arrays)
+    _shared[key] = traj, field, field.func, nbytes
+    _shared_nbytes += nbytes
+    while _shared_nbytes > SHARED_BYTES:
+        _shared_nbytes -= _shared.pop(next(iter(_shared)))[3]
 
 
 def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,

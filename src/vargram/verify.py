@@ -14,10 +14,11 @@ pair energy (thm1, thm3), a small-gap limit of a pair energy against a
 differential one (thm2, thm4), and a three-item harness with cyclic
 implications (thm5, cor7).
 
-Each claim shape runs inside an integrate.shared_flows() scope, so a
-check solves each one-state flow segment once: a decay fit and the
-energies from the same start share their segments.  An enclosing scope
-(the CLI opens one per command) shares them across checks too.
+The path bound and the three-item harness run inside an
+integrate.shared_flows() scope, so a decay fit and the energies from the
+same start solve their flow once.  (A small-gap limit asks for no flow
+twice: its ladder pairs start from distinct states.)  An enclosing scope
+(the verify command opens one) shares flows across checks too.
 """
 
 from __future__ import annotations
@@ -260,7 +261,6 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) 
     return _close(report, failures)
 
 
-@shared_flows()
 def _small_gap_limit(theorem: str, system: SystemModel, samples: Sequence, tol: float,
                      equality_tol: float) -> Report:
     """Per tangent sample, the scaled small-gap limit of the pair energy is

@@ -5,8 +5,9 @@ made once and handed back, read-only, when it is asked for again.  These
 tests pin that a verify run repeats no such solve, that the store lives
 only as long as its scope (one command), that a check gives the same
 report with or without the flows of an earlier check, that a solve is
-shared only with one of the same kernel, start, span and tolerances, and
-that batches and plain callables are never stored.
+shared only with one of the same kernel, start, span and tolerances,
+that batches and plain callables are never stored, and that the store
+keeps at most SHARED_BYTES, dropping the least recently used first.
 """
 
 from collections import Counter
@@ -158,3 +159,40 @@ def test_batches_and_plain_callables_are_never_stored(solves, rhs, x0):
     assert len(solves) == 2
     assert second is not first and second.states.flags.writeable
     np.testing.assert_array_equal(second.states, first.states)
+
+
+def test_the_store_drops_the_least_recently_used_past_its_bytes(monkeypatch, solves):
+    field = registry("paper_sec5").f
+    starts = [[0.1, -0.1], [0.05, 0.02], [-0.03, 0.04]]
+
+    def solve(i):
+        return integrate_ivp(field, starts[i], (0.0, 5.0))
+
+    sizes = []
+    for i in range(3):
+        with shared_flows():
+            solve(i)
+            sizes.append(integrate._shared_nbytes)
+    del solves[:]
+    # room for 0 and either other one, not for all three
+    monkeypatch.setattr(integrate, "SHARED_BYTES", sizes[0] + max(sizes[1:]))
+    with shared_flows():
+        first = solve(0)
+        solve(1)
+        solve(0)  # a hit: 0 is now the most recently used
+        solve(2)  # past the bytes: 1, the least recently used, is dropped
+        assert len(solves) == 3
+        assert integrate._shared_nbytes <= integrate.SHARED_BYTES
+        assert solve(0) is first and len(solves) == 3
+        again = solve(1)
+        assert len(solves) == 4
+    np.testing.assert_array_equal(again.states, integrate_ivp(field, starts[1],
+                                                              (0.0, 5.0)).states)
+
+
+def test_a_path_bound_shares_its_decay_flow_in_a_small_store(monkeypatch, solves):
+    monkeypatch.setattr(integrate, "SHARED_BYTES", 2 ** 15)
+    pairs = [([0.05, -0.02], [-0.03, 0.04]), ([0.02, 0.06], [0.07, -0.01]),
+             ([-0.04, -0.05], [0.01, 0.03])]
+    check_thm1(registry("paper_sec5"), pairs)
+    assert _repeated(solves) == []
