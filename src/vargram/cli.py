@@ -33,7 +33,6 @@ from . import energy as energy_mod
 from . import gramian as gramian_mod
 from . import rank as rank_mod
 from . import verify as verify_mod
-from .calculus import matrix_at
 from .expr import ExprError, parse_system_spec
 from .integrate import HorizonFlow, IntegrationError, integrate_ivp, shared_flows
 from .sampling import SplitMix64
@@ -405,7 +404,13 @@ def _rank_grid(system: SystemModel, builder, region, shape, depth, csv_path: str
     """Sweep one rank builder over a grid, write its CSV, return the results."""
     points = gramian_mod.grid_points(region, shape)
     results = rank_mod.rank_sweep(builder, system, points, depth=depth)
-    _write_text(csv_path, rank_mod.sweep_to_csv(points, results))
+    rows = []
+    for point, res in zip(points, results):
+        sigma_max, sigma_min = res.sigma_extremes()
+        rows.append([*point, res.rank, sigma_min, sigma_max])
+    header = [f"x{i + 1}" for i in range(points.shape[1])] \
+        + ["rank", "sigma_min", "sigma_max"]
+    _write_text(csv_path, _csv_text(header, rows))
     return results
 
 
@@ -438,42 +443,42 @@ def _cmd_rank(args) -> int:
 
 # ---------------------------------------------------------------- pd-scan
 
-_POOL_FIELD = None
+_POOL_FIELD = None  # a pd-scan worker's field, set by _scan_init
 
 
-def _scan_init(source, field_name, tol, fixed_horizon):
+def _scan_init(source, field_name, tol):
     global _POOL_FIELD
-    system = _system_from_source(source)
-    _POOL_FIELD = _build_field(system, field_name, tol, fixed_horizon)
+    _POOL_FIELD = _build_field(_system_from_source(source), field_name, tol, None)
 
 
 def _scan_eval(point):
-    try:
-        return ("ok", matrix_at(_POOL_FIELD, point).tolist())
-    except Exception as exc:
-        return ("error", f"{type(exc).__name__}: {exc}")
+    return gramian_mod.scan_value(_POOL_FIELD, point)
 
 
-def _scan_grid(source, field_name: str, tol: float, jobs: int, region, shape,
-               csv_path: str) -> gramian_mod.PDScan:
-    """Scan a field over a grid, optionally across worker processes, and
-    write scan.csv-style rows to csv_path.
+def _scan_grid(system: SystemModel, source, field_name: str, tol: float, jobs: int,
+               region, shape, csv_path: str) -> gramian_mod.PDScan:
+    """Scan a field over a grid, across up to jobs worker processes (no
+    more than there are points), and write scan.csv-style rows to csv_path.
 
     Workers rebuild the system from its source name, so results are
     independent of how the grid is sharded; assembly order follows the
-    grid either way.
+    grid either way.  One worker is no worker: the scan then runs here,
+    on system.
     """
     points = gramian_mod.grid_points(region, shape)
-    if jobs > 1:
-        with multiprocessing.Pool(
-                jobs, initializer=_scan_init,
-                initargs=(source, field_name, tol, None)) as pool:
+    workers = min(jobs, len(points))
+    if workers > 1:
+        with multiprocessing.Pool(workers, initializer=_scan_init,
+                                  initargs=(source, field_name, tol)) as pool:
             values = pool.map(_scan_eval, [tuple(p) for p in points])
     else:
-        _scan_init(source, field_name, tol, None)
-        values = [_scan_eval(tuple(p)) for p in points]
+        field_obj = _build_field(system, field_name, tol, None)
+        values = [gramian_mod.scan_value(field_obj, tuple(p)) for p in points]
     scan = gramian_mod.scan_from_values(region, shape, points, values)
-    _write_text(csv_path, scan.to_csv())
+    rows = [[*point, min_eig, det, status] for point, min_eig, det, status
+            in zip(points, scan.min_eigs, scan.dets, scan.statuses)]
+    header = [f"x{i + 1}" for i in range(points.shape[1])] + ["min_eig", "det", "status"]
+    _write_text(csv_path, _csv_text(header, rows))
     return scan
 
 
@@ -484,7 +489,8 @@ def _cmd_pd_scan(args) -> int:
     if args.plot and len(shape) != 2:
         raise CliError(f"--plot draws a heatmap over two dims, --grid has {len(shape)}")
     csv_path = os.path.join(_out_dir(args), "scan.csv")
-    scan = _scan_grid(source, args.field, args.tol, args.jobs, region, shape, csv_path)
+    scan = _scan_grid(system, source, args.field, args.tol, args.jobs, region, shape,
+                      csv_path)
     print(csv_path)
     print(f"positive definite everywhere: {scan.all_positive_definite()}")
     if args.plot:
@@ -596,8 +602,8 @@ def _cmd_example(args) -> int:
     # Gramian positivity scan over the example region.
     region = system.meta["default_region"]
     scan_path = record(os.path.join(out, "fig3_gramian_scan.csv"))
-    scan = _scan_grid(("registry", args_system), "empirical-Q", args.tol, args.jobs,
-                      region, grid, scan_path)
+    scan = _scan_grid(system, ("registry", args_system), "empirical-Q", args.tol,
+                      args.jobs, region, grid, scan_path)
     record(emit_plot_script(scan_path, "heatmap", grid_shape=grid,
                             value_column=4, title="det"))
 

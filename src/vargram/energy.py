@@ -38,6 +38,8 @@ from .systems import AugmentedField, SystemModel, closed_loop_prolonged, prolong
 DEFAULT_S_LADDER = (0.1, 0.05, 0.025, 0.0125)
 # order of path_energy_integral's Gauss-Legendre rule, checked against twice it
 PATH_ORDER = 8
+# the fixed span [-PERTURBATION_HORIZON, 0] of feedback_perturbation_energy
+PERTURBATION_HORIZON = 40.0
 
 
 class LadderError(IntegrationError):
@@ -276,17 +278,16 @@ def cosine_bump(t0: float, t1: float, amplitude) -> Callable[[float], np.ndarray
 
 
 def feedback_perturbation_energy(system: SystemModel, x0, dx0,
-                                 w_signal: Callable[[float], np.ndarray] | None = None,
-                                 horizon: float = 40.0,
-                                 rtol: float = DEFAULT_RTOL,
-                                 atol: float = DEFAULT_ATOL) -> EnergyValue:
-    """Half squared norm of du = (dk/dx) dx + w over [-horizon, 0].
+                                 w_signal: Callable[[float], np.ndarray] | None = None
+                                 ) -> EnergyValue:
+    """Half squared norm of du = (dk/dx) dx + w over [-PERTURBATION_HORIZON, 0].
 
     The variational state follows the input-frozen Jacobian plus g*du along
     the nominal closed loop, so w = 0 reproduces the backward feedback
     energy.  Integrated in reversed time with an accumulator state; the
-    horizon is fixed, so decay must have set in by -horizon for the value
-    to approximate the improper integral.
+    horizon is fixed, so decay must have set in by then for the value
+    to approximate the improper integral.  The error estimate is
+    DEFAULT_RTOL * |value| + DEFAULT_ATOL.
     """
     n, m = system.n, system.m
     k = system.require_k()
@@ -304,11 +305,11 @@ def feedback_perturbation_energy(system: SystemModel, x0, dx0,
         return np.concatenate([-drift, -ddx, [dacc]])
 
     z0 = np.concatenate([x0, dx0, [0.0]])
-    traj = integrate_ivp(rhs, z0, (0.0, float(horizon)), rtol=rtol, atol=atol)
-    value = float(traj.at(float(horizon))[-1])
+    traj = integrate_ivp(rhs, z0, (0.0, PERTURBATION_HORIZON))
+    value = float(traj.at(PERTURBATION_HORIZON)[-1])
     return EnergyValue(value=value,
-                       error_estimate=rtol * abs(value) + atol,
-                       horizon=float(horizon), nodes_used=0,
+                       error_estimate=DEFAULT_RTOL * abs(value) + DEFAULT_ATOL,
+                       horizon=PERTURBATION_HORIZON, nodes_used=0,
                        direction="backward",
                        meta={"energy": "feedback_perturbation",
                              "note": "fixed horizon, no tail estimate"})

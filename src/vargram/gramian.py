@@ -18,16 +18,14 @@ of step FD_STEP = 1e-4 with Richardson refinement.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .calculus import (MatrixField, field_values, frozen_input_jacobian, jacobian,
-                       matrix_at, matrix_field_directional)
-from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integrals,
-                        variational_rhs)
+from .calculus import (MatrixField, field_values, flow_rhs, frozen_input_jacobian,
+                       jacobian, matrix_at, matrix_field_directional)
+from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integrals
 from .jacobi import determinant_and_min_eigenvalue
 from .systems import SystemModel
 
@@ -83,7 +81,7 @@ def _gramian_from_flow(field, sign: float, x, out_field, direction: str, tol: fl
         m = jacobian(out_field, z[:, :n]) @ z[:, n:].reshape(-1, n, n)
         return np.swapaxes(m, 1, 2) @ m
 
-    results = flow_integrals(variational_rhs(field, n, sign),
+    results = flow_integrals(flow_rhs(field, width=n, sign=sign),
                              np.concatenate([points, eye], axis=1), integrand, direction,
                              tol=tol, rtol=rtol, atol=atol, fixed_horizon=fixed_horizon)
     grams = [GramianResult(matrix=0.5 * (res.value + res.value.T),
@@ -286,16 +284,6 @@ class PDScan:
             return False
         return bool(np.all(self.min_eigs > 0.0) and np.all(self.dets > 0.0))
 
-    def to_csv(self) -> str:
-        n = self.points.shape[1]
-        out = io.StringIO()
-        cols = [f"x{i + 1}" for i in range(n)] + ["min_eig", "det", "status"]
-        out.write(",".join(cols) + "\n")
-        for row, me, dt, st in zip(self.points, self.min_eigs, self.dets, self.statuses):
-            cells = [f"{v:.17g}" for v in row] + [f"{me:.17g}", f"{dt:.17g}", st]
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
-
 
 def scan_from_values(region, grid_shape, points: np.ndarray, values) -> PDScan:
     """Assemble a PDScan from precomputed per-point ('ok', matrix) pairs.
@@ -348,6 +336,15 @@ def prefetch(field_like, points) -> None:
         pass  # the failing points fail again, one at a time, where they are read
 
 
+def scan_value(field_like, point) -> tuple:
+    """One scan_from_values entry: ("ok", the field's matrix at point), or
+    ("error", "Type: message") if evaluating it raises."""
+    try:
+        return ("ok", matrix_at(field_like, point))
+    except Exception as exc:  # recorded per point, scan continues
+        return ("error", f"{type(exc).__name__}: {exc}")
+
+
 def pd_scan(field_like, region, grid_shape) -> PDScan:
     """Evaluate a matrix field on an inclusive grid and test definiteness.
 
@@ -357,10 +354,5 @@ def pd_scan(field_like, region, grid_shape) -> PDScan:
     points = grid_points(region, grid_shape)
     if hasattr(field_like, "many"):
         prefetch(field_like, points)
-    values = []
-    for row in points:
-        try:
-            values.append(("ok", matrix_at(field_like, row)))
-        except Exception as exc:  # recorded per point, scan continues
-            values.append(("error", f"{type(exc).__name__}: {exc}"))
-    return scan_from_values(region, grid_shape, points, values)
+    return scan_from_values(region, grid_shape, points,
+                            [scan_value(field_like, row) for row in points])

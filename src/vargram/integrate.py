@@ -53,6 +53,14 @@ EPS = np.finfo(float).eps
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 
+# a flow integral sums Gauss-Legendre panels about PANEL_WIDTH wide, each by
+# the PANEL_ORDER-point rule; an improper one doubles its first horizon,
+# INITIAL_HORIZON, at most MAX_DOUBLINGS times
+PANEL_WIDTH = 2.0
+PANEL_ORDER = 12
+INITIAL_HORIZON = 20.0
+MAX_DOUBLINGS = 6
+
 
 class IntegrationError(RuntimeError):
     pass
@@ -389,36 +397,23 @@ def per_column(fun):
     return rhs
 
 
-def variational_rhs(field: VectorField, width: int, sign: float = 1.0):
-    """rhs(t, z) of a field co-integrated with its variational equation.
-
-    z holds x (n entries) and then an n x width tangent block, row-major:
-    a vector dx (width 1) or a matrix Phi (width n).  The rhs is
-    sign * (field(x), J(x) dx) or sign * (field(x), J(x) Phi), with J the
-    Jacobian of the field; sign = -1 runs the flow backward.  z may also
-    be a (dim, B) batch, one column per point.  Each call is one call of
-    the field's flow kernel, traced with duals carrying the tangent's
-    rows (calculus.flow_rhs).
-    """
-    return flow_rhs(field, width=width, sign=sign)
-
-
 class HorizonFlow:
     """Lazily extendable forward solve used by improper-integral integrands.
 
     state(t) extends the underlying solution whenever t lies beyond the
     current horizon; previously integrated segments are reused.  t may be
     one time or a 1-D array of times (states stacked on axis 0).  The
-    first solve covers [0, chunk] and each extension at least doubles the
-    horizon, so the solver pieces do not depend on how the requested times
-    are grouped into calls.  rhs takes one state or a stack of states,
-    one per column (module docstring).  A (B, dim) stack z0 is solved as
-    one batch (see _solve_segment), and state(t) then has shape (B, dim)
-    or (N, B, dim).
+    first solve covers [0, chunk], by default the first horizon of an
+    improper integral (INITIAL_HORIZON), and each extension at least
+    doubles the horizon, so the solver pieces do not depend on how the
+    requested times are grouped into calls.  rhs takes one state or a
+    stack of states, one per column (module docstring).  A (B, dim) stack
+    z0 is solved as one batch (see _solve_segment), and state(t) then has
+    shape (B, dim) or (N, B, dim).
     """
 
     def __init__(self, rhs, z0, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                 chunk: float = 20.0):
+                 chunk: float = INITIAL_HORIZON):
         self.rhs = rhs
         self.rtol = rtol
         self.atol = atol
@@ -537,15 +532,6 @@ def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResul
                                                      np.array([a, b], dtype=float), order)
     return QuadratureResult(value=value if np.ndim(value) else float(value),
                             error_estimate=float(err), nodes_used=nodes)
-
-
-# a flow integral sums Gauss-Legendre panels about PANEL_WIDTH wide, each by
-# the PANEL_ORDER-point rule; an improper one doubles its first horizon,
-# INITIAL_HORIZON, at most MAX_DOUBLINGS times
-PANEL_WIDTH = 2.0
-PANEL_ORDER = 12
-INITIAL_HORIZON = 20.0
-MAX_DOUBLINGS = 6
 
 
 def composite_gauss_legendre(f, lo: float, hi: float):

@@ -3,21 +3,20 @@
 Three matrix builders feed one rank routine: iterated feedback-modified
 brackets of the input columns, iterated standard brackets along the open
 drift, and the gradient tower of iterated output derivatives.  Rank is
-counted from LAPACK singular values with a tolerance relative to the
-largest singular value, so a reported value means "rank at least this at
-the tested depth"; deeper towers can only raise it.
+counted from LAPACK singular values with a tolerance DEFAULT_RANK_TOL
+relative to the largest singular value, so a reported value means "rank
+at least this at the tested depth"; deeper towers can only raise it.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import (ad_closed_loop_field, ad_standard_field, jacobian_scalars,
-                       lie_scalar)
+from .calculus import (VectorField, ad_closed_loop_field, ad_standard_field,
+                       jacobian_scalars, lie_scalar)
 from .jacobi import numeric_rank
 from .systems import SystemModel
 
@@ -43,11 +42,10 @@ class RankMatrix:
         return float(self.singular_values[0]), float(self.singular_values[count - 1])
 
 
-def _result(matrix: np.ndarray, depth: int, kind: str,
-            rel_tol: float) -> RankMatrix:
-    rank, sigma = numeric_rank(matrix, rel_tol)
+def _result(matrix: np.ndarray, depth: int, kind: str) -> RankMatrix:
+    rank, sigma = numeric_rank(matrix, DEFAULT_RANK_TOL)
     return RankMatrix(matrix=matrix, singular_values=sigma, rank=rank,
-                      tol_used=rel_tol, depth=depth, meta={"kind": kind})
+                      tol_used=DEFAULT_RANK_TOL, depth=depth, meta={"kind": kind})
 
 
 def _default_depth(system: SystemModel, depth: int | None) -> int:
@@ -59,8 +57,20 @@ def _default_depth(system: SystemModel, depth: int | None) -> int:
     return depth
 
 
-def ctrl_bracket_matrix(system: SystemModel, x, depth: int | None = None,
-                        rel_tol: float = DEFAULT_RANK_TOL) -> RankMatrix:
+def _bracket_columns(system: SystemModel, x, depth: int,
+                     bracket: Callable[[VectorField], VectorField]) -> np.ndarray:
+    """Columns g, bracket(g), ..., bracket^depth(g) at x, input by input
+    within a level."""
+    xs = [float(v) for v in x]
+    level = [system.g.column(j) for j in range(system.m)]
+    cols = [np.asarray(v(xs), dtype=float) for v in level]
+    for _ in range(depth):
+        level = [bracket(v) for v in level]
+        cols.extend(np.asarray(v(xs), dtype=float) for v in level)
+    return np.column_stack(cols)
+
+
+def ctrl_bracket_matrix(system: SystemModel, x, depth: int | None = None) -> RankMatrix:
     """Columns g, ad g, ..., ad^depth g with the feedback-modified bracket.
 
     The bracket recursion differentiates along f + g k but freezes the
@@ -69,28 +79,15 @@ def ctrl_bracket_matrix(system: SystemModel, x, depth: int | None = None,
     """
     depth = _default_depth(system, depth)
     system.require_k()
-    xs = [float(v) for v in x]
-    level = [system.g.column(j) for j in range(system.m)]
-    cols = [np.asarray(v(xs), dtype=float) for v in level]
-    for _ in range(depth):
-        level = [ad_closed_loop_field(system, v) for v in level]
-        cols.extend(np.asarray(v(xs), dtype=float) for v in level)
-    matrix = np.column_stack(cols)
-    return _result(matrix, depth, "ctrl_bracket", rel_tol)
+    matrix = _bracket_columns(system, x, depth, lambda v: ad_closed_loop_field(system, v))
+    return _result(matrix, depth, "ctrl_bracket")
 
 
-def strong_access_matrix(system: SystemModel, x, depth: int | None = None,
-                         rel_tol: float = DEFAULT_RANK_TOL) -> RankMatrix:
+def strong_access_matrix(system: SystemModel, x, depth: int | None = None) -> RankMatrix:
     """Columns g, ad_f g, ..., ad_f^depth g with the standard Lie bracket."""
     depth = _default_depth(system, depth)
-    xs = [float(v) for v in x]
-    level = [system.g.column(j) for j in range(system.m)]
-    cols = [np.asarray(v(xs), dtype=float) for v in level]
-    for _ in range(depth):
-        level = [ad_standard_field(system.f, v) for v in level]
-        cols.extend(np.asarray(v(xs), dtype=float) for v in level)
-    matrix = np.column_stack(cols)
-    return _result(matrix, depth, "strong_access", rel_tol)
+    matrix = _bracket_columns(system, x, depth, lambda v: ad_standard_field(system.f, v))
+    return _result(matrix, depth, "strong_access")
 
 
 def _lie_tower(system: SystemModel, j: int, depth: int) -> list[Callable]:
@@ -109,8 +106,7 @@ def _lie_tower(system: SystemModel, j: int, depth: int) -> list[Callable]:
     return tower
 
 
-def obs_codistribution(system: SystemModel, x, depth: int | None = None,
-                       rel_tol: float = DEFAULT_RANK_TOL) -> RankMatrix:
+def obs_codistribution(system: SystemModel, x, depth: int | None = None) -> RankMatrix:
     """Rows grad(L_f^i h_j) for i = 0..depth, outputs grouped within a level."""
     depth = _default_depth(system, depth)
     xs = [float(v) for v in x]
@@ -122,26 +118,10 @@ def obs_codistribution(system: SystemModel, x, depth: int | None = None,
             _, grad_rows = jacobian_scalars(lambda vs, func=func: [func(vs)], xs, 1)
             rows.append([float(v) for v in grad_rows[0]])
     matrix = np.asarray(rows, dtype=float)
-    return _result(matrix, depth, "obs_codistribution", rel_tol)
+    return _result(matrix, depth, "obs_codistribution")
 
 
 def rank_sweep(builder: Callable[..., RankMatrix], system: SystemModel,
-               points: Sequence, depth: int | None = None,
-               rel_tol: float = DEFAULT_RANK_TOL) -> list[RankMatrix]:
+               points: Sequence, depth: int | None = None) -> list[RankMatrix]:
     """Apply one matrix builder at each point, preserving point order."""
-    return [builder(system, row, depth=depth, rel_tol=rel_tol) for row in points]
-
-
-def sweep_to_csv(points, results: Sequence[RankMatrix]) -> str:
-    """CSV rows x1..xn, rank, sigma_min, sigma_max for a rank sweep."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[1]
-    out = io.StringIO()
-    out.write(",".join([f"x{i + 1}" for i in range(n)]
-                       + ["rank", "sigma_min", "sigma_max"]) + "\n")
-    for row, res in zip(points, results):
-        smax, smin = res.sigma_extremes()
-        cells = [f"{v:.17g}" for v in row]
-        cells += [str(res.rank), f"{smin:.17g}", f"{smax:.17g}"]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    return [builder(system, row, depth=depth) for row in points]

@@ -32,7 +32,7 @@ from vargram.calculus import (
     jacobian,
 )
 from vargram.expr import SystemSpec
-from vargram.integrate import per_column, variational_rhs
+from vargram.integrate import per_column
 
 
 @dataclass
@@ -146,7 +146,7 @@ def prolong(system: SystemModel) -> AugmentedField:
 
     return AugmentedField(
         dim=2 * n,
-        rhs=variational_rhs(system.f, 1),
+        rhs=flow_rhs(system.f, width=1),
         layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
         outputs={"y": out_y, "dy": out_dy},
     )
@@ -170,7 +170,7 @@ def closed_loop_prolonged(system: SystemModel, sign: float = 1.0) -> AugmentedFi
 
     return AugmentedField(
         dim=2 * n,
-        rhs=variational_rhs(system.closed_loop_field(), 1, sign),
+        rhs=flow_rhs(system.closed_loop_field(), width=1, sign=sign),
         layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
         outputs={"dk": out_dk, "dy": out_dy},
     )

@@ -40,6 +40,9 @@ from .rank import ctrl_bracket_matrix, obs_codistribution
 from .systems import SystemModel, dual_closed_loop, prolong
 
 EQUALITY_TOL = 1e-4
+# largest residual of the supplied matrix field's equations on the region
+# probe for which thm5 and cor7 are still checked
+RESIDUAL_TOL = 1e-3
 
 
 @dataclass
@@ -164,9 +167,12 @@ def fit_decay(signal, direction: str = "forward") -> DecayEstimate:
 def _decay(rhs, z0, signal) -> DecayEstimate:
     """Fit the forward decay of |signal(z)| along the flow of rhs from z0
     over [0, 20]; rhs takes one state or a stack (systems.AugmentedField),
-    and signal maps the (N, dim) table of sampled states to one row each."""
+    and signal maps the (N, dim) table of sampled states to one row each.
+    The flow's first segment is HorizonFlow's default, [0,
+    integrate.INITIAL_HORIZON], the one an energy from z0 solves first,
+    so the two share it."""
     times = np.linspace(0.0, 20.0, 201)
-    states = HorizonFlow(rhs, z0, chunk=20.0).state(times)
+    states = HorizonFlow(rhs, z0).state(times)
     return fit_decay((times, _point_norms(signal(states))), "forward")
 
 
@@ -261,8 +267,8 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) 
     return _close(report, failures)
 
 
-def _small_gap_limit(theorem: str, system: SystemModel, samples: Sequence, tol: float,
-                     equality_tol: float) -> Report:
+def _small_gap_limit(theorem: str, system: SystemModel, samples: Sequence,
+                     tol: float) -> Report:
     """Per tangent sample, the scaled small-gap limit of the pair energy is
     compared with the differential energy under the theorem's relation."""
     (diff, pair), swapped, relation = _LIMITS[theorem]
@@ -295,7 +301,7 @@ def _small_gap_limit(theorem: str, system: SystemModel, samples: Sequence, tol: 
             continue
         budget = ql.error_budget + rhs.error_estimate + _floor(ql.limit, rhs.value)
         report.samples.append(Sample(inputs, ql.limit, rhs.value,
-                                     budget + (equality_tol if equality else 0.0),
+                                     budget + (EQUALITY_TOL if equality else 0.0),
                                      relation="eq" if equality else "ge", note=note))
     _close(report, failures)
     if certified:
@@ -339,8 +345,7 @@ def _implications(items: dict[int, bool | None]) -> tuple[list[str], str]:
 @shared_flows()
 def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
                         samples: Sequence, grid_shape: Sequence[int] | None,
-                        residual_tol: float, tol: float = 1e-8,
-                        equality_tol: float = EQUALITY_TOL) -> Report:
+                        tol: float = 1e-8) -> Report:
     """Item 1: decay of the variational block from each sample; when no
     sample is simulated (none given, or every tangent zero) it is untested,
     reported as failed with the note "no sample was tested".  Item 2:
@@ -359,9 +364,9 @@ def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
             lambda fld: [spec.residuals(system, fld, row) for row in probe], n))
     worst = max(r.frobenius_norm for row in probe
                 for r in spec.residuals(system, matrix_field, row))
-    if worst > residual_tol:
+    if worst > RESIDUAL_TOL:
         report.notes.append(f"precondition failed: {spec.residual_name} residual "
-                            f"{worst:g} > {residual_tol:g} on region probe")
+                            f"{worst:g} > {RESIDUAL_TOL:g} on region probe")
         return report
 
     failures: list[str] = []
@@ -402,7 +407,7 @@ def _three_item_harness(theorem: str, system: SystemModel, matrix_field, region,
             failures.append(f"item 3 sample {idx}: {exc}")
             item3 = False
             continue
-        budget = sim.error_estimate + _floor(quad, sim.value) + equality_tol
+        budget = sim.error_estimate + _floor(quad, sim.value) + EQUALITY_TOL
         sample = Sample(inputs, quad, sim.value, budget, relation="eq")
         report.samples.append(sample)
         if not sample.ok():
@@ -436,41 +441,36 @@ def check_thm3(system: SystemModel, pairs: Sequence, tol: float = 1e-8) -> Repor
     return _path_bound("thm3", system, pairs, tol)
 
 
-def check_thm2(system: SystemModel, samples: Sequence, tol: float = 1e-8,
-               equality_tol: float = EQUALITY_TOL) -> Report:
+def check_thm2(system: SystemModel, samples: Sequence, tol: float = 1e-8) -> Report:
     """Scaled small-gap limit of the pair feedback energy bounds the
     differential one from above; with a registered dual certificate the
     bound is additionally asserted to be an equality.
     """
-    return _small_gap_limit("thm2", system, samples, tol, equality_tol)
+    return _small_gap_limit("thm2", system, samples, tol)
 
 
-def check_thm4(system: SystemModel, samples: Sequence, tol: float = 1e-8,
-               equality_tol: float = EQUALITY_TOL) -> Report:
+def check_thm4(system: SystemModel, samples: Sequence, tol: float = 1e-8) -> Report:
     """Scaled small-gap limit of the pair output energy equals the
     differential observability energy."""
-    return _small_gap_limit("thm4", system, samples, tol, equality_tol)
+    return _small_gap_limit("thm4", system, samples, tol)
 
 
 def check_thm5(system: SystemModel, q_field, region, samples: Sequence,
-               grid_shape: Sequence[int] | None = None, tol: float = 1e-8,
-               residual_tol: float = 1e-3,
-               equality_tol: float = EQUALITY_TOL) -> Report:
+               grid_shape: Sequence[int] | None = None, tol: float = 1e-8) -> Report:
     """Three-item observability harness with cyclic implication logic.
 
     Item 1: variational decay from each sample.  Item 2: output
     codistribution rank n over the region grid.  Item 3: Q positive
     definite on the grid plus half-quadratic-form consistency with the
     simulated energy at each sample.  The matrix-equation residual of Q is
-    a precondition; when it is not small the whole check is inconclusive.
+    a precondition; when it exceeds RESIDUAL_TOL the whole check is
+    inconclusive.
     """
-    return _three_item_harness("thm5", system, q_field, region, samples, grid_shape,
-                               residual_tol, tol, equality_tol)
+    return _three_item_harness("thm5", system, q_field, region, samples, grid_shape, tol)
 
 
 def check_cor7(system: SystemModel, p_field, region, samples: Sequence,
-               grid_shape: Sequence[int] | None = None,
-               residual_tol: float = 1e-3) -> Report:
+               grid_shape: Sequence[int] | None = None) -> Report:
     """Three-item feedback controllability harness (dual side).
 
     Item 1: decay of the dual variational state along the reversed closed
@@ -478,5 +478,4 @@ def check_cor7(system: SystemModel, p_field, region, samples: Sequence,
     Item 3: P positive definite on the grid.  The dual matrix-equation
     residual pair is the precondition.
     """
-    return _three_item_harness("cor7", system, p_field, region, samples, grid_shape,
-                               residual_tol)
+    return _three_item_harness("cor7", system, p_field, region, samples, grid_shape)

@@ -10,12 +10,11 @@ their values from the per-node implementation.
 import numpy as np
 import pytest
 
-from vargram.calculus import field_values, jacobian
+from vargram.calculus import field_values, flow_rhs, jacobian
 from vargram.energy import diff_observability
 from vargram.expr import parse_system_spec
 from vargram.gramian import empirical_obs_gramian
-from vargram.integrate import (HorizonFlow, _gauss_legendre_pair, integrate_ivp,
-                               variational_rhs)
+from vargram.integrate import HorizonFlow, _gauss_legendre_pair, integrate_ivp
 from vargram.systems import SystemModel, from_spec, prolong, registry
 
 # rational entries (/), integer powers (^) and constant outputs, which
@@ -130,7 +129,7 @@ def test_trajectory_at_arrays_spans_segments_and_checks_bounds():
         flow.state(np.array([1.0, -0.5]))
     # a co-integrated (x, Phi) solve, looked up per row
     field = registry("paper_sec5").f
-    curve = integrate_ivp(variational_rhs(field, 2), [0.2, -0.1, 1.0, 0.0, 0.0, 1.0],
+    curve = integrate_ivp(flow_rhs(field, width=2), [0.2, -0.1, 1.0, 0.0, 0.0, 1.0],
                           (0.0, 3.0))
     times = np.array([2.5, 0.0, 1.25])
     assert np.array_equal(curve.at(times), np.array([curve.at(t) for t in times]))

@@ -7,6 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
+from vargram import cli
 from vargram.cli import CliError, build_parser, emit_plot_script, main
 
 
@@ -214,6 +215,43 @@ def test_pd_scan_parallel_and_serial_agree(tmp_path):
     assert text1 == (out2 / "scan.csv").read_bytes()
     header = text1.decode().splitlines()[0]
     assert header == "x1,x2,min_eig,det,status"
+
+
+def test_pd_scan_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the worker count; runs the initializer and the map here."""
+
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(cli, "_POOL_FIELD", None)
+    args = ["pd-scan", "--system", "linear_scalar", "--field", "cert-R", "--region", "0,1"]
+    assert main(args + ["--grid", "2", "--jobs", "64", "--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--grid", "1", "--jobs", "4", "--out", str(tmp_path / "b")]) == 0
+    assert sizes == [2]  # and one point is scanned without a pool
+    assert main(args + ["--grid", "2", "--jobs", "1", "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "a" / "scan.csv").read_bytes() == (tmp_path / "c" / "scan.csv").read_bytes()
+
+
+def test_a_serial_pd_scan_keeps_no_field_after_it_returns(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_POOL_FIELD", None)
+    assert main(["pd-scan", "--system", "paper_sec5", "--field", "empirical-Q",
+                 "--region", "-0.1,0.1,-0.1,0.1", "--grid", "2x1", "--jobs", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert cli._POOL_FIELD is None
 
 
 def test_pd_scan_reports_positivity(tmp_path, capsys):

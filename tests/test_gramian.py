@@ -5,6 +5,7 @@ import pytest
 
 from oracles import lyap_ctrl, lyap_dual, lyap_obs
 from vargram.calculus import Dual, MatrixField, VectorField, matrix_at
+from vargram.cli import main
 from vargram.expr import parse_system_spec
 from vargram.gramian import (
     EmpiricalGramianField,
@@ -217,9 +218,10 @@ def test_pd_scan_records_errors_and_continues():
     assert not scan.all_positive_definite()
 
 
-def test_pd_scan_csv_layout():
-    scan = pd_scan(MatrixField.constant([[2.0]]), [(0.0, 1.0)], (2,))
-    lines = scan.to_csv().splitlines()
+def test_pd_scan_csv_layout(tmp_path):
+    assert main(["pd-scan", "--system", "linear_scalar", "--field", "cert-R",
+                 "--region", "0,1", "--grid", "2", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "scan.csv").read_text().splitlines()
     assert lines[0] == "x1,min_eig,det,status"
     assert lines[1].split(",") == ["0", "2", "2", "ok"]
     assert len(lines) == 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_jacobian, rk4
-from vargram.calculus import VectorField
+from vargram.calculus import VectorField, flow_rhs
 from vargram.integrate import (
     BlowUpError,
     DivergenceError,
@@ -17,7 +17,6 @@ from vargram.integrate import (
     improper_time_integral,
     integrate_ivp,
     quadrature_finite,
-    variational_rhs,
 )
 from vargram.systems import registry
 
@@ -97,7 +96,7 @@ def _flow_matrix(field, x0, t_span, rtol=1e-9, atol=1e-12):
     integrate_ivp solve of the variational equation from (x0, I)."""
     n = field.dim_in
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).reshape(-1)])
-    traj = integrate_ivp(variational_rhs(field, n), z0, t_span, rtol, atol)
+    traj = integrate_ivp(flow_rhs(field, width=n), z0, t_span, rtol, atol)
 
     def phi(t):
         z = traj.at(t)

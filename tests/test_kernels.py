@@ -18,6 +18,7 @@ from vargram.calculus import (
     MatrixField,
     VectorField,
     field_values,
+    flow_rhs,
     frozen_input_jacobian,
     frozen_input_jacobian_scalars,
     jacobian,
@@ -26,7 +27,6 @@ from vargram.calculus import (
     value_and_rows,
 )
 from vargram.expr import BinOp, ExprEvalError, Num, Var, parse_system_spec
-from vargram.integrate import variational_rhs
 from vargram.systems import (
     SystemModel,
     adjoint_pair,
@@ -191,8 +191,8 @@ def _variational_forms(system):
     for label, rhs, field, sign, dim in (
             ("prolong", prolong(system).rhs, system.f, 1.0, 2 * n),
             ("closed_loop_prolonged", closed_loop_prolonged(system).rhs, cl, 1.0, 2 * n),
-            ("obs flow", variational_rhs(system.f, n), system.f, 1.0, n + n * n),
-            ("ctrl flow", variational_rhs(cl, n, -1.0), cl, -1.0, n + n * n)):
+            ("obs flow", flow_rhs(system.f, width=n), system.f, 1.0, n + n * n),
+            ("ctrl flow", flow_rhs(cl, width=n, sign=-1.0), cl, -1.0, n + n * n)):
         yield label, rhs, dual_pass(field, sign), product(field, sign), dim
 
 
@@ -281,7 +281,7 @@ def test_zero_denominator_raises_the_fields_own_error():
         with pytest.raises(ZeroDivisionError, match="dual division by zero"):
             jacobian(python, xs)
         with pytest.raises(ZeroDivisionError):
-            variational_rhs(python, 2)(0.0, np.array(xs + [1.0, 0.0, 0.0, 1.0]))
+            flow_rhs(python, width=2)(0.0, np.array(xs + [1.0, 0.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("func", [
@@ -337,7 +337,7 @@ def _batchable_right_hand_sides(system):
     for sign in (1.0, -1.0):
         yield (f"closed_loop_prolonged {sign:+}", closed_loop_prolonged(system, sign).rhs,
                2 * n)
-        yield f"obs flow {sign:+}", variational_rhs(system.f, n, sign), n + n * n
+        yield f"obs flow {sign:+}", flow_rhs(system.f, width=n, sign=sign), n + n * n
         yield f"two_copy {sign:+}", two_copy(system, cl, sign).rhs, 2 * n
 
 
@@ -357,7 +357,7 @@ def test_reversed_and_batched_right_hand_sides_bitwise(system):
     for forward, backward, dim in (
             (closed_loop_prolonged(system).rhs, closed_loop_prolonged(system, -1.0).rhs, 2 * n),
             (two_copy(system, cl).rhs, two_copy(system, cl, sign=-1.0).rhs, 2 * n),
-            (variational_rhs(cl, n), variational_rhs(cl, n, -1.0), n + n * n)):
+            (flow_rhs(cl, width=n), flow_rhs(cl, width=n, sign=-1.0), n + n * n)):
         for _ in range(20):
             z = rng.uniform(-1.2, 1.2, dim)
             assert np.array_equal(backward(0.0, z), -forward(0.0, z))
@@ -375,7 +375,7 @@ def test_zero_denominator_in_a_batch_raises_the_fields_own_error():
         "h": ["x1"], "k": ["x2"]}))
     python = VectorField(2, 2, lambda xs: [xs[1] / xs[0], xs[0] + 0.0 * (1.0 / xs[1])])
     for field, error in ((spec.f, ExprEvalError), (python, ZeroDivisionError)):
-        rhs = variational_rhs(field, 1)
+        rhs = flow_rhs(field, width=1)
         regular = np.array([[1.0, 2.0, -0.5], [2.0, 1.0, 3.0], [1.0] * 3, [0.0] * 3])
         assert np.all(np.isfinite(rhs(0.0, regular)))
         for column in ([0.0, 2.0], [1.0, 0.0], [0.0, -0.0]):  # x / 0 and 0 / 0

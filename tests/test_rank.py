@@ -15,13 +15,13 @@ import pytest
 
 from oracles import kalman
 from vargram.calculus import MatrixField, VectorField
+from vargram.cli import main
 from vargram.integrate import integrate_ivp
 from vargram.rank import (
     ctrl_bracket_matrix,
     obs_codistribution,
     rank_sweep,
     strong_access_matrix,
-    sweep_to_csv,
 )
 from vargram.systems import SystemModel, dual_closed_loop, prolong, registry
 
@@ -194,13 +194,13 @@ def test_rank_is_scale_invariant():
         assert res.rank == 2
 
 
-def test_sweep_csv_layout():
-    sys_ = registry("paper_sec5")
-    points = np.array([[0.0, 0.0], [-1.0, 0.0]])
-    results = rank_sweep(obs_codistribution, sys_, points, depth=1)
-    lines = sweep_to_csv(points, results).splitlines()
+def test_sweep_csv_layout(tmp_path):
+    # grid order: (-1, 0), where the rank is 1, then (0, 0)
+    assert main(["rank", "--matrix", "obs", "--depth", "1", "--region", "-1,0,0,1",
+                 "--grid", "2x1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "rank.csv").read_text().splitlines()
     assert lines[0] == "x1,x2,rank,sigma_min,sigma_max"
-    assert lines[1].split(",")[2] == "2"
-    assert lines[2].split(",")[2] == "1"
+    assert lines[1].split(",")[2] == "1"
+    assert lines[2].split(",")[2] == "2"
     # sigma_min on the rank-1 line is numerically zero
-    assert float(lines[2].split(",")[3]) < 1e-12
+    assert float(lines[1].split(",")[3]) < 1e-12

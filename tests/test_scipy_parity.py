@@ -16,12 +16,12 @@ import pytest
 import scipy.integrate
 from scipy.integrate import DOP853, OdeSolution
 
-from vargram.calculus import VectorField
+from vargram.calculus import VectorField, flow_rhs
 from vargram.energy import diff_observability
 from vargram.expr import parse_system_spec
 from vargram.dop853 import _BatchDOP853, _DOP853
 from vargram.integrate import (BLOWUP_NORM, DEFAULT_ATOL, DEFAULT_RTOL, BlowUpError,
-                               Trajectory, integrate_ivp, solve_ivp, variational_rhs)
+                               Trajectory, integrate_ivp, solve_ivp)
 from vargram.systems import from_spec, prolong, registry
 
 from test_batch_flows import ESCAPING
@@ -158,7 +158,7 @@ def _gramian_flow():
     (x, Phi) from (x0, I), of an n = 4 --spec system."""
     field = from_spec(parse_system_spec(N4_SPEC)).f
     z0 = np.concatenate([[0.4, -0.3, 0.2, 0.1], np.eye(4).ravel()])
-    return variational_rhs(field, 4), z0, {}
+    return flow_rhs(field, width=4), z0, {}
 
 
 def _per_step_coefficients(fun, y0, t_span, options) -> Trajectory:
