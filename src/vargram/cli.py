@@ -179,6 +179,12 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _grid_csv(points: np.ndarray, names: Sequence[str], rows) -> str:
+    """One CSV line per grid point: its coordinates x1..xn, then its row."""
+    header = [f"x{i + 1}" for i in range(points.shape[1])] + list(names)
+    return _csv_text(header, [[*point, *row] for point, row in zip(points, rows)])
+
+
 def emit_plot_script(csv_path: str, kind: str, grid_shape: Sequence[int] | None = None,
                      value_column: int = 4, title: str = "") -> str:
     """Write a self-contained gnuplot script next to an existing CSV.
@@ -405,12 +411,10 @@ def _rank_grid(system: SystemModel, builder, region, shape, depth, csv_path: str
     points = gramian_mod.grid_points(region, shape)
     results = rank_mod.rank_sweep(builder, system, points, depth=depth)
     rows = []
-    for point, res in zip(points, results):
+    for res in results:
         sigma_max, sigma_min = res.sigma_extremes()
-        rows.append([*point, res.rank, sigma_min, sigma_max])
-    header = [f"x{i + 1}" for i in range(points.shape[1])] \
-        + ["rank", "sigma_min", "sigma_max"]
-    _write_text(csv_path, _csv_text(header, rows))
+        rows.append((res.rank, sigma_min, sigma_max))
+    _write_text(csv_path, _grid_csv(points, ["rank", "sigma_min", "sigma_max"], rows))
     return results
 
 
@@ -475,10 +479,8 @@ def _scan_grid(system: SystemModel, source, field_name: str, tol: float, jobs: i
         field_obj = _build_field(system, field_name, tol, None)
         values = [gramian_mod.scan_value(field_obj, tuple(p)) for p in points]
     scan = gramian_mod.scan_from_values(region, shape, points, values)
-    rows = [[*point, min_eig, det, status] for point, min_eig, det, status
-            in zip(points, scan.min_eigs, scan.dets, scan.statuses)]
-    header = [f"x{i + 1}" for i in range(points.shape[1])] + ["min_eig", "det", "status"]
-    _write_text(csv_path, _csv_text(header, rows))
+    rows = zip(scan.min_eigs, scan.dets, scan.statuses)
+    _write_text(csv_path, _grid_csv(points, ["min_eig", "det", "status"], rows))
     return scan
 
 

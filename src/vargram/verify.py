@@ -35,7 +35,8 @@ from .energy import (LinePath, diff_controllability_fb, diff_observability,
                      path_energy_integral, quadratic_limit)
 from .gramian import (grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan,
                       points_read, prefetch)
-from .integrate import HorizonFlow, IntegrationError, Trajectory, _point_norms, shared_flows
+from .integrate import (INITIAL_HORIZON, HorizonFlow, IntegrationError, Trajectory,
+                        _point_norms, shared_flows)
 from .rank import ctrl_bracket_matrix, obs_codistribution
 from .systems import SystemModel, dual_closed_loop, prolong
 
@@ -166,12 +167,11 @@ def fit_decay(signal, direction: str = "forward") -> DecayEstimate:
 
 def _decay(rhs, z0, signal) -> DecayEstimate:
     """Fit the forward decay of |signal(z)| along the flow of rhs from z0
-    over [0, 20]; rhs takes one state or a stack (systems.AugmentedField),
-    and signal maps the (N, dim) table of sampled states to one row each.
-    The flow's first segment is HorizonFlow's default, [0,
-    integrate.INITIAL_HORIZON], the one an energy from z0 solves first,
-    so the two share it."""
-    times = np.linspace(0.0, 20.0, 201)
+    over [0, INITIAL_HORIZON]; rhs takes one state or a stack
+    (systems.AugmentedField), and signal maps the (N, dim) table of sampled
+    states to one row each. That span is HorizonFlow's first segment, the
+    one an energy from z0 solves first, so the two share it."""
+    times = np.linspace(0.0, INITIAL_HORIZON, 201)
     states = HorizonFlow(rhs, z0).state(times)
     return fit_decay((times, _point_norms(signal(states))), "forward")
 
