@@ -459,26 +459,42 @@ def _outputs(field, key: tuple, xs) -> list:
 
     ("values", n): the field's values at x.  ("jacobian", n): its values,
     then its Jacobian entries, one row of n per value.  ("flow", copies,
-    width, reversed): a state of `copies` blocks (x, T), each giving
-    (f(x), Df(x) T) for an n x width tangent block T (row-major; width 0
-    leaves the values alone), negated if reversed.  Df T comes from one
-    dual pass per block whose duals carry T's rows, Dual(x_i, T_i), so no
-    Jacobian is formed.
+    width, reversed, outputs): a state of `copies` blocks (x, T), each
+    giving (f(x), Df(x) T) for an n x width tangent block T (row-major;
+    width 0 leaves the values alone), negated if reversed.  Df T comes
+    from one dual pass per block whose duals carry T's rows,
+    Dual(x_i, T_i), so no Jacobian is formed.  With outputs = p > 0 the
+    field's last p components are an output o, not part of the flow, and
+    the state ends in a cost block: the w x w matrix M^T M (row-major,
+    w = max(width, 1)), never negated, where M is the p x w matrix
+    Do(x) T of one copy (o(x) when width is 0), or o(x2) - o(x1) for two
+    copies (calculus.flow_rhs).
     """
     kind = key[0]
     if kind == "values":
         return _evaluated(field, [Dual(x, ()) for x in xs], 0)
     if kind == "jacobian":
         return _evaluated(field, seed_identity(xs), len(xs))
-    _, copies, width, reverse = key
+    _, copies, width, reverse, outputs = key
     n = field.dim_in
+    size = n + outputs  # the field's components
     block = n * (1 + width)
-    out = []
+    flow, gaps = [], []
     for start in range(0, copies * block, block):
         z = xs[start:start + block]
-        out += _evaluated(field, [Dual(z[i], tuple(z[n + i * width:n + (i + 1) * width]))
-                                  for i in range(n)], width)
-    return [-v for v in out] if reverse else out
+        out = _evaluated(field, [Dual(z[i], tuple(z[n + i * width:n + (i + 1) * width]))
+                                 for i in range(n)], width)
+        flow += out[:n] + out[size:size + n * width]
+        gaps.append(out[size + n * width:] if width else out[n:size])
+    if reverse:
+        flow = [-v for v in flow]
+    if not outputs:
+        return flow
+    m = gaps[0] if copies == 1 else [b - a for a, b in zip(gaps[0], gaps[-1])]
+    w = max(width, 1)
+    cost = {(i, j): sum(m[k * w + i] * m[k * w + j] for k in range(outputs))
+            for i in range(w) for j in range(i, w)}
+    return flow + [cost[min(i, j), max(i, j)] for i in range(w) for j in range(w)]
 
 
 def _kernel(field, key: tuple, size: int) -> Callable:
@@ -562,7 +578,7 @@ def jacobian(field, x) -> np.ndarray:
 
 
 def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
-             sign: float = 1.0) -> Callable:
+             sign: float = 1.0, outputs: int = 0) -> Callable:
     """rhs(t, z) of a state z made of `copies` blocks (x, T), each
     sign * (field(x), Dfield(x) T) for an n x width tangent block T, from
     one call of the field's flow kernel (see _outputs).  z is one state,
@@ -570,11 +586,22 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     (dim, B).  The kernel is looked up at the first call, and again
     after field.func is replaced.
 
+    With outputs = p > 0 the field has n + p components, the last p an
+    output o, and z ends in a cost block C of w * w entries, w =
+    max(width, 1), with C' = M^T M: M = Do(x) T for one copy with a
+    tangent block, M = o(x2) - o(x1) for two copies.  C is accumulated
+    as it stands in reversed time (sign < 0 negates the flow only), so
+    integrating the flow to time t gives C(t), the integral of M^T M
+    over [0, t].
+
     rhs.kernel is (field, key): two right-hand sides with the same field,
     the same field.func and the same key run the same kernel, and so
-    compute the same floats (integrate.shared_flows keys solves on it)."""
-    key = ("flow", copies, width, sign < 0)
-    size = copies * field.dim_in * (1 + width)
+    compute the same floats (integrate.shared_flows keys solves on it).
+    rhs.cost is the size of the cost block, 0 without outputs."""
+    key = ("flow", copies, width, sign < 0, outputs)
+    n = field.dim_in
+    cost = max(width, 1) ** 2 if outputs else 0
+    size = copies * n * (1 + width) + cost
     resolved = [None, None]  # the func the kernel was looked up for, the kernel
 
     def rhs(t, z):
@@ -589,6 +616,7 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
         return _run(resolved[1], field, key, list(z), z.shape[1])
 
     rhs.kernel = field, key
+    rhs.cost = cost
     return rhs
 
 

@@ -115,13 +115,14 @@ class _DOP853(DOP853):
     def dense_steps(self, t: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
         """Interpolant coefficients F, shape (7, S, N), of S accepted steps
         (see integrate.Trajectory), step i from t[i] to t[i + 1] and y[i] to
-        y[i + 1] (t (S + 1,), y (S + 1, N)), whose stages fill the first
-        n_stages + 1 rows of K[i] (K (S, 16, N), written in place).
+        y[i + 1] (t (S + 1,), y (S + 1, N)), whose n_stages + 1 stages are
+        K[i] (K (S, n_stages + 1, N)).
 
         Each of DOP853's three extra stages is one call of the right-hand
         side on the (N, S) stack of all steps' stage states; every float is
         that of scipy's Dop853DenseOutput of the step, and nfev grows by 3
         per step, as scipy counts."""
+        K = np.concatenate([K, np.empty((len(K), len(self.A_EXTRA), K.shape[2]))], axis=1)
         t_old, h, y_old = t[:-1], np.diff(t), y[:-1]
         h_rows = h[:, None]
         for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1):

@@ -1,8 +1,9 @@
 """Energy functionals of variational and paired trajectories.
 
 Four quadratic cost functionals are evaluated by simulating an augmented
-system and integrating half the squared norm of a derived output over an
-unbounded time interval:
+system whose state ends in a cost block c, c' = |output|^2 for a derived
+output computed by the flow kernel on the flow's own duals
+(calculus.flow_rhs), and reading half of c at t = +/- infinity:
 
 - diff_observability: variational output energy, forward in time;
 - incr_observability: output gap energy of two trajectory copies, forward;
@@ -11,8 +12,12 @@ unbounded time interval:
 - incr_controllability_fb: feedback gap energy of two closed-loop copies,
   backward in time.
 
-Backward integrals run the time-reversed dynamics forward and relabel, so
-one improper-integral controller serves all four.  Each energy takes one
+Backward integrals run the time-reversed dynamics forward (the cost block
+is never negated), so one improper-integral controller serves all four:
+integrate.flow_integrals doubles the horizon from 20 until the last
+increment of c drops below tol.  The error estimate is that increment
+plus a fitted tail; the integrator's own error is not estimated.  nodes_used
+counts the accepted steps of the solves.  Each energy takes one
 point or a (B, n) stack of points, and integrates a stack in batched
 flows of up to integrate.MAX_BATCH points (integrate.flow_integrals),
 giving one EnergyValue per point; one point is a stack of one, and gives
@@ -54,8 +59,10 @@ class LadderError(IntegrationError):
 class EnergyValue:
     """Scalar energy with the bookkeeping of how it was obtained.
 
-    error_estimate is an estimate, not a bound: quadrature differences
-    plus the fitted tail mass beyond the truncation horizon.
+    error_estimate is an estimate, not a bound: the last horizon-doubling
+    increment plus the fitted tail mass beyond the truncation horizon (for
+    a path integral, its quadrature difference plus the largest inner
+    estimate).  The integrator's own error is not in it.
     """
 
     value: float
@@ -89,24 +96,18 @@ class LinePath:
         return np.asarray(self.end, dtype=float) - np.asarray(self.start, dtype=float)
 
 
-def _half_square_energy(aug: AugmentedField, z0, out_name: str, direction: str,
-                        label: str, tol: float, rtol: float,
-                        atol: float) -> EnergyValue | list[EnergyValue]:
-    """Integrate 0.5*|output|^2 along the augmented flow to +/- infinity.
+def _half_square_energy(aug: AugmentedField, z0, direction: str, label: str, tol: float,
+                        rtol: float, atol: float) -> EnergyValue | list[EnergyValue]:
+    """Half the cost block of the augmented flow at t = +/- infinity:
+    0.5 * integral of |output|^2 (integrate.flow_integrals).
 
     For backward energies aug.rhs must already be the time-reversed field.
     A (B, dim) stack z0 gives a list of B values (see flow_integrals), one
     state (dim,) its one value.
     """
-    out_fn = aug.outputs[out_name]
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        v = out_fn(z)
-        return 0.5 * np.einsum("ij,ij->i", v, v)
-
-    results = flow_integrals(aug.rhs, np.atleast_2d(z0), integrand, direction, tol=tol,
-                             rtol=rtol, atol=atol)
-    energies = [EnergyValue(value=float(res.value), error_estimate=res.error_estimate,
+    results = flow_integrals(aug.rhs, np.atleast_2d(z0), direction, tol=tol, rtol=rtol,
+                             atol=atol, weight=0.5)
+    energies = [EnergyValue(value=float(res.value[0]), error_estimate=res.error_estimate,
                             horizon=res.horizon, nodes_used=res.nodes_used,
                             direction=direction,
                             meta={"energy": label, "tail_estimate": res.tail_estimate,
@@ -123,9 +124,8 @@ def diff_observability(system: SystemModel, x0, dx0, tol: float = 1e-8,
     x0 and dx0 may be (B, n) stacks (one broadcasting against the other),
     as for every energy here; the result is then a list of B values.
     """
-    aug = prolong(system)
-    z0 = aug.pack(x=x0, dx=dx0)
-    return _half_square_energy(aug, z0, "dy", "forward", "diff_observability",
+    aug = prolong(system, cost="dy")
+    return _half_square_energy(aug, aug.pack(x=x0, dx=dx0), "forward", "diff_observability",
                                tol, rtol, atol)
 
 
@@ -134,18 +134,17 @@ def incr_observability(system: SystemModel, x0, x0p, tol: float = 1e-8,
                        atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
     """Half the squared L2 norm of the output gap of two zero-input copies."""
     aug = pair_flow(system, "forward")
-    z0 = aug.pack(x=x0, x2=x0p)
-    return _half_square_energy(aug, z0, "output_gap", "forward", "incr_observability",
+    return _half_square_energy(aug, aug.pack(x=x0, x2=x0p), "forward", "incr_observability",
                                tol, rtol, atol)
 
 
 def pair_flow(system: SystemModel, direction: str) -> AugmentedField:
-    """Two copies of the system whose gap the pair energies integrate:
-    'forward' under zero input, 'backward' along the closed loop in
-    reversed time."""
+    """Two copies of the system, with the cost block of the gap the pair
+    energies integrate: 'forward' the output gap under zero input,
+    'backward' the feedback gap along the closed loop in reversed time."""
     if direction == "forward":
-        return two_copy(system)
-    return two_copy(system, system.closed_loop_field(), sign=-1.0)
+        return two_copy(system, cost="output_gap")
+    return two_copy(system, system.closed_loop_field(), sign=-1.0, cost="feedback_gap")
 
 
 def diff_controllability_fb(system: SystemModel, x0, dx0, tol: float = 1e-8,
@@ -158,10 +157,9 @@ def diff_controllability_fb(system: SystemModel, x0, dx0, tol: float = 1e-8,
     characterization of the differential controllability cost; no
     minimization over open-loop variational inputs happens here.
     """
-    aug = closed_loop_prolonged(system, sign=-1.0)
-    z0 = aug.pack(x=x0, dx=dx0)
-    return _half_square_energy(aug, z0, "dk", "backward", "diff_controllability_fb",
-                               tol, rtol, atol)
+    aug = closed_loop_prolonged(system, sign=-1.0, cost="dk")
+    return _half_square_energy(aug, aug.pack(x=x0, dx=dx0), "backward",
+                               "diff_controllability_fb", tol, rtol, atol)
 
 
 def incr_controllability_fb(system: SystemModel, x0, x0p, tol: float = 1e-8,
@@ -169,8 +167,7 @@ def incr_controllability_fb(system: SystemModel, x0, x0p, tol: float = 1e-8,
                             atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
     """Backward feedback-gap energy of two closed-loop trajectory copies."""
     aug = pair_flow(system, "backward")
-    z0 = aug.pack(x=x0, x2=x0p)
-    return _half_square_energy(aug, z0, "feedback_gap", "backward",
+    return _half_square_energy(aug, aug.pack(x=x0, x2=x0p), "backward",
                                "incr_controllability_fb", tol, rtol, atol)
 
 

@@ -2,9 +2,14 @@
 
 The observability Gramian integrates (C Phi)^T (C Phi) forward along the
 zero-input flow; the feedback controllability Gramian integrates
-(K Phi)^T (K Phi) backward along the closed loop.  Both reuse the scalar
-horizon-doubling controller on matrix values (convergence measured in
-Frobenius norm).
+(K Phi)^T (K Phi) backward along the closed loop.  Each is an n x n cost
+block appended to the (x, Phi) flow (calculus.flow_rhs), its rate
+computed on the flow's own duals, so the integral shares the flow's
+error control and needs no dense output or Jacobian call.  Both use the
+energies' horizon-doubling controller on the block (convergence measured
+in Frobenius norm); truncation_error is the last increment plus the
+fitted tail, or 0 at a fixed horizon, where no truncation is tracked.
+The integrator's own error is not estimated.
 
 Both Gramians take one point or a (B, n) stack, solved as batched flows
 by integrate.flow_integrals, where one point is a stack of one.
@@ -35,7 +40,8 @@ FD_STEP = 1e-4
 
 @dataclass
 class GramianResult:
-    """Symmetrized matrix integral with truncation bookkeeping."""
+    """Symmetrized matrix integral with truncation bookkeeping; nodes_used
+    counts the accepted steps of its solves."""
 
     matrix: np.ndarray
     truncation_error: float
@@ -63,28 +69,31 @@ def _report(equation_id: str, xs, residual: np.ndarray, **meta) -> ResidualRepor
                           meta=meta)
 
 
-def _gramian_from_flow(field, sign: float, x, out_field, direction: str, tol: float,
-                       fixed_horizon: float | None, rtol: float, atol: float,
-                       label: str) -> GramianResult | list[GramianResult]:
-    """Integrate (J Phi)^T (J Phi) along the (x, Phi) flow of sign * field
-    from (x, I), J the Jacobian of out_field at x.  The integrand is called
-    once per horizon segment (once for all of [0, fixed_horizon]), and
-    each call's nodes take one lookup and one Jacobian kernel call.  A
-    (B, n) stack x gives a list of B results (see flow_integrals), one
-    point x (n,) its one result."""
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """0.5 (m + m^T): the cost block's mirrored entries have equal rates,
+    but the solver's stage sums may round them apart."""
+    return 0.5 * (m + m.T)
+
+
+def _gramian_from_flow(system: SystemModel, field, sign: float, x, out_field,
+                       direction: str, tol: float, fixed_horizon: float | None, rtol: float,
+                       atol: float, label: str) -> GramianResult | list[GramianResult]:
+    """The cost block of the (x, Phi) flow of sign * field from (x, I),
+    whose rate is (J Phi)^T (J Phi), J the Jacobian of out_field at x:
+    the flow kernel computes J Phi from the duals of the flow itself, so
+    the integrand needs no lookup and no Jacobian call.  A (B, n) stack x
+    gives a list of B results (see flow_integrals), one point x (n,) its
+    one result."""
     n = out_field.dim_in
     x = np.asarray(x, dtype=float)
     points = np.atleast_2d(x)
-    eye = np.broadcast_to(np.eye(n).reshape(-1), (len(points), n * n))
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        m = jacobian(out_field, z[:, :n]) @ z[:, n:].reshape(-1, n, n)
-        return np.swapaxes(m, 1, 2) @ m
-
-    results = flow_integrals(flow_rhs(field, width=n, sign=sign),
-                             np.concatenate([points, eye], axis=1), integrand, direction,
-                             tol=tol, rtol=rtol, atol=atol, fixed_horizon=fixed_horizon)
-    grams = [GramianResult(matrix=0.5 * (res.value + res.value.T),
+    start = np.broadcast_to(np.concatenate([np.eye(n).reshape(-1), np.zeros(n * n)]),
+                            (len(points), 2 * n * n))
+    rhs = flow_rhs(system.with_output(field, out_field), width=n, sign=sign,
+                   outputs=out_field.dim_out)
+    results = flow_integrals(rhs, np.concatenate([points, start], axis=1), direction, tol=tol,
+                             rtol=rtol, atol=atol, fixed_horizon=fixed_horizon)
+    grams = [GramianResult(matrix=_symmetrized(res.value.reshape(n, n)),
                            truncation_error=res.error_estimate, horizon=res.horizon,
                            nodes_used=res.nodes_used,
                            meta={"kind": label, "direction": direction,
@@ -105,7 +114,7 @@ def empirical_obs_gramian(system: SystemModel, x, tol: float = 1e-8,
     Jacobian along the flow, co-integrated as an n + n^2 system.  A
     (B, n) stack x gives one result per point, from one batched flow.
     """
-    return _gramian_from_flow(system.f, 1.0, x, system.h, "forward", tol,
+    return _gramian_from_flow(system, system.f, 1.0, x, system.h, "forward", tol,
                               fixed_horizon, rtol, atol, "obs_gramian")
 
 
@@ -119,8 +128,9 @@ def empirical_ctrl_gramian(system: SystemModel, x, tol: float = 1e-8,
     Jacobian; K is the feedback Jacobian along the reversed flow.  A
     (B, n) stack x gives one result per point, from one batched flow.
     """
-    return _gramian_from_flow(system.closed_loop_field(), -1.0, x, system.require_k(),
-                              "backward", tol, fixed_horizon, rtol, atol, "ctrl_gramian")
+    return _gramian_from_flow(system, system.closed_loop_field(), -1.0, x,
+                              system.require_k(), "backward", tol, fixed_horizon, rtol, atol,
+                              "ctrl_gramian")
 
 
 class EmpiricalGramianField:

@@ -1,21 +1,30 @@
-"""Adaptive ODE integration and quadrature utilities.
+"""Adaptive ODE integration, improper integrals along flows, and quadrature.
 
 A Trajectory is a solved flow of the Dormand-Prince 8(5,3) pair: its
-step times, its states and the coefficients of its 7th-order dense
-output, so downstream quadrature can sample between accepted steps.
+step times, its states, the solver's derivative at each of them and,
+when a lookup needs it, the coefficients of its 7th-order dense output.
 solve_ivp steps scipy's DOP853 itself (dop853._DOP853, scipy's step with
 its per-call overhead removed), taking the steps and floats of scipy's
 solve_ivp; it imports vargram.dop853, and with it scipy, when it first
-runs.  It keeps each accepted step's stages and, after the loop,
-evaluates the interpolant's three extra stages of all steps at once,
-keeping the coefficients as one array, so that a lookup evaluates any
-number of times in one pass (Hairer, Norsett & Wanner, Solving Ordinary
-Differential Equations I, 2nd ed., Sec. II.6).
-Improper time integrals use horizon doubling with an exponential tail
-fit; a non-decaying integrand is an error, never an implicit infinity.
-Their settings are module constants: panels about PANEL_WIDTH = 2 wide by
-the PANEL_ORDER = 12-point Gauss-Legendre rule, and a first horizon of
-INITIAL_HORIZON = 20 doubled at most MAX_DOUBLINGS = 6 times.
+runs.  For a dense output it keeps each accepted step's stages and,
+after the loop, evaluates the interpolant's three extra stages of all
+steps at once, keeping the coefficients as one array, so that a lookup
+evaluates any number of times in one pass (Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).
+
+An integral along a flow is accumulated as part of the flow: the state
+ends in a cost block c whose rate is the integrand (calculus.flow_rhs),
+so DOP853's error control covers the integral as it covers the flow, and
+the integral up to T is c(T), read at the end of the solve with no
+quadrature and no dense output.  An improper one doubles its horizon
+from INITIAL_HORIZON = 20, at most MAX_DOUBLINGS = 6 times, until the
+last increment c(2T) - c(T) drops below tol; the tail beyond is estimated
+by an exponential fit to the integrand at the solver's accepted steps
+(the cost rows of the derivatives the solver took there).  A
+non-decaying integrand is an error, never an implicit infinity.  The
+error estimate is that last increment plus the tail; the integrator's
+own error is not estimated.  A bare integrand g(t) is integrated the
+same way, as the flow c' = g(t).
 
 A right-hand side fun(t, y) takes one solver state, shape (N,), or an
 (N, S) stack of S states with t giving the time of each column, and
@@ -53,11 +62,8 @@ EPS = np.finfo(float).eps
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 
-# a flow integral sums Gauss-Legendre panels about PANEL_WIDTH wide, each by
-# the PANEL_ORDER-point rule; an improper one doubles its first horizon,
-# INITIAL_HORIZON, at most MAX_DOUBLINGS times
-PANEL_WIDTH = 2.0
-PANEL_ORDER = 12
+# an improper integral doubles its first horizon, INITIAL_HORIZON, at most
+# MAX_DOUBLINGS times
 INITIAL_HORIZON = 20.0
 MAX_DOUBLINGS = 6
 
@@ -104,18 +110,22 @@ class Trajectory:
     in one pass.
 
     times, shape (S + 1,), are the step times and states, (S + 1, N), the
-    states there as the solver lays them out; F, (7, S, N), holds the
+    states there as the solver lays them out; dydt, (S + 1, N) or None,
+    holds the solver's derivative at each of them; F, (7, S, N), holds the
     seven coefficient rows of each step's interpolant (built by
-    dop853._DOP853.dense_steps).  A batch of B points holds its (dim, B)
-    solver state flattened, N = dim * B, and hands out states as (B, dim).
+    dop853._DOP853.dense_steps).  It is given as the array, as None for a
+    solve made without dense output, or as a _LazyDense, built at the
+    first read.  A batch of B points holds its (dim, B) solver state
+    flattened, N = dim * B, and hands out states as (B, dim).
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, F: np.ndarray,
-                 batch: int | None = None):
+    def __init__(self, times: np.ndarray, states: np.ndarray, F, batch: int | None = None,
+                 dydt: np.ndarray | None = None):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self.F = F
+        self._F = F
         self.batch = batch
+        self.dydt = dydt
         if self.times.ndim != 1 or len(self.times) < 1:
             raise ValueError("trajectory needs at least one stored time")
         if np.any(np.diff(self.times) <= 0):
@@ -130,6 +140,12 @@ class Trajectory:
     @property
     def tf(self) -> float:
         return float(self.times[-1])
+
+    @property
+    def F(self) -> np.ndarray | None:
+        if isinstance(self._F, _LazyDense):
+            self._F = self._F()
+        return self._F
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -149,6 +165,9 @@ class Trajectory:
         earlier step at a step time), and its state is scipy's recurrence:
         x = (t - t_old) / h, y = 0, then y += F[k] and y *= x (k even) or
         1 - x (k odd) for k = 6, ..., 0, then y += y_old."""
+        F = self.F
+        if F is None:
+            raise ValueError("trajectory was solved without dense output")
         t = _within_span(t, self.t0, self.tf)
         times = np.atleast_1d(t)
         step = np.searchsorted(self.times[:-1], times, side="left") - 1
@@ -158,38 +177,60 @@ class Trajectory:
         one_minus_x = 1 - x
         y = np.zeros((len(times), self.states.shape[1]))
         for k in range(6, -1, -1):
-            y += self.F[k][step]
+            y += F[k][step]
             y *= x if k % 2 == 0 else one_minus_x
         y += self.states[step]
         return self._points(y if np.ndim(t) else y[0])
 
     def then(self, later: "Trajectory") -> "Trajectory":
         """This flow followed by that of a solve from where it ends."""
+        def joined(a, b, axis=0):
+            return None if a is None or b is None else np.concatenate([a, b], axis=axis)
+
         return Trajectory(np.concatenate([self.times, later.times[1:]]),
                           np.concatenate([self.states, later.states[1:]]),
-                          np.concatenate([self.F, later.F], axis=1), self.batch)
+                          joined(self.F, later.F, axis=1), self.batch,
+                          joined(self.dydt, later.dydt[1:] if later.dydt is not None else None))
+
+
+class _LazyDense:
+    """The dense output of a finished solve, kept as its steps' stages and
+    built (dop853._DOP853.dense_steps) when called; nbytes is what the
+    stages hold meanwhile."""
+
+    def __init__(self, solver, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
+        self.solver, self.t, self.y, self.stages = solver, t, y, stages
+        self.nbytes = stages.nbytes
+
+    def __call__(self) -> np.ndarray:
+        F = self.solver.dense_steps(self.t, self.y, self.stages)
+        F.flags.writeable = False
+        return F
 
 
 @dataclass
 class Solution:
-    """Result of solve_ivp: the step times t, shape (S + 1,), and states
-    y, shape (N, S + 1), as scipy lays them out; nfev; status 0 when tf
-    was reached, 1 when the event crossed zero (at t_event, state
-    y_event) and -1 when the solver failed (message); when tf was reached,
-    dense holds the interpolant coefficients of the steps taken, shape
-    (7, S, N) (dop853._DOP853.dense_steps), else None."""
+    """Result of solve_ivp: the step times t, shape (S + 1,), states y and
+    the derivatives dydt there, both shape (N, S + 1) as scipy lays them
+    out; nfev; status 0 when tf was reached, 1 when the event crossed zero
+    (at t_event, state y_event) and -1 when the solver failed (message);
+    when tf was reached and a dense output was asked for, dense holds the
+    interpolant coefficients of the steps taken, shape (7, S, N)
+    (dop853._DOP853.dense_steps), or the _LazyDense that builds them,
+    else None."""
 
     t: np.ndarray
     y: np.ndarray
+    dydt: np.ndarray
     nfev: int
     status: int
     message: str | None
-    dense: np.ndarray | None
+    dense: np.ndarray | _LazyDense | None
     t_event: float | None = None
     y_event: np.ndarray | None = None
 
 
-def solve_ivp(fun, t_span, y0, *, event, method=None, **options) -> Solution:
+def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> Solution:
     """Integrate dy/dt = fun(t, y) from y0 over t_span = (t0, tf) by
     stepping `method`, a dop853._DOP853 (the default, None) built with
     options such as rtol and atol, to tf: the steps, nfev and floats of
@@ -197,7 +238,11 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, **options) -> Solution:
 
     fun takes one state (N,) or an (N, S) stack with one time per column
     (module docstring).  The dense output is built after the loop from
-    each accepted step's stages (dop853._DOP853.dense_steps).
+    each accepted step's stages (dop853._DOP853.dense_steps); with dense
+    "lazy" the stages are kept and built into it at its first read, and
+    with dense False no stage is kept.  The derivative at each kept state
+    is the one the solver computed there (its first-same-as-last stage),
+    at no call.
 
     event(t, y) is a terminal event crossing upwards: after each accepted
     step at which it is >= 0 (having been <= 0 before), its root on that
@@ -208,7 +253,7 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, **options) -> Solution:
 
     t0, tf = map(float, t_span)
     solver = (_DOP853 if method is None else method)(fun, t0, y0, tf, **options)
-    ts, ys, stages = [t0], [y0], []
+    ts, ys, dydts, stages = [t0], [y0], [solver.f], []
     crossing = event(t0, y0)
     status, message, t_event, y_event = None, None, None, None
     while status is None:
@@ -230,30 +275,42 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, **options) -> Solution:
             break
         ts.append(solver.t)
         ys.append(solver.y)
-        stages.append(solver.K_extended.copy())
+        dydts.append(solver.f)
+        if dense:
+            stages.append(solver.K.copy())
     ts, ys = np.array(ts), np.array(ys)
-    dense = solver.dense_steps(ts, ys, np.array(stages)) if status == 0 and stages else None
-    return Solution(ts, ys.T, solver.nfev, status, message, dense, t_event, y_event)
+    if status == 0 and stages:
+        lazy = _LazyDense(solver, ts, ys, np.array(stages))
+        dense = lazy if dense == "lazy" else lazy()
+    else:
+        dense = None
+    return Solution(ts, ys.T, np.array(dydts).T, solver.nfev, status, message, dense,
+                    t_event, y_event)
 
 
-def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Solution:
+def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
+                   dense: bool | str = True) -> Solution:
     """solve_ivp by DOP853 from one state x0, shape (dim,), or one solve of
     a (B, dim) stack, B > 1, where rhs(t, z) takes and returns the
     (dim, B) state, or a (dim, B * S) stack of S such states, and the
     error norm is taken per point (dop853._BatchDOP853); a stack of one is
     solved as its one state.  BlowUpError when a state's norm reaches
     BLOWUP_NORM, naming the escaped point of a batch; IntegrationError,
-    with the time and state norm reached, when the step size underflows."""
+    with the time and state norm reached, when the step size underflows.
+    The norms leave out the last rhs.cost components of a state, the
+    cost block of a calculus.flow_rhs flow, which is not part of it."""
     from vargram.dop853 import _BatchDOP853
 
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise IntegrationError("non-finite initial state")
     batch, dim = x0.reshape(-1, x0.shape[-1]).shape
+    flow = dim - getattr(rhs, "cost", 0)
     if batch == 1:
         fun, y0, options = rhs, x0.reshape(dim), {}
 
         def largest(y):  # _norm's float for the solver's 1-D state
+            y = y[:flow]
             return math.sqrt(y.dot(y))
 
         def escaped(y):
@@ -265,7 +322,7 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
             return rhs(t, y.reshape(dim, -1)).reshape(y.shape)
 
         def point_norms(y):
-            return np.linalg.norm(y.reshape(dim, batch), axis=0)
+            return np.linalg.norm(y.reshape(dim, batch)[:flow], axis=0)
 
         def largest(y):
             return point_norms(y).max()
@@ -279,7 +336,8 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
     def blow_up(t, y):
         return largest(y) - BLOWUP_NORM
 
-    sol = solve_ivp(fun, (t0, tf), y0, rtol=rtol, atol=atol, event=blow_up, **options)
+    sol = solve_ivp(fun, (t0, tf), y0, rtol=rtol, atol=atol, event=blow_up, dense=dense,
+                    **options)
     if sol.status == 1:
         raise BlowUpError(float(sol.t_event), escaped(sol.y_event))
     if sol.status != 0:
@@ -290,10 +348,11 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> S
     return sol
 
 
-# Bytes of arrays a shared_flows scope keeps at most.  A default verify
-# run on paper_sec5 stores 1.5 MiB, all kept; larger budgets keep the
-# reuse of a decay fit by the energy right after it in bounded memory.
-SHARED_BYTES = 2 ** 21
+# Bytes of arrays (and of the stages kept for a dense output not yet
+# built) a shared_flows scope keeps at most.  A default verify run on
+# paper_sec5 stores 3.4 MiB, all kept; larger budgets keep the reuse of a
+# decay fit by the energy right after it in bounded memory.
+SHARED_BYTES = 2 ** 22
 
 # key -> (Trajectory, field, field.func, bytes of its arrays) of the open
 # shared_flows scope, least recently used first; None outside one.  The
@@ -330,9 +389,13 @@ def shared_flows():
         _shared = None
 
 
-def _solved(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Trajectory:
-    """Trajectory of _solve_segment from x0, one state or a (B, dim) batch;
-    the stored one when the open shared_flows scope has made this solve."""
+def _solved(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
+            dense: bool = True) -> Trajectory:
+    """Trajectory of _solve_segment from x0, one state or a (B, dim) batch,
+    with its dense output unless dense is false; the stored one when the
+    open shared_flows scope has made this solve.  A solve that is stored
+    without a dense output keeps its stages, so that a later lookup of it
+    builds one."""
     x0 = np.asarray(x0, dtype=float)
     batch = None if x0.ndim == 1 else len(x0)
     kernel = getattr(rhs, "kernel", None)
@@ -345,9 +408,10 @@ def _solved(rhs, x0, t0: float, tf: float, rtol: float, atol: float) -> Trajecto
             _shared[key] = stored  # now the most recently used
             traj = stored[0]
             return traj if traj.batch == batch else Trajectory(traj.times, traj.states,
-                                                               traj.F, batch)
-    sol = _solve_segment(rhs, x0, t0, tf, rtol, atol)
-    traj = Trajectory(sol.t, sol.y.T, sol.dense, batch)
+                                                               traj._F, batch, traj.dydt)
+    sol = _solve_segment(rhs, x0, t0, tf, rtol, atol,
+                         dense or ("lazy" if key is not None else False))
+    traj = Trajectory(sol.t, sol.y.T, sol.dense, batch, sol.dydt.T)
     if key is not None:
         _store(key, traj, field)
     return traj
@@ -357,10 +421,13 @@ def _store(key, traj: Trajectory, field) -> None:
     """Keep traj, read-only, under key in the open shared_flows scope, then
     drop the least recently used until at most SHARED_BYTES are kept."""
     global _shared_nbytes
-    arrays = traj.times, traj.states, traj.F
+    arrays = [a for a in (traj.times, traj.states, traj.dydt, traj._F)
+              if isinstance(a, np.ndarray)]
     for array in arrays:
         array.flags.writeable = False
     nbytes = sum(array.nbytes for array in arrays)
+    if isinstance(traj._F, _LazyDense):
+        nbytes += traj._F.nbytes
     _shared[key] = traj, field, field.func, nbytes
     _shared_nbytes += nbytes
     while _shared_nbytes > SHARED_BYTES:
@@ -447,7 +514,9 @@ class QuadratureResult:
 
     For improper integrals, horizon is the truncation point actually used
     and tail_estimate the fitted mass beyond it (an estimate, not a bound);
-    both are folded into error_estimate.
+    both are folded into error_estimate.  nodes_used counts the integrand
+    samples: the quadrature nodes of quadrature_finite, or the accepted
+    steps of the solves an integral along a flow took up to its horizon.
     """
 
     value: object
@@ -482,43 +551,6 @@ def _point_norms(a) -> np.ndarray:
     return np.array([_norm(part) for part in a])
 
 
-def _gauss_legendre_panels(f, edges: np.ndarray, order: int):
-    """(value, error estimate, nodes used) of f summed over the panels
-    between consecutive edges: value (B, ...) and error (B,), per point.
-
-    f is called once, with the 3*order nodes of every panel, panel-major
-    (each panel's order-point nodes, then its doubled-order ones), and
-    returns their (nodes, B, ...) values.  Each panel's value is the
-    order-point rule and its error the difference against the
-    doubled-order rule; both are summed panel by panel, in order.
-    """
-    nodes, coarse_weights, fine_weights = _gauss_legendre_pair(order)
-    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    taus = (mids[:, None] + halves[:, None] * nodes).reshape(-1)
-    values = np.asarray(f(taus), dtype=float)
-    if values.shape[:1] != taus.shape:
-        raise ValueError(f"integrand returned shape {values.shape}, expected one value "
-                         f"per node stacked on axis 0 ({len(taus)} nodes)")
-    total, err = None, 0.0
-    # each rule is np.tensordot(weights, nodes' values, axes=1), spelled as
-    # the 2-D product tensordot performs
-    coarse_row, fine_row = coarse_weights[None, :], fine_weights[None, :]
-    for half, panel in zip(halves, values.reshape((len(halves), len(nodes))
-                                                  + values.shape[1:])):
-        coarse = half * np.dot(coarse_row, panel[:order].reshape(order, -1)
-                               ).reshape(panel.shape[1:])
-        fine = half * np.dot(fine_row, panel[order:].reshape(2 * order, -1)
-                             ).reshape(panel.shape[1:])
-        err = err + _point_norms(coarse - fine)
-        total = coarse if total is None else total + coarse
-    return total, err, len(taus)
-
-
-def _one_point(f):
-    """f, its values stacked on axis 0, as a batch of one: point axis 1."""
-    return lambda t: np.expand_dims(np.asarray(f(t), dtype=float), 1)
-
-
 def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResult:
     """Gauss-Legendre integral of f over [a, b] at the given order.
 
@@ -528,20 +560,20 @@ def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResul
     vector or matrix values.  The error estimate is the difference
     against the doubled-order rule.
     """
-    (value,), (err,), nodes = _gauss_legendre_panels(_one_point(f),
-                                                     np.array([a, b], dtype=float), order)
-    return QuadratureResult(value=value if np.ndim(value) else float(value),
-                            error_estimate=float(err), nodes_used=nodes)
-
-
-def composite_gauss_legendre(f, lo: float, hi: float):
-    """(value, error estimate, nodes used) of f over [lo, hi], summed over
-    equal panels about PANEL_WIDTH wide, each by the PANEL_ORDER rule of
-    quadrature_finite.  f is called once, with the nodes of every panel,
-    and returns (nodes, B, ...) values (see _gauss_legendre_panels), so
-    each point's value and error are quadrature_finite's, panel-summed."""
-    edges = np.linspace(lo, hi, max(1, int(round((hi - lo) / PANEL_WIDTH))) + 1)
-    return _gauss_legendre_panels(f, edges, PANEL_ORDER)
+    nodes, coarse_weights, fine_weights = _gauss_legendre_pair(order)
+    half = 0.5 * (b - a)
+    taus = 0.5 * (a + b) + half * nodes
+    values = np.asarray(f(taus), dtype=float)
+    if values.shape[:1] != taus.shape:
+        raise ValueError(f"integrand returned shape {values.shape}, expected one value "
+                         f"per node stacked on axis 0 ({len(taus)} nodes)")
+    # each rule is np.tensordot(weights, nodes' values, axes=1), spelled as
+    # the 2-D product tensordot performs
+    flat = values.reshape(len(taus), -1)
+    coarse = half * np.dot(coarse_weights[None, :], flat[:order]).reshape(values.shape[1:])
+    fine = half * np.dot(fine_weights[None, :], flat[order:]).reshape(values.shape[1:])
+    return QuadratureResult(value=coarse if np.ndim(coarse) else float(coarse),
+                            error_estimate=_norm(coarse - fine), nodes_used=len(taus))
 
 
 def _fit_exponential_tail(ts: np.ndarray, norms: np.ndarray, horizon: float):
@@ -557,129 +589,116 @@ def _fit_exponential_tail(ts: np.ndarray, norms: np.ndarray, horizon: float):
     return float(math.exp(intercept + slope * horizon) / rate)
 
 
-# points per batched flow of flow_integrals.  A batch's arrays grow with
-# points times quadrature nodes, about 0.1 MiB per point at the fixed
-# horizon 40: on paper_sec5 a 21 x 21 Gramian scan took 0.3 s and peaked
-# at 122 MiB in one batch of 441, 0.9 s and 88 MiB in batches of 64, and
-# 8 s and 83 MiB one point at a time (one process on a 2-CPU x86-64 host)
-MAX_BATCH = 64
-
-
-def flow_integrals(rhs, z0, integrand, direction: str, tol: float = 1e-8,
-                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                   fixed_horizon: float | None = None) -> list[QuadratureResult]:
-    """Integrals of integrand(z(|t|)) along the flow of rhs from each row
-    of z0, a (B, dim) stack, one result per row.
-
-    rhs takes one state or a stack of states, one per column (module
-    docstring), as calculus.flow_rhs does.  integrand maps an (N, dim)
-    stack of states to their N values stacked on axis 0, and is called
-    once per horizon segment.  The integral runs over t from 0 to +/-
-    infinity (improper_time_integrals; for 'backward' rhs must already be
-    the time-reversed field), or over [0, fixed_horizon] when given.  The
-    stack is solved in order, in batched flows of up to MAX_BATCH points,
-    which bounds their memory.
-    """
-    z0 = np.asarray(z0, dtype=float)
-    return [res for start in range(0, len(z0), MAX_BATCH)
-            for res in _flow_integrals(rhs, z0[start:start + MAX_BATCH], integrand,
-                                       direction, tol, rtol, atol, fixed_horizon)]
-
-
-def _flow_integrals(rhs, z0: np.ndarray, integrand, direction: str, tol: float,
-                    rtol: float, atol: float,
-                    fixed_horizon: float | None) -> list[QuadratureResult]:
-    """flow_integrals of one batch, from one HorizonFlow."""
-    flow = HorizonFlow(rhs, z0, rtol=rtol, atol=atol)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        z = flow.state(np.abs(t))
-        values = integrand(z.reshape(-1, z.shape[-1]))  # one state per row
-        return values.reshape(z.shape[:-1] + values.shape[1:])
-
-    if fixed_horizon is None:
-        if len(z0) == 1:  # one point, as a timing wrapper of improper_time_integral sees it
-            return [improper_time_integral(lambda t: f(t)[:, 0], direction=direction, tol=tol)]
-        return improper_time_integrals(f, direction, len(z0), tol=tol)
-    value, err, nodes = composite_gauss_legendre(f, 0.0, float(fixed_horizon))
-    return [QuadratureResult(value=v, error_estimate=float(e), nodes_used=nodes,
-                             horizon=float(fixed_horizon),
-                             meta={"tail": "untracked (fixed horizon)"})
-            for v, e in zip(value, err)]
-
-
-def improper_time_integral(integrand, direction: str, tol: float = 1e-8) -> QuadratureResult:
-    """Integrate to t = +/- infinity by horizon doubling.
-
-    The integrand is sampled at |t| in [0, T] (direction 'forward' uses t,
-    'backward' uses -t).  It is called once per horizon segment ([0, T0],
-    then [T0, 2 T0], [2 T0, 4 T0], ...) with the 1-D array of all that
-    segment's nodes and returns its values stacked on axis 0: the
-    integral of improper_time_integrals over a batch of one.
-    """
-    return improper_time_integrals(_one_point(integrand), direction, 1, tol)[0]
-
-
-def improper_time_integrals(integrand, direction: str, batch: int,
-                            tol: float = 1e-8) -> list[QuadratureResult]:
-    """improper_time_integral of B integrals sampled together, one result
-    per point: the integrand returns (nodes, B, ...) values.
-
-    The horizon starts at INITIAL_HORIZON and doubles, at most
-    MAX_DOUBLINGS times, until a point's last increment drops below
-    tol > 0; that point keeps the value, error, tail fit, horizon and node
-    count it had there, while doubling continues for the others.  The
-    neglected tail is estimated from an exponential fit and reported in
-    the error, not added to the value.  A point that diverges, or a
-    non-finite value, raises for the whole batch, naming the point if B > 1.
-    """
+def _sign(direction: str, tol: float) -> float:
+    """+1 for 'forward', -1 for 'backward'; ValueError for another
+    direction or a tol that is not positive."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol:g}")
-    sign = 1.0 if direction == "forward" else -1.0
+    return 1.0 if direction == "forward" else -1.0
+
+
+# points per batched flow of flow_integrals.  A batch's arrays (its states
+# and their derivatives at every accepted step) grow with its points, so
+# fixed batches bound the memory of a large stack
+MAX_BATCH = 64
+
+
+def flow_integrals(rhs, z0, direction: str, tol: float = 1e-8,
+                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                   fixed_horizon: float | None = None,
+                   weight: float = 1.0) -> list[QuadratureResult]:
+    """weight times the cost block of the flow of rhs from each row of z0,
+    a (B, dim) stack whose cost blocks are zero, at t = +/- infinity, one
+    result per row, its value the block's (rhs.cost,) entries.
+
+    rhs is a calculus.flow_rhs right-hand side with a cost block
+    (rhs.cost > 0), taking one state or a stack of states, one per
+    column; for 'backward' it must already be the time-reversed field
+    (its cost block is never negated).  The integral runs from 0 to
+    infinity by horizon doubling (see _cost_integrals), or over
+    [0, fixed_horizon] when given, by one solve whose error estimate is 0:
+    no truncation error is tracked there.  The stack is solved in order,
+    in batched flows of up to MAX_BATCH points, which bounds their
+    memory.  No solve builds a dense output.
+    """
+    _sign(direction, tol)
+    z0 = np.asarray(z0, dtype=float)
+    return [res for start in range(0, len(z0), MAX_BATCH)
+            for res in _cost_integrals(rhs, z0[start:start + MAX_BATCH], direction, tol,
+                                       rtol, atol, fixed_horizon, weight)]
+
+
+def _cost_integrals(rhs, z0: np.ndarray, direction: str, tol: float, rtol: float,
+                    atol: float, fixed_horizon: float | None,
+                    weight: float) -> list[QuadratureResult]:
+    """flow_integrals of one batch of B points.
+
+    The flow is solved on [0, INITIAL_HORIZON], then on [T, 2 T] from
+    where it ended, at most MAX_DOUBLINGS times, until a point's last
+    increment |c(2 T) - c(T)| drops below tol; that point keeps the value,
+    error, tail fit, horizon and step count it had there, while doubling
+    continues for the others.  A point whose cost block and integrand are
+    exactly zero at every accepted step of [0, INITIAL_HORIZON] converges
+    there with value 0.  The neglected tail is estimated from an
+    exponential fit to the integrand's norm at the accepted steps and
+    reported in the error, not added to the value.  A point that
+    diverges raises for the whole batch, naming the point if B > 1.
+    """
+    batch, cost = len(z0), rhs.cost
     names = list(range(batch)) if batch > 1 else [None]  # a batch of one is one point
+    times: list[np.ndarray] = []  # the accepted step times, and each point's
+    rates: list[np.ndarray] = []  # integrand norm there, (steps, B)
+    steps = 0
 
-    taus: list[np.ndarray] = []  # every node sampled, and the norm of each point's value
-    norms: list[np.ndarray] = []
+    def advance(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        nonlocal steps
+        traj = _solved(rhs, z, lo, hi, rtol, atol, dense=False)
+        first = 0 if not times else 1  # a segment starts where the last one ended
+        times.append(traj.times[first:])
+        rates.append(np.linalg.norm(weight * traj._points(traj.dydt[first:])[..., -cost:],
+                                    axis=-1))
+        steps += len(traj.times) - 1
+        return traj.endpoint
 
-    def f(tau: np.ndarray):
-        vals = np.asarray(integrand(sign * tau), dtype=float)
-        rows = vals.reshape(len(tau), batch, -1)
-        finite = np.isfinite(rows).all(axis=2)
-        if not finite.all():
-            node, b = np.argwhere(~finite)[0]
-            raise IntegrationError(f"integrand non-finite at t = {sign * tau[node]:g}"
-                                   + _at_point(names[b]))
-        taus.append(tau)
-        norms.append(np.linalg.norm(rows, axis=2))
-        return vals
+    if batch == 0:
+        return []
+    if fixed_horizon is not None:
+        ends = advance(z0, 0.0, float(fixed_horizon))
+        return [QuadratureResult(value=weight * end[-cost:], error_estimate=0.0,
+                                 nodes_used=steps, horizon=float(fixed_horizon),
+                                 meta={"tail": "untracked (fixed horizon)"})
+                for end in ends]
+
+    def result(value: np.ndarray, error: float, tail: float | None) -> QuadratureResult:
+        return QuadratureResult(value=value, error_estimate=error, nodes_used=steps,
+                                horizon=horizon, tail_estimate=tail,
+                                meta={"tail_fit": "ok" if tail is not None else "none"})
 
     horizon = INITIAL_HORIZON
-    value, quad_err, _ = composite_gauss_legendre(f, 0.0, horizon)
-    values, errs = list(value), list(quad_err)
-    results: list[QuadratureResult | None] = [None] * batch
+    ends = advance(z0, 0.0, horizon)
+    values = [weight * end[-cost:] for end in ends]
+    results: list[QuadratureResult | None] = [
+        result(values[b], 0.0, None) if not values[b].any() and not rates[0][:, b].any()
+        else None for b in range(batch)]
     prev_increments: list[float | None] = [None] * batch
     stalls = [0] * batch
     for _ in range(MAX_DOUBLINGS):
-        piece, err, _ = composite_gauss_legendre(f, horizon, 2.0 * horizon)
+        if all(res is not None for res in results):
+            return results
+        ends = advance(ends, horizon, 2.0 * horizon)
         horizon *= 2.0
-        for b, (part, part_err, increment) in enumerate(zip(piece, err,
-                                                            _point_norms(piece))):
+        for b, end in enumerate(ends):
             if results[b] is not None:
                 continue
-            values[b] = values[b] + part
-            errs[b] += part_err
-            increment = float(increment)
+            value = weight * end[-cost:]
+            increment = _norm(value - values[b])
+            values[b] = value
             if increment < tol:
-                tail = _fit_exponential_tail(np.concatenate(taus),
-                                             np.concatenate(norms)[:, b], horizon)
-                total_err = errs[b] + increment + (tail if tail is not None else 0.0)
-                out = values[b] if np.ndim(values[b]) else float(values[b])
-                results[b] = QuadratureResult(
-                    value=out, error_estimate=float(total_err), nodes_used=sum(map(len, taus)),
-                    horizon=horizon, tail_estimate=tail,
-                    meta={"tail_fit": "ok" if tail is not None else "none"})
+                tail = _fit_exponential_tail(np.concatenate(times),
+                                             np.concatenate(rates)[:, b], horizon)
+                results[b] = result(value, increment + (tail if tail is not None else 0.0), tail)
                 continue
             prev = prev_increments[b]
             if prev is not None and increment >= 0.9 * prev:
@@ -691,9 +710,52 @@ def improper_time_integrals(integrand, direction: str, batch: int,
             else:
                 stalls[b] = 0
             prev_increments[b] = increment
-        if all(res is not None for res in results):
-            return results
+    if all(res is not None for res in results):
+        return results
     b = results.index(None)
     raise DivergenceError(
         f"no convergence after {MAX_DOUBLINGS} horizon doublings (T = {horizon:g}, "
         f"last increment {prev_increments[b]:g} vs tol {tol:g})" + _at_point(names[b]))
+
+
+def improper_time_integral(integrand, direction: str, tol: float = 1e-8) -> QuadratureResult:
+    """Integrate to t = +/- infinity by horizon doubling.
+
+    integrand(t) takes a 1-D array of times (t >= 0 for 'forward', t <= 0
+    for 'backward') and returns its values stacked on axis 0; its integral
+    is the cost c' = integrand(+/- tau), solved as a flow on the horizon
+    doubling of flow_integrals: improper_time_integrals over a batch of
+    one.
+    """
+    def one_point(t):
+        return np.expand_dims(np.asarray(integrand(t), dtype=float), 1)
+
+    return improper_time_integrals(one_point, direction, 1, tol)[0]
+
+
+def improper_time_integrals(integrand, direction: str, batch: int,
+                            tol: float = 1e-8) -> list[QuadratureResult]:
+    """improper_time_integral of B integrals sampled together, one result
+    per point: the integrand returns (times, B, ...) values, and the B
+    costs are solved as one batch, each with its own error norm.  A
+    non-finite value raises IntegrationError, naming the point if B > 1.
+    """
+    sign = _sign(direction, tol)
+    names = list(range(batch)) if batch > 1 else [None]
+    shape = np.shape(integrand(np.zeros(1)))[2:]
+    size = math.prod(shape)
+
+    def rhs(t, c):  # one state, or (size, B) for a batch; never a stack of steps
+        values = np.asarray(integrand(np.array([sign * t])), dtype=float).reshape(batch, size)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise IntegrationError(f"integrand non-finite at t = {sign * t:g}"
+                                   + _at_point(names[int(np.argmin(finite))]))
+        return values[0] if c.ndim == 1 else values.T
+
+    rhs.cost = size
+    results = _cost_integrals(rhs, np.zeros((batch, size)), direction, tol, DEFAULT_RTOL,
+                              DEFAULT_ATOL, None, 1.0)
+    for res in results:
+        res.value = res.value.reshape(shape) if shape else float(res.value[0])
+    return results

@@ -82,6 +82,16 @@ class SystemModel:
             lambda: VectorField(n + self.m, n,
                                 lambda zs: affine_scalars(self, zs[:n], zs[n:])))
 
+    def with_output(self, field: VectorField, out: VectorField) -> VectorField:
+        """The field x -> (field(x), out(x)) on n inputs: the flow field of
+        a cost block of out (calculus.flow_rhs with outputs =
+        out.dim_out), built once per (field, out) so that its traced
+        kernels are reused, and anew when either func changes."""
+        return self._derived_field(
+            ("with_output", id(field), id(out)), (field.func, out.func),
+            lambda: VectorField(self.n, field.dim_out + out.dim_out,
+                                lambda xs: [*field.func(xs), *out.func(xs)]))
+
     def output(self, x) -> np.ndarray:
         """h at a point, or at each row of an (N, n) stack."""
         return field_values(self.h, x)
@@ -100,7 +110,9 @@ class AugmentedField:
     and two_copy is one flow-kernel call on either; the dual builders and
     adjoint_pair run a stack one column at a time (integrate.per_column).
     Every output takes one state (dim,) or a stack (N, dim), giving (p,)
-    or (N, p).
+    or (N, p).  A flow built with a cost output ends in a one-entry
+    "cost" block c, c' = |output|^2, accumulated by its flow kernel
+    (calculus.flow_rhs), which pack sets to zero.
     """
 
     dim: int
@@ -110,8 +122,9 @@ class AugmentedField:
 
     def pack(self, **blocks) -> np.ndarray:
         """One state (dim,) from its blocks, or a (B, dim) stack when a
-        block is a (B, size) stack; the other blocks broadcast to it.
-        ValueError if a block's last axis is not its size."""
+        block is a (B, size) stack; the other blocks broadcast to it, and
+        blocks not given are zero.  ValueError if a block's last axis is
+        not its size."""
         arrays = {name: np.asarray(value, dtype=float) for name, value in blocks.items()}
         for name, value in arrays.items():
             size = len(range(self.dim)[self.layout[name]])
@@ -130,11 +143,27 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
-def prolong(system: SystemModel) -> AugmentedField:
+def _flow(system: SystemModel, field: VectorField, blocks: tuple[str, str],
+          outputs: dict, cost_fields: dict, cost: str | None, copies: int = 1,
+          width: int = 0, sign: float = 1.0) -> AugmentedField:
+    """The AugmentedField of the flow of sign * field on two n-blocks, with
+    the cost block of the output named cost (a key of cost_fields, the
+    output's field) appended when cost is given."""
+    n = system.n
+    layout = {blocks[0]: slice(0, n), blocks[1]: slice(n, 2 * n)}
+    if cost is None:
+        return AugmentedField(2 * n, flow_rhs(field, copies, width, sign), layout, outputs)
+    out = cost_fields[cost]
+    layout["cost"] = slice(2 * n, 2 * n + 1)
+    return AugmentedField(2 * n + 1, flow_rhs(system.with_output(field, out), copies, width,
+                                              sign, outputs=out.dim_out), layout, outputs)
+
+
+def prolong(system: SystemModel, cost: str | None = None) -> AugmentedField:
     """Variational dynamics under zero input: state (x, dx).
 
     dx follows the state Jacobian of f.  Outputs: y = h(x) and
-    dy = (dh/dx) dx.
+    dy = (dh/dx) dx.  cost = "dy" appends the cost block of dy.
     """
     n = system.n
 
@@ -142,65 +171,57 @@ def prolong(system: SystemModel) -> AugmentedField:
         return system.output(z[..., :n])
 
     def out_dy(z):
-        return _apply(jacobian(system.h, z[..., :n]), z[..., n:])
+        return _apply(jacobian(system.h, z[..., :n]), z[..., n:2 * n])
 
-    return AugmentedField(
-        dim=2 * n,
-        rhs=flow_rhs(system.f, width=1),
-        layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
-        outputs={"y": out_y, "dy": out_dy},
-    )
+    return _flow(system, system.f, ("x", "dx"), {"y": out_y, "dy": out_dy},
+                 {"dy": system.h}, cost, width=1)
 
 
-def closed_loop_prolonged(system: SystemModel, sign: float = 1.0) -> AugmentedField:
+def closed_loop_prolonged(system: SystemModel, sign: float = 1.0,
+                          cost: str | None = None) -> AugmentedField:
     """Variational dynamics of the feedback-closed drift f + g k.
 
     The variational block uses the full state Jacobian of the closed
     loop, including the derivative of k.  Output dk = (dk/dx) dx is the
     integrand of the feedback controllability energy.  sign = -1 runs
-    the flow in reversed time.
+    the flow in reversed time.  cost = "dk" appends the cost block of dk.
     """
     n = system.n
 
     def out_dk(z):
-        return _apply(jacobian(system.require_k(), z[..., :n]), z[..., n:])
+        return _apply(jacobian(system.require_k(), z[..., :n]), z[..., n:2 * n])
 
     def out_dy(z):
-        return _apply(jacobian(system.h, z[..., :n]), z[..., n:])
+        return _apply(jacobian(system.h, z[..., :n]), z[..., n:2 * n])
 
-    return AugmentedField(
-        dim=2 * n,
-        rhs=flow_rhs(system.closed_loop_field(), width=1, sign=sign),
-        layout={"x": slice(0, n), "dx": slice(n, 2 * n)},
-        outputs={"dk": out_dk, "dy": out_dy},
-    )
+    return _flow(system, system.closed_loop_field(), ("x", "dx"),
+                 {"dk": out_dk, "dy": out_dy}, {"dk": system.k}, cost,
+                 width=1, sign=sign)
 
 
 def two_copy(system: SystemModel, field: VectorField | None = None,
-             sign: float = 1.0) -> AugmentedField:
+             sign: float = 1.0, cost: str | None = None) -> AugmentedField:
     """Two copies (x, x2) of one flow: field, by default the zero-input f.
 
     The rhs sign * (field(x), field(x2)) is one call of a kernel traced on
     both copies (calculus.flow_rhs); sign = -1 runs it in reversed
     time.  Outputs report the copy gaps: output_gap = h(x2) - h(x) and,
-    when a feedback law exists, feedback_gap = k(x2) - k(x).
+    when a feedback law exists, feedback_gap = k(x2) - k(x).  cost names
+    the gap whose cost block is appended.
     """
     n = system.n
     field = system.f if field is None else field
 
     outputs = {
-        "output_gap": lambda z: system.output(z[..., n:]) - system.output(z[..., :n]),
+        "output_gap": lambda z: system.output(z[..., n:2 * n]) - system.output(z[..., :n]),
     }
     if system.k is not None:
-        outputs["feedback_gap"] = (lambda z: system.feedback(z[..., n:])
+        outputs["feedback_gap"] = (lambda z: system.feedback(z[..., n:2 * n])
                                    - system.feedback(z[..., :n]))
 
-    return AugmentedField(
-        dim=2 * n,
-        rhs=flow_rhs(field, copies=2, sign=sign),
-        layout={"x": slice(0, n), "x2": slice(n, 2 * n)},
-        outputs=outputs,
-    )
+    return _flow(system, field, ("x", "x2"), outputs,
+                 {"output_gap": system.h, "feedback_gap": system.k}, cost, copies=2,
+                 sign=sign)
 
 
 def _dual(system: SystemModel, u) -> AugmentedField:

@@ -34,7 +34,7 @@ from .energy import (LinePath, diff_controllability_fb, diff_observability,
                      incr_controllability_fb, incr_observability, pair_flow,
                      path_energy_integral, quadratic_limit)
 from .gramian import (grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan,
-                      points_read, prefetch)
+                      points_read, prefetch, riccati_residual)
 from .integrate import (INITIAL_HORIZON, HorizonFlow, IntegrationError, Trajectory,
                         _point_norms, shared_flows)
 from .rank import ctrl_bracket_matrix, obs_codistribution
@@ -169,8 +169,9 @@ def _decay(rhs, z0, signal) -> DecayEstimate:
     """Fit the forward decay of |signal(z)| along the flow of rhs from z0
     over [0, INITIAL_HORIZON]; rhs takes one state or a stack
     (systems.AugmentedField), and signal maps the (N, dim) table of sampled
-    states to one row each. That span is HorizonFlow's first segment, the
-    one an energy from z0 solves first, so the two share it."""
+    states to one row each.  That span is the first segment an energy
+    from z0 solves, so with the energy's flow, cost block included, the
+    two share it."""
     times = np.linspace(0.0, INITIAL_HORIZON, 201)
     states = HorizonFlow(rhs, z0).state(times)
     return fit_decay((times, _point_norms(signal(states))), "forward")
@@ -219,7 +220,7 @@ class _Harness(NamedTuple):
 _HARNESSES = {
     "thm5": _Harness(
         residuals=lambda s, fld, x: [lyap_residual_obs(s, fld, x)],
-        residual_name="matrix-equation", flow=prolong, block="dx",
+        residual_name="matrix-equation", flow=lambda s: prolong(s, cost="dy"), block="dx",
         rank=lambda s, x: obs_codistribution(s, x, depth=s.n - 1 if s.n > 1 else 1),
         energy=_OUTPUT[0],
         items=("variational decay", "codistribution rank {n} on grid",
@@ -250,8 +251,9 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) 
         inputs = {"index": idx, "x0": x0.tolist(), "x0p": x0p.tolist()}
         try:
             if not np.allclose(x0, x0p):
-                fit = _decay(pair_flow(system, direction).rhs, np.concatenate([x0, x0p]),
-                             lambda z: z[..., n:] - z[..., :n])
+                aug = pair_flow(system, direction)
+                fit = _decay(aug.rhs, aug.pack(x=x0, x2=x0p),
+                             lambda z: z[..., n:2 * n] - z[..., :n])
                 report.decay_fits.append(fit)
                 if fit.flagged:
                     failures.append(f"sample {idx}: {direction} gap does not decay")
@@ -267,6 +269,19 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) 
     return _close(report, failures)
 
 
+# certificate: residuals of the equations that make thm2's bound an equality
+_CERTIFICATES = {"R": lambda s, fld, x: riccati_residual(s, fld, x),
+                 "P": lambda s, fld, x: lyap_residual_ctrl(s, fld, x)}
+
+
+def _certificates_solve(system: SystemModel, names: Sequence[str], samples: Sequence) -> bool:
+    """Whether each named certificate of system solves its equations
+    within RESIDUAL_TOL at every sample's x0."""
+    return all(r.frobenius_norm <= RESIDUAL_TOL
+               for name in names for x0, _ in samples
+               for r in _CERTIFICATES[name](system, system.certificates[name], x0))
+
+
 def _small_gap_limit(theorem: str, system: SystemModel, samples: Sequence,
                      tol: float) -> Report:
     """Per tangent sample, the scaled small-gap limit of the pair energy is
@@ -274,12 +289,14 @@ def _small_gap_limit(theorem: str, system: SystemModel, samples: Sequence,
     (diff, pair), swapped, relation = _LIMITS[theorem]
     report = Report(theorem, "inconclusive")
     failures: list[str] = []
-    certified = relation == "ge" and ("R" in system.certificates
-                                      or "P" in system.certificates)
+    registered = [name for name in _CERTIFICATES if name in system.certificates]
+    certified = relation == "ge" and bool(registered) and _certificates_solve(
+        system, registered, samples)
     equality = relation == "eq" or certified
     note = ""
     if relation == "ge":
         note = ("equality asserted: dual certificate registered" if certified
+                else "upper bound only: certificate fails its equations" if registered
                 else "upper bound only: no certificate")
     ladder_tol = min(tol, 1e-10)
     for idx, (x0, dx0) in enumerate(samples):

@@ -78,6 +78,16 @@ def kalman(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def fast_mode_spec(rate: float) -> dict:
+    """--spec JSON of a fast mode beside a slow one: f = (-rate x1, -x2/2),
+    g = (0, 1), h = x1 + x2.  The tangent (1, 0) stays on the fast mode,
+    so its variational output is exp(-rate t) from every x0: the exact
+    diff_observability is 1/(4 rate), and the observability Gramian's
+    [0, 0] entry is 1/(2 rate)."""
+    return {"name": f"fast_{rate:g}", "n": 2, "m": 1, "p": 1,
+            "f": [f"-{rate!r} * x1", "-x2 / 2"], "g": [["0"], ["1"]], "h": ["x1 + x2"]}
+
+
 def rk4(rhs, x0, t0: float, t1: float, steps: int = 2000) -> np.ndarray:
     """Fixed-step RK4, independent of the adaptive solver under test."""
     x = np.asarray(x0, dtype=float).copy()

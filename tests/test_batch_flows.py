@@ -5,7 +5,8 @@ steps are accepted only when every point's own DOP853 error norm accepts
 them.  These tests pin the batched energies, Gramians and improper
 integrals to their single-point calls, per point, and a stack of one to
 its point bitwise, and check that a failure inside a batch is reported
-for the point it belongs to.
+for the point it belongs to.  A batch takes the steps of its strictest
+point, so its nodes_used (accepted steps) is its own, not each point's.
 """
 
 import numpy as np
@@ -55,8 +56,7 @@ def test_batched_energies_and_gramians_match_single_point_calls(system):
         for b, (x, v) in enumerate(zip(points, second)):
             single = energy(system, x, v, **TIGHT)
             assert _close(batched[b].value, single.value), (energy.__name__, b)
-            assert (batched[b].horizon, batched[b].nodes_used) == \
-                (single.horizon, single.nodes_used), (energy.__name__, b)
+            assert batched[b].horizon == single.horizon, (energy.__name__, b)
     for gramian in (empirical_obs_gramian, empirical_ctrl_gramian):
         for fixed_horizon in (None, 40.0):
             batched = gramian(system, points, fixed_horizon=fixed_horizon, **TIGHT)
@@ -64,8 +64,7 @@ def test_batched_energies_and_gramians_match_single_point_calls(system):
                 single = gramian(system, x, fixed_horizon=fixed_horizon, **TIGHT)
                 scale = np.max(np.abs(single.matrix))
                 assert np.max(np.abs(batched[b].matrix - single.matrix)) <= 1e-12 * scale
-                assert (batched[b].horizon, batched[b].nodes_used) == \
-                    (single.horizon, single.nodes_used), (gramian.__name__, b)
+                assert batched[b].horizon == single.horizon, (gramian.__name__, b)
 
 
 @pytest.mark.parametrize("name", ["paper_sec5", "linear_2x2", "linear_scalar"])
@@ -99,9 +98,9 @@ def test_batched_improper_integral_stops_each_point_at_its_own_horizon():
     for rate, res in zip(RATES, batched):
         single = improper_time_integral(lambda t: np.exp(-rate * np.abs(t)), "backward")
         assert abs(res.value - 1.0 / rate) <= 1e-9 / rate
-        assert abs(res.value - single.value) <= 1e-14 * single.value
-        assert (res.horizon, res.nodes_used, res.meta) == \
-            (single.horizon, single.nodes_used, single.meta)
+        # different steps: the two agree to the integrator's error
+        assert abs(res.value - single.value) <= 1e-10 * single.value
+        assert (res.horizon, res.meta) == (single.horizon, single.meta)
         assert res.tail_estimate == pytest.approx(single.tail_estimate, rel=1e-9)
         assert res.error_estimate == pytest.approx(single.error_estimate, rel=1e-6)
         horizons.add(res.horizon)

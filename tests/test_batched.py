@@ -1,10 +1,10 @@
 """Batched evaluation over stacks of points and times.
 
-The quadrature calls its integrand once per horizon segment with the
-nodes of all of the segment's panels, so dense-output lookups, field
-values and dual-number Jacobians run on stacks.  These tests pin the
-stacked paths to the per-point ones and the energies built on them to
-their values from the per-node implementation.
+Dense-output lookups, field values and dual-number Jacobians run on
+stacks.  These tests pin the stacked paths to the per-point ones, and
+the energies and Gramians, now accumulated as states of their flows, to
+their values and to those of the per-node implementation that sampled
+the dense output at quadrature nodes.
 """
 
 import numpy as np
@@ -135,13 +135,23 @@ def test_trajectory_at_arrays_spans_segments_and_checks_bounds():
     assert np.array_equal(curve.at(times), np.array([curve.at(t) for t in times]))
 
 
-# values from the per-node implementation (one lookup and one scalar
-# Jacobian per Gauss-Legendre node), integrated by DOP853 as here
+# values of the cost-block accumulation (the integral as a state of the
+# flow), pinned, and the values of the per-node implementation that
+# sampled the dense output at Gauss-Legendre nodes, which they match to
+# the integrator's error
 PINNED = {
-    (0.1, -0.2): {"dx0": (0.6, 0.8), "diff_obs": 0.28207055319278734,
+    (0.1, -0.2): {"dx0": (0.6, 0.8), "diff_obs": 0.28207055311592744, "steps": (55, 56),
+                  "gramian": [0.7422715128999355, -0.6555144226217353,
+                              -0.6555144226217353, 1.4472143864120324]},
+    (-0.25, 0.15): {"dx0": (-0.3, 0.9), "diff_obs": 2.6310920309836403, "steps": (52, 53),
+                    "gramian": [2.954656999704998, -3.05558634091118,
+                                -3.05558634091118, 4.131170750383622]},
+}
+PER_NODE = {
+    (0.1, -0.2): {"diff_obs": 0.28207055319278734,
                   "gramian": [0.7422715129194672, -0.6555144225311769,
                               -0.6555144225311769, 1.4472143862663294]},
-    (-0.25, 0.15): {"dx0": (-0.3, 0.9), "diff_obs": 2.6310920310528196,
+    (-0.25, 0.15): {"diff_obs": 2.6310920310528196,
                     "gramian": [2.954656999699266, -3.055586341003837,
                                 -3.055586341003837, 4.1311707505351585]},
 }
@@ -150,11 +160,13 @@ PINNED = {
 @pytest.mark.parametrize("x0", list(PINNED))
 def test_energy_and_gramian_pinned_to_per_node_values(x0):
     system = registry("paper_sec5")
-    pin = PINNED[x0]
+    pin, per_node = PINNED[x0], PER_NODE[x0]
     ev = diff_observability(system, x0, pin["dx0"])
-    assert ev.nodes_used == 1440 and ev.horizon == 80.0
-    assert abs(ev.value - pin["diff_obs"]) <= 1e-13 * abs(pin["diff_obs"])
     gram = empirical_obs_gramian(system, x0)
-    assert gram.nodes_used == 1440 and gram.horizon == 80.0
-    expected = np.array(pin["gramian"]).reshape(2, 2)
-    assert np.all(np.abs(gram.matrix - expected) <= 1e-13 * np.abs(expected))
+    assert (ev.nodes_used, gram.nodes_used) == pin["steps"]
+    assert ev.horizon == gram.horizon == 80.0
+    assert abs(ev.value - pin["diff_obs"]) <= 1e-13 * abs(pin["diff_obs"])
+    assert abs(ev.value - per_node["diff_obs"]) <= 1e-9 * abs(pin["diff_obs"])
+    for expected, rel in ((pin["gramian"], 1e-13), (per_node["gramian"], 1e-9)):
+        expected = np.array(expected).reshape(2, 2)
+        assert np.all(np.abs(gram.matrix - expected) <= rel * np.abs(expected))

@@ -3,14 +3,15 @@
 Installing its hooks fails on the first name a refactor removed, so this
 catches the breakage in the fast test tier instead of in a traced run.
 The dense-output lookups are counted only through HorizonFlow.state and
-Trajectory.at, so those two methods must be patched while installed,
-restored after, and be the way an energy reads its flow: one lookup per
-horizon segment.  An energy's output Jacobians must go through the
-patched calculus.jacobian, or calculus.jacobian_calls would read zero.
-A single point's energy must be integrated through the wrapped
-improper_time_integral, which counts its quadrature nodes and horizon
-doublings.  Batched work must run under the hooks too, and its solver
-calls count one solve per horizon segment of the batch.  A solve's dense-output
+Trajectory.at, so those two methods must be patched while installed and
+restored after.  An energy accumulates its integral as a state of its
+flow: it makes no dense lookup and no Jacobian call (the flow kernel's
+duals give its output derivatives), its nodes_used are the accepted
+steps the traced solves count, and its horizon doublings are its solves
+past the first.  A bare integrand goes through the wrapped
+improper_time_integral, which counts its nodes and doublings.  Batched
+work must run under the hooks too, and its solver calls count one solve
+per horizon segment of the batch.  A solve's dense-output
 stages, evaluated after its step loop on all steps at once, must go
 through the wrapped right-hand side, or integrate.rhs_s would lose
 their time.
@@ -46,20 +47,21 @@ def test_span_hooks_install_and_restore(monkeypatch):
         spans.install(tracer)
         assert all(now is not before for now, before in zip(hooked(), originals))
         ev = energy.diff_observability(registry("paper_sec5"), (0.1, -0.2), (0.6, 0.8))
-        assert (ev.horizon, ev.nodes_used) == (80.0, 1440)
-        # one lookup for each of [0, 20], [20, 40] and [40, 80]
-        assert tracer.counts["integrate.dense_evals"] == 3
-        # the output Jacobians dy = (dh/dx) dx go through the patched name
-        assert tracer.leaves["calculus.jacobian"][0] >= 1
+        assert (ev.horizon, ev.nodes_used) == (80.0, 55)
+        # one solve for each of [0, 20], [20, 40] and [40, 80], read at its end
+        assert tracer.counts["integrate.solve_calls"] == 3
+        assert tracer.counts["integrate.dense_evals"] == 0
+        assert tracer.leaves["calculus.jacobian"][0] == 0
+        res = integrate.improper_time_integral(lambda t: np.exp(-t), "forward")
+        assert tracer.counts["integrate.quad_nodes"] == res.nodes_used > 0
     finally:
         tracer.uninstall()
     assert hooked() == originals
 
 
 def test_a_single_point_energy_counts_its_nodes_and_doublings(monkeypatch):
-    # the traced quadrature counters come from the wrapper of
-    # integrate.improper_time_integral, so a single point must still be
-    # integrated through that name, or they would read zero
+    # an energy's integrand samples are its solves' accepted steps, and
+    # each horizon doubling is one more solve
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
 
@@ -69,8 +71,8 @@ def test_a_single_point_energy_counts_its_nodes_and_doublings(monkeypatch):
         ev = energy.diff_observability(registry("paper_sec5"), (0.1, -0.2), (0.6, 0.8))
     finally:
         tracer.uninstall()
-    assert tracer.counts["integrate.quad_nodes"] == ev.nodes_used > 0
-    assert tracer.counts["integrate.horizon_doublings"] == \
+    assert tracer.counts["integrate.steps"] == ev.nodes_used > 0
+    assert tracer.counts["integrate.solve_calls"] - 1 == \
         round(math.log2(ev.horizon / 20.0)) > 0
 
 
@@ -91,11 +93,11 @@ def test_batched_work_runs_under_the_hooks(monkeypatch):
         assert tracer.counts["integrate.solve_calls"] == segments < 24
         assert tracer.counts["energy.evals"] == 1
 
-        # four fixed-horizon Gramians: [0, 20] and [20, 40], for all of them
+        # four fixed-horizon Gramians: one solve of [0, 40] for all of them
         field = gramian.EmpiricalGramianField(system, "obs")
         scan = gramian.pd_scan(field, [(-0.2, 0.2), (-0.2, 0.2)], (2, 2))
         assert scan.statuses == ["ok"] * 4
-        assert tracer.counts["integrate.solve_calls"] == segments + 2
+        assert tracer.counts["integrate.solve_calls"] == segments + 1
         assert tracer.counts["gramian.gramians"] == 1
         assert (tracer.memo_calls, tracer.memo_hits) == (4, 4)
     finally:

@@ -8,7 +8,7 @@ without touching the trajectory pipeline under test.
 import numpy as np
 import pytest
 
-from oracles import lyap_ctrl, lyap_obs
+from oracles import fast_mode_spec, lyap_ctrl, lyap_obs
 from vargram.energy import (
     EnergyValue,
     LadderError,
@@ -23,6 +23,7 @@ from vargram.energy import (
     quadratic_limit,
 )
 from vargram.expr import parse_system_spec
+from vargram.gramian import empirical_ctrl_gramian, empirical_obs_gramian
 from vargram.systems import from_spec, registry
 
 
@@ -70,6 +71,34 @@ def test_slowly_decaying_spec_oscillator_matches_lyapunov_oracle():
     ev = diff_observability(system, [0.3, -0.2], d)
     assert ev.horizon == 1280.0
     assert abs(ev.value - expected) <= 1e-9 * abs(expected)
+
+
+def _covered(value: float, exact: float, estimate: float) -> bool:
+    return abs(value - exact) <= estimate + 1e-9 * abs(exact) + 1e-12
+
+
+@pytest.mark.parametrize("rate", [10.0, 30.0, 100.0])
+def test_a_fast_mode_matches_its_closed_form(rate):
+    # its energy lies in a layer about 1/rate wide at t = 0, which the
+    # integral, a state of the flow, resolves with the flow's own steps
+    system = from_spec(parse_system_spec(fast_mode_spec(rate)))
+    ev = diff_observability(system, [0.1, 0.1], [1.0, 0.0])
+    assert _covered(ev.value, 1.0 / (4.0 * rate), ev.error_estimate)
+    gram = empirical_obs_gramian(system, [0.1, 0.1])
+    assert _covered(gram.matrix[0, 0], 1.0 / (2.0 * rate), gram.truncation_error)
+
+
+def test_a_zero_integrand_stops_at_the_first_horizon():
+    # k = 0 gives a zero integrand along a reversed flow that escapes near
+    # t = 27.6; the integral must end at the first horizon, before it
+    system = from_spec(parse_system_spec({"name": "zero_k", "n": 1, "m": 1, "p": 1,
+                                          "f": ["-x1"], "g": [["1"]], "h": ["x1"],
+                                          "k": ["0"]}))
+    for result in (diff_controllability_fb(system, [0.5], [1.0]),
+                   incr_controllability_fb(system, [0.5], [-0.3])):
+        assert (result.value, result.error_estimate, result.horizon) == (0.0, 0.0, 20.0)
+    gram = empirical_ctrl_gramian(system, [0.5])
+    assert np.array_equal(gram.matrix, [[0.0]]) and gram.horizon == 20.0
 
 
 def test_a_point_with_the_wrong_number_of_components_is_rejected():

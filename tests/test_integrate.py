@@ -13,7 +13,6 @@ from vargram.integrate import (
     HorizonFlow,
     IntegrationError,
     Trajectory,
-    composite_gauss_legendre,
     improper_time_integral,
     integrate_ivp,
     quadrature_finite,
@@ -196,30 +195,6 @@ def test_quadrature_matches_per_node_loop():
     coarse, fine = loop(order), loop(2 * order)
     assert np.allclose(res.value, coarse, rtol=4e-16 * 2 * order, atol=1e-16)
     assert abs(res.error_estimate - np.linalg.norm(coarse - fine)) < 1e-14
-
-
-@pytest.mark.parametrize("integrand", [
-    lambda s: np.cos(3.0 * s) * np.exp(-0.3 * s),
-    lambda s: np.einsum("i,jk->ijk", np.exp(-s), np.array([[1.0, -2.0], [0.5, 3.0]]))
-    + np.einsum("i,jk->ijk", np.sin(s), np.eye(2)),
-], ids=["scalar", "matrix"])
-def test_composite_rule_is_one_call_and_the_per_panel_sums(integrand):
-    calls = []
-
-    def f(tau):  # a batch of one point: values (nodes, 1, ...)
-        calls.append(tau)
-        return integrand(tau)[:, None]
-
-    (value,), (err,), nodes = composite_gauss_legendre(f, 20.0, 40.0)
-    assert len(calls) == 1 and nodes == len(calls[0]) == 10 * 36
-    total, expected_err = None, 0.0
-    edges = np.linspace(20.0, 40.0, 11)
-    for a, b in zip(edges[:-1], edges[1:]):
-        part = quadrature_finite(integrand, float(a), float(b))
-        piece = np.asarray(part.value, dtype=float)
-        total = piece if total is None else total + piece
-        expected_err += part.error_estimate
-    assert np.array_equal(value, total) and err == expected_err
 
 
 def test_quadrature_error_estimate_is_honest():

@@ -81,8 +81,10 @@ def test_the_first_flow_solve_loads_scipy_and_gives_the_same_value():
     assert out["after"] == [True, True]
     here = diff_observability(registry("paper_sec5"), [0.1, 0.2], [1.0, -0.5]).value
     assert out["value"] == here
-    # the value of the same call while vargram still loaded scipy at import
-    assert out["value"] == pytest.approx(1.2768704934578616, rel=1e-12, abs=0.0)
+    # the value of the same call while vargram still loaded scipy at import,
+    # moved at the integrator's level when the energy became a flow state
+    assert out["value"] == pytest.approx(1.2768704934626798, rel=1e-12, abs=0.0)
+    assert out["value"] == pytest.approx(1.2768704934578616, rel=1e-9, abs=0.0)
 
 
 def test_only_dop853_imports_scipy():

@@ -258,14 +258,15 @@ def test_blow_up_time_and_point_of_a_batch_are_the_terminal_events():
     with pytest.raises(BlowUpError) as err:
         diff_observability(system, stack, np.ones_like(stack))
 
+    # the energy's flow ends in its cost block, which the norms leave out
     batch = len(stack)
-    z0 = np.concatenate([stack, np.ones_like(stack)], axis=1)
+    z0 = np.concatenate([stack, np.ones_like(stack), np.zeros_like(stack)], axis=1)
 
     def norms(y):
-        return np.linalg.norm(y.reshape(2, batch), axis=0)
+        return np.linalg.norm(y.reshape(3, batch)[:2], axis=0)
 
     t_event, y_event = _terminal_escape(
-        _batch_fun(prolong(system).rhs, 2, batch), z0.T.reshape(-1), (0.0, 20.0),
+        _batch_fun(prolong(system, cost="dy").rhs, 3, batch), z0.T.reshape(-1), (0.0, 20.0),
         {"method": _BatchDOP853, "batch": batch}, lambda y: norms(y).max())
     assert err.value.escape_time == t_event
     assert err.value.point == int(np.argmax(norms(y_event))) == 2

@@ -2,14 +2,16 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vargram.calculus import MatrixField, VectorField
+from vargram.expr import parse_system_spec
 from vargram.gramian import EmpiricalGramianField
 from vargram.integrate import integrate_ivp
-from vargram.systems import SystemModel, registry
+from vargram.systems import SystemModel, from_spec, registry
 from vargram.verify import (
     EQUALITY_TOL,
     DecayEstimate,
@@ -25,6 +27,8 @@ from vargram.verify import (
     check_thm5,
     fit_decay,
 )
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "src" / "vargram" / "data" / "example.json"
 
 
 def test_fit_decay_recovers_exact_exponential():
@@ -198,6 +202,18 @@ def test_thm2_relation_depends_on_certificate():
     assert without.verdict == "pass"
     assert without.samples[0].relation == "ge"
     assert "upper bound only" in without.samples[0].note
+
+
+def test_thm2_asserts_no_equality_for_a_certificate_that_fails_its_equations():
+    # k = x1 + x2 is not the optimal feedback, so the identity certificates
+    # of example.json no longer solve their equations (dRicc_gain is
+    # 0.2-0.3 on the region): the limit is only an upper bound
+    doc = json.loads(EXAMPLE.read_text(encoding="utf-8"))
+    doc["k"] = ["x1 + x2"]
+    report = check_thm2(from_spec(parse_system_spec(doc)), [([0.25, -0.1], [1.0, 0.0])])
+    assert [s.relation for s in report.samples] == ["ge"]
+    assert report.samples[0].note == "upper bound only: certificate fails its equations"
+    assert not any("equality asserted" in n for n in report.notes)
 
 
 def test_thm4_equality_on_nonlinear_system():
