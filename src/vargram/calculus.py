@@ -467,8 +467,8 @@ def _outputs(field, key: tuple, xs) -> list:
     field's last p components are an output o, not part of the flow, and
     the state ends in a cost block: the w x w matrix M^T M (row-major,
     w = max(width, 1)), never negated, where M is the p x w matrix
-    Do(x) T of one copy (o(x) when width is 0), or o(x2) - o(x1) for two
-    copies (calculus.flow_rhs).
+    Do(x) T of one copy (o(x) when width is 0), or the second copy's less
+    the first's for two copies (o(x2) - o(x1) when width is 0).
     """
     kind = key[0]
     if kind == "values":

@@ -9,7 +9,8 @@ error control and needs no dense output or Jacobian call.  Both use the
 energies' horizon-doubling controller on the block (convergence measured
 in Frobenius norm); truncation_error is the last increment plus the
 fitted tail, or 0 at a fixed horizon, where no truncation is tracked.
-The integrator's own error is not estimated.
+The integrator's own error is not estimated.  nodes_used counts the
+accepted steps of a Gramian's solves.
 
 Both Gramians take one point or a (B, n) stack, solved as batched flows
 by integrate.flow_integrals, where one point is a stack of one.

@@ -23,8 +23,9 @@ by an exponential fit to the integrand at the solver's accepted steps
 (the cost rows of the derivatives the solver took there).  A
 non-decaying integrand is an error, never an implicit infinity.  The
 error estimate is that last increment plus the tail; the integrator's
-own error is not estimated.  A bare integrand g(t) is integrated the
-same way, as the flow c' = g(t).
+own error is not estimated.  nodes_used counts the integrand samples:
+the accepted steps of the solves up to a point's horizon.  A bare
+integrand g(t) is integrated the same way, as the flow c' = g(t).
 
 A right-hand side fun(t, y) takes one solver state, shape (N,), or an
 (N, S) stack of S states with t giving the time of each column, and
@@ -465,7 +466,8 @@ def per_column(fun):
 
 
 class HorizonFlow:
-    """Lazily extendable forward solve used by improper-integral integrands.
+    """Lazily extendable forward solve whose states are looked up by time
+    (decay fits, simulated tables).
 
     state(t) extends the underlying solution whenever t lies beyond the
     current horizon; previously integrated segments are reused.  t may be
