@@ -13,7 +13,9 @@ the compiled lines return the values (field_values) or the values and
 Jacobian entries (jacobian) of the field (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008).  A flow's right-hand side is traced
 the same way (flow_rhs): duals seeded with the rows of a tangent
-block T give Df T by the chain rule, with no Jacobian formed.  The
+block T give Df T by the chain rule, with no Jacobian formed, and a
+flow kernel has a second entry that forms a Runge-Kutta stage state
+before running the same lines (rhs.stage).  The
 kernels are straight-line code, so they run unchanged on a list of
 floats (one point) or of length-N arrays (the columns of a stack of
 points, or the rows of a batch of states).  Duals stay for tracing, for
@@ -416,23 +418,36 @@ class _Tape:
             return self.emit("/", a, b, kept=True)
         return 0.0 if self._is(a, 0.0) else self.emit("/", a, b)
 
-    def compile(self, n: int, results):
+    def compile(self, n: int, results, stage: bool = False):
         """Function of a list of n floats returning the tuple of the values
-        of the result terms."""
+        of the result terms.
+
+        With stage (flow kernels), the function carries a second entry of
+        the same lines, kernel.stage(ys, ds, h), run on the inputs
+        x_i = y_i + d_i * h of two lists of n floats and a float h: a
+        Runge-Kutta stage state formed on Python floats, by the IEEE
+        operations numpy applies to y + d * h entry by entry, so its floats
+        are those of kernel(list(y + d * h))."""
         live = {t.name for t in results if isinstance(t, Traced)}
         live.update(name for name, (_, _, kept) in self.lines.items() if kept)
         for name in reversed(self.lines):
             if name in live:
                 live.update(self.lines[name][1])
-        inputs = [f"x{i}" for i in range(n)]
-        body = [f"    {', '.join(inputs)}, = xs"]
-        body += [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
+        lines = [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
                  if name in live]
-        body.append("    return (" + "".join(self.text(t) + ", " for t in results) + ")")
+        lines.append("    return (" + "".join(self.text(t) + ", " for t in results) + ")")
+        source = ["def kernel(xs):", f"    {''.join(f'x{i}, ' for i in range(n))}= xs"] + lines
+        if stage:
+            source += ["def stage(ys, ds, h):",
+                       f"    {''.join(f'y{i}, ' for i in range(n))}= ys",
+                       f"    {''.join(f'd{i}, ' for i in range(n))}= ds"]
+            source += [f"    x{i} = y{i} + d{i} * h" for i in range(n)] + lines
         namespace = {}
-        exec(compile("def kernel(xs):\n" + "\n".join(body) + "\n", "<traced kernel>",
-                     "exec"), namespace)
-        return namespace["kernel"]
+        exec(compile("\n".join(source) + "\n", "<traced kernel>", "exec"), namespace)
+        kernel = namespace["kernel"]
+        if stage:
+            kernel.stage = namespace["stage"]
+        return kernel
 
 
 def _shape(field) -> tuple:
@@ -502,18 +517,30 @@ def _kernel(field, key: tuple, size: int) -> Callable:
     at the key's first use and again whenever field.func has been
     replaced.  A func the tracer cannot run (a comparison, abs, a math
     function, a constant zero denominator, a wrong arity) keeps the dual
-    path, which raises the error the field raises on duals."""
+    path, which raises the error the field raises on duals.  A flow
+    kernel also has its stage entry, kernel.stage (_Tape.compile), on the
+    dual path too for such a func."""
     cached = field._kernels.get(key)
     if cached is None or cached[0] is not field.func:
         tape = _Tape()
+        stage = key[0] == "flow"
         try:
             kernel = tape.compile(size, _outputs(field, key, [Traced(tape, f"x{i}")
-                                                              for i in range(size)]))
+                                                              for i in range(size)]), stage)
         except Exception:
             def kernel(xs):
                 return _outputs(field, key, xs)
+
+            if stage:
+                kernel.stage = functools.partial(_stage_outputs, field, key)
         cached = field._kernels[key] = (field.func, kernel)
     return cached[1]
+
+
+def _stage_outputs(field, key: tuple, ys: list, ds: list, h: float) -> list:
+    """_outputs(field, key, xs) at the stage state xs = ys + ds * h, formed
+    on floats as _Tape.compile's stage entry forms it."""
+    return _outputs(field, key, [y + d * h for y, d in zip(ys, ds)])
 
 
 def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
@@ -594,6 +621,12 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     integrating the flow to time t gives C(t), the integral of M^T M
     over [0, t].
 
+    rhs.stage(t, y, d, h) is rhs(t, y + d * h) for one state y (dim,) and
+    an increment d (dim,), as a sequence of floats, from one call of the
+    kernel's stage entry (_Tape.compile): a Runge-Kutta stage is formed
+    and evaluated in one traced call, with the floats of rhs(t, y + d * h)
+    (dop853._DOP853 steps a one-state flow by it).
+
     rhs.kernel is (field, key): two right-hand sides with the same field,
     the same field.func and the same key run the same kernel, and so
     compute the same floats (integrate.shared_flows keys solves on it).
@@ -615,6 +648,16 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
                 return np.array(_outputs(field, key, xs), dtype=float)
         return _run(resolved[1], field, key, list(z), z.shape[1])
 
+    def stage(t, y, d, h):
+        if resolved[0] is not field.func:
+            resolved[:] = field.func, _kernel(field, key, size)
+        ys, ds = y.tolist(), d.tolist()
+        try:
+            return resolved[1].stage(ys, ds, h)
+        except ZeroDivisionError:  # the dual path raises the field's own error
+            return _stage_outputs(field, key, ys, ds, h)
+
+    rhs.stage = stage
     rhs.kernel = field, key
     rhs.cost = cost
     return rhs

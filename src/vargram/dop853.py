@@ -1,8 +1,10 @@
 """scipy's DOP853 stepper, vargram's only contact with scipy.
 
 _DOP853 is scipy's Dormand-Prince 8(5,3) step made lean, with its dense
-output built for many steps at once; _BatchDOP853 steps a batch of
-points with a per-point error norm; brentq locates a terminal event.
+output built for many steps at once and, for a one-state flow kernel,
+each stage formed and evaluated in one traced call with scipy's floats;
+_BatchDOP853 steps a batch of points with a per-point error norm;
+brentq locates a terminal event.
 integrate.solve_ivp imports this module when it first runs, so a process
 that never solves a flow (rank tests, certificate residuals) never
 loads scipy.
@@ -21,6 +23,11 @@ from scipy.optimize import brentq
 __all__ = ["_BatchDOP853", "_DOP853", "brentq"]
 
 
+def _plain_stage(fun):
+    """_DOP853._stage of a right-hand side without a stage entry."""
+    return lambda t, y, d, h: fun(t, y + d * h)
+
+
 class _DOP853(DOP853):
     """scipy's DOP853 with its step made lean and its dense output built
     for many steps at once; the floats, steps and nfev are scipy's.
@@ -33,11 +40,19 @@ class _DOP853(DOP853):
     norm) are Python floats, on which each IEEE operation is the one
     numpy performs on its float64 scalars at a fraction of the cost.
     fun must return a float array shaped like its state.
+
+    Stage s is _stage(t + c h, y, d, h) with d = K[:s].T . a, taken by
+    numpy's dot as scipy takes it: fun(t + c h, y + d h) for any fun,
+    or, for a one-state flow kernel (calculus.flow_rhs), its stage entry
+    fun.stage, which forms y + d h on Python floats inside the traced call
+    by the same IEEE operations, so the floats, steps and nfev are
+    unchanged and each stage skips numpy's temporaries and conversions.
     """
 
     def __init__(self, fun, t0, y0, t_bound, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._rhs = fun
+        self._stage = getattr(fun, "stage", None) or _plain_stage(fun)
         self.direction, self.h_abs = float(self.direction), float(self.h_abs)
         K = self.K
         self._stages = [(s, K[:s].T, a[:s], float(c))
@@ -59,7 +74,8 @@ class _DOP853(DOP853):
         return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def _step_impl(self):
-        t, y, rhs, K, direction = self.t, self.y, self._rhs, self.K, self.direction
+        t, y, rhs, stage, K = self.t, self.y, self._rhs, self._stage, self.K
+        direction = self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
@@ -81,7 +97,7 @@ class _DOP853(DOP853):
             h_abs = abs(h)
 
             for s, stages, a, c in self._stages:
-                K[s] = rhs(t + c * h, y + stages.dot(a) * h)
+                K[s] = stage(t + c * h, y, stages.dot(a), h)
             y_new = y + h * self._solution_stages.dot(self.B)
             f_new = rhs(t + h, y_new)
             K[-1] = f_new
@@ -151,6 +167,7 @@ class _BatchDOP853(_DOP853):
     def __init__(self, fun, t0, y0, t_bound, batch: int, **options):
         self.batch = batch
         super().__init__(fun, t0, y0, t_bound, **options)
+        self._stage = _plain_stage(fun)
 
     def _estimate_error_norm(self, K, h, scale):
         err5 = (np.dot(K.T, self.E5) / scale).reshape(-1, self.batch)

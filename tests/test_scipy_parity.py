@@ -7,8 +7,11 @@ once.  These tests pin all three to scipy: the steps, nfev and states of
 scipy's solve_ivp(method=DOP853, dense_output=True), its per-step
 coefficients, the values of its OdeSolution, and the time and point of
 its terminal event, all bitwise.  A batch is pinned to scipy's own step
-with the per-point error norm of _BatchDOP853.  A change to scipy's step,
-interpolant or event handling fails here.
+with the per-point error norm of _BatchDOP853.  A one-state flow kernel
+is stepped through its stage entry (calculus.flow_rhs's rhs.stage), which
+scipy never calls: its solves are pinned to scipy's calls of rhs(t, y)
+too, as is the error its field raises inside a stage.  A change to
+scipy's step, interpolant or event handling fails here.
 """
 
 import numpy as np
@@ -16,13 +19,13 @@ import pytest
 import scipy.integrate
 from scipy.integrate import DOP853, OdeSolution
 
-from vargram.calculus import VectorField, flow_rhs
+from vargram.calculus import VectorField, _primal, flow_rhs
 from vargram.energy import diff_observability
-from vargram.expr import parse_system_spec
+from vargram.expr import ExprEvalError, parse_system_spec
 from vargram.dop853 import _BatchDOP853, _DOP853
 from vargram.integrate import (BLOWUP_NORM, DEFAULT_ATOL, DEFAULT_RTOL, BlowUpError,
                                Trajectory, integrate_ivp, solve_ivp)
-from vargram.systems import from_spec, prolong, registry
+from vargram.systems import closed_loop_prolonged, from_spec, prolong, registry
 
 from test_batch_flows import ESCAPING
 
@@ -310,3 +313,80 @@ def test_a_solve_far_from_t_zero_equals_scipys(fun, y0, t_span, status):
         assert ours.message == ref.message
     assert ours.nfev == ref.nfev
     assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+
+
+def _steps_by_its_stage_entry(fun, y0) -> bool:
+    """Whether _DOP853 steps fun from y0 through fun's stage entry."""
+    return _DOP853(fun, 0.0, y0, 1.0, **TOLS)._stage is fun.stage
+
+
+def _abs(s):
+    """|s| by a comparison of its primal: runs on duals, not on Traced terms."""
+    return s if _primal(s) >= 0 else -s
+
+
+def _reversed_cost_flow():
+    """The reversed closed-loop variational flow of an n = 4 --spec system
+    with the cost block of dk: the flow of diff_controllability_fb."""
+    system = from_spec(parse_system_spec(N4_SPEC))
+    z0 = np.array([0.4, -0.3, 0.2, 0.1, 0.6, 0.0, -0.8, 0.0, 0.0])
+    return closed_loop_prolonged(system, sign=-1.0, cost="dk").rhs, z0, {}
+
+
+def _untraceable_flow():
+    """The variational flow of a damped oscillator with an |x2| term, which
+    the tracer cannot compile, so its kernel keeps the dual path."""
+    field = VectorField(2, 2, lambda xs: [xs[1], -xs[0] - 0.5 * xs[1] * _abs(xs[1])])
+    fun = flow_rhs(field, width=1)
+    fun(0.0, np.zeros(4))
+    (kernel,) = (k for _, k in field._kernels.values())
+    assert kernel.__code__.co_filename != "<traced kernel>"
+    return fun, np.array([1.0, -0.5, 0.3, 1.0]), {}
+
+
+@pytest.mark.parametrize("case", [_gramian_flow, _reversed_cost_flow, _untraceable_flow],
+                         ids=["spec gramian", "reversed with cost", "untraceable"])
+def test_a_flow_kernel_stepped_by_its_stage_entry_takes_scipys_steps(case):
+    fun, y0, _ = case()
+    assert _steps_by_its_stage_entry(fun, y0)
+    ours = solve_ivp(fun, (0.0, 5.0), y0, event=lambda t, y: -1.0, dense=False, **TOLS)
+    ref = scipy.integrate.solve_ivp(fun, (0.0, 5.0), y0, method=DOP853, **TOLS)
+    assert (ours.status, ref.status) == (0, 0)
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    assert len(ref.t) > 10
+
+
+def test_a_zero_denominator_inside_a_stage_raises_the_fields_error():
+    """x1' = 1 from y0 = -a h reaches x1 = 0 at the first stage of a first
+    step of length h, where x2' = 1/x1 divides by it."""
+    spec = {"name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
+            "g": [["0"], ["1"]], "h": ["x2"]}
+    fun = flow_rhs(from_spec(parse_system_spec(spec)).f)
+    h, a = 0.5, _DOP853.A[1][0]
+    y0 = np.array([-(a * h), 0.0])
+    assert _steps_by_its_stage_entry(fun, y0)
+    with pytest.raises(ExprEvalError, match="division by zero"):
+        solve_ivp(fun, (0.0, 1.0), y0, event=lambda t, y: -1.0, first_step=h, **TOLS)
+    with pytest.raises(ExprEvalError, match="division by zero"):
+        scipy.integrate.solve_ivp(fun, (0.0, 1.0), y0, method=DOP853, first_step=h, **TOLS)
+
+
+def test_replacing_func_traces_the_stage_entry_again():
+    calls = []
+
+    def linear(scale):
+        def func(xs):
+            calls.append(scale)
+            return [-scale * xs[0]]
+        return func
+
+    field = VectorField(1, 1, linear(2.0))
+    fun = flow_rhs(field)
+    y, d = np.array([1.0]), np.array([0.5])
+    for _ in range(3):
+        assert list(fun.stage(0.0, y, d, 0.5)) == [-2.5]
+    field.func = linear(5.0)
+    assert list(fun.stage(0.0, y, d, 0.5)) == [-6.25]
+    assert np.array_equal(fun(0.0, np.array([1.25])), [-6.25])
+    assert calls == [2.0, 5.0]  # one trace per func, shared by both entries
