@@ -34,7 +34,7 @@ from . import gramian as gramian_mod
 from . import rank as rank_mod
 from . import verify as verify_mod
 from .expr import ExprError, parse_system_spec
-from .integrate import HorizonFlow, IntegrationError, integrate_ivp, shared_flows
+from .integrate import IntegrationError, integrate_ivp, shared_flows
 from .sampling import SplitMix64
 from .systems import (SystemModel, closed_loop_prolonged, dual_closed_loop,
                       dual_open, from_spec, prolong, registry, registry_names,
@@ -126,9 +126,9 @@ def _load_system(args) -> SystemModel:
     return _system_from_source(_system_source(args))
 
 
-def _build_field(system: SystemModel, field_name: str, tol: float,
-                 fixed_horizon: float | None):
-    """Resolve a --field name to a pointwise matrix field."""
+def _build_field(system: SystemModel, field_name: str, **options):
+    """Resolve a --field name to a pointwise matrix field; options (tol,
+    fixed_horizon) go to an empirical Gramian field."""
     if field_name.startswith("cert-"):
         key = field_name[len("cert-"):]
         if key not in system.certificates:
@@ -137,11 +137,9 @@ def _build_field(system: SystemModel, field_name: str, tol: float,
                            f"(available: {known})")
         return system.certificates[key]
     if field_name == "empirical-Q":
-        return gramian_mod.EmpiricalGramianField(system, "obs", tol=tol,
-                                                 fixed_horizon=fixed_horizon)
+        return gramian_mod.EmpiricalGramianField(system, "obs", **options)
     if field_name == "empirical-R":
-        return gramian_mod.EmpiricalGramianField(system, "ctrl", tol=tol,
-                                                 fixed_horizon=fixed_horizon)
+        return gramian_mod.EmpiricalGramianField(system, "ctrl", **options)
     raise CliError(f"unknown field {field_name!r}: use cert-<name>, "
                    f"empirical-Q, or empirical-R")
 
@@ -248,31 +246,29 @@ def _simulate_table(system: SystemModel, mode: str, x0, second, tf: float,
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
 
     if mode in ("open-loop", "closed-loop"):
-        field = system.closed_loop_field() if mode == "closed-loop" else system.f
-        states = integrate_ivp(field, np.asarray(x0, dtype=float), (0.0, tf)).at(times)
-        return header, [[t] + [float(v) for v in z] for t, z in zip(times, states)]
+        rhs = system.closed_loop_field() if mode == "closed-loop" else system.f
+        z0, outputs = np.asarray(x0, dtype=float), {}
+    else:
+        builders = {
+            "prolonged": (prolong, "dx"),
+            "closed-loop-prolonged": (closed_loop_prolonged, "dx"),
+            "two-copy": (two_copy, "x2"),
+            "dual-closed-loop": (dual_closed_loop, "dp"),
+            "dual-open": (dual_open, "dp"),
+        }
+        build, block = builders[mode]
+        aug = build(system)
+        if second is None:
+            raise CliError(f"mode {mode} needs --{_MODES[mode]}")
+        rhs, z0, outputs = aug.rhs, aug.pack(**{"x": x0, block: second}), aug.outputs
+        header += [f"{block}{i + 1}" for i in range(n)]
+    states = integrate_ivp(rhs, z0, (0.0, tf)).at(times)
 
-    builders = {
-        "prolonged": (prolong, "dx"),
-        "closed-loop-prolonged": (closed_loop_prolonged, "dx"),
-        "two-copy": (two_copy, "x2"),
-        "dual-closed-loop": (dual_closed_loop, "dp"),
-        "dual-open": (dual_open, "dp"),
-    }
-    build, block = builders[mode]
-    aug = build(system)
-    if second is None:
-        raise CliError(f"mode {mode} needs --{_MODES[mode]}")
-    z0 = aug.pack(**{"x": x0, block: second})
-    # aug.rhs takes a stack, so the dense-output stages are stacked calls
-    states = HorizonFlow(aug.rhs, z0, chunk=tf).state(times)
-
-    out_names = sorted(aug.outputs)
-    header += [f"{block}{i + 1}" for i in range(n)]
-    outputs = [aug.outputs[name](states) for name in out_names]  # each (samples, p)
-    for name, values in zip(out_names, outputs):
-        header += [f"{name}{i + 1}" for i in range(values.shape[1])]
-    return header, np.concatenate([times[:, None], states, *outputs], axis=1).tolist()
+    out_names = sorted(outputs)
+    values = [outputs[name](states) for name in out_names]  # each (samples, p)
+    for name, value in zip(out_names, values):
+        header += [f"{name}{i + 1}" for i in range(value.shape[1])]
+    return header, np.concatenate([times[:, None], states, *values], axis=1).tolist()
 
 
 def _cmd_simulate(args) -> int:
@@ -373,7 +369,7 @@ def _residual_csv(system: SystemModel, equations, points) -> str:
 
 def _cmd_residual(args) -> int:
     system = _load_system(args)
-    field_obj = _build_field(system, args.field, args.tol, fixed_horizon=40.0)
+    field_obj = _build_field(system, args.field, fixed_horizon=40.0)
     if args.x is not None:
         x = _parse_point(args.x, "x", system)
         reports = _residual_reports(system, args.equation, field_obj, x)
@@ -452,7 +448,8 @@ _POOL_FIELD = None  # a pd-scan worker's field, set by _scan_init
 
 def _scan_init(source, field_name, tol):
     global _POOL_FIELD
-    _POOL_FIELD = _build_field(_system_from_source(source), field_name, tol, None)
+    _POOL_FIELD = _build_field(_system_from_source(source), field_name, tol=tol,
+                               fixed_horizon=None)
 
 
 def _scan_eval(point):
@@ -476,7 +473,7 @@ def _scan_grid(system: SystemModel, source, field_name: str, tol: float, jobs: i
                                   initargs=(source, field_name, tol)) as pool:
             values = pool.map(_scan_eval, [tuple(p) for p in points])
     else:
-        field_obj = _build_field(system, field_name, tol, None)
+        field_obj = _build_field(system, field_name, tol=tol, fixed_horizon=None)
         values = [gramian_mod.scan_value(field_obj, tuple(p)) for p in points]
     scan = gramian_mod.scan_from_values(region, shape, points, values)
     rows = zip(scan.min_eigs, scan.dets, scan.statuses)
@@ -536,7 +533,7 @@ def _run_theorem(system: SystemModel, theorem: str, rng: SplitMix64, region, cou
         return check(system, _draw_pairs(rng, region, pairs), tol=tol)
     if theorem in ("thm2", "thm4"):
         return check(system, _draw_tangent_samples(rng, region, samples), tol=tol)
-    field_obj = _build_field(system, field_name or _DEFAULT_FIELDS[theorem], tol,
+    field_obj = _build_field(system, field_name or _DEFAULT_FIELDS[theorem], tol=tol,
                              fixed_horizon=40.0)
     grid_region, grid_shape = grid
     drawn = _draw_tangent_samples(rng, region, harness)
@@ -745,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None)
     p.add_argument("--region", default=None)
     p.add_argument("--grid", default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_residual)
 

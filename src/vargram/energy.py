@@ -23,28 +23,23 @@ flows of up to integrate.MAX_BATCH points (integrate.flow_integrals),
 giving one EnergyValue per point; one point is a stack of one, and gives
 its one EnergyValue with the same floats.  On top of these sit the
 line-path integral (one batch for the nodes of its PATH_ORDER = 8 rule)
-and the small-parameter quadratic limit used by the theorem checks, plus
-the perturbed-input energy that witnesses the completion-of-squares bound.
+and the small-parameter quadratic limit used by the theorem checks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import frozen_input_jacobian, jacobian
 from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integrals,
-                        integrate_ivp, quadrature_finite)
+                        quadrature_finite)
 from .systems import AugmentedField, SystemModel, closed_loop_prolonged, prolong, two_copy
 
 DEFAULT_S_LADDER = (0.1, 0.05, 0.025, 0.0125)
 # order of path_energy_integral's Gauss-Legendre rule, checked against twice it
 PATH_ORDER = 8
-# the fixed span [-PERTURBATION_HORIZON, 0] of feedback_perturbation_energy
-PERTURBATION_HORIZON = 40.0
 
 
 class LadderError(IntegrationError):
@@ -256,57 +251,3 @@ def quadratic_limit(pair_energy: Callable[[np.ndarray, np.ndarray], EnergyValue]
     return QuadraticLimit(limit=extrapolants[-1], table=table,
                           extrapolants=extrapolants, discrepancy=discrepancy,
                           error_budget=discrepancy + inner)
-
-
-def cosine_bump(t0: float, t1: float, amplitude) -> Callable[[float], np.ndarray]:
-    """Raised-cosine pulse supported on [t0, t1]; C^1 and compactly supported."""
-    if not t1 > t0:
-        raise ValueError("bump support needs t1 > t0")
-    amp = np.atleast_1d(np.asarray(amplitude, dtype=float))
-    width = t1 - t0
-
-    def w(t: float) -> np.ndarray:
-        if t <= t0 or t >= t1:
-            return np.zeros_like(amp)
-        phase = 2.0 * math.pi * (t - t0) / width
-        return amp * (0.5 - 0.5 * math.cos(phase))
-
-    return w
-
-
-def feedback_perturbation_energy(system: SystemModel, x0, dx0,
-                                 w_signal: Callable[[float], np.ndarray] | None = None
-                                 ) -> EnergyValue:
-    """Half squared norm of du = (dk/dx) dx + w over [-PERTURBATION_HORIZON, 0].
-
-    The variational state follows the input-frozen Jacobian plus g*du along
-    the nominal closed loop, so w = 0 reproduces the backward feedback
-    energy.  Integrated in reversed time with an accumulator state; the
-    horizon is fixed, so decay must have set in by then for the value
-    to approximate the improper integral.  The error estimate is
-    DEFAULT_RTOL * |value| + DEFAULT_ATOL.
-    """
-    n, m = system.n, system.m
-    k = system.require_k()
-    w_signal = w_signal or (lambda t: np.zeros(m))
-    x0 = np.asarray(x0, dtype=float)
-    dx0 = np.asarray(dx0, dtype=float)
-
-    def rhs(tau: float, z: np.ndarray) -> np.ndarray:
-        x = z[:n].tolist()
-        dx = z[n:2 * n]
-        drift, frozen, g_vals = frozen_input_jacobian(system, x)
-        du = jacobian(k, x) @ dx + np.asarray(w_signal(-tau), dtype=float)
-        ddx = frozen @ dx + g_vals @ du
-        dacc = 0.5 * float(np.dot(du, du))
-        return np.concatenate([-drift, -ddx, [dacc]])
-
-    z0 = np.concatenate([x0, dx0, [0.0]])
-    traj = integrate_ivp(rhs, z0, (0.0, PERTURBATION_HORIZON))
-    value = float(traj.at(PERTURBATION_HORIZON)[-1])
-    return EnergyValue(value=value,
-                       error_estimate=DEFAULT_RTOL * abs(value) + DEFAULT_ATOL,
-                       horizon=PERTURBATION_HORIZON, nodes_used=0,
-                       direction="backward",
-                       meta={"energy": "feedback_perturbation",
-                             "note": "fixed horizon, no tail estimate"})

@@ -441,28 +441,16 @@ def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
     with t0 < tf (ValueError otherwise).
 
     field is a VectorField (autonomous), run through its traced kernel
-    (calculus.flow_rhs), or a callable rhs(t, y) of one state, called one
-    column at a time on a stack of states (per_column).  Raises
-    BlowUpError with the escape time if the state norm passes 1e12, and
-    IntegrationError on step-size underflow.
+    (calculus.flow_rhs), or a right-hand side rhs(t, y) taking one state
+    or a stack of states (module docstring).  Raises BlowUpError with the
+    escape time if the state norm passes 1e12, and IntegrationError on
+    step-size underflow.
     """
     t0, tf = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
         raise ValueError(f"t_span must be finite with t0 < tf, got ({t0:g}, {tf:g})")
-    rhs = flow_rhs(field) if isinstance(field, VectorField) else per_column(field)
+    rhs = flow_rhs(field) if isinstance(field, VectorField) else field
     return _solved(rhs, x0, t0, tf, rtol, atol)
-
-
-def per_column(fun):
-    """rhs(t, y) of fun(t, y), a right-hand side of one state: y is one
-    state, or an (N, S) stack whose columns fun gets one at a time, each
-    with its own time (module docstring)."""
-    def rhs(t, y):
-        if y.ndim == 1:
-            return np.asarray(fun(t, y), dtype=float)
-        return np.stack([np.asarray(fun(s, z), dtype=float) for s, z in zip(t, y.T)], axis=1)
-
-    return rhs
 
 
 class HorizonFlow:

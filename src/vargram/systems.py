@@ -28,11 +28,10 @@ from vargram.calculus import (
     closed_loop_scalars,
     field_values,
     flow_rhs,
-    frozen_input_jacobian,
+    frozen_input_jacobian_scalars,
     jacobian,
 )
 from vargram.expr import SystemSpec
-from vargram.integrate import per_column
 
 
 @dataclass
@@ -49,8 +48,8 @@ class SystemModel:
     k: VectorField | None = None
     certificates: dict[str, MatrixField] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    # name -> (component funcs, field) of the last closed_loop_field or
-    # affine_field call
+    # name -> (component funcs, field) of the last field _derived_field
+    # built under that name
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def require_k(self) -> VectorField:
@@ -106,9 +105,8 @@ class AugmentedField:
     """Composite dynamics with named state blocks and derived outputs.
 
     rhs takes one state (dim,) or a (dim, B) stack, one column per state,
-    and returns the same shape.  The rhs of prolong, closed_loop_prolonged
-    and two_copy is one flow-kernel call on either; the dual builders and
-    adjoint_pair run a stack one column at a time (integrate.per_column).
+    and returns the same shape: one call of a flow kernel
+    (calculus.flow_rhs) on either, for every builder here.
     Every output takes one state (dim,) or a stack (N, dim), giving (p,)
     or (N, p).  A flow built with a cost output ends in a one-entry
     "cost" block c, c' = |output|^2, accumulated by its flow kernel
@@ -224,21 +222,43 @@ def two_copy(system: SystemModel, field: VectorField | None = None,
                  sign=sign)
 
 
-def _dual(system: SystemModel, u) -> AugmentedField:
+def _dual_scalars(system: SystemModel, zs, u, adjoint: bool) -> list:
+    """(-(f + g u), A^T dp) at a state zs = (x, dp), or with adjoint
+    (-(f + g u), A^T dp, -A dx) at zs = (x, dp, dx), generic over scalars:
+    A is the state Jacobian of f + g u with u frozen (at k(x) when None),
+    and each product with A is summed in index order."""
+    n = system.n
+    drift, rows = frozen_input_jacobian_scalars(system, zs[:n], u)
+    dp = zs[n:2 * n]
+    out = [-d for d in drift] + [sum(rows[i][l] * dp[i] for i in range(n)) for l in range(n)]
+    if adjoint:
+        dx = zs[2 * n:]
+        out += [-sum(rows[i][l] * dx[l] for l in range(n)) for i in range(n)]
+    return out
+
+
+def _dual_field(system: SystemModel, name: str, funcs: tuple, u,
+                adjoint: bool = False) -> VectorField:
+    """_dual_scalars as a field on the whole state, built once per model
+    and anew when one of funcs changes (SystemModel._derived_field), so
+    that its traced flow kernel is reused."""
+    dim = (3 if adjoint else 2) * system.n
+    return system._derived_field(
+        name, funcs,
+        lambda: VectorField(dim, dim, lambda zs: _dual_scalars(system, zs, u, adjoint)))
+
+
+def _dual(system: SystemModel, name: str, funcs: tuple, u) -> AugmentedField:
     """Reversed drift f + g u with the transposed input-frozen Jacobian, u
     frozen at k(x) when None: state (x, dp), output dz = g(x)^T dp."""
     n = system.n
-
-    def rhs(t, z):
-        drift, frozen, _ = frozen_input_jacobian(system, z[:n].tolist(), u)
-        return np.concatenate([-drift, frozen.T @ z[n:]])
 
     def out_dz(z):
         return _apply(np.swapaxes(field_values(system.g, z[..., :n]), -1, -2), z[..., n:])
 
     return AugmentedField(
         dim=2 * n,
-        rhs=per_column(rhs),
+        rhs=flow_rhs(_dual_field(system, name, funcs, u)),
         layout={"x": slice(0, n), "dp": slice(n, 2 * n)},
         outputs={"dz": out_dz},
     )
@@ -250,8 +270,8 @@ def dual_closed_loop(system: SystemModel) -> AugmentedField:
     State (x, dp): dx/dt = -(f + g k), ddp/dt = (d(f+gu)/dx|_{u=k})^T dp,
     output dz = g(x)^T dp.
     """
-    system.require_k()
-    return _dual(system, None)
+    k = system.require_k()
+    return _dual(system, "dual_closed_loop", (system.f.func, system.g.func, k.func), None)
 
 
 def adjoint_pair(system: SystemModel) -> AugmentedField:
@@ -263,15 +283,12 @@ def adjoint_pair(system: SystemModel) -> AugmentedField:
     consistency of the transposed and untransposed variational flows.
     """
     n = system.n
-    system.require_k()
-
-    def rhs(t, z):
-        drift, a_mat, _ = frozen_input_jacobian(system, z[:n].tolist())
-        return np.concatenate([-drift, a_mat.T @ z[n : 2 * n], -(a_mat @ z[2 * n :])])
-
+    k = system.require_k()
+    field = _dual_field(system, "adjoint_pair", (system.f.func, system.g.func, k.func),
+                        None, adjoint=True)
     return AugmentedField(
         dim=3 * n,
-        rhs=per_column(rhs),
+        rhs=flow_rhs(field),
         layout={"x": slice(0, n), "dp": slice(n, 2 * n), "dx": slice(2 * n, 3 * n)},
         outputs={"pairing": lambda z: np.einsum("...i,...i->...", z[..., n : 2 * n],
                                                 z[..., 2 * n :])[..., None]},
@@ -283,7 +300,7 @@ def dual_open(system: SystemModel) -> AugmentedField:
 
     State (x, dp): dx/dt = -f, ddp/dt = (df/dx)^T dp, output dz = g(x)^T dp.
     """
-    return _dual(system, [0.0] * system.m)
+    return _dual(system, "dual_open", (system.f.func, system.g.func), [0.0] * system.m)
 
 
 def from_spec(spec: SystemSpec) -> SystemModel:

@@ -3,15 +3,22 @@
 Everything here is deliberately built on plain numpy linear algebra and
 finite differences, not on the library's own dual numbers, quadrature, or
 Jacobi routines, so that agreement between the two is evidence rather than
-tautology.
+tautology.  The one exception is feedback_perturbation_energy, a probe of
+the completion-of-squares bound: it evaluates the system's fields through
+the library's kernels, but integrates them with scipy's solver.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
+from typing import Callable
 
 import numpy as np
+
+# the fixed span [-PERTURBATION_HORIZON, 0] of feedback_perturbation_energy
+PERTURBATION_HORIZON = 40.0
 
 
 def fd_jacobian(func, x, h: float = 1e-6) -> np.ndarray:
@@ -101,6 +108,65 @@ def rk4(rhs, x0, t0: float, t1: float, steps: int = 2000) -> np.ndarray:
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     return x
+
+
+def cosine_bump(t0: float, t1: float, amplitude) -> Callable[[float], np.ndarray]:
+    """Raised-cosine pulse supported on [t0, t1]; C^1 and compactly supported."""
+    if not t1 > t0:
+        raise ValueError("bump support needs t1 > t0")
+    amp = np.atleast_1d(np.asarray(amplitude, dtype=float))
+    width = t1 - t0
+
+    def w(t: float) -> np.ndarray:
+        if t <= t0 or t >= t1:
+            return np.zeros_like(amp)
+        phase = 2.0 * math.pi * (t - t0) / width
+        return amp * (0.5 - 0.5 * math.cos(phase))
+
+    return w
+
+
+def feedback_perturbation_energy(system, x0, dx0,
+                                 w_signal: Callable[[float], np.ndarray] | None = None):
+    """Half squared norm of du = (dk/dx) dx + w over [-PERTURBATION_HORIZON, 0],
+    as an energy.EnergyValue.
+
+    The variational state follows the input-frozen Jacobian plus g*du along
+    the nominal closed loop, so w = 0 reproduces the backward feedback
+    energy.  Integrated in reversed time with an accumulator state by
+    scipy's solve_ivp (DOP853 at the library's default tolerances, read
+    on its dense output); the forcing w depends on time, so no autonomous
+    flow kernel can carry it.  The horizon is fixed, so decay must have
+    set in by then for the value to approximate the improper integral.
+    The error estimate is rtol * |value| + atol.
+    """
+    from scipy.integrate import solve_ivp
+
+    from vargram.calculus import frozen_input_jacobian, jacobian
+    from vargram.energy import EnergyValue
+    from vargram.integrate import DEFAULT_ATOL, DEFAULT_RTOL
+
+    n, m = system.n, system.m
+    k = system.require_k()
+    w_signal = w_signal or (lambda t: np.zeros(m))
+
+    def rhs(tau: float, z: np.ndarray) -> np.ndarray:
+        x = z[:n].tolist()
+        dx = z[n:2 * n]
+        drift, frozen, g_vals = frozen_input_jacobian(system, x)
+        du = jacobian(k, x) @ dx + np.asarray(w_signal(-tau), dtype=float)
+        ddx = frozen @ dx + g_vals @ du
+        dacc = 0.5 * float(np.dot(du, du))
+        return np.concatenate([-drift, -ddx, [dacc]])
+
+    z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(dx0, dtype=float), [0.0]])
+    sol = solve_ivp(rhs, (0.0, PERTURBATION_HORIZON), z0, method="DOP853",
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True)
+    value = float(sol.sol(PERTURBATION_HORIZON)[-1])
+    return EnergyValue(value=value, error_estimate=DEFAULT_RTOL * abs(value) + DEFAULT_ATOL,
+                       horizon=PERTURBATION_HORIZON, nodes_used=0, direction="backward",
+                       meta={"energy": "feedback_perturbation",
+                             "note": "fixed horizon, no tail estimate"})
 
 
 class ReferenceDual:

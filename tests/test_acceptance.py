@@ -21,14 +21,12 @@ import time
 
 import numpy as np
 
-from oracles import lyap_ctrl, lyap_obs
+from oracles import cosine_bump, feedback_perturbation_energy, lyap_ctrl, lyap_obs
 from vargram.calculus import VectorField, ad_closed_loop_field
 from vargram.cli import main
 from vargram.energy import (
-    cosine_bump,
     diff_controllability_fb,
     diff_observability,
-    feedback_perturbation_energy,
     incr_controllability_fb,
     incr_observability,
     quadratic_limit,

@@ -354,8 +354,6 @@ _TOL_COMMANDS = {
     "energy": ["energy", "--system", "linear_scalar", "--kind", "diff-obs",
                "--x0", "0.1", "--dx0", "1"],
     "gramian": ["gramian", "--system", "linear_scalar", "--kind", "obs", "--x", "0.1"],
-    "residual": ["residual", "--system", "linear_scalar", "--equation", "dLya_ob",
-                 "--field", "cert-Q", "--x", "0.1"],
     "pd-scan": ["pd-scan", "--system", "linear_scalar", "--field", "empirical-Q",
                 "--region", "-1,1", "--grid", "3"],
     "verify": ["verify", "--system", "linear_scalar", "--theorem", "thm2"],

@@ -8,15 +8,14 @@ without touching the trajectory pipeline under test.
 import numpy as np
 import pytest
 
-from oracles import fast_mode_spec, lyap_ctrl, lyap_obs
+from oracles import (cosine_bump, fast_mode_spec, feedback_perturbation_energy, lyap_ctrl,
+                     lyap_obs)
 from vargram.energy import (
     EnergyValue,
     LadderError,
     LinePath,
-    cosine_bump,
     diff_controllability_fb,
     diff_observability,
-    feedback_perturbation_energy,
     incr_controllability_fb,
     incr_observability,
     path_energy_integral,

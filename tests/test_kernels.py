@@ -216,17 +216,23 @@ def _right_hand_sides(system):
     def two_copy_ref(t, z):
         return np.concatenate([at(cl, z[:n].tolist()), at(cl, z[n:].tolist())])
 
+    def transposed(rows, dp):  # A^T dp, summed in index order as the kernels trace it
+        return [sum(rows[i][l] * dp[i] for i in range(n)) for l in range(n)]
+
     def dual_closed_ref(t, z):
         drift, rows = frozen(z[:n].tolist())
-        return np.concatenate([-drift, rows.T @ z[n:]])
+        return np.concatenate([-drift, transposed(rows.tolist(), z[n:].tolist())])
 
     def adjoint_ref(t, z):
         drift, rows = frozen(z[:n].tolist())
-        return np.concatenate([-drift, rows.T @ z[n:2 * n], -(rows @ z[2 * n:])])
+        rows, dx = rows.tolist(), z[2 * n:].tolist()
+        return np.concatenate([-drift, transposed(rows, z[n:2 * n].tolist()),
+                               [-sum(rows[i][l] * dx[l] for l in range(n)) for i in range(n)]])
 
     def dual_open_ref(t, z):
         x = z[:n].tolist()
-        return np.concatenate([-at(system.f, x), jacobian(system.f, x).T @ z[n:]])
+        return np.concatenate([-at(system.f, x),
+                               transposed(jacobian(system.f, x).tolist(), z[n:].tolist())])
 
     for label, rhs, reference, _, dim in _variational_forms(system):
         yield label, rhs, reference, dim
@@ -244,6 +250,27 @@ def test_right_hand_sides_equal_their_dual_forms_bitwise(system):
             t = float(rng.uniform(0.0, 3.0))
             z = rng.uniform(-1.2, 1.2, dim)
             assert np.array_equal(rhs(t, z), reference(t, z)), label
+
+
+@pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)
+def test_dual_right_hand_sides_match_numpys_matrix_products(system):
+    # the kernels sum A^T dp and A dx in index order, numpy's matmul in its
+    # own (through BLAS, possibly with fused multiply-adds), so the two agree
+    # entry by entry to rounding of the sum of the terms' magnitudes
+    n = system.n
+    rng = np.random.default_rng(7)
+    for build, u in ((dual_closed_loop, None), (dual_open, [0.0] * system.m),
+                     (adjoint_pair, None)):
+        aug = build(system)
+        for _ in range(20):
+            z = rng.uniform(-1.2, 1.2, aug.dim)
+            drift, rows, _ = frozen_input_jacobian(system, z[:n].tolist(), u)
+            products = [(rows.T, z[n:2 * n])] + [(-rows, z[2 * n:])] * (aug.dim == 3 * n)
+            expected = np.concatenate([-drift] + [a @ v for a, v in products])
+            scale = np.concatenate([np.zeros(n)] + [np.abs(a) @ np.abs(v) for a, v in products])
+            got = aug.rhs(0.0, z)
+            assert np.array_equal(got[:n], expected[:n]), build.__name__
+            assert np.all(np.abs(got - expected) <= 1e-15 * scale), build.__name__
 
 
 @pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)

@@ -200,12 +200,18 @@ def test_integrate_ivp_of_a_time_dependent_callable_equals_scipy():
     assert np.array_equal(ours.at(times), ref.sol(times).T)
 
 
-def test_a_callable_of_one_state_still_integrates():
+def test_a_callable_is_run_as_given_on_a_state_and_on_a_stack():
+    # integrate_ivp hands a plain right-hand side one state in the steps and
+    # the (N, S) stack of all steps in the dense output's extra stages
+    ndims = set()
+
     def fun(t, y):
-        x1, x2 = y.tolist()  # one state only: a stack would give two lists
-        return [x2, -x1 - 0.5 * x2]
+        ndims.add(y.ndim)
+        x1, x2 = y
+        return np.array([x2, -x1 - 0.5 * x2])
 
     ours = integrate_ivp(fun, [1.0, 0.0], (0.0, 5.0))
+    assert ndims == {1, 2}
     ref = _scipy(fun, np.array([1.0, 0.0]), (0.0, 5.0), {})
     assert np.array_equal(ours.times, ref.t)
     assert np.array_equal(ours.at(ref.t[::3]), ref.sol(ref.t[::3]).T)

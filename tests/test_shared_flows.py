@@ -6,7 +6,8 @@ tests pin that a verify run repeats no such solve, that the store lives
 only as long as its scope (one command), that a check gives the same
 report with or without the flows of an earlier check, that a solve is
 shared only with one of the same kernel, start, span and tolerances,
-that batches and plain callables are never stored, and that the store
+that a dual flow is stored, that batches and plain callables are never
+stored, and that the store
 keeps at most SHARED_BYTES, dropping the least recently used first.
 """
 
@@ -20,7 +21,7 @@ from vargram.cli import main
 from vargram.gramian import EmpiricalGramianField
 from vargram.calculus import VectorField, flow_rhs
 from vargram.integrate import HorizonFlow, integrate_ivp, shared_flows
-from vargram.systems import registry
+from vargram.systems import dual_closed_loop, registry
 from vargram.verify import check_thm1, check_thm3, check_thm4, check_thm5
 
 VERIFY_ARGS = ["verify", "--system", "paper_sec5", "--theorem", "all", "--pairs", "1",
@@ -159,6 +160,20 @@ def test_batches_and_plain_callables_are_never_stored(solves, rhs, x0):
     assert len(solves) == 2
     assert second is not first and second.states.flags.writeable
     np.testing.assert_array_equal(second.states, first.states)
+
+
+def test_a_dual_flow_is_stored_and_a_plain_callable_is_not(solves):
+    system = registry("paper_sec5")
+    z0 = dual_closed_loop(system).pack(x=[0.1, -0.1], dp=[1.0, 0.5])
+    with shared_flows():
+        # each call builds the AugmentedField anew around the model's one field
+        first = integrate_ivp(dual_closed_loop(system).rhs, z0, (0.0, 5.0))
+        again = integrate_ivp(dual_closed_loop(system).rhs, z0, (0.0, 5.0))
+        plain = [integrate_ivp(lambda t, y: -y, z0, (0.0, 5.0)) for _ in range(2)]
+        assert len(integrate._shared) == 1
+    assert again is first and not first.states.flags.writeable
+    assert plain[1] is not plain[0] and plain[1].states.flags.writeable
+    assert len(solves) == 3
 
 
 def test_the_store_drops_the_least_recently_used_past_its_bytes(monkeypatch, solves):
