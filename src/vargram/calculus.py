@@ -14,13 +14,13 @@ Jacobian entries (jacobian) of the field (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008).  A flow's right-hand side is traced
 the same way (flow_rhs): duals seeded with the rows of a tangent
 block T give Df T by the chain rule, with no Jacobian formed, and a
-flow kernel has a second entry that forms a Runge-Kutta stage state
-before running the same lines (rhs.stage).  The
-kernels are straight-line code, so they run unchanged on a list of
-floats (one point) or of length-N arrays (the columns of a stack of
-points, or the rows of a batch of states).  Duals stay for tracing, for
-funcs the tracer cannot run, and for nested derivatives: brackets, Lie
-derivatives and ranks.
+flow kernel has a second entry that loops over the Runge-Kutta stages
+of a step, forming each stage state and running the same lines on it
+(rhs.stages).  The kernels are straight-line code, so they run
+unchanged on a list of floats (one point) or of length-N arrays (the
+columns of a stack of points, or the rows of a batch of states).
+Duals stay for tracing, for funcs the tracer cannot run, and for nested
+derivatives: brackets, Lie derivatives and ranks.
 """
 
 from __future__ import annotations
@@ -418,35 +418,41 @@ class _Tape:
             return self.emit("/", a, b, kept=True)
         return 0.0 if self._is(a, 0.0) else self.emit("/", a, b)
 
-    def compile(self, n: int, results, stage: bool = False):
+    def compile(self, n: int, results, stages: bool = False):
         """Function of a list of n floats returning the tuple of the values
         of the result terms.
 
-        With stage (flow kernels), the function carries a second entry of
-        the same lines, kernel.stage(ys, ds, h), run on the inputs
-        x_i = y_i + d_i * h of two lists of n floats and a float h: a
-        Runge-Kutta stage state formed on Python floats, by the IEEE
-        operations numpy applies to y + d * h entry by entry, so its floats
-        are those of kernel(list(y + d * h))."""
+        With stages (flow kernels), the function carries a second entry of
+        the same lines, kernel.stages(ys, K, plan, h), that runs the
+        Runge-Kutta stages of one step in one call, on a list ys of n floats
+        and a float h: for each (s, rows, a) of plan in turn it takes
+        d = rows . a by numpy's dot, as a list of floats, forms the stage
+        state x_i = y_i + d_i * h on Python floats, by the IEEE operations
+        numpy applies to y + d * h entry by entry, and writes the values to
+        the row K[s], which a later stage's rows may read.  So K[s] holds
+        the floats of kernel(list(y + rows.dot(a) * h))."""
         live = {t.name for t in results if isinstance(t, Traced)}
         live.update(name for name, (_, _, kept) in self.lines.items() if kept)
         for name in reversed(self.lines):
             if name in live:
                 live.update(self.lines[name][1])
-        lines = [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
-                 if name in live]
-        lines.append("    return (" + "".join(self.text(t) + ", " for t in results) + ")")
-        source = ["def kernel(xs):", f"    {''.join(f'x{i}, ' for i in range(n))}= xs"] + lines
-        if stage:
-            source += ["def stage(ys, ds, h):",
+        body = [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
+                if name in live]
+        values = "(" + "".join(self.text(t) + ", " for t in results) + ")"
+        source = ["def kernel(xs):", f"    {''.join(f'x{i}, ' for i in range(n))}= xs",
+                  *body, f"    return {values}"]
+        if stages:
+            source += ["def stages(ys, K, plan, h):",
                        f"    {''.join(f'y{i}, ' for i in range(n))}= ys",
-                       f"    {''.join(f'd{i}, ' for i in range(n))}= ds"]
-            source += [f"    x{i} = y{i} + d{i} * h" for i in range(n)] + lines
+                       "    for s, rows, a in plan:",
+                       f"        {''.join(f'd{i}, ' for i in range(n))}= rows.dot(a).tolist()"]
+            source += [f"        x{i} = y{i} + d{i} * h" for i in range(n)]
+            source += ["    " + line for line in body] + [f"        K[s] = {values}"]
         namespace = {}
         exec(compile("\n".join(source) + "\n", "<traced kernel>", "exec"), namespace)
         kernel = namespace["kernel"]
-        if stage:
-            kernel.stage = namespace["stage"]
+        if stages:
+            kernel.stages = namespace["stages"]
         return kernel
 
 
@@ -518,29 +524,31 @@ def _kernel(field, key: tuple, size: int) -> Callable:
     replaced.  A func the tracer cannot run (a comparison, abs, a math
     function, a constant zero denominator, a wrong arity) keeps the dual
     path, which raises the error the field raises on duals.  A flow
-    kernel also has its stage entry, kernel.stage (_Tape.compile), on the
-    dual path too for such a func."""
+    kernel also has its loop entry over a step's stages, kernel.stages
+    (_Tape.compile), on the dual path too for such a func (_dual_stages)."""
     cached = field._kernels.get(key)
     if cached is None or cached[0] is not field.func:
         tape = _Tape()
-        stage = key[0] == "flow"
+        stages = key[0] == "flow"
         try:
             kernel = tape.compile(size, _outputs(field, key, [Traced(tape, f"x{i}")
-                                                              for i in range(size)]), stage)
+                                                              for i in range(size)]), stages)
         except Exception:
             def kernel(xs):
                 return _outputs(field, key, xs)
 
-            if stage:
-                kernel.stage = functools.partial(_stage_outputs, field, key)
+            if stages:
+                kernel.stages = functools.partial(_dual_stages, field, key)
         cached = field._kernels[key] = (field.func, kernel)
     return cached[1]
 
 
-def _stage_outputs(field, key: tuple, ys: list, ds: list, h: float) -> list:
-    """_outputs(field, key, xs) at the stage state xs = ys + ds * h, formed
-    on floats as _Tape.compile's stage entry forms it."""
-    return _outputs(field, key, [y + d * h for y, d in zip(ys, ds)])
+def _dual_stages(field, key: tuple, ys: list, K: np.ndarray, plan, h: float) -> None:
+    """kernel.stages (_Tape.compile) on the dual path: K[s] = _outputs(field,
+    key, xs) for each (s, rows, a) of plan, at the stage state xs formed on
+    floats as the traced entry forms it."""
+    for s, rows, a in plan:
+        K[s] = _outputs(field, key, [y + d * h for y, d in zip(ys, rows.dot(a).tolist())])
 
 
 def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
@@ -621,11 +629,14 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     integrating the flow to time t gives C(t), the integral of M^T M
     over [0, t].
 
-    rhs.stage(t, y, d, h) is rhs(t, y + d * h) for one state y (dim,) and
-    an increment d (dim,), as a sequence of floats, from one call of the
-    kernel's stage entry (_Tape.compile): a Runge-Kutta stage is formed
-    and evaluated in one traced call, with the floats of rhs(t, y + d * h)
-    (dop853._DOP853 steps a one-state flow by it).
+    rhs.stages(y, K, plan, h) runs the Runge-Kutta stages of one step
+    from one state y (dim,) in one call of the kernel's loop entry
+    (_Tape.compile): for each (s, rows, a) of plan in turn, K[s] =
+    rhs(t, y + rows.dot(a) * h), with those floats, where K is the
+    step's stage array and rows may read rows of K that earlier stages
+    wrote (dop853._DOP853 steps a one-state flow by it, once per trial
+    step).  A stage that divides by zero is run again on the dual path,
+    which raises the field's own error, as rhs does.
 
     rhs.kernel is (field, key): two right-hand sides with the same field,
     the same field.func and the same key run the same kernel, and so
@@ -648,16 +659,22 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
                 return np.array(_outputs(field, key, xs), dtype=float)
         return _run(resolved[1], field, key, list(z), z.shape[1])
 
-    def stage(t, y, d, h):
+    def stages(y, K, plan, h):
         if resolved[0] is not field.func:
             resolved[:] = field.func, _kernel(field, key, size)
-        ys, ds = y.tolist(), d.tolist()
+        ys = y.tolist()
         try:
-            return resolved[1].stage(ys, ds, h)
-        except ZeroDivisionError:  # the dual path raises the field's own error
-            return _stage_outputs(field, key, ys, ds, h)
+            resolved[1].stages(ys, K, plan, h)
+        except ZeroDivisionError:
+            # again stage by stage, and a stage that divides on the dual
+            # path, which raises the field's own error
+            for stage in plan:
+                try:
+                    resolved[1].stages(ys, K, (stage,), h)
+                except ZeroDivisionError:
+                    _dual_stages(field, key, ys, K, (stage,), h)
 
-    rhs.stage = stage
+    rhs.stages = stages
     rhs.kernel = field, key
     rhs.cost = cost
     return rhs

@@ -2,7 +2,8 @@
 
 _DOP853 is scipy's Dormand-Prince 8(5,3) step made lean, with its dense
 output built for many steps at once and, for a one-state flow kernel,
-each stage formed and evaluated in one traced call with scipy's floats;
+all twelve stages of a trial step run in one traced call with scipy's
+floats;
 _BatchDOP853 steps a batch of points with a per-point error norm;
 brentq locates a terminal event.
 integrate.solve_ivp imports this module when it first runs, so a process
@@ -23,11 +24,6 @@ from scipy.optimize import brentq
 __all__ = ["_BatchDOP853", "_DOP853", "brentq"]
 
 
-def _plain_stage(fun):
-    """_DOP853._stage of a right-hand side without a stage entry."""
-    return lambda t, y, d, h: fun(t, y + d * h)
-
-
 class _DOP853(DOP853):
     """scipy's DOP853 with its step made lean and its dense output built
     for many steps at once; the floats, steps and nfev are scipy's.
@@ -41,23 +37,28 @@ class _DOP853(DOP853):
     numpy performs on its float64 scalars at a fraction of the cost.
     fun must return a float array shaped like its state.
 
-    Stage s is _stage(t + c h, y, d, h) with d = K[:s].T . a, taken by
-    numpy's dot as scipy takes it: fun(t + c h, y + d h) for any fun,
-    or, for a one-state flow kernel (calculus.flow_rhs), its stage entry
-    fun.stage, which forms y + d h on Python floats inside the traced call
-    by the same IEEE operations, so the floats, steps and nfev are
-    unchanged and each stage skips numpy's temporaries and conversions.
+    Stage s is fun(t + c h, y + d h) with d = K[:s].T . a, taken by
+    numpy's dot as scipy takes it, and the first-same-as-last stage is
+    fun(t + h, y_new).  A one-state flow kernel (calculus.flow_rhs) runs
+    all twelve stages of a trial step in one call of its loop entry,
+    fun.stages, on the plan of the stages' (s, K[:s].T, a) and, last,
+    (12, K[:12].T, B), whose stage state is y_new: it forms each stage
+    state on Python floats inside the traced call by the same IEEE
+    operations, so the floats, steps and nfev are unchanged, and a step
+    makes one Python-level call instead of twelve.
     """
+
+    _FRACTIONS = DOP853.C[1:].tolist()  # c of the eleven stages, as Python floats
 
     def __init__(self, fun, t0, y0, t_bound, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._rhs = fun
-        self._stage = getattr(fun, "stage", None) or _plain_stage(fun)
+        self._run_stages = getattr(fun, "stages", None)
         self.direction, self.h_abs = float(self.direction), float(self.h_abs)
         K = self.K
-        self._stages = [(s, K[:s].T, a[:s], float(c))
-                        for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)]
         self._solution_stages = K[:-1].T
+        self._plan = [(s, K[:s].T, a[:s]) for s, a in enumerate(self.A[1:], start=1)]
+        self._plan.append((self.n_stages, self._solution_stages, self.B))
 
     def _estimate_error_norm(self, K, h, scale):
         """scipy's DOP853 error norm, with each np.linalg.norm(e) ** 2 taken
@@ -71,10 +72,12 @@ class _DOP853(DOP853):
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
+        if denom == 0:  # 0.01 err3_norm_2 underflowed: numpy's 0 / 0
+            return math.nan
         return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def _step_impl(self):
-        t, y, rhs, stage, K = self.t, self.y, self._rhs, self._stage, self.K
+        t, y, rhs, run_stages, K = self.t, self.y, self._rhs, self._run_stages, self.K
         direction = self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
@@ -96,11 +99,17 @@ class _DOP853(DOP853):
             h = t_new - t
             h_abs = abs(h)
 
-            for s, stages, a, c in self._stages:
-                K[s] = stage(t + c * h, y, stages.dot(a), h)
-            y_new = y + h * self._solution_stages.dot(self.B)
-            f_new = rhs(t + h, y_new)
-            K[-1] = f_new
+            if run_stages is None:
+                # the eleven stages: zip stops where the fractions c end
+                for (s, rows, a), c in zip(self._plan, self._FRACTIONS):
+                    K[s] = rhs(t + c * h, y + rows.dot(a) * h)
+                y_new = y + h * self._solution_stages.dot(self.B)
+                f_new = rhs(t + h, y_new)
+                K[-1] = f_new
+            else:
+                run_stages(y, K, self._plan, h)
+                y_new = y + h * self._solution_stages.dot(self.B)
+                f_new = K[-1].copy()
             self.nfev += self.n_stages
             scale = np.abs(y)  # atol + max(|y|, |y_new|) * rtol, in place
             np.maximum(scale, np.abs(y_new), out=scale)
@@ -167,7 +176,7 @@ class _BatchDOP853(_DOP853):
     def __init__(self, fun, t0, y0, t_bound, batch: int, **options):
         self.batch = batch
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._stage = _plain_stage(fun)
+        self._run_stages = None
 
     def _estimate_error_norm(self, K, h, scale):
         err5 = (np.dot(K.T, self.E5) / scale).reshape(-1, self.batch)

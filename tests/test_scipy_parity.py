@@ -8,15 +8,18 @@ scipy's solve_ivp(method=DOP853, dense_output=True), its per-step
 coefficients, the values of its OdeSolution, and the time and point of
 its terminal event, all bitwise.  A batch is pinned to scipy's own step
 with the per-point error norm of _BatchDOP853.  A one-state flow kernel
-is stepped through its stage entry (calculus.flow_rhs's rhs.stage), which
-scipy never calls: its solves are pinned to scipy's calls of rhs(t, y)
-too, as is the error its field raises inside a stage.  A change to
+runs all twelve stages of a trial step in one call of its loop entry
+(calculus.flow_rhs's rhs.stages), which scipy never calls: its solves
+are pinned to scipy's calls of rhs(t, y) too, for random polynomial
+fields as well, as are the derivatives kept at its states and the error
+its field raises at a middle stage and at the last one.  A change to
 scipy's step, interpolant or event handling fails here.
 """
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import DOP853, OdeSolution
 
 from vargram.calculus import VectorField, _primal, flow_rhs
@@ -24,7 +27,7 @@ from vargram.energy import diff_observability
 from vargram.expr import ExprEvalError, parse_system_spec
 from vargram.dop853 import _BatchDOP853, _DOP853
 from vargram.integrate import (BLOWUP_NORM, DEFAULT_ATOL, DEFAULT_RTOL, BlowUpError,
-                               Trajectory, integrate_ivp, solve_ivp)
+                               Solution, Trajectory, integrate_ivp, solve_ivp)
 from vargram.systems import closed_loop_prolonged, from_spec, prolong, registry
 
 from test_batch_flows import ESCAPING
@@ -283,7 +286,8 @@ def test_blow_up_time_and_point_of_a_batch_are_the_terminal_events():
 
 def test_error_norm_equals_scipys_bitwise():
     """_DOP853's error norm against scipy's on random stages, step sizes of
-    both signs and scales, and on stages whose error is zero."""
+    both signs and scales, on stages whose error is zero, and on stages
+    whose norm is 0 / 0."""
     rng = np.random.default_rng(17)
     for n in (1, 4, 20):
         ours = _DOP853(lambda t, y: -y, 0.0, np.ones(n), 1.0, **TOLS)
@@ -299,6 +303,16 @@ def test_error_norm_equals_scipys_bitwise():
         for h in (0.5, -0.5):
             assert ours._estimate_error_norm(zero, h, np.ones(n)) == 0.0
             assert ref._estimate_error_norm(zero, h, np.ones(n)) == 0.0
+    # a first stage of 8 subnormal units: the 5th-order error rounds to 0,
+    # the 3rd-order one's squared norm to 1e-322, which 0.01 takes to 0,
+    # and scipy's norm is numpy's 0 / 0
+    tiny = np.zeros((ours.n_stages + 1, 1))
+    tiny[0] = 8 * 5e-324
+    ours = _DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, **TOLS)
+    ref = DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, **TOLS)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(ref._estimate_error_norm(tiny, 0.5, np.array([1e-162])))
+    assert np.isnan(ours._estimate_error_norm(tiny, 0.5, np.array([1e-162])))
 
 
 @pytest.mark.parametrize("fun, y0, t_span, status", [
@@ -322,8 +336,31 @@ def test_a_solve_far_from_t_zero_equals_scipys(fun, y0, t_span, status):
 
 
 def _steps_by_its_stage_entry(fun, y0) -> bool:
-    """Whether _DOP853 steps fun from y0 through fun's stage entry."""
-    return _DOP853(fun, 0.0, y0, 1.0, **TOLS)._stage is fun.stage
+    """Whether _DOP853 steps fun from y0 through fun's loop entry."""
+    return _DOP853(fun, 0.0, y0, 1.0, **TOLS)._run_stages is fun.stages
+
+
+def _takes_scipys_steps(fun, y0, t_span, **options) -> Solution:
+    """Our solve of fun from y0, without a dense output, after checking that
+    its steps, nfev and states are those of scipy's DOP853, bitwise.  The
+    two solvers first take three steps in lockstep, comparing the
+    derivative each keeps too, so a wrong step fails at once instead of
+    running on at a step size it has driven down."""
+    ours, ref = (method(fun, t_span[0], y0, t_span[1], **TOLS, **options)
+                 for method in (_DOP853, DOP853))
+    for _ in range(3):
+        if ref.status != "running":
+            break
+        ours.step()
+        ref.step()
+        assert (ours.t, ours.nfev) == (ref.t, ref.nfev)
+        assert np.array_equal(ours.y, ref.y) and np.array_equal(ours.f, ref.f)
+    ours = solve_ivp(fun, t_span, y0, event=lambda t, y: -1.0, dense=False, **TOLS, **options)
+    ref = scipy.integrate.solve_ivp(fun, t_span, y0, method=DOP853, **TOLS, **options)
+    assert (ours.status, ref.status) == (0, 0)
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    return ours
 
 
 def _abs(s):
@@ -350,32 +387,107 @@ def _untraceable_flow():
     return fun, np.array([1.0, -0.5, 0.3, 1.0]), {}
 
 
-@pytest.mark.parametrize("case", [_gramian_flow, _reversed_cost_flow, _untraceable_flow],
-                         ids=["spec gramian", "reversed with cost", "untraceable"])
+def _scalar_flow():
+    """An n = 1 --spec field: a one-entry state and stage."""
+    spec = {"name": "scalar", "n": 1, "m": 1, "p": 1, "f": ["-x1 + 0.4*x1^3"],
+            "g": [["1"]], "h": ["x1"]}
+    return flow_rhs(from_spec(parse_system_spec(spec)).f), np.array([0.9]), {}
+
+
+def _constant_component_flow():
+    """A field whose third component is the constant 1, which its kernel
+    returns as a number, not a traced line."""
+    field = VectorField(3, 3, lambda xs: [xs[1], -xs[0] - 0.2 * xs[1] * xs[2], 1.0])
+    return flow_rhs(field), np.array([1.0, 0.0, -0.5]), {}
+
+
+@pytest.mark.parametrize("case", [_gramian_flow, _reversed_cost_flow, _untraceable_flow,
+                                  _scalar_flow, _constant_component_flow],
+                         ids=["spec gramian", "reversed with cost", "untraceable", "n = 1",
+                              "constant component"])
 def test_a_flow_kernel_stepped_by_its_stage_entry_takes_scipys_steps(case):
     fun, y0, _ = case()
     assert _steps_by_its_stage_entry(fun, y0)
-    ours = solve_ivp(fun, (0.0, 5.0), y0, event=lambda t, y: -1.0, dense=False, **TOLS)
-    ref = scipy.integrate.solve_ivp(fun, (0.0, 5.0), y0, method=DOP853, **TOLS)
-    assert (ours.status, ref.status) == (0, 0)
-    assert ours.nfev == ref.nfev
-    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
-    assert len(ref.t) > 10
+    ours = _takes_scipys_steps(fun, y0, (0.0, 5.0))
+    assert len(ours.t) > 10
+
+
+@pytest.mark.parametrize("case", [_gramian_flow, _reversed_cost_flow, _untraceable_flow],
+                         ids=["spec gramian", "reversed with cost", "untraceable"])
+def test_the_derivative_kept_at_each_state_is_the_right_hand_side_there(case):
+    """Solution.dydt, the first-same-as-last stage of each step, written by
+    the loop entry, is fun(t, y) at every kept state, bitwise."""
+    fun, y0, _ = case()
+    sol = _takes_scipys_steps(fun, y0, (0.0, 5.0))
+    assert len(sol.t) > 10
+    for i, t in enumerate(sol.t):
+        assert np.array_equal(sol.dydt[:, i], fun(t, sol.y[:, i]))
+
+
+class _Spy:
+    """A flow kernel's right-hand side, counting its calls and the calls
+    and stages of its loop entry."""
+
+    def __init__(self, rhs):
+        self.rhs, self.calls, self.plans = rhs, 0, []
+
+    def __call__(self, t, y):
+        self.calls += 1
+        return self.rhs(t, y)
+
+    def stages(self, y, K, plan, h):
+        self.plans.append([s for s, _, _ in plan])
+        return self.rhs.stages(y, K, plan, h)
+
+
+def test_a_flow_kernel_makes_one_loop_entry_call_per_trial_step():
+    fun, y0, _ = _reversed_cost_flow()
+    ref = _takes_scipys_steps(fun, y0, (0.0, 5.0))
+    spy = _Spy(fun)
+    ours = solve_ivp(spy, (0.0, 5.0), y0, event=lambda t, y: -1.0, dense=False, **TOLS)
+    assert ours.nfev == ref.nfev and np.array_equal(ours.y, ref.y)
+    # scipy's nfev: f(t0) and the initial step's probe, then 12 per trial step
+    assert spy.calls == 2 == ours.nfev % 12
+    assert len(spy.plans) == ours.nfev // 12 >= len(ours.t) - 1
+    assert all(plan == list(range(1, 13)) for plan in spy.plans)
+
+
+_POLE = {"name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
+         "g": [["0"], ["1"]], "h": ["x2"]}
+
+
+def _raises_the_fields_error_at(stage: int):
+    """x1' = 1, so stage s of a first step of length h is at x1 = y0 + d h
+    with d = K[:s].T . a summed as the solver sums it; from y0 = -(d h) the
+    first zero of x1, where x2' = 1/x1 divides by it, is at stage s (12:
+    the first-same-as-last stage, at y_new).  Both solvers raise the
+    field's own error in that step, scipy at its (1 + s)th call."""
+    fun = flow_rhs(from_spec(parse_system_spec(_POLE)).f)
+    h = 0.5
+    K = np.ones((_DOP853.n_stages + 1, 2))
+    a = _DOP853.B if stage == 12 else _DOP853.A[stage][:stage]
+    y0 = np.array([-(K[:stage].T.dot(a)[0] * h), 0.0])
+    assert _steps_by_its_stage_entry(fun, y0)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return fun(t, y)
+
+    for method, rhs in ((_DOP853, fun), (DOP853, counted)):
+        solver = method(rhs, 0.0, y0, 1.0, first_step=h, **TOLS)
+        with pytest.raises(ExprEvalError, match="division by zero"):
+            solver.step()
+    assert len(calls) == 1 + stage
 
 
 def test_a_zero_denominator_inside_a_stage_raises_the_fields_error():
-    """x1' = 1 from y0 = -a h reaches x1 = 0 at the first stage of a first
-    step of length h, where x2' = 1/x1 divides by it."""
-    spec = {"name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
-            "g": [["0"], ["1"]], "h": ["x2"]}
-    fun = flow_rhs(from_spec(parse_system_spec(spec)).f)
-    h, a = 0.5, _DOP853.A[1][0]
-    y0 = np.array([-(a * h), 0.0])
-    assert _steps_by_its_stage_entry(fun, y0)
-    with pytest.raises(ExprEvalError, match="division by zero"):
-        solve_ivp(fun, (0.0, 1.0), y0, event=lambda t, y: -1.0, first_step=h, **TOLS)
-    with pytest.raises(ExprEvalError, match="division by zero"):
-        scipy.integrate.solve_ivp(fun, (0.0, 1.0), y0, method=DOP853, first_step=h, **TOLS)
+    _raises_the_fields_error_at(1)
+
+
+@pytest.mark.parametrize("stage", [6, 12], ids=["middle", "first-same-as-last"])
+def test_a_zero_denominator_first_met_at_a_later_stage_raises_the_fields_error(stage):
+    _raises_the_fields_error_at(stage)
 
 
 def test_replacing_func_traces_the_stage_entry_again():
@@ -389,10 +501,63 @@ def test_replacing_func_traces_the_stage_entry_again():
 
     field = VectorField(1, 1, linear(2.0))
     fun = flow_rhs(field)
-    y, d = np.array([1.0]), np.array([0.5])
+    y, K = np.array([1.0]), np.array([[0.5], [0.0]])
+    plan = [(1, K[:1].T, np.array([1.0]))]  # the stage state 1 + 0.5 * 0.5
     for _ in range(3):
-        assert list(fun.stage(0.0, y, d, 0.5)) == [-2.5]
+        fun.stages(y, K, plan, 0.5)
+        assert list(K[1]) == [-2.5]
     field.func = linear(5.0)
-    assert list(fun.stage(0.0, y, d, 0.5)) == [-6.25]
+    fun.stages(y, K, plan, 0.5)
+    assert list(K[1]) == [-6.25]
     assert np.array_equal(fun(0.0, np.array([1.25])), [-6.25])
     assert calls == [2.0, 5.0]  # one trace per func, shared by both entries
+
+
+def test_a_solve_whose_error_norm_is_zero_over_zero_takes_scipys_steps():
+    """x' = -1.5 x from x = 0 with a tangent of 9.3e-172: some trial
+    step's 5th-order error is 0 and its 3rd-order one too small to
+    survive the 0.01 weight, so scipy's error norm is NaN, which rejects
+    the step."""
+    spec = {"name": "decay", "n": 1, "m": 1, "p": 1, "f": ["-x1 + -0.5*x1"],
+            "g": [["0"]], "h": ["x1"]}
+    fun = flow_rhs(from_spec(parse_system_spec(spec)).f, width=1)
+    with np.errstate(invalid="ignore"):
+        _takes_scipys_steps(fun, np.array([0.0, 9.31894629934916e-172]), (0.0, 3.0))
+
+
+@st.composite
+def _polynomials(draw, n: int, lowest: int = 0) -> str:
+    """Up to three terms c * x_i * x_j ..., of degree lowest to 3 in
+    x1..xn, each c in +-[0.125, 0.5]."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.sampled_from([-0.5, -0.375, -0.25, -0.125, 0.125, 0.25, 0.375, 0.5]))
+        factors = draw(st.lists(st.integers(1, n), min_size=lowest, max_size=3))
+        terms.append("*".join([repr(c)] + [f"x{i}" for i in factors]))
+    return " + ".join(terms)
+
+
+_FLOWS = {
+    "plain": lambda system: flow_rhs(system.f),
+    "tangent": lambda system: prolong(system).rhs,
+    "tangent and cost": lambda system: prolong(system, cost="dy").rhs,
+    "gramian": lambda system: flow_rhs(system.f, width=system.n),
+    "cost": lambda system: flow_rhs(system.with_output(system.f, system.h),
+                                    outputs=system.p),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), flow=st.sampled_from(sorted(_FLOWS)))
+def test_random_polynomial_flows_take_scipys_steps(data, n, flow):
+    # -x_i keeps states from 0.4 finite for the horizon of 3 (the slowest
+    # escape the terms allow, x' = 0.5 x^3, takes 6.25)
+    spec = {"name": "poly", "n": n, "m": 1, "p": 1,
+            "f": [f"-x{i} + " + data.draw(_polynomials(n, lowest=1)) for i in range(1, n + 1)],
+            "g": [["0"]] * n, "h": [data.draw(_polynomials(n))]}
+    fun = _FLOWS[flow](from_spec(parse_system_spec(spec)))
+    _, copies, width, _, _ = fun.kernel[1]
+    dim = copies * n * (1 + width) + fun.cost
+    y0 = np.array(data.draw(st.lists(st.floats(-0.4, 0.4), min_size=dim, max_size=dim)))
+    assert _steps_by_its_stage_entry(fun, y0)
+    _takes_scipys_steps(fun, y0, (0.0, 3.0))
