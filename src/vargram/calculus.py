@@ -651,12 +651,8 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     def rhs(t, z):
         if resolved[0] is not field.func:
             resolved[:] = field.func, _kernel(field, key, size)
-        if z.ndim == 1:  # _run's one-state path, without its frame
-            xs = z.tolist()
-            try:
-                return np.array(resolved[1](xs), dtype=float)
-            except ZeroDivisionError:
-                return np.array(_outputs(field, key, xs), dtype=float)
+        if z.ndim == 1:
+            return _run(resolved[1], field, key, z.tolist())
         return _run(resolved[1], field, key, list(z), z.shape[1])
 
     def stages(y, K, plan, h):
@@ -680,20 +676,17 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     return rhs
 
 
-def frozen_input_jacobian(system, xs, u=None):
-    """frozen_input_jacobian_scalars at one point xs, a list of floats, from
-    one call of the traced kernel of the affine field (x, u) -> f + g u.
+def frozen_input_jacobian(system, xs):
+    """frozen_input_jacobian_scalars at one point xs, a list of floats, and
+    u = k(x), from one call of the traced kernel of (x, u) -> f + g u.
 
     Returns the drift f + g u, its input-frozen state Jacobian and g, as
     arrays of shapes (n,), (n, n) and (n, m): the kernel's Jacobian is
-    [A | g].  u defaults to the values of k's kernel; given the same u, the
-    floats are those of the scalar form.
+    [A | g].  u is the values of k's kernel; given the same u, the floats
+    are those of the scalar form.
     """
-    if u is None:
-        if system.k is None:
-            raise ValueError("system has no feedback law k")
-        u = field_values(system.k, xs)
-    drift, jac = _evaluate(system.affine_field(), "jacobian", list(xs) + list(u))
+    drift, jac = _evaluate(system.affine_field(), "jacobian",
+                           list(xs) + list(system.feedback(xs)))
     return drift, jac[:, :system.n], jac[:, system.n:]
 
 

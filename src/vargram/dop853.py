@@ -1,10 +1,11 @@
 """scipy's DOP853 stepper, vargram's only contact with scipy.
 
-_DOP853 is scipy's Dormand-Prince 8(5,3) step made lean, with its dense
-output built for many steps at once and, for a one-state flow kernel,
-all twelve stages of a trial step run in one traced call with scipy's
-floats;
+_DOP853 is scipy's Dormand-Prince 8(5,3) step made lean, with, for a
+one-state flow kernel, all twelve stages of a trial step run in one
+traced call with scipy's floats;
 _BatchDOP853 steps a batch of points with a per-point error norm;
+dense_steps builds the dense output of many steps at once from their
+stages and the right-hand side, with no solver;
 brentq locates a terminal event.
 integrate.solve_ivp imports this module when it first runs, so a process
 that never solves a flow (rank tests, certificate residuals) never
@@ -21,12 +22,12 @@ from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
-__all__ = ["_BatchDOP853", "_DOP853", "brentq"]
+__all__ = ["_BatchDOP853", "_DOP853", "brentq", "dense_steps"]
 
 
 class _DOP853(DOP853):
-    """scipy's DOP853 with its step made lean and its dense output built
-    for many steps at once; the floats, steps and nfev are scipy's.
+    """scipy's DOP853 with its step made lean; the floats, steps and nfev
+    are scipy's.
 
     _step_impl is scipy's RungeKutta step with rk_step inlined: the same
     arithmetic in the same order, on stage views built once per solver,
@@ -137,32 +138,31 @@ class _DOP853(DOP853):
         self.f = f_new
         return True, None
 
-    def dense_steps(self, t: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
-        """Interpolant coefficients F, shape (7, S, N), of S accepted steps
-        (see integrate.Trajectory), step i from t[i] to t[i + 1] and y[i] to
-        y[i + 1] (t (S + 1,), y (S + 1, N)), whose n_stages + 1 stages are
-        K[i] (K (S, n_stages + 1, N)).
 
-        Each of DOP853's three extra stages is one call of the right-hand
-        side on the (N, S) stack of all steps' stage states; every float is
-        that of scipy's Dop853DenseOutput of the step, and nfev grows by 3
-        per step, as scipy counts."""
-        K = np.concatenate([K, np.empty((len(K), len(self.A_EXTRA), K.shape[2]))], axis=1)
-        t_old, h, y_old = t[:-1], np.diff(t), y[:-1]
-        h_rows = h[:, None]
-        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1):
-            dy = np.matmul(K[:, :s].transpose(0, 2, 1), a[:s]) * h_rows
-            K[:, s] = self._rhs(t_old + c * h, (y_old + dy).T).T
-        self.nfev += len(self.A_EXTRA) * len(h)
+def dense_steps(fun, t: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Interpolant coefficients F, shape (7, S, N), of S accepted DOP853
+    steps of dy/dt = fun(t, y) (see integrate.Trajectory), step i from
+    t[i] to t[i + 1] and y[i] to y[i + 1] (t (S + 1,), y (S + 1, N)),
+    whose n_stages + 1 stages are K[i] (K (S, n_stages + 1, N)).
 
-        f_old, f = K[:, 0], K[:, self.n_stages]
-        delta_y = y[1:] - y_old
-        F = np.empty((INTERPOLATOR_POWER,) + delta_y.shape)
-        F[0] = delta_y
-        F[1] = h_rows * f_old - delta_y
-        F[2] = 2 * delta_y - h_rows * (f + f_old)
-        F[3:] = (h[:, None, None] * np.matmul(self.D, K)).transpose(1, 0, 2)
-        return F
+    Each of DOP853's three extra stages is one call of fun on the (N, S)
+    stack of all steps' stage states (scipy counts 3 nfev per step); every
+    float is that of scipy's Dop853DenseOutput of the step."""
+    K = np.concatenate([K, np.empty((len(K), len(DOP853.A_EXTRA), K.shape[2]))], axis=1)
+    t_old, h, y_old = t[:-1], np.diff(t), y[:-1]
+    h_rows = h[:, None]
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1):
+        dy = np.matmul(K[:, :s].transpose(0, 2, 1), a[:s]) * h_rows
+        K[:, s] = fun(t_old + c * h, (y_old + dy).T).T
+
+    f_old, f = K[:, 0], K[:, DOP853.n_stages]
+    delta_y = y[1:] - y_old
+    F = np.empty((INTERPOLATOR_POWER,) + delta_y.shape)
+    F[0] = delta_y
+    F[1] = h_rows * f_old - delta_y
+    F[2] = 2 * delta_y - h_rows * (f + f_old)
+    F[3:] = (h[:, None, None] * np.matmul(DOP853.D, K)).transpose(1, 0, 2)
+    return F
 
 
 class _BatchDOP853(_DOP853):

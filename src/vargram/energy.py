@@ -15,29 +15,32 @@ output computed by the flow kernel on the flow's own duals
 Backward integrals run the time-reversed dynamics forward (the cost block
 is never negated), so one improper-integral controller serves all four:
 integrate.flow_integrals doubles the horizon from 20 until the last
-increment of c drops below tol.  The error estimate is that increment
-plus a fitted tail; the integrator's own error is not estimated.  nodes_used
-counts the accepted steps of the solves.  Each energy takes one
-point or a (B, n) stack of points, and integrates a stack in batched
-flows of up to integrate.MAX_BATCH points (integrate.flow_integrals),
-giving one EnergyValue per point; one point is a stack of one, and gives
-its one EnergyValue with the same floats.  On top of these sit the
-line-path integral (one batch for the nodes of its PATH_ORDER = 8 rule)
-and the small-parameter quadratic limit used by the theorem checks.
+increment of c drops below tol, the one setting an energy takes (the
+solver's tolerances are integrate's).  The error estimate is that
+increment plus a fitted tail; the integrator's own error is not
+estimated.  nodes_used counts the accepted steps of the solves.  Each
+energy takes one point or a (B, n) stack of points, and integrates a
+stack in batched flows of up to integrate.MAX_BATCH points
+(integrate.flow_integrals), giving one EnergyValue per point; one point
+is a stack of one, and gives its one EnergyValue with the same floats.
+On top of these sit the line-path integral (one batch for the nodes of
+its PATH_ORDER = 8 rule) and the small-parameter quadratic limit used by
+the theorem checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .integrate import (DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integrals,
-                        quadrature_finite)
+from .integrate import IntegrationError, flow_integrals, quadrature_finite
 from .systems import AugmentedField, SystemModel, closed_loop_prolonged, prolong, two_copy
 
-DEFAULT_S_LADDER = (0.1, 0.05, 0.025, 0.0125)
+# quadratic_limit's gaps s, coarsest first, and its settling tolerance
+S_LADDER = (0.1, 0.05, 0.025, 0.0125)
+LADDER_TOL = 1e-4
 # order of path_energy_integral's Gauss-Legendre rule, checked against twice it
 PATH_ORDER = 8
 
@@ -91,8 +94,8 @@ class LinePath:
         return np.asarray(self.end, dtype=float) - np.asarray(self.start, dtype=float)
 
 
-def _half_square_energy(aug: AugmentedField, z0, direction: str, label: str, tol: float,
-                        rtol: float, atol: float) -> EnergyValue | list[EnergyValue]:
+def _half_square_energy(aug: AugmentedField, z0, direction: str, label: str,
+                        tol: float) -> EnergyValue | list[EnergyValue]:
     """Half the cost block of the augmented flow at t = +/- infinity:
     0.5 * integral of |output|^2 (integrate.flow_integrals).
 
@@ -100,8 +103,7 @@ def _half_square_energy(aug: AugmentedField, z0, direction: str, label: str, tol
     A (B, dim) stack z0 gives a list of B values (see flow_integrals), one
     state (dim,) its one value.
     """
-    results = flow_integrals(aug.rhs, np.atleast_2d(z0), direction, tol=tol, rtol=rtol,
-                             atol=atol, weight=0.5)
+    results = flow_integrals(aug.rhs, np.atleast_2d(z0), direction, tol=tol, weight=0.5)
     energies = [EnergyValue(value=float(res.value[0]), error_estimate=res.error_estimate,
                             horizon=res.horizon, nodes_used=res.nodes_used,
                             direction=direction,
@@ -111,9 +113,8 @@ def _half_square_energy(aug: AugmentedField, z0, direction: str, label: str, tol
     return energies[0] if np.ndim(z0) == 1 else energies
 
 
-def diff_observability(system: SystemModel, x0, dx0, tol: float = 1e-8,
-                       rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
+def diff_observability(system: SystemModel, x0, dx0,
+                       tol: float = 1e-8) -> EnergyValue | list[EnergyValue]:
     """Half the squared L2 norm of the variational output, zero input.
 
     x0 and dx0 may be (B, n) stacks (one broadcasting against the other),
@@ -121,16 +122,15 @@ def diff_observability(system: SystemModel, x0, dx0, tol: float = 1e-8,
     """
     aug = prolong(system, cost="dy")
     return _half_square_energy(aug, aug.pack(x=x0, dx=dx0), "forward", "diff_observability",
-                               tol, rtol, atol)
+                               tol)
 
 
-def incr_observability(system: SystemModel, x0, x0p, tol: float = 1e-8,
-                       rtol: float = DEFAULT_RTOL,
-                       atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
+def incr_observability(system: SystemModel, x0, x0p,
+                       tol: float = 1e-8) -> EnergyValue | list[EnergyValue]:
     """Half the squared L2 norm of the output gap of two zero-input copies."""
     aug = pair_flow(system, "forward")
     return _half_square_energy(aug, aug.pack(x=x0, x2=x0p), "forward", "incr_observability",
-                               tol, rtol, atol)
+                               tol)
 
 
 def pair_flow(system: SystemModel, direction: str) -> AugmentedField:
@@ -142,9 +142,8 @@ def pair_flow(system: SystemModel, direction: str) -> AugmentedField:
     return two_copy(system, system.closed_loop_field(), sign=-1.0, cost="feedback_gap")
 
 
-def diff_controllability_fb(system: SystemModel, x0, dx0, tol: float = 1e-8,
-                            rtol: float = DEFAULT_RTOL,
-                            atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
+def diff_controllability_fb(system: SystemModel, x0, dx0,
+                            tol: float = 1e-8) -> EnergyValue | list[EnergyValue]:
     """Backward variational feedback energy along u = k(x).
 
     Computes 0.5 * integral over (-inf, 0] of |(dk/dx) dx|^2 where dx obeys
@@ -154,16 +153,15 @@ def diff_controllability_fb(system: SystemModel, x0, dx0, tol: float = 1e-8,
     """
     aug = closed_loop_prolonged(system, sign=-1.0, cost="dk")
     return _half_square_energy(aug, aug.pack(x=x0, dx=dx0), "backward",
-                               "diff_controllability_fb", tol, rtol, atol)
+                               "diff_controllability_fb", tol)
 
 
-def incr_controllability_fb(system: SystemModel, x0, x0p, tol: float = 1e-8,
-                            rtol: float = DEFAULT_RTOL,
-                            atol: float = DEFAULT_ATOL) -> EnergyValue | list[EnergyValue]:
+def incr_controllability_fb(system: SystemModel, x0, x0p,
+                            tol: float = 1e-8) -> EnergyValue | list[EnergyValue]:
     """Backward feedback-gap energy of two closed-loop trajectory copies."""
     aug = pair_flow(system, "backward")
     return _half_square_energy(aug, aug.pack(x=x0, x2=x0p), "backward",
-                               "incr_controllability_fb", tol, rtol, atol)
+                               "incr_controllability_fb", tol)
 
 
 def path_energy_integral(energy: Callable[[np.ndarray, np.ndarray], list[EnergyValue]],
@@ -212,24 +210,19 @@ class QuadraticLimit:
 
 
 def quadratic_limit(pair_energy: Callable[[np.ndarray, np.ndarray], EnergyValue],
-                    x0, dx0, s_ladder: Sequence[float] = DEFAULT_S_LADDER,
-                    tol: float = 1e-4) -> QuadraticLimit:
+                    x0, dx0) -> QuadraticLimit:
     """Extrapolate pair_energy(x0, x0 + s*dx0)/s^2 to s = 0+.
 
     A quadratic model in s is fit through each window of three consecutive
-    ladder points; the finest window's value at s = 0 is the limit.  Raises
-    LadderError when the last two extrapolants differ by more than tol.
+    S_LADDER points; the finest window's value at s = 0 is the limit.
+    Raises LadderError when the last two extrapolants differ by more than
+    LADDER_TOL.
     """
-    ladder = sorted(set(float(s) for s in s_ladder), reverse=True)
-    if len(ladder) < 3:
-        raise ValueError("s_ladder needs at least three distinct values")
-    if any(s <= 0 for s in ladder):
-        raise ValueError("ladder entries must be positive")
     x0 = np.asarray(x0, dtype=float)
     dx0 = np.asarray(dx0, dtype=float)
 
     table = []
-    for s in ladder:
+    for s in S_LADDER:
         ev = pair_energy(x0, x0 + s * dx0)
         table.append({"s": s, "value": float(ev.value),
                       "scaled": float(ev.value) / s**2,
@@ -242,12 +235,12 @@ def quadratic_limit(pair_energy: Callable[[np.ndarray, np.ndarray], EnergyValue]
         coeffs = np.polyfit(ss, vs, 2)
         extrapolants.append(float(coeffs[-1]))
 
-    discrepancy = abs(extrapolants[-1] - extrapolants[-2]) if len(extrapolants) > 1 else 0.0
+    discrepancy = abs(extrapolants[-1] - extrapolants[-2])
     inner = max(row["scaled_error"] for row in table[-3:])
-    if discrepancy > tol:
+    if discrepancy > LADDER_TOL:
         raise LadderError(
             f"ladder extrapolants did not settle (last two differ by {discrepancy:g} "
-            f"> tol {tol:g})", table)
+            f"> tol {LADDER_TOL:g})", table)
     return QuadraticLimit(limit=extrapolants[-1], table=table,
                           extrapolants=extrapolants, discrepancy=discrepancy,
                           error_budget=discrepancy + inner)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .calculus import (MatrixField, field_values, flow_rhs, frozen_input_jacobian,
                        jacobian, matrix_at, matrix_field_directional)
-from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, flow_integrals
+from .integrate import IntegrationError, flow_integrals
 from .jacobi import determinant_and_min_eigenvalue
 from .systems import SystemModel
 
@@ -77,8 +77,8 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
 
 
 def _gramian_from_flow(system: SystemModel, field, sign: float, x, out_field,
-                       direction: str, tol: float, fixed_horizon: float | None, rtol: float,
-                       atol: float, label: str) -> GramianResult | list[GramianResult]:
+                       direction: str, tol: float, fixed_horizon: float | None,
+                       label: str) -> GramianResult | list[GramianResult]:
     """The cost block of the (x, Phi) flow of sign * field from (x, I),
     whose rate is (J Phi)^T (J Phi), J the Jacobian of out_field at x:
     the flow kernel computes J Phi from the duals of the flow itself, so
@@ -93,7 +93,7 @@ def _gramian_from_flow(system: SystemModel, field, sign: float, x, out_field,
     rhs = flow_rhs(system.with_output(field, out_field), width=n, sign=sign,
                    outputs=out_field.dim_out)
     results = flow_integrals(rhs, np.concatenate([points, start], axis=1), direction, tol=tol,
-                             rtol=rtol, atol=atol, fixed_horizon=fixed_horizon)
+                             fixed_horizon=fixed_horizon)
     grams = [GramianResult(matrix=_symmetrized(res.value.reshape(n, n)),
                            truncation_error=res.error_estimate, horizon=res.horizon,
                            nodes_used=res.nodes_used,
@@ -106,7 +106,6 @@ def _gramian_from_flow(system: SystemModel, field, sign: float, x, out_field,
 
 
 def empirical_obs_gramian(system: SystemModel, x, tol: float = 1e-8,
-                          rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                           fixed_horizon: float | None = None
                           ) -> GramianResult | list[GramianResult]:
     """Observability Gramian: forward integral of (C Phi)^T (C Phi).
@@ -116,11 +115,10 @@ def empirical_obs_gramian(system: SystemModel, x, tol: float = 1e-8,
     (B, n) stack x gives one result per point, from one batched flow.
     """
     return _gramian_from_flow(system, system.f, 1.0, x, system.h, "forward", tol,
-                              fixed_horizon, rtol, atol, "obs_gramian")
+                              fixed_horizon, "obs_gramian")
 
 
 def empirical_ctrl_gramian(system: SystemModel, x, tol: float = 1e-8,
-                           rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                            fixed_horizon: float | None = None
                            ) -> GramianResult | list[GramianResult]:
     """Feedback controllability Gramian: backward integral of (K Phi)^T (K Phi).
@@ -130,7 +128,7 @@ def empirical_ctrl_gramian(system: SystemModel, x, tol: float = 1e-8,
     (B, n) stack x gives one result per point, from one batched flow.
     """
     return _gramian_from_flow(system, system.closed_loop_field(), -1.0, x,
-                              system.require_k(), "backward", tol, fixed_horizon, rtol, atol,
+                              system.require_k(), "backward", tol, fixed_horizon,
                               "ctrl_gramian")
 
 

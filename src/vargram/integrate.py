@@ -27,6 +27,10 @@ own error is not estimated.  nodes_used counts the integrand samples:
 the accepted steps of the solves up to a point's horizon.  A bare
 integrand g(t) is integrated the same way, as the flow c' = g(t).
 
+Every flow is solved at DEFAULT_RTOL and DEFAULT_ATOL, read when the
+solve starts (_solved); only scipy's solver interface (solve_ivp,
+_solve_segment) takes tolerances as arguments.
+
 A right-hand side fun(t, y) takes one solver state, shape (N,), or an
 (N, S) stack of S states with t giving the time of each column, and
 returns the derivatives in the same shape.  A (B, dim) stack of initial
@@ -114,7 +118,7 @@ class Trajectory:
     states there as the solver lays them out; dydt, (S + 1, N) or None,
     holds the solver's derivative at each of them; F, (7, S, N), holds the
     seven coefficient rows of each step's interpolant (built by
-    dop853._DOP853.dense_steps).  It is given as the array, as None for a
+    dop853.dense_steps).  It is given as the array, as None for a
     solve made without dense output, or as a _LazyDense, built at the
     first read.  A batch of B points holds its (dim, B) solver state
     flattened, N = dim * B, and hands out states as (B, dim).
@@ -195,16 +199,18 @@ class Trajectory:
 
 
 class _LazyDense:
-    """The dense output of a finished solve, kept as its steps' stages and
-    built (dop853._DOP853.dense_steps) when called; nbytes is what the
-    stages hold meanwhile."""
+    """The dense output of a finished solve, kept as its right-hand side
+    and its steps' stages and built (dop853.dense_steps) when called, with
+    no reference to the solver; nbytes is what the stages hold meanwhile."""
 
-    def __init__(self, solver, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
-        self.solver, self.t, self.y, self.stages = solver, t, y, stages
+    def __init__(self, fun, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
+        self.fun, self.t, self.y, self.stages = fun, t, y, stages
         self.nbytes = stages.nbytes
 
     def __call__(self) -> np.ndarray:
-        F = self.solver.dense_steps(self.t, self.y, self.stages)
+        from vargram.dop853 import dense_steps
+
+        F = dense_steps(self.fun, self.t, self.y, self.stages)
         F.flags.writeable = False
         return F
 
@@ -217,7 +223,7 @@ class Solution:
     (at t_event, state y_event) and -1 when the solver failed (message);
     when tf was reached and a dense output was asked for, dense holds the
     interpolant coefficients of the steps taken, shape (7, S, N)
-    (dop853._DOP853.dense_steps), or the _LazyDense that builds them,
+    (dop853.dense_steps), or the _LazyDense that builds them,
     else None."""
 
     t: np.ndarray
@@ -239,7 +245,7 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> 
 
     fun takes one state (N,) or an (N, S) stack with one time per column
     (module docstring).  The dense output is built after the loop from
-    each accepted step's stages (dop853._DOP853.dense_steps); with dense
+    each accepted step's stages (dop853.dense_steps); with dense
     "lazy" the stages are kept and built into it at its first read, and
     with dense False no stage is kept.  The derivative at each kept state
     is the one the solver computed there (its first-same-as-last stage),
@@ -280,11 +286,13 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> 
         if dense:
             stages.append(solver.K.copy())
     ts, ys = np.array(ts), np.array(ys)
-    if status == 0 and stages:
-        lazy = _LazyDense(solver, ts, ys, np.array(stages))
-        dense = lazy if dense == "lazy" else lazy()
-    else:
+    if status != 0 or not stages:
         dense = None
+    elif dense == "lazy":
+        dense = _LazyDense(fun, ts, ys, np.array(stages))
+    else:  # built now, so its three extra stages per step count in nfev
+        dense = _LazyDense(fun, ts, ys, np.array(stages))()
+        solver.nfev += len(solver.A_EXTRA) * len(stages)
     return Solution(ts, ys.T, np.array(dydts).T, solver.nfev, status, message, dense,
                     t_event, y_event)
 
@@ -390,27 +398,27 @@ def shared_flows():
         _shared = None
 
 
-def _solved(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
-            dense: bool = True) -> Trajectory:
+def _solved(rhs, x0, t0: float, tf: float, dense: bool = True) -> Trajectory:
     """Trajectory of _solve_segment from x0, one state or a (B, dim) batch,
-    with its dense output unless dense is false; the stored one when the
-    open shared_flows scope has made this solve.  A solve that is stored
-    without a dense output keeps its stages, so that a later lookup of it
-    builds one."""
+    at the tolerances DEFAULT_RTOL and DEFAULT_ATOL, read when the solve
+    starts, with its dense output unless dense is false; the stored one
+    when the open shared_flows scope has made this solve.  A solve that
+    is stored without a dense output keeps its stages, so that a later
+    lookup of it builds one."""
     x0 = np.asarray(x0, dtype=float)
     batch = None if x0.ndim == 1 else len(x0)
     kernel = getattr(rhs, "kernel", None)
     key = None
     if _shared is not None and kernel is not None and x0.size == x0.shape[-1]:
         field, flow = kernel
-        key = id(field), id(field.func), flow, x0.tobytes(), t0, tf, rtol, atol
+        key = id(field), id(field.func), flow, x0.tobytes(), t0, tf, DEFAULT_RTOL, DEFAULT_ATOL
         stored = _shared.pop(key, None)
         if stored is not None:
             _shared[key] = stored  # now the most recently used
             traj = stored[0]
             return traj if traj.batch == batch else Trajectory(traj.times, traj.states,
                                                                traj._F, batch, traj.dydt)
-    sol = _solve_segment(rhs, x0, t0, tf, rtol, atol,
+    sol = _solve_segment(rhs, x0, t0, tf, DEFAULT_RTOL, DEFAULT_ATOL,
                          dense or ("lazy" if key is not None else False))
     traj = Trajectory(sol.t, sol.y.T, sol.dense, batch, sol.dydt.T)
     if key is not None:
@@ -435,8 +443,7 @@ def _store(key, traj: Trajectory, field) -> None:
         _shared_nbytes -= _shared.pop(next(iter(_shared)))[3]
 
 
-def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
-                  atol: float = DEFAULT_ATOL) -> Trajectory:
+def integrate_ivp(field, x0, t_span) -> Trajectory:
     """Solve an initial value problem forward on t_span = (t0, tf), finite
     with t0 < tf (ValueError otherwise).
 
@@ -450,7 +457,7 @@ def integrate_ivp(field, x0, t_span, rtol: float = DEFAULT_RTOL,
     if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
         raise ValueError(f"t_span must be finite with t0 < tf, got ({t0:g}, {tf:g})")
     rhs = flow_rhs(field) if isinstance(field, VectorField) else field
-    return _solved(rhs, x0, t0, tf, rtol, atol)
+    return _solved(rhs, x0, t0, tf)
 
 
 class HorizonFlow:
@@ -460,21 +467,17 @@ class HorizonFlow:
     state(t) extends the underlying solution whenever t lies beyond the
     current horizon; previously integrated segments are reused.  t may be
     one time or a 1-D array of times (states stacked on axis 0).  The
-    first solve covers [0, chunk], by default the first horizon of an
-    improper integral (INITIAL_HORIZON), and each extension at least
-    doubles the horizon, so the solver pieces do not depend on how the
-    requested times are grouped into calls.  rhs takes one state or a
-    stack of states, one per column (module docstring).  A (B, dim) stack
+    first solve covers [0, INITIAL_HORIZON], the first horizon of an
+    improper integral, and each extension at least doubles the horizon,
+    so the solver pieces do not depend on how the requested times are
+    grouped into calls.  rhs takes one state or a stack of states, one
+    per column (module docstring).  A (B, dim) stack
     z0 is solved as one batch (see _solve_segment), and state(t) then has
     shape (B, dim) or (N, B, dim).
     """
 
-    def __init__(self, rhs, z0, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                 chunk: float = INITIAL_HORIZON):
+    def __init__(self, rhs, z0):
         self.rhs = rhs
-        self.rtol = rtol
-        self.atol = atol
-        self.chunk = float(chunk)
         self._z0 = np.asarray(z0, dtype=float)
         self._traj: Trajectory | None = None
 
@@ -484,12 +487,11 @@ class HorizonFlow:
 
     def ensure(self, horizon: float) -> Trajectory:
         if self._traj is None:
-            self._traj = _solved(self.rhs, self._z0, 0.0, self.chunk, self.rtol, self.atol)
+            self._traj = _solved(self.rhs, self._z0, 0.0, INITIAL_HORIZON)
         while self._traj.tf < horizon:
             t_lo = self._traj.tf
             t_hi = max(horizon, 2.0 * t_lo)
-            self._traj = self._traj.then(_solved(self.rhs, self._traj.endpoint, t_lo, t_hi,
-                                                 self.rtol, self.atol))
+            self._traj = self._traj.then(_solved(self.rhs, self._traj.endpoint, t_lo, t_hi))
         return self._traj
 
     def state(self, t) -> np.ndarray:
@@ -596,7 +598,6 @@ MAX_BATCH = 64
 
 
 def flow_integrals(rhs, z0, direction: str, tol: float = 1e-8,
-                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                    fixed_horizon: float | None = None,
                    weight: float = 1.0) -> list[QuadratureResult]:
     """weight times the cost block of the flow of rhs from each row of z0,
@@ -611,18 +612,18 @@ def flow_integrals(rhs, z0, direction: str, tol: float = 1e-8,
     [0, fixed_horizon] when given, by one solve whose error estimate is 0:
     no truncation error is tracked there.  The stack is solved in order,
     in batched flows of up to MAX_BATCH points, which bounds their
-    memory.  No solve builds a dense output.
+    memory.  No solve builds a dense output; each runs at DEFAULT_RTOL
+    and DEFAULT_ATOL, tol being the caller's only numerical setting.
     """
     _sign(direction, tol)
     z0 = np.asarray(z0, dtype=float)
     return [res for start in range(0, len(z0), MAX_BATCH)
             for res in _cost_integrals(rhs, z0[start:start + MAX_BATCH], direction, tol,
-                                       rtol, atol, fixed_horizon, weight)]
+                                       fixed_horizon, weight)]
 
 
-def _cost_integrals(rhs, z0: np.ndarray, direction: str, tol: float, rtol: float,
-                    atol: float, fixed_horizon: float | None,
-                    weight: float) -> list[QuadratureResult]:
+def _cost_integrals(rhs, z0: np.ndarray, direction: str, tol: float,
+                    fixed_horizon: float | None, weight: float) -> list[QuadratureResult]:
     """flow_integrals of one batch of B points.
 
     The flow is solved on [0, INITIAL_HORIZON], then on [T, 2 T] from
@@ -644,7 +645,7 @@ def _cost_integrals(rhs, z0: np.ndarray, direction: str, tol: float, rtol: float
 
     def advance(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
         nonlocal steps
-        traj = _solved(rhs, z, lo, hi, rtol, atol, dense=False)
+        traj = _solved(rhs, z, lo, hi, dense=False)
         first = 0 if not times else 1  # a segment starts where the last one ended
         times.append(traj.times[first:])
         rates.append(np.linalg.norm(weight * traj._points(traj.dydt[first:])[..., -cost:],
@@ -714,38 +715,20 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8) -> Quad
     integrand(t) takes a 1-D array of times (t >= 0 for 'forward', t <= 0
     for 'backward') and returns its values stacked on axis 0; its integral
     is the cost c' = integrand(+/- tau), solved as a flow on the horizon
-    doubling of flow_integrals: improper_time_integrals over a batch of
-    one.
-    """
-    def one_point(t):
-        return np.expand_dims(np.asarray(integrand(t), dtype=float), 1)
-
-    return improper_time_integrals(one_point, direction, 1, tol)[0]
-
-
-def improper_time_integrals(integrand, direction: str, batch: int,
-                            tol: float = 1e-8) -> list[QuadratureResult]:
-    """improper_time_integral of B integrals sampled together, one result
-    per point: the integrand returns (times, B, ...) values, and the B
-    costs are solved as one batch, each with its own error norm.  A
-    non-finite value raises IntegrationError, naming the point if B > 1.
+    doubling of flow_integrals, as a batch of one.  A non-finite value
+    raises IntegrationError.
     """
     sign = _sign(direction, tol)
-    names = list(range(batch)) if batch > 1 else [None]
-    shape = np.shape(integrand(np.zeros(1)))[2:]
+    shape = np.shape(integrand(np.zeros(1)))[1:]
     size = math.prod(shape)
 
-    def rhs(t, c):  # one state, or (size, B) for a batch; never a stack of steps
-        values = np.asarray(integrand(np.array([sign * t])), dtype=float).reshape(batch, size)
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise IntegrationError(f"integrand non-finite at t = {sign * t:g}"
-                                   + _at_point(names[int(np.argmin(finite))]))
-        return values[0] if c.ndim == 1 else values.T
+    def rhs(t, c):  # one state; never a stack of steps (no dense output)
+        values = np.asarray(integrand(np.array([sign * t])), dtype=float).reshape(size)
+        if not np.isfinite(values).all():
+            raise IntegrationError(f"integrand non-finite at t = {sign * t:g}")
+        return values
 
     rhs.cost = size
-    results = _cost_integrals(rhs, np.zeros((batch, size)), direction, tol, DEFAULT_RTOL,
-                              DEFAULT_ATOL, None, 1.0)
-    for res in results:
-        res.value = res.value.reshape(shape) if shape else float(res.value[0])
-    return results
+    (res,) = _cost_integrals(rhs, np.zeros((1, size)), direction, tol, None, 1.0)
+    res.value = res.value.reshape(shape) if shape else float(res.value[0])
+    return res

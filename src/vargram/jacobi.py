@@ -6,8 +6,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def numeric_rank(matrix, rel_tol: float = 1e-8):
-    """(rank, singular values) with rank counted against rel_tol * sigma_max.
+DEFAULT_RANK_TOL = 1e-8
+
+
+def numeric_rank(matrix):
+    """(rank, singular values) with rank counted against DEFAULT_RANK_TOL * sigma_max.
 
     There is one singular value per column, in descending order, so a wide
     matrix carries trailing zeros.
@@ -21,7 +24,7 @@ def numeric_rank(matrix, rel_tol: float = 1e-8):
         sigma[:values.size] = values
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0, sigma
-    return int(np.sum(sigma > rel_tol * sigma[0])), sigma
+    return int(np.sum(sigma > DEFAULT_RANK_TOL * sigma[0])), sigma
 
 
 def determinant_and_min_eigenvalue(matrix):

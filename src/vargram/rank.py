@@ -17,10 +17,8 @@ import numpy as np
 
 from .calculus import (VectorField, ad_closed_loop_field, ad_standard_field,
                        jacobian_scalars, lie_scalar)
-from .jacobi import numeric_rank
+from .jacobi import DEFAULT_RANK_TOL, numeric_rank
 from .systems import SystemModel
-
-DEFAULT_RANK_TOL = 1e-8
 
 
 @dataclass
@@ -43,7 +41,7 @@ class RankMatrix:
 
 
 def _result(matrix: np.ndarray, depth: int, kind: str) -> RankMatrix:
-    rank, sigma = numeric_rank(matrix, DEFAULT_RANK_TOL)
+    rank, sigma = numeric_rank(matrix)
     return RankMatrix(matrix=matrix, singular_values=sigma, rank=rank,
                       tol_used=DEFAULT_RANK_TOL, depth=depth, meta={"kind": kind})
 

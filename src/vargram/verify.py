@@ -35,8 +35,8 @@ from .energy import (LinePath, diff_controllability_fb, diff_observability,
                      path_energy_integral, quadratic_limit)
 from .gramian import (grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan,
                       points_read, prefetch, riccati_residual)
-from .integrate import (INITIAL_HORIZON, HorizonFlow, IntegrationError, Trajectory,
-                        _point_norms, shared_flows)
+from .integrate import (INITIAL_HORIZON, HorizonFlow, IntegrationError, _point_norms,
+                        shared_flows)
 from .rank import ctrl_bracket_matrix, obs_codistribution
 from .systems import SystemModel, dual_closed_loop, prolong
 
@@ -127,26 +127,17 @@ def _floor(*values: float) -> float:
     return 1e-9 * sum(abs(v) for v in values) + 1e-12
 
 
-def fit_decay(signal, direction: str = "forward") -> DecayEstimate:
+def fit_decay(signal) -> DecayEstimate:
     """Least-squares exponential fit on the far half of a sampled signal.
 
-    signal is a Trajectory (state norms are fitted) or a (times, values)
-    pair.  direction 'forward' expects decay as t grows; 'backward'
-    expects decay as t falls toward the most negative times.  A fitted
-    rate lam <= 0 flags the hypothesis as violated instead of raising.
+    signal is a (times, values) pair; decay is expected as t grows, and
+    the fit window is the later half of the times.  A fitted rate
+    lam <= 0 flags the hypothesis as violated instead of raising.
     """
-    if isinstance(signal, Trajectory):
-        times = np.asarray(signal.times, dtype=float)
-        values = np.array([float(np.linalg.norm(row)) for row in signal.states])
-    else:
-        times, values = signal
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
-    t_lo, t_hi = float(times.min()), float(times.max())
-    mid = 0.5 * (t_lo + t_hi)
-    mask = times >= mid if direction == "forward" else times <= mid
+    times, values = signal
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    mask = times >= 0.5 * (float(times.min()) + float(times.max()))
     window_t = times[mask]
     window_v = values[mask]
     if window_t.size < 10:
@@ -155,7 +146,7 @@ def fit_decay(signal, direction: str = "forward") -> DecayEstimate:
         raise ValueError("signal must be positive on the fit window")
     logs = np.log(window_v)
     slope, intercept = np.polyfit(window_t, logs, 1)
-    lam = -float(slope) if direction == "forward" else float(slope)
+    lam = -float(slope)
     resid = float(np.sqrt(np.mean((logs - (slope * window_t + intercept)) ** 2)))
     flagged = lam <= 0.0
     return DecayEstimate(
@@ -174,7 +165,7 @@ def _decay(rhs, z0, signal) -> DecayEstimate:
     two share it."""
     times = np.linspace(0.0, INITIAL_HORIZON, 201)
     states = HorizonFlow(rhs, z0).state(times)
-    return fit_decay((times, _point_norms(signal(states))), "forward")
+    return fit_decay((times, _point_norms(signal(states))))
 
 
 def _close(report: Report, failures: list[str]) -> Report:

@@ -12,14 +12,14 @@ point, so its nodes_used (accepted steps) is its own, not each point's.
 import numpy as np
 import pytest
 
+from vargram import integrate
 from vargram.energy import (diff_controllability_fb, diff_observability,
                             incr_controllability_fb, incr_observability)
 from vargram.expr import ExprEvalError, parse_system_spec
 from vargram.gramian import (EmpiricalGramianField, empirical_ctrl_gramian,
                              empirical_obs_gramian, pd_scan)
-from vargram.integrate import (MAX_BATCH, BlowUpError, DivergenceError,
-                               improper_time_integral, improper_time_integrals)
-from vargram.systems import from_spec, registry
+from vargram.integrate import MAX_BATCH, BlowUpError, DivergenceError, flow_integrals
+from vargram.systems import from_spec, prolong, registry
 
 # a stable drift with a closed loop whose reversal is stable too
 # (A + B K has eigenvalues 0.5, 1 and 1.5), so every energy converges
@@ -27,9 +27,14 @@ SPEC_N3 = {"name": "spec_n3", "n": 3, "m": 1, "p": 1,
            "f": ["-x1 + x2", "-x2 + x3", "-x3 + x1*x2/4"],
            "g": [["0"], ["0"], ["1"]], "h": ["x1"], "k": ["7.5*x1 - 11.75*x2 + 6*x3"]}
 
-# batched and single solves take different steps, so they agree to the
-# integrator's error, not bitwise: at these tolerances it is below 1e-12
-TIGHT = {"rtol": 1e-13, "atol": 1e-16}
+
+@pytest.fixture
+def tight(monkeypatch):
+    """Batched and single solves take different steps, so they agree to
+    the integrator's error, not bitwise: at these tolerances it is below
+    1e-12."""
+    monkeypatch.setattr(integrate, "DEFAULT_RTOL", 1e-13)
+    monkeypatch.setattr(integrate, "DEFAULT_ATOL", 1e-16)
 
 
 def _systems():
@@ -43,7 +48,7 @@ def _close(batched: float, single: float) -> bool:
 
 
 @pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)
-def test_batched_energies_and_gramians_match_single_point_calls(system):
+def test_batched_energies_and_gramians_match_single_point_calls(system, tight):
     rng = np.random.default_rng(3)
     points = rng.uniform(-0.3, 0.3, (5, system.n))
     tangents = rng.uniform(-1.0, 1.0, (5, system.n))
@@ -51,17 +56,17 @@ def test_batched_energies_and_gramians_match_single_point_calls(system):
                            (incr_observability, points + 0.05 * tangents),
                            (diff_controllability_fb, tangents),
                            (incr_controllability_fb, points + 0.05 * tangents)):
-        batched = energy(system, points, second, **TIGHT)
+        batched = energy(system, points, second)
         assert len(batched) == len(points)
         for b, (x, v) in enumerate(zip(points, second)):
-            single = energy(system, x, v, **TIGHT)
+            single = energy(system, x, v)
             assert _close(batched[b].value, single.value), (energy.__name__, b)
             assert batched[b].horizon == single.horizon, (energy.__name__, b)
     for gramian in (empirical_obs_gramian, empirical_ctrl_gramian):
         for fixed_horizon in (None, 40.0):
-            batched = gramian(system, points, fixed_horizon=fixed_horizon, **TIGHT)
+            batched = gramian(system, points, fixed_horizon=fixed_horizon)
             for b, x in enumerate(points):
-                single = gramian(system, x, fixed_horizon=fixed_horizon, **TIGHT)
+                single = gramian(system, x, fixed_horizon=fixed_horizon)
                 scale = np.max(np.abs(single.matrix))
                 assert np.max(np.abs(batched[b].matrix - single.matrix)) <= 1e-12 * scale
                 assert batched[b].horizon == single.horizon, (gramian.__name__, b)
@@ -88,30 +93,41 @@ def test_a_stack_of_one_gives_the_point_bitwise(name):
                 assert stacked.truncation_error == single.truncation_error
 
 
+# x1' = -x2 x1 with x2 constant: from (x, dx) = ((1, r / 2), (1, 0)) the
+# output variation is dy = e^{-r t / 2}, so the cost block's integrand
+# |dy|^2 = e^{-r t} decays at rate r and integrates to 1 / r
+DECAYS = {"name": "decays", "n": 2, "m": 1, "p": 1, "f": ["-x2*x1", "0"],
+          "g": [["1"], ["0"]], "h": ["x1"], "k": ["-x1"]}
 RATES = np.array([2.0, 0.05, 0.5, 0.12, 1.0])
 
 
+def _decay_flows(rates):
+    """The cost-block flow of DECAYS and one start per rate."""
+    aug = prolong(from_spec(parse_system_spec(DECAYS)), cost="dy")
+    return aug.rhs, aug.pack(x=np.column_stack([np.ones_like(rates), rates / 2]), dx=[1.0, 0.0])
+
+
 def test_batched_improper_integral_stops_each_point_at_its_own_horizon():
-    batched = improper_time_integrals(lambda t: np.exp(-np.outer(np.abs(t), RATES)),
-                                      "backward", len(RATES))
+    rhs, z0 = _decay_flows(RATES)
+    batched = flow_integrals(rhs, z0, "forward")
     horizons = set()
-    for rate, res in zip(RATES, batched):
-        single = improper_time_integral(lambda t: np.exp(-rate * np.abs(t)), "backward")
-        assert abs(res.value - 1.0 / rate) <= 1e-9 / rate
-        # different steps: the two agree to the integrator's error
-        assert abs(res.value - single.value) <= 1e-10 * single.value
-        assert (res.horizon, res.meta) == (single.horizon, single.meta)
-        assert res.tail_estimate == pytest.approx(single.tail_estimate, rel=1e-9)
-        assert res.error_estimate == pytest.approx(single.error_estimate, rel=1e-6)
+    for rate, z, res in zip(RATES, z0, batched):
+        (single,) = flow_integrals(rhs, z[None], "forward")
+        value, alone = res.value[0], single.value[0]
+        assert abs(value - 1.0 / rate) <= 1e-9 / rate
+        # different steps: the two agree to the integrator's error, and so
+        # do their last increments, the error estimates
+        assert abs(value - alone) <= 1e-10 * alone
+        assert abs(res.error_estimate - single.error_estimate) <= 1e-10 * alone
+        assert res.horizon == single.horizon
         horizons.add(res.horizon)
     assert len(horizons) >= 3  # the points really stopped apart
 
 
 def test_a_diverging_point_is_named():
-    rates = np.array([1.0, 0.0, 0.5])  # the second integrand never decays
+    rhs, z0 = _decay_flows(np.array([1.0, 0.0, 0.5]))  # the second never decays
     with pytest.raises(DivergenceError, match="at point 1"):
-        improper_time_integrals(lambda t: np.exp(-np.outer(np.abs(t), rates)),
-                                "forward", len(rates))
+        flow_integrals(rhs, z0, "forward")
 
 
 # dx/dt = -x + x^3 escapes in finite time from |x| > 1

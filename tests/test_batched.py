@@ -115,16 +115,17 @@ def test_horizon_flow_pieces_do_not_depend_on_request_grouping():
 
 
 def test_trajectory_at_arrays_spans_segments_and_checks_bounds():
-    flow = HorizonFlow(lambda t, y: -y, np.array([1.0, 2.0]), chunk=5.0)
-    flow.ensure(12.0)  # two solver pieces: [0, 5] and [5, 12]
+    # decaying slowly enough that the states at t = 48 stay far above atol
+    flow = HorizonFlow(lambda t, y: -0.25 * y, np.array([1.0, 2.0]))
+    flow.ensure(48.0)  # two solver pieces: [0, 20] and [20, 48]
     traj = flow.ensure(0.0)
-    times = np.array([11.0, 0.5, 5.0, 7.25, 0.0, 12.0])
+    times = np.array([44.0, 0.5, 20.0, 29.0, 0.0, 48.0])
     stacked = traj.at(times)
     assert stacked.shape == (len(times), 2)
     assert np.array_equal(stacked, np.array([traj.at(t) for t in times]))
-    assert np.allclose(stacked[:, 0], np.exp(-times), rtol=1e-6, atol=0.0)
-    with pytest.raises(ValueError, match="t = 12.5 outside"):
-        traj.at(np.array([1.0, 12.5]))
+    assert np.allclose(stacked[:, 0], np.exp(-0.25 * times), rtol=1e-6, atol=0.0)
+    with pytest.raises(ValueError, match="t = 48.5 outside"):
+        traj.at(np.array([1.0, 48.5]))
     with pytest.raises(ValueError):
         flow.state(np.array([1.0, -0.5]))
     # a co-integrated (x, Phi) solve, looked up per row

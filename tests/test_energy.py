@@ -11,6 +11,7 @@ import pytest
 from oracles import (cosine_bump, fast_mode_spec, feedback_perturbation_energy, lyap_ctrl,
                      lyap_obs)
 from vargram.energy import (
+    LADDER_TOL,
     EnergyValue,
     LadderError,
     LinePath,
@@ -173,9 +174,7 @@ def test_quadratic_limit_recovers_differential_energy():
 
     sys5 = registry("paper_sec5")
     ql5 = quadratic_limit(
-        lambda a, b: incr_controllability_fb(sys5, a, b), [0.0, 0.0], [1.0, 0.0],
-        tol=1e-4,
-    )
+        lambda a, b: incr_controllability_fb(sys5, a, b), [0.0, 0.0], [1.0, 0.0])
     ref = diff_controllability_fb(sys5, [0.0, 0.0], [1.0, 0.0]).value
     assert abs(ql5.limit - ref) < 1e-4
 
@@ -187,17 +186,9 @@ def test_quadratic_limit_flags_non_quadratic_behaviour():
                            error_estimate=0.0, horizon=None, nodes_used=0,
                            direction="forward", meta={})
 
-    with pytest.raises(LadderError) as err:
-        quadratic_limit(linear_gap, [0.0], [1.0], tol=1e-6)
+    with pytest.raises(LadderError, match=f"> tol {LADDER_TOL:g}") as err:
+        quadratic_limit(linear_gap, [0.0], [1.0])
     assert len(err.value.table) == 4
-
-
-def test_quadratic_limit_validates_ladder():
-    ok = lambda a, b: EnergyValue(0.0, 0.0, None, 0, "forward", {})
-    with pytest.raises(ValueError, match="three distinct"):
-        quadratic_limit(ok, [0.0], [1.0], s_ladder=(0.1, 0.05))
-    with pytest.raises(ValueError, match="positive"):
-        quadratic_limit(ok, [0.0], [1.0], s_ladder=(0.1, 0.05, -0.025))
 
 
 def test_cosine_bump_support_and_smoothness():

@@ -90,12 +90,12 @@ def test_a_field_is_integrated_by_its_traced_kernel():
     assert np.allclose(traj.endpoint, expected, rtol=0.0, atol=1e-9)
 
 
-def _flow_matrix(field, x0, t_span, rtol=1e-9, atol=1e-12):
+def _flow_matrix(field, x0, t_span):
     """The trajectory of x and the flow matrices Phi(t) read from one
     integrate_ivp solve of the variational equation from (x0, I)."""
     n = field.dim_in
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).reshape(-1)])
-    traj = integrate_ivp(flow_rhs(field, width=n), z0, t_span, rtol, atol)
+    traj = integrate_ivp(flow_rhs(field, width=n), z0, t_span)
 
     def phi(t):
         z = traj.at(t)

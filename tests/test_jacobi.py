@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vargram import jacobi
 from vargram.jacobi import determinant_and_min_eigenvalue, numeric_rank
 
 
@@ -39,10 +40,11 @@ def test_numeric_rank_zero_matrix():
     assert np.allclose(sigma, 0.0)
 
 
-def test_numeric_rank_relative_threshold():
+def test_numeric_rank_relative_threshold(monkeypatch):
     m = np.diag([1.0, 1e-6])
     assert numeric_rank(m)[0] == 2          # 1e-6 > 1e-8 * 1
-    assert numeric_rank(m, rel_tol=1e-3)[0] == 1
+    monkeypatch.setattr(jacobi, "DEFAULT_RANK_TOL", 1e-3)
+    assert numeric_rank(m)[0] == 1
 
 
 def test_determinant_and_min_eigenvalue():

@@ -17,6 +17,7 @@ from vargram.calculus import (
     Dual,
     MatrixField,
     VectorField,
+    _evaluate,
     field_values,
     flow_rhs,
     frozen_input_jacobian,
@@ -124,6 +125,16 @@ def test_fields_with_untraceable_constants_keep_the_dual_path(func):
     assert not _is_traced(field) and not _is_traced(field, "values")
 
 
+def _frozen_at(system, xs, u):
+    """The drift f + g u and its input-frozen state Jacobian at xs from the
+    traced kernel of (x, u) -> f + g u, u = k(x) when None (as
+    frozen_input_jacobian evaluates them)."""
+    if u is None:
+        return frozen_input_jacobian(system, xs)[:2]
+    drift, jac = _evaluate(system.affine_field(), "jacobian", list(xs) + list(u))
+    return drift, jac[:, :system.n]
+
+
 @pytest.mark.parametrize("system", list(_systems()), ids=lambda s: s.name)
 def test_kernels_equal_the_dual_path_bitwise(system):
     fields = {"f": system.f, "g": system.g, "h": system.h, "k": system.k,
@@ -135,7 +146,7 @@ def test_kernels_equal_the_dual_path_bitwise(system):
             assert np.array_equal(values, dual_values), (label, xs)
             assert np.array_equal(jac, dual_jac), (label, xs)
 
-        # u defaults to k's values on the dual path
+        # u is k's values on the dual path
         drift, frozen, g_vals = frozen_input_jacobian(system, xs)
         dual_drift, dual_frozen = frozen_input_jacobian_scalars(system, xs,
                                                                 _dual(system.k, xs)[0])
@@ -143,7 +154,7 @@ def test_kernels_equal_the_dual_path_bitwise(system):
         assert np.array_equal(frozen, np.array(dual_frozen, dtype=float))
         assert np.array_equal(g_vals, _dual(system.g, xs)[0])
         u = [0.3 - 0.2 * j for j in range(system.m)]
-        drift, frozen, _ = frozen_input_jacobian(system, xs, u)
+        drift, frozen = _frozen_at(system, xs, u)
         dual_drift, dual_frozen = frozen_input_jacobian_scalars(system, xs, u)
         assert np.array_equal(drift, np.array(dual_drift, dtype=float))
         assert np.array_equal(frozen, np.array(dual_frozen, dtype=float))
@@ -264,7 +275,7 @@ def test_dual_right_hand_sides_match_numpys_matrix_products(system):
         aug = build(system)
         for _ in range(20):
             z = rng.uniform(-1.2, 1.2, aug.dim)
-            drift, rows, _ = frozen_input_jacobian(system, z[:n].tolist(), u)
+            drift, rows = _frozen_at(system, z[:n].tolist(), u)
             products = [(rows.T, z[n:2 * n])] + [(-rows, z[2 * n:])] * (aug.dim == 3 * n)
             expected = np.concatenate([-drift] + [a @ v for a, v in products])
             scale = np.concatenate([np.zeros(n)] + [np.abs(a) @ np.abs(v) for a, v in products])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import kalman
+from vargram import integrate
 from vargram.calculus import MatrixField, VectorField
 from vargram.cli import main
 from vargram.integrate import integrate_ivp
@@ -59,13 +60,21 @@ def test_bracket_columns_match_rederived_closed_forms():
     assert worst <= 1e-9
 
 
-def test_bracket_columns_match_dual_output_derivatives():
+@pytest.fixture
+def tight(monkeypatch):
+    """Solves at rtol 1e-11, atol 1e-13, so that the finite differences of
+    the dense output below see the flow, not the integrator's error."""
+    monkeypatch.setattr(integrate, "DEFAULT_RTOL", 1e-11)
+    monkeypatch.setattr(integrate, "DEFAULT_ATOL", 1e-13)
+
+
+def test_bracket_columns_match_dual_output_derivatives(tight):
     # simulate the dual flow, numerically differentiate dz = g(x)^T dp in
     # its own time, and compare with the bracket columns along the path
     sys_ = registry("paper_sec5")
     aug = dual_closed_loop(sys_)
     z0 = aug.pack(x=[0.3, -0.2], dp=[0.7, 0.4])
-    traj = integrate_ivp(aug.rhs, z0, (0.0, 2.0), rtol=1e-11, atol=1e-13)
+    traj = integrate_ivp(aug.rhs, z0, (0.0, 2.0))
 
     def dz(tau):
         return float(aug.outputs["dz"](traj.at(tau))[0])
@@ -84,13 +93,13 @@ def test_bracket_columns_match_dual_output_derivatives():
     assert abs(d2 - cols[:, 2] @ dp_star) < 1e-3
 
 
-def test_obs_rows_match_variational_output_derivative():
+def test_obs_rows_match_variational_output_derivative(tight):
     # same idea forward in time: d/dt of dy along the prolonged system is
     # the second codistribution row paired with the variational state
     sys_ = registry("paper_sec5")
     aug = prolong(sys_)
     z0 = aug.pack(x=[0.25, 0.1], dx=[0.5, -1.0])
-    traj = integrate_ivp(aug.rhs, z0, (0.0, 2.0), rtol=1e-11, atol=1e-13)
+    traj = integrate_ivp(aug.rhs, z0, (0.0, 2.0))
 
     def dy(t):
         return float(aug.outputs["dy"](traj.at(t))[0])

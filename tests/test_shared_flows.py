@@ -7,21 +7,26 @@ only as long as its scope (one command), that a check gives the same
 report with or without the flows of an earlier check, that a solve is
 shared only with one of the same kernel, start, span and tolerances,
 that a dual flow is stored, that batches and plain callables are never
-stored, and that the store
-keeps at most SHARED_BYTES, dropping the least recently used first.
+stored, that a solve stored without its dense output keeps no solver
+alive, and that the store keeps at most SHARED_BYTES, dropping the least
+recently used first.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import vargram.dop853 as dop853
 import vargram.integrate as integrate
 from vargram.cli import main
+from vargram.energy import diff_observability
 from vargram.gramian import EmpiricalGramianField
 from vargram.calculus import VectorField, flow_rhs
 from vargram.integrate import HorizonFlow, integrate_ivp, shared_flows
-from vargram.systems import dual_closed_loop, registry
+from vargram.systems import dual_closed_loop, prolong, registry
 from vargram.verify import check_thm1, check_thm3, check_thm4, check_thm5
 
 VERIFY_ARGS = ["verify", "--system", "paper_sec5", "--theorem", "all", "--pairs", "1",
@@ -120,18 +125,26 @@ def test_stored_trajectories_are_read_only_and_shared_by_a_stack_of_one(solves):
     assert len(solves) == 2
 
 
-def test_a_solve_is_shared_only_with_the_same_kernel_start_span_and_tolerances():
+def test_a_solve_is_shared_only_with_the_same_kernel_start_span_and_tolerances(monkeypatch):
     f = registry("paper_sec5").f
     g = VectorField(2, 2, f.func)
     z, z2 = [0.1, -0.1, 0.2, 0.05], [0.1, -0.1, 0.2, 0.06]
-    requests = [(flow_rhs(f, width=1), z, 1.0, 1e-9), (flow_rhs(f, copies=2), z, 1.0, 1e-9),
-                (flow_rhs(f, copies=2, sign=-1.0), z, 1.0, 1e-9),
-                (flow_rhs(f, copies=2), z2, 1.0, 1e-9), (flow_rhs(f, copies=2), z, 1.5, 1e-9),
-                (flow_rhs(f, copies=2), z, 1.0, 1e-8), (flow_rhs(g, copies=2), z, 1.0, 1e-9)]
+    tols = (integrate.DEFAULT_RTOL, integrate.DEFAULT_ATOL)
+    requests = [(flow_rhs(f, width=1), z, 1.0, tols), (flow_rhs(f, copies=2), z, 1.0, tols),
+                (flow_rhs(f, copies=2, sign=-1.0), z, 1.0, tols),
+                (flow_rhs(f, copies=2), z2, 1.0, tols), (flow_rhs(f, copies=2), z, 1.5, tols),
+                (flow_rhs(f, copies=2), z, 1.0, (1e-8, tols[1])),
+                (flow_rhs(f, copies=2), z, 1.0, (tols[0], 1e-11)),
+                (flow_rhs(g, copies=2), z, 1.0, tols)]
 
     def solved():
-        return [HorizonFlow(rhs, z0, rtol=rtol, chunk=tf).ensure(tf).states
-                for rhs, z0, tf, rtol in requests]
+        # each solve reads the tolerances in force when it starts
+        states = []
+        for rhs, z0, tf, (rtol, atol) in requests:
+            monkeypatch.setattr(integrate, "DEFAULT_RTOL", rtol)
+            monkeypatch.setattr(integrate, "DEFAULT_ATOL", atol)
+            states.append(integrate_ivp(rhs, z0, (0.0, tf)).states)
+        return states
 
     def scaled(xs):
         return [0.5 * v for v in f.func(xs)]
@@ -140,10 +153,10 @@ def test_a_solve_is_shared_only_with_the_same_kernel_start_span_and_tolerances()
     with shared_flows():
         shared = solved()
         g.func = scaled  # the same field with another func is another kernel
-        shared.append(HorizonFlow(flow_rhs(g, copies=2), z, chunk=1.0).ensure(1.0).states)
+        shared.append(integrate_ivp(flow_rhs(g, copies=2), z, (0.0, 1.0)).states)
         assert len(integrate._shared) == len(requests) + 1
     g.func = scaled
-    alone.append(HorizonFlow(flow_rhs(g, copies=2), z, chunk=1.0).ensure(1.0).states)
+    alone.append(integrate_ivp(flow_rhs(g, copies=2), z, (0.0, 1.0)).states)
     for a, b in zip(alone, shared, strict=True):
         np.testing.assert_array_equal(a, b)
 
@@ -174,6 +187,35 @@ def test_a_dual_flow_is_stored_and_a_plain_callable_is_not(solves):
     assert again is first and not first.states.flags.writeable
     assert plain[1] is not plain[0] and plain[1].states.flags.writeable
     assert len(solves) == 3
+
+
+def test_a_stored_lazy_dense_output_keeps_no_solver_alive(monkeypatch):
+    solvers = []
+
+    class Recorded(dop853._DOP853):
+        def __init__(self, *args, **options):
+            super().__init__(*args, **options)
+            solvers.append(weakref.ref(self))
+
+    monkeypatch.setattr(dop853, "_DOP853", Recorded)
+    system = registry("paper_sec5")
+    aug = prolong(system, cost="dy")
+    x, dx = [0.1, -0.2], [0.6, 0.8]
+    with shared_flows():
+        diff_observability(system, x, dx)  # stores its segments without dense outputs
+        stored = integrate._shared[next(iter(integrate._shared))][0]
+        assert isinstance(stored._F, integrate._LazyDense)
+        gc.collect()
+        solved = len(solvers)
+        assert solved and all(ref() is None for ref in solvers)
+        # the energy's first segment, handed back, builds its dense output now
+        lazy = HorizonFlow(aug.rhs, aug.pack(x=x, dx=dx)).ensure(0.0)
+        assert lazy._F is stored._F and len(solvers) == solved  # no solve
+        lazy_F = lazy.F
+    eager = HorizonFlow(aug.rhs, aug.pack(x=x, dx=dx)).ensure(0.0)
+    assert eager is not lazy and isinstance(eager._F, np.ndarray)
+    assert np.array_equal(lazy_F, eager.F)
+    assert np.array_equal(lazy.states, eager.states)
 
 
 def test_the_store_drops_the_least_recently_used_past_its_bytes(monkeypatch, solves):

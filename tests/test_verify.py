@@ -10,7 +10,6 @@ import pytest
 from vargram.calculus import MatrixField, VectorField
 from vargram.expr import parse_system_spec
 from vargram.gramian import EmpiricalGramianField
-from vargram.integrate import integrate_ivp
 from vargram.systems import SystemModel, from_spec, registry
 from vargram.verify import (
     EQUALITY_TOL,
@@ -41,24 +40,11 @@ def test_fit_decay_recovers_exact_exponential():
     assert fit.fit_window[0] >= 10.0  # far half only
 
 
-def test_fit_decay_backward_direction():
-    times = np.linspace(-20.0, 0.0, 201)
-    fit = fit_decay((times, np.exp(2.0 * times)), direction="backward")
-    assert abs(fit.lam - 2.0) < 1e-10
-    assert fit.fit_window[1] <= -10.0
-
-
 def test_fit_decay_flags_non_decay():
     times = np.linspace(0.0, 20.0, 201)
     assert fit_decay((times, np.ones_like(times))).flagged
     growing = fit_decay((times, np.exp(0.5 * times)))
     assert growing.flagged and growing.lam < 0
-
-
-def test_fit_decay_accepts_trajectories():
-    traj = integrate_ivp(VectorField(1, 1, lambda xs: [-0.7 * xs[0]]), [2.0], (0.0, 20.0))
-    fit = fit_decay(traj)
-    assert abs(fit.lam - 0.7) < 1e-3
 
 
 def test_fit_decay_input_validation():
@@ -69,8 +55,6 @@ def test_fit_decay_input_validation():
     values[-1] = 0.0
     with pytest.raises(ValueError, match="positive"):
         fit_decay((times, values))
-    with pytest.raises(ValueError, match="direction"):
-        fit_decay((times, np.exp(-times)), direction="sideways")
 
 
 def test_sample_relations_and_budgets():
