@@ -2,15 +2,17 @@
 
 A Trajectory is a solved flow of the Dormand-Prince 8(5,3) pair: its
 step times, its states, the solver's derivative at each of them and,
-when a lookup needs it, the coefficients of its 7th-order dense output.
-solve_ivp steps scipy's DOP853 itself (dop853._DOP853, scipy's step with
-its per-call overhead removed), taking the steps and floats of scipy's
-solve_ivp; it imports vargram.dop853, and with it scipy, when it first
-runs.  For a dense output it keeps each accepted step's stages and,
-after the loop, evaluates the interpolant's three extra stages of all
-steps at once, keeping the coefficients as one array, so that a lookup
-evaluates any number of times in one pass (Hairer, Norsett & Wanner,
-Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).
+when the solve built one, the coefficients of its 7th-order dense
+output.  solve_ivp steps scipy's DOP853 itself (dop853._DOP853, scipy's
+step with its per-call overhead removed), taking the steps and floats of
+scipy's solve_ivp; it imports vargram.dop853, and with it scipy, when it
+first runs.  For a dense output it keeps each accepted step's stages
+and, after the loop, evaluates the interpolant's three extra stages of
+all steps at once, keeping the coefficients as one array, so that a
+lookup evaluates any number of times in one pass (Hairer, Norsett &
+Wanner, Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).
+Only integrate_ivp and HorizonFlow build one; the integrals along flows
+and the decay fits read the accepted steps.
 
 An integral along a flow is accumulated as part of the flow: the state
 ends in a cost block c whose rate is the integrand (calculus.flow_rhs),
@@ -19,8 +21,9 @@ the integral up to T is c(T), read at the end of the solve with no
 quadrature and no dense output.  An improper one doubles its horizon
 from INITIAL_HORIZON = 20, at most MAX_DOUBLINGS = 6 times, until the
 last increment c(2T) - c(T) drops below tol; the tail beyond is estimated
-by an exponential fit to the integrand at the solver's accepted steps
-(the cost rows of the derivatives the solver took there).  A
+by an exponential fit (fit_exponential, the one behind verify's decay
+fits too) to the integrand at the solver's accepted steps (the cost rows
+of the derivatives the solver took there).  A
 non-decaying integrand is an error, never an implicit infinity.  The
 error estimate is that last increment plus the tail; the integrator's
 own error is not estimated.  nodes_used counts the integrand samples:
@@ -43,9 +46,10 @@ such a batch stop doubling the horizon point by point.  A stack of one is
 solved as its one state, so a flow integral's point is a batch of one.
 
 Inside a shared_flows() scope a one-state solve of a flow kernel is made
-once: asked again for the same kernel, start state, span and tolerances,
-it hands back the Trajectory it stored, read-only.  The store holds at
-most SHARED_BYTES of arrays, dropping the least recently used first.
+once: asked again for the same kernel, start state, span, tolerances and
+dense output, it hands back the Trajectory it stored, read-only.  The store holds at
+most SHARED_BYTES of arrays, dropping the least recently used first;
+a stored solve keeps its arrays and nothing else, no stages.
 Batched solves, plain callables and solves that raise are never stored,
 and the store is dropped when the scope closes.
 """
@@ -118,9 +122,8 @@ class Trajectory:
     states there as the solver lays them out; dydt, (S + 1, N) or None,
     holds the solver's derivative at each of them; F, (7, S, N), holds the
     seven coefficient rows of each step's interpolant (built by
-    dop853.dense_steps).  It is given as the array, as None for a
-    solve made without dense output, or as a _LazyDense, built at the
-    first read.  A batch of B points holds its (dim, B) solver state
+    dop853.dense_steps), or is None for a solve made without dense
+    output.  A batch of B points holds its (dim, B) solver state
     flattened, N = dim * B, and hands out states as (B, dim).
     """
 
@@ -128,7 +131,7 @@ class Trajectory:
                  dydt: np.ndarray | None = None):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self._F = F
+        self.F = F
         self.batch = batch
         self.dydt = dydt
         if self.times.ndim != 1 or len(self.times) < 1:
@@ -145,12 +148,6 @@ class Trajectory:
     @property
     def tf(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def F(self) -> np.ndarray | None:
-        if isinstance(self._F, _LazyDense):
-            self._F = self._F()
-        return self._F
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -170,8 +167,7 @@ class Trajectory:
         earlier step at a step time), and its state is scipy's recurrence:
         x = (t - t_old) / h, y = 0, then y += F[k] and y *= x (k even) or
         1 - x (k odd) for k = 6, ..., 0, then y += y_old."""
-        F = self.F
-        if F is None:
+        if self.F is None:
             raise ValueError("trajectory was solved without dense output")
         t = _within_span(t, self.t0, self.tf)
         times = np.atleast_1d(t)
@@ -182,7 +178,7 @@ class Trajectory:
         one_minus_x = 1 - x
         y = np.zeros((len(times), self.states.shape[1]))
         for k in range(6, -1, -1):
-            y += F[k][step]
+            y += self.F[k][step]
             y *= x if k % 2 == 0 else one_minus_x
         y += self.states[step]
         return self._points(y if np.ndim(t) else y[0])
@@ -198,23 +194,6 @@ class Trajectory:
                           joined(self.dydt, later.dydt[1:] if later.dydt is not None else None))
 
 
-class _LazyDense:
-    """The dense output of a finished solve, kept as its right-hand side
-    and its steps' stages and built (dop853.dense_steps) when called, with
-    no reference to the solver; nbytes is what the stages hold meanwhile."""
-
-    def __init__(self, fun, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
-        self.fun, self.t, self.y, self.stages = fun, t, y, stages
-        self.nbytes = stages.nbytes
-
-    def __call__(self) -> np.ndarray:
-        from vargram.dop853 import dense_steps
-
-        F = dense_steps(self.fun, self.t, self.y, self.stages)
-        F.flags.writeable = False
-        return F
-
-
 @dataclass
 class Solution:
     """Result of solve_ivp: the step times t, shape (S + 1,), states y and
@@ -223,8 +202,7 @@ class Solution:
     (at t_event, state y_event) and -1 when the solver failed (message);
     when tf was reached and a dense output was asked for, dense holds the
     interpolant coefficients of the steps taken, shape (7, S, N)
-    (dop853.dense_steps), or the _LazyDense that builds them,
-    else None."""
+    (dop853.dense_steps), else None."""
 
     t: np.ndarray
     y: np.ndarray
@@ -232,7 +210,7 @@ class Solution:
     nfev: int
     status: int
     message: str | None
-    dense: np.ndarray | _LazyDense | None
+    dense: np.ndarray | None
     t_event: float | None = None
     y_event: np.ndarray | None = None
 
@@ -245,9 +223,8 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> 
 
     fun takes one state (N,) or an (N, S) stack with one time per column
     (module docstring).  The dense output is built after the loop from
-    each accepted step's stages (dop853.dense_steps); with dense
-    "lazy" the stages are kept and built into it at its first read, and
-    with dense False no stage is kept.  The derivative at each kept state
+    each accepted step's stages (dop853.dense_steps); with dense False
+    no stage is kept.  The derivative at each kept state
     is the one the solver computed there (its first-same-as-last stage),
     at no call.
 
@@ -256,7 +233,7 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> 
     step's interpolant is found by brentq at xtol = rtol = 4 eps, as
     scipy finds a terminal event, and the solve stops with status 1.
     """
-    from vargram.dop853 import _DOP853, brentq
+    from vargram.dop853 import _DOP853, brentq, dense_steps
 
     t0, tf = map(float, t_span)
     solver = (_DOP853 if method is None else method)(fun, t0, y0, tf, **options)
@@ -286,19 +263,16 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> 
         if dense:
             stages.append(solver.K.copy())
     ts, ys = np.array(ts), np.array(ys)
-    if status != 0 or not stages:
-        dense = None
-    elif dense == "lazy":
-        dense = _LazyDense(fun, ts, ys, np.array(stages))
-    else:  # built now, so its three extra stages per step count in nfev
-        dense = _LazyDense(fun, ts, ys, np.array(stages))()
+    dense = None
+    if status == 0 and stages:  # its three extra stages per step count in nfev
+        dense = dense_steps(fun, ts, ys, np.array(stages))
         solver.nfev += len(solver.A_EXTRA) * len(stages)
     return Solution(ts, ys.T, np.array(dydts).T, solver.nfev, status, message, dense,
                     t_event, y_event)
 
 
 def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
-                   dense: bool | str = True) -> Solution:
+                   dense: bool = True) -> Solution:
     """solve_ivp by DOP853 from one state x0, shape (dim,), or one solve of
     a (B, dim) stack, B > 1, where rhs(t, z) takes and returns the
     (dim, B) state, or a (dim, B * S) stack of S such states, and the
@@ -357,10 +331,9 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
     return sol
 
 
-# Bytes of arrays (and of the stages kept for a dense output not yet
-# built) a shared_flows scope keeps at most.  A default verify run on
-# paper_sec5 stores 3.4 MiB, all kept; larger budgets keep the reuse of a
-# decay fit by the energy right after it in bounded memory.
+# Bytes of arrays a shared_flows scope keeps at most.  A default verify run on
+# paper_sec5 stores 0.54 MiB in 340 solves, all kept; larger runs keep the
+# reuse of a decay fit by the energy right after it in bounded memory.
 SHARED_BYTES = 2 ** 22
 
 # key -> (Trajectory, field, field.func, bytes of its arrays) of the open
@@ -378,9 +351,10 @@ def shared_flows():
     Inside it, _solved keys a solve of a calculus.flow_rhs right-hand side
     from one state (dim,), or a stack of one, on the kernel (the ids of its
     field and of the field's func, and its key), the start state's bytes,
-    t0, tf, rtol and atol, and a solve asked for again returns the stored
-    Trajectory, whose arrays are read-only.  A horizon extension starts at
-    the endpoint of the segment before it, so extensions share as chains.
+    t0, tf, rtol, atol and whether it builds a dense output, and a solve
+    asked for again returns the stored Trajectory, whose arrays are
+    read-only.  A horizon extension starts at the endpoint of the segment
+    before it, so extensions share as chains.
     Never stored: batched solves (a batch's steps depend on its members),
     plain callables and solves that raise.  Past SHARED_BYTES of arrays
     the least recently used trajectories are dropped, to be solved again
@@ -402,24 +376,22 @@ def _solved(rhs, x0, t0: float, tf: float, dense: bool = True) -> Trajectory:
     """Trajectory of _solve_segment from x0, one state or a (B, dim) batch,
     at the tolerances DEFAULT_RTOL and DEFAULT_ATOL, read when the solve
     starts, with its dense output unless dense is false; the stored one
-    when the open shared_flows scope has made this solve.  A solve that
-    is stored without a dense output keeps its stages, so that a later
-    lookup of it builds one."""
+    when the open shared_flows scope has made this solve."""
     x0 = np.asarray(x0, dtype=float)
     batch = None if x0.ndim == 1 else len(x0)
     kernel = getattr(rhs, "kernel", None)
     key = None
     if _shared is not None and kernel is not None and x0.size == x0.shape[-1]:
         field, flow = kernel
-        key = id(field), id(field.func), flow, x0.tobytes(), t0, tf, DEFAULT_RTOL, DEFAULT_ATOL
+        key = (id(field), id(field.func), flow, x0.tobytes(), t0, tf, DEFAULT_RTOL,
+               DEFAULT_ATOL, dense)
         stored = _shared.pop(key, None)
         if stored is not None:
             _shared[key] = stored  # now the most recently used
             traj = stored[0]
             return traj if traj.batch == batch else Trajectory(traj.times, traj.states,
-                                                               traj._F, batch, traj.dydt)
-    sol = _solve_segment(rhs, x0, t0, tf, DEFAULT_RTOL, DEFAULT_ATOL,
-                         dense or ("lazy" if key is not None else False))
+                                                               traj.F, batch, traj.dydt)
+    sol = _solve_segment(rhs, x0, t0, tf, DEFAULT_RTOL, DEFAULT_ATOL, dense)
     traj = Trajectory(sol.t, sol.y.T, sol.dense, batch, sol.dydt.T)
     if key is not None:
         _store(key, traj, field)
@@ -430,13 +402,10 @@ def _store(key, traj: Trajectory, field) -> None:
     """Keep traj, read-only, under key in the open shared_flows scope, then
     drop the least recently used until at most SHARED_BYTES are kept."""
     global _shared_nbytes
-    arrays = [a for a in (traj.times, traj.states, traj.dydt, traj._F)
-              if isinstance(a, np.ndarray)]
+    arrays = [a for a in (traj.times, traj.states, traj.dydt, traj.F) if a is not None]
     for array in arrays:
         array.flags.writeable = False
     nbytes = sum(array.nbytes for array in arrays)
-    if isinstance(traj._F, _LazyDense):
-        nbytes += traj._F.nbytes
     _shared[key] = traj, field, field.func, nbytes
     _shared_nbytes += nbytes
     while _shared_nbytes > SHARED_BYTES:
@@ -461,8 +430,7 @@ def integrate_ivp(field, x0, t_span) -> Trajectory:
 
 
 class HorizonFlow:
-    """Lazily extendable forward solve whose states are looked up by time
-    (decay fits, simulated tables).
+    """Lazily extendable forward solve whose states are looked up by time.
 
     state(t) extends the underlying solution whenever t lies beyond the
     current horizon; previously integrated segments are reused.  t may be
@@ -538,11 +506,6 @@ def _norm(a) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _point_norms(a) -> np.ndarray:
-    """2-norm of each point's slice a[b] of a (B, ...) array, shape (B,)."""
-    return np.array([_norm(part) for part in a])
-
-
 def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResult:
     """Gauss-Legendre integral of f over [a, b] at the given order.
 
@@ -568,17 +531,41 @@ def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResul
                             error_estimate=_norm(coarse - fine), nodes_used=len(taus))
 
 
-def _fit_exponential_tail(ts: np.ndarray, norms: np.ndarray, horizon: float):
-    """Fit |f| ~ c exp(-2 lambda t) to the samples (ts, norms) on the final
-    half-window, integrate beyond."""
-    keep = (ts >= 0.5 * horizon) & (norms > 0.0)
-    if np.count_nonzero(keep) < 10:
+# fewest positive samples an exponential fit reads in its window: three,
+# so that its line leaves a residual.  The windows of accepted steps in the
+# tests and the benchmark workloads hold 5 or more, alone or in a batch, so
+# whether a point was batched does not decide whether it gets a fit.
+MIN_FIT_SAMPLES = 3
+
+
+def fit_exponential(times, values):
+    """Fit log values ~ intercept + slope t by least squares on the later
+    half of the increasing times, each sample weighted by the length of
+    the step that ends there, so that the fit does not depend on where a
+    solver crowds its steps.  Samples whose value is not positive have no
+    logarithm and are left out.  Returns (slope, intercept, the weighted
+    root-mean-square residual of the logs, (first, last) time of the
+    window), or None when the window holds fewer than MIN_FIT_SAMPLES."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    steps = np.diff(times, prepend=times[0])
+    keep = (times >= 0.5 * (times[0] + times[-1])) & (values > 0.0)
+    if np.count_nonzero(keep) < MIN_FIT_SAMPLES:
         return None
-    slope, intercept = np.polyfit(ts[keep], np.log(norms[keep]), 1)
-    if slope >= 0.0:
+    t, logs, w = times[keep], np.log(values[keep]), steps[keep]
+    slope, intercept = np.polyfit(t, logs, 1, w=np.sqrt(w))
+    residual = math.sqrt(w.dot((logs - (slope * t + intercept)) ** 2) / w.sum())
+    return float(slope), float(intercept), residual, (float(t[0]), float(t[-1]))
+
+
+def _tail(times: np.ndarray, norms: np.ndarray) -> float | None:
+    """The integral of norms beyond the last time under the exponential
+    fit_exponential fits to them; None without a decaying fit."""
+    fit = fit_exponential(times, norms)
+    if fit is None or fit[0] >= 0.0:
         return None
-    rate = -slope  # = 2 lambda in the fitted model
-    return float(math.exp(intercept + slope * horizon) / rate)
+    slope, intercept = fit[:2]
+    return math.exp(intercept + slope * times[-1]) / -slope
 
 
 def _sign(direction: str, tol: float) -> float:
@@ -687,8 +674,7 @@ def _cost_integrals(rhs, z0: np.ndarray, direction: str, tol: float,
             increment = _norm(value - values[b])
             values[b] = value
             if increment < tol:
-                tail = _fit_exponential_tail(np.concatenate(times),
-                                             np.concatenate(rates)[:, b], horizon)
+                tail = _tail(np.concatenate(times), np.concatenate(rates)[:, b])
                 results[b] = result(value, increment + (tail if tail is not None else 0.0), tail)
                 continue
             prev = prev_increments[b]

@@ -18,7 +18,10 @@ The path bound and the three-item harness run inside an
 integrate.shared_flows() scope, so a decay fit and the energies from the
 same start solve their flow once.  (A small-gap limit asks for no flow
 twice: its ladder pairs start from distinct states.)  An enclosing scope
-(the verify command opens one) shares flows across checks too.
+(the verify command opens one) shares flows across checks too.  A decay
+fit reads that flow at its accepted steps through
+integrate.fit_exponential, the fit that also estimates the energies'
+tails, so no check builds a dense output.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .energy import (LinePath, diff_controllability_fb, diff_observability,
                      path_energy_integral, quadratic_limit)
 from .gramian import (grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan,
                       points_read, prefetch, riccati_residual)
-from .integrate import (INITIAL_HORIZON, HorizonFlow, IntegrationError, _point_norms,
-                        shared_flows)
+from .integrate import (INITIAL_HORIZON, MIN_FIT_SAMPLES, IntegrationError, _solved,
+                        fit_exponential, shared_flows)
 from .rank import ctrl_bracket_matrix, obs_codistribution
 from .systems import SystemModel, dual_closed_loop, prolong
 
@@ -128,44 +131,34 @@ def _floor(*values: float) -> float:
 
 
 def fit_decay(signal) -> DecayEstimate:
-    """Least-squares exponential fit on the far half of a sampled signal.
+    """Exponential fit on the far half of a sampled signal.
 
-    signal is a (times, values) pair; decay is expected as t grows, and
-    the fit window is the later half of the times.  A fitted rate
-    lam <= 0 flags the hypothesis as violated instead of raising.
+    signal is a (times, values) pair, the times increasing; decay is
+    expected as t grows, and integrate.fit_exponential fits the later half
+    of the times, weighting each sample by the step that ends there.
+    ValueError when that window holds fewer than MIN_FIT_SAMPLES positive
+    values.  A fitted rate lam <= 0 flags the hypothesis as violated
+    instead of raising.
     """
-    times, values = signal
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = times >= 0.5 * (float(times.min()) + float(times.max()))
-    window_t = times[mask]
-    window_v = values[mask]
-    if window_t.size < 10:
-        raise ValueError("need at least 10 samples in the fit window")
-    if np.any(window_v <= 0.0):
-        raise ValueError("signal must be positive on the fit window")
-    logs = np.log(window_v)
-    slope, intercept = np.polyfit(window_t, logs, 1)
-    lam = -float(slope)
-    resid = float(np.sqrt(np.mean((logs - (slope * window_t + intercept)) ** 2)))
-    flagged = lam <= 0.0
-    return DecayEstimate(
-        c=float(math.exp(intercept)), lam=lam,
-        fit_window=(float(window_t.min()), float(window_t.max())),
-        residual=resid, flagged=flagged,
-        note="no decay on fit window" if flagged else "")
+    fit = fit_exponential(*signal)
+    if fit is None:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} positive samples in the fit window")
+    slope, intercept, residual, window = fit
+    flagged = slope >= 0.0
+    return DecayEstimate(c=math.exp(intercept), lam=-slope, fit_window=window,
+                         residual=residual, flagged=flagged,
+                         note="no decay on fit window" if flagged else "")
 
 
 def _decay(rhs, z0, signal) -> DecayEstimate:
-    """Fit the forward decay of |signal(z)| along the flow of rhs from z0
-    over [0, INITIAL_HORIZON]; rhs takes one state or a stack
-    (systems.AugmentedField), and signal maps the (N, dim) table of sampled
-    states to one row each.  That span is the first segment an energy
-    from z0 solves, so with the energy's flow, cost block included, the
-    two share it."""
-    times = np.linspace(0.0, INITIAL_HORIZON, 201)
-    states = HorizonFlow(rhs, z0).state(times)
-    return fit_decay((times, _point_norms(signal(states))))
+    """Fit the forward decay of |signal(z)| at the accepted steps of the
+    flow of rhs from the one state z0 over [0, INITIAL_HORIZON]; signal
+    maps the (S, dim) table of those states to one row each.  That solve,
+    without a dense output, is the first segment an energy from z0
+    solves, so with the energy's flow, cost block included, the two share
+    it."""
+    traj = _solved(rhs, z0, 0.0, INITIAL_HORIZON, dense=False)
+    return fit_decay((traj.times, np.linalg.norm(signal(traj.states), axis=-1)))
 
 
 def _close(report: Report, failures: list[str]) -> Report:

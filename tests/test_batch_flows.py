@@ -124,6 +124,18 @@ def test_batched_improper_integral_stops_each_point_at_its_own_horizon():
     assert len(horizons) >= 3  # the points really stopped apart
 
 
+def test_a_point_reports_the_same_tail_fit_alone_and_in_a_batch():
+    # alone, the rate-2 and rate-0.12 points have 8 and 9 accepted steps in
+    # their tail windows, and in the batch 14 and 53: both counts reach
+    # integrate.MIN_FIT_SAMPLES, so each point's tail is fitted either way
+    rhs, z0 = _decay_flows(RATES)
+    batched = flow_integrals(rhs, z0, "forward")
+    for rate, z, res in zip(RATES, z0, batched):
+        (alone,) = flow_integrals(rhs, z[None], "forward")
+        assert alone.meta["tail_fit"] == res.meta["tail_fit"] == "ok", rate
+        assert alone.tail_estimate > 0.0 and alone.error_estimate > 0.0, rate
+
+
 def test_a_diverging_point_is_named():
     rhs, z0 = _decay_flows(np.array([1.0, 0.0, 0.5]))  # the second never decays
     with pytest.raises(DivergenceError, match="at point 1"):

@@ -7,9 +7,9 @@ only as long as its scope (one command), that a check gives the same
 report with or without the flows of an earlier check, that a solve is
 shared only with one of the same kernel, start, span and tolerances,
 that a dual flow is stored, that batches and plain callables are never
-stored, that a solve stored without its dense output keeps no solver
-alive, and that the store keeps at most SHARED_BYTES, dropping the least
-recently used first.
+stored, that a stored flow keeps its arrays and no stages or solver,
+that a verify run builds no dense output, and that the store keeps at
+most SHARED_BYTES, dropping the least recently used first.
 """
 
 import gc
@@ -25,8 +25,8 @@ from vargram.cli import main
 from vargram.energy import diff_observability
 from vargram.gramian import EmpiricalGramianField
 from vargram.calculus import VectorField, flow_rhs
-from vargram.integrate import HorizonFlow, integrate_ivp, shared_flows
-from vargram.systems import dual_closed_loop, prolong, registry
+from vargram.integrate import integrate_ivp, shared_flows
+from vargram.systems import dual_closed_loop, registry
 from vargram.verify import check_thm1, check_thm3, check_thm4, check_thm5
 
 VERIFY_ARGS = ["verify", "--system", "paper_sec5", "--theorem", "all", "--pairs", "1",
@@ -189,7 +189,7 @@ def test_a_dual_flow_is_stored_and_a_plain_callable_is_not(solves):
     assert len(solves) == 3
 
 
-def test_a_stored_lazy_dense_output_keeps_no_solver_alive(monkeypatch):
+def test_a_stored_flow_keeps_no_stages(monkeypatch):
     solvers = []
 
     class Recorded(dop853._DOP853):
@@ -199,23 +199,32 @@ def test_a_stored_lazy_dense_output_keeps_no_solver_alive(monkeypatch):
 
     monkeypatch.setattr(dop853, "_DOP853", Recorded)
     system = registry("paper_sec5")
-    aug = prolong(system, cost="dy")
-    x, dx = [0.1, -0.2], [0.6, 0.8]
     with shared_flows():
-        diff_observability(system, x, dx)  # stores its segments without dense outputs
-        stored = integrate._shared[next(iter(integrate._shared))][0]
-        assert isinstance(stored._F, integrate._LazyDense)
+        diff_observability(system, [0.1, -0.2], [0.6, 0.8])  # its segments, no dense output
+        integrate_ivp(system.f, [0.1, -0.1], (0.0, 5.0))  # one with its dense output
+        kept = [entry[0] for entry in integrate._shared.values()]
+        assert [traj.F is None for traj in kept] == [True] * (len(kept) - 1) + [False]
+        # the store's bytes are its arrays' bytes: no stages beside them
+        assert integrate._shared_nbytes == sum(
+            a.nbytes for traj in kept for a in (traj.times, traj.states, traj.dydt, traj.F)
+            if a is not None)
         gc.collect()
-        solved = len(solvers)
-        assert solved and all(ref() is None for ref in solvers)
-        # the energy's first segment, handed back, builds its dense output now
-        lazy = HorizonFlow(aug.rhs, aug.pack(x=x, dx=dx)).ensure(0.0)
-        assert lazy._F is stored._F and len(solvers) == solved  # no solve
-        lazy_F = lazy.F
-    eager = HorizonFlow(aug.rhs, aug.pack(x=x, dx=dx)).ensure(0.0)
-    assert eager is not lazy and isinstance(eager._F, np.ndarray)
-    assert np.array_equal(lazy_F, eager.F)
-    assert np.array_equal(lazy.states, eager.states)
+        assert solvers and all(ref() is None for ref in solvers)
+
+
+def test_a_verify_run_builds_no_dense_output(tmp_path, monkeypatch):
+    built = []
+    real = dop853.dense_steps
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dop853, "dense_steps", counted)
+    assert main(VERIFY_ARGS + ["--out", str(tmp_path)]) == 0
+    assert built == []
+    integrate_ivp(registry("paper_sec5").f, [0.1, -0.1], (0.0, 1.0))
+    assert len(built) == 1  # a solve with its dense output is counted
 
 
 def test_the_store_drops_the_least_recently_used_past_its_bytes(monkeypatch, solves):

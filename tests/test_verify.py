@@ -10,6 +10,7 @@ import pytest
 from vargram.calculus import MatrixField, VectorField
 from vargram.expr import parse_system_spec
 from vargram.gramian import EmpiricalGramianField
+from vargram.integrate import MIN_FIT_SAMPLES
 from vargram.systems import SystemModel, from_spec, registry
 from vargram.verify import (
     EQUALITY_TOL,
@@ -48,13 +49,35 @@ def test_fit_decay_flags_non_decay():
 
 
 def test_fit_decay_input_validation():
-    with pytest.raises(ValueError, match="at least 10"):
-        fit_decay((np.linspace(0, 1, 5), np.ones(5)))
+    # the window needs MIN_FIT_SAMPLES positive values; a value that is
+    # not positive has no logarithm and is left out of the fit
+    assert MIN_FIT_SAMPLES == 3
+    with pytest.raises(ValueError, match="at least 3 positive"):
+        fit_decay((np.linspace(0, 1, 3), np.ones(3)))  # two in the window
     times = np.linspace(0.0, 20.0, 100)
     values = np.exp(-times)
     values[-1] = 0.0
+    fit = fit_decay((times, values))
+    assert abs(fit.lam - 1.0) < 1e-10 and fit.fit_window[1] == times[-2]
+    values[times >= 10.0] = 0.0
     with pytest.raises(ValueError, match="positive"):
         fit_decay((times, values))
+
+
+def test_fit_decay_weights_each_sample_by_its_step():
+    # a solver's crowded steps weigh as much as the span they cover: here
+    # log |signal| bends at t = 15, and the 38 samples added on [15, 16]
+    # would pull an unweighted fit toward the slope there
+    even = np.linspace(0.0, 20.0, 41)
+    crowded = np.union1d(even, np.linspace(15.0, 16.0, 41))
+
+    def signal(t):
+        return np.exp(-t - 0.5 * np.maximum(t - 15.0, 0.0) ** 2)
+
+    base, dense = fit_decay((even, signal(even))), fit_decay((crowded, signal(crowded)))
+    unweighted = -np.polyfit(crowded[crowded >= 10.0],
+                             np.log(signal(crowded[crowded >= 10.0])), 1)[0]
+    assert abs(dense.lam - base.lam) < 0.2 * abs(unweighted - base.lam)
 
 
 def test_sample_relations_and_budgets():
