@@ -430,7 +430,18 @@ class _Tape:
         state x_i = y_i + d_i * h on Python floats, by the IEEE operations
         numpy applies to y + d * h entry by entry, and writes the values to
         the row K[s], which a later stage's rows may read.  So K[s] holds
-        the floats of kernel(list(y + rows.dot(a) * h))."""
+        the floats of kernel(list(y + rows.dot(a) * h)).
+
+        It also carries, as kernel.batch_source, the source of a third
+        entry of the same lines, batch_stages(y, K, plan, h, batch), the
+        stages of one step of a batch: y is the flattened (n, batch) state,
+        each stage state is y + rows.dot(a) * h on it, as numpy forms it,
+        and its n rows of batch points are the kernel's inputs, so K[s]
+        holds the floats of kernel(list((y + rows.dot(a) * h).reshape(n,
+        batch))), each constant output broadcast to its row.  _batch_stages
+        compiles it at the kernel's first batched step: compiling it with
+        the kernel would double the trace cost of every flow kernel, most
+        of which never step a batch."""
         live = {t.name for t in results if isinstance(t, Traced)}
         live.update(name for name, (_, _, kept) in self.lines.items() if kept)
         for name in reversed(self.lines):
@@ -448,12 +459,29 @@ class _Tape:
                        f"        {''.join(f'd{i}, ' for i in range(n))}= rows.dot(a).tolist()"]
             source += [f"        x{i} = y{i} + d{i} * h" for i in range(n)]
             source += ["    " + line for line in body] + [f"        K[s] = {values}"]
-        namespace = {}
-        exec(compile("\n".join(source) + "\n", "<traced kernel>", "exec"), namespace)
+        namespace = _compiled("\n".join(source))
         kernel = namespace["kernel"]
         if stages:
             kernel.stages = namespace["stages"]
+            # one string, not a list of lines, which would take about three
+            # times the memory: every flow kernel keeps it until its first
+            # batched step
+            kernel.batch_source = "\n".join([
+                "def batch_stages(y, K, plan, h, batch):",
+                "    for s, rows, a in plan:",
+                f"        {''.join(f'x{i}, ' for i in range(n))}= "
+                f"(y + rows.dot(a) * h).reshape({n}, batch)",
+                *("    " + line for line in body),
+                f"        k = K[s].reshape({len(results)}, batch)",
+                *(f"        k[{i}] = {self.text(t)}" for i, t in enumerate(results))])
         return kernel
+
+
+def _compiled(source: str) -> dict:
+    """The names that source defines."""
+    namespace = {}
+    exec(compile(source + "\n", "<traced kernel>", "exec"), namespace)
+    return namespace
 
 
 def _shape(field) -> tuple:
@@ -525,7 +553,9 @@ def _kernel(field, key: tuple, size: int) -> Callable:
     function, a constant zero denominator, a wrong arity) keeps the dual
     path, which raises the error the field raises on duals.  A flow
     kernel also has its loop entry over a step's stages, kernel.stages
-    (_Tape.compile), on the dual path too for such a func (_dual_stages)."""
+    (_Tape.compile), on the dual path too for such a func (_dual_stages),
+    and the source of its batch entry, which a dual-path kernel lacks
+    (_batch_stages)."""
     cached = field._kernels.get(key)
     if cached is None or cached[0] is not field.func:
         tape = _Tape()
@@ -551,6 +581,34 @@ def _dual_stages(field, key: tuple, ys: list, K: np.ndarray, plan, h: float) -> 
         K[s] = _outputs(field, key, [y + d * h for y, d in zip(ys, rows.dot(a).tolist())])
 
 
+def _batch_stages(kernel, field, key: tuple, y: np.ndarray, K: np.ndarray, plan, h: float,
+                  batch: int) -> None:
+    """The stages of one step of a batch of flow states (flow_rhs's
+    rhs.batch_stages) in one call of kernel's batch entry (_Tape.compile),
+    compiled here at its first call from kernel.batch_source, which it
+    replaces, under one np.errstate for the step.
+    If it raises numpy's division by zero or invalid operation, or the
+    kernel is on the dual path, the step is run again stage by stage as
+    rhs runs a batch (_run), which raises the field's own error.  The
+    fallback calls _run, not rhs: rhs holds its batch entry, and a call
+    back to it would make every flow_rhs a reference cycle."""
+    entry = getattr(kernel, "batch_stages", None)
+    if entry is None and hasattr(kernel, "batch_source"):
+        source = kernel.__dict__.pop("batch_source")
+        entry = kernel.batch_stages = _compiled(source)["batch_stages"]
+    if entry is not None:
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                entry(y, K, plan, h, batch)
+            return
+        except (FloatingPointError, ZeroDivisionError):
+            pass
+    dim = len(y) // batch
+    for s, rows, a in plan:
+        z = (y + rows.dot(a) * h).reshape(dim, batch)
+        K[s] = _run(kernel, field, key, list(z), batch).reshape(-1)
+
+
 def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
     """kernel, the field's kernel for key (_kernel), on xs: a list of
     floats, giving a 1-D array, or for batch = B a list of length-B arrays
@@ -560,7 +618,8 @@ def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
     A kernel that divides by zero hands over to the dual path, so the
     error raised is the field's own (ExprEvalError for spec fields); on
     arrays numpy's division by zero and invalid operations are raised for
-    that (np.errstate), never left as inf or NaN.
+    that (np.errstate), never left as inf or NaN.  A batch's step whose
+    batch entry raises is run again here, stage by stage (_batch_stages).
     """
     if batch is None:
         try:
@@ -637,6 +696,10 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     wrote (dop853._DOP853 steps a one-state flow by it, once per trial
     step).  A stage that divides by zero is run again on the dual path,
     which raises the field's own error, as rhs does.
+    rhs.batch_stages(y, K, plan, h) does the same for a batch, y the
+    flattened (dim, B) state, in one call of the kernel's batch entry
+    (_batch_stages), with the floats of rhs on y + rows.dot(a) * h
+    reshaped to (dim, B).
 
     rhs.kernel is (field, key): two right-hand sides with the same field,
     the same field.func and the same key run the same kernel, and so
@@ -648,29 +711,35 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     size = copies * n * (1 + width) + cost
     resolved = [None, None]  # the func the kernel was looked up for, the kernel
 
-    def rhs(t, z):
+    def resolve():
         if resolved[0] is not field.func:
             resolved[:] = field.func, _kernel(field, key, size)
+        return resolved[1]
+
+    def rhs(t, z):
         if z.ndim == 1:
-            return _run(resolved[1], field, key, z.tolist())
-        return _run(resolved[1], field, key, list(z), z.shape[1])
+            return _run(resolve(), field, key, z.tolist())
+        return _run(resolve(), field, key, list(z), z.shape[1])
 
     def stages(y, K, plan, h):
-        if resolved[0] is not field.func:
-            resolved[:] = field.func, _kernel(field, key, size)
+        kernel = resolve()
         ys = y.tolist()
         try:
-            resolved[1].stages(ys, K, plan, h)
+            kernel.stages(ys, K, plan, h)
         except ZeroDivisionError:
             # again stage by stage, and a stage that divides on the dual
             # path, which raises the field's own error
             for stage in plan:
                 try:
-                    resolved[1].stages(ys, K, (stage,), h)
+                    kernel.stages(ys, K, (stage,), h)
                 except ZeroDivisionError:
                     _dual_stages(field, key, ys, K, (stage,), h)
 
+    def batch_stages(y, K, plan, h):
+        _batch_stages(resolve(), field, key, y, K, plan, h, len(y) // size)
+
     rhs.stages = stages
+    rhs.batch_stages = batch_stages
     rhs.kernel = field, key
     rhs.cost = cost
     return rhs

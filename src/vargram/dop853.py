@@ -1,9 +1,10 @@
 """scipy's DOP853 stepper, vargram's only contact with scipy.
 
 _DOP853 is scipy's Dormand-Prince 8(5,3) step made lean, with, for a
-one-state flow kernel, all twelve stages of a trial step run in one
-traced call with scipy's floats;
-_BatchDOP853 steps a batch of points with a per-point error norm;
+flow kernel, all twelve stages of a trial step run in one traced call
+with scipy's floats;
+_BatchDOP853 steps a batch of points with a per-point error norm, its
+trial steps in one call of the kernel's batch entry too;
 dense_steps builds the dense output of many steps at once from their
 stages and the right-hand side, with no solver;
 brentq locates a terminal event.
@@ -40,13 +41,16 @@ class _DOP853(DOP853):
 
     Stage s is fun(t + c h, y + d h) with d = K[:s].T . a, taken by
     numpy's dot as scipy takes it, and the first-same-as-last stage is
-    fun(t + h, y_new).  A one-state flow kernel (calculus.flow_rhs) runs
-    all twelve stages of a trial step in one call of its loop entry,
-    fun.stages, on the plan of the stages' (s, K[:s].T, a) and, last,
-    (12, K[:12].T, B), whose stage state is y_new: it forms each stage
-    state on Python floats inside the traced call by the same IEEE
-    operations, so the floats, steps and nfev are unchanged, and a step
-    makes one Python-level call instead of twelve.
+    fun(t + h, y_new).  A flow kernel (calculus.flow_rhs) runs all twelve
+    stages of a trial step in one call of its loop entry, fun.stages, on
+    the plan of the stages' (s, K[:s].T, a) and, last, (12, K[:12].T, B),
+    whose stage state is y_new: for one state it forms each stage state
+    on Python floats inside the traced call by the same IEEE operations,
+    and for a batch (_BatchDOP853, whose fun.stages is the kernel's
+    rhs.batch_stages) as y + rows.dot(a) * h on the flat state, so the
+    floats, steps and nfev are unchanged, and a step makes one
+    Python-level call instead of twelve.  A fun without stages is called
+    once per stage.
     """
 
     _FRACTIONS = DOP853.C[1:].tolist()  # c of the eleven stages, as Python floats
@@ -170,13 +174,15 @@ class _BatchDOP853(_DOP853):
 
     The error norm of a step is the largest of the B points' own DOP853
     norms, so a step is accepted only when every point would accept it
-    alone and the step size follows the hardest point.
+    alone and the step size follows the hardest point: a point whose
+    norm is _DOP853's NaN (its 0 / 0) makes the step's norm NaN, which
+    rejects it.  Its stages are run as _DOP853 runs them, by fun.stages
+    when fun has it.
     """
 
     def __init__(self, fun, t0, y0, t_bound, batch: int, **options):
         self.batch = batch
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._run_stages = None
 
     def _estimate_error_norm(self, K, h, scale):
         err5 = (np.dot(K.T, self.E5) / scale).reshape(-1, self.batch)
@@ -184,8 +190,10 @@ class _BatchDOP853(_DOP853):
         err5_norm_2 = np.einsum("ij,ij->j", err5, err5)
         err3_norm_2 = np.einsum("ij,ij->j", err3, err3)
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        nonzero = denom > 0.0
-        if not nonzero.any():
-            return 0.0
-        norms = err5_norm_2[nonzero] / np.sqrt(denom[nonzero] * len(err5))
+        zero = denom == 0.0  # so err5_norm_2 is 0 too
+        if zero.any():
+            if err3_norm_2[zero].any():  # 0.01 err3_norm_2 underflowed: _DOP853's NaN
+                return math.nan
+            denom[zero] = 1.0  # both errors 0: the point's norm is 0
+        norms = err5_norm_2 / np.sqrt(denom * len(err5))
         return np.abs(h) * float(norms.max())

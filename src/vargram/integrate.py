@@ -277,7 +277,10 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
     a (B, dim) stack, B > 1, where rhs(t, z) takes and returns the
     (dim, B) state, or a (dim, B * S) stack of S such states, and the
     error norm is taken per point (dop853._BatchDOP853); a stack of one is
-    solved as its one state.  BlowUpError when a state's norm reaches
+    solved as its one state.  The solver runs a trial step's stages in
+    one call of rhs.stages for one state and, through the batch's wrapper
+    of rhs, of rhs.batch_stages for a batch, when rhs has them
+    (calculus.flow_rhs).  BlowUpError when a state's norm reaches
     BLOWUP_NORM, naming the escaped point of a batch; IntegrationError,
     with the time and state norm reached, when the step size underflows.
     The norms leave out the last rhs.cost components of a state, the
@@ -303,6 +306,9 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
 
         def fun(t, y):
             return rhs(t, y.reshape(dim, -1)).reshape(y.shape)
+
+        if hasattr(rhs, "batch_stages"):
+            fun.stages = rhs.batch_stages
 
         def point_norms(y):
             return np.linalg.norm(y.reshape(dim, batch)[:flow], axis=0)

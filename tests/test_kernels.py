@@ -8,7 +8,9 @@ replaced func is traced again, and that the right-hand sides built on the
 kernels equal the ones built on duals.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from vargram.calculus import (
     value_and_rows,
 )
 from vargram.expr import BinOp, ExprEvalError, Num, Var, parse_system_spec
+from vargram.integrate import DEFAULT_ATOL, DEFAULT_RTOL, _solve_segment
 from vargram.systems import (
     SystemModel,
     adjoint_pair,
@@ -364,6 +367,68 @@ def test_replacing_func_traces_again():
         field.func = counted(float(scale))
         assert field_values(field, [1.0])[0] == scale
         assert jacobian(field, [0.5])[0, 0] == scale
+
+
+def test_the_batch_entry_is_compiled_at_the_first_batched_step_and_traced_again():
+    calls = []
+
+    def linear(scale):
+        def func(xs):
+            calls.append(scale)
+            return [-scale * xs[0]]
+        return func
+
+    field = VectorField(1, 1, linear(2.0))
+    fun = flow_rhs(field)
+    _solve_segment(fun, [1.0], 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL)
+    ((_, kernel),) = field._kernels.values()
+    assert hasattr(kernel, "stages") and not hasattr(kernel, "batch_stages")
+    _solve_segment(fun, [[1.0], [2.0]], 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL)
+    assert hasattr(kernel, "batch_stages")
+
+    # the stage states 1 + 0.5 * 0.5 and 2 + 1.0 * 0.5, a batch of two
+    y, K = np.array([1.0, 2.0]), np.array([[0.5, 1.0], [0.0, 0.0]])
+    plan = [(1, K[:1].T, np.array([1.0]))]
+    fun.batch_stages(y, K, plan, 0.5)
+    assert list(K[1]) == [-2.5, -5.0]
+    field.func = linear(5.0)
+    fun.batch_stages(y, K, plan, 0.5)
+    assert list(K[1]) == [-6.25, -12.5]
+    one = np.array([[0.0], [0.0]])
+    fun.stages(y[:1], one, [(1, K[:1, :1].T, np.array([1.0]))], 0.5)
+    assert list(one[1]) == [-6.25]
+    assert calls == [2.0, 5.0]  # one trace per func, shared by all three entries
+
+
+def test_a_flow_rhs_is_freed_without_the_cyclic_collector():
+    """A right-hand side is built on every energy call, so it must be no
+    reference cycle: with the cyclic collector off it is freed once its
+    last reference goes, after calls of all its entries, a batch step
+    that falls back stage by stage on a pole at x1 = 0 included.  (scipy's
+    OdeSolver holds its fun in a cycle of its own, so no solver is built
+    here.)"""
+    field = from_spec(parse_system_spec({
+        "name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
+        "g": [["0"], ["1"]], "h": ["x2"]})).f
+    # the stage states x1 = 1 + 0.25 and 0.5 + 0.25, then -0.25 + 0.25
+    y, K = np.array([1.0, 0.5, 0.0, 0.0]), np.ones((2, 4))
+    plan = [(1, K[:1].T, np.array([1.0]))]
+    gc.collect()
+    gc.disable()
+    try:
+        fun = flow_rhs(field)
+        fun(0.0, y[::2].copy())
+        fun(0.0, y.reshape(2, 2))
+        fun.stages(y[::2].copy(), K[:, :2], [(1, K[:1, :2].T, np.array([1.0]))], 0.25)
+        fun.batch_stages(y, K, plan, 0.25)
+        y[1] = -0.25
+        with pytest.raises(ExprEvalError, match="division by zero"):
+            fun.batch_stages(y, K, plan, 0.25)
+        freed = weakref.ref(fun)
+        del fun
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def _batchable_right_hand_sides(system):

@@ -12,8 +12,11 @@ runs all twelve stages of a trial step in one call of its loop entry
 (calculus.flow_rhs's rhs.stages), which scipy never calls: its solves
 are pinned to scipy's calls of rhs(t, y) too, for random polynomial
 fields as well, as are the derivatives kept at its states and the error
-its field raises at a middle stage and at the last one.  A change to
-scipy's step, interpolant or event handling fails here.
+its field raises at a middle stage and at the last one.  A batch of a
+flow kernel's states runs them in one call of its batch entry
+(rhs.batch_stages), pinned the same way to scipy's step with the batch's
+error norm.  A change to scipy's step, interpolant or event handling
+fails here.
 """
 
 import numpy as np
@@ -22,12 +25,12 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import DOP853, OdeSolution
 
-from vargram.calculus import VectorField, _primal, flow_rhs
+from vargram.calculus import Dual, VectorField, _primal, flow_rhs
 from vargram.energy import diff_observability
 from vargram.expr import ExprEvalError, parse_system_spec
 from vargram.dop853 import _BatchDOP853, _DOP853
 from vargram.integrate import (BLOWUP_NORM, DEFAULT_ATOL, DEFAULT_RTOL, BlowUpError,
-                               Solution, Trajectory, integrate_ivp, solve_ivp)
+                               Solution, Trajectory, _solve_segment, integrate_ivp, solve_ivp)
 from vargram.systems import closed_loop_prolonged, from_spec, prolong, registry
 
 from test_batch_flows import ESCAPING
@@ -55,6 +58,15 @@ def _batch_fun(rhs, dim: int, batch: int):
     """rhs of a (dim, B) batch on its flattened state, or on an (N, S)
     stack of such states, as _solve_segment hands it to the solver."""
     return lambda t, y: rhs(t, y.reshape(dim, -1)).reshape(y.shape)
+
+
+def _batch_entry_fun(rhs, dim: int, batch: int):
+    """_batch_fun with rhs's batch entry as its loop entry over a trial
+    step's stages, as _solve_segment hands a flow kernel's batch to the
+    solver."""
+    fun = _batch_fun(rhs, dim, batch)
+    fun.stages = rhs.batch_stages
+    return fun
 
 
 def _single():
@@ -315,6 +327,30 @@ def test_error_norm_equals_scipys_bitwise():
     assert np.isnan(ours._estimate_error_norm(tiny, 0.5, np.array([1e-162])))
 
 
+def test_a_batch_error_norm_is_nan_when_one_points_norm_is():
+    """The 0 / 0 stages above, held by one point of a batch beside a point
+    whose error is zero: each point's batch norm, alone, is _DOP853's norm
+    of it, and the batch's norm is NaN, which rejects the step, as that
+    point alone would; two zero points give 0."""
+    stages = _DOP853.n_stages + 1
+    tiny, zero = np.zeros((stages, 1)), np.zeros((stages, 1))
+    tiny[0] = 8 * 5e-324
+    scale = np.array([1e-162])
+    one = _DOP853(lambda t, y: -y, 0.0, np.ones(1), 1.0, **TOLS)
+
+    def batch_norm(*points):
+        batch = _BatchDOP853(lambda t, y: -y, 0.0, np.ones(len(points)), 1.0,
+                             batch=len(points), **TOLS)
+        return batch._estimate_error_norm(np.hstack(points), 0.5, np.repeat(scale, len(points)))
+
+    for point in (tiny, zero):
+        alone = one._estimate_error_norm(point, 0.5, scale)
+        assert np.array_equal(batch_norm(point), alone, equal_nan=True)
+    assert np.isnan(one._estimate_error_norm(tiny, 0.5, scale))
+    assert np.isnan(batch_norm(tiny, zero)) and np.isnan(batch_norm(zero, tiny))
+    assert batch_norm(zero, zero) == 0.0
+
+
 @pytest.mark.parametrize("fun, y0, t_span, status", [
     (_van_der_pol, [2.0, 0.0], (1e6, 1e6 + 10.0), 0),
     # dx/dt = x^2 escapes at t0 + 1, where the step falls below min_step
@@ -346,15 +382,8 @@ def _takes_scipys_steps(fun, y0, t_span, **options) -> Solution:
     two solvers first take three steps in lockstep, comparing the
     derivative each keeps too, so a wrong step fails at once instead of
     running on at a step size it has driven down."""
-    ours, ref = (method(fun, t_span[0], y0, t_span[1], **TOLS, **options)
-                 for method in (_DOP853, DOP853))
-    for _ in range(3):
-        if ref.status != "running":
-            break
-        ours.step()
-        ref.step()
-        assert (ours.t, ours.nfev) == (ref.t, ref.nfev)
-        assert np.array_equal(ours.y, ref.y) and np.array_equal(ours.f, ref.f)
+    _lockstep(*(method(fun, t_span[0], y0, t_span[1], **TOLS, **options)
+                for method in (_DOP853, DOP853)))
     ours = solve_ivp(fun, t_span, y0, event=lambda t, y: -1.0, dense=False, **TOLS, **options)
     ref = scipy.integrate.solve_ivp(fun, t_span, y0, method=DOP853, **TOLS, **options)
     assert (ours.status, ref.status) == (0, 0)
@@ -363,9 +392,50 @@ def _takes_scipys_steps(fun, y0, t_span, **options) -> Solution:
     return ours
 
 
+def _lockstep(ours, ref) -> None:
+    """Three steps of two solvers built alike, each state, nfev and kept
+    derivative compared bitwise after each step."""
+    for _ in range(3):
+        if ref.status != "running":
+            break
+        ours.step()
+        ref.step()
+        assert (ours.t, ours.nfev) == (ref.t, ref.nfev)
+        assert np.array_equal(ours.y, ref.y) and np.array_equal(ours.f, ref.f)
+
+
+def _points(y0: np.ndarray, batch: int) -> np.ndarray:
+    """A (B, dim) stack of y0 scaled by 1, 0.9, 0.8, ..."""
+    return y0 * (1.0 - 0.1 * np.arange(batch))[:, None]
+
+
+def _batch_takes_scipys_steps(rhs, z0: np.ndarray, t_span) -> Solution:
+    """_takes_scipys_steps for a (B, dim) stack z0 of a flow kernel's
+    states: ours steps them through rhs's batch entry, first by
+    _BatchDOP853 in lockstep, then by _solve_segment; scipy's DOP853,
+    with _BatchDOP853's error norm, calls rhs on each stage's batch."""
+    batch, dim = z0.shape
+    y0, options = z0.T.reshape(-1), {"batch": batch, **TOLS}
+    fun = _batch_fun(rhs, dim, batch)
+    ours = _BatchDOP853(_batch_entry_fun(rhs, dim, batch), t_span[0], y0, t_span[1], **options)
+    assert ours._run_stages is rhs.batch_stages
+    _lockstep(ours, _ScipyBatchDOP853(fun, t_span[0], y0, t_span[1], **options))
+    ours = _solve_segment(rhs, z0, *t_span, DEFAULT_RTOL, DEFAULT_ATOL, dense=False)
+    ref = scipy.integrate.solve_ivp(fun, t_span, y0, method=_ScipyBatchDOP853, **options)
+    assert (ours.status, ref.status) == (0, 0)
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    return ours
+
+
 def _abs(s):
-    """|s| by a comparison of its primal: runs on duals, not on Traced terms."""
-    return s if _primal(s) >= 0 else -s
+    """|s| by a comparison of its primal, entry by entry for the arrays of
+    a batch's first-order duals: runs on duals, not on Traced terms."""
+    p = _primal(s)
+    if isinstance(p, np.ndarray):
+        sign = np.where(p >= 0, 1.0, -1.0)
+        return Dual(p * sign, tuple([d * sign for d in s.derivs]))
+    return s if p >= 0 else -s
 
 
 def _reversed_cost_flow():
@@ -412,6 +482,16 @@ def test_a_flow_kernel_stepped_by_its_stage_entry_takes_scipys_steps(case):
     assert len(ours.t) > 10
 
 
+@pytest.mark.parametrize("case, batch", [
+    (_gramian_flow, 3), (_reversed_cost_flow, 4), (_untraceable_flow, 5), (_scalar_flow, 3),
+    (_constant_component_flow, 4)],
+    ids=["spec gramian", "reversed with cost", "untraceable", "n = 1", "constant component"])
+def test_a_batch_stepped_by_its_batch_entry_takes_scipys_steps(case, batch):
+    fun, y0, _ = case()
+    ours = _batch_takes_scipys_steps(fun, _points(y0, batch), (0.0, 5.0))
+    assert len(ours.t) > 10
+
+
 @pytest.mark.parametrize("case", [_gramian_flow, _reversed_cost_flow, _untraceable_flow],
                          ids=["spec gramian", "reversed with cost", "untraceable"])
 def test_the_derivative_kept_at_each_state_is_the_right_hand_side_there(case):
@@ -426,10 +506,11 @@ def test_the_derivative_kept_at_each_state_is_the_right_hand_side_there(case):
 
 class _Spy:
     """A flow kernel's right-hand side, counting its calls and the calls
-    and stages of its loop entry."""
+    and stages of its loop entry and of its batch entry."""
 
     def __init__(self, rhs):
-        self.rhs, self.calls, self.plans = rhs, 0, []
+        self.rhs, self.calls, self.plans, self.batch_plans = rhs, 0, [], []
+        self.cost = rhs.cost
 
     def __call__(self, t, y):
         self.calls += 1
@@ -438,6 +519,10 @@ class _Spy:
     def stages(self, y, K, plan, h):
         self.plans.append([s for s, _, _ in plan])
         return self.rhs.stages(y, K, plan, h)
+
+    def batch_stages(self, y, K, plan, h):
+        self.batch_plans.append([s for s, _, _ in plan])
+        return self.rhs.batch_stages(y, K, plan, h)
 
 
 def test_a_flow_kernel_makes_one_loop_entry_call_per_trial_step():
@@ -450,33 +535,65 @@ def test_a_flow_kernel_makes_one_loop_entry_call_per_trial_step():
     assert spy.calls == 2 == ours.nfev % 12
     assert len(spy.plans) == ours.nfev // 12 >= len(ours.t) - 1
     assert all(plan == list(range(1, 13)) for plan in spy.plans)
+    assert spy.batch_plans == []
+
+
+def test_a_batch_makes_one_batch_entry_call_per_trial_step():
+    fun, y0, _ = _reversed_cost_flow()
+    z0 = _points(y0, 4)
+    ref = _batch_takes_scipys_steps(fun, z0, (0.0, 5.0))
+    spy = _Spy(fun)
+    ours = _solve_segment(spy, z0, 0.0, 5.0, DEFAULT_RTOL, DEFAULT_ATOL, dense=False)
+    assert ours.nfev == ref.nfev and np.array_equal(ours.y, ref.y)
+    assert spy.calls == 2 == ours.nfev % 12
+    assert len(spy.batch_plans) == ours.nfev // 12 >= len(ours.t) - 1
+    assert all(plan == list(range(1, 13)) for plan in spy.batch_plans)
+    assert spy.plans == []
 
 
 _POLE = {"name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
          "g": [["0"], ["1"]], "h": ["x2"]}
 
+# the field of _POLE as a --spec field and as a Python field, and the error
+# each raises on its pole
+_POLE_FIELDS = {
+    "spec": (lambda: from_spec(parse_system_spec(_POLE)).f, ExprEvalError),
+    "python": (lambda: VectorField(2, 2, lambda xs: [1.0, 1.0 / xs[0]]), ZeroDivisionError),
+}
 
-def _raises_the_fields_error_at(stage: int):
+
+def _raises_the_fields_error_at(stage: int, batch: int | None = None, kind: str = "spec"):
     """x1' = 1, so stage s of a first step of length h is at x1 = y0 + d h
     with d = K[:s].T . a summed as the solver sums it; from y0 = -(d h) the
     first zero of x1, where x2' = 1/x1 divides by it, is at stage s (12:
     the first-same-as-last stage, at y_new).  Both solvers raise the
-    field's own error in that step, scipy at its (1 + s)th call."""
-    fun = flow_rhs(from_spec(parse_system_spec(_POLE)).f)
+    field's own error in that step, scipy at its (1 + s)th call.  In a
+    batch the middle point starts there, point i elsewhere at x1 = 1 + i,
+    and ours steps it through its batch entry."""
+    field, error = _POLE_FIELDS[kind]
+    fun = flow_rhs(field())
     h = 0.5
-    K = np.ones((_DOP853.n_stages + 1, 2))
+    points = batch or 1
+    K = np.ones((_DOP853.n_stages + 1, 2 * points))  # the x1 rows come first
     a = _DOP853.B if stage == 12 else _DOP853.A[stage][:stage]
-    y0 = np.array([-(K[:stage].T.dot(a)[0] * h), 0.0])
-    assert _steps_by_its_stage_entry(fun, y0)
+    x1 = 1.0 + np.arange(points)
+    x1[points // 2] = -(K[:stage].T.dot(a)[points // 2] * h)
+    y0 = np.concatenate([x1, np.zeros(points)])
     calls = []
 
     def counted(t, y):
         calls.append(t)
         return fun(t, y)
 
-    for method, rhs in ((_DOP853, fun), (DOP853, counted)):
-        solver = method(rhs, 0.0, y0, 1.0, first_step=h, **TOLS)
-        with pytest.raises(ExprEvalError, match="division by zero"):
+    if batch is None:
+        assert _steps_by_its_stage_entry(fun, y0)
+        solvers = ((_DOP853, fun, {}), (DOP853, counted, {}))
+    else:
+        solvers = ((_BatchDOP853, _batch_entry_fun(fun, 2, batch), {"batch": batch}),
+                   (_ScipyBatchDOP853, _batch_fun(counted, 2, batch), {"batch": batch}))
+    for method, rhs, options in solvers:
+        solver = method(rhs, 0.0, y0, 1.0, first_step=h, **TOLS, **options)
+        with pytest.raises(error, match="division by zero"):
             solver.step()
     assert len(calls) == 1 + stage
 
@@ -488,6 +605,12 @@ def test_a_zero_denominator_inside_a_stage_raises_the_fields_error():
 @pytest.mark.parametrize("stage", [6, 12], ids=["middle", "first-same-as-last"])
 def test_a_zero_denominator_first_met_at_a_later_stage_raises_the_fields_error(stage):
     _raises_the_fields_error_at(stage)
+
+
+@pytest.mark.parametrize("kind", sorted(_POLE_FIELDS))
+@pytest.mark.parametrize("stage", [1, 6, 12], ids=["first", "middle", "first-same-as-last"])
+def test_a_zero_denominator_at_one_point_of_a_batch_raises_the_fields_error(stage, kind):
+    _raises_the_fields_error_at(stage, batch=3, kind=kind)
 
 
 def test_replacing_func_traces_the_stage_entry_again():
@@ -548,16 +671,22 @@ _FLOWS = {
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=st.integers(1, 3), flow=st.sampled_from(sorted(_FLOWS)))
-def test_random_polynomial_flows_take_scipys_steps(data, n, flow):
+@given(data=st.data(), n=st.integers(1, 3), flow=st.sampled_from(sorted(_FLOWS)),
+       batch=st.sampled_from([None, 3]))
+def test_random_polynomial_flows_take_scipys_steps(data, n, flow, batch):
     # -x_i keeps states from 0.4 finite for the horizon of 3 (the slowest
-    # escape the terms allow, x' = 0.5 x^3, takes 6.25)
+    # escape the terms allow, x' = 0.5 x^3, takes 6.25); a batch of 3
+    # states is stepped through the kernel's batch entry
     spec = {"name": "poly", "n": n, "m": 1, "p": 1,
             "f": [f"-x{i} + " + data.draw(_polynomials(n, lowest=1)) for i in range(1, n + 1)],
             "g": [["0"]] * n, "h": [data.draw(_polynomials(n))]}
     fun = _FLOWS[flow](from_spec(parse_system_spec(spec)))
     _, copies, width, _, _ = fun.kernel[1]
     dim = copies * n * (1 + width) + fun.cost
-    y0 = np.array(data.draw(st.lists(st.floats(-0.4, 0.4), min_size=dim, max_size=dim)))
-    assert _steps_by_its_stage_entry(fun, y0)
-    _takes_scipys_steps(fun, y0, (0.0, 3.0))
+    size = dim * (batch or 1)
+    y0 = np.array(data.draw(st.lists(st.floats(-0.4, 0.4), min_size=size, max_size=size)))
+    if batch:
+        _batch_takes_scipys_steps(fun, y0.reshape(batch, dim), (0.0, 3.0))
+    else:
+        assert _steps_by_its_stage_entry(fun, y0)
+        _takes_scipys_steps(fun, y0, (0.0, 3.0))
