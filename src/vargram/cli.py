@@ -6,7 +6,7 @@ the built-in cubic example).  All numeric output is written as CSV with
 '.' decimals, ',' separators, and 17 significant digits, or as JSON with
 sorted keys, so identical invocations produce byte-identical files.
 Randomized sample points come from a seeded splitmix64 stream.
-verify solves each one-state flow segment once per command
+verify solves each one-state energy flow segment once per command
 (integrate.shared_flows): each check re-seeds the sampler, so thm5 draws
 thm4's samples and shares their flows; nothing is kept once the command
 returns.  example draws all checks from one stream, so no check repeats

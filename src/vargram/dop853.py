@@ -1,12 +1,13 @@
 """scipy's DOP853 stepper, vargram's only contact with scipy.
 
-_DOP853 is scipy's Dormand-Prince 8(5,3) step made lean, with, for a
-flow kernel, all twelve stages of a trial step run in one traced call
-with scipy's floats;
+_DOP853 is scipy's Dormand-Prince 8(5,3) step made lean, all twelve
+stages of a trial step run by one stage entry with scipy's floats: a
+flow kernel's traced loop entry, or the solver's own, one call per
+stage, for any other right-hand side;
 _BatchDOP853 steps a batch of points with a per-point error norm, its
 trial steps in one call of the kernel's batch entry too;
-dense_steps builds the dense output of many steps at once from their
-stages and the right-hand side, with no solver;
+OdeSolution chains the solver's per-step dense outputs, scipy's own
+interpolants;
 brentq locates a terminal event.
 integrate.solve_ivp imports this module when it first runs, so a process
 that never solves a flow (rank tests, certificate residuals) never
@@ -18,12 +19,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
+from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
-__all__ = ["_BatchDOP853", "_DOP853", "brentq", "dense_steps"]
+__all__ = ["OdeSolution", "_BatchDOP853", "_DOP853", "brentq"]
 
 
 class _DOP853(DOP853):
@@ -41,19 +41,21 @@ class _DOP853(DOP853):
 
     Stage s is fun(t + c h, y + d h) with d = K[:s].T . a, taken by
     numpy's dot as scipy takes it, and the first-same-as-last stage is
-    fun(t + h, y_new).  A flow kernel (calculus.flow_rhs) runs all twelve
-    stages of a trial step in one call of its loop entry, fun.stages, on
-    the plan of the stages' (s, K[:s].T, a) and, last, (12, K[:12].T, B),
-    whose stage state is y_new: for one state it forms each stage state
-    on Python floats inside the traced call by the same IEEE operations,
-    and for a batch (_BatchDOP853, whose fun.stages is the kernel's
-    rhs.batch_stages) as y + rows.dot(a) * h on the flat state, so the
-    floats, steps and nfev are unchanged, and a step makes one
-    Python-level call instead of twelve.  A fun without stages is called
-    once per stage.
+    fun(t + h, y_new).  A trial step runs all twelve in one call of its
+    stage entry, on the plan of the stages' (s, K[:s].T, a) and, last,
+    (12, K[:12].T, B), whose stage state is y_new.  A flow kernel
+    (calculus.flow_rhs) brings its own, fun.stages: for one state it
+    forms each stage state on Python floats inside the traced call by
+    the same IEEE operations, and for a batch (_BatchDOP853, whose
+    fun.stages is the kernel's rhs.batch_stages) as y + rows.dot(a) * h
+    on the flat state, so the floats, steps and nfev are unchanged, and a
+    step makes one Python-level call instead of twelve.  Any other fun
+    is run by the solver's entry, _each_stage, one call per stage.
+    The per-step dense output is scipy's, whose three extra stages scipy's
+    counting wrapper of fun runs and counts.
     """
 
-    _FRACTIONS = DOP853.C[1:].tolist()  # c of the eleven stages, as Python floats
+    _FRACTIONS = DOP853.C[1:].tolist() + [1.0]  # c of the twelve stages, as Python floats
 
     def __init__(self, fun, t0, y0, t_bound, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
@@ -64,6 +66,14 @@ class _DOP853(DOP853):
         self._solution_stages = K[:-1].T
         self._plan = [(s, K[:s].T, a[:s]) for s, a in enumerate(self.A[1:], start=1)]
         self._plan.append((self.n_stages, self._solution_stages, self.B))
+
+    def _each_stage(self, y, K, plan, h):
+        """The stage entry of a fun without one: K[s] = fun(t + c h, y +
+        rows.dot(a) * h) for each (s, rows, a) of plan, c = 1 for the
+        last, at the step's start t."""
+        t, rhs = self.t, self._rhs
+        for (s, rows, a), c in zip(plan, self._FRACTIONS):
+            K[s] = rhs(t + c * h, y + rows.dot(a) * h)
 
     def _estimate_error_norm(self, K, h, scale):
         """scipy's DOP853 error norm, with each np.linalg.norm(e) ** 2 taken
@@ -82,7 +92,8 @@ class _DOP853(DOP853):
         return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def _step_impl(self):
-        t, y, rhs, run_stages, K = self.t, self.y, self._rhs, self._run_stages, self.K
+        t, y, K = self.t, self.y, self.K
+        run_stages = self._run_stages or self._each_stage
         direction = self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
@@ -104,17 +115,9 @@ class _DOP853(DOP853):
             h = t_new - t
             h_abs = abs(h)
 
-            if run_stages is None:
-                # the eleven stages: zip stops where the fractions c end
-                for (s, rows, a), c in zip(self._plan, self._FRACTIONS):
-                    K[s] = rhs(t + c * h, y + rows.dot(a) * h)
-                y_new = y + h * self._solution_stages.dot(self.B)
-                f_new = rhs(t + h, y_new)
-                K[-1] = f_new
-            else:
-                run_stages(y, K, self._plan, h)
-                y_new = y + h * self._solution_stages.dot(self.B)
-                f_new = K[-1].copy()
+            run_stages(y, K, self._plan, h)
+            y_new = y + h * self._solution_stages.dot(self.B)
+            f_new = K[-1].copy()
             self.nfev += self.n_stages
             scale = np.abs(y)  # atol + max(|y|, |y_new|) * rtol, in place
             np.maximum(scale, np.abs(y_new), out=scale)
@@ -141,32 +144,6 @@ class _DOP853(DOP853):
         self.h_abs = h_abs
         self.f = f_new
         return True, None
-
-
-def dense_steps(fun, t: np.ndarray, y: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Interpolant coefficients F, shape (7, S, N), of S accepted DOP853
-    steps of dy/dt = fun(t, y) (see integrate.Trajectory), step i from
-    t[i] to t[i + 1] and y[i] to y[i + 1] (t (S + 1,), y (S + 1, N)),
-    whose n_stages + 1 stages are K[i] (K (S, n_stages + 1, N)).
-
-    Each of DOP853's three extra stages is one call of fun on the (N, S)
-    stack of all steps' stage states (scipy counts 3 nfev per step); every
-    float is that of scipy's Dop853DenseOutput of the step."""
-    K = np.concatenate([K, np.empty((len(K), len(DOP853.A_EXTRA), K.shape[2]))], axis=1)
-    t_old, h, y_old = t[:-1], np.diff(t), y[:-1]
-    h_rows = h[:, None]
-    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1):
-        dy = np.matmul(K[:, :s].transpose(0, 2, 1), a[:s]) * h_rows
-        K[:, s] = fun(t_old + c * h, (y_old + dy).T).T
-
-    f_old, f = K[:, 0], K[:, DOP853.n_stages]
-    delta_y = y[1:] - y_old
-    F = np.empty((INTERPOLATOR_POWER,) + delta_y.shape)
-    F[0] = delta_y
-    F[1] = h_rows * f_old - delta_y
-    F[2] = 2 * delta_y - h_rows * (f + f_old)
-    F[3:] = (h[:, None, None] * np.matmul(DOP853.D, K)).transpose(1, 0, 2)
-    return F
 
 
 class _BatchDOP853(_DOP853):

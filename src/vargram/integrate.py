@@ -2,17 +2,16 @@
 
 A Trajectory is a solved flow of the Dormand-Prince 8(5,3) pair: its
 step times, its states, the solver's derivative at each of them and,
-when the solve built one, the coefficients of its 7th-order dense
-output.  solve_ivp steps scipy's DOP853 itself (dop853._DOP853, scipy's
-step with its per-call overhead removed), taking the steps and floats of
-scipy's solve_ivp; it imports vargram.dop853, and with it scipy, when it
-first runs.  For a dense output it keeps each accepted step's stages
-and, after the loop, evaluates the interpolant's three extra stages of
-all steps at once, keeping the coefficients as one array, so that a
-lookup evaluates any number of times in one pass (Hairer, Norsett &
-Wanner, Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).
-Only integrate_ivp and HorizonFlow build one; the integrals along flows
-and the decay fits read the accepted steps.
+when the solve built one, its 7th-order dense output.  solve_ivp steps
+scipy's DOP853 itself (dop853._DOP853, scipy's step with its per-call
+overhead removed), taking the steps and floats of scipy's solve_ivp; it
+imports vargram.dop853, and with it scipy, when it first runs.  For a
+dense output it keeps, as scipy's solve_ivp does, the solver's
+dense_output() after each accepted step, and a Trajectory evaluates
+scipy's OdeSolution of those interpolants (Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, 2nd ed., Sec. II.6).  Only
+integrate_ivp and HorizonFlow build one; the integrals along flows and
+the decay fits read the accepted steps.
 
 An integral along a flow is accumulated as part of the flow: the state
 ends in a cost block c whose rate is the integrand (calculus.flow_rhs),
@@ -34,9 +33,8 @@ Every flow is solved at DEFAULT_RTOL and DEFAULT_ATOL, read when the
 solve starts (_solved); only scipy's solver interface (solve_ivp,
 _solve_segment) takes tolerances as arguments.
 
-A right-hand side fun(t, y) takes one solver state, shape (N,), or an
-(N, S) stack of S states with t giving the time of each column, and
-returns the derivatives in the same shape.  A (B, dim) stack of initial
+A right-hand side fun(t, y) takes one solver state, shape (N,), and
+returns its derivative in the same shape.  A (B, dim) stack of initial
 states is integrated as one solve: the right-hand side receives the
 (dim, B) state, one column per point (batched flows are autonomous and
 ignore t), and a step is accepted only when each point's own DOP853
@@ -45,13 +43,16 @@ point meets the tolerances it would meet alone.  Improper integrals over
 such a batch stop doubling the horizon point by point.  A stack of one is
 solved as its one state, so a flow integral's point is a batch of one.
 
-Inside a shared_flows() scope a one-state solve of a flow kernel is made
-once: asked again for the same kernel, start state, span, tolerances and
-dense output, it hands back the Trajectory it stored, read-only.  The store holds at
-most SHARED_BYTES of arrays, dropping the least recently used first;
-a stored solve keeps its arrays and nothing else, no stages.
-Batched solves, plain callables and solves that raise are never stored,
-and the store is dropped when the scope closes.
+Inside a shared_flows() scope a one-state solve of a flow kernel with a
+cost block, made without a dense output, is made once: asked again for
+the same kernel, start state, span and tolerances, it hands back the
+Trajectory it stored, read-only.  These are the solves a verify run asks
+for twice: a decay fit and an energy from the same start.  The store
+holds at most SHARED_BYTES of arrays, dropping the least recently used
+first; a stored solve keeps its arrays and nothing else.  Batched
+solves, dense outputs, flows without a cost block, plain callables and
+solves that raise are never stored, and the store is dropped when the
+scope closes.
 """
 
 from __future__ import annotations
@@ -114,24 +115,22 @@ def _within_span(t, t0: float, tf: float):
 
 class Trajectory:
     """A solved flow: the steps of one DOP853 solve, or of consecutive
-    solves, with their dense output, evaluated as scipy's OdeSolution
-    evaluates its Dop853DenseOutput interpolants, for every requested time
-    in one pass.
+    solves, with their dense output.
 
     times, shape (S + 1,), are the step times and states, (S + 1, N), the
     states there as the solver lays them out; dydt, (S + 1, N) or None,
-    holds the solver's derivative at each of them; F, (7, S, N), holds the
-    seven coefficient rows of each step's interpolant (built by
-    dop853.dense_steps), or is None for a solve made without dense
-    output.  A batch of B points holds its (dim, B) solver state
-    flattened, N = dim * B, and hands out states as (B, dim).
+    holds the solver's derivative at each of them; dense is scipy's
+    OdeSolution of the solver's Dop853DenseOutput interpolants, one per
+    step, or None for a solve made without dense output.  A batch of B
+    points holds its (dim, B) solver state flattened, N = dim * B, and
+    hands out states as (B, dim).
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, F, batch: int | None = None,
-                 dydt: np.ndarray | None = None):
+    def __init__(self, times: np.ndarray, states: np.ndarray, dense=None,
+                 batch: int | None = None, dydt: np.ndarray | None = None):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self.F = F
+        self.dense = dense
         self.batch = batch
         self.dydt = dydt
         if self.times.ndim != 1 or len(self.times) < 1:
@@ -163,35 +162,24 @@ class Trajectory:
         """State at time t, shape (dim,), or at each entry of a 1-D array of
         times, stacked on axis 0; a batch adds its point axis before dim.
 
-        A time lies on the first step whose end is not before it (the
-        earlier step at a step time), and its state is scipy's recurrence:
-        x = (t - t_old) / h, y = 0, then y += F[k] and y *= x (k even) or
-        1 - x (k odd) for k = 6, ..., 0, then y += y_old."""
-        if self.F is None:
+        The dense output's value there: a time lies on the first step
+        whose end is not before it (the earlier step at a step time)."""
+        if self.dense is None:
             raise ValueError("trajectory was solved without dense output")
-        t = _within_span(t, self.t0, self.tf)
-        times = np.atleast_1d(t)
-        step = np.searchsorted(self.times[:-1], times, side="left") - 1
-        step[step < 0] = 0
-        t_old = self.times[step]
-        x = ((times - t_old) / (self.times[step + 1] - t_old))[:, None]
-        one_minus_x = 1 - x
-        y = np.zeros((len(times), self.states.shape[1]))
-        for k in range(6, -1, -1):
-            y += self.F[k][step]
-            y *= x if k % 2 == 0 else one_minus_x
-        y += self.states[step]
-        return self._points(y if np.ndim(t) else y[0])
+        return self._points(self.dense(_within_span(t, self.t0, self.tf)).T)
 
     def then(self, later: "Trajectory") -> "Trajectory":
         """This flow followed by that of a solve from where it ends."""
-        def joined(a, b, axis=0):
-            return None if a is None or b is None else np.concatenate([a, b], axis=axis)
+        from vargram.dop853 import OdeSolution
 
-        return Trajectory(np.concatenate([self.times, later.times[1:]]),
-                          np.concatenate([self.states, later.states[1:]]),
-                          joined(self.F, later.F, axis=1), self.batch,
-                          joined(self.dydt, later.dydt[1:] if later.dydt is not None else None))
+        times = np.concatenate([self.times, later.times[1:]])
+        dense = dydt = None
+        if self.dense is not None and later.dense is not None:
+            dense = OdeSolution(times, self.dense.interpolants + later.dense.interpolants)
+        if self.dydt is not None and later.dydt is not None:
+            dydt = np.concatenate([self.dydt, later.dydt[1:]])
+        return Trajectory(times, np.concatenate([self.states, later.states[1:]]), dense,
+                          self.batch, dydt)
 
 
 @dataclass
@@ -200,9 +188,8 @@ class Solution:
     the derivatives dydt there, both shape (N, S + 1) as scipy lays them
     out; nfev; status 0 when tf was reached, 1 when the event crossed zero
     (at t_event, state y_event) and -1 when the solver failed (message);
-    when tf was reached and a dense output was asked for, dense holds the
-    interpolant coefficients of the steps taken, shape (7, S, N)
-    (dop853.dense_steps), else None."""
+    when tf was reached and a dense output was asked for, dense is scipy's
+    OdeSolution of the steps taken, else None."""
 
     t: np.ndarray
     y: np.ndarray
@@ -210,7 +197,7 @@ class Solution:
     nfev: int
     status: int
     message: str | None
-    dense: np.ndarray | None
+    dense: object | None
     t_event: float | None = None
     y_event: np.ndarray | None = None
 
@@ -219,25 +206,26 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> 
     """Integrate dy/dt = fun(t, y) from y0 over t_span = (t0, tf) by
     stepping `method`, a dop853._DOP853 (the default, None) built with
     options such as rtol and atol, to tf: the steps, nfev and floats of
-    scipy's solve_ivp(..., method=DOP853, dense_output=True).
+    scipy's solve_ivp(..., method=DOP853, dense_output=dense).
 
-    fun takes one state (N,) or an (N, S) stack with one time per column
-    (module docstring).  The dense output is built after the loop from
-    each accepted step's stages (dop853.dense_steps); with dense False
-    no stage is kept.  The derivative at each kept state
-    is the one the solver computed there (its first-same-as-last stage),
-    at no call.
+    fun takes one state (N,) (module docstring).  With dense, the
+    solver's dense_output() is kept after each accepted step, as scipy's
+    solve_ivp keeps it, and scipy's counting wrapper of fun counts its
+    three extra stages in nfev.  The derivative at each kept state is the
+    one the solver computed there (its first-same-as-last stage), at no
+    call.  When it returns, the solver drops scipy's two wrappers of fun,
+    closures over the solver, so that reference counting frees it.
 
     event(t, y) is a terminal event crossing upwards: after each accepted
     step at which it is >= 0 (having been <= 0 before), its root on that
     step's interpolant is found by brentq at xtol = rtol = 4 eps, as
     scipy finds a terminal event, and the solve stops with status 1.
     """
-    from vargram.dop853 import _DOP853, brentq, dense_steps
+    from vargram.dop853 import _DOP853, OdeSolution, brentq
 
     t0, tf = map(float, t_span)
     solver = (_DOP853 if method is None else method)(fun, t0, y0, tf, **options)
-    ts, ys, dydts, stages = [t0], [y0], [solver.f], []
+    ts, ys, dydts, steps = [t0], [y0], [solver.f], []
     crossing = event(t0, y0)
     status, message, t_event, y_event = None, None, None, None
     while status is None:
@@ -261,13 +249,11 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> 
         ys.append(solver.y)
         dydts.append(solver.f)
         if dense:
-            stages.append(solver.K.copy())
-    ts, ys = np.array(ts), np.array(ys)
-    dense = None
-    if status == 0 and stages:  # its three extra stages per step count in nfev
-        dense = dense_steps(fun, ts, ys, np.array(stages))
-        solver.nfev += len(solver.A_EXTRA) * len(stages)
-    return Solution(ts, ys.T, np.array(dydts).T, solver.nfev, status, message, dense,
+            steps.append(solver.dense_output())
+    del solver.fun, solver.fun_vectorized
+    ts = np.array(ts)
+    return Solution(ts, np.array(ys).T, np.array(dydts).T, solver.nfev, status, message,
+                    OdeSolution(ts, steps) if status == 0 and steps else None,
                     t_event, y_event)
 
 
@@ -275,8 +261,8 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
                    dense: bool = True) -> Solution:
     """solve_ivp by DOP853 from one state x0, shape (dim,), or one solve of
     a (B, dim) stack, B > 1, where rhs(t, z) takes and returns the
-    (dim, B) state, or a (dim, B * S) stack of S such states, and the
-    error norm is taken per point (dop853._BatchDOP853); a stack of one is
+    (dim, B) state, and the error norm is taken per point
+    (dop853._BatchDOP853); a stack of one is
     solved as its one state.  The solver runs a trial step's stages in
     one call of rhs.stages for one state and, through the batch's wrapper
     of rhs, of rhs.batch_stages for a batch, when rhs has them
@@ -305,7 +291,7 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
         y0, options = x0.T.reshape(-1), {"method": _BatchDOP853, "batch": batch}
 
         def fun(t, y):
-            return rhs(t, y.reshape(dim, -1)).reshape(y.shape)
+            return rhs(t, y.reshape(dim, batch)).reshape(-1)
 
         if hasattr(rhs, "batch_stages"):
             fun.stages = rhs.batch_stages
@@ -338,7 +324,7 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
 
 
 # Bytes of arrays a shared_flows scope keeps at most.  A default verify run on
-# paper_sec5 stores 0.54 MiB in 340 solves, all kept; larger runs keep the
+# paper_sec5 stores 0.53 MiB in 335 solves, all kept; larger runs keep the
 # reuse of a decay fit by the energy right after it in bounded memory.
 SHARED_BYTES = 2 ** 22
 
@@ -352,17 +338,18 @@ _shared_nbytes = 0
 
 @contextlib.contextmanager
 def shared_flows():
-    """Scope within which each one-state flow-kernel solve is made once.
+    """Scope within which each one-state solve of a cost flow is made once.
 
-    Inside it, _solved keys a solve of a calculus.flow_rhs right-hand side
+    Inside it, _solved keys a solve without a dense output of a
+    calculus.flow_rhs right-hand side with a cost block (rhs.cost > 0)
     from one state (dim,), or a stack of one, on the kernel (the ids of its
     field and of the field's func, and its key), the start state's bytes,
-    t0, tf, rtol, atol and whether it builds a dense output, and a solve
-    asked for again returns the stored Trajectory, whose arrays are
-    read-only.  A horizon extension starts at the endpoint of the segment
-    before it, so extensions share as chains.
+    t0, tf, rtol and atol, and a solve asked for again returns the stored
+    Trajectory, whose arrays are read-only.  A horizon extension starts at
+    the endpoint of the segment before it, so extensions share as chains.
     Never stored: batched solves (a batch's steps depend on its members),
-    plain callables and solves that raise.  Past SHARED_BYTES of arrays
+    dense outputs, flows without a cost block (no energy solves them
+    again), plain callables and solves that raise.  Past SHARED_BYTES of arrays
     the least recently used trajectories are dropped, to be solved again
     if asked for.  A scope opened inside an open one joins it; the store
     is dropped when the outermost one closes.  It is usable as a decorator.
@@ -385,18 +372,18 @@ def _solved(rhs, x0, t0: float, tf: float, dense: bool = True) -> Trajectory:
     when the open shared_flows scope has made this solve."""
     x0 = np.asarray(x0, dtype=float)
     batch = None if x0.ndim == 1 else len(x0)
-    kernel = getattr(rhs, "kernel", None)
     key = None
-    if _shared is not None and kernel is not None and x0.size == x0.shape[-1]:
-        field, flow = kernel
+    if (_shared is not None and not dense and getattr(rhs, "cost", 0)
+            and hasattr(rhs, "kernel") and x0.size == x0.shape[-1]):
+        field, flow = rhs.kernel
         key = (id(field), id(field.func), flow, x0.tobytes(), t0, tf, DEFAULT_RTOL,
-               DEFAULT_ATOL, dense)
+               DEFAULT_ATOL)
         stored = _shared.pop(key, None)
         if stored is not None:
             _shared[key] = stored  # now the most recently used
             traj = stored[0]
             return traj if traj.batch == batch else Trajectory(traj.times, traj.states,
-                                                               traj.F, batch, traj.dydt)
+                                                               None, batch, traj.dydt)
     sol = _solve_segment(rhs, x0, t0, tf, DEFAULT_RTOL, DEFAULT_ATOL, dense)
     traj = Trajectory(sol.t, sol.y.T, sol.dense, batch, sol.dydt.T)
     if key is not None:
@@ -408,7 +395,7 @@ def _store(key, traj: Trajectory, field) -> None:
     """Keep traj, read-only, under key in the open shared_flows scope, then
     drop the least recently used until at most SHARED_BYTES are kept."""
     global _shared_nbytes
-    arrays = [a for a in (traj.times, traj.states, traj.dydt, traj.F) if a is not None]
+    arrays = (traj.times, traj.states, traj.dydt)
     for array in arrays:
         array.flags.writeable = False
     nbytes = sum(array.nbytes for array in arrays)
@@ -423,8 +410,8 @@ def integrate_ivp(field, x0, t_span) -> Trajectory:
     with t0 < tf (ValueError otherwise).
 
     field is a VectorField (autonomous), run through its traced kernel
-    (calculus.flow_rhs), or a right-hand side rhs(t, y) taking one state
-    or a stack of states (module docstring).  Raises BlowUpError with the
+    (calculus.flow_rhs), or a right-hand side rhs(t, y) taking one solver
+    state (module docstring).  Raises BlowUpError with the
     escape time if the state norm passes 1e12, and IntegrationError on
     step-size underflow.
     """
@@ -444,8 +431,8 @@ class HorizonFlow:
     first solve covers [0, INITIAL_HORIZON], the first horizon of an
     improper integral, and each extension at least doubles the horizon,
     so the solver pieces do not depend on how the requested times are
-    grouped into calls.  rhs takes one state or a stack of states, one
-    per column (module docstring).  A (B, dim) stack
+    grouped into calls.  rhs takes one solver state (module docstring).
+    A (B, dim) stack
     z0 is solved as one batch (see _solve_segment), and state(t) then has
     shape (B, dim) or (N, B, dim).
     """
@@ -598,7 +585,7 @@ def flow_integrals(rhs, z0, direction: str, tol: float = 1e-8,
     result per row, its value the block's (rhs.cost,) entries.
 
     rhs is a calculus.flow_rhs right-hand side with a cost block
-    (rhs.cost > 0), taking one state or a stack of states, one per
+    (rhs.cost > 0), taking one state or a (dim, B) batch, one point per
     column; for 'backward' it must already be the time-reversed field
     (its cost block is never negated).  The integral runs from 0 to
     infinity by horizon doubling (see _cost_integrals), or over
@@ -714,7 +701,7 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8) -> Quad
     shape = np.shape(integrand(np.zeros(1)))[1:]
     size = math.prod(shape)
 
-    def rhs(t, c):  # one state; never a stack of steps (no dense output)
+    def rhs(t, c):
         values = np.asarray(integrand(np.array([sign * t])), dtype=float).reshape(size)
         if not np.isfinite(values).all():
             raise IntegrationError(f"integrand non-finite at t = {sign * t:g}")

@@ -404,9 +404,8 @@ def test_a_flow_rhs_is_freed_without_the_cyclic_collector():
     """A right-hand side is built on every energy call, so it must be no
     reference cycle: with the cyclic collector off it is freed once its
     last reference goes, after calls of all its entries, a batch step
-    that falls back stage by stage on a pole at x1 = 0 included.  (scipy's
-    OdeSolver holds its fun in a cycle of its own, so no solver is built
-    here.)"""
+    that falls back stage by stage on a pole at x1 = 0 included.  (That
+    a solve frees its solver is pinned in test_shared_flows.py.)"""
     field = from_spec(parse_system_spec({
         "name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
         "g": [["0"], ["1"]], "h": ["x2"]})).f

@@ -1,19 +1,20 @@
 """The step loop and the dense output against scipy.
 
-integrate.solve_ivp steps scipy's DOP853 through _DOP853's lean step,
-builds the steps' Dop853DenseOutput coefficients after the loop for all
-steps at once, and Trajectory evaluates them for all requested times at
-once.  These tests pin all three to scipy: the steps, nfev and states of
-scipy's solve_ivp(method=DOP853, dense_output=True), its per-step
-coefficients, the values of its OdeSolution, and the time and point of
-its terminal event, all bitwise.  A batch is pinned to scipy's own step
-with the per-point error norm of _BatchDOP853.  A one-state flow kernel
-runs all twelve stages of a trial step in one call of its loop entry
-(calculus.flow_rhs's rhs.stages), which scipy never calls: its solves
-are pinned to scipy's calls of rhs(t, y) too, for random polynomial
-fields as well, as are the derivatives kept at its states and the error
-its field raises at a middle stage and at the last one.  A batch of a
-flow kernel's states runs them in one call of its batch entry
+integrate.solve_ivp steps scipy's DOP853 through _DOP853's lean step and
+keeps scipy's dense output of each step, and Trajectory evaluates scipy's
+OdeSolution of them, laid out by point for a batch.  These tests pin the
+step loop to scipy: the steps, nfev and states of scipy's
+solve_ivp(method=DOP853, dense_output=True), the values of its
+OdeSolution, and the time and point of its terminal event, all bitwise.
+A batch is pinned to scipy's own step with the per-point error norm of
+_BatchDOP853.  A right-hand side without a loop entry is run by the
+solver's stage-by-stage one, on one state per call.  A one-state flow
+kernel runs all twelve stages of a trial step in one call of its loop
+entry (calculus.flow_rhs's rhs.stages), which scipy never calls: its
+solves are pinned to scipy's calls of rhs(t, y) too, for random
+polynomial fields as well, as are the derivatives kept at its states and
+the error its field raises at a middle stage and at the last one.  A
+batch of a flow kernel's states runs them in one call of its batch entry
 (rhs.batch_stages), pinned the same way to scipy's step with the batch's
 error norm.  A change to scipy's step, interpolant or event handling
 fails here.
@@ -55,9 +56,9 @@ def _sec5_rhs():
 
 
 def _batch_fun(rhs, dim: int, batch: int):
-    """rhs of a (dim, B) batch on its flattened state, or on an (N, S)
-    stack of such states, as _solve_segment hands it to the solver."""
-    return lambda t, y: rhs(t, y.reshape(dim, -1)).reshape(y.shape)
+    """rhs of a (dim, B) batch on its flattened state, as _solve_segment
+    hands it to the solver."""
+    return lambda t, y: rhs(t, y.reshape(dim, batch)).reshape(-1)
 
 
 def _batch_entry_fun(rhs, dim: int, batch: int):
@@ -107,19 +108,9 @@ def test_solve_ivp_takes_scipys_steps(case):
     assert np.array_equal(flow.at(times), ref.sol(times).T)
 
 
-def _steps_of(interpolants: list, ts: np.ndarray, y_end: np.ndarray,
-              batch: int | None = None) -> Trajectory:
-    """Trajectory of scipy's Dop853DenseOutput interpolants over the step
-    times ts (OdeSolution.ts), ending at the state y_end."""
-    assert np.array_equal(ts[:-1], [p.t_old for p in interpolants])
-    assert np.array_equal(np.diff(ts), [p.h for p in interpolants])
-    return Trajectory(ts, np.array([p.y_old for p in interpolants] + [y_end]),
-                      np.stack([p.F for p in interpolants], axis=1), batch)
-
-
 def _trajectory_of(sol, batch: int | None = None) -> Trajectory:
     """Trajectory of a scipy solve_ivp result with dense_output=True."""
-    return _steps_of(sol.sol.interpolants, sol.sol.ts, sol.y[:, -1], batch)
+    return Trajectory(sol.t, sol.y.T, sol.sol, batch)
 
 
 def _times(ts: np.ndarray) -> np.ndarray:
@@ -133,13 +124,14 @@ def _times(ts: np.ndarray) -> np.ndarray:
 def test_dense_steps_equal_scipys_ode_solution(case):
     fun, y0, options = case()
     sol = _scipy(fun, y0, (0.0, 20.0), options)
-    ref, steps = sol.sol, _trajectory_of(sol)
+    ours = solve_ivp(fun, (0.0, 20.0), y0, event=lambda t, y: -1.0, **TOLS, **options)
+    ref, steps = sol.sol, Trajectory(ours.t, ours.y.T, ours.dense)
     times = _times(ref.ts)
     assert np.array_equal(steps.at(times), ref(times).T)
     for t in (ref.ts[0], ref.ts[7], 3.3, ref.ts[-1]):
         assert np.array_equal(steps.at(t), ref(t))
     if "batch" in options:  # the (B, dim) layout of a batch's states
-        points = _trajectory_of(sol, BATCH)
+        points = Trajectory(ours.t, ours.y.T, ours.dense, BATCH)
         assert np.array_equal(points.at(times), ref(times).reshape(4, BATCH, -1).T)
         assert np.array_equal(points.at(3.3), ref(3.3).reshape(4, BATCH).T)
         assert np.array_equal(points.endpoint, sol.y[:, -1].reshape(4, BATCH).T)
@@ -179,31 +171,6 @@ def _gramian_flow():
     return flow_rhs(field, width=4), z0, {}
 
 
-def _per_step_coefficients(fun, y0, t_span, options) -> Trajectory:
-    """Trajectory of scipy's dense_output() after each step: its times,
-    step lengths h, states y and coefficients F."""
-    method, extra = _reference(options)
-    solver = method(fun, t_span[0], y0, t_span[1], **TOLS, **extra)
-    ts, steps = [solver.t], []
-    while solver.status == "running":
-        solver.step()
-        ts.append(solver.t)
-        steps.append(solver.dense_output())
-    assert solver.status == "finished"
-    return _steps_of(steps, np.array(ts), solver.y)
-
-
-@pytest.mark.parametrize("case", [_gramian_flow, _batched], ids=["gramian n=4", "batch"])
-def test_after_the_loop_coefficients_equal_scipys_per_step_dense_output(case):
-    fun, y0, options = case()
-    ours = solve_ivp(fun, (0.0, 20.0), y0, event=lambda t, y: -1.0, **TOLS, **options)
-    ref = _per_step_coefficients(fun, y0, (0.0, 20.0), options)
-    assert np.array_equal(ours.t, ref.times)  # so the step lengths h are scipy's (_steps_of)
-    assert np.array_equal(ours.y.T, ref.states)
-    assert np.array_equal(ours.dense, ref.F)
-    assert ref.F.shape[1] > 20  # enough steps to stack
-
-
 def test_integrate_ivp_of_a_time_dependent_callable_equals_scipy():
     def fun(t, y):
         return -y + np.sin(t)
@@ -215,9 +182,9 @@ def test_integrate_ivp_of_a_time_dependent_callable_equals_scipy():
     assert np.array_equal(ours.at(times), ref.sol(times).T)
 
 
-def test_a_callable_is_run_as_given_on_a_state_and_on_a_stack():
-    # integrate_ivp hands a plain right-hand side one state in the steps and
-    # the (N, S) stack of all steps in the dense output's extra stages
+def test_a_callable_is_run_as_given_on_one_state_only():
+    # a plain right-hand side gets one state a call, in the steps' stages
+    # and in the dense output's extra stages alike
     ndims = set()
 
     def fun(t, y):
@@ -225,15 +192,19 @@ def test_a_callable_is_run_as_given_on_a_state_and_on_a_stack():
         x1, x2 = y
         return np.array([x2, -x1 - 0.5 * x2])
 
-    ours = integrate_ivp(fun, [1.0, 0.0], (0.0, 5.0))
-    assert ndims == {1, 2}
-    ref = _scipy(fun, np.array([1.0, 0.0]), (0.0, 5.0), {})
+    y0 = np.array([1.0, 0.0])
+    ours = integrate_ivp(fun, y0, (0.0, 5.0))
+    assert ndims == {1}
+    ref = _scipy(fun, y0, (0.0, 5.0), {})
     assert np.array_equal(ours.times, ref.t)
+    assert np.array_equal(ours.states, ref.y.T)
     assert np.array_equal(ours.at(ref.t[::3]), ref.sol(ref.t[::3]).T)
+    assert solve_ivp(fun, (0.0, 5.0), y0, event=lambda t, y: -1.0, **TOLS).nfev == ref.nfev
 
 
 def _van_der_pol(t, y):
-    """mu = 10: stiff enough that DOP853 rejects steps; takes stacks."""
+    """mu = 10: stiff enough that DOP853 rejects steps; takes a batch's
+    (dim, B) state too."""
     return np.array([y[1], -y[0] + 10.0 * (1.0 - y[0] ** 2) * y[1]])
 
 
@@ -357,18 +328,20 @@ def test_a_batch_error_norm_is_nan_when_one_points_norm_is():
     (lambda t, y: y ** 2, [1.0], (1e6, 1e6 + 2.0), -1),
 ], ids=["van der Pol", "step-size underflow"])
 def test_a_solve_far_from_t_zero_equals_scipys(fun, y0, t_span, status):
-    """At t0 = 1e6 floats are 1.2e-10 apart, so min_step is 1.2e-9.  A
-    failed solve builds no dense output, so its nfev is that of scipy's
-    solve without one."""
+    """At t0 = 1e6 floats are 1.2e-10 apart, so min_step is 1.2e-9.  With
+    a dense output and without, nfev is that of scipy's solve: a failed
+    solve has built the dense output of each step it accepted, as scipy's
+    has."""
     y0 = np.array(y0)
-    ours = solve_ivp(fun, t_span, y0, event=lambda t, y: -1.0, **TOLS)
-    ref = scipy.integrate.solve_ivp(fun, t_span, y0, method=DOP853,
-                                    dense_output=status == 0, **TOLS)
-    assert ours.status == ref.status == status
-    if status == -1:
-        assert ours.message == ref.message
-    assert ours.nfev == ref.nfev
-    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    for dense in (True, False):
+        ours = solve_ivp(fun, t_span, y0, event=lambda t, y: -1.0, dense=dense, **TOLS)
+        ref = scipy.integrate.solve_ivp(fun, t_span, y0, method=DOP853, dense_output=dense,
+                                        **TOLS)
+        assert ours.status == ref.status == status
+        if status == -1:
+            assert ours.message == ref.message
+        assert ours.nfev == ref.nfev
+        assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
 
 
 def _steps_by_its_stage_entry(fun, y0) -> bool:
