@@ -16,9 +16,12 @@ the same way (flow_rhs): duals seeded with the rows of a tangent
 block T give Df T by the chain rule, with no Jacobian formed, and a
 flow kernel has a second entry that loops over the Runge-Kutta stages
 of a step, forming each stage state and running the same lines on it
-(rhs.stages).  The kernels are straight-line code, so they run
-unchanged on a list of floats (one point) or of length-N arrays (the
-columns of a stack of points, or the rows of a batch of states).
+(rhs.stages), and says whether it ran them: a step it cannot run is
+run by the solver's own stage loop, one call of rhs per stage, which
+is where a kernel hands over to duals (_run).  The kernels are
+straight-line code, so they run unchanged on a list of floats (one
+point) or of length-N arrays (the columns of a stack of points, or the
+rows of a batch of states).
 Duals stay for tracing, for funcs the tracer cannot run, and for nested
 derivatives: brackets, Lie derivatives and ranks.
 """
@@ -158,11 +161,6 @@ def _identity_frame(n: int) -> tuple:
 def seed_identity(xs: Sequence) -> list[Dual]:
     """Wrap a point in duals carrying the identity tangent frame."""
     return [Dual(x, e) for x, e in zip(xs, _identity_frame(len(xs)))]
-
-
-def seed_direction(xs: Sequence, v: Sequence) -> list[Dual]:
-    """Wrap a point in duals carrying a single tangent direction v."""
-    return [Dual(x, (float(vi),)) for x, vi in zip(xs, v)]
 
 
 def split_scalar(s, width: int):
@@ -430,7 +428,9 @@ class _Tape:
         state x_i = y_i + d_i * h on Python floats, by the IEEE operations
         numpy applies to y + d * h entry by entry, and writes the values to
         the row K[s], which a later stage's rows may read.  So K[s] holds
-        the floats of kernel(list(y + rows.dot(a) * h)).
+        the floats of kernel(list(y + rows.dot(a) * h)).  A division by zero
+        raises ZeroDivisionError, on which flow_rhs's rhs.stages reports
+        the step as not run.
 
         It also carries, as kernel.batch_source, the source of a third
         entry of the same lines, batch_stages(y, K, plan, h, batch), the
@@ -439,9 +439,10 @@ class _Tape:
         and its n rows of batch points are the kernel's inputs, so K[s]
         holds the floats of kernel(list((y + rows.dot(a) * h).reshape(n,
         batch))), each constant output broadcast to its row.  _batch_stages
-        compiles it at the kernel's first batched step: compiling it with
+        compiles it at the kernel's first batched step (compiling it with
         the kernel would double the trace cost of every flow kernel, most
-        of which never step a batch."""
+        of which never step a batch) and runs it under one np.errstate that
+        raises numpy's division by zero and invalid operation."""
         live = {t.name for t in results if isinstance(t, Traced)}
         live.update(name for name, (_, _, kept) in self.lines.items() if kept)
         for name in reversed(self.lines):
@@ -551,11 +552,11 @@ def _kernel(field, key: tuple, size: int) -> Callable:
     at the key's first use and again whenever field.func has been
     replaced.  A func the tracer cannot run (a comparison, abs, a math
     function, a constant zero denominator, a wrong arity) keeps the dual
-    path, which raises the error the field raises on duals.  A flow
-    kernel also has its loop entry over a step's stages, kernel.stages
-    (_Tape.compile), on the dual path too for such a func (_dual_stages),
-    and the source of its batch entry, which a dual-path kernel lacks
-    (_batch_stages)."""
+    path, which raises the error the field raises on duals.  A traced
+    flow kernel also has its loop entry over a step's stages,
+    kernel.stages, and the source of its batch entry (_Tape.compile); a
+    dual-path kernel has neither, so the solver runs its steps stage by
+    stage (flow_rhs)."""
     cached = field._kernels.get(key)
     if cached is None or cached[0] is not field.func:
         tape = _Tape()
@@ -566,47 +567,29 @@ def _kernel(field, key: tuple, size: int) -> Callable:
         except Exception:
             def kernel(xs):
                 return _outputs(field, key, xs)
-
-            if stages:
-                kernel.stages = functools.partial(_dual_stages, field, key)
         cached = field._kernels[key] = (field.func, kernel)
     return cached[1]
 
 
-def _dual_stages(field, key: tuple, ys: list, K: np.ndarray, plan, h: float) -> None:
-    """kernel.stages (_Tape.compile) on the dual path: K[s] = _outputs(field,
-    key, xs) for each (s, rows, a) of plan, at the stage state xs formed on
-    floats as the traced entry forms it."""
-    for s, rows, a in plan:
-        K[s] = _outputs(field, key, [y + d * h for y, d in zip(ys, rows.dot(a).tolist())])
-
-
-def _batch_stages(kernel, field, key: tuple, y: np.ndarray, K: np.ndarray, plan, h: float,
-                  batch: int) -> None:
-    """The stages of one step of a batch of flow states (flow_rhs's
-    rhs.batch_stages) in one call of kernel's batch entry (_Tape.compile),
-    compiled here at its first call from kernel.batch_source, which it
-    replaces, under one np.errstate for the step.
-    If it raises numpy's division by zero or invalid operation, or the
-    kernel is on the dual path, the step is run again stage by stage as
-    rhs runs a batch (_run), which raises the field's own error.  The
-    fallback calls _run, not rhs: rhs holds its batch entry, and a call
-    back to it would make every flow_rhs a reference cycle."""
+def _batch_stages(kernel, y: np.ndarray, K: np.ndarray, plan, h: float, batch: int) -> bool:
+    """Whether kernel's batch entry (_Tape.compile), compiled here at its
+    first call from kernel.batch_source, which it replaces, ran the stages
+    of one step of a batch of flow states (flow_rhs's rhs.batch_stages)
+    under one np.errstate for the step: False when it raised numpy's
+    division by zero or invalid operation, or when the kernel is on the
+    dual path and has none."""
     entry = getattr(kernel, "batch_stages", None)
-    if entry is None and hasattr(kernel, "batch_source"):
+    if entry is None:
+        if not hasattr(kernel, "batch_source"):
+            return False
         source = kernel.__dict__.pop("batch_source")
         entry = kernel.batch_stages = _compiled(source)["batch_stages"]
-    if entry is not None:
-        try:
-            with np.errstate(divide="raise", invalid="raise"):
-                entry(y, K, plan, h, batch)
-            return
-        except (FloatingPointError, ZeroDivisionError):
-            pass
-    dim = len(y) // batch
-    for s, rows, a in plan:
-        z = (y + rows.dot(a) * h).reshape(dim, batch)
-        K[s] = _run(kernel, field, key, list(z), batch).reshape(-1)
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            entry(y, K, plan, h, batch)
+    except (FloatingPointError, ZeroDivisionError):
+        return False
+    return True
 
 
 def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
@@ -618,8 +601,9 @@ def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
     A kernel that divides by zero hands over to the dual path, so the
     error raised is the field's own (ExprEvalError for spec fields); on
     arrays numpy's division by zero and invalid operations are raised for
-    that (np.errstate), never left as inf or NaN.  A batch's step whose
-    batch entry raises is run again here, stage by stage (_batch_stages).
+    that (np.errstate), never left as inf or NaN.  This is the one such
+    hand-over: a step that a flow kernel's loop or batch entry cannot run
+    comes here through the solver's stage loop, one call of rhs per stage.
     """
     if batch is None:
         try:
@@ -694,12 +678,13 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     rhs(t, y + rows.dot(a) * h), with those floats, where K is the
     step's stage array and rows may read rows of K that earlier stages
     wrote (dop853._DOP853 steps a one-state flow by it, once per trial
-    step).  A stage that divides by zero is run again on the dual path,
-    which raises the field's own error, as rhs does.
-    rhs.batch_stages(y, K, plan, h) does the same for a batch, y the
-    flattened (dim, B) state, in one call of the kernel's batch entry
+    step).  rhs.batch_stages(y, K, plan, h) does the same for a batch, y
+    the flattened (dim, B) state, in one call of the kernel's batch entry
     (_batch_stages), with the floats of rhs on y + rows.dot(a) * h
-    reshaped to (dim, B).
+    reshaped to (dim, B).  Each returns True when it ran all the stages,
+    and False when a stage divides by zero (or, in a batch, makes an
+    invalid operation) or the kernel is on the dual path: the solver then
+    runs the step by calls of rhs, which raises the field's own error.
 
     rhs.kernel is (field, key): two right-hand sides with the same field,
     the same field.func and the same key run the same kernel, and so
@@ -722,21 +707,17 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
         return _run(resolve(), field, key, list(z), z.shape[1])
 
     def stages(y, K, plan, h):
-        kernel = resolve()
-        ys = y.tolist()
+        entry = getattr(resolve(), "stages", None)
+        if entry is None:
+            return False
         try:
-            kernel.stages(ys, K, plan, h)
+            entry(y.tolist(), K, plan, h)
         except ZeroDivisionError:
-            # again stage by stage, and a stage that divides on the dual
-            # path, which raises the field's own error
-            for stage in plan:
-                try:
-                    kernel.stages(ys, K, (stage,), h)
-                except ZeroDivisionError:
-                    _dual_stages(field, key, ys, K, (stage,), h)
+            return False
+        return True
 
     def batch_stages(y, K, plan, h):
-        _batch_stages(resolve(), field, key, y, K, plan, h, len(y) // size)
+        return _batch_stages(resolve(), y, K, plan, h, len(y) // size)
 
     rhs.stages = stages
     rhs.batch_stages = batch_stages
@@ -842,15 +823,3 @@ def matrix_at(field, x) -> np.ndarray:
     if isinstance(field, MatrixField):
         return field_values(field, x)
     return np.atleast_2d(np.asarray(field([float(v) for v in x]), dtype=float))
-
-
-def matrix_field_directional(M: MatrixField, x, v) -> np.ndarray:
-    """Directional derivative of a matrix field along v, by a one-direction dual pass."""
-    xs = [float(s) for s in x]
-    out = M.func(seed_direction(xs, [float(s) for s in v]))
-    result = np.zeros((M.rows, M.cols))
-    for i in range(M.rows):
-        for j in range(M.cols):
-            _, row = split_scalar(out[i][j], 1)
-            result[i, j] = _primal(row[0])
-    return result

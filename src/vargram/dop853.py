@@ -1,9 +1,10 @@
 """scipy's DOP853 stepper, vargram's only contact with scipy.
 
 _DOP853 is scipy's Dormand-Prince 8(5,3) step made lean, all twelve
-stages of a trial step run by one stage entry with scipy's floats: a
-flow kernel's traced loop entry, or the solver's own, one call per
-stage, for any other right-hand side;
+stages of a trial step run with scipy's floats by one call of a flow
+kernel's traced loop entry, or, for a right-hand side without one or
+whose entry cannot run the step, by the solver's own stage loop, one
+call per stage;
 _BatchDOP853 steps a batch of points with a per-point error norm, its
 trial steps in one call of the kernel's batch entry too;
 OdeSolution chains the solver's per-step dense outputs, scipy's own
@@ -20,10 +21,14 @@ import math
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 __all__ = ["OdeSolution", "_BatchDOP853", "_DOP853", "brentq"]
+
+# scipy's step-size factors (scipy.integrate._ivp.rk), with scipy's types
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
 
 
 class _DOP853(DOP853):
@@ -49,8 +54,11 @@ class _DOP853(DOP853):
     the same IEEE operations, and for a batch (_BatchDOP853, whose
     fun.stages is the kernel's rhs.batch_stages) as y + rows.dot(a) * h
     on the flat state, so the floats, steps and nfev are unchanged, and a
-    step makes one Python-level call instead of twelve.  Any other fun
-    is run by the solver's entry, _each_stage, one call per stage.
+    step makes one Python-level call instead of twelve.  The entry
+    returns whether it ran all twelve stages.  When fun has no entry, or
+    its entry returns False (a division by zero, or a kernel on the dual
+    path), the step is run by the solver's own stage loop, _each_stage,
+    one call of fun per stage, which raises fun's own error.
     The per-step dense output is scipy's, whose three extra stages scipy's
     counting wrapper of fun runs and counts.
     """
@@ -68,9 +76,9 @@ class _DOP853(DOP853):
         self._plan.append((self.n_stages, self._solution_stages, self.B))
 
     def _each_stage(self, y, K, plan, h):
-        """The stage entry of a fun without one: K[s] = fun(t + c h, y +
-        rows.dot(a) * h) for each (s, rows, a) of plan, c = 1 for the
-        last, at the step's start t."""
+        """The stages of a step that fun's entry did not run: K[s] = fun(t +
+        c h, y + rows.dot(a) * h) for each (s, rows, a) of plan, c = 1 for
+        the last, at the step's start t."""
         t, rhs = self.t, self._rhs
         for (s, rows, a), c in zip(plan, self._FRACTIONS):
             K[s] = rhs(t + c * h, y + rows.dot(a) * h)
@@ -92,8 +100,8 @@ class _DOP853(DOP853):
         return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
     def _step_impl(self):
-        t, y, K = self.t, self.y, self.K
-        run_stages = self._run_stages or self._each_stage
+        t, y, K, plan = self.t, self.y, self.K, self._plan
+        run_stages = self._run_stages
         direction = self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
@@ -115,7 +123,8 @@ class _DOP853(DOP853):
             h = t_new - t
             h_abs = abs(h)
 
-            run_stages(y, K, self._plan, h)
+            if run_stages is None or not run_stages(y, K, plan, h):
+                self._each_stage(y, K, plan, h)
             y_new = y + h * self._solution_stages.dot(self.B)
             f_new = K[-1].copy()
             self.nfev += self.n_stages
@@ -154,7 +163,7 @@ class _BatchDOP853(_DOP853):
     alone and the step size follows the hardest point: a point whose
     norm is _DOP853's NaN (its 0 / 0) makes the step's norm NaN, which
     rejects it.  Its stages are run as _DOP853 runs them, by fun.stages
-    when fun has it.
+    when fun has it and it runs, by fun's own calls otherwise.
     """
 
     def __init__(self, fun, t0, y0, t_bound, batch: int, **options):

@@ -27,10 +27,10 @@ from vargram.calculus import (
     jacobian,
     jacobian_scalars,
     lie_scalar,
-    matrix_field_directional,
     seed_identity,
 )
 from vargram.calculus import _Tape
+from vargram.gramian import matrix_directional
 from vargram.systems import registry
 
 
@@ -394,7 +394,7 @@ def test_matrix_field_directional_against_finite_differences():
     v = np.array([1.0, 2.0])
     h = 1e-6
     fd = (np.array(mat(list(x + h * v))) - np.array(mat(list(x - h * v)))) / (2 * h)
-    assert np.allclose(matrix_field_directional(field, x, v), fd, atol=1e-8)
+    assert np.allclose(matrix_directional(field, x, v), fd, atol=1e-8)
 
 
 def test_matrix_field_column_extraction():

@@ -29,6 +29,7 @@ from vargram.calculus import (
     matrix_jacobian_scalars,
     value_and_rows,
 )
+from vargram.dop853 import _DOP853
 from vargram.expr import BinOp, ExprEvalError, Num, Var, parse_system_spec
 from vargram.integrate import DEFAULT_ATOL, DEFAULT_RTOL, _solve_segment
 from vargram.systems import (
@@ -403,31 +404,46 @@ def test_the_batch_entry_is_compiled_at_the_first_batched_step_and_traced_again(
 def test_a_flow_rhs_is_freed_without_the_cyclic_collector():
     """A right-hand side is built on every energy call, so it must be no
     reference cycle: with the cyclic collector off it is freed once its
-    last reference goes, after calls of all its entries, a batch step
-    that falls back stage by stage on a pole at x1 = 0 included.  (That
-    a solve frees its solver is pinned in test_shared_flows.py.)"""
+    last reference goes, after calls of all its entries, the calls on a
+    pole at x1 = 0 included.  There both entries return False, and a
+    solve of the same field meets the pole in the solver's own stage loop,
+    which raises the field's error.  (That a solve frees its solver is
+    pinned in test_shared_flows.py.)"""
     field = from_spec(parse_system_spec({
         "name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
         "g": [["0"], ["1"]], "h": ["x2"]})).f
     # the stage states x1 = 1 + 0.25 and 0.5 + 0.25, then -0.25 + 0.25
     y, K = np.array([1.0, 0.5, 0.0, 0.0]), np.ones((2, 4))
     plan = [(1, K[:1].T, np.array([1.0]))]
+    one = [(1, K[:1, :2].T, np.array([1.0]))]
     gc.collect()
     gc.disable()
     try:
         fun = flow_rhs(field)
         fun(0.0, y[::2].copy())
         fun(0.0, y.reshape(2, 2))
-        fun.stages(y[::2].copy(), K[:, :2], [(1, K[:1, :2].T, np.array([1.0]))], 0.25)
-        fun.batch_stages(y, K, plan, 0.25)
+        assert fun.stages(y[::2].copy(), K[:, :2], one, 0.25) is True
+        assert fun.batch_stages(y, K, plan, 0.25) is True
         y[1] = -0.25
-        with pytest.raises(ExprEvalError, match="division by zero"):
-            fun.batch_stages(y, K, plan, 0.25)
+        assert fun.stages(y[1::2].copy(), K[:, :2], one, 0.25) is False
+        assert fun.batch_stages(y, K, plan, 0.25) is False
         freed = weakref.ref(fun)
         del fun
         assert freed() is None
     finally:
         gc.enable()
+    # x1' = 1, and from x2 = 1 the first step of a span h this short is
+    # the span, whose last stage is at x1 = x0 + d h, d = K[:12].T . B
+    # summed as the solver sums it: from x0 = -(d h) that is the pole, for
+    # one state and for the first point of a batch
+    h = 2.0 ** -7
+    for points in (1, 2):
+        x1 = 1.0 + np.arange(points)
+        x1[0] = -(np.ones((13, 2 * points))[:12].T.dot(_DOP853.B)[0] * h)
+        with pytest.raises(ExprEvalError, match="division by zero") as err:
+            _solve_segment(flow_rhs(field), np.stack([x1, np.ones(points)], axis=1), 0.0, h,
+                           DEFAULT_RTOL, DEFAULT_ATOL)
+        assert "_each_stage" in [entry.name for entry in err.traceback]
 
 
 def _batchable_right_hand_sides(system):

@@ -8,7 +8,9 @@ solve_ivp(method=DOP853, dense_output=True), the values of its
 OdeSolution, and the time and point of its terminal event, all bitwise.
 A batch is pinned to scipy's own step with the per-point error norm of
 _BatchDOP853.  A right-hand side without a loop entry is run by the
-solver's stage-by-stage one, on one state per call.  A one-state flow
+solver's stage-by-stage one, on one state per call, and so is each step
+that a loop entry reports it could not run (a kernel on the dual path,
+a zero denominator).  A one-state flow
 kernel runs all twelve stages of a trial step in one call of its loop
 entry (calculus.flow_rhs's rhs.stages), which scipy never calls: its
 solves are pinned to scipy's calls of rhs(t, y) too, for random
@@ -479,23 +481,27 @@ def test_the_derivative_kept_at_each_state_is_the_right_hand_side_there(case):
 
 class _Spy:
     """A flow kernel's right-hand side, counting its calls and the calls
-    and stages of its loop entry and of its batch entry."""
+    and stages of its loop entry and of its batch entry, and logging, in
+    order, "rhs" for a call and what an entry call returned."""
 
     def __init__(self, rhs):
-        self.rhs, self.calls, self.plans, self.batch_plans = rhs, 0, [], []
+        self.rhs, self.calls, self.plans, self.batch_plans, self.log = rhs, 0, [], [], []
         self.cost = rhs.cost
 
     def __call__(self, t, y):
         self.calls += 1
+        self.log.append("rhs")
         return self.rhs(t, y)
 
     def stages(self, y, K, plan, h):
         self.plans.append([s for s, _, _ in plan])
-        return self.rhs.stages(y, K, plan, h)
+        self.log.append(self.rhs.stages(y, K, plan, h))
+        return self.log[-1]
 
     def batch_stages(self, y, K, plan, h):
         self.batch_plans.append([s for s, _, _ in plan])
-        return self.rhs.batch_stages(y, K, plan, h)
+        self.log.append(self.rhs.batch_stages(y, K, plan, h))
+        return self.log[-1]
 
 
 def test_a_flow_kernel_makes_one_loop_entry_call_per_trial_step():
@@ -509,6 +515,7 @@ def test_a_flow_kernel_makes_one_loop_entry_call_per_trial_step():
     assert len(spy.plans) == ours.nfev // 12 >= len(ours.t) - 1
     assert all(plan == list(range(1, 13)) for plan in spy.plans)
     assert spy.batch_plans == []
+    assert spy.log == ["rhs", "rhs"] + [True] * len(spy.plans)
 
 
 def test_a_batch_makes_one_batch_entry_call_per_trial_step():
@@ -522,6 +529,31 @@ def test_a_batch_makes_one_batch_entry_call_per_trial_step():
     assert len(spy.batch_plans) == ours.nfev // 12 >= len(ours.t) - 1
     assert all(plan == list(range(1, 13)) for plan in spy.batch_plans)
     assert spy.plans == []
+    assert spy.log == ["rhs", "rhs"] + [True] * len(spy.batch_plans)
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch"])
+def test_a_dual_path_kernel_hands_each_trial_step_to_the_solvers_stage_loop(batch):
+    fun, y0, _ = _untraceable_flow()
+    field, key = fun.kernel
+    kernel = field._kernels[key][1]
+    assert not hasattr(kernel, "stages") and not hasattr(kernel, "batch_source")
+    spy = _Spy(fun)
+    if batch is None:
+        ref = _takes_scipys_steps(fun, y0, (0.0, 5.0))
+        ours = solve_ivp(spy, (0.0, 5.0), y0, event=lambda t, y: -1.0, dense=False, **TOLS)
+    else:
+        ref = _batch_takes_scipys_steps(fun, _points(y0, batch), (0.0, 5.0))
+        ours = _solve_segment(spy, _points(y0, batch), 0.0, 5.0, DEFAULT_RTOL, DEFAULT_ATOL,
+                              dense=False)
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    # scipy's two first calls, then per trial step one entry call that
+    # returns False and the twelve stages as twelve calls
+    trial_steps = (ours.nfev - 2) // 12
+    assert trial_steps >= len(ours.t) - 1 > 10
+    assert spy.log == ["rhs", "rhs"] + ([False] + ["rhs"] * 12) * trial_steps
+    assert len(spy.batch_plans if batch else spy.plans) == trial_steps
 
 
 _POLE = {"name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
@@ -540,9 +572,10 @@ def _raises_the_fields_error_at(stage: int, batch: int | None = None, kind: str 
     with d = K[:s].T . a summed as the solver sums it; from y0 = -(d h) the
     first zero of x1, where x2' = 1/x1 divides by it, is at stage s (12:
     the first-same-as-last stage, at y_new).  Both solvers raise the
-    field's own error in that step, scipy at its (1 + s)th call.  In a
-    batch the middle point starts there, point i elsewhere at x1 = 1 + i,
-    and ours steps it through its batch entry."""
+    field's own error in that step, scipy at its (1 + s)th call, ours in
+    its own stage loop, after the entry returned False.  In a batch the
+    middle point starts there, point i elsewhere at x1 = 1 + i, and ours
+    steps it through its batch entry."""
     field, error = _POLE_FIELDS[kind]
     fun = flow_rhs(field())
     h = 0.5
@@ -566,24 +599,39 @@ def _raises_the_fields_error_at(stage: int, batch: int | None = None, kind: str 
                    (_ScipyBatchDOP853, _batch_fun(counted, 2, batch), {"batch": batch}))
     for method, rhs, options in solvers:
         solver = method(rhs, 0.0, y0, 1.0, first_step=h, **TOLS, **options)
-        with pytest.raises(error, match="division by zero"):
+        with pytest.raises(error, match="division by zero") as err:
             solver.step()
+        frames = [entry.name for entry in err.traceback]
+        assert ("_each_stage" in frames) == issubclass(method, _DOP853)
     assert len(calls) == 1 + stage
 
 
 def test_a_zero_denominator_inside_a_stage_raises_the_fields_error():
-    _raises_the_fields_error_at(1)
+    for kind in sorted(_POLE_FIELDS):
+        _raises_the_fields_error_at(1, kind=kind)
 
 
 @pytest.mark.parametrize("stage", [6, 12], ids=["middle", "first-same-as-last"])
 def test_a_zero_denominator_first_met_at_a_later_stage_raises_the_fields_error(stage):
-    _raises_the_fields_error_at(stage)
+    for kind in sorted(_POLE_FIELDS):
+        _raises_the_fields_error_at(stage, kind=kind)
 
 
 @pytest.mark.parametrize("kind", sorted(_POLE_FIELDS))
 @pytest.mark.parametrize("stage", [1, 6, 12], ids=["first", "middle", "first-same-as-last"])
 def test_a_zero_denominator_at_one_point_of_a_batch_raises_the_fields_error(stage, kind):
     _raises_the_fields_error_at(stage, batch=3, kind=kind)
+
+
+def test_the_step_size_factors_are_scipys():
+    # dop853 writes scipy's private step-size factors as literals
+    from scipy.integrate._ivp import rk
+
+    from vargram import dop853
+
+    for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+        ours, scipys = getattr(dop853, name), getattr(rk, name)
+        assert type(ours) is type(scipys) and ours == scipys
 
 
 def test_replacing_func_traces_the_stage_entry_again():
