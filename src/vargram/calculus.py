@@ -460,29 +460,30 @@ class _Tape:
                        f"        {''.join(f'd{i}, ' for i in range(n))}= rows.dot(a).tolist()"]
             source += [f"        x{i} = y{i} + d{i} * h" for i in range(n)]
             source += ["    " + line for line in body] + [f"        K[s] = {values}"]
-        namespace = _compiled("\n".join(source))
-        kernel = namespace["kernel"]
-        if stages:
-            kernel.stages = namespace["stages"]
-            # one string, not a list of lines, which would take about three
-            # times the memory: every flow kernel keeps it until its first
-            # batched step
-            kernel.batch_source = "\n".join([
-                "def batch_stages(y, K, plan, h, batch):",
-                "    for s, rows, a in plan:",
-                f"        {''.join(f'x{i}, ' for i in range(n))}= "
-                f"(y + rows.dot(a) * h).reshape({n}, batch)",
-                *("    " + line for line in body),
-                f"        k = K[s].reshape({len(results)}, batch)",
-                *(f"        k[{i}] = {self.text(t)}" for i, t in enumerate(results))])
+        if not stages:
+            return _compiled("\n".join(source), "kernel")[0]
+        kernel, kernel.stages = _compiled("\n".join(source), "kernel", "stages")
+        # one string, not a list of lines, which would take about three
+        # times the memory: every flow kernel keeps it until its first
+        # batched step
+        kernel.batch_source = "\n".join([
+            "def batch_stages(y, K, plan, h, batch):",
+            "    for s, rows, a in plan:",
+            f"        {''.join(f'x{i}, ' for i in range(n))}= "
+            f"(y + rows.dot(a) * h).reshape({n}, batch)",
+            *("    " + line for line in body),
+            f"        k = K[s].reshape({len(results)}, batch)",
+            *(f"        k[{i}] = {self.text(t)}" for i, t in enumerate(results))])
         return kernel
 
 
-def _compiled(source: str) -> dict:
-    """The names that source defines."""
+def _compiled(source: str, *names: str) -> list:
+    """The functions of those names that source defines, taken out of the
+    namespace they run in, their __globals__: left there, each would keep
+    itself alive, so only the cyclic collector could free it."""
     namespace = {}
     exec(compile(source + "\n", "<traced kernel>", "exec"), namespace)
-    return namespace
+    return [namespace.pop(name) for name in names]
 
 
 def _shape(field) -> tuple:
@@ -547,16 +548,17 @@ def _outputs(field, key: tuple, xs) -> list:
     return flow + [cost[min(i, j), max(i, j)] for i in range(w) for j in range(w)]
 
 
-def _kernel(field, key: tuple, size: int) -> Callable:
+def _kernel(field, key: tuple, size: int) -> Callable | None:
     """Straight-line code of _outputs(field, key, xs) on size inputs, traced
     at the key's first use and again whenever field.func has been
     replaced.  A func the tracer cannot run (a comparison, abs, a math
     function, a constant zero denominator, a wrong arity) keeps the dual
-    path, which raises the error the field raises on duals.  A traced
-    flow kernel also has its loop entry over a step's stages,
-    kernel.stages, and the source of its batch entry (_Tape.compile); a
-    dual-path kernel has neither, so the solver runs its steps stage by
-    stage (flow_rhs)."""
+    path, which raises the error the field raises on duals: its kernel is
+    None, which _run evaluates by _outputs, so that nothing the field
+    holds refers back to it.  A traced flow kernel also has its loop
+    entry over a step's stages, kernel.stages, and the source of its
+    batch entry (_Tape.compile); the dual path has neither, so the solver
+    runs its steps stage by stage (flow_rhs)."""
     cached = field._kernels.get(key)
     if cached is None or cached[0] is not field.func:
         tape = _Tape()
@@ -565,8 +567,7 @@ def _kernel(field, key: tuple, size: int) -> Callable:
             kernel = tape.compile(size, _outputs(field, key, [Traced(tape, f"x{i}")
                                                               for i in range(size)]), stages)
         except Exception:
-            def kernel(xs):
-                return _outputs(field, key, xs)
+            kernel = None
         cached = field._kernels[key] = (field.func, kernel)
     return cached[1]
 
@@ -582,8 +583,8 @@ def _batch_stages(kernel, y: np.ndarray, K: np.ndarray, plan, h: float, batch: i
     if entry is None:
         if not hasattr(kernel, "batch_source"):
             return False
-        source = kernel.__dict__.pop("batch_source")
-        entry = kernel.batch_stages = _compiled(source)["batch_stages"]
+        (entry,) = _compiled(kernel.__dict__.pop("batch_source"), "batch_stages")
+        kernel.batch_stages = entry
     try:
         with np.errstate(divide="raise", invalid="raise"):
             entry(y, K, plan, h, batch)
@@ -604,17 +605,23 @@ def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
     that (np.errstate), never left as inf or NaN.  This is the one such
     hand-over: a step that a flow kernel's loop or batch entry cannot run
     comes here through the solver's stage loop, one call of rhs per stage.
+    A None kernel is the dual path itself.
     """
-    if batch is None:
-        try:
-            return np.array(kernel(xs), dtype=float)
-        except ZeroDivisionError:
-            return np.array(_outputs(field, key, xs), dtype=float)
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            outputs = kernel(xs)
-    except (FloatingPointError, ZeroDivisionError):
+    if kernel is None:
         outputs = _outputs(field, key, xs)
+    elif batch is None:
+        try:
+            outputs = kernel(xs)
+        except ZeroDivisionError:
+            outputs = _outputs(field, key, xs)
+    else:
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                outputs = kernel(xs)
+        except (FloatingPointError, ZeroDivisionError):
+            outputs = _outputs(field, key, xs)
+    if batch is None:
+        return np.array(outputs, dtype=float)
     out = np.empty((len(outputs), batch))
     for row, value in zip(out, outputs):
         row[...] = value

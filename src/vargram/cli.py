@@ -2,9 +2,12 @@
 
 Eight subcommands mirror the library layout: simulate, energy, gramian,
 residual, rank, pd-scan, verify, and example (a one-shot bundle around
-the built-in cubic example).  All numeric output is written as CSV with
-'.' decimals, ',' separators, and 17 significant digits, or as JSON with
-sorted keys, so identical invocations produce byte-identical files.
+the built-in cubic example).  Each parser is built by _command, and
+command <name> runs _cmd_<name>.  All numeric output is written as CSV
+with '.' decimals, ',' separators, and 17 significant digits, or as JSON
+by verify.json_text (sorted keys), so identical invocations produce
+byte-identical files; a JSON result at one point is printed and, with
+--out, written as the same bytes (_emit_json).
 Randomized sample points come from a seeded splitmix64 stream.
 verify solves each one-state energy flow segment once per command
 (integrate.shared_flows): each check re-seeds the sampler, so thm5 draws
@@ -19,7 +22,6 @@ bad field), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import multiprocessing
 import os
@@ -98,6 +100,14 @@ def _checked_box(system: SystemModel, region, shape):
     return region, shape
 
 
+def _grid_box(args, system: SystemModel, command: str):
+    """The checked (region, shape) of --region and --grid, the grid branch
+    of a command that takes either --x or both."""
+    if args.region is None or args.grid is None:
+        raise CliError(f"{command} needs either --x or both --region and --grid")
+    return _checked_box(system, _parse_region(args.region), _parse_grid(args.grid))
+
+
 def _system_source(args) -> tuple[str, str]:
     if getattr(args, "spec", None):
         return ("file", os.path.abspath(args.spec))
@@ -158,8 +168,14 @@ def _write_text(path: str, text: str) -> str:
     return path
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _emit_json(args, filename: str, payload: dict) -> int:
+    """Write payload as JSON to stdout and, with --out, to filename there;
+    exit code 0."""
+    text = verify_mod.json_text(payload)
+    sys.stdout.write(text)
+    if args.out:
+        _write_text(os.path.join(_out_dir(args), filename), text)
+    return 0
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -309,15 +325,10 @@ def _cmd_energy(args) -> int:
         "incr-ctrl": energy_mod.incr_controllability_fb,
     }[args.kind]
     ev = fn(system, x0, partner, tol=args.tol)
-    payload = {"kind": args.kind, "system": system.name, "x0": x0,
-               "partner": partner, "value": ev.value,
-               "error_estimate": ev.error_estimate, "horizon": ev.horizon,
-               "direction": ev.direction}
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _write_text(os.path.join(_out_dir(args), "energy.json"), text)
-    return 0
+    return _emit_json(args, "energy.json", {
+        "kind": args.kind, "system": system.name, "x0": x0, "partner": partner,
+        "value": ev.value, "error_estimate": ev.error_estimate, "horizon": ev.horizon,
+        "direction": ev.direction})
 
 
 # ---------------------------------------------------------------- gramian
@@ -328,39 +339,20 @@ def _cmd_gramian(args) -> int:
     fn = (gramian_mod.empirical_obs_gramian if args.kind == "obs"
           else gramian_mod.empirical_ctrl_gramian)
     res = fn(system, x, tol=args.tol)
-    payload = {"kind": args.kind, "system": system.name, "x": x,
-               "matrix": [[float(v) for v in row] for row in res.matrix],
-               "truncation_error": res.truncation_error, "horizon": res.horizon}
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _write_text(os.path.join(_out_dir(args), "gramian.json"), text)
-    return 0
+    return _emit_json(args, "gramian.json", {
+        "kind": args.kind, "system": system.name, "x": x,
+        "matrix": [[float(v) for v in row] for row in res.matrix],
+        "truncation_error": res.truncation_error, "horizon": res.horizon})
 
 
 # ---------------------------------------------------------------- residual
-
-_EQUATIONS = ("dLya_ob", "dRicc", "dLya_con", "dLya_open")
-
-
-def _residual_reports(system: SystemModel, equation: str, field_obj, x):
-    if equation == "dLya_ob":
-        return [gramian_mod.lyap_residual_obs(system, field_obj, x)]
-    if equation == "dRicc":
-        return list(gramian_mod.riccati_residual(system, field_obj, x))
-    if equation == "dLya_con":
-        return list(gramian_mod.lyap_residual_ctrl(system, field_obj, x))
-    if equation == "dLya_open":
-        return [gramian_mod.lyap_residual_open(system, field_obj, x)]
-    raise CliError(f"unknown equation {equation!r}")
-
 
 def _residual_csv(system: SystemModel, equations, points) -> str:
     """Residual norms at each grid point of each (equation, field) pair."""
     rows = []
     for point in points:
         for equation, field_obj in equations:
-            for rep in _residual_reports(system, equation, field_obj, point):
+            for rep in gramian_mod.EQUATIONS[equation](system, field_obj, point):
                 rows.append([*point, rep.equation_id, rep.frobenius_norm])
     header = [f"x{i + 1}" for i in range(points.shape[1])] \
         + ["equation_id", "frobenius_norm"]
@@ -372,24 +364,14 @@ def _cmd_residual(args) -> int:
     field_obj = _build_field(system, args.field, fixed_horizon=40.0)
     if args.x is not None:
         x = _parse_point(args.x, "x", system)
-        reports = _residual_reports(system, args.equation, field_obj, x)
-        payload = {"system": system.name, "field": args.field, "x": x,
-                   "residuals": [{"equation_id": r.equation_id,
-                                  "frobenius_norm": r.frobenius_norm,
-                                  "matrix": [[float(v) for v in row]
-                                             for row in r.residual]}
-                                 for r in reports]}
-        text = _json_text(payload)
-        sys.stdout.write(text)
-        if args.out:
-            _write_text(os.path.join(_out_dir(args), "residual.json"), text)
-        return 0
-    if args.region is None or args.grid is None:
-        raise CliError("residual needs either --x or both --region and --grid")
-    out = _out_dir(args)
-    points = gramian_mod.grid_points(*_checked_box(system, _parse_region(args.region),
-                                                    _parse_grid(args.grid)))
-    csv_path = os.path.join(out, "residuals.csv")
+        reports = gramian_mod.EQUATIONS[args.equation](system, field_obj, x)
+        return _emit_json(args, "residual.json", {
+            "system": system.name, "field": args.field, "x": x,
+            "residuals": [{"equation_id": r.equation_id, "frobenius_norm": r.frobenius_norm,
+                           "matrix": [[float(v) for v in row] for row in r.residual]}
+                          for r in reports]})
+    points = gramian_mod.grid_points(*_grid_box(args, system, "residual"))
+    csv_path = os.path.join(_out_dir(args), "residuals.csv")
     _write_text(csv_path, _residual_csv(system, [(args.equation, field_obj)], points))
     print(csv_path)
     return 0
@@ -420,22 +402,13 @@ def _cmd_rank(args) -> int:
     if args.x is not None:
         x = _parse_point(args.x, "x", system)
         res = builder(system, x, depth=args.depth)
-        payload = {"system": system.name, "matrix": args.matrix, "x": x,
-                   "depth": res.depth, "rank": res.rank,
-                   "note": "rank is at least this at the tested depth",
-                   "singular_values": [float(s) for s in res.singular_values],
-                   "columns_or_rows": [[float(v) for v in row]
-                                       for row in res.matrix]}
-        text = _json_text(payload)
-        sys.stdout.write(text)
-        if args.out:
-            _write_text(os.path.join(_out_dir(args), "rank.json"), text)
-        return 0
-    if args.region is None or args.grid is None:
-        raise CliError("rank needs either --x or both --region and --grid")
-    out = _out_dir(args)
-    csv_path = os.path.join(out, "rank.csv")
-    region, shape = _checked_box(system, _parse_region(args.region), _parse_grid(args.grid))
+        return _emit_json(args, "rank.json", {
+            "system": system.name, "matrix": args.matrix, "x": x, "depth": res.depth,
+            "rank": res.rank, "note": "rank is at least this at the tested depth",
+            "singular_values": [float(s) for s in res.singular_values],
+            "columns_or_rows": [[float(v) for v in row] for row in res.matrix]})
+    region, shape = _grid_box(args, system, "rank")
+    csv_path = os.path.join(_out_dir(args), "rank.csv")
     _rank_grid(system, builder, region, shape, args.depth, csv_path)
     print(csv_path)
     return 0
@@ -565,7 +538,7 @@ def _cmd_verify(args) -> int:
             verdicts[name] = report.verdict
             print(f"{name}: {report.verdict} -> {path}")
     if len(names) > 1:
-        _write_text(os.path.join(out, "summary.json"), _json_text(
+        _write_text(os.path.join(out, "summary.json"), verify_mod.json_text(
             {"system": system.name, "seed": args.seed, "verdicts": verdicts}))
     if args.strict and any(v != "pass" for v in verdicts.values()):
         return 1
@@ -639,20 +612,12 @@ def _cmd_example(args) -> int:
                "positive_definite_everywhere": scan.all_positive_definite(),
                "bracket_rank_always_2": all(r.rank == 2 for r in ctrl),
                "files": sorted(files)}
-    record(_write_text(os.path.join(out, "summary.json"), _json_text(summary)))
+    record(_write_text(os.path.join(out, "summary.json"), verify_mod.json_text(summary)))
     print(os.path.join(out, "summary.json"))
     return 0
 
 
 # ---------------------------------------------------------------- parser
-
-def _add_system_args(p: argparse.ArgumentParser, with_spec: bool = True):
-    p.add_argument("--system", default="paper_sec5",
-                   help=f"registry name (one of: {', '.join(registry_names())})")
-    if with_spec:
-        p.add_argument("--spec", default=None,
-                       help="JSON system description file (overrides --system)")
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that accepts values like -0.5,0.5,-0.5,0.5.
@@ -667,6 +632,22 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d|^-\.\d")
 
 
+def _command(sub, name: str, help: str, *examples: str, system: bool = True):
+    """The subparser of command name, run by _cmd_<name>, whose help ends
+    in its example invocations; with system, it takes --system and
+    --spec."""
+    p = sub.add_parser(name, help=help, formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog="examples:\n" + "".join(f"  $ vargram {name} {example}\n"
+                                                      for example in examples))
+    p.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
+    if system:
+        p.add_argument("--system", default="paper_sec5",
+                       help=f"registry name (one of: {', '.join(registry_names())})")
+        p.add_argument("--spec", default=None,
+                       help="JSON system description file (overrides --system)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vargram",
@@ -675,15 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser(
-        "simulate", help="integrate one system mode and write trajectory.csv",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="examples:\n"
-               "  $ vargram simulate --system paper_sec5 --mode dual-closed-loop"
-               " --x0 0.1,0.1 --dp0 1,0 --tf 10\n"
-               "  $ vargram simulate --system linear_2x2 --mode prolonged"
-               " --x0 0,0 --dx0 1,0 --tf 5 --plot\n")
-    _add_system_args(p)
+    p = _command(sub, "simulate", "integrate one system mode and write trajectory.csv",
+                 "--system paper_sec5 --mode dual-closed-loop --x0 0.1,0.1 --dp0 1,0 --tf 10",
+                 "--system linear_2x2 --mode prolonged --x0 0,0 --dx0 1,0 --tf 5 --plot")
     p.add_argument("--mode", choices=tuple(_MODES), default="prolonged")
     p.add_argument("--x0", required=True, help="initial state, comma-separated")
     p.add_argument("--dx0", default=None, help="variational initial vector")
@@ -694,83 +669,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--plot", action="store_true",
                    help="also write a gnuplot script")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "energy", help="one energy functional value as JSON",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="examples:\n"
-               "  $ vargram energy --system paper_sec5 --kind diff-obs"
-               " --x0 0,0 --dx0 1,0\n"
-               "  $ vargram energy --system paper_sec5 --kind incr-ctrl"
-               " --x0 0.05,0 --x0p 0.1,0.05\n")
-    _add_system_args(p)
+    p = _command(sub, "energy", "one energy functional value as JSON",
+                 "--system paper_sec5 --kind diff-obs --x0 0,0 --dx0 1,0",
+                 "--system paper_sec5 --kind incr-ctrl --x0 0.05,0 --x0p 0.1,0.05")
     p.add_argument("--kind", choices=_ENERGY_KINDS, required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--dx0", default=None)
     p.add_argument("--x0p", default=None)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_energy)
 
-    p = sub.add_parser(
-        "gramian", help="empirical Gramian at one point as JSON",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="examples:\n"
-               "  $ vargram gramian --system paper_sec5 --kind obs --x 0,0\n"
-               "  $ vargram gramian --system linear_2x2 --kind ctrl --x 0,0"
-               " --tol 1e-10\n")
-    _add_system_args(p)
+    p = _command(sub, "gramian", "empirical Gramian at one point as JSON",
+                 "--system paper_sec5 --kind obs --x 0,0",
+                 "--system linear_2x2 --kind ctrl --x 0,0 --tol 1e-10")
     p.add_argument("--kind", choices=("obs", "ctrl"), required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gramian)
 
-    p = sub.add_parser(
-        "residual", help="matrix-equation residuals at a point or over a grid",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="examples:\n"
-               "  $ vargram residual --system paper_sec5 --equation dLya_con"
-               " --field cert-P --x 0.3,-0.2\n"
-               "  $ vargram residual --system paper_sec5 --equation dRicc"
-               " --field cert-R --region -0.5,0.5,-0.5,0.5 --grid 5x5\n")
-    _add_system_args(p)
-    p.add_argument("--equation", choices=_EQUATIONS, required=True)
+    p = _command(sub, "residual", "matrix-equation residuals at a point or over a grid",
+                 "--system paper_sec5 --equation dLya_con --field cert-P --x 0.3,-0.2",
+                 "--system paper_sec5 --equation dRicc --field cert-R"
+                 " --region -0.5,0.5,-0.5,0.5 --grid 5x5")
+    p.add_argument("--equation", choices=tuple(gramian_mod.EQUATIONS), required=True)
     p.add_argument("--field", required=True,
                    help="cert-<name>, empirical-Q, or empirical-R")
     p.add_argument("--x", default=None)
     p.add_argument("--region", default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_residual)
 
-    p = sub.add_parser(
-        "rank", help="bracket or codistribution rank at a point or over a grid",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="examples:\n"
-               "  $ vargram rank --system paper_sec5 --matrix ctrl --x 0,0"
-               " --depth 2\n"
-               "  $ vargram rank --system paper_sec5 --matrix obs"
-               " --region -1,1,-1,1 --grid 21x21 --depth 1\n")
-    _add_system_args(p)
+    p = _command(sub, "rank", "bracket or codistribution rank at a point or over a grid",
+                 "--system paper_sec5 --matrix ctrl --x 0,0 --depth 2",
+                 "--system paper_sec5 --matrix obs --region -1,1,-1,1 --grid 21x21 --depth 1")
     p.add_argument("--matrix", choices=tuple(_MATRICES), required=True)
     p.add_argument("--x", default=None)
     p.add_argument("--region", default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser(
-        "pd-scan", help="positive-definiteness scan of a matrix field",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="examples:\n"
-               "  $ vargram pd-scan --system paper_sec5 --field empirical-Q"
-               " --region -0.3,0.3,-0.3,0.3 --grid 21x21\n"
-               "  $ vargram pd-scan --system paper_sec5 --field cert-P"
-               " --region -0.5,0.5,-0.5,0.5 --grid 5x5 --plot\n")
-    _add_system_args(p)
+    p = _command(sub, "pd-scan", "positive-definiteness scan of a matrix field",
+                 "--system paper_sec5 --field empirical-Q --region -0.3,0.3,-0.3,0.3"
+                 " --grid 21x21",
+                 "--system paper_sec5 --field cert-P --region -0.5,0.5,-0.5,0.5 --grid 5x5"
+                 " --plot")
     p.add_argument("--field", required=True)
     p.add_argument("--region", required=True)
     p.add_argument("--grid", required=True)
@@ -778,17 +722,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--plot", action="store_true")
-    p.set_defaults(func=_cmd_pd_scan)
 
-    p = sub.add_parser(
-        "verify", help="run a theorem check and write report.json",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="examples:\n"
-               "  $ vargram verify --system paper_sec5 --theorem cor7"
-               " --region -0.5,0.5,-0.5,0.5\n"
-               "  $ vargram verify --system linear_2x2 --theorem all"
-               " --region -0.2,0.2,-0.2,0.2 --pairs 3 --samples 3\n")
-    _add_system_args(p)
+    p = _command(sub, "verify", "run a theorem check and write report.json",
+                 "--system paper_sec5 --theorem cor7 --region -0.5,0.5,-0.5,0.5",
+                 "--system linear_2x2 --theorem all --region -0.2,0.2,-0.2,0.2"
+                 " --pairs 3 --samples 3")
     p.add_argument("--theorem", choices=_THEOREMS, required=True)
     p.add_argument("--region", default=None,
                    help="defaults to the system's declared region, if any")
@@ -802,21 +740,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 1 unless every verdict is pass")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
-        "example", help="full built-in example bundle: figures, scans, reports",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="examples:\n"
-               "  $ vargram example --out runs/example\n"
-               "  $ vargram example --out runs/quick --quick --jobs 4\n")
+    p = _command(sub, "example", "full built-in example bundle: figures, scans, reports",
+                 "--out runs/example", "--out runs/quick --quick --jobs 4", system=False)
     p.add_argument("--out", default="example_output")
     p.add_argument("--quick", action="store_true",
                    help="small grids and few samples, for smoke runs")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_example)
 
     return parser
 

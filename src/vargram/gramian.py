@@ -16,7 +16,8 @@ Both Gramians take one point or a (B, n) stack, solved as batched flows
 by integrate.flow_integrals, where one point is a stack of one.
 
 Residual evaluators plug a supplied matrix field into the four first-order
-matrix equations and report the left-minus-right side.  Fields defined by
+matrix equations and report the left-minus-right side; EQUATIONS maps
+each equation id to its reports, for every caller.  Fields defined by
 expressions differentiate exactly through duals; pointwise-evaluable
 fields (such as the empirical Gramians) fall back to central differences
 of step FD_STEP = 1e-4 with Richardson refinement.
@@ -256,6 +257,19 @@ def lyap_residual_open(system: SystemModel, p_field, x) -> ResidualReport:
     dp = matrix_directional(p_field, xs, fv)
     res = -dp + p @ jf.T + jf @ p + g_vals @ g_vals.T
     return _report("dLya_open", xs, res)
+
+
+# equation id: the residual reports of a matrix field's equations at x.  Each
+# entry calls its residual function through this module's globals at call
+# time, so replacing one of them (with a timing wrapper, say) reaches every
+# reader of the table: the residual command, thm2's certificates, and the
+# thm5 and cor7 preconditions.
+EQUATIONS = {
+    "dLya_ob": lambda system, fld, x: [lyap_residual_obs(system, fld, x)],
+    "dRicc": lambda system, fld, x: list(riccati_residual(system, fld, x)),
+    "dLya_con": lambda system, fld, x: list(lyap_residual_ctrl(system, fld, x)),
+    "dLya_open": lambda system, fld, x: [lyap_residual_open(system, fld, x)],
+}
 
 
 def grid_points(region: Sequence[tuple[float, float]],

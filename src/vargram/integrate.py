@@ -204,9 +204,10 @@ class Solution:
 
 def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> Solution:
     """Integrate dy/dt = fun(t, y) from y0 over t_span = (t0, tf) by
-    stepping `method`, a dop853._DOP853 (the default, None) built with
-    options such as rtol and atol, to tf: the steps, nfev and floats of
-    scipy's solve_ivp(..., method=DOP853, dense_output=dense).
+    calling the step() of `method`, a dop853._DOP853 (the default, None)
+    built with options such as rtol and atol, until its status is no
+    longer "running": the steps, nfev and floats of scipy's
+    solve_ivp(..., method=DOP853, dense_output=dense).
 
     fun takes one state (N,) (module docstring).  With dense, the
     solver's dense_output() is kept after each accepted step, as scipy's
@@ -227,29 +228,24 @@ def solve_ivp(fun, t_span, y0, *, event, method=None, dense=True, **options) -> 
     solver = (_DOP853 if method is None else method)(fun, t0, y0, tf, **options)
     ts, ys, dydts, steps = [t0], [y0], [solver.f], []
     crossing = event(t0, y0)
-    status, message, t_event, y_event = None, None, None, None
-    while status is None:
-        # OdeSolver.step's transitions; a zero-length span finishes unstepped
-        t = solver.t
-        stepped, message = (True, None) if t == tf else solver._step_impl()
-        if not stepped:
-            status = -1
+    t_event = y_event = None
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
             break
-        solver.t_old = t
-        if solver.direction * (solver.t - tf) >= 0:
-            status = 0
         previous, crossing = crossing, event(solver.t, solver.y)
         if previous <= 0 <= crossing:
             step = solver.dense_output()
             t_event = brentq(lambda s: event(s, step(s)), solver.t_old, solver.t,
                              xtol=4 * EPS, rtol=4 * EPS)
-            y_event, status = step(t_event), 1
+            y_event = step(t_event)
             break
         ts.append(solver.t)
         ys.append(solver.y)
         dydts.append(solver.f)
         if dense:
             steps.append(solver.dense_output())
+    status = -1 if solver.status == "failed" else 0 if t_event is None else 1
     del solver.fun, solver.fun_vectorized
     ts = np.array(ts)
     return Solution(ts, np.array(ys).T, np.array(dydts).T, solver.nfev, status, message,

@@ -141,6 +141,12 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
+def _tangent(out_field: VectorField, n: int):
+    """The output z -> D out_field(x) dx of a state z = (x, dx, ...) whose
+    first two blocks have n entries each, at one state or a stack."""
+    return lambda z: _apply(jacobian(out_field, z[..., :n]), z[..., n:2 * n])
+
+
 def _flow(system: SystemModel, field: VectorField, blocks: tuple[str, str],
           outputs: dict, cost_fields: dict, cost: str | None, copies: int = 1,
           width: int = 0, sign: float = 1.0) -> AugmentedField:
@@ -164,15 +170,8 @@ def prolong(system: SystemModel, cost: str | None = None) -> AugmentedField:
     dy = (dh/dx) dx.  cost = "dy" appends the cost block of dy.
     """
     n = system.n
-
-    def out_y(z):
-        return system.output(z[..., :n])
-
-    def out_dy(z):
-        return _apply(jacobian(system.h, z[..., :n]), z[..., n:2 * n])
-
-    return _flow(system, system.f, ("x", "dx"), {"y": out_y, "dy": out_dy},
-                 {"dy": system.h}, cost, width=1)
+    outputs = {"y": lambda z: system.output(z[..., :n]), "dy": _tangent(system.h, n)}
+    return _flow(system, system.f, ("x", "dx"), outputs, {"dy": system.h}, cost, width=1)
 
 
 def closed_loop_prolonged(system: SystemModel, sign: float = 1.0,
@@ -184,17 +183,10 @@ def closed_loop_prolonged(system: SystemModel, sign: float = 1.0,
     integrand of the feedback controllability energy.  sign = -1 runs
     the flow in reversed time.  cost = "dk" appends the cost block of dk.
     """
-    n = system.n
-
-    def out_dk(z):
-        return _apply(jacobian(system.require_k(), z[..., :n]), z[..., n:2 * n])
-
-    def out_dy(z):
-        return _apply(jacobian(system.h, z[..., :n]), z[..., n:2 * n])
-
-    return _flow(system, system.closed_loop_field(), ("x", "dx"),
-                 {"dk": out_dk, "dy": out_dy}, {"dk": system.k}, cost,
-                 width=1, sign=sign)
+    field = system.closed_loop_field()
+    outputs = {"dk": _tangent(system.k, system.n), "dy": _tangent(system.h, system.n)}
+    return _flow(system, field, ("x", "dx"), outputs, {"dk": system.k}, cost, width=1,
+                 sign=sign)
 
 
 def two_copy(system: SystemModel, field: VectorField | None = None,

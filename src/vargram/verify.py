@@ -36,8 +36,7 @@ import numpy as np
 from .energy import (LinePath, diff_controllability_fb, diff_observability,
                      incr_controllability_fb, incr_observability, pair_flow,
                      path_energy_integral, quadratic_limit)
-from .gramian import (grid_points, lyap_residual_ctrl, lyap_residual_obs, pd_scan,
-                      points_read, prefetch, riccati_residual)
+from .gramian import EQUATIONS, grid_points, pd_scan, points_read, prefetch
 from .integrate import (INITIAL_HORIZON, MIN_FIT_SAMPLES, IntegrationError, _solved,
                         fit_exponential, shared_flows)
 from .rank import ctrl_bracket_matrix, obs_codistribution
@@ -113,7 +112,14 @@ class Report:
                 "notes": list(self.notes)}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.as_dict())
+
+
+def json_text(obj) -> str:
+    """The text of every JSON file and JSON output of vargram: sorted keys,
+    two-space indent and a final newline, so equal objects give equal
+    bytes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _settle(samples: Sequence[Sample], failures: Sequence[str]) -> str:
@@ -169,9 +175,10 @@ def _close(report: Report, failures: list[str]) -> Report:
     return report
 
 
-# The tables below reach energies, residuals and rank builders through this
-# module's globals at call time, so replacing one of those names (with a
-# timing wrapper, say) reaches the checks too.
+# The tables below reach energies and rank builders through this module's
+# globals at call time, and residuals through gramian.EQUATIONS, which reads
+# gramian's, so replacing one of those names (with a timing wrapper, say)
+# reaches the checks too.
 
 # (differential energy, pair energy) of each side of the paper
 _FEEDBACK = (lambda s, x, v, tol: diff_controllability_fb(s, x, v, tol=tol),
@@ -203,7 +210,7 @@ class _Harness(NamedTuple):
 
 _HARNESSES = {
     "thm5": _Harness(
-        residuals=lambda s, fld, x: [lyap_residual_obs(s, fld, x)],
+        residuals=EQUATIONS["dLya_ob"],
         residual_name="matrix-equation", flow=lambda s: prolong(s, cost="dy"), block="dx",
         rank=lambda s, x: obs_codistribution(s, x, depth=s.n - 1 if s.n > 1 else 1),
         energy=_OUTPUT[0],
@@ -212,7 +219,7 @@ _HARNESSES = {
         closing_notes=("assumed, not checked: symmetry class and uniqueness "
                        "of the supplied matrix field",)),
     "cor7": _Harness(
-        residuals=lambda s, fld, x: lyap_residual_ctrl(s, fld, x),
+        residuals=EQUATIONS["dLya_con"],
         residual_name="dual equation", flow=dual_closed_loop, block="dp",
         rank=lambda s, x: ctrl_bracket_matrix(s, x, depth=2 * s.n - 1),
         energy=None,
@@ -254,8 +261,7 @@ def _path_bound(theorem: str, system: SystemModel, pairs: Sequence, tol: float) 
 
 
 # certificate: residuals of the equations that make thm2's bound an equality
-_CERTIFICATES = {"R": lambda s, fld, x: riccati_residual(s, fld, x),
-                 "P": lambda s, fld, x: lyap_residual_ctrl(s, fld, x)}
+_CERTIFICATES = {"R": EQUATIONS["dRicc"], "P": EQUATIONS["dLya_con"]}
 
 
 def _certificates_solve(system: SystemModel, names: Sequence[str], samples: Sequence) -> bool:

@@ -7,6 +7,7 @@ quantities lives in test_rank.py.
 
 import operator
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -146,15 +147,56 @@ def _outcome(cls, node, depth, width, floats):
         return type(exc).__name__
 
 
+def _without_nan_signs(bits):
+    """An outcome (_bits) with the sign bit of every NaN cleared."""
+    if isinstance(bits, tuple) and bits[0] == "dual":
+        return ("dual", _without_nan_signs(bits[1]), tuple(map(_without_nan_signs, bits[2])))
+    if isinstance(bits, tuple) and isinstance(bits[1], bytes):
+        values = struct.unpack(f"<{len(bits[1]) // 8}d", bits[1])
+        return (bits[0], struct.pack(f"<{len(values)}d",
+                                     *(abs(v) if v != v else v for v in values)))
+    return bits
+
+
+def _traced(frame, event, arg):
+    return _traced
+
+
+def _generic_outcome(cls, node, depth, width, floats):
+    """_outcome with a trace function set, under which CPython 3.11 runs
+    every instruction in its generic form, never a specialized one."""
+    previous = sys.gettrace()
+    sys.settrace(_traced)
+    try:
+        return _outcome(cls, node, depth, width, floats)
+    finally:
+        sys.settrace(previous)
+
+
 @settings(max_examples=300, deadline=None)
 @given(node=_expressions(2), depth=st.integers(1, 3), width=st.integers(1, 2),
        floats=st.lists(_ENTRIES, min_size=2 * 3 ** 3, max_size=2 * 3 ** 3))
 # a constant-only complex result, nan-infj on both classes
 @example(node=("bin", operator.truediv, ("pow", ("const", 1j), np.int64(3)), ("const", 0.0)),
          depth=1, width=1, floats=[0.0] * (2 * 3 ** 3))
+# tangents that are NaNs made from NaNs of both signs, whose signs the two
+# classes' specialized lines may give apart
+@example(node=("bin", operator.sub, ("bin", operator.truediv, ("const", 0.99999), ("var", 0)),
+               ("const", -2.0)),
+         depth=3, width=2, floats=[1e-300, 0.0, 0.5] + [0.0] * 12 + [-0.0] + [0.0] * 38)
 def test_dual_matches_the_reference_dual_bitwise(node, depth, width, floats):
+    """Bit for bit, NaN signs included.  CPython 3.11 runs a float
+    operation by a specialized instruction once its line has warmed up,
+    and the sign of a NaN made from two NaNs of unequal sign can depend
+    on which form ran, and so on each class's call history.  So when the
+    outcomes differ only in the signs of NaNs, both are made again with
+    every instruction in its generic form, and those must be equal."""
     lean = _outcome(Dual, node, depth, width, floats)
-    assert lean == _outcome(ReferenceDual, node, depth, width, floats)
+    ref = _outcome(ReferenceDual, node, depth, width, floats)
+    if lean != ref and _without_nan_signs(lean) == _without_nan_signs(ref):
+        lean, ref = (_generic_outcome(cls, node, depth, width, floats)
+                     for cls in (Dual, ReferenceDual))
+    assert lean == ref
 
 
 def test_dual_errors_match_the_reference_dual():

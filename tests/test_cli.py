@@ -7,7 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
-from vargram import cli
+from vargram import cli, gramian
 from vargram.cli import CliError, build_parser, emit_plot_script, main
 
 
@@ -190,6 +190,28 @@ def test_rank_point_output(tmp_path, capsys):
     assert payload["matrix"] == "ctrl"
     assert np.allclose(payload["columns_or_rows"],
                        [[1.0, 1.5, 1.25], [1.0, 0.5, 0.25]])
+
+
+@pytest.mark.parametrize("argv, filename", [
+    (["energy", "--kind", "diff-obs", "--x0", "0.1,0", "--dx0", "1,0"], "energy.json"),
+    (["gramian", "--kind", "ctrl", "--x", "0.1,0"], "gramian.json"),
+    (["residual", "--equation", "dRicc", "--field", "cert-R", "--x", "0.2,0.1"],
+     "residual.json"),
+    (["rank", "--matrix", "obs", "--x", "0.3,0.1", "--depth", "1"], "rank.json"),
+], ids=["energy", "gramian", "residual", "rank"])
+def test_a_result_at_a_point_is_the_same_bytes_on_stdout_and_in_its_file(
+        tmp_path, capsysbinary, argv, filename):
+    assert main(argv + ["--system", "paper_sec5", "--out", str(tmp_path)]) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed == (tmp_path / filename).read_bytes()
+    assert printed.decode() == json.dumps(json.loads(printed), sort_keys=True, indent=2) + "\n"
+
+
+def test_the_residual_equations_are_the_gramian_table_in_order(capsys):
+    assert list(gramian.EQUATIONS) == ["dLya_ob", "dRicc", "dLya_con", "dLya_open"]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["residual", "--help"])
+    assert "--equation {dLya_ob,dRicc,dLya_con,dLya_open}" in capsys.readouterr().out
 
 
 def test_rank_sweep_detects_critical_line(tmp_path):

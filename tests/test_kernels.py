@@ -101,9 +101,9 @@ def _dual(field, xs):
 
 def _is_traced(field, kind: str = "jacobian") -> bool:
     """Whether the field's cached kernel of that kind is compiled code,
-    not the dual path."""
+    not the dual path (None)."""
     kernel = next(k for key, (_, k) in field._kernels.items() if key[0] == kind)
-    return kernel.__code__.co_filename == "<traced kernel>"
+    return kernel is not None and kernel.__code__.co_filename == "<traced kernel>"
 
 
 def test_float64_and_integer_numpy_constants_are_traced():
@@ -444,6 +444,38 @@ def test_a_flow_rhs_is_freed_without_the_cyclic_collector():
             _solve_segment(flow_rhs(field), np.stack([x1, np.ones(points)], axis=1), 0.0, h,
                            DEFAULT_RTOL, DEFAULT_ATOL)
         assert "_each_stage" in [entry.name for entry in err.traceback]
+
+
+def test_a_fields_kernels_are_freed_with_it_without_the_cyclic_collector():
+    """A traced kernel's functions refer to nothing that refers back to
+    them, and the dual path (the kernel None) refers to nothing at all:
+    with the cyclic collector off, dropping a field frees it and its
+    kernels at once, a Jacobian kernel, and a flow kernel with the loop
+    entry of a one-state step and the batch entry of a batched one
+    included; so is a field whose func (abs) the tracer cannot run."""
+    gc.collect()
+    gc.disable()
+    try:
+        field = VectorField(2, 2, lambda xs: [xs[1] / (2.0 + xs[0] * xs[0]), -xs[0] * xs[1]])
+        jacobian(field, [0.3, 0.4])
+        fun = flow_rhs(field, width=1)
+        for state in ([0.3, 0.4, 1.0, 0.0], [[0.3, 0.4, 1.0, 0.0], [0.1, 0.2, 0.0, 1.0]]):
+            _solve_segment(fun, state, 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL)
+        jac, flow = (field._kernels[key][1] for key in (("jacobian", 2), fun.kernel[1]))
+        freed = [weakref.ref(obj)
+                 for obj in (field, jac, flow, flow.stages, flow.batch_stages)]
+        del field, fun, jac, flow
+        assert [ref() for ref in freed] == [None] * len(freed)
+
+        untraceable = VectorField(1, 1, lambda xs: [abs(xs[0])])
+        with pytest.raises(TypeError):
+            jacobian(untraceable, [0.5])
+        assert untraceable._kernels[("jacobian", 1)][1] is None
+        freed = weakref.ref(untraceable)
+        del untraceable
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def _batchable_right_hand_sides(system):

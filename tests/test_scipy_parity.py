@@ -428,7 +428,7 @@ def _untraceable_flow():
     fun = flow_rhs(field, width=1)
     fun(0.0, np.zeros(4))
     (kernel,) = (k for _, k in field._kernels.values())
-    assert kernel.__code__.co_filename != "<traced kernel>"
+    assert kernel is None  # the dual path
     return fun, np.array([1.0, -0.5, 0.3, 1.0]), {}
 
 
