@@ -15,8 +15,8 @@ Derivatives, 2nd ed., SIAM 2008).  A flow's right-hand side is traced
 the same way (flow_rhs): duals seeded with the rows of a tangent
 block T give Df T by the chain rule, with no Jacobian formed, and a
 flow kernel has a second entry that loops over the Runge-Kutta stages
-of a step, forming each stage state and running the same lines on it
-(rhs.stages), and says whether it ran them: a step it cannot run is
+of a step, forming the stage inputs the lines read and running the
+same lines on them (rhs.stages), and says whether it ran them: a step it cannot run is
 run by the solver's own stage loop, one call of rhs per stage, which
 is where a kernel hands over to duals (_run).  The kernels are
 straight-line code, so they run unchanged on a list of floats (one
@@ -32,6 +32,7 @@ import functools
 import math
 import numbers
 import operator
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -200,7 +201,7 @@ class VectorField:
     dim_in: int
     dim_out: int
     func: Callable[[Sequence], Sequence]
-    # kernel key -> (func, compiled kernel); see _kernel
+    # kernel key -> (func, compiled kernel), shared by copy.copy; see _kernel
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, xs):
@@ -228,7 +229,7 @@ class MatrixField:
     rows: int
     cols: int
     func: Callable[[Sequence], Sequence]
-    # kernel key -> (func, compiled kernel); see _kernel
+    # kernel key -> (func, compiled kernel), shared by copy.copy; see _kernel
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, xs):
@@ -345,16 +346,20 @@ class _Tape:
     Operations between numbers never reach the tape: Dual combines them
     by the same float operation at trace time.  Structurally zero terms
     fold away (a product with 0.0 is 0.0, a sum with 0.0 is the other
-    term), products with 1.0 return the other factor, and equal lines are
-    emitted once; these folds change at most the sign of a zero.  The
-    first division by each Traced denominator is kept even when unused,
-    so a zero denominator raises where the dual path raises.
+    term), products with 1.0 return the other factor, equal lines are
+    emitted once, a commutative + or * is recorded once whatever its
+    operand order (b * a is the line a * b), and a negation folds into a
+    constant divisor (-a / c is a / -c); these folds change at most the
+    sign of a zero or of a NaN.  The first division by each Traced
+    denominator is kept even when unused, so a zero denominator raises
+    where the dual path raises.
     """
 
     def __init__(self):
         self.lines: dict[str, list] = {}  # name -> [code, operand names, kept]
         self.names: dict[str, Traced] = {}  # code -> term
         self.guarded: set[str] = set()  # denominators with a kept division
+        self.negated: dict[str, Traced] = {}  # name of a line -a -> a
 
     @staticmethod
     def text(a) -> str:
@@ -368,6 +373,8 @@ class _Tape:
     def emit(self, op: str, a, b=None, kept: bool = False) -> Traced:
         code = f"{op}{self.text(a)}" if b is None else f"{self.text(a)} {op} {self.text(b)}"
         term = self.names.get(code)
+        if term is None and op in "+*" and b is not None:  # commutative: b op a
+            term = self.names.get(f"{self.text(b)} {op} {self.text(a)}")
         if term is None:
             term = self.names[code] = Traced(self, f"t{len(self.lines)}")
             operands = tuple(t.name for t in (a, b) if isinstance(t, Traced))
@@ -395,7 +402,9 @@ class _Tape:
         return self.emit("-", a, b)
 
     def neg(self, a):
-        return self.emit("-", a)
+        term = self.emit("-", a)
+        self.negated[term.name] = a
+        return term
 
     def mul(self, a, b):
         if self._is(a, 0.0) or self._is(b, 0.0):
@@ -410,11 +419,24 @@ class _Tape:
         if not isinstance(b, Traced):
             if _constant(b) == 0:
                 raise ZeroDivisionError("dual division by zero")
+            if isinstance(a, Traced) and a.name in self.negated:  # -x / c is x / -c
+                return self.div(self.negated[a.name], -_constant(b))
             return a if self._is(b, 1.0) else self.emit("/", a, b)
         if b.name not in self.guarded:
             self.guarded.add(b.name)
             return self.emit("/", a, b, kept=True)
         return 0.0 if self._is(a, 0.0) else self.emit("/", a, b)
+
+    def live(self, results) -> set[str]:
+        """The names of the inputs (x0, x1, ...) and lines that the result
+        terms read, directly or through other lines, and of the kept
+        divisions and what they read."""
+        live = {t.name for t in results if isinstance(t, Traced)}
+        live.update(name for name, (_, _, kept) in self.lines.items() if kept)
+        for name in reversed(self.lines):
+            if name in live:
+                live.update(self.lines[name][1])
+        return live
 
     def compile(self, n: int, results, stages: bool = False):
         """Function of a list of n floats returning the tuple of the values
@@ -425,10 +447,15 @@ class _Tape:
         Runge-Kutta stages of one step in one call, on a list ys of n floats
         and a float h: for each (s, rows, a) of plan in turn it takes
         d = rows . a by numpy's dot, as a list of floats, forms the stage
-        state x_i = y_i + d_i * h on Python floats, by the IEEE operations
-        numpy applies to y + d * h entry by entry, and writes the values to
-        the row K[s], which a later stage's rows may read.  So K[s] holds
-        the floats of kernel(list(y + rows.dot(a) * h)).  A division by zero
+        inputs x_i = y_i + d_i * h that the lines read (a flow never reads
+        its cost block), on Python floats, by the IEEE operations numpy
+        applies to y + d * h entry by entry, and writes the values to the
+        row K[s], which a later stage's rows may read, by a precompiled
+        struct.Struct(f"{m}d").pack_into at the row's byte offset in K's
+        buffer (m outputs), not by K[s] = (...), which goes through numpy's
+        sequence conversion.  That takes a C-contiguous float64 K; for any
+        other K, pass put=_put_row, the row assignment.  So K[s] holds the
+        floats of kernel(list(y + rows.dot(a) * h)).  A division by zero
         raises ZeroDivisionError, on which flow_rhs's rhs.stages reports
         the step as not run.
 
@@ -436,54 +463,71 @@ class _Tape:
         entry of the same lines, batch_stages(y, K, plan, h, batch), the
         stages of one step of a batch: y is the flattened (n, batch) state,
         each stage state is y + rows.dot(a) * h on it, as numpy forms it,
-        and its n rows of batch points are the kernel's inputs, so K[s]
-        holds the floats of kernel(list((y + rows.dot(a) * h).reshape(n,
-        batch))), each constant output broadcast to its row.  _batch_stages
-        compiles it at the kernel's first batched step (compiling it with
-        the kernel would double the trace cost of every flow kernel, most
-        of which never step a batch) and runs it under one np.errstate that
-        raises numpy's division by zero and invalid operation."""
-        live = {t.name for t in results if isinstance(t, Traced)}
-        live.update(name for name, (_, _, kept) in self.lines.items() if kept)
-        for name in reversed(self.lines):
-            if name in live:
-                live.update(self.lines[name][1])
+        taken only up to the last input the lines read, and its rows of
+        batch points are the kernel's inputs, so K[s] holds the floats of
+        kernel(list((y + rows.dot(a) * h).reshape(n, batch))), each
+        constant output broadcast to its row.  _batch_stages compiles it at
+        the kernel's first batched step (compiling it with the kernel would
+        double the trace cost of every flow kernel, most of which never
+        step a batch) and runs it under one np.errstate that raises numpy's
+        division by zero and invalid operation."""
+        live = self.live(results)
         body = [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
                 if name in live]
-        values = "(" + "".join(self.text(t) + ", " for t in results) + ")"
+        texts = [self.text(t) for t in results]
+        values = "(" + "".join(text + ", " for text in texts) + ")"
         source = ["def kernel(xs):", f"    {''.join(f'x{i}, ' for i in range(n))}= xs",
                   *body, f"    return {values}"]
-        if stages:
-            source += ["def stages(ys, K, plan, h):",
-                       f"    {''.join(f'y{i}, ' for i in range(n))}= ys",
-                       "    for s, rows, a in plan:",
-                       f"        {''.join(f'd{i}, ' for i in range(n))}= rows.dot(a).tolist()"]
-            source += [f"        x{i} = y{i} + d{i} * h" for i in range(n)]
-            source += ["    " + line for line in body] + [f"        K[s] = {values}"]
         if not stages:
             return _compiled("\n".join(source), "kernel")[0]
-        kernel, kernel.stages = _compiled("\n".join(source), "kernel", "stages")
+        inputs = [i for i in range(n) if f"x{i}" in live]
+        # up to the last input read, and at least one, which keeps every
+        # unpacking below a valid statement
+        read = inputs[-1] + 1 if inputs else 1
+
+        def unpack(letter):  # the first `read` entries, the unread ones to _
+            return "".join(f"{letter}{i}, " if i in inputs else "_, " for i in range(read))
+
+        prefix = "" if read == n else f"[:{read}]"
+        source += ["def stages(ys, K, plan, h, put=pack):",
+                   f"    {unpack('y')}= ys{prefix}",
+                   "    for s, rows, a in plan:",
+                   f"        {unpack('d')}= rows.dot(a){prefix}.tolist()",
+                   *(f"        x{i} = y{i} + d{i} * h" for i in inputs),
+                   *("    " + line for line in body),
+                   f"        put(K, s * {8 * len(results)}, {', '.join(texts)})"]
+        kernel, kernel.stages = _compiled("\n".join(source), "kernel", "stages",
+                                          pack=struct.Struct(f"{len(results)}d").pack_into)
         # one string, not a list of lines, which would take about three
         # times the memory: every flow kernel keeps it until its first
         # batched step
+        state = "y + rows.dot(a) * h" if read == n else \
+            f"y[:{read} * batch] + rows.dot(a)[:{read} * batch] * h"
         kernel.batch_source = "\n".join([
             "def batch_stages(y, K, plan, h, batch):",
             "    for s, rows, a in plan:",
-            f"        {''.join(f'x{i}, ' for i in range(n))}= "
-            f"(y + rows.dot(a) * h).reshape({n}, batch)",
+            f"        {unpack('x')}= ({state}).reshape({read}, batch)",
             *("    " + line for line in body),
             f"        k = K[s].reshape({len(results)}, batch)",
-            *(f"        k[{i}] = {self.text(t)}" for i, t in enumerate(results))])
+            *(f"        k[{i}] = {text}" for i, text in enumerate(texts))])
         return kernel
 
 
-def _compiled(source: str, *names: str) -> list:
-    """The functions of those names that source defines, taken out of the
-    namespace they run in, their __globals__: left there, each would keep
-    itself alive, so only the cyclic collector could free it."""
-    namespace = {}
+def _compiled(source: str, *names: str, **names_in_scope) -> list:
+    """The functions of those names that source defines, with names_in_scope
+    as globals, taken out of the namespace they run in, their __globals__:
+    left there, each would keep itself alive, so only the cyclic collector
+    could free it."""
+    namespace = dict(names_in_scope)
     exec(compile(source + "\n", "<traced kernel>", "exec"), namespace)
     return [namespace.pop(name) for name in names]
+
+
+def _put_row(K, offset: int, *values) -> None:
+    """A loop entry's write of one stage row (_Tape.compile) to a K that
+    struct's pack_into cannot write, one that is not C-contiguous: the row
+    assignment K[s] = values, s the row at that byte offset."""
+    K[offset // (8 * len(values))] = values
 
 
 def _shape(field) -> tuple:
@@ -551,7 +595,8 @@ def _outputs(field, key: tuple, xs) -> list:
 def _kernel(field, key: tuple, size: int) -> Callable | None:
     """Straight-line code of _outputs(field, key, xs) on size inputs, traced
     at the key's first use and again whenever field.func has been
-    replaced.  A func the tracer cannot run (a comparison, abs, a math
+    replaced.  A copy.copy of the field (systems.registry makes them)
+    shares its cache, each entry kept for the func it was traced for.  A func the tracer cannot run (a comparison, abs, a math
     function, a constant zero denominator, a wrong arity) keeps the dual
     path, which raises the error the field raises on duals: its kernel is
     None, which _run evaluates by _outputs, so that nothing the field
@@ -718,7 +763,10 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
         if entry is None:
             return False
         try:
-            entry(y.tolist(), K, plan, h)
+            if K.flags.c_contiguous:
+                entry(y.tolist(), K, plan, h)
+            else:
+                entry(y.tolist(), K, plan, h, _put_row)
         except ZeroDivisionError:
             return False
         return True

@@ -498,7 +498,8 @@ def _run_theorem(system: SystemModel, theorem: str, rng: SplitMix64, region, cou
     counts holds how many pairs (thm1, thm3), tangent samples (thm2, thm4)
     and harness samples (thm5, cor7) to draw.  grid is the (region, shape)
     of the thm5/cor7 rank and definiteness scans, and field_name their
-    matrix field (None picks the theorem's default).
+    matrix field (None picks the theorem's default; cor7's, cert-P, may be
+    missing, which leaves cor7 inconclusive).
     """
     pairs, samples, harness = counts
     check = getattr(verify_mod, f"check_{theorem}")
@@ -506,8 +507,11 @@ def _run_theorem(system: SystemModel, theorem: str, rng: SplitMix64, region, cou
         return check(system, _draw_pairs(rng, region, pairs), tol=tol)
     if theorem in ("thm2", "thm4"):
         return check(system, _draw_tangent_samples(rng, region, samples), tol=tol)
-    field_obj = _build_field(system, field_name or _DEFAULT_FIELDS[theorem], tol=tol,
-                             fixed_horizon=40.0)
+    if field_name is None and theorem == "cor7" and "P" not in system.certificates:
+        field_obj = None  # no default field: check_cor7 reports it inconclusive
+    else:
+        field_obj = _build_field(system, field_name or _DEFAULT_FIELDS[theorem], tol=tol,
+                                 fixed_horizon=40.0)
     grid_region, grid_shape = grid
     drawn = _draw_tangent_samples(rng, region, harness)
     if theorem == "thm5":

@@ -50,11 +50,13 @@ class _DOP853(DOP853):
     stage entry, on the plan of the stages' (s, K[:s].T, a) and, last,
     (12, K[:12].T, B), whose stage state is y_new.  A flow kernel
     (calculus.flow_rhs) brings its own, fun.stages: for one state it
-    forms each stage state on Python floats inside the traced call by
-    the same IEEE operations, and for a batch (_BatchDOP853, whose
-    fun.stages is the kernel's rhs.batch_stages) as y + rows.dot(a) * h
-    on the flat state, so the floats, steps and nfev are unchanged, and a
-    step makes one Python-level call instead of twelve.  The entry
+    forms the stage inputs its lines read on Python floats inside the
+    traced call by the same IEEE operations, and packs each stage row
+    into K's buffer (K is C-contiguous float64, as scipy makes it), and
+    for a batch (_BatchDOP853, whose fun.stages is the kernel's
+    rhs.batch_stages) it forms y + rows.dot(a) * h on the flat state up
+    to the last input read, so the floats, steps and nfev are unchanged,
+    and a step makes one Python-level call instead of twelve.  The entry
     returns whether it ran all twelve stages.  When fun has no entry, or
     its entry returns False (a division by zero, or a kernel on the dual
     path), the step is run by the solver's own stage loop, _each_stage,

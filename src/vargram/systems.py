@@ -16,8 +16,11 @@ Built-in registry entries:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,19 @@ from vargram.calculus import (
 from vargram.expr import SystemSpec
 
 
+class _Funcs(NamedTuple):
+    """A model's dimensions and the funcs of f, g and k (None when a
+    derived field does not read k): what a derived field's func reads in
+    place of the model, so that it holds no reference to the model.  The
+    scalar forms of calculus take it as they take a SystemModel."""
+
+    n: int
+    m: int
+    f: Callable
+    g: Callable
+    k: Callable | None
+
+
 @dataclass
 class SystemModel:
     """Control-affine system with optional feedback and certificates."""
@@ -48,48 +64,73 @@ class SystemModel:
     k: VectorField | None = None
     certificates: dict[str, MatrixField] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    # name -> (component funcs, field) of the last field _derived_field
-    # built under that name
+    # name -> (funcs, field) of the last field _derived_field built under
+    # that name
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the registry entry's own model, for a model registry returned
+    _entry: SystemModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def require_k(self) -> VectorField:
         if self.k is None:
             raise ValueError(f"system {self.name!r} has no feedback law k")
         return self.k
 
-    def _derived_field(self, name: str, funcs: tuple, build) -> VectorField:
-        """The field build() makes, built once per model so that its traced
-        kernel is reused; built anew only if one of funcs has changed
-        (functions compare equal only to themselves)."""
+    def _funcs(self, k: bool = True) -> _Funcs:
+        """The dimensions and the current funcs of f, g and k (k None when
+        not k); ValueError when k is asked for and there is none."""
+        return _Funcs(self.n, self.m, self.f.func, self.g.func,
+                     self.require_k().func if k else None)
+
+    def _components(self) -> tuple:
+        """The funcs of f, g, h and k (None without k)."""
+        return tuple(None if part is None else part.func
+                     for part in (self.f, self.g, self.h, self.k))
+
+    def _derived_field(self, name, funcs: tuple, build) -> VectorField:
+        """The field build() makes from funcs, never from the model, built
+        once per model so that its traced kernels are reused, and anew if
+        one of funcs has changed (functions compare equal only to
+        themselves).  A model from registry whose f, g, h and k still have
+        their entry's funcs takes its own copy of the entry's field, which
+        shares that field's func and kernels: each is traced once per
+        process, however many models registry returns."""
         cached = self._derived.get(name)
         if cached is None or cached[0] != funcs:
-            cached = self._derived[name] = (funcs, build())
+            entry = self._entry
+            if entry is not None and entry._components() == self._components():
+                derived = copy.copy(entry._derived_field(name, funcs, build))
+            else:
+                derived = build()
+            cached = self._derived[name] = (funcs, derived)
         return cached[1]
 
     def closed_loop_field(self) -> VectorField:
         """The field f + g k on n inputs, rebuilt when f, g or k changes."""
+        funcs = self._funcs()
         return self._derived_field(
-            "closed_loop", (self.f.func, self.g.func, self.require_k().func),
-            lambda: VectorField(self.n, self.n, lambda xs: closed_loop_scalars(self, xs)))
+            "closed_loop", funcs,
+            lambda: VectorField(funcs.n, funcs.n, lambda xs: closed_loop_scalars(funcs, xs)))
 
     def affine_field(self) -> VectorField:
         """The field (x, u) -> f(x) + g(x) u on n + m inputs, rebuilt when f
         or g changes; its Jacobian is [A | g], A the input-frozen one."""
-        n = self.n
+        funcs = self._funcs(k=False)
+        n = funcs.n
         return self._derived_field(
-            "affine", (self.f.func, self.g.func),
-            lambda: VectorField(n + self.m, n,
-                                lambda zs: affine_scalars(self, zs[:n], zs[n:])))
+            "affine", funcs,
+            lambda: VectorField(n + funcs.m, n,
+                                lambda zs: affine_scalars(funcs, zs[:n], zs[n:])))
 
     def with_output(self, field: VectorField, out: VectorField) -> VectorField:
         """The field x -> (field(x), out(x)) on n inputs: the flow field of
         a cost block of out (calculus.flow_rhs with outputs =
-        out.dim_out), built once per (field, out) so that its traced
+        out.dim_out), built once per pair of funcs so that its traced
         kernels are reused, and anew when either func changes."""
+        field_func, out_func = funcs = field.func, out.func
         return self._derived_field(
-            ("with_output", id(field), id(out)), (field.func, out.func),
+            ("with_output", id(field_func), id(out_func)), funcs,
             lambda: VectorField(self.n, field.dim_out + out.dim_out,
-                                lambda xs: [*field.func(xs), *out.func(xs)]))
+                                lambda xs: [*field_func(xs), *out_func(xs)]))
 
     def output(self, x) -> np.ndarray:
         """h at a point, or at each row of an (N, n) stack."""
@@ -214,13 +255,13 @@ def two_copy(system: SystemModel, field: VectorField | None = None,
                  sign=sign)
 
 
-def _dual_scalars(system: SystemModel, zs, u, adjoint: bool) -> list:
+def _dual_scalars(funcs: _Funcs, zs, u, adjoint: bool) -> list:
     """(-(f + g u), A^T dp) at a state zs = (x, dp), or with adjoint
     (-(f + g u), A^T dp, -A dx) at zs = (x, dp, dx), generic over scalars:
     A is the state Jacobian of f + g u with u frozen (at k(x) when None),
     and each product with A is summed in index order."""
-    n = system.n
-    drift, rows = frozen_input_jacobian_scalars(system, zs[:n], u)
+    n = funcs.n
+    drift, rows = frozen_input_jacobian_scalars(funcs, zs[:n], u)
     dp = zs[n:2 * n]
     out = [-d for d in drift] + [sum(rows[i][l] * dp[i] for i in range(n)) for l in range(n)]
     if adjoint:
@@ -229,18 +270,18 @@ def _dual_scalars(system: SystemModel, zs, u, adjoint: bool) -> list:
     return out
 
 
-def _dual_field(system: SystemModel, name: str, funcs: tuple, u,
+def _dual_field(system: SystemModel, name: str, funcs: _Funcs, u,
                 adjoint: bool = False) -> VectorField:
     """_dual_scalars as a field on the whole state, built once per model
     and anew when one of funcs changes (SystemModel._derived_field), so
     that its traced flow kernel is reused."""
-    dim = (3 if adjoint else 2) * system.n
+    dim = (3 if adjoint else 2) * funcs.n
     return system._derived_field(
         name, funcs,
-        lambda: VectorField(dim, dim, lambda zs: _dual_scalars(system, zs, u, adjoint)))
+        lambda: VectorField(dim, dim, lambda zs: _dual_scalars(funcs, zs, u, adjoint)))
 
 
-def _dual(system: SystemModel, name: str, funcs: tuple, u) -> AugmentedField:
+def _dual(system: SystemModel, name: str, funcs: _Funcs, u) -> AugmentedField:
     """Reversed drift f + g u with the transposed input-frozen Jacobian, u
     frozen at k(x) when None: state (x, dp), output dz = g(x)^T dp."""
     n = system.n
@@ -262,8 +303,7 @@ def dual_closed_loop(system: SystemModel) -> AugmentedField:
     State (x, dp): dx/dt = -(f + g k), ddp/dt = (d(f+gu)/dx|_{u=k})^T dp,
     output dz = g(x)^T dp.
     """
-    k = system.require_k()
-    return _dual(system, "dual_closed_loop", (system.f.func, system.g.func, k.func), None)
+    return _dual(system, "dual_closed_loop", system._funcs(), None)
 
 
 def adjoint_pair(system: SystemModel) -> AugmentedField:
@@ -275,9 +315,7 @@ def adjoint_pair(system: SystemModel) -> AugmentedField:
     consistency of the transposed and untransposed variational flows.
     """
     n = system.n
-    k = system.require_k()
-    field = _dual_field(system, "adjoint_pair", (system.f.func, system.g.func, k.func),
-                        None, adjoint=True)
+    field = _dual_field(system, "adjoint_pair", system._funcs(), None, adjoint=True)
     return AugmentedField(
         dim=3 * n,
         rhs=flow_rhs(field),
@@ -292,7 +330,7 @@ def dual_open(system: SystemModel) -> AugmentedField:
 
     State (x, dp): dx/dt = -f, ddp/dt = (df/dx)^T dp, output dz = g(x)^T dp.
     """
-    return _dual(system, "dual_open", (system.f.func, system.g.func), [0.0] * system.m)
+    return _dual(system, "dual_open", system._funcs(k=False), [0.0] * system.m)
 
 
 def from_spec(spec: SystemSpec) -> SystemModel:
@@ -424,14 +462,28 @@ _REGISTRY = {
 }
 
 
+@functools.cache
+def _entry_model(name: str) -> SystemModel:
+    """The model of a registry entry, built once per process."""
+    return _REGISTRY[name]()
+
+
 def registry(name: str) -> SystemModel:
-    """Look up a built-in system by name."""
-    try:
-        build = _REGISTRY[name]
-    except KeyError:
+    """A built-in system by name: a new model, with field objects of its
+    own (so replacing a func changes this model only) that share their
+    funcs and traced kernels with the entry's model, as do its derived
+    fields (SystemModel._derived_field)."""
+    if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown system {name!r}; built-ins: {known}") from None
-    return build()
+        raise ValueError(f"unknown system {name!r}; built-ins: {known}")
+    entry = _entry_model(name)
+    model = dataclasses.replace(
+        entry, f=copy.copy(entry.f), g=copy.copy(entry.g), h=copy.copy(entry.h),
+        k=copy.copy(entry.k),
+        certificates={key: copy.copy(cert) for key, cert in entry.certificates.items()},
+        meta=copy.deepcopy(entry.meta))
+    model._entry = entry
+    return model
 
 
 def registry_names() -> list[str]:

@@ -483,6 +483,10 @@ def check_cor7(system: SystemModel, p_field, region, samples: Sequence,
     Item 1: decay of the dual variational state along the reversed closed
     loop.  Item 2: feedback-modified bracket rank n over the region grid.
     Item 3: P positive definite on the grid.  The dual matrix-equation
-    residual pair is the precondition.
+    residual pair is the precondition.  Without a p_field (None: the
+    system declares no certificate P) the check is inconclusive, with the
+    note "no certificate".
     """
+    if p_field is None:
+        return Report("cor7", "inconclusive", notes=["no certificate"])
     return _three_item_harness("cor7", system, p_field, region, samples, grid_shape)

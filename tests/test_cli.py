@@ -363,6 +363,31 @@ def test_verify_strict_flag_escalates_non_pass(tmp_path, capsys):
     assert "inconclusive" in err.out
 
 
+def test_verify_all_without_a_p_certificate_leaves_cor7_inconclusive(tmp_path, capsys):
+    # cor7's default field is cert-P: on a spec that declares none, cor7 is
+    # inconclusive with a note, every report and the summary are written,
+    # and only --strict makes that a nonzero exit
+    spec = tmp_path / "no_p.json"
+    spec.write_text(json.dumps({
+        "n": 1, "m": 1, "p": 1,
+        "f": ["-x1"], "g": [["1"]], "h": ["x1"], "k": ["-x1"], "fields": {"Q": [["0.5"]]},
+    }))
+    base = ["verify", "--spec", str(spec), "--region", "-0.5,0.5", "--grid", "3",
+            "--pairs", "1", "--samples", "1"]
+    for flags, code in (([], 0), (["--strict"], 1)):
+        out = tmp_path / f"all{len(flags)}"
+        assert main(base + ["--theorem", "all", "--out", str(out)] + flags) == code
+        cor7 = json.loads((out / "report_cor7.json").read_text())
+        assert (cor7["verdict"], cor7["notes"]) == ("inconclusive", ["no certificate"])
+        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+        assert sorted(verdicts) == sorted(cli._CHECKS) and verdicts["cor7"] == "inconclusive"
+    assert "cor7: inconclusive" in capsys.readouterr().out
+    # a certificate named on the command line must exist
+    named = ["--theorem", "cor7", "--field", "cert-P", "--out", str(tmp_path / "named")]
+    assert main(base + named) == 1
+    assert "has no certificate 'P' (available: Q)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--pairs", "--samples"])
 def test_verify_needs_at_least_one_sample(tmp_path, capsys, flag):
     code = main(["verify", "--system", "linear_scalar", "--theorem", "all", flag, "0",

@@ -18,7 +18,9 @@ import pytest
 from vargram.calculus import (
     Dual,
     MatrixField,
+    Traced,
     VectorField,
+    _Tape,
     _evaluate,
     field_values,
     flow_rhs,
@@ -162,6 +164,29 @@ def test_kernels_equal_the_dual_path_bitwise(system):
         dual_drift, dual_frozen = frozen_input_jacobian_scalars(system, xs, u)
         assert np.array_equal(drift, np.array(dual_drift, dtype=float))
         assert np.array_equal(frozen, np.array(dual_frozen, dtype=float))
+
+
+@pytest.mark.parametrize("func, lines", [
+    (lambda x, y: x * y + y * x, ["x0 * x1", "t0 + t0"]),
+    (lambda x, y: (x + y) - (y + x), ["x0 + x1", "t0 - t0"]),
+    (lambda x, y: (x - y) / (y - x), ["x0 - x1", "x1 - x0", "t0 / t1"]),
+    (lambda x, y: -x / 2, ["x0 / (-2.0)"]),
+    (lambda x, y: -x / -4.0, ["x0 / 4.0"]),
+    (lambda x, y: (-x / -1.0) * y, ["x0 * x1"]),
+    (lambda x, y: -x / y, ["-x0", "t0 / x1"]),  # a Traced divisor is not folded
+], ids=["product", "sum", "not commutative", "negated dividend", "negated divisor", "minus one", "traced divisor"])
+def test_the_tape_records_a_commutative_operation_once_and_folds_a_negation_into_a_divisor(
+        func, lines):
+    tape = _Tape()
+    term = func(Traced(tape, "x0"), Traced(tape, "x1"))
+    live = tape.live([term])
+    assert [code for name, (code, _, _) in tape.lines.items() if name in live] == lines
+    # the folded kernel gives the dual path's floats, signed zeros included
+    field = VectorField(2, 1, lambda xs: [func(*xs)])
+    for xs in [[0.0, 1.5], [-0.0, -2.0], [3.0, 0.25], [-1.5, 4.0]]:
+        kernel, dual = field_values(field, xs), _dual(field, xs)[0]
+        assert np.array_equal(kernel, dual) and np.array_equal(np.signbit(kernel),
+                                                               np.signbit(dual))
 
 
 def test_powers_unroll_like_dual_powers():
@@ -489,6 +514,68 @@ def _batchable_right_hand_sides(system):
                2 * n)
         yield f"obs flow {sign:+}", flow_rhs(system.f, width=n, sign=sign), n + n * n
         yield f"two_copy {sign:+}", two_copy(system, cl, sign).rhs, 2 * n
+
+
+def _flow_right_hand_sides(system):
+    """(label, rhs, state dimension) of every built-in flow, cost-block
+    flows and the Gramian flows included."""
+    n, cl = system.n, system.closed_loop_field()
+    yield "prolong", prolong(system).rhs, 2 * n
+    yield "prolong dy", prolong(system, cost="dy").rhs, 2 * n + 1
+    for sign in (1.0, -1.0):
+        yield f"closed_loop_prolonged {sign:+}", closed_loop_prolonged(system, sign).rhs, 2 * n
+        yield f"two_copy {sign:+}", two_copy(system, cl, sign).rhs, 2 * n
+    yield "closed_loop_prolonged dk", closed_loop_prolonged(system, -1.0, "dk").rhs, 2 * n + 1
+    yield "two_copy output_gap", two_copy(system, cost="output_gap").rhs, 2 * n + 1
+    yield ("two_copy feedback_gap", two_copy(system, cl, -1.0, "feedback_gap").rhs,
+           2 * n + 1)
+    yield "dual_closed_loop", dual_closed_loop(system).rhs, 2 * n
+    yield "dual_open", dual_open(system).rhs, 2 * n
+    yield "adjoint_pair", adjoint_pair(system).rhs, 3 * n
+    yield ("obs gramian", flow_rhs(system.with_output(system.f, system.h), width=n,
+                                   outputs=system.h.dim_out), 2 * n * n + n)
+    yield ("ctrl gramian", flow_rhs(system.with_output(cl, system.k), width=n, sign=-1.0,
+                                    outputs=system.k.dim_out), 2 * n * n + n)
+
+
+def _stage_plan(K):
+    """The plan of a DOP853 trial step on the stage array K (_DOP853)."""
+    plan = [(s, K[:s].T, a[:s]) for s, a in enumerate(_DOP853.A[1:], start=1)]
+    return plan + [(_DOP853.n_stages, K[:-1].T, _DOP853.B)]
+
+
+def _constant_drift() -> SystemModel:
+    # prolong's kernel reads none of its inputs: x' = 1/2 and dx' = 0
+    return from_spec(parse_system_spec({
+        "name": "constant_drift", "n": 1, "m": 1, "p": 1,
+        "f": ["1/2"], "g": [["1"]], "h": ["x1"], "k": ["-x1"]}))
+
+
+@pytest.mark.parametrize("layout", ["C-contiguous", "strided view"])
+@pytest.mark.parametrize("system", list(_systems()) + [_constant_drift()], ids=lambda s: s.name)
+def test_stage_entries_write_the_rows_of_the_kernel_on_each_stage_state(system, layout):
+    """rhs.stages (one state) and rhs.batch_stages (a flattened (dim, B)
+    batch) leave each row K[s] bitwise equal to the kernel on that stage's
+    state y + rows.dot(a) * h, formed from the rows written before it, on
+    a C-contiguous K and on a view of the first columns of a wider one."""
+    rng = np.random.default_rng(12)
+    h = 0.037
+    for label, rhs, dim in _flow_right_hand_sides(system):
+        for batch in (None, 3):
+            width = dim if batch is None else dim * batch
+            y = rng.uniform(-1.0, 1.0, width)
+            K, expected = (np.zeros((_DOP853.n_stages + 1, width + 2))[:, :width]
+                           if layout == "strided view" else
+                           np.zeros((_DOP853.n_stages + 1, width)) for _ in range(2))
+            K[0] = expected[0] = rng.uniform(-1.0, 1.0, width)
+            for s, rows, a in _stage_plan(expected):
+                state = y + rows.dot(a) * h
+                expected[s] = (rhs(0.0, state) if batch is None
+                               else rhs(0.0, state.reshape(dim, batch)).reshape(-1))
+            entry = rhs.stages if batch is None else rhs.batch_stages
+            assert entry(y, K, _stage_plan(K), h) is True, label
+            assert K.flags.c_contiguous == (layout == "C-contiguous")
+            assert np.array_equal(K, expected), (label, batch)
 
 
 def _with_constant_component() -> SystemModel:

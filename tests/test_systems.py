@@ -1,14 +1,20 @@
 """Augmented system constructions and the built-in registry."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import fd_jacobian, rk4
-from vargram.calculus import matrix_at
+from vargram import calculus, systems
+from vargram.calculus import field_values, frozen_input_jacobian, matrix_at
+from vargram.cli import main
+from vargram.energy import diff_controllability_fb, incr_controllability_fb
 from vargram.expr import parse_system_spec
+from vargram.gramian import empirical_ctrl_gramian, empirical_obs_gramian
 from vargram.integrate import integrate_ivp
 from vargram.systems import (
     adjoint_pair,
@@ -220,6 +226,73 @@ def test_affine_field_is_built_once_per_model():
     fresh = sys_.affine_field()
     assert fresh is not affine and sys_.affine_field() is fresh
     assert np.array_equal(fresh([0.3, -0.2, 0.7]), affine([0.3, -0.2, 0.7]))
+
+
+def test_two_verify_runs_in_one_process_compile_each_kernel_once(tmp_path, monkeypatch):
+    """registry returns a new model per call whose fields and derived
+    fields share their kernels with the entry's: the second run traces
+    and compiles nothing, and writes the same bytes."""
+    sources = []
+    compiled = calculus._compiled
+    monkeypatch.setattr(calculus, "_compiled",
+                        lambda source, *names, **scope: sources.append(source)
+                        or compiled(source, *names, **scope))
+    systems._entry_model.cache_clear()  # an entry no earlier test has traced
+    args = ["verify", "--system", "paper_sec5", "--theorem", "all", "--pairs", "1",
+            "--samples", "2", "--grid", "3x3", "--out"]
+    assert main(args + [str(tmp_path / "first")]) == 0
+    first = len(sources)
+    assert first > 0
+    assert main(args + [str(tmp_path / "second")]) == 0
+    assert len(sources) == first
+    for report in (tmp_path / "first").iterdir():
+        assert report.read_bytes() == (tmp_path / "second" / report.name).read_bytes()
+
+
+def test_a_func_replaced_on_one_model_leaves_another_models_results_unchanged():
+    x = [0.2, -0.1]
+    one, other = registry("paper_sec5"), registry("paper_sec5")
+    assert one.k is not other.k and one.k.func is other.k.func
+    before = (empirical_ctrl_gramian(one, x).matrix, field_values(one.k, x),
+              diff_controllability_fb(one, x, [1.0, 0.0]).value)
+    original = other.k.func
+    other.k.func = lambda xs: [2.0 * v for v in original(xs)]
+    changed = (empirical_ctrl_gramian(other, x).matrix, field_values(other.k, x),
+               diff_controllability_fb(other, x, [1.0, 0.0]).value)
+    assert not any(np.array_equal(a, b) for a, b in zip(before, changed))
+    again = (empirical_ctrl_gramian(one, x).matrix, field_values(one.k, x),
+             diff_controllability_fb(one, x, [1.0, 0.0]).value)
+    for a, b in zip(before, again):
+        np.testing.assert_array_equal(a, b)
+    assert registry("paper_sec5").k.func is original
+
+
+@pytest.mark.parametrize("build", [
+    lambda: registry("paper_sec5"),
+    lambda: from_spec(parse_system_spec(json.loads(DATA.read_text()))),
+], ids=["registry", "spec"])
+def test_a_model_is_freed_without_the_cyclic_collector(build):
+    """Derived fields read the component funcs, not the model, so a model
+    that has built them all and run flows on them is no reference cycle."""
+    x = [0.1, 0.2]
+    gc.collect()
+    gc.disable()
+    try:
+        model = build()
+        diff_controllability_fb(model, x, [1.0, 0.0])
+        incr_controllability_fb(model, x, [0.15, 0.2])
+        empirical_obs_gramian(model, x)
+        empirical_ctrl_gramian(model, [x, [0.0, 0.1]])
+        frozen_input_jacobian(model, x)
+        for flow in (dual_open, dual_closed_loop, adjoint_pair):
+            aug = flow(model)
+            aug.rhs(0.0, np.full(aug.dim, 0.1))
+        freed = [weakref.ref(obj) for obj in (model, model.closed_loop_field(),
+                                              model.affine_field(), model.k)]
+        del model, aug
+        assert [ref() for ref in freed] == [None] * len(freed)
+    finally:
+        gc.enable()
 
 
 def test_require_k_raises_without_feedback():
