@@ -14,11 +14,12 @@ Jacobian entries (jacobian) of the field (Griewank & Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008).  A flow's right-hand side is traced
 the same way (flow_rhs): duals seeded with the rows of a tangent
 block T give Df T by the chain rule, with no Jacobian formed, and a
-flow kernel has a second entry that loops over the Runge-Kutta stages
-of a step, forming the stage inputs the lines read and running the
-same lines on them (rhs.stages), and says whether it ran them: a step it cannot run is
-run by the solver's own stage loop, one call of rhs per stage, which
-is where a kernel hands over to duals (_run).  The kernels are
+flow kernel is compiled with two entries that loop over the
+Runge-Kutta stages of a step, of one state (rhs.stages) or of a batch
+(rhs.batch_stages), forming the stage inputs the lines read and running
+the same lines on them, and say whether they ran them: a step they
+cannot run is run by the solver's own stage loop, one call of rhs per
+stage, which is where a kernel hands over to duals (_run).  The kernels are
 straight-line code, so they run unchanged on a list of floats (one
 point) or of length-N arrays (the columns of a stack of points, or the
 rows of a batch of states).
@@ -442,35 +443,32 @@ class _Tape:
         """Function of a list of n floats returning the tuple of the values
         of the result terms.
 
-        With stages (flow kernels), the function carries a second entry of
-        the same lines, kernel.stages(ys, K, plan, h), that runs the
-        Runge-Kutta stages of one step in one call, on a list ys of n floats
-        and a float h: for each (s, rows, a) of plan in turn it takes
-        d = rows . a by numpy's dot, as a list of floats, forms the stage
-        inputs x_i = y_i + d_i * h that the lines read (a flow never reads
-        its cost block), on Python floats, by the IEEE operations numpy
-        applies to y + d * h entry by entry, and writes the values to the
-        row K[s], which a later stage's rows may read, by a precompiled
-        struct.Struct(f"{m}d").pack_into at the row's byte offset in K's
-        buffer (m outputs), not by K[s] = (...), which goes through numpy's
-        sequence conversion.  That takes a C-contiguous float64 K; for any
-        other K, pass put=_put_row, the row assignment.  So K[s] holds the
-        floats of kernel(list(y + rows.dot(a) * h)).  A division by zero
-        raises ZeroDivisionError, on which flow_rhs's rhs.stages reports
-        the step as not run.
+        With stages (flow kernels), one source defines it and two more
+        entries of the same lines, compiled with it, so a kernel is never
+        modified after it is traced.  kernel.stages(ys, K, plan, h) runs
+        the Runge-Kutta stages of one step in one call, on a list ys of n
+        floats and a float h: for each (s, rows, a) of plan in turn it
+        takes d = rows . a by numpy's dot, as a list of floats, forms the
+        stage inputs x_i = y_i + d_i * h that the lines read (a flow never
+        reads its cost block), on Python floats, by the IEEE operations
+        numpy applies to y + d * h entry by entry, and writes the values
+        to the row K[s], which a later stage's rows may read, by a
+        precompiled struct.Struct(f"{m}d").pack_into at the row's byte
+        offset in K's buffer (m outputs), bound as a local of the entry,
+        not by K[s] = (...), which goes through numpy's sequence
+        conversion.  K must be C-contiguous float64 (pack_into raises
+        TypeError on any other K, before it writes a row).  So K[s] holds
+        the floats of kernel(list(y + rows.dot(a) * h)).  A division by
+        zero raises ZeroDivisionError.
 
-        It also carries, as kernel.batch_source, the source of a third
-        entry of the same lines, batch_stages(y, K, plan, h, batch), the
-        stages of one step of a batch: y is the flattened (n, batch) state,
-        each stage state is y + rows.dot(a) * h on it, as numpy forms it,
-        taken only up to the last input the lines read, and its rows of
-        batch points are the kernel's inputs, so K[s] holds the floats of
+        kernel.batch_stages(y, K, plan, h, batch) runs the stages of one
+        step of a batch: y is the flattened (n, batch) state, each stage
+        state is y + rows.dot(a) * h on it, as numpy forms it, taken only
+        up to the last input the lines read, and its rows of batch points
+        are the kernel's inputs, so K[s] holds the floats of
         kernel(list((y + rows.dot(a) * h).reshape(n, batch))), each
-        constant output broadcast to its row.  _batch_stages compiles it at
-        the kernel's first batched step (compiling it with the kernel would
-        double the trace cost of every flow kernel, most of which never
-        step a batch) and runs it under one np.errstate that raises numpy's
-        division by zero and invalid operation."""
+        constant output broadcast to its row.  flow_rhs runs both entries
+        and reports a step they cannot run."""
         live = self.live(results)
         body = [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
                 if name in live]
@@ -489,27 +487,25 @@ class _Tape:
             return "".join(f"{letter}{i}, " if i in inputs else "_, " for i in range(read))
 
         prefix = "" if read == n else f"[:{read}]"
-        source += ["def stages(ys, K, plan, h, put=pack):",
+        state = "y + rows.dot(a) * h" if read == n else \
+            f"y[:{read} * batch] + rows.dot(a)[:{read} * batch] * h"
+        source += ["def stages(ys, K, plan, h):",
+                   "    put = pack",
                    f"    {unpack('y')}= ys{prefix}",
                    "    for s, rows, a in plan:",
                    f"        {unpack('d')}= rows.dot(a){prefix}.tolist()",
                    *(f"        x{i} = y{i} + d{i} * h" for i in inputs),
                    *("    " + line for line in body),
-                   f"        put(K, s * {8 * len(results)}, {', '.join(texts)})"]
-        kernel, kernel.stages = _compiled("\n".join(source), "kernel", "stages",
-                                          pack=struct.Struct(f"{len(results)}d").pack_into)
-        # one string, not a list of lines, which would take about three
-        # times the memory: every flow kernel keeps it until its first
-        # batched step
-        state = "y + rows.dot(a) * h" if read == n else \
-            f"y[:{read} * batch] + rows.dot(a)[:{read} * batch] * h"
-        kernel.batch_source = "\n".join([
-            "def batch_stages(y, K, plan, h, batch):",
-            "    for s, rows, a in plan:",
-            f"        {unpack('x')}= ({state}).reshape({read}, batch)",
-            *("    " + line for line in body),
-            f"        k = K[s].reshape({len(results)}, batch)",
-            *(f"        k[{i}] = {text}" for i, text in enumerate(texts))])
+                   f"        put(K, s * {8 * len(results)}, {', '.join(texts)})",
+                   "def batch_stages(y, K, plan, h, batch):",
+                   "    for s, rows, a in plan:",
+                   f"        {unpack('x')}= ({state}).reshape({read}, batch)",
+                   *("    " + line for line in body),
+                   f"        k = K[s].reshape({len(results)}, batch)",
+                   *(f"        k[{i}] = {text}" for i, text in enumerate(texts))]
+        kernel, kernel.stages, kernel.batch_stages = _compiled(
+            "\n".join(source), "kernel", "stages", "batch_stages",
+            pack=struct.Struct(f"{len(results)}d").pack_into)
         return kernel
 
 
@@ -521,13 +517,6 @@ def _compiled(source: str, *names: str, **names_in_scope) -> list:
     namespace = dict(names_in_scope)
     exec(compile(source + "\n", "<traced kernel>", "exec"), namespace)
     return [namespace.pop(name) for name in names]
-
-
-def _put_row(K, offset: int, *values) -> None:
-    """A loop entry's write of one stage row (_Tape.compile) to a K that
-    struct's pack_into cannot write, one that is not C-contiguous: the row
-    assignment K[s] = values, s the row at that byte offset."""
-    K[offset // (8 * len(values))] = values
 
 
 def _shape(field) -> tuple:
@@ -596,14 +585,15 @@ def _kernel(field, key: tuple, size: int) -> Callable | None:
     """Straight-line code of _outputs(field, key, xs) on size inputs, traced
     at the key's first use and again whenever field.func has been
     replaced.  A copy.copy of the field (systems.registry makes them)
-    shares its cache, each entry kept for the func it was traced for.  A func the tracer cannot run (a comparison, abs, a math
-    function, a constant zero denominator, a wrong arity) keeps the dual
-    path, which raises the error the field raises on duals: its kernel is
-    None, which _run evaluates by _outputs, so that nothing the field
-    holds refers back to it.  A traced flow kernel also has its loop
-    entry over a step's stages, kernel.stages, and the source of its
-    batch entry (_Tape.compile); the dual path has neither, so the solver
-    runs its steps stage by stage (flow_rhs)."""
+    shares its cache, each entry kept for the func it was traced for.  A
+    func the tracer cannot run (a comparison, abs, a math function, a
+    constant zero denominator, a wrong arity) keeps the dual path, which
+    raises the error the field raises on duals: its kernel is None, which
+    _run evaluates by _outputs, so that nothing the field holds refers
+    back to it.  A traced flow kernel comes with its two entries over a
+    step's stages, kernel.stages and kernel.batch_stages, compiled with
+    it from one source (_Tape.compile); the dual path has neither, so the
+    solver runs its steps stage by stage (flow_rhs)."""
     cached = field._kernels.get(key)
     if cached is None or cached[0] is not field.func:
         tape = _Tape()
@@ -615,27 +605,6 @@ def _kernel(field, key: tuple, size: int) -> Callable | None:
             kernel = None
         cached = field._kernels[key] = (field.func, kernel)
     return cached[1]
-
-
-def _batch_stages(kernel, y: np.ndarray, K: np.ndarray, plan, h: float, batch: int) -> bool:
-    """Whether kernel's batch entry (_Tape.compile), compiled here at its
-    first call from kernel.batch_source, which it replaces, ran the stages
-    of one step of a batch of flow states (flow_rhs's rhs.batch_stages)
-    under one np.errstate for the step: False when it raised numpy's
-    division by zero or invalid operation, or when the kernel is on the
-    dual path and has none."""
-    entry = getattr(kernel, "batch_stages", None)
-    if entry is None:
-        if not hasattr(kernel, "batch_source"):
-            return False
-        (entry,) = _compiled(kernel.__dict__.pop("batch_source"), "batch_stages")
-        kernel.batch_stages = entry
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            entry(y, K, plan, h, batch)
-    except (FloatingPointError, ZeroDivisionError):
-        return False
-    return True
 
 
 def _run(kernel, field, key: tuple, xs, batch: int | None = None) -> np.ndarray:
@@ -728,15 +697,17 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     from one state y (dim,) in one call of the kernel's loop entry
     (_Tape.compile): for each (s, rows, a) of plan in turn, K[s] =
     rhs(t, y + rows.dot(a) * h), with those floats, where K is the
-    step's stage array and rows may read rows of K that earlier stages
-    wrote (dop853._DOP853 steps a one-state flow by it, once per trial
-    step).  rhs.batch_stages(y, K, plan, h) does the same for a batch, y
-    the flattened (dim, B) state, in one call of the kernel's batch entry
-    (_batch_stages), with the floats of rhs on y + rows.dot(a) * h
-    reshaped to (dim, B).  Each returns True when it ran all the stages,
-    and False when a stage divides by zero (or, in a batch, makes an
-    invalid operation) or the kernel is on the dual path: the solver then
-    runs the step by calls of rhs, which raises the field's own error.
+    step's C-contiguous stage array (any other K raises TypeError) and
+    rows may read rows of K that earlier stages wrote (dop853._DOP853
+    steps a one-state flow by it, once per trial step).
+    rhs.batch_stages(y, K, plan, h) does the same for a batch, y the
+    flattened (dim, B) state, in one call of the kernel's batch entry
+    under one np.errstate for the step, with the floats of rhs on y +
+    rows.dot(a) * h reshaped to (dim, B).  Each returns True when it ran
+    all the stages, and False when a stage divides by zero (or, in a
+    batch, makes an invalid operation) or the kernel is on the dual path:
+    the solver then runs the step by calls of rhs, which raises the
+    field's own error.
 
     rhs.kernel is (field, key): two right-hand sides with the same field,
     the same field.func and the same key run the same kernel, and so
@@ -763,16 +734,21 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
         if entry is None:
             return False
         try:
-            if K.flags.c_contiguous:
-                entry(y.tolist(), K, plan, h)
-            else:
-                entry(y.tolist(), K, plan, h, _put_row)
+            entry(y.tolist(), K, plan, h)
         except ZeroDivisionError:
             return False
         return True
 
     def batch_stages(y, K, plan, h):
-        return _batch_stages(resolve(), y, K, plan, h, len(y) // size)
+        entry = getattr(resolve(), "batch_stages", None)
+        if entry is None:
+            return False
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                entry(y, K, plan, h, len(y) // size)
+        except (FloatingPointError, ZeroDivisionError):
+            return False
+        return True
 
     rhs.stages = stages
     rhs.batch_stages = batch_stages

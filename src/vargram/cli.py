@@ -416,17 +416,21 @@ def _cmd_rank(args) -> int:
 
 # ---------------------------------------------------------------- pd-scan
 
-_POOL_FIELD = None  # a pd-scan worker's field, set by _scan_init
+_POOL_FIELD = None  # a pd-scan worker's (setup, field), built at its first point
 
 
-def _scan_init(source, field_name, tol):
+def _scan_eval(task):
+    """scan_value at a point of a pd-scan task (source, field_name, tol,
+    point), on the field of that setup, which a worker builds at its first
+    point and keeps: a set-up error is raised by the task, and so reaches
+    the parent through pool.map."""
     global _POOL_FIELD
-    _POOL_FIELD = _build_field(_system_from_source(source), field_name, tol=tol,
-                               fixed_horizon=None)
-
-
-def _scan_eval(point):
-    return gramian_mod.scan_value(_POOL_FIELD, point)
+    *setup, point = task
+    if _POOL_FIELD is None or _POOL_FIELD[0] != setup:
+        source, field_name, tol = setup
+        _POOL_FIELD = setup, _build_field(_system_from_source(source), field_name, tol=tol,
+                                          fixed_horizon=None)
+    return gramian_mod.scan_value(_POOL_FIELD[1], point)
 
 
 def _scan_grid(system: SystemModel, source, field_name: str, tol: float, jobs: int,
@@ -434,17 +438,17 @@ def _scan_grid(system: SystemModel, source, field_name: str, tol: float, jobs: i
     """Scan a field over a grid, across up to jobs worker processes (no
     more than there are points), and write scan.csv-style rows to csv_path.
 
-    Workers rebuild the system from its source name, so results are
-    independent of how the grid is sharded; assembly order follows the
-    grid either way.  One worker is no worker: the scan then runs here,
-    on system.
+    Workers rebuild the system from its source name, and the field, at
+    their first point (_scan_eval), so results are independent of how
+    the grid is sharded; assembly order follows the grid either way.
+    One worker is no worker: the scan then runs here, on system.
     """
     points = gramian_mod.grid_points(region, shape)
     workers = min(jobs, len(points))
     if workers > 1:
-        with multiprocessing.Pool(workers, initializer=_scan_init,
-                                  initargs=(source, field_name, tol)) as pool:
-            values = pool.map(_scan_eval, [tuple(p) for p in points])
+        with multiprocessing.Pool(workers) as pool:
+            values = pool.map(_scan_eval, [(source, field_name, tol, tuple(p))
+                                           for p in points])
     else:
         field_obj = _build_field(system, field_name, tol=tol, fixed_horizon=None)
         values = [gramian_mod.scan_value(field_obj, tuple(p)) for p in points]
@@ -460,6 +464,7 @@ def _cmd_pd_scan(args) -> int:
     region, shape = _checked_box(system, _parse_region(args.region), _parse_grid(args.grid))
     if args.plot and len(shape) != 2:
         raise CliError(f"--plot draws a heatmap over two dims, --grid has {len(shape)}")
+    _build_field(system, args.field)  # a bad --field fails before --out or a pool
     csv_path = os.path.join(_out_dir(args), "scan.csv")
     scan = _scan_grid(system, source, args.field, args.tol, args.jobs, region, shape,
                       csv_path)
@@ -528,8 +533,10 @@ def _cmd_verify(args) -> int:
     grid = _checked_box(system, region, _parse_grid(args.grid) if args.grid else None)
     if args.pairs < 1 or args.samples < 1:
         raise CliError("--pairs and --samples must be at least 1")
-    out = _out_dir(args)
     names = list(_CHECKS) if args.theorem == "all" else [args.theorem]
+    if args.field is not None and not _DEFAULT_FIELDS.keys().isdisjoint(names):
+        _build_field(system, args.field)  # a bad --field fails before --out or a check
+    out = _out_dir(args)
     counts = (args.pairs, args.samples, min(args.samples, 5))
     verdicts = {}
     with shared_flows():

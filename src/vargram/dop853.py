@@ -49,11 +49,12 @@ class _DOP853(DOP853):
     fun(t + h, y_new).  A trial step runs all twelve in one call of its
     stage entry, on the plan of the stages' (s, K[:s].T, a) and, last,
     (12, K[:12].T, B), whose stage state is y_new.  A flow kernel
-    (calculus.flow_rhs) brings its own, fun.stages: for one state it
-    forms the stage inputs its lines read on Python floats inside the
-    traced call by the same IEEE operations, and packs each stage row
-    into K's buffer (K is C-contiguous float64, as scipy makes it), and
-    for a batch (_BatchDOP853, whose fun.stages is the kernel's
+    (calculus.flow_rhs) brings its own, fun.stages, one of the two stage
+    entries compiled with the kernel: for one state it forms the stage
+    inputs its lines read on Python floats inside the traced call by the
+    same IEEE operations, and packs each stage row into K's buffer (K is
+    C-contiguous float64, as scipy allocates it; the entry takes no other
+    K), and for a batch (_BatchDOP853, whose fun.stages is the kernel's
     rhs.batch_stages) it forms y + rows.dot(a) * h on the flat state up
     to the last input read, so the floats, steps and nfev are unchanged,
     and a step makes one Python-level call instead of twelve.  The entry

@@ -103,7 +103,7 @@ def _half_square_energy(aug: AugmentedField, z0, direction: str, label: str,
     A (B, dim) stack z0 gives a list of B values (see flow_integrals), one
     state (dim,) its one value.
     """
-    results = flow_integrals(aug.rhs, np.atleast_2d(z0), direction, tol=tol, weight=0.5)
+    results = flow_integrals(aug.rhs, np.atleast_2d(z0), tol=tol, weight=0.5)
     energies = [EnergyValue(value=float(res.value[0]), error_estimate=res.error_estimate,
                             horizon=res.horizon, nodes_used=res.nodes_used,
                             direction=direction,

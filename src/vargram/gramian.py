@@ -93,7 +93,7 @@ def _gramian_from_flow(system: SystemModel, field, sign: float, x, out_field,
                             (len(points), 2 * n * n))
     rhs = flow_rhs(system.with_output(field, out_field), width=n, sign=sign,
                    outputs=out_field.dim_out)
-    results = flow_integrals(rhs, np.concatenate([points, start], axis=1), direction, tol=tol,
+    results = flow_integrals(rhs, np.concatenate([points, start], axis=1), tol=tol,
                              fixed_horizon=fixed_horizon)
     grams = [GramianResult(matrix=_symmetrized(res.value.reshape(n, n)),
                            truncation_error=res.error_estimate, horizon=res.horizon,
@@ -324,9 +324,7 @@ def scan_from_values(region, grid_shape, points: np.ndarray, values) -> PDScan:
         if status != "ok":
             statuses.append(str(payload).replace(",", ";"))
             continue
-        matrix = np.asarray(payload, dtype=float)
-        sym = 0.5 * (matrix + matrix.T)
-        det, min_eig = determinant_and_min_eigenvalue(sym)
+        det, min_eig = determinant_and_min_eigenvalue(payload)
         min_eigs[i] = min_eig
         dets[i] = det
         statuses.append("ok")

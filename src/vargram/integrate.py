@@ -277,7 +277,7 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
     if batch == 1:
         fun, y0, options = rhs, x0.reshape(dim), {}
 
-        def largest(y):  # _norm's float for the solver's 1-D state
+        def largest(y):  # np.linalg.norm's float for the solver's 1-D state
             y = y[:flow]
             return math.sqrt(y.dot(y))
 
@@ -488,13 +488,6 @@ def _gauss_legendre_pair(order: int):
     return nodes, coarse_weights, fine_weights
 
 
-def _norm(a) -> float:
-    """2-norm of a number or an array, computed as np.linalg.norm computes
-    it: the square root of the flattened array's dot product with itself."""
-    flat = np.ravel(a, order="K")
-    return math.sqrt(flat.dot(flat))
-
-
 def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResult:
     """Gauss-Legendre integral of f over [a, b] at the given order.
 
@@ -517,7 +510,8 @@ def quadrature_finite(f, a: float, b: float, order: int = 12) -> QuadratureResul
     coarse = half * np.dot(coarse_weights[None, :], flat[:order]).reshape(values.shape[1:])
     fine = half * np.dot(fine_weights[None, :], flat[order:]).reshape(values.shape[1:])
     return QuadratureResult(value=coarse if np.ndim(coarse) else float(coarse),
-                            error_estimate=_norm(coarse - fine), nodes_used=len(taus))
+                            error_estimate=float(np.linalg.norm(coarse - fine)),
+                            nodes_used=len(taus))
 
 
 # fewest positive samples an exponential fit reads in its window: three,
@@ -557,23 +551,13 @@ def _tail(times: np.ndarray, norms: np.ndarray) -> float | None:
     return math.exp(intercept + slope * times[-1]) / -slope
 
 
-def _sign(direction: str, tol: float) -> float:
-    """+1 for 'forward', -1 for 'backward'; ValueError for another
-    direction or a tol that is not positive."""
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol:g}")
-    return 1.0 if direction == "forward" else -1.0
-
-
 # points per batched flow of flow_integrals.  A batch's arrays (its states
 # and their derivatives at every accepted step) grow with its points, so
 # fixed batches bound the memory of a large stack
 MAX_BATCH = 64
 
 
-def flow_integrals(rhs, z0, direction: str, tol: float = 1e-8,
+def flow_integrals(rhs, z0, tol: float = 1e-8,
                    fixed_horizon: float | None = None,
                    weight: float = 1.0) -> list[QuadratureResult]:
     """weight times the cost block of the flow of rhs from each row of z0,
@@ -582,8 +566,8 @@ def flow_integrals(rhs, z0, direction: str, tol: float = 1e-8,
 
     rhs is a calculus.flow_rhs right-hand side with a cost block
     (rhs.cost > 0), taking one state or a (dim, B) batch, one point per
-    column; for 'backward' it must already be the time-reversed field
-    (its cost block is never negated).  The integral runs from 0 to
+    column; a backward integral is the flow of the time-reversed field
+    (whose cost block is never negated).  The integral runs from 0 to
     infinity by horizon doubling (see _cost_integrals), or over
     [0, fixed_horizon] when given, by one solve whose error estimate is 0:
     no truncation error is tracked there.  The stack is solved in order,
@@ -591,14 +575,15 @@ def flow_integrals(rhs, z0, direction: str, tol: float = 1e-8,
     memory.  No solve builds a dense output; each runs at DEFAULT_RTOL
     and DEFAULT_ATOL, tol being the caller's only numerical setting.
     """
-    _sign(direction, tol)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol:g}")
     z0 = np.asarray(z0, dtype=float)
     return [res for start in range(0, len(z0), MAX_BATCH)
-            for res in _cost_integrals(rhs, z0[start:start + MAX_BATCH], direction, tol,
+            for res in _cost_integrals(rhs, z0[start:start + MAX_BATCH], tol,
                                        fixed_horizon, weight)]
 
 
-def _cost_integrals(rhs, z0: np.ndarray, direction: str, tol: float,
+def _cost_integrals(rhs, z0: np.ndarray, tol: float,
                     fixed_horizon: float | None, weight: float) -> list[QuadratureResult]:
     """flow_integrals of one batch of B points.
 
@@ -660,7 +645,7 @@ def _cost_integrals(rhs, z0: np.ndarray, direction: str, tol: float,
             if results[b] is not None:
                 continue
             value = weight * end[-cost:]
-            increment = _norm(value - values[b])
+            increment = float(np.linalg.norm(value - values[b]))
             values[b] = value
             if increment < tol:
                 tail = _tail(np.concatenate(times), np.concatenate(rates)[:, b])
@@ -693,7 +678,9 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8) -> Quad
     doubling of flow_integrals, as a batch of one.  A non-finite value
     raises IntegrationError.
     """
-    sign = _sign(direction, tol)
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
+    sign = 1.0 if direction == "forward" else -1.0
     shape = np.shape(integrand(np.zeros(1)))[1:]
     size = math.prod(shape)
 
@@ -704,6 +691,6 @@ def improper_time_integral(integrand, direction: str, tol: float = 1e-8) -> Quad
         return values
 
     rhs.cost = size
-    (res,) = _cost_integrals(rhs, np.zeros((1, size)), direction, tol, None, 1.0)
+    (res,) = flow_integrals(rhs, np.zeros((1, size)), tol)
     res.value = res.value.reshape(shape) if shape else float(res.value[0])
     return res

@@ -335,11 +335,8 @@ def dual_open(system: SystemModel) -> AugmentedField:
 
 def from_spec(spec: SystemSpec) -> SystemModel:
     """Build a SystemModel from a parsed JSON system description."""
-    cert_map = {"P": "P", "Q": "Q", "R": "R"}
-    certificates = {
-        cert_map[key]: MatrixField.from_exprs(grid, spec.n)
-        for key, grid in spec.fields.items()
-    }
+    certificates = {key: MatrixField.from_exprs(grid, spec.n)
+                    for key, grid in spec.fields.items()}
     return SystemModel(
         name=spec.name,
         n=spec.n,

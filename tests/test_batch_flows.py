@@ -109,10 +109,10 @@ def _decay_flows(rates):
 
 def test_batched_improper_integral_stops_each_point_at_its_own_horizon():
     rhs, z0 = _decay_flows(RATES)
-    batched = flow_integrals(rhs, z0, "forward")
+    batched = flow_integrals(rhs, z0)
     horizons = set()
     for rate, z, res in zip(RATES, z0, batched):
-        (single,) = flow_integrals(rhs, z[None], "forward")
+        (single,) = flow_integrals(rhs, z[None])
         value, alone = res.value[0], single.value[0]
         assert abs(value - 1.0 / rate) <= 1e-9 / rate
         # different steps: the two agree to the integrator's error, and so
@@ -129,9 +129,9 @@ def test_a_point_reports_the_same_tail_fit_alone_and_in_a_batch():
     # their tail windows, and in the batch 14 and 53: both counts reach
     # integrate.MIN_FIT_SAMPLES, so each point's tail is fitted either way
     rhs, z0 = _decay_flows(RATES)
-    batched = flow_integrals(rhs, z0, "forward")
+    batched = flow_integrals(rhs, z0)
     for rate, z, res in zip(RATES, z0, batched):
-        (alone,) = flow_integrals(rhs, z[None], "forward")
+        (alone,) = flow_integrals(rhs, z[None])
         assert alone.meta["tail_fit"] == res.meta["tail_fit"] == "ok", rate
         assert alone.tail_estimate > 0.0 and alone.error_estimate > 0.0, rate
 
@@ -139,7 +139,7 @@ def test_a_point_reports_the_same_tail_fit_alone_and_in_a_batch():
 def test_a_diverging_point_is_named():
     rhs, z0 = _decay_flows(np.array([1.0, 0.0, 0.5]))  # the second never decays
     with pytest.raises(DivergenceError, match="at point 1"):
-        flow_integrals(rhs, z0, "forward")
+        flow_integrals(rhs, z0)
 
 
 # dx/dt = -x + x^3 escapes in finite time from |x| > 1

@@ -243,11 +243,10 @@ def test_pd_scan_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
     sizes = []
 
     class InProcessPool:
-        """Records the worker count; runs the initializer and the map here."""
+        """Records the worker count; runs the map here."""
 
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -266,6 +265,31 @@ def test_pd_scan_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
     assert sizes == [2]  # and one point is scanned without a pool
     assert main(args + ["--grid", "2", "--jobs", "1", "--out", str(tmp_path / "c")]) == 0
     assert (tmp_path / "a" / "scan.csv").read_bytes() == (tmp_path / "c" / "scan.csv").read_bytes()
+
+
+@pytest.mark.parametrize("field", ["bogus", "cert-X"])
+def test_pd_scan_rejects_a_bad_field_before_any_pool_or_output(tmp_path, monkeypatch, capsys,
+                                                                field):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    out = tmp_path / "scan"
+    assert main(["pd-scan", "--system", "linear_scalar", "--field", field, "--region", "0,1",
+                 "--grid", "3", "--jobs", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, message", [("bogus", "unknown field 'bogus'"),
+                                            ("cert-X", "has no certificate 'X'")],
+                         ids=["bogus", "cert-X"])
+def test_a_scan_task_raises_its_set_up_error(monkeypatch, field, message):
+    # a pd-scan worker builds its field at its first point, so a bad one
+    # raises in the task, which pool.map hands to the parent
+    monkeypatch.setattr(cli, "_POOL_FIELD", None)
+    with pytest.raises(CliError, match=message):
+        cli._scan_eval((("registry", "linear_scalar"), field, 1e-8, (0.5,)))
 
 
 def test_a_serial_pd_scan_keeps_no_field_after_it_returns(tmp_path, monkeypatch):
@@ -382,10 +406,14 @@ def test_verify_all_without_a_p_certificate_leaves_cor7_inconclusive(tmp_path, c
         verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
         assert sorted(verdicts) == sorted(cli._CHECKS) and verdicts["cor7"] == "inconclusive"
     assert "cor7: inconclusive" in capsys.readouterr().out
-    # a certificate named on the command line must exist
-    named = ["--theorem", "cor7", "--field", "cert-P", "--out", str(tmp_path / "named")]
-    assert main(base + named) == 1
-    assert "has no certificate 'P' (available: Q)" in capsys.readouterr().err
+    # a certificate named on the command line must exist, which is checked
+    # before --out is made or any check runs
+    for theorem in ("cor7", "all"):
+        named = ["--theorem", theorem, "--field", "cert-P", "--out", str(tmp_path / theorem)]
+        assert main(base + named) == 1
+        captured = capsys.readouterr()
+        assert "has no certificate 'P' (available: Q)" in captured.err
+        assert captured.out == "" and not (tmp_path / theorem).exists()
 
 
 @pytest.mark.parametrize("flag", ["--pairs", "--samples"])

@@ -395,7 +395,9 @@ def test_replacing_func_traces_again():
         assert jacobian(field, [0.5])[0, 0] == scale
 
 
-def test_the_batch_entry_is_compiled_at_the_first_batched_step_and_traced_again():
+def test_a_flow_kernel_is_traced_with_both_stage_entries_and_traced_again():
+    """A traced flow kernel carries its loop and batch entries from the
+    start, compiled with it, and a replaced func retraces all three."""
     calls = []
 
     def linear(scale):
@@ -406,11 +408,13 @@ def test_the_batch_entry_is_compiled_at_the_first_batched_step_and_traced_again(
 
     field = VectorField(1, 1, linear(2.0))
     fun = flow_rhs(field)
-    _solve_segment(fun, [1.0], 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL)
+    fun(0.0, np.array([1.0]))
     ((_, kernel),) = field._kernels.values()
-    assert hasattr(kernel, "stages") and not hasattr(kernel, "batch_stages")
+    assert hasattr(kernel, "stages") and hasattr(kernel, "batch_stages")
+    entries = kernel.__dict__.copy()
+    _solve_segment(fun, [1.0], 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL)
     _solve_segment(fun, [[1.0], [2.0]], 0.0, 1.0, DEFAULT_RTOL, DEFAULT_ATOL)
-    assert hasattr(kernel, "batch_stages")
+    assert kernel.__dict__ == entries  # nothing set on the kernel after tracing
 
     # the stage states 1 + 0.5 * 0.5 and 2 + 1.0 * 0.5, a batch of two
     y, K = np.array([1.0, 2.0]), np.array([[0.5, 1.0], [0.0, 0.0]])
@@ -420,6 +424,8 @@ def test_the_batch_entry_is_compiled_at_the_first_batched_step_and_traced_again(
     field.func = linear(5.0)
     fun.batch_stages(y, K, plan, 0.5)
     assert list(K[1]) == [-6.25, -12.5]
+    ((_, retraced),) = field._kernels.values()
+    assert retraced is not kernel and retraced.__dict__.keys() == entries.keys()
     one = np.array([[0.0], [0.0]])
     fun.stages(y[:1], one, [(1, K[:1, :1].T, np.array([1.0]))], 0.5)
     assert list(one[1]) == [-6.25]
@@ -438,19 +444,19 @@ def test_a_flow_rhs_is_freed_without_the_cyclic_collector():
         "name": "pole", "n": 2, "m": 1, "p": 1, "f": ["1", "1/x1"],
         "g": [["0"], ["1"]], "h": ["x2"]})).f
     # the stage states x1 = 1 + 0.25 and 0.5 + 0.25, then -0.25 + 0.25
-    y, K = np.array([1.0, 0.5, 0.0, 0.0]), np.ones((2, 4))
+    y, K, k = np.array([1.0, 0.5, 0.0, 0.0]), np.ones((2, 4)), np.ones((2, 2))
     plan = [(1, K[:1].T, np.array([1.0]))]
-    one = [(1, K[:1, :2].T, np.array([1.0]))]
+    one = [(1, k[:1].T, np.array([1.0]))]
     gc.collect()
     gc.disable()
     try:
         fun = flow_rhs(field)
         fun(0.0, y[::2].copy())
         fun(0.0, y.reshape(2, 2))
-        assert fun.stages(y[::2].copy(), K[:, :2], one, 0.25) is True
+        assert fun.stages(y[::2].copy(), k, one, 0.25) is True
         assert fun.batch_stages(y, K, plan, 0.25) is True
         y[1] = -0.25
-        assert fun.stages(y[1::2].copy(), K[:, :2], one, 0.25) is False
+        assert fun.stages(y[1::2].copy(), k, one, 0.25) is False
         assert fun.batch_stages(y, K, plan, 0.25) is False
         freed = weakref.ref(fun)
         del fun
@@ -557,7 +563,9 @@ def test_stage_entries_write_the_rows_of_the_kernel_on_each_stage_state(system, 
     """rhs.stages (one state) and rhs.batch_stages (a flattened (dim, B)
     batch) leave each row K[s] bitwise equal to the kernel on that stage's
     state y + rows.dot(a) * h, formed from the rows written before it, on
-    a C-contiguous K and on a view of the first columns of a wider one."""
+    a C-contiguous K; on a view of the first columns of a wider one,
+    rhs.batch_stages does the same, and rhs.stages, whose rows are packed
+    into K's buffer, raises TypeError and writes no row."""
     rng = np.random.default_rng(12)
     h = 0.037
     for label, rhs, dim in _flow_right_hand_sides(system):
@@ -572,9 +580,15 @@ def test_stage_entries_write_the_rows_of_the_kernel_on_each_stage_state(system, 
                 state = y + rows.dot(a) * h
                 expected[s] = (rhs(0.0, state) if batch is None
                                else rhs(0.0, state.reshape(dim, batch)).reshape(-1))
+            assert K.flags.c_contiguous == (layout == "C-contiguous")
+            if batch is None and layout == "strided view":
+                unwritten = K.copy()
+                with pytest.raises(TypeError):
+                    rhs.stages(y, K, _stage_plan(K), h)
+                assert np.array_equal(K, unwritten), label
+                continue
             entry = rhs.stages if batch is None else rhs.batch_stages
             assert entry(y, K, _stage_plan(K), h) is True, label
-            assert K.flags.c_contiguous == (layout == "C-contiguous")
             assert np.array_equal(K, expected), (label, batch)
 
 

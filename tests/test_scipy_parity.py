@@ -537,7 +537,7 @@ def test_a_dual_path_kernel_hands_each_trial_step_to_the_solvers_stage_loop(batc
     fun, y0, _ = _untraceable_flow()
     field, key = fun.kernel
     kernel = field._kernels[key][1]
-    assert not hasattr(kernel, "stages") and not hasattr(kernel, "batch_source")
+    assert not hasattr(kernel, "stages") and not hasattr(kernel, "batch_stages")
     spy = _Spy(fun)
     if batch is None:
         ref = _takes_scipys_steps(fun, y0, (0.0, 5.0))
