@@ -709,9 +709,11 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     the solver then runs the step by calls of rhs, which raises the
     field's own error.
 
-    rhs.kernel is (field, key): two right-hand sides with the same field,
-    the same field.func and the same key run the same kernel, and so
-    compute the same floats (integrate.shared_flows keys solves on it).
+    rhs.kernel is (field, key): two right-hand sides whose fields have the
+    same func, and with the same key, compute the same floats on a state
+    (its size fixes n), and a func replaced on the field is another
+    computation (integrate.shared_flows keys solves on field.func and
+    key, read when a solve starts).
     rhs.cost is the size of the cost block, 0 without outputs."""
     key = ("flow", copies, width, sign < 0, outputs)
     n = field.dim_in

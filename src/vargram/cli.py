@@ -9,7 +9,7 @@ by verify.json_text (sorted keys), so identical invocations produce
 byte-identical files; a JSON result at one point is printed and, with
 --out, written as the same bytes (_emit_json).
 Randomized sample points come from a seeded splitmix64 stream.
-verify solves each one-state energy flow segment once per command
+verify solves each energy flow segment from one start once per command
 (integrate.shared_flows): each check re-seeds the sampler, so thm5 draws
 thm4's samples and shares their flows; nothing is kept once the command
 returns.  example draws all checks from one stream, so no check repeats
@@ -157,12 +157,13 @@ def _build_field(system: SystemModel, field_name: str, **options):
 # ---------------------------------------------------------------- output
 
 def _out_dir(args) -> str:
-    out = getattr(args, "out", None) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The --out directory, "." without one; _write_text makes it, so a
+    command that fails before it writes leaves none."""
+    return getattr(args, "out", None) or "."
 
 
 def _write_text(path: str, text: str) -> str:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
@@ -464,7 +465,7 @@ def _cmd_pd_scan(args) -> int:
     region, shape = _checked_box(system, _parse_region(args.region), _parse_grid(args.grid))
     if args.plot and len(shape) != 2:
         raise CliError(f"--plot draws a heatmap over two dims, --grid has {len(shape)}")
-    _build_field(system, args.field)  # a bad --field fails before --out or a pool
+    _build_field(system, args.field)  # a bad --field fails before a pool starts
     csv_path = os.path.join(_out_dir(args), "scan.csv")
     scan = _scan_grid(system, source, args.field, args.tol, args.jobs, region, shape,
                       csv_path)
@@ -535,7 +536,7 @@ def _cmd_verify(args) -> int:
         raise CliError("--pairs and --samples must be at least 1")
     names = list(_CHECKS) if args.theorem == "all" else [args.theorem]
     if args.field is not None and not _DEFAULT_FIELDS.keys().isdisjoint(names):
-        _build_field(system, args.field)  # a bad --field fails before --out or a check
+        _build_field(system, args.field)  # a bad --field fails before any check
     out = _out_dir(args)
     counts = (args.pairs, args.samples, min(args.samples, 5))
     verdicts = {}

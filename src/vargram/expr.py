@@ -93,10 +93,6 @@ class Var(ExprAst):
 
     precedence = 100
 
-    @property
-    def index(self) -> int:
-        return int(self.name[1:])
-
     def evaluate(self, env):
         try:
             return env[self.name]

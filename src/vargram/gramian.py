@@ -60,15 +60,13 @@ class ResidualReport:
     at: tuple
     residual: np.ndarray
     frobenius_norm: float
-    meta: dict = field(default_factory=dict)
 
 
-def _report(equation_id: str, xs, residual: np.ndarray, **meta) -> ResidualReport:
+def _report(equation_id: str, xs, residual: np.ndarray) -> ResidualReport:
     residual = np.atleast_2d(np.asarray(residual, dtype=float))
     return ResidualReport(equation_id=equation_id, at=tuple(float(v) for v in xs),
                           residual=residual,
-                          frobenius_norm=float(np.linalg.norm(residual)),
-                          meta=meta)
+                          frobenius_norm=float(np.linalg.norm(residual)))
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:

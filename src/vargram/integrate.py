@@ -43,16 +43,17 @@ point meets the tolerances it would meet alone.  Improper integrals over
 such a batch stop doubling the horizon point by point.  A stack of one is
 solved as its one state, so a flow integral's point is a batch of one.
 
-Inside a shared_flows() scope a one-state solve of a flow kernel with a
-cost block, made without a dense output, is made once: asked again for
-the same kernel, start state, span and tolerances, it hands back the
-Trajectory it stored, read-only.  These are the solves a verify run asks
-for twice: a decay fit and an energy from the same start.  The store
-holds at most SHARED_BYTES of arrays, dropping the least recently used
-first; a stored solve keeps its arrays and nothing else.  Batched
-solves, dense outputs, flows without a cost block, plain callables and
-solves that raise are never stored, and the store is dropped when the
-scope closes.
+Inside a shared_flows() scope a solve of a flow kernel with a cost block
+from a stack of one state, made without a dense output, is made once:
+asked again for the same computation (the func of the kernel's field,
+the kernel's key, the start state, span and tolerances), it hands back
+the Trajectory it stored, read-only.  These are the solves a verify run
+asks for twice: a decay fit and an energy from the same start, both
+stacks of one.  The store holds at most SHARED_BYTES of arrays, dropping
+the least recently used first; a stored solve keeps its arrays and
+nothing else.  One-state solves, larger batches, dense outputs, flows
+without a cost block, plain callables and solves that raise are never
+stored, and the store is dropped when the scope closes.
 """
 
 from __future__ import annotations
@@ -320,35 +321,35 @@ def _solve_segment(rhs, x0, t0: float, tf: float, rtol: float, atol: float,
 
 
 # Bytes of arrays a shared_flows scope keeps at most.  A default verify run on
-# paper_sec5 stores 0.53 MiB in 335 solves, all kept; larger runs keep the
-# reuse of a decay fit by the energy right after it in bounded memory.
+# paper_sec5 stores 0.53 MiB in 335 of its 400 solves, all kept; larger runs
+# keep the reuse of a decay fit by the energy right after it in bounded
+# memory.
 SHARED_BYTES = 2 ** 22
 
-# key -> (Trajectory, field, field.func, bytes of its arrays) of the open
-# shared_flows scope, least recently used first; None outside one.  The
-# field and func are kept so that their ids in the key stay theirs while
-# the scope is open.
+# key -> (Trajectory, bytes of its arrays) of the open shared_flows scope,
+# least recently used first; None outside one.
 _shared: dict | None = None
 _shared_nbytes = 0
 
 
 @contextlib.contextmanager
 def shared_flows():
-    """Scope within which each one-state solve of a cost flow is made once.
+    """Scope within which each stack-of-one solve of a cost flow is made once.
 
     Inside it, _solved keys a solve without a dense output of a
     calculus.flow_rhs right-hand side with a cost block (rhs.cost > 0)
-    from one state (dim,), or a stack of one, on the kernel (the ids of its
-    field and of the field's func, and its key), the start state's bytes,
-    t0, tf, rtol and atol, and a solve asked for again returns the stored
-    Trajectory, whose arrays are read-only.  A horizon extension starts at
-    the endpoint of the segment before it, so extensions share as chains.
-    Never stored: batched solves (a batch's steps depend on its members),
-    dense outputs, flows without a cost block (no energy solves them
-    again), plain callables and solves that raise.  Past SHARED_BYTES of arrays
-    the least recently used trajectories are dropped, to be solved again
-    if asked for.  A scope opened inside an open one joins it; the store
-    is dropped when the outermost one closes.  It is usable as a decorator.
+    from a (1, dim) stack on what it computes: the func of the kernel's
+    field and the kernel's key (rhs.kernel), the start state's bytes, t0,
+    tf, rtol and atol.  A solve asked for again returns the stored
+    Trajectory, whose arrays are read-only.  A horizon extension starts
+    at the endpoint of the segment before it, so extensions share as
+    chains.  Never stored: one-state (dim,) solves, batches of more than
+    one (a batch's steps depend on its members), dense outputs, flows
+    without a cost block (no energy solves them again), plain callables
+    and solves that raise.  Past SHARED_BYTES of arrays the least
+    recently used trajectories are dropped, to be solved again if asked
+    for.  A scope opened inside an open one joins it; the store is
+    dropped when the outermost one closes.  It is usable as a decorator.
     """
     global _shared, _shared_nbytes
     if _shared is not None:
@@ -365,40 +366,33 @@ def _solved(rhs, x0, t0: float, tf: float, dense: bool = True) -> Trajectory:
     """Trajectory of _solve_segment from x0, one state or a (B, dim) batch,
     at the tolerances DEFAULT_RTOL and DEFAULT_ATOL, read when the solve
     starts, with its dense output unless dense is false; the stored one
-    when the open shared_flows scope has made this solve."""
+    when the open shared_flows scope has made this solve, and stored,
+    read-only, when the scope keeps it, dropping the least recently used
+    until at most SHARED_BYTES are kept."""
+    global _shared_nbytes
     x0 = np.asarray(x0, dtype=float)
     batch = None if x0.ndim == 1 else len(x0)
     key = None
-    if (_shared is not None and not dense and getattr(rhs, "cost", 0)
-            and hasattr(rhs, "kernel") and x0.size == x0.shape[-1]):
+    if (_shared is not None and not dense and batch == 1 and getattr(rhs, "cost", 0)
+            and hasattr(rhs, "kernel")):
         field, flow = rhs.kernel
-        key = (id(field), id(field.func), flow, x0.tobytes(), t0, tf, DEFAULT_RTOL,
-               DEFAULT_ATOL)
+        key = (field.func, flow, x0.tobytes(), t0, tf, DEFAULT_RTOL, DEFAULT_ATOL)
         stored = _shared.pop(key, None)
         if stored is not None:
             _shared[key] = stored  # now the most recently used
-            traj = stored[0]
-            return traj if traj.batch == batch else Trajectory(traj.times, traj.states,
-                                                               None, batch, traj.dydt)
+            return stored[0]
     sol = _solve_segment(rhs, x0, t0, tf, DEFAULT_RTOL, DEFAULT_ATOL, dense)
     traj = Trajectory(sol.t, sol.y.T, sol.dense, batch, sol.dydt.T)
     if key is not None:
-        _store(key, traj, field)
+        arrays = (traj.times, traj.states, traj.dydt)
+        for array in arrays:
+            array.flags.writeable = False
+        nbytes = sum(array.nbytes for array in arrays)
+        _shared[key] = traj, nbytes
+        _shared_nbytes += nbytes
+        while _shared_nbytes > SHARED_BYTES:
+            _shared_nbytes -= _shared.pop(next(iter(_shared)))[1]
     return traj
-
-
-def _store(key, traj: Trajectory, field) -> None:
-    """Keep traj, read-only, under key in the open shared_flows scope, then
-    drop the least recently used until at most SHARED_BYTES are kept."""
-    global _shared_nbytes
-    arrays = (traj.times, traj.states, traj.dydt)
-    for array in arrays:
-        array.flags.writeable = False
-    nbytes = sum(array.nbytes for array in arrays)
-    _shared[key] = traj, field, field.func, nbytes
-    _shared_nbytes += nbytes
-    while _shared_nbytes > SHARED_BYTES:
-        _shared_nbytes -= _shared.pop(next(iter(_shared)))[3]
 
 
 def integrate_ivp(field, x0, t_span) -> Trajectory:

@@ -125,10 +125,11 @@ class SystemModel:
         """The field x -> (field(x), out(x)) on n inputs: the flow field of
         a cost block of out (calculus.flow_rhs with outputs =
         out.dim_out), built once per pair of funcs so that its traced
-        kernels are reused, and anew when either func changes."""
+        kernels are reused, and anew when either func changes; it is
+        named by the two funcs."""
         field_func, out_func = funcs = field.func, out.func
         return self._derived_field(
-            ("with_output", id(field_func), id(out_func)), funcs,
+            ("with_output", *funcs), funcs,
             lambda: VectorField(self.n, field.dim_out + out.dim_out,
                                 lambda xs: [*field_func(xs), *out_func(xs)]))
 
@@ -365,31 +366,6 @@ def _paper_sec5() -> SystemModel:
         x1, x2 = xs
         return [x1 + x1 * x1 / 2 + x2]
 
-    # closed forms of the first two input-direction brackets, rederived by
-    # hand from the recursion and cross-checked against the simulated dual
-    # output derivatives (see tests)
-    def bracket_1(x1):
-        return 1.5 + 3.0 * x1 + 2.0 * x1 ** 2 + (2.0 / 3.0) * x1 ** 3
-
-    def bracket_2(x1):
-        return (1.25 + 5.0 * x1 + 8.25 * x1 ** 2 + (22.0 / 3.0) * x1 ** 3
-                + (10.0 / 3.0) * x1 ** 4 + (2.0 / 3.0) * x1 ** 5)
-
-    meta = {
-        "default_region": [(-0.3, 0.3), (-0.3, 0.3)],
-        "closed_form_brackets": [
-            lambda x: np.array([1.0 + x[0], 1.0]),
-            lambda x: np.array([bracket_1(x[0]), 0.5]),
-            lambda x: np.array([bracket_2(x[0]), 0.25]),
-        ],
-        "closed_form_obs_rows": [
-            lambda x: np.array([1.0, 0.0]),
-            lambda x: np.array([-0.5 - 2.0 * x[0] - x[0] ** 2 - x[1], -1.0 - x[0]]),
-        ],
-        # observability Gramian of the variational dynamics at the origin,
-        # where it coincides with the linearization's Lyapunov solution
-        "gramian_at_origin": np.array([[1.0, -1.0], [-1.0, 2.0]]),
-    }
     return SystemModel(
         name="paper_sec5", n=2, m=1, p=1,
         f=VectorField(2, 2, f),
@@ -400,7 +376,7 @@ def _paper_sec5() -> SystemModel:
             "P": MatrixField.constant(np.eye(2)),
             "R": MatrixField.constant(np.eye(2)),
         },
-        meta=meta,
+        meta={"default_region": [(-0.3, 0.3), (-0.3, 0.3)]},
     )
 
 

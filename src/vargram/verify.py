@@ -160,10 +160,10 @@ def _decay(rhs, z0, signal) -> DecayEstimate:
     """Fit the forward decay of |signal(z)| at the accepted steps of the
     flow of rhs from the one state z0 over [0, INITIAL_HORIZON]; signal
     maps the (S, dim) table of those states to one row each.  That solve,
-    without a dense output, is the first segment an energy from z0
-    solves, so with the energy's flow, cost block included, the two share
-    it."""
-    traj = _solved(rhs, z0, 0.0, INITIAL_HORIZON, dense=False)
+    of the stack [z0] without a dense output, is the first segment an
+    energy from z0 solves, so with the energy's flow, cost block
+    included, the two share it."""
+    traj = _solved(rhs, [z0], 0.0, INITIAL_HORIZON, dense=False)
     return fit_decay((traj.times, np.linalg.norm(signal(traj.states), axis=-1)))
 
 

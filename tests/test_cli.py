@@ -292,6 +292,30 @@ def test_a_scan_task_raises_its_set_up_error(monkeypatch, field, message):
         cli._scan_eval((("registry", "linear_scalar"), field, 1e-8, (0.5,)))
 
 
+def test_a_pd_scan_whose_workers_fail_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # a worker's set-up error reaches the parent through pool.map; nothing
+    # has been written then, so no --out is made
+    class FailingPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            raise CliError("spec file not found: gone.json")
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FailingPool)
+    out = tmp_path / "scan"
+    assert main(["pd-scan", "--system", "linear_scalar", "--field", "cert-R", "--region",
+                 "0,1", "--grid", "3", "--jobs", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spec file not found: gone.json\n"
+    assert not out.exists()
+
+
 def test_a_serial_pd_scan_keeps_no_field_after_it_returns(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_POOL_FIELD", None)
     assert main(["pd-scan", "--system", "paper_sec5", "--field", "empirical-Q",
@@ -407,7 +431,7 @@ def test_verify_all_without_a_p_certificate_leaves_cor7_inconclusive(tmp_path, c
         assert sorted(verdicts) == sorted(cli._CHECKS) and verdicts["cor7"] == "inconclusive"
     assert "cor7: inconclusive" in capsys.readouterr().out
     # a certificate named on the command line must exist, which is checked
-    # before --out is made or any check runs
+    # before any check runs, so no --out is made
     for theorem in ("cor7", "all"):
         named = ["--theorem", theorem, "--field", "cert-P", "--out", str(tmp_path / theorem)]
         assert main(base + named) == 1

@@ -1,18 +1,21 @@
 """Flows shared within a scope: each one-state flow segment solved once.
 
-Inside integrate.shared_flows() a one-state solve of a flow kernel with
-a cost block, made without a dense output, is made once and handed back,
-read-only, when it is asked for again.  These tests pin that a verify
-run repeats no such solve and makes 75 solves in all, that the store
-lives only as long as its scope (one command), that a check gives the
-same report with or without the flows of an earlier check, that a solve
-is shared only with one of the same kernel, start, span and tolerances,
-that a cost flow is stored and a dual flow is not, that batches, dense
-outputs, flows without a cost block and plain callables are never
-stored, that a stored flow keeps its arrays and no solver, that a
-solver is freed without the cyclic collector, that a verify run builds
-no dense output, and that the store keeps at most SHARED_BYTES,
-dropping the least recently used first.
+Inside integrate.shared_flows() a solve of a flow kernel with a cost
+block from a stack of one state, made without a dense output, is made
+once and handed back, read-only, when it is asked for again.  It is
+keyed on what it computes: the func of the kernel's field, the kernel's
+key, the start, the span and the tolerances.  These tests pin that a
+verify run repeats no such solve and makes 75 solves in all, that the
+store lives only as long as its scope (one command), that a check gives
+the same report with or without the flows of an earlier check, that a
+solve is shared only with one of the same func, kernel key, start, span
+and tolerances, so two models of one registry entry share their solves,
+that a cost flow is stored and a dual flow is not, that one-state
+solves, batches, dense outputs, flows without a cost block and plain
+callables are never stored, that a stored flow keeps its arrays and no
+solver, that a solver is freed without the cyclic collector, that a
+verify run builds no dense output, and that the store keeps at most
+SHARED_BYTES, dropping the least recently used first.
 """
 
 import gc
@@ -37,13 +40,13 @@ VERIFY_ARGS = ["verify", "--system", "paper_sec5", "--theorem", "all", "--pairs"
 
 
 def _flow_kernel(fun):
-    """(field id, func id, kernel key) of a calculus.flow_rhs right-hand
-    side, read from its closure; None for any other callable."""
+    """(field's func, kernel key) of a calculus.flow_rhs right-hand side,
+    read from its closure: what it computes; None for any other
+    callable."""
     if getattr(fun, "__qualname__", "") != "flow_rhs.<locals>.rhs":
         return None
     cells = dict(zip(fun.__code__.co_freevars, (c.cell_contents for c in fun.__closure__)))
-    field = cells["field"]
-    return id(field), id(field.func), cells["key"]
+    return cells["field"].func, cells["key"]
 
 
 @pytest.fixture
@@ -73,9 +76,9 @@ def _cost_flow(system=None):
 
 
 def _shared_solve(rhs, z0, tf: float = 5.0):
-    """The solve from z0 on [0, tf] that a shared_flows scope stores: no
-    dense output."""
-    return _solved(rhs, z0, 0.0, tf, dense=False)
+    """The solve on [0, tf] that a shared_flows scope stores: from the
+    stack of one state z0 (a stack z0 as it is), with no dense output."""
+    return _solved(rhs, np.atleast_2d(z0), 0.0, tf, dense=False)
 
 
 def _repeated(calls) -> list:
@@ -125,21 +128,24 @@ def test_a_check_gives_the_same_report_after_the_flows_of_another(solves):
     assert len(after_solves) < len(alone_solves)  # those flows were thm4's
 
 
-def test_stored_trajectories_are_read_only_and_shared_by_a_stack_of_one(solves):
+def test_a_stack_of_one_is_stored_read_only_and_a_one_state_solve_is_not(solves):
     rhs, z0 = _cost_flow()
     with shared_flows():
-        traj = _shared_solve(rhs, z0)
+        stack = _shared_solve(rhs, z0)
         with shared_flows():  # a nested scope joins the open one
-            stack = _shared_solve(rhs, [z0])
+            assert _shared_solve(rhs, z0) is stack
         assert len(solves) == 1
-        assert stack.states is traj.states
         assert stack.endpoint.shape == (1, 5)
-        np.testing.assert_array_equal(stack.endpoint[0], traj.endpoint)
-        for array in (traj.times, traj.states, traj.dydt):
+        for array in (stack.times, stack.states, stack.dydt):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+        one = [_solved(rhs, z0, 0.0, 5.0, dense=False) for _ in range(2)]
+        assert len(solves) == 3 and len(integrate._shared) == 1
+        assert one[1] is not one[0] and one[0].states.flags.writeable
+        assert one[0].endpoint.shape == (5,)
+        np.testing.assert_array_equal(one[0].states, stack.states)
     assert _shared_solve(rhs, z0).states.flags.writeable
-    assert len(solves) == 2
+    assert len(solves) == 4
 
 
 def test_a_solve_is_shared_only_with_the_same_kernel_start_span_and_tolerances(monkeypatch):
@@ -174,13 +180,26 @@ def test_a_solve_is_shared_only_with_the_same_kernel_start_span_and_tolerances(m
     alone = solved()
     with shared_flows():
         shared = solved()
-        g.func = scaled  # the same field with another func is another kernel
+        # g runs f's func, the same computation: it is handed f's solve
+        assert shared[-1] is shared[1]
+        assert len(integrate._shared) == len(requests) - 1
+        g.func = scaled  # the same field with another func is another computation
         shared.append(_shared_solve(cost_rhs(g, copies=2), z, 1.0).states)
-        assert len(integrate._shared) == len(requests) + 1
+        assert shared[-1] is not shared[1]
+        assert len(integrate._shared) == len(requests)
     g.func = scaled
     alone.append(_shared_solve(cost_rhs(g, copies=2), z, 1.0).states)
     for a, b in zip(alone, shared, strict=True):
         np.testing.assert_array_equal(a, b)
+
+
+def test_two_models_of_one_registry_entry_share_their_solves(solves):
+    # their fields are copies around the entry's funcs: the same computation
+    x, v = [0.1, -0.2], [0.6, 0.8]
+    with shared_flows():
+        first, second = [diff_observability(registry("paper_sec5"), x, v) for _ in range(2)]
+    assert len(solves) == 3
+    assert (second.value, second.error_estimate) == (first.value, first.error_estimate)
 
 
 def _plain(t, y):
@@ -191,7 +210,7 @@ _plain.cost = 1  # a cost block, but no kernel
 
 
 def _dense_solve(rhs, z0):
-    return integrate_ivp(rhs, z0, (0.0, 5.0))
+    return integrate_ivp(rhs, np.atleast_2d(z0), (0.0, 5.0))
 
 
 _RHS, _Z0 = _cost_flow()
@@ -244,7 +263,7 @@ def test_a_stored_flow_keeps_no_stages(monkeypatch):
     with shared_flows():
         diff_observability(system, [0.1, -0.2], [0.6, 0.8])  # its segments, no dense output
         stored = len(integrate._shared)
-        integrate_ivp(prolong(system, cost="dy").rhs, [0.1, -0.1, 0.6, 0.8, 0.0],
+        integrate_ivp(prolong(system, cost="dy").rhs, [[0.1, -0.1, 0.6, 0.8, 0.0]],
                       (0.0, 5.0))  # a cost flow with its dense output: not stored
         kept = [entry[0] for entry in integrate._shared.values()]
         assert len(kept) == stored > 1 and all(traj.dense is None for traj in kept)
