@@ -16,8 +16,9 @@ the same way (flow_rhs): duals seeded with the rows of a tangent
 block T give Df T by the chain rule, with no Jacobian formed, and a
 flow kernel is compiled with two entries that loop over the
 Runge-Kutta stages of a step, of one state (rhs.stages) or of a batch
-(rhs.batch_stages), forming the stage inputs the lines read and running
-the same lines on them, and say whether they ran them: a step they
+(rhs.batch_stages, one numpy call per line into preallocated rows),
+forming the stage inputs the lines read and running the same lines on
+them, and say whether they ran them: a step they
 cannot run is run by the solver's own stage loop, one call of rhs per
 stage, which is where a kernel hands over to duals (_run).  The kernels are
 straight-line code, so they run unchanged on a list of floats (one
@@ -40,6 +41,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 _NUMBER = numbers.Real
+
+# the numpy function of each binary tape operation, and a batch entry's locals
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
+_BATCH_UFUNCS = (np.add, np.subtract, np.multiply, np.divide, np.negative)
 
 
 def _primal(s):
@@ -358,6 +363,7 @@ class _Tape:
 
     def __init__(self):
         self.lines: dict[str, list] = {}  # name -> [code, operand names, kept]
+        self.calls: dict[str, tuple] = {}  # name -> (numpy ufunc, operand texts)
         self.names: dict[str, Traced] = {}  # code -> term
         self.guarded: set[str] = set()  # denominators with a kept division
         self.negated: dict[str, Traced] = {}  # name of a line -a -> a
@@ -372,14 +378,16 @@ class _Tape:
         return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)
 
     def emit(self, op: str, a, b=None, kept: bool = False) -> Traced:
-        code = f"{op}{self.text(a)}" if b is None else f"{self.text(a)} {op} {self.text(b)}"
+        texts = (self.text(a),) if b is None else (self.text(a), self.text(b))
+        code = f"{op}{texts[0]}" if b is None else f"{texts[0]} {op} {texts[1]}"
         term = self.names.get(code)
         if term is None and op in "+*" and b is not None:  # commutative: b op a
-            term = self.names.get(f"{self.text(b)} {op} {self.text(a)}")
+            term = self.names.get(f"{texts[1]} {op} {texts[0]}")
         if term is None:
             term = self.names[code] = Traced(self, f"t{len(self.lines)}")
             operands = tuple(t.name for t in (a, b) if isinstance(t, Traced))
             self.lines[term.name] = [code, operands, kept]
+            self.calls[term.name] = "negative" if b is None else _UFUNCS[op], texts
         elif kept:
             self.lines[term.name][2] = True
         return term
@@ -462,16 +470,30 @@ class _Tape:
         zero raises ZeroDivisionError.
 
         kernel.batch_stages(y, K, plan, h, batch) runs the stages of one
-        step of a batch: y is the flattened (n, batch) state, each stage
-        state is y + rows.dot(a) * h on it, as numpy forms it, taken only
-        up to the last input the lines read, and its rows of batch points
-        are the kernel's inputs, so K[s] holds the floats of
+        step of a batch, y the flattened (n, batch) state: each stage state
+        is y + rows.dot(a) * h, as numpy forms it, taken only up to the
+        last input the lines read, and its rows of batch points are the
+        kernel's inputs, so K[s] holds the floats of
         kernel(list((y + rows.dot(a) * h).reshape(n, batch))), each
-        constant output broadcast to its row.  flow_rhs runs both entries
-        and reports a step they cannot run."""
+        constant output broadcast to its row.  It allocates no array per
+        line: rows.dot(a, d) fills the first n rows of its workspace
+        (_Workspace), flat, whose first `read` rows are multiplied by h
+        and added to y's in place, and each line, kept divisions
+        included, is one call of np.add, subtract, multiply, divide or
+        negative, bound as locals of the entry, with a positional out row:
+        the line's first row of K[s].reshape(m, batch), written in place,
+        or else a workspace row.  Each constant operand is a workspace row
+        filled once, keyed by its text, so that 0.0 and -0.0 stay apart.
+        A repeated output, an input passed through and a constant output
+        are then copied or filled into their rows.  The workspace is one
+        array of the kernel's, reallocated only when the batch size
+        changes, so it holds (n + lines kept out of K + constants) rows of
+        at most integrate.MAX_BATCH points; two threads must not step one
+        kernel at once.  flow_rhs runs both entries and reports a step
+        they cannot run."""
         live = self.live(results)
-        body = [f"    {name} = {code}" for name, (code, _, _) in self.lines.items()
-                if name in live]
+        lines = [name for name in self.lines if name in live]
+        body = [f"    {name} = {self.lines[name][0]}" for name in lines]
         texts = [self.text(t) for t in results]
         values = "(" + "".join(text + ", " for text in texts) + ")"
         source = ["def kernel(xs):", f"    {''.join(f'x{i}, ' for i in range(n))}= xs",
@@ -487,8 +509,6 @@ class _Tape:
             return "".join(f"{letter}{i}, " if i in inputs else "_, " for i in range(read))
 
         prefix = "" if read == n else f"[:{read}]"
-        state = "y + rows.dot(a) * h" if read == n else \
-            f"y[:{read} * batch] + rows.dot(a)[:{read} * batch] * h"
         source += ["def stages(ys, K, plan, h):",
                    "    put = pack",
                    f"    {unpack('y')}= ys{prefix}",
@@ -496,17 +516,69 @@ class _Tape:
                    f"        {unpack('d')}= rows.dot(a){prefix}.tolist()",
                    *(f"        x{i} = y{i} + d{i} * h" for i in inputs),
                    *("    " + line for line in body),
-                   f"        put(K, s * {8 * len(results)}, {', '.join(texts)})",
-                   "def batch_stages(y, K, plan, h, batch):",
+                   f"        put(K, s * {8 * len(results)}, {', '.join(texts)})"]
+        # the batch entry's rows: the stage state, the lines not written
+        # into K (each line goes to the first K row that outputs it), and
+        # the constant operands, one row each
+        first = {}
+        for i, text in enumerate(texts):
+            if text in self.lines:
+                first.setdefault(text, i)
+        constants = {text: f"c{j}" for j, text in enumerate(dict.fromkeys(
+            text for name in lines for text in self.calls[name][1]
+            if text not in self.lines[name][1]))}
+        slots = [f"x{i}" if i in inputs else "_" for i in range(n)]
+        slots += [name for name in lines if name not in first] + list(constants.values())
+        calls = []
+        for name in lines:
+            ufunc, operands = self.calls[name]
+            args = ", ".join(constants.get(text, text) for text in operands)
+            calls.append(f"        {name} = {ufunc}({args}, k[{first[name]}])" if name in first
+                         else f"        {ufunc}({args}, {name})")
+        source += ["def batch_stages(y, K, plan, h, batch):",
+                   "    add, subtract, multiply, divide, negative = UFUNCS",
+                   f"    d, head, {''.join(slot + ', ' for slot in slots)}= workspace(batch)",
+                   *([] if read == n else [f"    y = y[:{read} * batch]"]),
                    "    for s, rows, a in plan:",
-                   f"        {unpack('x')}= ({state}).reshape({read}, batch)",
-                   *("    " + line for line in body),
+                   "        rows.dot(a, d)",
+                   "        multiply(head, h, head)",
+                   "        add(y, head, head)",
                    f"        k = K[s].reshape({len(results)}, batch)",
-                   *(f"        k[{i}] = {text}" for i, text in enumerate(texts))]
+                   *calls,
+                   *(f"        k[{i}] = {text}" for i, text in enumerate(texts)
+                     if first.get(text) != i)]
+        fills = [(len(slots) - len(constants) + j, float(text.strip("()")))
+                 for j, text in enumerate(constants)]
         kernel, kernel.stages, kernel.batch_stages = _compiled(
             "\n".join(source), "kernel", "stages", "batch_stages",
-            pack=struct.Struct(f"{len(results)}d").pack_into)
+            pack=struct.Struct(f"{len(results)}d").pack_into, UFUNCS=_BATCH_UFUNCS,
+            workspace=_Workspace(n, read, len(slots), fills))
         return kernel
+
+
+class _Workspace:
+    """The rows a flow kernel's batch entry writes (_Tape.compile), as one
+    (height, batch) array: the stage state d (its first n rows, which
+    rows.dot fills, flat, and whose first `read` rows become the inputs),
+    then the rows of the lines and constants.  workspace(batch) returns d
+    and those first rows (flat), then each row; the array is made, and
+    its constant rows filled, only when the batch size changes, so one
+    workspace holds one array."""
+
+    __slots__ = ("n", "read", "height", "fills", "batch", "rows")
+
+    def __init__(self, n: int, read: int, height: int, fills: list):
+        self.n, self.read, self.height, self.fills = n, read, height, fills
+        self.batch, self.rows = None, ()
+
+    def __call__(self, batch: int) -> tuple:
+        if batch != self.batch:
+            array = np.empty((self.height, batch))
+            for row, value in self.fills:
+                array[row] = value
+            self.batch = batch
+            self.rows = (array[:self.n].reshape(-1), array[:self.read].reshape(-1), *array)
+        return self.rows
 
 
 def _compiled(source: str, *names: str, **names_in_scope) -> list:
@@ -703,11 +775,14 @@ def flow_rhs(field: VectorField, copies: int = 1, width: int = 0,
     rhs.batch_stages(y, K, plan, h) does the same for a batch, y the
     flattened (dim, B) state, in one call of the kernel's batch entry
     under one np.errstate for the step, with the floats of rhs on y +
-    rows.dot(a) * h reshaped to (dim, B).  Each returns True when it ran
-    all the stages, and False when a stage divides by zero (or, in a
+    rows.dot(a) * h reshaped to (dim, B): one numpy call per tape line,
+    into rows of a workspace the kernel keeps for its last batch size,
+    or straight into K's rows (_Tape.compile).  Each returns True when it
+    ran all the stages, and False when a stage divides by zero (or, in a
     batch, makes an invalid operation) or the kernel is on the dual path:
     the solver then runs the step by calls of rhs, which raises the
-    field's own error.
+    field's own error; a batch step stopped partway leaves some of K's
+    rows written, and the solver's stage loop rewrites every one.
 
     rhs.kernel is (field, key): two right-hand sides whose fields have the
     same func, and with the same key, compute the same floats on a state

@@ -6,7 +6,9 @@ kernel's traced loop entry, or, for a right-hand side without one or
 whose entry cannot run the step, by the solver's own stage loop, one
 call per stage;
 _BatchDOP853 steps a batch of points with a per-point error norm, its
-trial steps in one call of the kernel's batch entry too;
+trial steps in one call of the kernel's batch entry too, which runs each
+tape line as one numpy call into preallocated rows and writes the stage
+rows of K in place;
 OdeSolution chains the solver's per-step dense outputs, scipy's own
 interpolants;
 brentq locates a terminal event.
@@ -56,8 +58,10 @@ class _DOP853(DOP853):
     C-contiguous float64, as scipy allocates it; the entry takes no other
     K), and for a batch (_BatchDOP853, whose fun.stages is the kernel's
     rhs.batch_stages) it forms y + rows.dot(a) * h on the flat state up
-    to the last input read, so the floats, steps and nfev are unchanged,
-    and a step makes one Python-level call instead of twelve.  The entry
+    to the last input read, in rows of a workspace kept with the kernel,
+    and writes each stage's rows of K in place, one numpy call per tape
+    line, so the floats, steps and nfev are unchanged, and a step makes
+    one Python-level call instead of twelve.  The entry
     returns whether it ran all twelve stages.  When fun has no entry, or
     its entry returns False (a division by zero, or a kernel on the dual
     path), the step is run by the solver's own stage loop, _each_stage,
@@ -166,7 +170,9 @@ class _BatchDOP853(_DOP853):
     alone and the step size follows the hardest point: a point whose
     norm is _DOP853's NaN (its 0 / 0) makes the step's norm NaN, which
     rejects it.  Its stages are run as _DOP853 runs them, by fun.stages
-    when fun has it and it runs, by fun's own calls otherwise.
+    when fun has it and it runs, by fun's own calls otherwise.  Its
+    scalars are Python floats, as _DOP853's are: the error norm is
+    abs(h) times a float.
     """
 
     def __init__(self, fun, t0, y0, t_bound, batch: int, **options):
@@ -185,4 +191,4 @@ class _BatchDOP853(_DOP853):
                 return math.nan
             denom[zero] = 1.0  # both errors 0: the point's norm is 0
         norms = err5_norm_2 / np.sqrt(denom * len(err5))
-        return np.abs(h) * float(norms.max())
+        return abs(h) * float(norms.max())

@@ -635,6 +635,7 @@ def _cost_integrals(rhs, z0: np.ndarray, tol: float,
             return results
         ends = advance(ends, horizon, 2.0 * horizon)
         horizon *= 2.0
+        every = None  # (times, rates) so far, joined at this doubling's first convergence
         for b, end in enumerate(ends):
             if results[b] is not None:
                 continue
@@ -642,7 +643,9 @@ def _cost_integrals(rhs, z0: np.ndarray, tol: float,
             increment = float(np.linalg.norm(value - values[b]))
             values[b] = value
             if increment < tol:
-                tail = _tail(np.concatenate(times), np.concatenate(rates)[:, b])
+                if every is None:
+                    every = np.concatenate(times), np.concatenate(rates)
+                tail = _tail(every[0], every[1][:, b])
                 results[b] = result(value, increment + (tail if tail is not None else 0.0), tail)
                 continue
             prev = prev_increments[b]

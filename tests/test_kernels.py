@@ -592,6 +592,84 @@ def test_stage_entries_write_the_rows_of_the_kernel_on_each_stage_state(system, 
             assert np.array_equal(K, expected), (label, batch)
 
 
+def _every_kind_of_row():
+    """A kernel of 9 inputs and 9 outputs, traced by hand, whose batch entry
+    writes every kind of row: lines with a constant left operand (1.0 - x,
+    2.0 / t), a negation, kept divisions (-0.0) / t and 0.0 / t, which
+    give -0.0 and 0.0, a kept division no output reads, a repeated
+    output, an input passed through, and constant outputs, -0.0 among
+    them.  It reads x0, x1 and x3 only, so the stage state is taken up to
+    x3, with x2 unread inside it."""
+    tape = _Tape()
+    x = [Traced(tape, f"x{i}") for i in range(9)]
+    p = tape.add(tape.mul(x[0], x[0]), 2.0)  # positive
+    q = tape.sub(1.0, x[1])
+    tape.div(x[3], tape.add(tape.mul(x[3], x[3]), 3.0))  # kept, read by no output
+    results = [tape.div(-0.0, p), tape.div(0.0, q), tape.div(2.0, p), tape.neg(x[3]),
+               0.5, -0.0, x[1], q, q]
+    assert {"1.0 - x1", "(-0.0) / t1", "0.0 / t2", "2.0 / t1", "-x3"} <= {
+        code for code, _, _ in tape.lines.values()}
+    return tape.compile(9, results, stages=True), 9
+
+
+def _gramian_kernel():
+    # the observability Gramian flow of paper_sec5: its cost block's
+    # mirrored entry is one line written to two rows
+    system = registry("paper_sec5")
+    field = system.with_output(system.f, system.h)
+    rhs = flow_rhs(field, width=2, outputs=1)
+    rhs(0.0, np.zeros(10))
+    return field._kernels[rhs.kernel[1]][1], 10
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("make", [_every_kind_of_row, _gramian_kernel],
+                         ids=["every kind of row", "gramian"])
+def test_the_batch_entry_writes_the_per_point_kernels_rows_at_each_batch_size(make):
+    """kernel.batch_stages, called directly at batch sizes 2, 3 and 64,
+    then 3, 5 and 3 on the same kernel (its workspace reused, then made
+    anew), writes each row K[s] bitwise equal, signs of zero included, to
+    the kernel run on each point of that stage's state, one point at a
+    time on Python floats."""
+    kernel, n = make()
+    rng = np.random.default_rng(21)
+    h = 0.01
+    for batch in (2, 3, 64, 3, 5, 3):
+        y = rng.uniform(-0.5, 0.5, n * batch)
+        K, expected = (np.zeros((_DOP853.n_stages + 1, n * batch)) for _ in range(2))
+        K[0] = expected[0] = rng.uniform(-0.5, 0.5, n * batch)
+        for s, rows, a in _stage_plan(expected):
+            state = (y + rows.dot(a) * h).reshape(n, batch)
+            expected[s] = np.array([kernel(state[:, b].tolist()) for b in range(batch)]).T.ravel()
+        kernel.batch_stages(y, K, _stage_plan(K), h, batch)
+        assert np.array_equal(_bits(K), _bits(expected)), batch
+
+
+def test_a_kernels_batch_workspace_is_one_array_made_anew_only_for_a_new_batch_size():
+    """The batch entry's workspace holds one array, for the last batch
+    size: the same array while the size repeats, a new one when it
+    changes, and every earlier array is freed (by reference counting)."""
+    kernel, n = _gramian_kernel()
+    workspace = kernel.batch_stages.__globals__["workspace"]
+    seen = []  # (batch size, the workspace's array) after each call
+    for batch in (2, 2, 7, 64, 64, 3, 2, 5, 5):
+        K = np.zeros((_DOP853.n_stages + 1, n * batch))
+        kernel.batch_stages(np.full(n * batch, 0.1), K, _stage_plan(K), 0.01, batch)
+        array = workspace.rows[2].base
+        assert array.shape == (workspace.height, batch)
+        assert all(row.base is array for row in workspace.rows)
+        if seen:  # the same array exactly while the size repeats
+            assert (seen[-1][1]() is array) == (seen[-1][0] == batch)
+        seen.append((batch, weakref.ref(array)))
+        del array
+        alive = [ref() for _, ref in seen if ref() is not None]
+        assert alive and all(array is alive[0] for array in alive)
+        del alive
+
+
 def _with_constant_component() -> SystemModel:
     # f2, and with it the second tangent row, is a constant of the kernel
     return from_spec(parse_system_spec({

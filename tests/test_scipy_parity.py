@@ -532,6 +532,22 @@ def test_a_batch_makes_one_batch_entry_call_per_trial_step():
     assert spy.log == ["rhs", "rhs"] + [True] * len(spy.batch_plans)
 
 
+def test_a_batched_solve_keeps_python_float_scalars():
+    """A batch's step scalars are Python floats, as _DOP853's are: its
+    error norm is one, so t and h_abs stay floats at every step."""
+    fun, y0, _ = _reversed_cost_flow()
+    z0 = _points(y0, 2)
+    solver = _BatchDOP853(_batch_entry_fun(fun, z0.shape[1], 2), 0.0, z0.T.reshape(-1), 5.0,
+                          batch=2, **TOLS)
+    times = []
+    while solver.status == "running":
+        solver.step()
+        times.append(solver.t)
+        assert type(solver.h_abs) is float
+    assert solver.status == "finished" and len(times) > 10
+    assert all(type(t) is float for t in times)
+
+
 @pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch"])
 def test_a_dual_path_kernel_hands_each_trial_step_to_the_solvers_stage_loop(batch):
     fun, y0, _ = _untraceable_flow()
